@@ -212,32 +212,3 @@ func BenchmarkAblationMOOPVariants(b *testing.B) {
 		}
 	}
 }
-
-// BenchmarkDataPathSerial measures single-stream write + read
-// throughput against a live cluster with the synchronous data path
-// (no readahead, no write window): every block pays its master round
-// trip, pipeline ack, and dial handshake on the critical path.
-func BenchmarkDataPathSerial(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		res, err := bench.RunDataPath(b.TempDir(), 32, 1, 0, 0)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(res.WriteMBps, "write-MB/s")
-		b.ReportMetric(res.ReadMBps, "read-MB/s")
-	}
-}
-
-// BenchmarkDataPathConcurrent is the same workload with block
-// readahead and an overlapped write window, hiding the per-block
-// latencies behind the data transfer.
-func BenchmarkDataPathConcurrent(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		res, err := bench.RunDataPath(b.TempDir(), 32, 1, 4, 2)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(res.WriteMBps, "write-MB/s")
-		b.ReportMetric(res.ReadMBps, "read-MB/s")
-	}
-}

@@ -3,21 +3,19 @@
 //
 // Usage:
 //
-//	octopus-bench [table2|table3|fig2|fig3|fig4|fig5|fig6|fig7|ablation|datapath|heat|mover|metadata|all]
+//	octopus-bench [table2|table3|fig2|fig3|fig4|fig5|fig6|fig7|ablation|all]
 //
 // Simulator-backed experiments (fig2–fig7) run the paper's full data
 // sizes in seconds; table2 and table3 run against live in-process
-// components and take a little longer. metadata drives create / stat /
-// ls / rename / delete against a persistent master with -md-clients
-// concurrent clients over -md-files files (the baseline behind the
-// audit log's per-phase latency breakdown).
+// components and take a little longer. This command reproduces the
+// paper; how fast this implementation is gets measured by the repo
+// benchmark (benchmark/README.md).
 package main
 
 import (
 	"flag"
 	"fmt"
 	"os"
-	"time"
 
 	"repro/internal/bench"
 	"repro/internal/integration"
@@ -25,15 +23,10 @@ import (
 
 func main() {
 	flag.Usage = func() {
-		fmt.Fprintf(os.Stderr, "usage: %s [table2|table3|fig2|fig3|fig4|fig5|fig6|fig7|ablation|datapath|heat|mover|metadata|all]\n", os.Args[0])
+		fmt.Fprintf(os.Stderr, "usage: %s [table2|table3|fig2|fig3|fig4|fig5|fig6|fig7|ablation|all]\n", os.Args[0])
 		flag.PrintDefaults()
 	}
 	scale := flag.Int64("scale-mb", 0, "override experiment data size in MB (0 = paper size)")
-	jsonPath := flag.String("json", "", "also write datapath/heat/mover/metadata results as JSON to this path")
-	mdFiles := flag.Int("md-files", 100000, "metadata benchmark: number of files")
-	mdClients := flag.Int("md-clients", 8, "metadata benchmark: concurrent clients")
-	compare := flag.String("compare", "", "datapath: baseline JSON report to print a before/after comparison against")
-	warmGate := flag.Float64("max-warm-dial-p99-ms", 0, "datapath: fail if warm-path (pooled) dial p99 exceeds this many ms (0 disables)")
 	flag.Parse()
 
 	targets := flag.Args()
@@ -50,15 +43,6 @@ func main() {
 	fail := func(what string, err error) {
 		fmt.Fprintf(os.Stderr, "octopus-bench: %s: %v\n", what, err)
 		os.Exit(1)
-	}
-	// emitJSON is the one -json code path every target shares.
-	emitJSON := func(what string, write func(path string) error) {
-		if *jsonPath == "" {
-			return
-		}
-		if err := write(*jsonPath); err != nil {
-			fail(what, err)
-		}
 	}
 
 	if all || want["table2"] {
@@ -126,78 +110,5 @@ func main() {
 			fail("ablation", err)
 		}
 		bench.PrintAblation(out, rows)
-	}
-	if all || want["datapath"] {
-		fileMB := *scale
-		if fileMB <= 0 {
-			fileMB = 64
-		}
-		var results []bench.DataPathResult
-		for _, p := range []struct{ ra, ww int }{{0, 0}, {2, 1}, {4, 2}} {
-			dir, cleanup, err := integration.TempDir()
-			if err != nil {
-				fail("datapath", err)
-			}
-			res, err := bench.RunDataPath(dir, fileMB, 1, p.ra, p.ww)
-			cleanup()
-			if err != nil {
-				fail("datapath", err)
-			}
-			results = append(results, res)
-		}
-		bench.PrintDataPath(out, results)
-		if *compare != "" {
-			baseline, err := bench.ReadDataPathJSON(*compare)
-			if err != nil {
-				fail("datapath", err)
-			}
-			bench.CompareDataPath(out, baseline, bench.BuildDataPathReport(fileMB, 1, results))
-		}
-		emitJSON("datapath", func(p string) error { return bench.WriteDataPathJSON(p, fileMB, 1, results) })
-		if *warmGate > 0 {
-			if err := bench.CheckWarmDial(results, time.Duration(*warmGate*float64(time.Millisecond))); err != nil {
-				fail("datapath", err)
-			}
-			fmt.Fprintf(out, "warm-path dial gate: OK (p99 <= %.1fms on every pooled configuration)\n", *warmGate)
-		}
-	}
-	if all || want["heat"] {
-		dir, cleanup, err := integration.TempDir()
-		if err != nil {
-			fail("heat", err)
-		}
-		res, err := bench.RunHeat(dir, 24, 2000, 1.2)
-		cleanup()
-		if err != nil {
-			fail("heat", err)
-		}
-		bench.PrintHeat(out, res)
-		emitJSON("heat", func(p string) error { return bench.WriteHeatJSON(p, res) })
-	}
-	if all || want["mover"] {
-		dir, cleanup, err := integration.TempDir()
-		if err != nil {
-			fail("mover", err)
-		}
-		res, err := bench.RunMover(dir, 12, 400, 1.5)
-		cleanup()
-		if err != nil {
-			fail("mover", err)
-		}
-		bench.PrintMover(out, res)
-		emitJSON("mover", func(p string) error { return bench.WriteMoverJSON(p, res) })
-	}
-	if all || want["metadata"] {
-		dir, cleanup, err := integration.TempDir()
-		if err != nil {
-			fail("metadata", err)
-		}
-		res, err := bench.RunMetadata(dir, *mdFiles, *mdClients)
-		cleanup()
-		if err != nil {
-			fail("metadata", err)
-		}
-		bench.PrintMetadata(out, res)
-		emitJSON("metadata", func(p string) error { return bench.WriteJSON(p, res) })
 	}
 }

@@ -46,7 +46,6 @@ import (
 	"io"
 	"net/http"
 	"os"
-	"sort"
 	"strconv"
 	"strings"
 	"time"
@@ -54,9 +53,9 @@ import (
 	"repro/internal/audit"
 	"repro/internal/client"
 	"repro/internal/core"
+	"repro/internal/events"
 	"repro/internal/rpc"
 	"repro/internal/trace"
-	"repro/internal/xfer"
 )
 
 // knownCommands lists every subcommand run() dispatches on, so main
@@ -351,119 +350,19 @@ func run(fs *client.FileSystem, args []string) error {
 		return trace.RenderTree(os.Stdout, spans)
 
 	case "events":
-		fl := flag.NewFlagSet("events", flag.ContinueOnError)
-		jsonOut := fl.Bool("json", false, "emit the page as JSON")
-		since := fl.Uint64("since", 0, "exclusive sequence cursor (0 = oldest retained)")
-		typ := fl.String("type", "", "filter by event type")
-		limit := fl.Int("limit", 0, "page size cap (0 = server default)")
-		if err := fl.Parse(rest); err != nil {
-			return err
-		}
-		page, counts, err := fs.Events(*since, *typ, *limit)
-		if err != nil {
-			return err
-		}
-		if *jsonOut {
-			enc := json.NewEncoder(os.Stdout)
-			enc.SetIndent("", "  ")
-			return enc.Encode(struct {
-				Events  any               `json:"events"`
-				Next    uint64            `json:"next"`
-				Missed  uint64            `json:"missed"`
-				Evicted uint64            `json:"evicted"`
-				Counts  map[string]uint64 `json:"counts"`
-			}{page.Events, page.Next, page.Missed, page.Evicted, counts})
-		}
-		for _, e := range page.Events {
-			line := fmt.Sprintf("%6d  %s  %-5s %-22s %s",
-				e.Seq, time.Unix(0, e.Time).Format("15:04:05.000"), e.Severity, e.Type, e.Message)
-			if len(e.Attrs) > 0 {
-				keys := make([]string, 0, len(e.Attrs))
-				for k := range e.Attrs {
-					keys = append(keys, k)
-				}
-				sort.Strings(keys)
-				for _, k := range keys {
-					line += fmt.Sprintf(" %s=%s", k, e.Attrs[k])
-				}
-			}
-			if e.TraceID != "" {
-				line += " trace=" + e.TraceID
-			}
-			fmt.Println(line)
-		}
-		if page.Missed > 0 {
-			fmt.Printf("(%d events missed to eviction)\n", page.Missed)
-		}
-		fmt.Printf("next cursor: %d\n", page.Next)
-		return nil
+		return pageLog(cmd, rest, "type", "events", false, formatEvent,
+			func(since uint64, typ string, limit int) ([]rpc.LogSource[events.Event], error) {
+				return oneSource(fs.Events(since, typ, limit))
+			})
 
 	case "audit":
-		fl := flag.NewFlagSet("audit", flag.ContinueOnError)
-		jsonOut := fl.Bool("json", false, "emit pages as JSON")
-		since := fl.Uint64("since", 0, "exclusive sequence cursor (0 = oldest retained)")
-		opFilter := fl.String("op", "", "filter by operation name (e.g. create)")
-		limit := fl.Int("limit", 0, "page size cap (0 = no cap)")
-		follow := fl.Bool("follow", false, "poll for new entries until interrupted")
-		if err := fl.Parse(rest); err != nil {
-			return err
-		}
-		cursor := *since
-		for {
-			page, counts, err := fs.Audit(cursor, *opFilter, *limit)
-			if err != nil {
-				return err
-			}
-			if *jsonOut {
-				enc := json.NewEncoder(os.Stdout)
-				enc.SetIndent("", "  ")
-				if err := enc.Encode(struct {
-					Entries any               `json:"entries"`
-					Next    uint64            `json:"next"`
-					Missed  uint64            `json:"missed"`
-					Dropped uint64            `json:"dropped"`
-					Counts  map[string]uint64 `json:"counts"`
-				}{page.Entries, page.Next, page.Missed, page.Dropped, counts}); err != nil {
-					return err
-				}
-			} else {
-				for _, e := range page.Entries {
-					fmt.Println(formatAuditEntry(e))
-				}
-				if page.Missed > 0 {
-					fmt.Printf("(%d entries missed to eviction)\n", page.Missed)
-				}
-			}
-			cursor = page.Next
-			if !*follow {
-				if !*jsonOut {
-					fmt.Printf("next cursor: %d\n", cursor)
-				}
-				return nil
-			}
-			time.Sleep(500 * time.Millisecond)
-		}
+		return pageLog(cmd, rest, "op", "entries", true, formatAuditEntry,
+			func(since uint64, op string, limit int) ([]rpc.LogSource[audit.Entry], error) {
+				return oneSource(fs.Audit(since, op, limit))
+			})
 
 	case "transfers":
-		fl := flag.NewFlagSet("transfers", flag.ContinueOnError)
-		jsonOut := fl.Bool("json", false, "emit the pages as JSON")
-		since := fl.Uint64("since", 0, "exclusive sequence cursor, applied per source (0 = oldest retained)")
-		opFilter := fl.String("op", "", "filter by transfer kind (read, write, replicate)")
-		limit := fl.Int("limit", 0, "page size cap per source (0 = no cap)")
-		if err := fl.Parse(rest); err != nil {
-			return err
-		}
-		sources, err := fs.Transfers(*since, *opFilter, *limit)
-		if err != nil {
-			return err
-		}
-		if *jsonOut {
-			enc := json.NewEncoder(os.Stdout)
-			enc.SetIndent("", "  ")
-			return enc.Encode(sources)
-		}
-		printTransferSources(sources)
-		return nil
+		return pageLog(cmd, rest, "op", "records", false, formatTransferRecord, fs.Transfers)
 
 	case "top":
 		fl := flag.NewFlagSet("top", flag.ContinueOnError)
@@ -625,107 +524,6 @@ func run(fs *client.FileSystem, args []string) error {
 // printHeatReport renders the heat document: the aggregate line, the
 // hottest files and blocks, and the tier-fitness findings with their
 // originating placement decisions.
-// formatAuditEntry renders one audit entry on a single line: when it
-// finished, what it did to which path, and where the time went.
-func formatAuditEntry(e audit.Entry) string {
-	status := "ok"
-	if e.Result != "ok" {
-		status = "ERR"
-	}
-	line := fmt.Sprintf("%6d  %s  %-19s %-4s total=%-10s queue=%s lock=%s apply=%s",
-		e.Seq, time.Unix(0, e.Time).Format("15:04:05.000"), e.Op, status,
-		fmtNs(e.TotalNs), fmtNs(e.QueueNs), fmtNs(e.LockWaitNs), fmtNs(e.ApplyNs))
-	if e.AppendNs > 0 {
-		line += " append=" + fmtNs(e.AppendNs)
-	}
-	if e.FsyncNs > 0 {
-		line += " fsync=" + fmtNs(e.FsyncNs)
-	}
-	if e.Bytes > 0 {
-		line += fmt.Sprintf(" bytes=%d", e.Bytes)
-	}
-	line += "  " + e.Path
-	if e.Dst != "" {
-		line += " -> " + e.Dst
-	}
-	if e.Result != "ok" {
-		line += "  err=" + e.Result
-	}
-	if e.TraceID != "" {
-		line += "  trace=" + e.TraceID
-	}
-	return line
-}
-
-// fmtNs renders a nanosecond latency compactly for audit lines.
-func fmtNs(ns int64) string {
-	return time.Duration(ns).Round(time.Microsecond).String()
-}
-
-// printTransferSources renders the per-daemon transfer pages: for each
-// source one line per record with its serial phase breakdown, so a
-// slow transfer shows where it stalled (dial vs disk vs net vs ack).
-// Cursors are per source; resume each from its own "next" value.
-func printTransferSources(sources []rpc.TransferSource) {
-	for i, src := range sources {
-		if i > 0 {
-			fmt.Println()
-		}
-		if src.Err != "" {
-			fmt.Printf("%s: fan-out failed: %s\n", src.Source, src.Err)
-			continue
-		}
-		fmt.Printf("%s: %d records (next cursor %d", src.Source, len(src.Page.Entries), src.Page.Next)
-		if src.Page.Missed > 0 {
-			fmt.Printf(", %d missed to eviction", src.Page.Missed)
-		}
-		if src.Page.Dropped > 0 {
-			fmt.Printf(", %d dropped at append", src.Page.Dropped)
-		}
-		fmt.Println(")")
-		for _, e := range src.Page.Entries {
-			fmt.Println("  " + formatTransferRecord(e))
-		}
-	}
-}
-
-// formatTransferRecord renders one flight-recorder record on a single
-// line: identity, size, wall time, then only the phases that occurred.
-func formatTransferRecord(e xfer.Record) string {
-	line := fmt.Sprintf("%6d  %s  %-9s blk=%-8d %9dB  %8s",
-		e.Seq, time.Unix(0, e.Time).Format("15:04:05.000"), e.Op, e.Block,
-		e.Bytes, fmtNs(e.TotalNs))
-	phases := []struct {
-		name string
-		ns   int64
-	}{
-		{"dial", e.DialNs}, {"enc", e.HeaderEncodeNs}, {"dec", e.HeaderDecodeNs},
-		{"throttle", e.ThrottleWaitNs}, {"disk", e.DiskNs}, {"net", e.NetNs},
-		{"fwd", e.ForwardNs}, {"ack", e.AckWaitNs}, {"stall", e.StallNs},
-	}
-	for _, p := range phases {
-		if p.ns > 0 {
-			line += fmt.Sprintf(" %s=%s", p.name, fmtNs(p.ns))
-		}
-	}
-	if e.PoolHit {
-		line += " pool=hit"
-	}
-	if e.Tier != "" {
-		line += " tier=" + e.Tier
-	}
-	if e.Peer != "" {
-		line += " peer=" + e.Peer
-	}
-	if e.Result != "ok" && e.Result != "" {
-		line += " err=" + e.Result
-	}
-	if e.TraceID != "" {
-		line += " trace=" + e.TraceID
-	}
-	return line
-}
-
 func printHeatReport(r rpc.HeatReport, misplacedOnly bool) {
 	agg := r.Aggregate
 	fmt.Printf("access heat @ %s (half-life %s): %d blocks / %d files tracked, total %.1f ops, max %.1f\n",

@@ -30,7 +30,6 @@ func main() {
 		listen    = flag.String("listen", ":9000", "RPC listen address")
 		meta      = flag.String("meta", "", "metadata directory (empty = in-memory only)")
 		editSync  = flag.Bool("edit-sync", false, "fsync the edit log after every append (durability over latency)")
-		auditCap  = flag.Int("audit", 0, "namespace audit log capacity (0 = default)")
 		placement = flag.String("placement", "moop", "placement policy: moop, db, lb, ft, tm, rulebased, hdfs, hdfs-ssd")
 		retrieval = flag.String("retrieval", "octopus", "retrieval policy: octopus, hdfs")
 		useMemory = flag.Bool("use-memory", false, "let the MOOP policy place unspecified replicas in memory")
@@ -38,7 +37,6 @@ func main() {
 		httpAddr  = flag.String("http", "", "HTTP status/metrics endpoint address (e.g. :9870; empty disables)")
 		slowOp    = flag.Duration("slowop", 100*time.Millisecond, "slow-op log threshold (0 logs every op, negative disables)")
 		traceRate = flag.Float64("trace-sample", 0.1, "fraction of fast traces retained (slow traces always kept)")
-		eventCap  = flag.Int("events", 0, "event journal capacity (0 = default)")
 		histEvery = flag.Duration("history-interval", 0, "telemetry history sampling interval (0 = default, negative disables)")
 		heatHalf  = flag.Duration("heat-half-life", 0, "access-heat decay half-life (0 = default 60s)")
 		moverIvl  = flag.Duration("mover-interval", 0, "tier mover pass interval (0 = default 2s, negative disables)")
@@ -91,14 +89,12 @@ func main() {
 		ListenAddr:      *listen,
 		MetaDir:         *meta,
 		EditLogSync:     *editSync,
-		AuditCapacity:   *auditCap,
 		Placement:       pol,
 		Retrieval:       ret,
 		BlockSize:       *blockMB << 20,
 		Logger:          logger,
 		SlowOpThreshold: *slowOp,
 		TraceSample:     *traceRate,
-		EventCapacity:   *eventCap,
 		HistoryInterval: *histEvery,
 		HeatHalfLife:    *heatHalf,
 		MoverInterval:   *moverIvl,

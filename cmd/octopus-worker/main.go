@@ -79,7 +79,6 @@ func main() {
 		httpAddr   = flag.String("http", "", "HTTP status/metrics endpoint address (e.g. :9864; empty disables)")
 		slowOp     = flag.Duration("slowop", 100*time.Millisecond, "slow-op log threshold (0 logs every op, negative disables)")
 		traceRate  = flag.Float64("trace-sample", 0.1, "fraction of fast traces retained (slow traces always kept)")
-		eventCap   = flag.Int("events", 0, "event journal capacity (0 = default)")
 		pprofOn    = flag.Bool("pprof", false, "serve net/http/pprof under /debug/pprof/ on the -http endpoint")
 		poolSize   = flag.Int("data-pool-size", rpc.DefaultDataPoolSize, "idle data connections kept per peer worker (0 disables pooling)")
 		poolIdle   = flag.Duration("data-pool-idle", rpc.DefaultDataPoolIdle, "max idle age of a pooled data connection")
@@ -122,7 +121,6 @@ func main() {
 		Logger:          logger,
 		SlowOpThreshold: *slowOp,
 		TraceSample:     *traceRate,
-		EventCapacity:   *eventCap,
 		Pprof:           *pprofOn,
 	})
 	if err != nil {

@@ -8,33 +8,15 @@
 // transitions, the audit log answers "who did what to the namespace,
 // and where did the time go" for every request.
 //
-// The log is bounded twice over. Retained entries live in a ring
-// buffer (like the event journal) so memory never grows past the
-// configured capacity, and the producer side is a non-blocking
-// buffered channel: the RPC hot path never takes the consumer lock,
-// and when the channel backlog is full the entry is dropped and
-// counted rather than slowing the master down. "Droppable under
-// pressure" is a feature — the audit log must never become the
-// contention it exists to measure.
+// The log is a non-blocking ringlog.Log keyed by op: retained entries
+// live in a bounded ring, and the RPC hot path never takes the
+// consumer lock — when the producer backlog is full the entry is
+// dropped and counted rather than slowing the master down. "Droppable
+// under pressure" is a feature: the audit log must never become the
+// contention it exists to measure. This package adds the Entry record.
 package audit
 
-import (
-	"sync"
-	"sync/atomic"
-	"time"
-)
-
-// DefaultCapacity bounds the ring when the configured capacity is
-// zero. Metadata ops are small; 4096 entries cover the recent past in
-// well under a MB.
-const DefaultCapacity = 4096
-
-// backlog is the producer channel depth: how many entries may be
-// in flight between the RPC handlers and the ring before Append
-// starts dropping. Sized above any plausible handler concurrency so
-// drops only happen when consumers (pollers, the drain on Append)
-// genuinely cannot keep up.
-const backlog = 1024
+import "repro/internal/ringlog"
 
 // Entry is one audited namespace operation. All latency fields are
 // nanoseconds; phases that did not occur (fsync when the edit log is
@@ -83,172 +65,16 @@ type Entry struct {
 
 // Log is the bounded audit stream. A nil *Log is valid and discards
 // everything, so callers never nil-check the append path.
-type Log struct {
-	ch      chan Entry
-	dropped atomic.Uint64
+type Log = ringlog.Log[Entry]
 
-	mu      sync.Mutex
-	buf     []Entry // ring storage, len == capacity
-	start   int     // index of the oldest retained entry
-	n       int     // retained entries
-	nextSeq uint64  // next sequence number to assign (first entry gets 1)
-	evicted uint64  // entries overwritten in the ring (oldest-first)
-	counts  map[string]uint64
-}
+// Page is one Since result.
+type Page = ringlog.Page[Entry]
 
 // New builds a log retaining up to capacity entries (<= 0 selects
-// DefaultCapacity).
+// ringlog.DefaultCapacity). Append stamps Time with the completion
+// time; Seq is assigned when the backlog is drained into the ring.
 func New(capacity int) *Log {
-	if capacity <= 0 {
-		capacity = DefaultCapacity
-	}
-	return &Log{
-		ch:      make(chan Entry, backlog),
-		buf:     make([]Entry, capacity),
-		nextSeq: 1,
-		counts:  make(map[string]uint64),
-	}
-}
-
-// Append records one entry. It never blocks: the entry goes onto the
-// backlog channel if there is room and is otherwise dropped and
-// counted. Time is stamped here (completion time); Seq is assigned
-// when the backlog is drained into the ring, preserving channel FIFO
-// order. Nil logs discard.
-func (l *Log) Append(e Entry) {
-	if l == nil {
-		return
-	}
-	if e.Time == 0 {
-		e.Time = time.Now().UnixNano()
-	}
-	select {
-	case l.ch <- e:
-	default:
-		l.dropped.Add(1)
-	}
-}
-
-// drainLocked moves backlogged entries into the ring. Callers hold
-// l.mu.
-func (l *Log) drainLocked() {
-	for {
-		select {
-		case e := <-l.ch:
-			e.Seq = l.nextSeq
-			l.nextSeq++
-			l.counts[e.Op]++
-			if l.n == len(l.buf) {
-				l.buf[l.start] = e
-				l.start = (l.start + 1) % len(l.buf)
-				l.evicted++
-			} else {
-				l.buf[(l.start+l.n)%len(l.buf)] = e
-				l.n++
-			}
-		default:
-			return
-		}
-	}
-}
-
-// Page is one Since result, with the same exactly-once cursor
-// semantics as the event journal's page: Next advances over
-// op-filtered entries too, and Missed surfaces eviction gaps.
-type Page struct {
-	// Entries are the matching entries, oldest first.
-	Entries []Entry `json:"entries"`
-
-	// Next is the cursor for the following Since call: the highest
-	// sequence number examined, or the request's since value when
-	// nothing new exists.
-	Next uint64 `json:"next"`
-
-	// Missed counts entries with Seq > since evicted from the ring
-	// before this call.
-	Missed uint64 `json:"missed"`
-
-	// Evicted is the lifetime ring-eviction total.
-	Evicted uint64 `json:"evicted"`
-
-	// Dropped is the lifetime count of entries discarded because the
-	// producer backlog was full — load shedding, distinct from ring
-	// eviction.
-	Dropped uint64 `json:"dropped"`
-}
-
-// Since returns retained entries with Seq > since, oldest first,
-// optionally filtered by op, capped at limit (<= 0 means no cap).
-func (l *Log) Since(since uint64, op string, limit int) Page {
-	if l == nil {
-		return Page{Next: since}
-	}
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	l.drainLocked()
-	page := Page{Next: since, Evicted: l.evicted, Dropped: l.dropped.Load()}
-	if l.evicted > since {
-		page.Missed = l.evicted - since
-		page.Next = l.evicted
-	}
-	for i := 0; i < l.n; i++ {
-		e := l.buf[(l.start+i)%len(l.buf)]
-		if e.Seq <= since {
-			continue
-		}
-		if limit > 0 && len(page.Entries) >= limit {
-			break
-		}
-		page.Next = e.Seq
-		if op != "" && e.Op != op {
-			continue
-		}
-		page.Entries = append(page.Entries, e)
-	}
-	return page
-}
-
-// Counts returns a copy of the per-op lifetime totals for entries
-// that reached the ring.
-func (l *Log) Counts() map[string]uint64 {
-	if l == nil {
-		return nil
-	}
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	l.drainLocked()
-	out := make(map[string]uint64, len(l.counts))
-	for k, v := range l.counts {
-		out[k] = v
-	}
-	return out
-}
-
-// Dropped returns how many entries were shed because the producer
-// backlog was full.
-func (l *Log) Dropped() uint64 {
-	if l == nil {
-		return 0
-	}
-	return l.dropped.Load()
-}
-
-// Len returns the number of retained entries (after draining the
-// backlog).
-func (l *Log) Len() int {
-	if l == nil {
-		return 0
-	}
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	l.drainLocked()
-	return l.n
-}
-
-// Cap returns the configured ring capacity.
-func (l *Log) Cap() int {
-	if l == nil {
-		return 0
-	}
-	return len(l.buf)
+	return ringlog.New(capacity, ringlog.Backlog, func(e *Entry) (*uint64, *int64, string) {
+		return &e.Seq, &e.Time, e.Op
+	})
 }

@@ -7,7 +7,16 @@ import (
 	"strings"
 	"sync"
 	"testing"
+
+	"repro/internal/httpjson"
+	"repro/internal/ringlog"
 )
+
+// These tests drive the package's own surface end to end: New builds a
+// non-blocking log keyed by Op, Append stamps Time, the shared handler
+// serves it. The ring itself is specified by the suite in
+// internal/ringlog, which runs these cases against all three record
+// types.
 
 func appendN(l *Log, n int, op string) {
 	for i := 0; i < n; i++ {
@@ -101,7 +110,7 @@ func TestBacklogOverflowDropsAndCounts(t *testing.T) {
 	l := New(16)
 	// Never draining (no Since call), so everything past the channel
 	// backlog must be shed.
-	total := backlog + 100
+	total := ringlog.Backlog + 100
 	appendN(l, total, "create")
 	if got := l.Dropped(); got != 100 {
 		t.Fatalf("dropped = %d, want 100", got)
@@ -111,10 +120,10 @@ func TestBacklogOverflowDropsAndCounts(t *testing.T) {
 	if page.Dropped != 100 {
 		t.Fatalf("page dropped = %d, want 100", page.Dropped)
 	}
-	if page.Next != uint64(backlog) {
-		t.Fatalf("next = %d, want %d", page.Next, backlog)
+	if page.Next != uint64(ringlog.Backlog) {
+		t.Fatalf("next = %d, want %d", page.Next, ringlog.Backlog)
 	}
-	if last := page.Entries[len(page.Entries)-1]; last.Path != fmt.Sprintf("/f%d", backlog-1) {
+	if last := page.Entries[len(page.Entries)-1]; last.Path != fmt.Sprintf("/f%d", ringlog.Backlog-1) {
 		t.Fatalf("last retained path = %q", last.Path)
 	}
 }
@@ -170,7 +179,7 @@ func TestDebugHandler(t *testing.T) {
 	appendN(l, 4, "create")
 	l.Append(Entry{Op: "rename", Path: "/a", Dst: "/b", Result: "ok"})
 	mux := http.NewServeMux()
-	RegisterDebugHandler(mux, l)
+	mux.Handle("/debug/audit", httpjson.LogHandler(l, "op", nil))
 
 	get := func(url string) *httptest.ResponseRecorder {
 		rec := httptest.NewRecorder()

@@ -301,67 +301,3 @@ func TestAblationShapes(t *testing.T) {
 		}
 	}
 }
-
-func TestHeatBenchTracksZipf(t *testing.T) {
-	if testing.Short() {
-		t.Skip("live cluster benchmark")
-	}
-	res, err := RunHeat(t.TempDir(), 8, 300, 1.3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.OpsPerSec <= 0 {
-		t.Fatal("heat bench measured no throughput")
-	}
-	if res.TrackedFiles != 8 || res.TrackedBlocks != 8 {
-		t.Errorf("heat plane tracked %d files / %d blocks, want 8 / 8",
-			res.TrackedFiles, res.TrackedBlocks)
-	}
-	// The zipfian head is pronounced enough that the decayed ranking
-	// must nail the hottest file and most of the top 3.
-	if res.AccuracyAt1 != 1 {
-		t.Errorf("accuracy@1 = %.2f, want 1", res.AccuracyAt1)
-	}
-	if res.AccuracyAt3 < 2.0/3.0 {
-		t.Errorf("accuracy@3 = %.2f, want >= 0.67", res.AccuracyAt3)
-	}
-	var buf bytes.Buffer
-	PrintHeat(&buf, res)
-	if !strings.Contains(buf.String(), "Access-heat plane") {
-		t.Error("PrintHeat missing header")
-	}
-}
-
-func TestMetadataBenchPhases(t *testing.T) {
-	if testing.Short() {
-		t.Skip("live master benchmark")
-	}
-	res, err := RunMetadata(t.TempDir(), 400, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	wantOps := []string{"create", "stat", "ls", "rename", "delete"}
-	if len(res.Ops) != len(wantOps) {
-		t.Fatalf("phases = %d, want %d", len(res.Ops), len(wantOps))
-	}
-	for i, op := range res.Ops {
-		if op.Op != wantOps[i] {
-			t.Errorf("phase %d = %q, want %q", i, op.Op, wantOps[i])
-		}
-		if op.Ops == 0 || op.OpsPerSec <= 0 {
-			t.Errorf("%s: ops = %d, ops/sec = %.1f; phase did no work", op.Op, op.Ops, op.OpsPerSec)
-		}
-		if op.P50Micros <= 0 || op.P99Micros < op.P50Micros {
-			t.Errorf("%s: p50 = %.1fus p99 = %.1fus; quantiles inverted or empty",
-				op.Op, op.P50Micros, op.P99Micros)
-		}
-		if op.Op != "ls" && op.Ops != res.Files {
-			t.Errorf("%s: ops = %d, want %d", op.Op, op.Ops, res.Files)
-		}
-	}
-	var buf bytes.Buffer
-	PrintMetadata(&buf, res)
-	if !strings.Contains(buf.String(), "Metadata benchmark") {
-		t.Error("PrintMetadata missing header")
-	}
-}

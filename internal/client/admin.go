@@ -14,28 +14,23 @@ import (
 
 // Events fetches one page of the cluster event journal. since is an
 // exclusive sequence cursor (0 = oldest retained); polling with
-// since = page.Next is exactly-once over retained events. typ filters
-// by event type ("" = all); limit caps the page (<= 0 = server
-// default). The second result carries the per-type lifetime counters.
+// since = Page.Next is exactly-once over retained events. typ filters
+// by event type ("" = all); limit caps the page (<= 0 = no cap). The
+// second result carries the per-type lifetime counters.
 func (fs *FileSystem) Events(since uint64, typ string, limit int) (events.Page, map[string]uint64, error) {
-	var reply rpc.GetEventsReply
-	err := fs.call("Master.GetEvents", &rpc.GetEventsArgs{
-		Since: since, Type: typ, Limit: limit,
-	}, &reply)
+	var reply rpc.LogReply[events.Event]
+	err := fs.call("Master.GetEvents", &rpc.LogArgs{Since: since, Key: typ, Limit: limit}, &reply)
 	return reply.Page, reply.Counts, err
 }
 
 // Audit fetches one page of the master's namespace audit log: one
 // entry per namespace RPC with its result and per-phase latency
-// breakdown. Cursor semantics match Events (since is exclusive,
-// poll with since = page.Next); op filters by operation name ("" =
-// all); limit caps the page (<= 0 = no cap). The second result
-// carries the per-op lifetime counters.
+// breakdown. Cursor semantics match Events; op filters by operation
+// name ("" = all); the second result carries the per-op lifetime
+// counters.
 func (fs *FileSystem) Audit(since uint64, op string, limit int) (audit.Page, map[string]uint64, error) {
-	var reply rpc.GetAuditReply
-	err := fs.call("Master.GetAudit", &rpc.GetAuditArgs{
-		Since: since, Op: op, Limit: limit,
-	}, &reply)
+	var reply rpc.LogReply[audit.Entry]
+	err := fs.call("Master.GetAudit", &rpc.LogArgs{Since: since, Key: op, Limit: limit}, &reply)
 	return reply.Page, reply.Counts, err
 }
 
@@ -48,9 +43,7 @@ func (fs *FileSystem) Audit(since uint64, op string, limit int) (audit.Page, map
 // page (<= 0 = server default).
 func (fs *FileSystem) Transfers(since uint64, op string, limit int) ([]rpc.TransferSource, error) {
 	var reply rpc.GetTransfersReply
-	err := fs.call("Master.GetTransfers", &rpc.GetTransfersArgs{
-		Since: since, Op: op, Limit: limit,
-	}, &reply)
+	err := fs.call("Master.GetTransfers", &rpc.LogArgs{Since: since, Key: op, Limit: limit}, &reply)
 	return reply.Sources, err
 }
 

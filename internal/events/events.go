@@ -7,22 +7,12 @@
 // actions, and placement decisions, each stamped with a monotonic
 // sequence number so consumers can cursor through them exactly once.
 //
-// The journal is a bounded ring buffer: memory never grows past the
-// configured capacity no matter how many events are published. Evicted
-// events are counted, and the Since cursor reports how many events a
-// consumer missed to eviction, so a poller can always distinguish "no
-// news" from "news lost".
+// The journal is a synchronous ringlog.Log keyed by event type: the
+// bounded ring, the cursor and the eviction accounting are described
+// there. This package adds the Event record and the Publish helpers.
 package events
 
-import (
-	"sync"
-	"time"
-)
-
-// DefaultCapacity bounds the journal when the configured capacity is
-// zero. At typical cluster event rates (worker lifecycle + block
-// transitions) this covers hours of history in a few MB.
-const DefaultCapacity = 4096
+import "repro/internal/ringlog"
 
 // Severity grades an event. The journal does not interpret it; it
 // exists so consumers can filter signal (warn/error) from routine
@@ -67,31 +57,24 @@ type Event struct {
 	Attrs map[string]string `json:"attrs,omitempty"`
 }
 
-// Journal is a bounded, thread-safe event ring buffer with per-type
-// counters. A nil *Journal is valid and discards everything, so
-// callers never need nil checks on the publish path.
-type Journal struct {
-	mu      sync.Mutex
-	buf     []Event // ring storage, len == capacity
-	start   int     // index of the oldest retained event
-	n       int     // retained events
-	nextSeq uint64  // next sequence number to assign (first event gets 1)
-	evicted uint64  // events dropped from the ring (oldest-first)
-	counts  map[string]uint64
-}
+// Journal is the event log. A nil *Journal is valid and discards
+// everything, so callers never need nil checks on the publish path.
+type Journal ringlog.Log[Event]
+
+// Page is one Since result.
+type Page = ringlog.Page[Event]
 
 // NewJournal builds a journal retaining up to capacity events (<= 0
-// selects DefaultCapacity).
+// selects ringlog.DefaultCapacity).
 func NewJournal(capacity int) *Journal {
-	if capacity <= 0 {
-		capacity = DefaultCapacity
-	}
-	return &Journal{
-		buf:     make([]Event, capacity),
-		nextSeq: 1,
-		counts:  make(map[string]uint64),
-	}
+	return (*Journal)(ringlog.New(capacity, 0, func(e *Event) (*uint64, *int64, string) {
+		return &e.Seq, &e.Time, e.Type
+	}))
 }
+
+// Log returns the journal as the log it is, for Since, Counts and the
+// shared HTTP handler.
+func (j *Journal) Log() *ringlog.Log[Event] { return (*ringlog.Log[Event])(j) }
 
 // Publish appends an event and returns its sequence number. kv are
 // alternating attribute key/value pairs; a trailing odd key is
@@ -113,137 +96,17 @@ func (j *Journal) PublishTraced(sev Severity, typ, traceID, msg string, kv ...st
 			attrs[kv[i]] = kv[i+1]
 		}
 	}
-	e := Event{
-		Time:     time.Now().UnixNano(),
+	return j.Log().Append(Event{
 		Type:     typ,
 		Severity: sev,
 		Message:  msg,
 		TraceID:  traceID,
 		Attrs:    attrs,
-	}
-	j.mu.Lock()
-	e.Seq = j.nextSeq
-	j.nextSeq++
-	j.counts[typ]++
-	if j.n == len(j.buf) {
-		// Ring full: overwrite the oldest slot in place; memory stays
-		// exactly at capacity.
-		j.buf[j.start] = e
-		j.start = (j.start + 1) % len(j.buf)
-		j.evicted++
-	} else {
-		j.buf[(j.start+j.n)%len(j.buf)] = e
-		j.n++
-	}
-	j.mu.Unlock()
-	return e.Seq
-}
-
-// Page is one Since result: a slice of events plus the cursor state a
-// poller needs to continue without re-delivery or silent gaps.
-type Page struct {
-	// Events are the matching events, oldest first.
-	Events []Event `json:"events"`
-
-	// Next is the cursor for the following Since call: the highest
-	// sequence number examined (not merely returned — type-filtered
-	// events advance it too), or the request's since value when
-	// nothing new exists. Polling with since=Next is exactly-once over
-	// retained events.
-	Next uint64 `json:"next"`
-
-	// Missed counts events with Seq > since that were evicted before
-	// this call — the poller's data loss indicator.
-	Missed uint64 `json:"missed"`
-
-	// Evicted is the journal-lifetime eviction total.
-	Evicted uint64 `json:"evicted"`
+	})
 }
 
 // Since returns retained events with Seq > since, oldest first,
 // optionally filtered by type, capped at limit (<= 0 means no cap).
 func (j *Journal) Since(since uint64, typ string, limit int) Page {
-	if j == nil {
-		return Page{Next: since}
-	}
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	page := Page{Next: since, Evicted: j.evicted}
-	// Events 1..evicted are gone; anything the cursor had not yet seen
-	// in that range was missed. Advance the cursor past the hole so
-	// the loss is reported exactly once.
-	if j.evicted > since {
-		page.Missed = j.evicted - since
-		page.Next = j.evicted
-	}
-	for i := 0; i < j.n; i++ {
-		e := j.buf[(j.start+i)%len(j.buf)]
-		if e.Seq <= since {
-			continue
-		}
-		if limit > 0 && len(page.Events) >= limit {
-			break
-		}
-		page.Next = e.Seq
-		if typ != "" && e.Type != typ {
-			continue
-		}
-		page.Events = append(page.Events, e)
-	}
-	return page
-}
-
-// Counts returns a copy of the per-type publication totals (lifetime,
-// not just retained).
-func (j *Journal) Counts() map[string]uint64 {
-	if j == nil {
-		return nil
-	}
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	out := make(map[string]uint64, len(j.counts))
-	for k, v := range j.counts {
-		out[k] = v
-	}
-	return out
-}
-
-// Len returns the number of retained events.
-func (j *Journal) Len() int {
-	if j == nil {
-		return 0
-	}
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.n
-}
-
-// Cap returns the configured capacity.
-func (j *Journal) Cap() int {
-	if j == nil {
-		return 0
-	}
-	return len(j.buf)
-}
-
-// LastSeq returns the highest assigned sequence number (0 before the
-// first publish).
-func (j *Journal) LastSeq() uint64 {
-	if j == nil {
-		return 0
-	}
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.nextSeq - 1
-}
-
-// Evicted returns how many events have been dropped to the capacity
-// bound over the journal's lifetime.
-func (j *Journal) Evicted() uint64 {
-	if j == nil {
-		return 0
-	}
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.evicted
+	return j.Log().Since(since, typ, limit)
 }

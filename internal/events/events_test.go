@@ -7,6 +7,8 @@ import (
 	"net/http/httptest"
 	"sync"
 	"testing"
+
+	"repro/internal/httpjson"
 )
 
 // TestJournalBounded proves the acceptance bound: publishing far more
@@ -19,20 +21,14 @@ func TestJournalBounded(t *testing.T) {
 	for i := 0; i < published; i++ {
 		j.Publish(Info, fmt.Sprintf("type%d", i%3), "msg", "k", "v")
 	}
-	if got := j.Len(); got != capacity {
+	if got := j.Log().Len(); got != capacity {
 		t.Fatalf("Len = %d, want exactly the capacity %d", got, capacity)
 	}
-	if got := j.Cap(); got != capacity {
+	if got := j.Log().Cap(); got != capacity {
 		t.Fatalf("Cap = %d, want %d (ring must not reallocate)", got, capacity)
 	}
-	if got := j.LastSeq(); got != published {
-		t.Fatalf("LastSeq = %d, want %d", got, published)
-	}
-	if got := j.Evicted(); got != published-capacity {
-		t.Fatalf("Evicted = %d, want %d", got, published-capacity)
-	}
 	var total uint64
-	for _, c := range j.Counts() {
+	for _, c := range j.Log().Counts() {
 		total += c
 	}
 	if total != published {
@@ -40,17 +36,20 @@ func TestJournalBounded(t *testing.T) {
 	}
 	// Retained events are the newest `capacity`, in order, contiguous.
 	page := j.Since(0, "", 0)
-	if len(page.Events) != capacity {
-		t.Fatalf("retained %d events, want %d", len(page.Events), capacity)
+	if len(page.Entries) != capacity {
+		t.Fatalf("retained %d events, want %d", len(page.Entries), capacity)
 	}
-	for i, e := range page.Events {
+	for i, e := range page.Entries {
 		want := uint64(published - capacity + 1 + i)
 		if e.Seq != want {
 			t.Fatalf("event %d has seq %d, want %d", i, e.Seq, want)
 		}
 	}
-	if page.Missed != published-capacity {
-		t.Fatalf("Missed from cursor 0 = %d, want %d", page.Missed, published-capacity)
+	if page.Missed != published-capacity || page.Evicted != published-capacity {
+		t.Fatalf("Missed from cursor 0 = %d, Evicted = %d, want %d", page.Missed, page.Evicted, published-capacity)
+	}
+	if page.Next != published {
+		t.Fatalf("last seq = %d, want %d", page.Next, published)
 	}
 }
 
@@ -66,7 +65,7 @@ func TestCursorExactlyOnceAcrossEviction(t *testing.T) {
 	var cursor, missed uint64
 	poll := func() {
 		page := j.Since(cursor, "", 0)
-		for _, e := range page.Events {
+		for _, e := range page.Entries {
 			if e.Seq <= cursor {
 				t.Fatalf("re-delivered seq %d at cursor %d", e.Seq, cursor)
 			}
@@ -114,10 +113,10 @@ func TestSinceTypeFilterAndLimit(t *testing.T) {
 		j.Publish(Warn, typ, "m")
 	}
 	page := j.Since(0, "b", 0)
-	if len(page.Events) != 5 {
-		t.Fatalf("type filter returned %d events, want 5", len(page.Events))
+	if len(page.Entries) != 5 {
+		t.Fatalf("type filter returned %d events, want 5", len(page.Entries))
 	}
-	for _, e := range page.Events {
+	for _, e := range page.Entries {
 		if e.Type != "b" {
 			t.Fatalf("filtered page contains type %q", e.Type)
 		}
@@ -127,12 +126,12 @@ func TestSinceTypeFilterAndLimit(t *testing.T) {
 	}
 
 	page = j.Since(0, "", 3)
-	if len(page.Events) != 3 || page.Next != 3 {
-		t.Fatalf("limit page: %d events next=%d, want 3 events next=3", len(page.Events), page.Next)
+	if len(page.Entries) != 3 || page.Next != 3 {
+		t.Fatalf("limit page: %d events next=%d, want 3 events next=3", len(page.Entries), page.Next)
 	}
 	page = j.Since(page.Next, "", 3)
-	if len(page.Events) != 3 || page.Events[0].Seq != 4 {
-		t.Fatalf("second page starts at seq %d, want 4", page.Events[0].Seq)
+	if len(page.Entries) != 3 || page.Entries[0].Seq != 4 {
+		t.Fatalf("second page starts at seq %d, want 4", page.Entries[0].Seq)
 	}
 }
 
@@ -142,10 +141,10 @@ func TestNilJournal(t *testing.T) {
 	if seq := j.Publish(Info, "x", "m"); seq != 0 {
 		t.Fatalf("nil Publish returned %d", seq)
 	}
-	if p := j.Since(0, "", 0); len(p.Events) != 0 || p.Next != 0 {
+	if p := j.Since(0, "", 0); len(p.Entries) != 0 || p.Next != 0 {
 		t.Fatalf("nil Since returned %+v", p)
 	}
-	if j.Len() != 0 || j.Cap() != 0 || j.LastSeq() != 0 || j.Evicted() != 0 || j.Counts() != nil {
+	if j.Log().Len() != 0 || j.Log().Cap() != 0 || j.Log().Counts() != nil {
 		t.Fatal("nil accessors not zero")
 	}
 }
@@ -168,11 +167,11 @@ func TestPublishConcurrent(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	if got := j.LastSeq(); got != workers*per {
-		t.Fatalf("LastSeq = %d, want %d", got, workers*per)
+	if got := j.Since(0, "", 1).Evicted + uint64(j.Log().Len()); got != workers*per {
+		t.Fatalf("last seq = %d, want %d", got, workers*per)
 	}
-	if j.Len() != 128 {
-		t.Fatalf("Len = %d, want 128", j.Len())
+	if j.Log().Len() != 128 {
+		t.Fatalf("Len = %d, want 128", j.Log().Len())
 	}
 }
 
@@ -183,10 +182,14 @@ func TestDebugHandler(t *testing.T) {
 	j.Publish(Info, "alpha", "first")
 	j.PublishTraced(Warn, "beta", "cafecafecafecafe", "second", "worker", "node1")
 	mux := http.NewServeMux()
-	RegisterDebugHandler(mux, j)
+	mux.Handle("/debug/events", httpjson.LogHandler(j.Log(), "type", nil))
 	srv := httptest.NewServer(mux)
 	defer srv.Close()
 
+	type debugResponse struct {
+		Page
+		Counts map[string]uint64 `json:"counts"`
+	}
 	get := func(path string) (debugResponse, int) {
 		resp, err := http.Get(srv.URL + path)
 		if err != nil {
@@ -203,27 +206,27 @@ func TestDebugHandler(t *testing.T) {
 	}
 
 	doc, code := get("/debug/events")
-	if code != http.StatusOK || len(doc.Events) != 2 || doc.Next != 2 {
-		t.Fatalf("full dump: code=%d events=%d next=%d", code, len(doc.Events), doc.Next)
+	if code != http.StatusOK || len(doc.Entries) != 2 || doc.Next != 2 {
+		t.Fatalf("full dump: code=%d events=%d next=%d", code, len(doc.Entries), doc.Next)
 	}
 	if doc.Counts["alpha"] != 1 || doc.Counts["beta"] != 1 {
 		t.Fatalf("counts = %v", doc.Counts)
 	}
-	if doc.Events[1].TraceID != "cafecafecafecafe" || doc.Events[1].Attrs["worker"] != "node1" {
-		t.Fatalf("event payload = %+v", doc.Events[1])
+	if doc.Entries[1].TraceID != "cafecafecafecafe" || doc.Entries[1].Attrs["worker"] != "node1" {
+		t.Fatalf("event payload = %+v", doc.Entries[1])
 	}
 
 	doc, _ = get("/debug/events?since=1")
-	if len(doc.Events) != 1 || doc.Events[0].Type != "beta" {
-		t.Fatalf("since=1 returned %+v", doc.Events)
+	if len(doc.Entries) != 1 || doc.Entries[0].Type != "beta" {
+		t.Fatalf("since=1 returned %+v", doc.Entries)
 	}
 	doc, _ = get("/debug/events?type=alpha")
-	if len(doc.Events) != 1 || doc.Events[0].Type != "alpha" {
-		t.Fatalf("type filter returned %+v", doc.Events)
+	if len(doc.Entries) != 1 || doc.Entries[0].Type != "alpha" {
+		t.Fatalf("type filter returned %+v", doc.Entries)
 	}
 	doc, _ = get("/debug/events?since=99")
-	if len(doc.Events) != 0 || doc.Next != 99 {
-		t.Fatalf("future cursor: events=%d next=%d", len(doc.Events), doc.Next)
+	if len(doc.Entries) != 0 || doc.Next != 99 {
+		t.Fatalf("future cursor: events=%d next=%d", len(doc.Entries), doc.Next)
 	}
 	if _, code := get("/debug/events?since=bogus"); code != http.StatusBadRequest {
 		t.Fatalf("bad since accepted: %d", code)

@@ -45,25 +45,17 @@ type pair struct {
 // Collector accumulates per-block access deltas on a worker's data
 // path. Touch is lock-free — a sync.Map load plus one atomic add —
 // so it meets the "one atomic update per block op" budget. Drain and
-// Restore run at heartbeat granularity.
+// Restore run at heartbeat granularity. A cell lives until Forget,
+// which the worker calls when it deletes the block, so memory is
+// bounded by the blocks the worker holds (one 16-byte pair each) and
+// no Touch is ever lost to a concurrent Drain.
 type Collector struct {
 	cells sync.Map // core.BlockID -> *pair
-
-	mu   sync.Mutex
-	idle map[core.BlockID]int // consecutive zero drains, guarded by mu
 }
-
-// idleDrains is how many consecutive empty drains a block survives
-// before its cell is purged. Purging races a concurrent Touch: an add
-// landing between the final Swap and the Delete is lost. A block idle
-// for ~64 heartbeats then touched exactly during the purge window
-// loses at most that one delta — benign for a decayed statistic — so
-// the hot path stays free of purge coordination.
-const idleDrains = 64
 
 // NewCollector builds an empty Collector.
 func NewCollector() *Collector {
-	return &Collector{idle: make(map[core.BlockID]int)}
+	return &Collector{}
 }
 
 // Touch records one operation of kind k moving n bytes against block
@@ -86,28 +78,18 @@ func (c *Collector) Touch(id core.BlockID, kind Kind, n int64) {
 }
 
 // Drain atomically swaps out and returns all non-zero deltas, sorted
-// by block ID. Blocks that stay zero for idleDrains consecutive
-// drains are purged so deleted blocks don't pin memory forever.
+// by block ID.
 func (c *Collector) Drain() []Delta {
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	var out []Delta
 	c.cells.Range(func(key, value any) bool {
-		id := key.(core.BlockID)
 		p := value.(*pair)
 		r := p.read.Swap(0)
 		w := p.write.Swap(0)
 		if r == 0 && w == 0 {
-			c.idle[id]++
-			if c.idle[id] >= idleDrains {
-				c.cells.Delete(id)
-				delete(c.idle, id)
-			}
 			return true
 		}
-		delete(c.idle, id)
 		out = append(out, Delta{
-			Block:      id,
+			Block:      key.(core.BlockID),
 			ReadOps:    uint32(r >> cellOpShift),
 			WriteOps:   uint32(w >> cellOpShift),
 			ReadBytes:  int64(r & cellByteMask),
@@ -141,8 +123,5 @@ func (c *Collector) Restore(deltas []Delta) {
 // Forget drops a block's cell immediately (e.g. after the block is
 // invalidated on this worker).
 func (c *Collector) Forget(id core.BlockID) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	c.cells.Delete(id)
-	delete(c.idle, id)
 }

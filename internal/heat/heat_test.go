@@ -161,21 +161,27 @@ func TestCollectorRestore(t *testing.T) {
 	}
 }
 
-func TestCollectorIdlePurge(t *testing.T) {
+// TestCollectorForget: Forget is the only way a cell leaves the
+// collector (the worker calls it when it deletes the block); idle
+// drains never drop one, and a touch after Forget starts afresh.
+func TestCollectorForget(t *testing.T) {
 	c := NewCollector()
 	c.Touch(5, Read, 1)
-	c.Drain()
-	for i := 0; i < idleDrains; i++ {
+	for i := 0; i < 100; i++ {
 		c.Drain()
 	}
-	if _, ok := c.cells.Load(core.BlockID(5)); ok {
-		t.Error("idle cell should have been purged")
+	if _, ok := c.cells.Load(core.BlockID(5)); !ok {
+		t.Error("idle cell dropped without Forget")
 	}
-	// Touching after a purge starts a fresh cell.
+	c.Touch(5, Read, 2)
+	c.Forget(5)
+	if got := c.Drain(); len(got) != 0 {
+		t.Fatalf("drain after Forget = %+v", got)
+	}
 	c.Touch(5, Read, 3)
 	got := c.Drain()
 	if len(got) != 1 || got[0].ReadBytes != 3 {
-		t.Fatalf("post-purge drain = %+v", got)
+		t.Fatalf("post-forget drain = %+v", got)
 	}
 }
 

@@ -1,14 +1,17 @@
 // Package httpjson bundles the JSON plumbing shared by every debug
 // endpoint (/debug/events, /debug/history, /debug/traces,
 // /debug/heat, /status): one Write helper that always sets the
-// Content-Type header, and query-parameter parsers with a consistent
-// 400-on-bad-param contract.
+// Content-Type header, query-parameter parsers with a consistent
+// 400-on-bad-param contract, and the cursor handler every ringlog
+// endpoint is served by.
 package httpjson
 
 import (
 	"encoding/json"
 	"net/http"
 	"strconv"
+
+	"repro/internal/ringlog"
 )
 
 // Write encodes v as indented JSON with the Content-Type header set.
@@ -73,4 +76,40 @@ func BoolParam(w http.ResponseWriter, r *http.Request, name string, def bool) (b
 
 func badParam(w http.ResponseWriter, name, val string) {
 	http.Error(w, "bad "+name+" parameter: "+strconv.Quote(val), http.StatusBadRequest)
+}
+
+// LogDoc is the document every cursor endpoint serves (and
+// `octopus-cli events|audit -json` prints): one page, the per-key
+// lifetime counts, and, when the daemon supplies one, its
+// connection-lifecycle snapshot.
+type LogDoc[T any] struct {
+	ringlog.Page[T]
+	Counts map[string]uint64 `json:"counts"`
+	Conns  any               `json:"conns,omitempty"`
+}
+
+// LogHandler serves l as a cursor endpoint. Query parameters:
+// ?since=<seq> resumes a cursor (default 0 = from the oldest retained
+// record), ?<filter>=<key> restricts the page to one key (the event
+// type, the op), and ?limit=<n> caps the page size (default 1000). The
+// document carries the next cursor and the eviction/drop counters, so
+// pollers can page through churn without re-delivery or silent gaps.
+// conns, when non-nil, is called per request to attach the daemon's
+// connection-lifecycle counters.
+func LogHandler[T any](l *ringlog.Log[T], filter string, conns func() any) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		since, ok := Uint64Param(w, r, "since", 0)
+		if !ok {
+			return
+		}
+		limit, ok := IntParam(w, r, "limit", 1000)
+		if !ok {
+			return
+		}
+		doc := LogDoc[T]{Page: l.Since(since, r.URL.Query().Get(filter), limit), Counts: l.Counts()}
+		if conns != nil {
+			doc.Conns = conns()
+		}
+		Write(w, doc)
+	}
 }

@@ -2,8 +2,11 @@ package httpjson
 
 import (
 	"encoding/json"
+	"net/http"
 	"net/http/httptest"
 	"testing"
+
+	"repro/internal/ringlog"
 )
 
 func TestWriteSetsContentType(t *testing.T) {
@@ -71,6 +74,64 @@ func TestBoolParam(t *testing.T) {
 		}
 		if !c.ok && w.Code != 400 {
 			t.Errorf("%s: status = %d, want 400", c.url, w.Code)
+		}
+	}
+}
+
+type logRec struct {
+	Seq  uint64 `json:"seq"`
+	Time int64  `json:"time_ns"`
+	Kind string `json:"kind"`
+}
+
+// TestLogHandler drives the one cursor handler: the full page, the
+// named filter parameter, since and limit, the optional conns field,
+// and the 400s.
+func TestLogHandler(t *testing.T) {
+	l := ringlog.New(8, 0, func(r *logRec) (*uint64, *int64, string) { return &r.Seq, &r.Time, r.Kind })
+	for _, kind := range []string{"a", "b", "a"} {
+		l.Append(logRec{Kind: kind})
+	}
+	mux := http.NewServeMux()
+	mux.Handle("/plain", LogHandler(l, "kind", nil))
+	mux.Handle("/conns", LogHandler(l, "kind", func() any { return map[string]int{"dials": 7} }))
+	get := func(url string) (int, LogDoc[logRec], map[string]json.RawMessage) {
+		t.Helper()
+		rec := httptest.NewRecorder()
+		mux.ServeHTTP(rec, httptest.NewRequest("GET", url, nil))
+		var doc LogDoc[logRec]
+		var raw map[string]json.RawMessage
+		if rec.Code == http.StatusOK {
+			if err := json.Unmarshal(rec.Body.Bytes(), &doc); err != nil {
+				t.Fatalf("GET %s: %v in %s", url, err, rec.Body)
+			}
+			json.Unmarshal(rec.Body.Bytes(), &raw)
+		}
+		return rec.Code, doc, raw
+	}
+
+	code, doc, raw := get("/plain")
+	if code != http.StatusOK || len(doc.Entries) != 3 || doc.Next != 3 || doc.Counts["a"] != 2 || doc.Counts["b"] != 1 {
+		t.Fatalf("full page: code %d doc %+v", code, doc)
+	}
+	if _, ok := raw["conns"]; ok || len(raw) != 6 {
+		t.Errorf("document keys = %v, want the five page fields and counts", raw)
+	}
+	if _, doc, _ = get("/plain?kind=b"); len(doc.Entries) != 1 || doc.Entries[0].Seq != 2 || doc.Next != 3 {
+		t.Errorf("?kind=b: %+v", doc)
+	}
+	if _, doc, _ = get("/plain?since=1&limit=1"); len(doc.Entries) != 1 || doc.Entries[0].Seq != 2 || doc.Next != 2 {
+		t.Errorf("?since=1&limit=1: %+v", doc)
+	}
+	if _, _, raw = get("/plain?since=3"); string(raw["entries"]) != "[]" {
+		t.Errorf("empty page entries = %s, want []", raw["entries"])
+	}
+	if _, _, raw = get("/conns"); string(raw["conns"]) == "" {
+		t.Errorf("conns hook not served: %v", raw)
+	}
+	for _, bad := range []string{"/plain?since=bogus", "/plain?limit=bogus"} {
+		if code, _, _ := get(bad); code != http.StatusBadRequest {
+			t.Errorf("GET %s = %d, want 400", bad, code)
 		}
 	}
 }

@@ -82,9 +82,6 @@ type ClusterConfig struct {
 	// tests shrink it so killed workers deregister quickly.
 	WorkerTimeout time.Duration
 
-	// EventCapacity bounds each daemon's event journal (0 = default).
-	EventCapacity int
-
 	// HistoryInterval paces the master's telemetry sampling (0 =
 	// default; negative disables sampling).
 	HistoryInterval time.Duration
@@ -177,7 +174,6 @@ func StartCluster(cfg ClusterConfig) (*Cluster, error) {
 		Logger:           cfg.MasterLogger,
 		SlowOpThreshold:  cfg.SlowOpThreshold,
 		TraceSample:      cfg.TraceSample,
-		EventCapacity:    cfg.EventCapacity,
 		HistoryInterval:  cfg.HistoryInterval,
 		HeatHalfLife:     cfg.HeatHalfLife,
 		MoverInterval:    moverInterval,
@@ -268,7 +264,6 @@ func (c *Cluster) startWorker(i int) (*worker.Worker, error) {
 		Logger:              cfg.WorkerLogger,
 		SlowOpThreshold:     cfg.SlowOpThreshold,
 		TraceSample:         cfg.TraceSample,
-		EventCapacity:       cfg.EventCapacity,
 	})
 }
 

@@ -63,15 +63,15 @@ func TestEventJournalCausalOrder(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		return firstSeq(page.Events, "worker_expired") > 0 &&
-			firstSeq(page.Events, "block_rereplicated") > 0
+		return firstSeq(page.Entries, "worker_expired") > 0 &&
+			firstSeq(page.Entries, "block_rereplicated") > 0
 	})
 
 	page, counts, err := fs.Events(0, "", 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	evs := page.Events
+	evs := page.Entries
 	for i := 1; i < len(evs); i++ {
 		if evs[i].Seq <= evs[i-1].Seq {
 			t.Fatalf("seqs not strictly monotonic: %d after %d", evs[i].Seq, evs[i-1].Seq)
@@ -102,10 +102,10 @@ func TestEventJournalCausalOrder(t *testing.T) {
 
 	// The expiry event names the worker that was killed.
 	expPage, _, err := fs.Events(0, "worker_expired", 0)
-	if err != nil || len(expPage.Events) == 0 {
+	if err != nil || len(expPage.Entries) == 0 {
 		t.Fatalf("fetching worker_expired events: %v", err)
 	}
-	if got := expPage.Events[0].Attrs["worker"]; got != string(victim) {
+	if got := expPage.Entries[0].Attrs["worker"]; got != string(victim) {
 		t.Errorf("expiry attributes name worker %q, want %q", got, victim)
 	}
 
@@ -116,12 +116,12 @@ func TestEventJournalCausalOrder(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, e := range tail.Events {
+	for _, e := range tail.Entries {
 		if e.Seq <= page.Next {
 			t.Fatalf("cursor re-delivered seq %d (cursor %d)", e.Seq, page.Next)
 		}
 	}
-	if firstSeq(tail.Events, "cursor_probe") == 0 {
+	if firstSeq(tail.Entries, "cursor_probe") == 0 {
 		t.Error("cursor page missing the freshly published event")
 	}
 }
@@ -215,11 +215,11 @@ func TestExplainEveryReplica(t *testing.T) {
 	// The per-block placement event carries the chosen-vs-runner-up
 	// summary for the CLI's text view.
 	pl, _, err := fs.Events(0, "placement", 0)
-	if err != nil || len(pl.Events) < 2 {
-		t.Fatalf("placement events: %v (%d)", err, len(pl.Events))
+	if err != nil || len(pl.Entries) < 2 {
+		t.Fatalf("placement events: %v (%d)", err, len(pl.Entries))
 	}
-	if pl.Events[0].Attrs["replica0.chosen"] == "" || pl.Events[0].Attrs["replica0.runner_up"] == "" {
-		t.Errorf("placement event lacks chosen/runner-up attrs: %v", pl.Events[0].Attrs)
+	if pl.Entries[0].Attrs["replica0.chosen"] == "" || pl.Entries[0].Attrs["replica0.runner_up"] == "" {
+		t.Errorf("placement event lacks chosen/runner-up attrs: %v", pl.Entries[0].Attrs)
 	}
 }
 

@@ -113,7 +113,7 @@ func TestHeatPlaneEndToEnd(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		pageEvents = page.Events
+		pageEvents = page.Entries
 		return len(pageEvents) > 0
 	})
 	found := false

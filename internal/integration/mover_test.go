@@ -96,10 +96,10 @@ func TestMoverPromotesHotBlockEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(page.Events) != 1 {
-		t.Fatalf("block_moved events = %d, want 1", len(page.Events))
+	if len(page.Entries) != 1 {
+		t.Fatalf("block_moved events = %d, want 1", len(page.Entries))
 	}
-	e := page.Events[0]
+	e := page.Entries[0]
 	if e.Attrs["path"] != "/mover-hot" || e.Attrs["kind"] != rpc.MovePromote ||
 		e.Attrs["before"] != "HDD:1" || e.Attrs["after"] != "MEMORY:1" {
 		t.Errorf("block_moved attrs = %+v", e.Attrs)
@@ -194,7 +194,7 @@ func TestMoverCooldownPreventsThrash(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return len(page.Events) >= 1
+		return len(page.Entries) >= 1
 	})
 
 	// Within a few half-lives the heat collapses below the cold cutoff
@@ -213,8 +213,8 @@ func TestMoverCooldownPreventsThrash(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(page.Events) != 1 {
-		t.Fatalf("block_moved events = %d, want exactly 1 (no thrash)", len(page.Events))
+	if len(page.Entries) != 1 {
+		t.Fatalf("block_moved events = %d, want exactly 1 (no thrash)", len(page.Entries))
 	}
 	blocks, err := fs.GetFileBlockLocations("/flip", 0, -1)
 	if err != nil || len(blocks) != 1 {

@@ -97,12 +97,8 @@ func (m *Master) AuditLog() *audit.Log { return m.audit }
 // GetAudit serves one page of the namespace audit log over RPC.
 // Untraced and unaudited: a poller tailing the log must not fill the
 // very log it reads.
-func (s *Service) GetAudit(args *rpc.GetAuditArgs, reply *rpc.GetAuditReply) (err error) {
+func (s *Service) GetAudit(args *rpc.LogArgs, reply *rpc.LogReply[audit.Entry]) (err error) {
 	defer s.m.trackOpUntraced("getAudit", args.ReqID)(&err)
-	reply.Page = s.m.audit.Since(args.Since, args.Op, args.Limit)
-	if reply.Page.Entries == nil {
-		reply.Page.Entries = []audit.Entry{}
-	}
-	reply.Counts = s.m.audit.Counts()
+	*reply = rpc.ReadLog(s.m.audit, args)
 	return nil
 }

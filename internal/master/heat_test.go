@@ -138,11 +138,11 @@ func TestScanMisplacedJournalsTransitionsOnce(t *testing.T) {
 
 	m.scanMisplaced()
 	page := m.Journal().Since(0, evHeatMisplaced, 0)
-	if len(page.Events) != 2 {
-		t.Fatalf("heat_misplaced events = %d, want 2 (hot + cold)", len(page.Events))
+	if len(page.Entries) != 2 {
+		t.Fatalf("heat_misplaced events = %d, want 2 (hot + cold)", len(page.Entries))
 	}
 	var hotEvent bool
-	for _, e := range page.Events {
+	for _, e := range page.Entries {
 		if e.Attrs["kind"] == rpc.MisplacedHotOnCold {
 			hotEvent = true
 			if e.Attrs["path"] != "/hot" || e.Attrs["best_tier"] != "HDD" || e.Attrs["tiers"] != "HDD:1" {
@@ -159,7 +159,7 @@ func TestScanMisplacedJournalsTransitionsOnce(t *testing.T) {
 
 	// A steady misplacement journals once, not every scan.
 	m.scanMisplaced()
-	if n := len(m.Journal().Since(0, evHeatMisplaced, 0).Events); n != 2 {
+	if n := len(m.Journal().Since(0, evHeatMisplaced, 0).Entries); n != 2 {
 		t.Fatalf("re-scan journaled again: %d events, want 2", n)
 	}
 
@@ -169,7 +169,7 @@ func TestScanMisplacedJournalsTransitionsOnce(t *testing.T) {
 	m.scanMisplaced()
 	m.foldHeat([]heat.Delta{{Block: hot, ReadOps: 100, ReadBytes: 1 << 20}})
 	m.scanMisplaced()
-	if n := len(m.Journal().Since(0, evHeatMisplaced, 0).Events); n != 3 {
+	if n := len(m.Journal().Since(0, evHeatMisplaced, 0).Entries); n != 3 {
 		t.Fatalf("relapse events = %d, want 3", n)
 	}
 }

@@ -8,13 +8,10 @@ import (
 	"sort"
 	"time"
 
-	"repro/internal/audit"
 	"repro/internal/core"
-	"repro/internal/events"
 	"repro/internal/httpjson"
 	"repro/internal/rpc"
 	"repro/internal/trace"
-	"repro/internal/xfer"
 )
 
 // StatusReport is the JSON document served at /status — the moral
@@ -80,12 +77,14 @@ func (m *Master) ServeHTTP(addr string) (string, error) {
 	// /debug/traces/<id> serves the cluster-assembled timeline (the
 	// master fans out to live workers); the list shows the local store.
 	trace.RegisterDebugHandlers(mux, m.traces, m.AssembleTrace)
-	// /debug/events serves the cluster event journal with ?since
-	// cursoring; /debug/history the sampled telemetry ring.
-	events.RegisterDebugHandler(mux, m.journal)
-	// /debug/audit serves the namespace audit log with the same
-	// cursoring plus an ?op filter.
-	audit.RegisterDebugHandler(mux, m.audit)
+	// The three cursor logs: /debug/events serves the cluster event
+	// journal (?type filters), /debug/audit the namespace audit log and
+	// /debug/transfers the client-reported transfer records plus the
+	// process-wide data-connection lifecycle counters (?op filters).
+	mux.Handle("/debug/events", httpjson.LogHandler(m.journal.Log(), "type", nil))
+	mux.Handle("/debug/audit", httpjson.LogHandler(m.audit, "op", nil))
+	mux.Handle("/debug/transfers", httpjson.LogHandler(m.xfers, "op", func() any { return rpc.DataConnStats() }))
+	// /debug/history serves the sampled telemetry ring.
 	mux.HandleFunc("/debug/history", func(w http.ResponseWriter, r *http.Request) {
 		last, ok := httpjson.IntParam(w, r, "last", 0)
 		if !ok {
@@ -123,10 +122,6 @@ func (m *Master) ServeHTTP(addr string) (string, error) {
 		}
 		httpjson.Write(w, st)
 	})
-	// /debug/transfers serves the master's transfer flight recorder
-	// (client-reported records) with ?since/?op/?limit cursoring, plus
-	// the process-wide data-connection lifecycle counters.
-	xfer.RegisterDebugHandler(mux, m.xfers, func() any { return rpc.DataConnStats() })
 	if m.cfg.Pprof {
 		registerPprof(mux)
 	}

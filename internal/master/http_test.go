@@ -14,10 +14,10 @@ import (
 
 // eventsPage mirrors the /debug/events JSON document.
 type eventsPage struct {
-	Events []events.Event    `json:"events"`
-	Next   uint64            `json:"next"`
-	Missed uint64            `json:"missed"`
-	Counts map[string]uint64 `json:"counts"`
+	Entries []events.Event    `json:"entries"`
+	Next    uint64            `json:"next"`
+	Missed  uint64            `json:"missed"`
+	Counts  map[string]uint64 `json:"counts"`
 }
 
 // getJSON fetches a URL and decodes the JSON body into out, returning
@@ -56,12 +56,12 @@ func TestHTTPDebugEventsEndpoint(t *testing.T) {
 	if code := getJSON(t, base, &page); code != http.StatusOK {
 		t.Fatalf("GET /debug/events = %d", code)
 	}
-	if len(page.Events) < 2 {
-		t.Fatalf("events = %d, want >= 2 worker registrations", len(page.Events))
+	if len(page.Entries) < 2 {
+		t.Fatalf("events = %d, want >= 2 worker registrations", len(page.Entries))
 	}
-	for i := 1; i < len(page.Events); i++ {
-		if page.Events[i].Seq <= page.Events[i-1].Seq {
-			t.Fatalf("seqs not monotonic: %d after %d", page.Events[i].Seq, page.Events[i-1].Seq)
+	for i := 1; i < len(page.Entries); i++ {
+		if page.Entries[i].Seq <= page.Entries[i-1].Seq {
+			t.Fatalf("seqs not monotonic: %d after %d", page.Entries[i].Seq, page.Entries[i-1].Seq)
 		}
 	}
 	if page.Counts["worker_register"] != 2 {
@@ -71,10 +71,10 @@ func TestHTTPDebugEventsEndpoint(t *testing.T) {
 	// Type filter returns only matching events.
 	var filtered eventsPage
 	getJSON(t, base+"?type=worker_register", &filtered)
-	if len(filtered.Events) != 2 {
-		t.Fatalf("filtered events = %d, want 2", len(filtered.Events))
+	if len(filtered.Entries) != 2 {
+		t.Fatalf("filtered events = %d, want 2", len(filtered.Entries))
 	}
-	for _, e := range filtered.Events {
+	for _, e := range filtered.Entries {
 		if e.Type != "worker_register" {
 			t.Errorf("filter leaked event type %q", e.Type)
 		}
@@ -85,11 +85,11 @@ func TestHTTPDebugEventsEndpoint(t *testing.T) {
 	m.Journal().Publish(events.Info, "test_event", "one more")
 	var next eventsPage
 	getJSON(t, base+"?since="+utoa(page.Next), &next)
-	if len(next.Events) != 1 || next.Events[0].Type != "test_event" {
-		t.Fatalf("cursor page = %+v, want exactly the one new event", next.Events)
+	if len(next.Entries) != 1 || next.Entries[0].Type != "test_event" {
+		t.Fatalf("cursor page = %+v, want exactly the one new event", next.Entries)
 	}
-	if next.Events[0].Seq <= page.Next {
-		t.Errorf("new event seq %d not past cursor %d", next.Events[0].Seq, page.Next)
+	if next.Entries[0].Seq <= page.Next {
+		t.Errorf("new event seq %d not past cursor %d", next.Entries[0].Seq, page.Next)
 	}
 
 	// Malformed parameters are 400s, not panics or empty pages.
@@ -102,19 +102,20 @@ func TestHTTPDebugEventsEndpoint(t *testing.T) {
 	}
 }
 
-// TestHTTPDebugEventsEvictionChurn floods a deliberately tiny journal
-// through the HTTP cursor and checks the exactly-once contract across
+// TestHTTPDebugEventsEvictionChurn floods the journal faster than an
+// HTTP cursor reads it and checks the exactly-once contract across
 // eviction: no event is re-delivered, and every gap is accounted for in
 // Missed rather than silently skipped.
 func TestHTTPDebugEventsEvictionChurn(t *testing.T) {
-	m := testMaster(t, func(cfg *Config) { cfg.EventCapacity = 64 })
+	m := testMaster(t)
 	addr, err := m.ServeHTTP("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
 	base := "http://" + addr + "/debug/events"
 
-	const total = 1000
+	capacity := m.Journal().Log().Cap()
+	total := 5 * capacity
 	published := 0
 	publish := func(n int) {
 		for i := 0; i < n; i++ {
@@ -129,12 +130,12 @@ func TestHTTPDebugEventsEvictionChurn(t *testing.T) {
 	var cursor, delivered, missed uint64
 	cursor = m.Journal().Since(0, "", 0).Next
 
-	publish(100) // more than capacity before the first poll
+	publish(capacity + capacity/2) // more than capacity before the first poll
 	for {
 		var page eventsPage
-		getJSON(t, base+"?since="+utoa(cursor)+"&limit=25", &page)
+		getJSON(t, base+"?since="+utoa(cursor)+"&limit=500", &page)
 		missed += page.Missed
-		for _, e := range page.Events {
+		for _, e := range page.Entries {
 			if e.Seq <= cursor {
 				t.Fatalf("re-delivered seq %d at cursor %d", e.Seq, cursor)
 			}
@@ -145,14 +146,14 @@ func TestHTTPDebugEventsEvictionChurn(t *testing.T) {
 			cursor = page.Next
 		}
 		if published < total {
-			publish(75) // churn between polls, forcing eviction under the reader
-		} else if len(page.Events) == 0 {
+			publish(1000) // churn between polls, forcing eviction under the reader
+		} else if len(page.Entries) == 0 {
 			break
 		}
 	}
-	if delivered+missed != total {
+	if delivered+missed != uint64(published) {
 		t.Fatalf("delivered %d + missed %d = %d, want %d (events lost or duplicated)",
-			delivered, missed, delivered+missed, total)
+			delivered, missed, delivered+missed, published)
 	}
 	if missed == 0 {
 		t.Error("churn never outran the reader; eviction path untested")
@@ -216,8 +217,8 @@ func TestDecommissionRefusesReRegistration(t *testing.T) {
 		t.Fatalf("workers = %d after decommission, want 0", m.NumWorkers())
 	}
 	page := m.Journal().Since(0, "worker_decommissioned", 0)
-	if len(page.Events) != 1 {
-		t.Fatalf("decommission events = %d, want 1", len(page.Events))
+	if len(page.Entries) != 1 {
+		t.Fatalf("decommission events = %d, want 1", len(page.Entries))
 	}
 
 	err := svc.Register(&rpc.RegisterArgs{

@@ -44,15 +44,6 @@ type Config struct {
 	// audit log and metrics record the fsync cost when enabled.
 	EditLogSync bool
 
-	// AuditCapacity bounds the namespace audit log ring; zero selects
-	// audit.DefaultCapacity.
-	AuditCapacity int
-
-	// TransferCapacity bounds the master's transfer flight recorder
-	// (which holds client-reported records); zero selects
-	// xfer.DefaultCapacity.
-	TransferCapacity int
-
 	// Placement chooses replica locations; nil selects the default
 	// MOOP policy (paper §3.3).
 	Placement policy.PlacementPolicy
@@ -100,10 +91,6 @@ type Config struct {
 	// TraceCapacity bounds the number of retained traces; zero
 	// selects trace.DefaultCapacity.
 	TraceCapacity int
-
-	// EventCapacity bounds the cluster event journal; zero selects
-	// events.DefaultCapacity.
-	EventCapacity int
 
 	// HistoryInterval paces telemetry history sampling; zero selects
 	// the default (2s). Negative disables sampling (GetClusterHistory
@@ -285,9 +272,9 @@ func New(cfg Config) (*Master, error) {
 		conns:          make(map[net.Conn]struct{}),
 		started:        time.Now(),
 	}
-	m.journal = events.NewJournal(cfg.EventCapacity)
-	m.audit = audit.New(cfg.AuditCapacity)
-	m.xfers = xfer.New(cfg.TransferCapacity)
+	m.journal = events.NewJournal(0)
+	m.audit = audit.New(0)
+	m.xfers = xfer.New(0)
 	// The master dials worker data ports for trace and transfer-dump
 	// fan-outs; repeated dial failures to one worker surface as a
 	// cluster event rather than only fan-out warnings.

@@ -167,10 +167,10 @@ func TestMoverPromotesHotBlock(t *testing.T) {
 	}
 
 	page := m.Journal().Since(0, evBlockMoved, 0)
-	if len(page.Events) != 1 {
-		t.Fatalf("block_moved events = %d, want 1", len(page.Events))
+	if len(page.Entries) != 1 {
+		t.Fatalf("block_moved events = %d, want 1", len(page.Entries))
 	}
-	e := page.Events[0]
+	e := page.Entries[0]
 	if e.Attrs["kind"] != rpc.MovePromote || e.Attrs["path"] != "/hot" ||
 		e.Attrs["before"] != "HDD:1" || e.Attrs["after"] != "MEMORY:1" {
 		t.Errorf("block_moved attrs = %+v", e.Attrs)
@@ -228,9 +228,9 @@ func TestMoverDemotesColdBlock(t *testing.T) {
 		t.Errorf("counters = %+v, want one demotion", st.Counters)
 	}
 	page := m.Journal().Since(0, evBlockMoved, 0)
-	if len(page.Events) != 1 || page.Events[0].Attrs["kind"] != rpc.MoveDemote ||
-		page.Events[0].Attrs["before"] != "MEMORY:1" || page.Events[0].Attrs["after"] != "HDD:1" {
-		t.Errorf("block_moved events = %+v", page.Events)
+	if len(page.Entries) != 1 || page.Entries[0].Attrs["kind"] != rpc.MoveDemote ||
+		page.Entries[0].Attrs["before"] != "MEMORY:1" || page.Entries[0].Attrs["after"] != "HDD:1" {
+		t.Errorf("block_moved events = %+v", page.Entries)
 	}
 }
 
@@ -316,7 +316,7 @@ func TestMoverExpiresUnconfirmedMoves(t *testing.T) {
 	if got := len(m.blocks.Replicas(blk.ID)); got != 1 {
 		t.Errorf("replicas after expired move = %d, want the untouched source", got)
 	}
-	if n := len(m.Journal().Since(0, evBlockMoveExpired, 0).Events); n != 1 {
+	if n := len(m.Journal().Since(0, evBlockMoveExpired, 0).Entries); n != 1 {
 		t.Errorf("block_move_expired events = %d, want 1", n)
 	}
 }

@@ -247,13 +247,9 @@ func (m *Master) decommission(id core.WorkerID, reqID string) error {
 
 // GetEvents serves one page of the cluster event journal over RPC.
 // Untraced: pollers would churn the trace store.
-func (s *Service) GetEvents(args *rpc.GetEventsArgs, reply *rpc.GetEventsReply) (err error) {
+func (s *Service) GetEvents(args *rpc.LogArgs, reply *rpc.LogReply[events.Event]) (err error) {
 	defer s.m.trackOpUntraced("getEvents", args.ReqID)(&err)
-	reply.Page = s.m.journal.Since(args.Since, args.Type, args.Limit)
-	if reply.Page.Events == nil {
-		reply.Page.Events = []events.Event{}
-	}
-	reply.Counts = s.m.journal.Counts()
+	*reply = rpc.ReadLog(s.m.journal.Log(), args)
 	return nil
 }
 

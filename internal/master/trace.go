@@ -2,6 +2,7 @@ package master
 
 import (
 	"fmt"
+	"sort"
 	"sync"
 
 	"repro/internal/core"
@@ -9,43 +10,51 @@ import (
 	"repro/internal/trace"
 )
 
-// AssembleTrace merges the master's retained spans for traceID
-// (its own handler spans plus any client-reported ones) with spans
-// fetched concurrently from every live worker's data port. Workers
-// that fail to answer are skipped — a partial timeline beats none —
-// but if nothing at all is found the trace is reported as unknown.
-func (m *Master) AssembleTrace(traceID string) ([]trace.Span, error) {
-	local := m.traces.Get(traceID)
-
-	type workerAddr struct {
+// fanOut calls fn concurrently with every live worker's ID and data
+// address and returns the results ordered by worker ID. It is how the
+// master collects what only the workers hold — spans of a trace, pages
+// of their flight recorders — over the existing data port.
+func fanOut[R any](m *Master, fn func(id core.WorkerID, addr string) R) []R {
+	type target struct {
 		id   core.WorkerID
 		addr string
 	}
 	m.mu.RLock()
-	addrs := make([]workerAddr, 0, len(m.workers))
+	targets := make([]target, 0, len(m.workers))
 	for id, w := range m.workers {
-		addrs = append(addrs, workerAddr{id: id, addr: w.dataAddr})
+		targets = append(targets, target{id, w.dataAddr})
 	}
 	m.mu.RUnlock()
+	sort.Slice(targets, func(a, b int) bool { return targets[a].id < targets[b].id })
 
-	sets := make([][]trace.Span, len(addrs))
+	out := make([]R, len(targets))
 	var wg sync.WaitGroup
-	for i, wa := range addrs {
+	for i, t := range targets {
 		wg.Add(1)
-		go func(i int, wa workerAddr) {
+		go func() {
 			defer wg.Done()
-			spans, err := rpc.FetchSpans(wa.addr, traceID)
-			if err != nil {
-				m.cfg.Logger.Warn("trace fan-out failed",
-					"worker", wa.id, "trace", traceID, "err", err)
-				return
-			}
-			sets[i] = spans
-		}(i, wa)
+			out[i] = fn(t.id, t.addr)
+		}()
 	}
 	wg.Wait()
+	return out
+}
 
-	merged := trace.Merge(append([][]trace.Span{local}, sets...)...)
+// AssembleTrace merges the master's retained spans for traceID
+// (its own handler spans plus any client-reported ones) with spans
+// fetched from every live worker. Workers that fail to answer are
+// skipped — a partial timeline beats none — but if nothing at all is
+// found the trace is reported as unknown.
+func (m *Master) AssembleTrace(traceID string) ([]trace.Span, error) {
+	sets := fanOut(m, func(id core.WorkerID, addr string) []trace.Span {
+		var resp rpc.TraceDumpResponse
+		if err := rpc.Dump(addr, rpc.OpTraceDump, rpc.TraceDumpHeader{TraceID: traceID}, &resp); err != nil {
+			m.cfg.Logger.Warn("trace fan-out failed",
+				"worker", id, "trace", traceID, "err", err)
+		}
+		return resp.Spans
+	})
+	merged := trace.Merge(append([][]trace.Span{m.traces.Get(traceID)}, sets...)...)
 	if len(merged) == 0 {
 		return nil, fmt.Errorf("master: no spans retained for trace %s: %w", traceID, core.ErrNotFound)
 	}

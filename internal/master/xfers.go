@@ -1,9 +1,6 @@
 package master
 
 import (
-	"sort"
-	"sync"
-
 	"repro/internal/core"
 	"repro/internal/rpc"
 	"repro/internal/xfer"
@@ -37,64 +34,23 @@ func (s *Service) ReportTransfers(args *rpc.ReportTransfersArgs, _ *rpc.ReportTr
 // GetTransfers serves one page of transfer records from every source:
 // the master's client-reported log plus each live worker's recorder.
 // Cursors are per source, so pollers resume each source from its own
-// Page.Next. Untraced: pollers would churn the trace store.
-func (s *Service) GetTransfers(args *rpc.GetTransfersArgs, reply *rpc.GetTransfersReply) (err error) {
-	defer s.m.trackOpUntraced("getTransfers", args.ReqID)(&err)
-	reply.Sources = s.m.assembleTransfers(args.Since, args.Op, args.Limit)
-	return nil
-}
-
-// assembleTransfers pages the master's own log and fans out to every
-// live worker concurrently (the AssembleTrace pattern). A worker that
-// fails to answer contributes its error instead of failing the whole
-// call — a partial cluster view beats none.
-func (m *Master) assembleTransfers(since uint64, op string, limit int) []rpc.TransferSource {
-	masterSrc := rpc.TransferSource{
-		Source: "master",
-		Page:   m.xfers.Since(since, op, limit),
-		Counts: m.xfers.Counts(),
-	}
-	if masterSrc.Page.Entries == nil {
-		masterSrc.Page.Entries = []xfer.Record{}
-	}
-
-	type workerAddr struct {
-		id   core.WorkerID
-		addr string
-	}
-	m.mu.RLock()
-	addrs := make([]workerAddr, 0, len(m.workers))
-	for id, w := range m.workers {
-		addrs = append(addrs, workerAddr{id: id, addr: w.dataAddr})
-	}
-	m.mu.RUnlock()
-
-	fromWorkers := make([]rpc.TransferSource, len(addrs))
-	var wg sync.WaitGroup
-	for i, wa := range addrs {
-		wg.Add(1)
-		go func(i int, wa workerAddr) {
-			defer wg.Done()
-			src := rpc.TransferSource{Source: "worker:" + string(wa.id)}
-			page, counts, err := rpc.FetchTransfers(wa.addr, since, op, limit)
-			if err != nil {
-				m.cfg.Logger.Warn("transfer fan-out failed",
-					"worker", wa.id, "err", err)
-				src.Err = err.Error()
-			} else {
-				src.Page = page
-				src.Counts = counts
-			}
-			if src.Page.Entries == nil {
-				src.Page.Entries = []xfer.Record{}
-			}
-			fromWorkers[i] = src
-		}(i, wa)
-	}
-	wg.Wait()
-
-	sort.Slice(fromWorkers, func(a, b int) bool {
-		return fromWorkers[a].Source < fromWorkers[b].Source
+// Page.Next. A worker that fails to answer contributes its error
+// instead of failing the whole call — a partial cluster view beats
+// none. Untraced: pollers would churn the trace store.
+func (s *Service) GetTransfers(args *rpc.LogArgs, reply *rpc.GetTransfersReply) (err error) {
+	m := s.m
+	defer m.trackOpUntraced("getTransfers", args.ReqID)(&err)
+	workers := fanOut(m, func(id core.WorkerID, addr string) rpc.TransferSource {
+		src := rpc.TransferSource{Source: "worker:" + string(id)}
+		if err := rpc.Dump(addr, rpc.OpTransferDump, args, &src.LogReply); err != nil {
+			m.cfg.Logger.Warn("transfer fan-out failed", "worker", id, "err", err)
+			src.Err = err.Error()
+			src.Page.Next = args.Since
+		}
+		return src
 	})
-	return append([]rpc.TransferSource{masterSrc}, fromWorkers...)
+	reply.Sources = append([]rpc.TransferSource{
+		{Source: "master", LogReply: rpc.ReadLog(m.xfers, args)},
+	}, workers...)
+	return nil
 }

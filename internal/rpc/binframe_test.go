@@ -2,9 +2,11 @@ package rpc
 
 import (
 	"bytes"
+	"reflect"
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/xfer"
 )
 
 // hotMessages returns one populated value of every message type the
@@ -61,38 +63,31 @@ func TestBinaryFrameRoundTrip(t *testing.T) {
 			if tag := buf.Bytes()[0]; tag != frameTagBinary {
 				t.Fatalf("hot message framed with tag 0x%02x, want binary 0x%02x", tag, frameTagBinary)
 			}
-			legacy, err := ReadFrameEx(&buf, c.out)
-			if err != nil {
-				t.Fatalf("ReadFrameEx: %v", err)
-			}
-			if legacy {
-				t.Error("binary frame reported as legacy")
+			if err := ReadFrame(&buf, c.out); err != nil {
+				t.Fatalf("ReadFrame: %v", err)
 			}
 			assertFrameEqual(t, c.name, c.in, c.out)
 		})
 	}
 }
 
-// TestLegacyGobFrameRoundTrip forces every hot message through the
-// legacy gob framing — what a mixed-version peer would send — and
-// checks the reader auto-detects and decodes it, reporting legacy so
-// the responder can echo the old format.
+// TestLegacyGobFrameRoundTrip pins the reader's half of the framing
+// contract: ReadFrame picks the codec from the frame's first byte, not
+// from the destination type, so a gob frame — the format the dump
+// messages travel in — decodes into every message type, including the
+// hot ones WriteFrame never emits as gob.
 func TestLegacyGobFrameRoundTrip(t *testing.T) {
 	for _, c := range hotMessages() {
 		t.Run(c.name, func(t *testing.T) {
 			var buf bytes.Buffer
-			if err := WriteFrameLegacy(&buf, c.in); err != nil {
-				t.Fatalf("WriteFrameLegacy: %v", err)
+			if err := writeGobFrame(&buf, c.in); err != nil {
+				t.Fatalf("writeGobFrame: %v", err)
 			}
 			if tag := buf.Bytes()[0]; tag == frameTagBinary {
-				t.Fatal("legacy frame carries the binary tag")
+				t.Fatal("gob frame carries the binary tag")
 			}
-			legacy, err := ReadFrameEx(&buf, c.out)
-			if err != nil {
-				t.Fatalf("ReadFrameEx: %v", err)
-			}
-			if !legacy {
-				t.Error("gob frame not reported as legacy")
+			if err := ReadFrame(&buf, c.out); err != nil {
+				t.Fatalf("ReadFrame: %v", err)
 			}
 			assertFrameEqual(t, c.name, c.in, c.out)
 		})
@@ -148,23 +143,29 @@ func assertFrameEqual(t *testing.T, name string, in, out any) {
 }
 
 // TestColdMessagesFallBackToGob: dump messages are not worth a binary
-// codec; WriteFrame must emit them as gob frames a legacy peer can
-// also read.
+// codec; WriteFrame emits them as gob frames, ReadFrame tells them
+// from binary ones by the first byte, and a truncated one is an error,
+// not a partial message. (An unknown first byte is
+// TestReadFrameRejectsUnknownTag's.)
 func TestColdMessagesFallBackToGob(t *testing.T) {
 	var buf bytes.Buffer
-	if err := WriteFrame(&buf, TraceDumpHeader{TraceID: "t1"}); err != nil {
+	in := LogReply[xfer.Record]{
+		Page:   xfer.Page{Entries: []xfer.Record{{Seq: 3, Op: "read", Block: 9}}, Next: 3, Missed: 2},
+		Counts: map[string]uint64{"read": 3},
+	}
+	if err := WriteFrame(&buf, in); err != nil {
 		t.Fatal(err)
 	}
-	if buf.Bytes()[0] == frameTagBinary {
-		t.Error("TraceDumpHeader framed as binary, want gob fallback")
+	raw := append([]byte{}, buf.Bytes()...)
+	if raw[0] == frameTagBinary {
+		t.Error("dump response framed as binary, want gob fallback")
 	}
-	var out TraceDumpHeader
-	legacy, err := ReadFrameEx(&buf, &out)
-	if err != nil || out.TraceID != "t1" {
-		t.Fatalf("gob fallback round trip: %v %+v", err, out)
+	var out LogReply[xfer.Record]
+	if err := ReadFrame(&buf, &out); err != nil || !reflect.DeepEqual(in, out) {
+		t.Fatalf("gob round trip: %v\n got %+v\nwant %+v", err, out, in)
 	}
-	if !legacy {
-		t.Error("gob fallback frame not reported legacy")
+	if err := ReadFrame(bytes.NewReader(raw[:len(raw)-3]), &out); err == nil {
+		t.Error("truncated gob frame accepted")
 	}
 }
 

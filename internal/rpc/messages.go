@@ -1,10 +1,9 @@
 package rpc
 
 import (
-	"repro/internal/audit"
 	"repro/internal/core"
-	"repro/internal/events"
 	"repro/internal/heat"
+	"repro/internal/ringlog"
 	"repro/internal/trace"
 	"repro/internal/xfer"
 )
@@ -372,35 +371,29 @@ type GetTraceReply struct {
 	Spans []trace.Span
 }
 
-// GetEventsArgs / GetEventsReply implement Master.GetEvents, the RPC
-// face of the cluster event journal (the /debug/events endpoint serves
-// the same page over HTTP). Since is an exclusive sequence cursor;
-// polling with Since = Page.Next is exactly-once over retained events.
-type GetEventsArgs struct {
+// LogArgs is one cursor read of a daemon's ringlog. Master.GetEvents,
+// Master.GetAudit and Master.GetTransfers take it over RPC (the
+// /debug/events, /debug/audit and /debug/transfers endpoints serve the
+// same pages over HTTP), and it opens an OpTransferDump exchange on a
+// worker's data port. Since is an exclusive sequence cursor; polling
+// with Since = Page.Next is exactly-once over retained records.
+type LogArgs struct {
 	ReqHeader
 	Since uint64
-	Type  string // "" = all types
-	Limit int    // <= 0 = journal default
+	Key   string // "" = all; the event type for GetEvents, the op for the rest
+	Limit int    // <= 0 = no cap
 }
-type GetEventsReply struct {
-	Page   events.Page
+
+// LogReply answers a LogArgs: one page plus the log's per-key
+// lifetime counts.
+type LogReply[T any] struct {
+	Page   ringlog.Page[T]
 	Counts map[string]uint64
 }
 
-// GetAuditArgs / GetAuditReply implement Master.GetAudit, the RPC
-// face of the namespace audit log (the /debug/audit endpoint serves
-// the same page over HTTP). Since is an exclusive sequence cursor;
-// polling with Since = Page.Next is exactly-once over retained
-// entries.
-type GetAuditArgs struct {
-	ReqHeader
-	Since uint64
-	Op    string // "" = all operations
-	Limit int    // <= 0 = no cap
-}
-type GetAuditReply struct {
-	Page   audit.Page
-	Counts map[string]uint64
+// ReadLog answers args from l.
+func ReadLog[T any](l *ringlog.Log[T], args *LogArgs) LogReply[T] {
+	return LogReply[T]{Page: l.Since(args.Since, args.Key, args.Limit), Counts: l.Counts()}
 }
 
 // ReportTransfersArgs / -Reply implement Master.ReportTransfers:
@@ -414,29 +407,24 @@ type ReportTransfersArgs struct {
 }
 type ReportTransfersReply struct{}
 
-// GetTransfersArgs / GetTransfersReply implement Master.GetTransfers,
-// the fan-out face of the transfer flight recorder: one cursor page
-// from the master's log of client-reported records plus one from each
-// live worker's recorder. Since/Op/Limit have /debug/transfers
-// semantics and apply per source; cursors are per source daemon, so a
-// poller resumes each source from that source's Page.Next.
-type GetTransfersArgs struct {
-	ReqHeader
-	Since uint64
-	Op    string // "" = all transfer kinds
-	Limit int    // <= 0 = no cap
+// LogSource is one daemon's LogReply where several daemons answer the
+// same LogArgs. Err reports a fan-out failure for that source ("" =
+// the page is valid).
+type LogSource[T any] struct {
+	Source string
+	LogReply[T]
+	Err string
 }
 
 // TransferSource is one daemon's page of transfer records inside a
 // GetTransfersReply: the master's client-reported log ("master") or a
-// worker's recorder ("worker:<id>"). Err reports a fan-out failure
-// for that source ("" = page is valid).
-type TransferSource struct {
-	Source string
-	Page   xfer.Page
-	Counts map[string]uint64
-	Err    string
-}
+// worker's recorder ("worker:<id>").
+type TransferSource = LogSource[xfer.Record]
+
+// GetTransfersReply answers Master.GetTransfers, the fan-out face of
+// the transfer flight recorder: the LogArgs apply per source, and
+// cursors are per source daemon, so a poller resumes each source from
+// that source's Page.Next.
 type GetTransfersReply struct {
 	Sources []TransferSource
 }

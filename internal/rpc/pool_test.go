@@ -80,7 +80,7 @@ func (s *fakeDataServer) serve(conn net.Conn) {
 			return
 		}
 		var hdr ReadBlockHeader
-		if _, err := ReadFrameEx(conn, &hdr); err != nil {
+		if err := ReadFrame(conn, &hdr); err != nil {
 			return
 		}
 		if err := WriteFrame(conn, ReadBlockResponse{Length: int64(len(s.payload))}); err != nil {

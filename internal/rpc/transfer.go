@@ -8,8 +8,6 @@ import (
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/trace"
-	"repro/internal/xfer"
 )
 
 // DialTimeout bounds data-connection establishment.
@@ -523,10 +521,12 @@ func (w *BlockWriter) Abort() error {
 	return err
 }
 
-// FetchSpans asks the worker at addr for its retained spans of one
-// trace via an OpTraceDump exchange. The master uses it to assemble
-// cross-daemon timelines.
-func FetchSpans(addr, traceID string) ([]trace.Span, error) {
+// Dump runs one cold-path exchange with the worker at addr on a
+// pooled data connection: the opcode, a gob-framed request, one framed
+// response decoded into resp. The master fans OpTraceDump and
+// OpTransferDump out with it. A pooled connection the worker has since
+// closed is retried once on a fresh dial.
+func Dump(addr string, op byte, req, resp any) error {
 	for freshOnly := false; ; freshOnly = true {
 		var conn *deadlineConn
 		var pooled bool
@@ -537,74 +537,25 @@ func FetchSpans(addr, traceID string) ([]trace.Span, error) {
 			conn, pooled, err = checkoutData(addr)
 		}
 		if err != nil {
-			return nil, err
+			return err
 		}
-		var resp TraceDumpResponse
-		err = func() error {
-			if _, err := conn.Write([]byte{OpTraceDump}); err != nil {
-				return fmt.Errorf("rpc: sending trace-dump opcode: %w", err)
+		if _, err = conn.Write([]byte{op}); err != nil {
+			err = fmt.Errorf("rpc: sending dump opcode %d: %w", op, err)
+		} else if err = WriteFrame(conn, req); err == nil {
+			if err = ReadFrame(conn, resp); err != nil {
+				err = fmt.Errorf("rpc: reading dump %d: %w", op, err)
 			}
-			if err := WriteFrame(conn, TraceDumpHeader{TraceID: traceID}); err != nil {
-				return err
-			}
-			if err := ReadFrame(conn, &resp); err != nil {
-				return fmt.Errorf("rpc: reading trace dump: %w", err)
-			}
-			return nil
-		}()
+		}
 		if err != nil {
 			conn.Close()
 			if pooled && !freshOnly {
 				dataPool.noteStale()
 				continue
 			}
-			return nil, err
+			return err
 		}
 		conn.established()
 		releaseData(conn)
-		return resp.Spans, nil
-	}
-}
-
-// FetchTransfers asks the worker at addr for one page of its transfer
-// flight-recorder log via an OpTransferDump exchange. The master uses
-// it to fan Master.GetTransfers out across the cluster.
-func FetchTransfers(addr string, since uint64, op string, limit int) (xfer.Page, map[string]uint64, error) {
-	for freshOnly := false; ; freshOnly = true {
-		var conn *deadlineConn
-		var pooled bool
-		var err error
-		if freshOnly {
-			conn, err = dialData(addr)
-		} else {
-			conn, pooled, err = checkoutData(addr)
-		}
-		if err != nil {
-			return xfer.Page{Next: since}, nil, err
-		}
-		var resp TransferDumpResponse
-		err = func() error {
-			if _, err := conn.Write([]byte{OpTransferDump}); err != nil {
-				return fmt.Errorf("rpc: sending transfer-dump opcode: %w", err)
-			}
-			if err := WriteFrame(conn, TransferDumpHeader{Since: since, Op: op, Limit: limit}); err != nil {
-				return err
-			}
-			if err := ReadFrame(conn, &resp); err != nil {
-				return fmt.Errorf("rpc: reading transfer dump: %w", err)
-			}
-			return nil
-		}()
-		if err != nil {
-			conn.Close()
-			if pooled && !freshOnly {
-				dataPool.noteStale()
-				continue
-			}
-			return xfer.Page{Next: since}, nil, err
-		}
-		conn.established()
-		releaseData(conn)
-		return resp.Page, resp.Counts, nil
+		return nil
 	}
 }

@@ -2,6 +2,7 @@ package rpc
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/binary"
 	"encoding/gob"
 	"fmt"
@@ -12,13 +13,12 @@ import (
 	"repro/internal/bufpool"
 	"repro/internal/core"
 	"repro/internal/trace"
-	"repro/internal/xfer"
 )
 
 // The data-transfer protocol spoken on a worker's data port. Every
 // exchange starts with a one-byte opcode followed by a length-prefixed
 // header frame (binary v1 for the hot-path messages, gob for the
-// legacy format and the dump messages — see binframe.go); block
+// dump messages — see binframe.go); block
 // content then flows as checksummed packets. Connections are
 // persistent: after a clean exchange the same connection carries the
 // next opcode.
@@ -40,8 +40,9 @@ const (
 	OpTraceDump
 
 	// OpTransferDump asks a worker for one page of its transfer
-	// flight-recorder log, so Master.GetTransfers can fan out across
-	// the cluster over the existing data port.
+	// flight-recorder log (a LogArgs answered by a
+	// LogReply[xfer.Record]), so Master.GetTransfers can fan out
+	// across the cluster over the existing data port.
 	OpTransferDump
 )
 
@@ -133,75 +134,45 @@ type TraceDumpResponse struct {
 	Spans []trace.Span
 }
 
-// TransferDumpHeader opens an OpTransferDump exchange: one cursor
-// page request against the worker's transfer flight recorder, with
-// the same since/op/limit semantics as /debug/transfers.
-type TransferDumpHeader struct {
-	Since uint64
-	Op    string // "" = all transfer kinds
-	Limit int    // <= 0 = no cap
-}
-
-// TransferDumpResponse carries one page of the worker's transfer log
-// plus its per-op lifetime counters. Limit keeps it under the
-// control-frame size limit; callers page with Since = Page.Next.
-type TransferDumpResponse struct {
-	Page   xfer.Page
-	Counts map[string]uint64
-}
-
 // WriteFrame encodes v as one length-prefixed frame: binary v1 for
-// the hot-path messages, gob otherwise.
+// the hot-path messages, gob for the rest (the dump messages).
 func WriteFrame(w io.Writer, v any) error {
-	return writeFrameFmt(w, v, false)
-}
-
-// WriteFrameLegacy encodes v as a legacy gob frame regardless of
-// type. Responders use it to echo a gob-framed request's format, so a
-// mixed-version cluster interoperates; tests use it to emulate an old
-// peer.
-func WriteFrameLegacy(w io.Writer, v any) error {
-	return writeFrameFmt(w, v, true)
-}
-
-func writeFrameFmt(w io.Writer, v any, legacy bool) error {
-	if !legacy {
-		bp := frameScratch.Get().(*[]byte)
-		buf := (*bp)[:0]
-		// Reserve the tag + length prefix, then append the payload.
-		buf = append(buf, frameTagBinary, 0, 0, 0, 0)
-		buf, ok := encodeBinary(buf, v)
-		if ok {
-			binary.LittleEndian.PutUint32(buf[1:5], uint32(len(buf)-5))
-			connStats.frames.Add(1)
-			connStats.frameBytes.Add(uint64(len(buf) - 5))
-			_, err := w.Write(buf)
-			*bp = buf[:0]
-			frameScratch.Put(bp)
-			if err != nil {
-				return fmt.Errorf("rpc: writing frame: %w", err)
-			}
-			return nil
-		}
-		*bp = buf[:0]
-		frameScratch.Put(bp)
+	bp := frameScratch.Get().(*[]byte)
+	// Reserve the tag + length prefix, then append the payload.
+	buf, ok := encodeBinary(append((*bp)[:0], frameTagBinary, 0, 0, 0, 0), v)
+	var err error
+	if ok {
+		binary.LittleEndian.PutUint32(buf[1:5], uint32(len(buf)-5))
+		connStats.frames.Add(1)
+		connStats.frameBytes.Add(uint64(len(buf) - 5))
+		_, err = w.Write(buf)
 	}
-	var buf []byte
-	{
-		var bw lenWriter
-		if err := gob.NewEncoder(&bw).Encode(v); err != nil {
-			return fmt.Errorf("rpc: encoding frame: %w", err)
-		}
-		buf = bw.buf
+	*bp = buf[:0]
+	frameScratch.Put(bp)
+	if !ok {
+		return writeGobFrame(w, v)
+	}
+	if err != nil {
+		return fmt.Errorf("rpc: writing frame: %w", err)
+	}
+	return nil
+}
+
+// writeGobFrame encodes v as a gob frame: a big-endian length, then
+// the gob stream.
+func writeGobFrame(w io.Writer, v any) error {
+	var body bytes.Buffer
+	if err := gob.NewEncoder(&body).Encode(v); err != nil {
+		return fmt.Errorf("rpc: encoding frame: %w", err)
 	}
 	connStats.frames.Add(1)
-	connStats.frameBytes.Add(uint64(len(buf)))
+	connStats.frameBytes.Add(uint64(body.Len()))
 	var hdr [4]byte
-	binary.BigEndian.PutUint32(hdr[:], uint32(len(buf)))
+	binary.BigEndian.PutUint32(hdr[:], uint32(body.Len()))
 	if _, err := w.Write(hdr[:]); err != nil {
 		return fmt.Errorf("rpc: writing frame header: %w", err)
 	}
-	if _, err := w.Write(buf); err != nil {
+	if _, err := w.Write(body.Bytes()); err != nil {
 		return fmt.Errorf("rpc: writing frame body: %w", err)
 	}
 	return nil
@@ -209,31 +180,24 @@ func writeFrameFmt(w io.Writer, v any, legacy bool) error {
 
 // maxFrameSize bounds a control frame; headers are small, so anything
 // bigger indicates a corrupt or hostile stream. Keeping it under
-// 1<<24 also guarantees a legacy gob frame's first byte is 0x00,
-// which is how ReadFrame tells the formats apart.
+// 1<<24 also guarantees a gob frame's first byte is 0x00, which is
+// how ReadFrame tells the formats apart.
 const maxFrameSize = 1 << 20
 
-// ReadFrame decodes one length-prefixed frame into v, accepting both
-// the binary v1 and the legacy gob format.
+// ReadFrame decodes one length-prefixed frame into v, picking the
+// format — binary v1 or gob — from the frame's first byte.
 func ReadFrame(r io.Reader, v any) error {
-	_, err := ReadFrameEx(r, v)
-	return err
-}
-
-// ReadFrameEx is ReadFrame reporting which format the frame used, so
-// a responder can echo it (legacy peers must receive gob responses).
-func ReadFrameEx(r io.Reader, v any) (legacy bool, err error) {
 	var hdr [4]byte
 	if _, err := io.ReadFull(r, hdr[:1]); err != nil {
-		return false, err
+		return err
 	}
 	if hdr[0] == frameTagBinary {
 		if _, err := io.ReadFull(r, hdr[:]); err != nil {
-			return false, fmt.Errorf("rpc: reading frame length: %w", err)
+			return fmt.Errorf("rpc: reading frame length: %w", err)
 		}
 		n := binary.LittleEndian.Uint32(hdr[:])
 		if n > maxFrameSize {
-			return false, fmt.Errorf("rpc: frame of %d bytes exceeds limit", n)
+			return fmt.Errorf("rpc: frame of %d bytes exceeds limit", n)
 		}
 		connStats.frames.Add(1)
 		connStats.frameBytes.Add(uint64(n))
@@ -243,54 +207,36 @@ func ReadFrameEx(r io.Reader, v any) (legacy bool, err error) {
 			buf = make([]byte, n)
 		}
 		buf = buf[:n]
-		if _, err := io.ReadFull(r, buf); err != nil {
-			*bp = buf[:0]
-			frameScratch.Put(bp)
-			return false, fmt.Errorf("rpc: reading frame body: %w", err)
+		_, err := io.ReadFull(r, buf)
+		if err != nil {
+			err = fmt.Errorf("rpc: reading frame body: %w", err)
+		} else {
+			err = decodeBinary(buf, v)
 		}
-		err := decodeBinary(buf, v)
 		*bp = buf[:0]
 		frameScratch.Put(bp)
-		return false, err
+		return err
 	}
 	if hdr[0] != 0 {
-		return false, fmt.Errorf("rpc: unknown frame tag 0x%02x", hdr[0])
+		return fmt.Errorf("rpc: unknown frame tag 0x%02x", hdr[0])
 	}
 	if _, err := io.ReadFull(r, hdr[1:]); err != nil {
-		return true, err
+		return err
 	}
 	n := binary.BigEndian.Uint32(hdr[:])
 	if n > maxFrameSize {
-		return true, fmt.Errorf("rpc: frame of %d bytes exceeds limit", n)
+		return fmt.Errorf("rpc: frame of %d bytes exceeds limit", n)
 	}
 	connStats.frames.Add(1)
 	connStats.frameBytes.Add(uint64(n))
 	buf := make([]byte, n)
 	if _, err := io.ReadFull(r, buf); err != nil {
-		return true, fmt.Errorf("rpc: reading frame body: %w", err)
+		return fmt.Errorf("rpc: reading frame body: %w", err)
 	}
-	if err := gob.NewDecoder(&frameReader{buf}).Decode(v); err != nil {
-		return true, fmt.Errorf("rpc: decoding frame: %w", err)
+	if err := gob.NewDecoder(bytes.NewReader(buf)).Decode(v); err != nil {
+		return fmt.Errorf("rpc: decoding frame: %w", err)
 	}
-	return true, nil
-}
-
-type lenWriter struct{ buf []byte }
-
-func (w *lenWriter) Write(p []byte) (int, error) {
-	w.buf = append(w.buf, p...)
-	return len(p), nil
-}
-
-type frameReader struct{ buf []byte }
-
-func (r *frameReader) Read(p []byte) (int, error) {
-	if len(r.buf) == 0 {
-		return 0, io.EOF
-	}
-	n := copy(p, r.buf)
-	r.buf = r.buf[n:]
-	return n, nil
+	return nil
 }
 
 // castagnoli is the CRC-32C table used for packet checksums, the same

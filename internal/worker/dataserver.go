@@ -120,16 +120,6 @@ func (w *Worker) handleConn(conn net.Conn) {
 // retire client-side first and the stale-conn race window is narrow.
 const dataIdleTimeout = 2 * time.Minute
 
-// respFrame returns the frame writer matching the requester's format:
-// a legacy gob request gets gob responses, so old and new daemons
-// interoperate in either direction.
-func respFrame(legacy bool) func(io.Writer, any) error {
-	if legacy {
-		return rpc.WriteFrameLegacy
-	}
-	return rpc.WriteFrame
-}
-
 // endHandshake lifts the accept-side handshake deadline armed in
 // handleConn, once the header frame has been decoded.
 func endHandshake(conn net.Conn) {
@@ -158,8 +148,7 @@ func (t *timedWriter) Write(p []byte) (int, error) {
 func (w *Worker) handleWriteBlock(conn net.Conn) (keep bool) {
 	start := time.Now()
 	var hdr rpc.WriteBlockHeader
-	legacy, err := rpc.ReadFrameEx(conn, &hdr)
-	if err != nil {
+	if err := rpc.ReadFrame(conn, &hdr); err != nil {
 		w.cfg.Logger.Warn("bad write header", "err", err)
 		return false
 	}
@@ -200,7 +189,7 @@ func (w *Worker) handleWriteBlock(conn net.Conn) (keep bool) {
 	}
 	w.metrics.observeOp("write", hdr.ReqID, start, ack.Stored, tier, ack.Err != "")
 	w.metrics.observeDisk(tier, "write", rec.DiskNs)
-	ackErr := respFrame(legacy)(conn, ack)
+	ackErr := rpc.WriteFrame(conn, ack)
 	if ackErr != nil {
 		w.cfg.Logger.Warn("write ack failed", "err", ackErr)
 	}
@@ -372,8 +361,7 @@ func (w *Worker) writeBlockPipeline(conn net.Conn, hdr rpc.WriteBlockHeader, sp 
 func (w *Worker) handleReadBlock(conn net.Conn) (keep bool) {
 	start := time.Now()
 	var hdr rpc.ReadBlockHeader
-	legacy, err := rpc.ReadFrameEx(conn, &hdr)
-	if err != nil {
+	if err := rpc.ReadFrame(conn, &hdr); err != nil {
 		w.cfg.Logger.Warn("bad read header", "err", err)
 		return false
 	}
@@ -389,7 +377,7 @@ func (w *Worker) handleReadBlock(conn net.Conn) (keep bool) {
 		Peer:           conn.RemoteAddr().String(),
 		HeaderDecodeNs: time.Since(start).Nanoseconds(),
 	}
-	served, tier, keep, err := w.readBlock(conn, hdr, legacy, &rec)
+	served, tier, keep, err := w.readBlock(conn, hdr, &rec)
 	sp.Annotate("tier", tier).AnnotateInt("bytes", served)
 	rec.Tier = tier
 	rec.Bytes = served
@@ -416,13 +404,12 @@ func (w *Worker) handleReadBlock(conn net.Conn) (keep bool) {
 // time from the media stream, socket time from a timed writer around
 // the response frame and packet stream. keep reports whether the
 // response (refusal or full stream) was delivered cleanly.
-func (w *Worker) readBlock(conn net.Conn, hdr rpc.ReadBlockHeader, legacy bool, rec *xfer.Record) (served int64, tier string, keep bool, err error) {
-	writeResp := respFrame(legacy)
+func (w *Worker) readBlock(conn net.Conn, hdr rpc.ReadBlockHeader, rec *xfer.Record) (served int64, tier string, keep bool, err error) {
 	tier = "UNKNOWN"
 	refuse := func(e error) (int64, string, bool, error) {
 		// A delivered refusal leaves the conn clean: the requester got
 		// its answer and nothing is mid-stream.
-		werr := writeResp(conn, rpc.ReadBlockResponse{Err: rpc.WithReqID(rpc.EncodeError(e), hdr.ReqID)})
+		werr := rpc.WriteFrame(conn, rpc.ReadBlockResponse{Err: rpc.WithReqID(rpc.EncodeError(e), hdr.ReqID)})
 		return 0, tier, werr == nil, e
 	}
 	media, ok := w.media[hdr.Storage]
@@ -458,7 +445,7 @@ func (w *Worker) readBlock(conn net.Conn, hdr rpc.ReadBlockHeader, legacy bool, 
 		length = 0
 	}
 	tw := &timedWriter{w: conn, ns: &rec.NetNs}
-	if err := writeResp(tw, rpc.ReadBlockResponse{Length: length}); err != nil {
+	if err := rpc.WriteFrame(tw, rpc.ReadBlockResponse{Length: length}); err != nil {
 		return 0, tier, false, err
 	}
 	pw := rpc.NewPacketWriter(tw)
@@ -482,8 +469,7 @@ func (w *Worker) readBlock(conn net.Conn, hdr rpc.ReadBlockHeader, legacy bool, 
 func (w *Worker) handleReplicateBlock(conn net.Conn) (keep bool) {
 	start := time.Now()
 	var hdr rpc.ReplicateBlockHeader
-	legacy, err := rpc.ReadFrameEx(conn, &hdr)
-	if err != nil {
+	if err := rpc.ReadFrame(conn, &hdr); err != nil {
 		return false
 	}
 	endHandshake(conn)
@@ -517,26 +503,33 @@ func (w *Worker) handleReplicateBlock(conn net.Conn) (keep bool) {
 	}
 	w.metrics.observeOp("replicate", reqID, start, n, tier, err != nil)
 	w.metrics.observeDisk(tier, "replicate", rec.DiskNs)
-	ackErr := respFrame(legacy)(conn, rpc.ReplicateBlockAck{Err: rpc.WithReqID(rpc.EncodeError(err), reqID)})
+	ackErr := rpc.WriteFrame(conn, rpc.ReplicateBlockAck{Err: rpc.WithReqID(rpc.EncodeError(err), reqID)})
 	rec.TotalNs = time.Since(start).Nanoseconds()
 	w.xfers.Append(rec)
 	return ackErr == nil
 }
 
-// handleTraceDump serves the worker's retained spans of one trace to
-// the master's assembly fan-out.
-func (w *Worker) handleTraceDump(conn net.Conn) (keep bool) {
-	var hdr rpc.TraceDumpHeader
-	legacy, err := rpc.ReadFrameEx(conn, &hdr)
-	if err != nil {
+// serveDump answers one cold-path exchange from the master's fan-out:
+// a framed request of type Q, one framed answer.
+func serveDump[Q, A any](w *Worker, conn net.Conn, what string, answer func(Q) A) (keep bool) {
+	var req Q
+	if err := rpc.ReadFrame(conn, &req); err != nil {
 		return false
 	}
 	endHandshake(conn)
-	if err := respFrame(legacy)(conn, rpc.TraceDumpResponse{Spans: w.traces.Get(hdr.TraceID)}); err != nil {
-		w.cfg.Logger.Warn("trace dump failed", "trace", hdr.TraceID, "err", err)
+	if err := rpc.WriteFrame(conn, answer(req)); err != nil {
+		w.cfg.Logger.Warn(what+" dump failed", "err", err)
 		return false
 	}
 	return true
+}
+
+// handleTraceDump serves the worker's retained spans of one trace to
+// the master's assembly fan-out.
+func (w *Worker) handleTraceDump(conn net.Conn) (keep bool) {
+	return serveDump(w, conn, "trace", func(hdr rpc.TraceDumpHeader) rpc.TraceDumpResponse {
+		return rpc.TraceDumpResponse{Spans: w.traces.Get(hdr.TraceID)}
+	})
 }
 
 // transferDumpMaxPage caps one OpTransferDump page so the response
@@ -547,25 +540,12 @@ const transferDumpMaxPage = 512
 // handleTransferDump serves one page of the worker's transfer flight
 // recorder to Master.GetTransfers' fan-out.
 func (w *Worker) handleTransferDump(conn net.Conn) (keep bool) {
-	var hdr rpc.TransferDumpHeader
-	legacy, err := rpc.ReadFrameEx(conn, &hdr)
-	if err != nil {
-		return false
-	}
-	endHandshake(conn)
-	limit := hdr.Limit
-	if limit <= 0 || limit > transferDumpMaxPage {
-		limit = transferDumpMaxPage
-	}
-	resp := rpc.TransferDumpResponse{Page: w.xfers.Since(hdr.Since, hdr.Op, limit), Counts: w.xfers.Counts()}
-	if resp.Page.Entries == nil {
-		resp.Page.Entries = []xfer.Record{}
-	}
-	if err := respFrame(legacy)(conn, resp); err != nil {
-		w.cfg.Logger.Warn("transfer dump failed", "err", err)
-		return false
-	}
-	return true
+	return serveDump(w, conn, "transfer", func(args rpc.LogArgs) rpc.LogReply[xfer.Record] {
+		if args.Limit <= 0 || args.Limit > transferDumpMaxPage {
+			args.Limit = transferDumpMaxPage
+		}
+		return rpc.ReadLog(w.xfers, &args)
+	})
 }
 
 // replicate copies a block from the best available source replica onto

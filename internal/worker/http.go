@@ -8,11 +8,9 @@ import (
 	"sort"
 
 	"repro/internal/core"
-	"repro/internal/events"
 	"repro/internal/httpjson"
 	"repro/internal/rpc"
 	"repro/internal/trace"
-	"repro/internal/xfer"
 )
 
 // WorkerStatus is the JSON document served at /status.
@@ -61,8 +59,8 @@ func (w *Worker) ServeHTTP(addr string) (string, error) {
 		fmt.Fprintln(rw, "ok")
 	})
 	trace.RegisterDebugHandlers(mux, w.traces, nil)
-	events.RegisterDebugHandler(mux, w.journal)
-	xfer.RegisterDebugHandler(mux, w.xfers, func() any { return rpc.DataConnStats() })
+	mux.Handle("/debug/events", httpjson.LogHandler(w.journal.Log(), "type", nil))
+	mux.Handle("/debug/transfers", httpjson.LogHandler(w.xfers, "op", func() any { return rpc.DataConnStats() }))
 	if w.cfg.Pprof {
 		mux.HandleFunc("/debug/pprof/", pprof.Index)
 		mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)

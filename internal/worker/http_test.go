@@ -66,18 +66,18 @@ func TestWorkerHTTPRouting(t *testing.T) {
 		t.Fatalf("/debug/events = %d", code)
 	}
 	var page struct {
-		Events []events.Event    `json:"events"`
-		Next   uint64            `json:"next"`
-		Counts map[string]uint64 `json:"counts"`
+		Entries []events.Event    `json:"entries"`
+		Next    uint64            `json:"next"`
+		Counts  map[string]uint64 `json:"counts"`
 	}
 	if err := json.Unmarshal([]byte(body), &page); err != nil {
 		t.Fatalf("/debug/events JSON: %v", err)
 	}
-	if len(page.Events) < 2 || page.Counts["test_a"] != 1 {
+	if len(page.Entries) < 2 || page.Counts["test_a"] != 1 {
 		t.Fatalf("/debug/events page = %+v", page)
 	}
-	for i := 1; i < len(page.Events); i++ {
-		if page.Events[i].Seq <= page.Events[i-1].Seq {
+	for i := 1; i < len(page.Entries); i++ {
+		if page.Entries[i].Seq <= page.Entries[i-1].Seq {
 			t.Fatalf("seqs not monotonic at %d", i)
 		}
 	}
@@ -85,13 +85,13 @@ func TestWorkerHTTPRouting(t *testing.T) {
 	w.Journal().Publish(events.Error, "test_c", "third")
 	_, body = get("/debug/events?since=" + strconv.FormatUint(page.Next, 10))
 	var next struct {
-		Events []events.Event `json:"events"`
+		Entries []events.Event `json:"entries"`
 	}
 	if err := json.Unmarshal([]byte(body), &next); err != nil {
 		t.Fatal(err)
 	}
-	if len(next.Events) != 1 || next.Events[0].Type != "test_c" {
-		t.Fatalf("cursor page = %+v, want only test_c", next.Events)
+	if len(next.Entries) != 1 || next.Entries[0].Type != "test_c" {
+		t.Fatalf("cursor page = %+v, want only test_c", next.Entries)
 	}
 
 	if code, _ = get("/debug/events?since=bogus"); code != http.StatusBadRequest {

@@ -76,14 +76,6 @@ type Config struct {
 	// selects trace.DefaultCapacity.
 	TraceCapacity int
 
-	// EventCapacity bounds the worker's event journal; zero selects
-	// events.DefaultCapacity.
-	EventCapacity int
-
-	// TransferCapacity bounds the worker's transfer flight recorder;
-	// zero selects xfer.DefaultCapacity.
-	TransferCapacity int
-
 	// Pprof mounts net/http/pprof under /debug/pprof/ on the HTTP
 	// endpoint. Off by default.
 	Pprof bool
@@ -172,9 +164,9 @@ func New(cfg Config) (*Worker, error) {
 		}
 		w.media[mc.ID] = m
 	}
-	w.journal = events.NewJournal(cfg.EventCapacity)
+	w.journal = events.NewJournal(0)
 	w.heat = heat.NewCollector()
-	w.xfers = xfer.New(cfg.TransferCapacity)
+	w.xfers = xfer.New(0)
 	// Repeated data-dial failures to one peer (e.g. a dead pipeline
 	// stage this worker keeps forwarding to) become a warn-severity
 	// cluster event instead of just per-request error tags.

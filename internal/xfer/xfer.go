@@ -9,29 +9,15 @@
 // for the data path, per transfer, so a slow read can be attributed
 // to the media, the link, or the framing without guesswork.
 //
-// The log is bounded twice over, exactly like the audit log: retained
-// records live in a ring buffer, and the producer side is a
-// non-blocking buffered channel — when the backlog is full the record
-// is dropped and counted rather than slowing a transfer down. The
-// recorder must never become the data-path overhead it exists to
-// measure.
+// The log is a non-blocking ringlog.Log keyed by op, exactly like the
+// audit log: retained records live in a bounded ring, and when the
+// producer backlog is full a record is dropped and counted rather than
+// slowing a transfer down. The recorder must never become the
+// data-path overhead it exists to measure. This package adds the
+// Record type.
 package xfer
 
-import (
-	"sync"
-	"sync/atomic"
-	"time"
-)
-
-// DefaultCapacity bounds the ring when the configured capacity is
-// zero. A record is ~250 bytes, so 4096 cover the recent past in
-// about a MB.
-const DefaultCapacity = 4096
-
-// backlog is the producer channel depth: how many records may be in
-// flight between transfer completions and the ring before Append
-// starts dropping.
-const backlog = 1024
+import "repro/internal/ringlog"
 
 // Record is one completed (or failed) block transfer. All latency
 // fields are nanoseconds; phases that did not occur on the recording
@@ -123,172 +109,17 @@ func (r Record) PhaseSumNs() int64 {
 
 // Log is the bounded transfer stream. A nil *Log is valid and
 // discards everything, so callers never nil-check the append path.
-type Log struct {
-	ch      chan Record
-	dropped atomic.Uint64
+type Log = ringlog.Log[Record]
 
-	mu      sync.Mutex
-	buf     []Record // ring storage, len == capacity
-	start   int      // index of the oldest retained record
-	n       int      // retained records
-	nextSeq uint64   // next sequence number to assign (first record gets 1)
-	evicted uint64   // records overwritten in the ring (oldest-first)
-	counts  map[string]uint64
-}
+// Page is one Since result.
+type Page = ringlog.Page[Record]
 
 // New builds a log retaining up to capacity records (<= 0 selects
-// DefaultCapacity).
+// ringlog.DefaultCapacity). Append stamps Time with the completion
+// time unless the producer already set it; Seq is assigned when the
+// backlog is drained into the ring.
 func New(capacity int) *Log {
-	if capacity <= 0 {
-		capacity = DefaultCapacity
-	}
-	return &Log{
-		ch:      make(chan Record, backlog),
-		buf:     make([]Record, capacity),
-		nextSeq: 1,
-		counts:  make(map[string]uint64),
-	}
-}
-
-// Append records one transfer. It never blocks: the record goes onto
-// the backlog channel if there is room and is otherwise dropped and
-// counted. Time is stamped here (completion time) unless the producer
-// already set it; Seq is assigned when the backlog is drained into
-// the ring, preserving channel FIFO order. Nil logs discard.
-func (l *Log) Append(r Record) {
-	if l == nil {
-		return
-	}
-	if r.Time == 0 {
-		r.Time = time.Now().UnixNano()
-	}
-	select {
-	case l.ch <- r:
-	default:
-		l.dropped.Add(1)
-	}
-}
-
-// drainLocked moves backlogged records into the ring. Callers hold
-// l.mu.
-func (l *Log) drainLocked() {
-	for {
-		select {
-		case r := <-l.ch:
-			r.Seq = l.nextSeq
-			l.nextSeq++
-			l.counts[r.Op]++
-			if l.n == len(l.buf) {
-				l.buf[l.start] = r
-				l.start = (l.start + 1) % len(l.buf)
-				l.evicted++
-			} else {
-				l.buf[(l.start+l.n)%len(l.buf)] = r
-				l.n++
-			}
-		default:
-			return
-		}
-	}
-}
-
-// Page is one Since result, with the same exactly-once cursor
-// semantics as the audit log's page: Next advances over op-filtered
-// records too, and Missed surfaces eviction gaps.
-type Page struct {
-	// Entries are the matching records, oldest first.
-	Entries []Record `json:"entries"`
-
-	// Next is the cursor for the following Since call: the highest
-	// sequence number examined, or the request's since value when
-	// nothing new exists.
-	Next uint64 `json:"next"`
-
-	// Missed counts records with Seq > since evicted from the ring
-	// before this call.
-	Missed uint64 `json:"missed"`
-
-	// Evicted is the lifetime ring-eviction total.
-	Evicted uint64 `json:"evicted"`
-
-	// Dropped is the lifetime count of records discarded because the
-	// producer backlog was full — load shedding, distinct from ring
-	// eviction.
-	Dropped uint64 `json:"dropped"`
-}
-
-// Since returns retained records with Seq > since, oldest first,
-// optionally filtered by op, capped at limit (<= 0 means no cap).
-func (l *Log) Since(since uint64, op string, limit int) Page {
-	if l == nil {
-		return Page{Next: since}
-	}
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	l.drainLocked()
-	page := Page{Next: since, Evicted: l.evicted, Dropped: l.dropped.Load()}
-	if l.evicted > since {
-		page.Missed = l.evicted - since
-		page.Next = l.evicted
-	}
-	for i := 0; i < l.n; i++ {
-		r := l.buf[(l.start+i)%len(l.buf)]
-		if r.Seq <= since {
-			continue
-		}
-		if limit > 0 && len(page.Entries) >= limit {
-			break
-		}
-		page.Next = r.Seq
-		if op != "" && r.Op != op {
-			continue
-		}
-		page.Entries = append(page.Entries, r)
-	}
-	return page
-}
-
-// Counts returns a copy of the per-op lifetime totals for records
-// that reached the ring.
-func (l *Log) Counts() map[string]uint64 {
-	if l == nil {
-		return nil
-	}
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	l.drainLocked()
-	out := make(map[string]uint64, len(l.counts))
-	for k, v := range l.counts {
-		out[k] = v
-	}
-	return out
-}
-
-// Dropped returns how many records were shed because the producer
-// backlog was full.
-func (l *Log) Dropped() uint64 {
-	if l == nil {
-		return 0
-	}
-	return l.dropped.Load()
-}
-
-// Len returns the number of retained records (after draining the
-// backlog).
-func (l *Log) Len() int {
-	if l == nil {
-		return 0
-	}
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	l.drainLocked()
-	return l.n
-}
-
-// Cap returns the configured ring capacity.
-func (l *Log) Cap() int {
-	if l == nil {
-		return 0
-	}
-	return len(l.buf)
+	return ringlog.New(capacity, ringlog.Backlog, func(r *Record) (*uint64, *int64, string) {
+		return &r.Seq, &r.Time, r.Op
+	})
 }

@@ -6,7 +6,16 @@ import (
 	"strings"
 	"sync"
 	"testing"
+
+	"repro/internal/httpjson"
+	"repro/internal/ringlog"
 )
+
+// These tests drive the package's own surface end to end: New builds a
+// non-blocking log keyed by Op, Append stamps Time, the shared handler
+// serves it. The ring itself is specified by the suite in
+// internal/ringlog, which runs these cases against all three record
+// types.
 
 func appendN(l *Log, n int, op string) {
 	for i := 0; i < n; i++ {
@@ -100,7 +109,7 @@ func TestBacklogOverflowDropsAndCounts(t *testing.T) {
 	l := New(16)
 	// Never draining (no Since call), so everything past the channel
 	// backlog must be shed.
-	total := backlog + 100
+	total := ringlog.Backlog + 100
 	appendN(l, total, "read")
 	if got := l.Dropped(); got != 100 {
 		t.Fatalf("dropped = %d, want 100", got)
@@ -110,10 +119,10 @@ func TestBacklogOverflowDropsAndCounts(t *testing.T) {
 	if page.Dropped != 100 {
 		t.Fatalf("page dropped = %d, want 100", page.Dropped)
 	}
-	if page.Next != uint64(backlog) {
-		t.Fatalf("next = %d, want %d", page.Next, backlog)
+	if page.Next != uint64(ringlog.Backlog) {
+		t.Fatalf("next = %d, want %d", page.Next, ringlog.Backlog)
 	}
-	if last := page.Entries[len(page.Entries)-1]; last.Block != uint64(backlog-1) {
+	if last := page.Entries[len(page.Entries)-1]; last.Block != uint64(ringlog.Backlog-1) {
 		t.Fatalf("last retained block = %d", last.Block)
 	}
 }
@@ -179,9 +188,9 @@ func TestDebugHandler(t *testing.T) {
 	appendN(l, 4, "read")
 	l.Append(Record{Op: "write", Block: 42, Tier: "SSD", Result: "ok"})
 	mux := http.NewServeMux()
-	RegisterDebugHandler(mux, l, func() any {
+	mux.Handle("/debug/transfers", httpjson.LogHandler(l, "op", func() any {
 		return map[string]uint64{"dials": 7}
-	})
+	}))
 
 	get := func(url string) *httptest.ResponseRecorder {
 		rec := httptest.NewRecorder()
@@ -214,7 +223,7 @@ func TestDebugHandler(t *testing.T) {
 
 	// The conns hook is optional; nil must serve fine and omit the key.
 	mux2 := http.NewServeMux()
-	RegisterDebugHandler(mux2, l, nil)
+	mux2.Handle("/debug/transfers", httpjson.LogHandler(l, "op", nil))
 	rec2 := httptest.NewRecorder()
 	mux2.ServeHTTP(rec2, httptest.NewRequest("GET", "/debug/transfers", nil))
 	if rec2.Code != http.StatusOK || strings.Contains(rec2.Body.String(), `"conns"`) {
