@@ -2,13 +2,17 @@
 // (paper §2.1): the mapping from file blocks to the workers and
 // storage media hosting their replicas, and the per-tier replication
 // state from which the master drives re-replication and excess-replica
-// removal (paper §5).
+// removal (paper §5). It is also the single owner of every replica's
+// life-cycle — pending-add → live → pending-delete — so the master keeps
+// no second record of in-flight work (DESIGN.md "Replica life-cycle").
 package blockmgmt
 
 import (
+	"fmt"
+	"maps"
+	"slices"
 	"sort"
 	"sync"
-	"time"
 
 	"repro/internal/core"
 )
@@ -20,27 +24,28 @@ type Replica struct {
 	Tier    core.StorageTier
 }
 
-// BlockInfo is the master-side record of one block: its identity, the
-// replication vector it should satisfy, and its known replicas.
+// BlockReplica pairs a replica with its block: one line of a worker's
+// block report going in, one replica for a worker to delete coming out
+// of a transition that tombstoned (or refused) it.
+type BlockReplica struct {
+	Block core.Block
+	Replica
+}
+
+// BlockInfo is a copy of one block's record: its identity, the vector
+// it should satisfy, its live replicas and its pending-adds. Tombstones
+// are not visible.
 type BlockInfo struct {
 	Block    core.Block
 	Expected core.ReplicationVector
 	Replicas []Replica
+	Pending  []Replica
 
 	// UnderConstruction marks a block still being written through a
 	// client pipeline. The replication monitor ignores such blocks —
 	// their replicas trickle in as the pipeline stages acknowledge —
 	// and only repairs committed blocks, like HDFS.
 	UnderConstruction bool
-}
-
-// TierCounts tallies the block's replicas per tier.
-func (bi *BlockInfo) TierCounts() map[core.StorageTier]int {
-	counts := make(map[core.StorageTier]int)
-	for _, r := range bi.Replicas {
-		counts[r.Tier]++
-	}
-	return counts
 }
 
 // ReplicationState summarises how a block's replica set diverges from
@@ -111,78 +116,211 @@ func computeState(expected core.ReplicationVector, actual map[core.StorageTier]i
 	return st
 }
 
-// replicaKey identifies one replica record.
+// replicaState is a replica's place in its life-cycle.
+type replicaState uint8
+
+const (
+	// pendingAdd: a worker was asked to create the replica and has not
+	// confirmed it. In-flight load on its medium, supply for its block.
+	pendingAdd replicaState = iota + 1
+	// live: the worker confirmed the replica; readers may be sent to it.
+	live
+	// pendingDelete: a tombstone, until its worker's reports stop listing
+	// it. Invisible to readers, no placement target, never resurrected.
+	pendingDelete
+)
+
+type replica struct {
+	Replica
+	state replicaState
+	// Pending-add only: the tick at which the unconfirmed add is cancelled
+	// (0 = a pipeline target, cancelled when its block commits), and the
+	// live replica to tombstone in the same step that confirms this one
+	// (a tier move).
+	expires int64
+	retire  core.StorageID
+	// omitted marks a live or tombstoned replica its worker's last block
+	// report left out; the second consecutive omission drops it.
+	omitted bool
+}
+
+type block struct {
+	core.Block
+	expected          core.ReplicationVector
+	underConstruction bool
+	// held: a replica was confirmed and no worker's own testimony has
+	// since removed the last one; see Check.
+	held     bool
+	replicas []replica
+}
+
+func (bi *block) find(s core.StorageID) int {
+	return slices.IndexFunc(bi.replicas, func(r replica) bool { return r.Storage == s })
+}
+
+func (bi *block) count(st replicaState) int {
+	n := 0
+	for i := range bi.replicas {
+		if bi.replicas[i].state == st {
+			n++
+		}
+	}
+	return n
+}
+
+// tierCounts tallies live replicas per tier, plus pending-adds on request.
+func (bi *block) tierCounts(withPending bool) map[core.StorageTier]int {
+	counts := make(map[core.StorageTier]int)
+	for _, r := range bi.replicas {
+		if r.state == live || withPending && r.state == pendingAdd {
+			counts[r.Tier]++
+		}
+	}
+	return counts
+}
+
+func (bi *block) info() BlockInfo {
+	out := BlockInfo{Block: bi.Block, Expected: bi.expected, UnderConstruction: bi.underConstruction}
+	for _, r := range bi.replicas {
+		switch r.state {
+		case live:
+			out.Replicas = append(out.Replicas, r.Replica)
+		case pendingAdd:
+			out.Pending = append(out.Pending, r.Replica)
+		}
+	}
+	return out
+}
+
 type replicaKey struct {
 	id      core.BlockID
 	storage core.StorageID
 }
 
-// Manager is the concurrent block map.
+// Manager is the concurrent block map and the only place a replica
+// changes state. It reads no clock: expiry is counted in Tick calls.
 type Manager struct {
 	mu     sync.RWMutex
-	blocks map[core.BlockID]*BlockInfo
-	// byWorker indexes block IDs by hosting worker for fast failure
-	// handling.
-	byWorker map[core.WorkerID]map[core.BlockID]struct{}
-	// added records when each replica was first seen, so block-report
-	// reconciliation can ignore replicas newer than the report (a
-	// report generated before a pipeline write finished must not erase
-	// the freshly received replica).
-	added map[replicaKey]time.Time
+	blocks map[core.BlockID]*block
+	// byWorker counts, per worker, the records (in any state) each block
+	// holds for it: the index behind block reports and failure handling.
+	byWorker map[core.WorkerID]map[core.BlockID]int
+	// adds counts pending-add records per storage: the in-flight load
+	// placement adds to a medium's reported connections.
+	adds map[core.StorageID]int
+	tick int64
 }
 
 // NewManager returns an empty block map.
 func NewManager() *Manager {
 	return &Manager{
-		blocks:   make(map[core.BlockID]*BlockInfo),
-		byWorker: make(map[core.WorkerID]map[core.BlockID]struct{}),
-		added:    make(map[replicaKey]time.Time),
+		blocks:   make(map[core.BlockID]*block),
+		byWorker: make(map[core.WorkerID]map[core.BlockID]int),
+		adds:     make(map[core.StorageID]int),
+	}
+}
+
+// putLocked adds a replica record unless the block already has one for
+// that storage in any state (a tombstone keeps its slot until cleared).
+func (m *Manager) putLocked(bi *block, r replica) bool {
+	if bi.find(r.Storage) >= 0 {
+		return false
+	}
+	bi.replicas = append(bi.replicas, r)
+	if r.state == pendingAdd {
+		m.adds[r.Storage]++
+	}
+	if m.byWorker[r.Worker] == nil {
+		m.byWorker[r.Worker] = make(map[core.BlockID]int)
+	}
+	m.byWorker[r.Worker][bi.ID]++
+	return true
+}
+
+// dropLocked deletes replica record i of the block.
+func (m *Manager) dropLocked(bi *block, i int) {
+	r := bi.replicas[i]
+	bi.replicas = append(bi.replicas[:i], bi.replicas[i+1:]...)
+	if r.state == pendingAdd {
+		if m.adds[r.Storage]--; m.adds[r.Storage] <= 0 {
+			delete(m.adds, r.Storage)
+		}
+	}
+	if set := m.byWorker[r.Worker]; set[bi.ID] > 1 {
+		set[bi.ID]--
+	} else if delete(set, bi.ID); len(set) == 0 {
+		delete(m.byWorker, r.Worker)
+	}
+}
+
+// dropWhereLocked deletes the block's records that match selects. A
+// live record is only ever dropped on its worker's own testimony (its
+// expiry, its block reports), which alone may leave a held block empty.
+func (m *Manager) dropWhereLocked(bi *block, match func(*replica) bool) {
+	before := bi.count(live)
+	for i := len(bi.replicas) - 1; i >= 0; i-- {
+		if match(&bi.replicas[i]) {
+			m.dropLocked(bi, i)
+		}
+	}
+	if n := bi.count(live); n < before {
+		bi.held = n > 0
 	}
 }
 
 // AddBlock registers a freshly allocated block with its expected
-// replication vector.
-func (m *Manager) AddBlock(b core.Block, expected core.ReplicationVector) {
+// replication vector; targets, the pipeline media handed to the writer,
+// are pending-adds until they confirm or the block commits.
+func (m *Manager) AddBlock(b core.Block, expected core.ReplicationVector, targets ...Replica) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if existing, ok := m.blocks[b.ID]; ok {
-		existing.Expected = expected
-		if b.GenStamp >= existing.Block.GenStamp {
-			existing.Block = b
-		}
-		return
+	bi, ok := m.blocks[b.ID]
+	if !ok {
+		bi = &block{Block: b, underConstruction: true}
+		m.blocks[b.ID] = bi
+	} else if b.GenStamp >= bi.GenStamp {
+		bi.Block = b
 	}
-	m.blocks[b.ID] = &BlockInfo{Block: b, Expected: expected, UnderConstruction: true}
+	bi.expected = expected
+	for _, t := range targets {
+		m.putLocked(bi, replica{Replica: t, state: pendingAdd})
+	}
 }
 
 // CommitBlock records a block's final length and releases it to the
-// replication monitor.
+// replication monitor. Pipeline targets that never confirmed stop
+// counting: the write is over.
 func (m *Manager) CommitBlock(b core.Block) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	if bi, ok := m.blocks[b.ID]; ok {
-		if b.GenStamp >= bi.Block.GenStamp {
+		if b.GenStamp >= bi.GenStamp {
 			bi.Block = b
 		}
-		bi.UnderConstruction = false
+		bi.underConstruction = false
+		m.dropWhereLocked(bi, func(r *replica) bool { return r.state == pendingAdd && r.expires == 0 })
 	}
 }
 
-// RemoveBlock forgets a block (file deleted) and returns the replicas
-// to invalidate on the workers.
-func (m *Manager) RemoveBlock(id core.BlockID) []Replica {
+// RemoveBlock forgets a block (file deleted) with all its records and
+// returns the live replicas to delete on the workers; anything else a
+// worker still holds is rejected as an unknown block when reported.
+func (m *Manager) RemoveBlock(id core.BlockID) []BlockReplica {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	bi, ok := m.blocks[id]
 	if !ok {
 		return nil
 	}
-	for _, r := range bi.Replicas {
-		m.unindexLocked(r.Worker, id)
-		delete(m.added, replicaKey{id, r.Storage})
+	var deletes []BlockReplica
+	for _, r := range bi.replicas {
+		if r.state == live {
+			deletes = append(deletes, BlockReplica{bi.Block, r.Replica})
+		}
 	}
+	m.dropWhereLocked(bi, func(*replica) bool { return true })
 	delete(m.blocks, id)
-	return bi.Replicas
+	return deletes
 }
 
 // SetExpected updates a block's replication vector (SetReplication).
@@ -190,125 +328,157 @@ func (m *Manager) SetExpected(id core.BlockID, expected core.ReplicationVector) 
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	if bi, ok := m.blocks[id]; ok {
-		bi.Expected = expected
+		bi.expected = expected
 	}
 }
 
-// AddReplica records that a worker stores a replica. Stale-generation
-// replicas are rejected and reported for deletion (stale=true).
-// Replicas of unknown blocks (e.g. of files deleted while the report
-// was in flight) are also rejected for deletion.
-func (m *Manager) AddReplica(b core.Block, r Replica) (accepted, stale bool) {
+// Schedule records a pending-add: r's worker was asked to create a
+// replica, cancelled if unconfirmed after ttl (> 0) ticks. A tier move names
+// in retire the live replica that confirmation tombstones. False: the
+// block is unknown or already has a record for that storage (live, in
+// flight, or a tombstone not yet cleared).
+func (m *Manager) Schedule(id core.BlockID, r Replica, ttl int, retire core.StorageID) bool {
 	m.mu.Lock()
 	defer m.mu.Unlock()
+	bi, ok := m.blocks[id]
+	return ok && m.putLocked(bi, replica{
+		Replica: r, state: pendingAdd, expires: m.tick + int64(ttl), retire: retire,
+	})
+}
+
+// AddReplica records a worker's word that it stores a replica
+// (BlockReceived) and returns the deletions to enqueue. A pending-add
+// becomes live and, if it named a replica to retire, that one becomes a
+// tombstone in the same step. A replica of an unknown block (file
+// deleted meanwhile) or a stale generation, or one tombstoned, is
+// refused: the deletion returned is its own.
+func (m *Manager) AddReplica(b core.Block, r Replica) []BlockReplica {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	return m.confirmLocked(b, r, nil)
+}
+
+func (m *Manager) confirmLocked(b core.Block, r Replica, deletes []BlockReplica) []BlockReplica {
 	bi, ok := m.blocks[b.ID]
-	if !ok {
-		return false, false
+	if !ok || b.GenStamp < bi.GenStamp {
+		return append(deletes, BlockReplica{b, r})
 	}
-	if b.GenStamp < bi.Block.GenStamp {
-		return false, true
-	}
-	for i, existing := range bi.Replicas {
-		if existing.Storage == r.Storage {
-			bi.Replicas[i] = r
-			return true, false
+	i := bi.find(r.Storage)
+	switch {
+	case i < 0:
+		m.putLocked(bi, replica{Replica: r, state: live})
+	case bi.replicas[i].state == pendingDelete:
+		bi.replicas[i].omitted = false
+		return append(deletes, BlockReplica{b, r})
+	case bi.replicas[i].state == live:
+		bi.replicas[i].Replica, bi.replicas[i].omitted = r, false
+		return deletes
+	default: // pending-add confirmed
+		retire := bi.replicas[i].retire
+		m.dropLocked(bi, i)
+		m.putLocked(bi, replica{Replica: r, state: live})
+		if v := bi.find(retire); retire != "" && v >= 0 && bi.replicas[v].state == live {
+			victim := &bi.replicas[v]
+			// A pin-covered source hands its pinned entry to the
+			// destination tier, so per-tier counts are conserved and the
+			// block never turns unhealthy against its own expectation.
+			if pinned := bi.expected.Tier(victim.Tier); bi.tierCounts(false)[victim.Tier] <= pinned {
+				bi.expected = bi.expected.WithTier(victim.Tier, pinned-1).
+					WithTier(r.Tier, bi.expected.Tier(r.Tier)+1)
+			}
+			victim.state = pendingDelete
+			deletes = append(deletes, BlockReplica{bi.Block, victim.Replica})
 		}
 	}
-	bi.Replicas = append(bi.Replicas, r)
-	if b.NumBytes > bi.Block.NumBytes {
-		bi.Block.NumBytes = b.NumBytes
+	bi.held = true
+	if b.NumBytes > bi.NumBytes {
+		bi.NumBytes = b.NumBytes
 	}
-	m.indexLocked(r.Worker, b.ID)
-	m.added[replicaKey{b.ID, r.Storage}] = time.Now()
-	return true, false
+	return deletes
 }
 
-// RemoveReplica forgets one replica (media failure, deletion ack, or
-// corruption report).
-func (m *Manager) RemoveReplica(id core.BlockID, storage core.StorageID) {
+// Retire tombstones a live replica the master decided against (excess,
+// reported corrupt) and returns the deletion to enqueue. The last live
+// replica of a block is never retired.
+func (m *Manager) Retire(id core.BlockID, storage core.StorageID) []BlockReplica {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	bi, ok := m.blocks[id]
-	if !ok {
-		return
-	}
-	for i, r := range bi.Replicas {
-		if r.Storage == storage {
-			worker := r.Worker
-			bi.Replicas = append(bi.Replicas[:i], bi.Replicas[i+1:]...)
-			delete(m.added, replicaKey{id, storage})
-			still := false
-			for _, rest := range bi.Replicas {
-				if rest.Worker == worker {
-					still = true
-					break
-				}
-			}
-			if !still {
-				m.unindexLocked(worker, id)
-			}
-			return
-		}
-	}
-}
-
-// RemoveWorker drops every replica hosted by a failed worker and
-// returns the IDs of the affected blocks (candidates for
-// re-replication).
-func (m *Manager) RemoveWorker(w core.WorkerID) []core.BlockID {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	ids := make([]core.BlockID, 0, len(m.byWorker[w]))
-	for id := range m.byWorker[w] {
-		bi := m.blocks[id]
-		kept := bi.Replicas[:0]
-		for _, r := range bi.Replicas {
-			if r.Worker != w {
-				kept = append(kept, r)
-			} else {
-				delete(m.added, replicaKey{id, r.Storage})
-			}
-		}
-		bi.Replicas = kept
-		ids = append(ids, id)
-	}
-	delete(m.byWorker, w)
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	return ids
-}
-
-// ReplicasOnWorker lists every (block, storage) pair the map believes
-// the worker hosts and that was added before the cutoff; block reports
-// reconcile against it. The cutoff excludes replicas fresher than the
-// report being processed, which would otherwise be erased by a report
-// generated before their pipeline write completed.
-func (m *Manager) ReplicasOnWorker(w core.WorkerID, addedBefore time.Time) map[core.BlockID]core.StorageID {
-	m.mu.RLock()
-	defer m.mu.RUnlock()
-	out := make(map[core.BlockID]core.StorageID)
-	for id := range m.byWorker[w] {
-		for _, r := range m.blocks[id].Replicas {
-			if r.Worker != w {
-				continue
-			}
-			if at, ok := m.added[replicaKey{id, r.Storage}]; ok && at.After(addedBefore) {
-				continue
-			}
-			out[id] = r.Storage
-		}
-	}
-	return out
-}
-
-// Replicas returns a copy of a block's replica list.
-func (m *Manager) Replicas(id core.BlockID) []Replica {
-	m.mu.RLock()
-	defer m.mu.RUnlock()
-	bi, ok := m.blocks[id]
-	if !ok {
+	if !ok || bi.count(live) < 2 {
 		return nil
 	}
-	return append([]Replica(nil), bi.Replicas...)
+	i := bi.find(storage)
+	if i < 0 || bi.replicas[i].state != live {
+		return nil
+	}
+	bi.replicas[i].state = pendingDelete
+	return []BlockReplica{{bi.Block, bi.replicas[i].Replica}}
+}
+
+// Report reconciles the map with a worker's full listing. Listed
+// replicas are confirmed as by AddReplica (so a tombstoned one gets its
+// delete re-issued instead of coming back). Of the records the map
+// attributes to the worker that the listing omits, a pending-add waits
+// and a live replica or tombstone is dropped on the second consecutive
+// omission: one report may predate the write it misses.
+func (m *Manager) Report(w core.WorkerID, stored []BlockReplica) (deletes []BlockReplica) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	listed := make(map[replicaKey]struct{}, len(stored))
+	for _, s := range stored {
+		deletes = m.confirmLocked(s.Block, s.Replica, deletes)
+		listed[replicaKey{s.Block.ID, s.Storage}] = struct{}{}
+	}
+	for id := range m.byWorker[w] {
+		m.dropWhereLocked(m.blocks[id], func(r *replica) bool {
+			if _, ok := listed[replicaKey{id, r.Storage}]; ok || r.Worker != w || r.state == pendingAdd {
+				return false
+			}
+			gone := r.omitted
+			r.omitted = true
+			return gone
+		})
+	}
+	return deletes
+}
+
+// RemoveWorker drops every record (live, in flight, tombstone) of a
+// failed worker; the scan then finds the blocks it left short.
+func (m *Manager) RemoveWorker(w core.WorkerID) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	for id := range m.byWorker[w] {
+		m.dropWhereLocked(m.blocks[id], func(r *replica) bool { return r.Worker == w })
+	}
+}
+
+// Tick advances the life-cycle clock one step (one monitor iteration)
+// and cancels the pending-adds whose expiry has come.
+func (m *Manager) Tick() {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	m.tick++
+	if len(m.adds) == 0 {
+		return
+	}
+	for _, bi := range m.blocks {
+		m.dropWhereLocked(bi, func(r *replica) bool {
+			return r.state == pendingAdd && r.expires != 0 && r.expires <= m.tick
+		})
+	}
+}
+
+// PendingAdds returns the number of replicas in flight to a medium.
+func (m *Manager) PendingAdds(s core.StorageID) int {
+	m.mu.RLock()
+	defer m.mu.RUnlock()
+	return m.adds[s]
+}
+
+// Replicas returns a block's live replicas.
+func (m *Manager) Replicas(id core.BlockID) []Replica {
+	info, _ := m.Info(id)
+	return info.Replicas
 }
 
 // Info returns a copy of the block's record.
@@ -319,12 +489,10 @@ func (m *Manager) Info(id core.BlockID) (BlockInfo, bool) {
 	if !ok {
 		return BlockInfo{}, false
 	}
-	out := *bi
-	out.Replicas = append([]Replica(nil), bi.Replicas...)
-	return out, true
+	return bi.info(), true
 }
 
-// State computes a block's replication state.
+// State computes a block's replication state from its live replicas.
 func (m *Manager) State(id core.BlockID) (ReplicationState, bool) {
 	m.mu.RLock()
 	defer m.mu.RUnlock()
@@ -332,19 +500,13 @@ func (m *Manager) State(id core.BlockID) (ReplicationState, bool) {
 	if !ok {
 		return ReplicationState{}, false
 	}
-	return computeState(bi.Expected, bi.tierCountsLocked()), true
+	return computeState(bi.expected, bi.tierCounts(false)), true
 }
 
-func (bi *BlockInfo) tierCountsLocked() map[core.StorageTier]int {
-	counts := make(map[core.StorageTier]int)
-	for _, r := range bi.Replicas {
-		counts[r.Tier]++
-	}
-	return counts
-}
-
-// ScanUnhealthy visits every block whose replication state is not
-// satisfied, in block-ID order. The callback receives copies.
+// ScanUnhealthy visits every committed block that needs work, in
+// block-ID order, with copies. Pending-adds count as supply, so nothing
+// outstanding is issued twice, but only live replicas can be excess: an
+// add that may never confirm must not cost a real copy.
 func (m *Manager) ScanUnhealthy(fn func(BlockInfo, ReplicationState)) {
 	type item struct {
 		info  BlockInfo
@@ -353,16 +515,17 @@ func (m *Manager) ScanUnhealthy(fn func(BlockInfo, ReplicationState)) {
 	m.mu.RLock()
 	var items []item
 	for _, bi := range m.blocks {
-		if bi.UnderConstruction {
+		if bi.underConstruction {
 			continue
 		}
-		st := computeState(bi.Expected, bi.tierCountsLocked())
-		if st.Satisfied() {
-			continue
+		st := computeState(bi.expected, bi.tierCounts(true))
+		if bi.count(pendingAdd) > 0 {
+			onlyLive := computeState(bi.expected, bi.tierCounts(false))
+			st.Excess, st.ExcessTiers = onlyLive.Excess, onlyLive.ExcessTiers
 		}
-		cp := *bi
-		cp.Replicas = append([]Replica(nil), bi.Replicas...)
-		items = append(items, item{cp, st})
+		if !st.Satisfied() {
+			items = append(items, item{bi.info(), st})
+		}
 	}
 	m.mu.RUnlock()
 	sort.Slice(items, func(i, j int) bool { return items[i].info.Block.ID < items[j].info.Block.ID })
@@ -378,20 +541,45 @@ func (m *Manager) NumBlocks() int {
 	return len(m.blocks)
 }
 
-func (m *Manager) indexLocked(w core.WorkerID, id core.BlockID) {
-	set, ok := m.byWorker[w]
-	if !ok {
-		set = make(map[core.BlockID]struct{})
-		m.byWorker[w] = set
-	}
-	set[id] = struct{}{}
-}
-
-func (m *Manager) unindexLocked(w core.WorkerID, id core.BlockID) {
-	if set, ok := m.byWorker[w]; ok {
-		delete(set, id)
-		if len(set) == 0 {
-			delete(m.byWorker, w)
+// Check verifies the life-cycle invariants and returns one line per
+// violation: one record per (block, storage), so nothing is both live
+// and tombstoned; the pending-add counters and the worker index match
+// the records; no committed block lost its last replica by a master
+// decision; and, given liveWorker, no record sits on a dropped worker.
+func (m *Manager) Check(liveWorker func(core.WorkerID) bool) []string {
+	m.mu.RLock()
+	defer m.mu.RUnlock()
+	var bad []string
+	adds := make(map[core.StorageID]int)
+	index := make(map[core.WorkerID]map[core.BlockID]int)
+	for id, bi := range m.blocks {
+		seen := make(map[core.StorageID]bool, len(bi.replicas))
+		for _, r := range bi.replicas {
+			if seen[r.Storage] {
+				bad = append(bad, fmt.Sprintf("block %d: two records for storage %s", id, r.Storage))
+			}
+			seen[r.Storage] = true
+			if r.state == pendingAdd {
+				adds[r.Storage]++
+			}
+			if index[r.Worker] == nil {
+				index[r.Worker] = make(map[core.BlockID]int)
+			}
+			index[r.Worker][id]++
+			if liveWorker != nil && !liveWorker(r.Worker) {
+				bad = append(bad, fmt.Sprintf("block %d: record on %s of dropped worker %s", id, r.Storage, r.Worker))
+			}
+		}
+		if bi.held && !bi.underConstruction && bi.count(live)+bi.count(pendingAdd) == 0 {
+			bad = append(bad, fmt.Sprintf("block %d: last replica retired by the master", id))
 		}
 	}
+	if !maps.Equal(adds, m.adds) {
+		bad = append(bad, fmt.Sprintf("pending-adds per storage: counter says %v, records say %v", m.adds, adds))
+	}
+	if !maps.EqualFunc(index, m.byWorker, func(a, b map[core.BlockID]int) bool { return maps.Equal(a, b) }) {
+		bad = append(bad, fmt.Sprintf("worker index says %v, records say %v", m.byWorker, index))
+	}
+	sort.Strings(bad)
+	return bad
 }

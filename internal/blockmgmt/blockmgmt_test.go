@@ -2,7 +2,6 @@ package blockmgmt
 
 import (
 	"testing"
-	"time"
 
 	"repro/internal/core"
 )
@@ -99,8 +98,8 @@ func TestManagerAddRemoveReplica(t *testing.T) {
 		t.Fatalf("NumBlocks = %d", n)
 	}
 
-	if ok, stale := m.AddReplica(b(1), rep("w1", "w1:hdd0", core.TierHDD)); !ok || stale {
-		t.Errorf("AddReplica = %v,%v", ok, stale)
+	if deletes := m.AddReplica(b(1), rep("w1", "w1:hdd0", core.TierHDD)); len(deletes) != 0 {
+		t.Errorf("AddReplica = %v, want accepted", deletes)
 	}
 	m.AddReplica(b(1), rep("w2", "w2:hdd0", core.TierHDD))
 	if got := len(m.Replicas(1)); got != 2 {
@@ -117,10 +116,15 @@ func TestManagerAddRemoveReplica(t *testing.T) {
 		t.Errorf("State = %+v, want satisfied", st)
 	}
 
-	m.RemoveReplica(1, "w1:hdd0")
+	if deletes := m.Retire(1, "w1:hdd0"); len(deletes) != 1 || deletes[0].Storage != "w1:hdd0" {
+		t.Fatalf("Retire = %+v, want the one deletion", deletes)
+	}
 	st, _ = m.State(1)
 	if st.MissingAny != 1 {
 		t.Errorf("after removal MissingAny = %d, want 1", st.MissingAny)
+	}
+	if deletes := m.Retire(1, "w2:hdd0"); deletes != nil {
+		t.Errorf("Retire took the last live replica: %+v", deletes)
 	}
 }
 
@@ -129,9 +133,9 @@ func TestManagerStaleGeneration(t *testing.T) {
 	fresh := core.Block{ID: 5, GenStamp: 3}
 	m.AddBlock(fresh, core.ReplicationVectorFromFactor(1))
 	stale := core.Block{ID: 5, GenStamp: 2}
-	ok, isStale := m.AddReplica(stale, rep("w1", "w1:hdd0", core.TierHDD))
-	if ok || !isStale {
-		t.Errorf("stale replica: ok=%v stale=%v, want false,true", ok, isStale)
+	deletes := m.AddReplica(stale, rep("w1", "w1:hdd0", core.TierHDD))
+	if len(deletes) != 1 || deletes[0].Block != stale {
+		t.Errorf("stale replica: deletes=%+v, want refused with its own deletion", deletes)
 	}
 	if got := len(m.Replicas(5)); got != 0 {
 		t.Errorf("stale replica stored: %d", got)
@@ -140,9 +144,9 @@ func TestManagerStaleGeneration(t *testing.T) {
 
 func TestManagerUnknownBlockReplica(t *testing.T) {
 	m := NewManager()
-	ok, stale := m.AddReplica(b(99), rep("w1", "w1:hdd0", core.TierHDD))
-	if ok || stale {
-		t.Errorf("unknown block: ok=%v stale=%v, want false,false", ok, stale)
+	deletes := m.AddReplica(b(99), rep("w1", "w1:hdd0", core.TierHDD))
+	if len(deletes) != 1 || deletes[0].Storage != "w1:hdd0" {
+		t.Errorf("unknown block: deletes=%+v, want refused with its own deletion", deletes)
 	}
 }
 
@@ -171,18 +175,16 @@ func TestManagerRemoveWorker(t *testing.T) {
 	m.AddReplica(b(1), rep("w2", "w2:hdd0", core.TierHDD))
 	m.AddReplica(b(2), rep("w1", "w1:ssd0", core.TierSSD))
 
-	affected := m.RemoveWorker("w1")
-	if len(affected) != 2 || affected[0] != 1 || affected[1] != 2 {
-		t.Errorf("RemoveWorker affected = %v, want [1 2]", affected)
-	}
+	m.RemoveWorker("w1")
 	if got := len(m.Replicas(1)); got != 1 {
 		t.Errorf("block 1 replicas = %d, want 1", got)
 	}
 	if got := len(m.Replicas(2)); got != 0 {
 		t.Errorf("block 2 replicas = %d, want 0", got)
 	}
-	if got := m.RemoveWorker("w1"); len(got) != 0 {
-		t.Errorf("double RemoveWorker = %v", got)
+	m.RemoveWorker("w1") // a second removal finds nothing and is harmless
+	if bad := m.Check(func(w core.WorkerID) bool { return w != "w1" }); len(bad) != 0 {
+		t.Errorf("Check after RemoveWorker: %v", bad)
 	}
 }
 
@@ -241,19 +243,24 @@ func TestUnderConstructionBlocksSkippedByScan(t *testing.T) {
 	}
 }
 
-func TestReplicasOnWorkerGraceWindow(t *testing.T) {
+func TestReportDropsLiveReplicaOnSecondOmission(t *testing.T) {
 	m := NewManager()
 	m.AddBlock(b(1), core.ReplicationVectorFromFactor(1))
 	m.AddReplica(b(1), rep("w1", "w1:hdd0", core.TierHDD))
 
-	// A cutoff in the past excludes the just-added replica.
-	past := time.Now().Add(-time.Second)
-	if got := m.ReplicasOnWorker("w1", past); len(got) != 0 {
-		t.Errorf("fresh replica visible before cutoff: %v", got)
+	// One omitting report may predate the write: the replica stays.
+	m.Report("w1", nil)
+	if got := len(m.Replicas(1)); got != 1 {
+		t.Fatalf("replica dropped on the first omission: %d left", got)
 	}
-	// A future cutoff includes it.
-	future := time.Now().Add(time.Second)
-	if got := m.ReplicasOnWorker("w1", future); len(got) != 1 {
-		t.Errorf("replica missing with future cutoff: %v", got)
+	// Listing it again clears the mark, so omissions must be consecutive.
+	m.Report("w1", []BlockReplica{{b(1), rep("w1", "w1:hdd0", core.TierHDD)}})
+	m.Report("w1", nil)
+	if got := len(m.Replicas(1)); got != 1 {
+		t.Fatalf("non-consecutive omissions dropped the replica: %d left", got)
+	}
+	m.Report("w1", nil)
+	if got := len(m.Replicas(1)); got != 0 {
+		t.Errorf("replica survived two consecutive omissions: %d left", got)
 	}
 }

@@ -42,6 +42,12 @@ func TestBackupMasterCheckpointAndTakeover(t *testing.T) {
 		return b.Namespace().Exists("/late")
 	})
 
+	// Take over: the backup stops first, which waits out any checkpoint
+	// in progress — its standby image is refreshed before the file is, and
+	// a sync loop still writing fsimage.tmp would collide with the new
+	// master compacting the same directory.
+	b.Close()
+
 	// The checkpoint file must be restorable by a fresh master.
 	if _, err := os.Stat(filepath.Join(ckptDir, "fsimage")); err != nil {
 		t.Fatalf("checkpoint file: %v", err)

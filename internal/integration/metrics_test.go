@@ -11,6 +11,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/core"
 )
@@ -218,23 +219,20 @@ func TestSlowOpRequestIDCorrelation(t *testing.T) {
 		t.Fatalf("ReadFile: %v", err)
 	}
 
-	readLine := regexp.MustCompile(`msg="slow op" op=read req=([0-9a-f]{16})`)
-	m := readLine.FindStringSubmatch(workerLog.String())
-	if m == nil {
-		t.Fatalf("no slow-op read line in worker log:\n%s", workerLog.String())
-	}
-	reqID := m[1]
-	if !strings.Contains(masterLog.String(), "op=getBlockLocations req="+reqID) {
-		t.Fatalf("master log has no getBlockLocations line for req %s:\n%s", reqID, masterLog.String())
-	}
-
-	// The write's request ID must likewise appear on both sides.
-	writeLine := regexp.MustCompile(`msg="slow op" op=write req=([0-9a-f]{16})`)
-	m = writeLine.FindStringSubmatch(workerLog.String())
-	if m == nil {
-		t.Fatalf("no slow-op write line in worker log")
-	}
-	if !strings.Contains(masterLog.String(), "op=addBlock req="+m[1]) {
-		t.Fatalf("master log has no addBlock line for write req %s", m[1])
+	// The worker logs its slow-op line after the last packet is on the
+	// wire, i.e. possibly after ReadFile has returned: poll for it. The
+	// same request ID must then appear on the master's line for the
+	// metadata half of the operation, for the read and for the write.
+	t.Cleanup(func() {
+		if t.Failed() {
+			t.Logf("worker log:\n%s\nmaster log:\n%s", workerLog.String(), masterLog.String())
+		}
+	})
+	for _, pair := range [][2]string{{"read", "getBlockLocations"}, {"write", "addBlock"}} {
+		workerLine := regexp.MustCompile(`msg="slow op" op=` + pair[0] + ` req=([0-9a-f]{16})`)
+		waitFor(t, 10*time.Second, "slow-op "+pair[0]+" line in the worker log and its request ID in the master log", func() bool {
+			m := workerLine.FindStringSubmatch(workerLog.String())
+			return m != nil && strings.Contains(masterLog.String(), "op="+pair[1]+" req="+m[1])
+		})
 	}
 }

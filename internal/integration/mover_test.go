@@ -2,11 +2,14 @@ package integration
 
 import (
 	"bytes"
+	"fmt"
 	"io"
+	"math/rand"
 	"testing"
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/events"
 	"repro/internal/rpc"
 )
 
@@ -73,29 +76,30 @@ func TestMoverPromotesHotBlockEndToEnd(t *testing.T) {
 		t.Fatal("data corrupted by the tier move")
 	}
 
-	// The block converges to healthy against its (shifted) expectation:
-	// the pin followed the replica from HDD to memory. A block report
-	// generated before the source worker processed its delete can
-	// transiently resurface the retired replica, so poll until the
-	// excess-removal pass settles it.
-	var f rpc.FsckFile
-	waitFor(t, 10*time.Second, "post-move block fully healthy", func() bool {
-		files, err := fs.Fsck("/mover-hot")
-		if err != nil || len(files) != 1 {
-			return false
-		}
-		f = files[0]
-		return f.MissingReplicas == 0 && f.ExcessReplicas == 0 && f.HealthyBlocks == f.Blocks
-	})
-	if f.Expected.Tier(core.TierHDD) != 1 {
+	// The block is healthy against its (shifted) expectation from the
+	// instant the copy confirmed: the pin followed the replica from HDD
+	// to memory in the same step, and no stale block report can bring
+	// the retired HDD replica back.
+	files, err := fs.Fsck("/mover-hot")
+	if err != nil || len(files) != 1 {
+		t.Fatalf("fsck = %+v, %v", files, err)
+	}
+	if f := files[0]; f.MissingReplicas != 0 || f.ExcessReplicas != 0 || f.HealthyBlocks != f.Blocks {
+		t.Errorf("post-move block not healthy: %+v", f)
+	} else if f.Expected.Tier(core.TierHDD) != 1 {
 		t.Errorf("namespace vector = %v (the file-level pin is not rewritten by design)", f.Expected)
 	}
 
-	// The move is a first-class journal event with tier vectors.
-	page, _, err := fs.Events(0, "block_moved", 0)
-	if err != nil {
-		t.Fatal(err)
-	}
+	// The move is a first-class journal event with tier vectors; the
+	// mover journals it on its first pass after the confirmation.
+	var page events.Page
+	waitFor(t, 10*time.Second, "block_moved journaled", func() bool {
+		page, _, err = fs.Events(0, "block_moved", 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return len(page.Entries) > 0
+	})
 	if len(page.Entries) != 1 {
 		t.Fatalf("block_moved events = %d, want 1", len(page.Entries))
 	}
@@ -234,5 +238,101 @@ func TestMoverCooldownPreventsThrash(t *testing.T) {
 	}
 	if st.Counters.Demoted != 0 {
 		t.Errorf("demotions = %d, want 0 under cooldown", st.Counters.Demoted)
+	}
+}
+
+// TestMoverSoak runs the mover flat out under a shifting Zipf read load
+// on single-replica files — the set-up in which a stale block report
+// used to cost a block its last replica — and then checks that every
+// byte is still there and the block map agrees with itself.
+func TestMoverSoak(t *testing.T) {
+	c := startTestCluster(t, func(cfg *ClusterConfig) {
+		cfg.NumWorkers = 3
+		cfg.MoverInterval = 50 * time.Millisecond
+		cfg.MoverCooldown = 100 * time.Millisecond
+		cfg.MoverMaxMoves = 8
+		cfg.HeatHalfLife = 100 * time.Millisecond // blocks cool as fast as they heat
+	})
+	fs, err := c.Client("")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer fs.Close()
+
+	const files = 40
+	path := func(i int) string { return fmt.Sprintf("/soak/f%02d", i) }
+	data := make([][]byte, files)
+	if err := fs.Mkdir("/soak", true); err != nil {
+		t.Fatal(err)
+	}
+	for i := range data {
+		data[i] = randomBytes(32<<10, int64(100+i))
+		if err := fs.WriteFile(path(i), data[i], core.ReplicationVectorFromFactor(1)); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	// Two seconds of Zipf reads over a window of sixteen files (a flat
+	// head, so the whole window counts as hot) that slides by eight
+	// every 400ms: blocks behind it cool and demote while the ones it
+	// reaches promote.
+	rng := rand.New(rand.NewSource(1))
+	zipf := rand.NewZipf(rng, 1.1, 8, 15)
+	start := time.Now()
+	for time.Since(start) < 2*time.Second {
+		shift := int(time.Since(start)/(400*time.Millisecond)) * 8
+		i := (int(zipf.Uint64()) + shift) % files
+		got, err := fs.ReadFile(path(i))
+		if err != nil {
+			// The locations may predate a move whose source was deleted
+			// a moment later; fresh locations must work.
+			got, err = fs.ReadFile(path(i))
+		}
+		if err != nil || !bytes.Equal(got, data[i]) {
+			t.Fatalf("read %s under the mover: err=%v, intact=%v", path(i), err, bytes.Equal(got, data[i]))
+		}
+	}
+
+	// Quiesce: with nobody reading, every block cools, sinks to HDD and
+	// stays there; wait until the mover has scheduled nothing new and
+	// has nothing in flight for a dozen polls (six passes).
+	var last rpc.MoverStatus
+	quiet := 0
+	waitFor(t, 30*time.Second, "mover quiescent", func() bool {
+		st, err := fs.Mover()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(st.InFlight) == 0 && st.Counters.Scheduled == last.Counters.Scheduled {
+			quiet++
+		} else {
+			quiet = 0
+		}
+		last = st
+		return quiet >= 12
+	})
+	t.Logf("soak: %+v", last.Counters)
+	if last.Counters.Promoted == 0 || last.Counters.Demoted == 0 {
+		t.Fatalf("soak moved nothing both ways: %+v", last.Counters)
+	}
+
+	for i := range data {
+		got, err := fs.ReadFile(path(i))
+		if err != nil || !bytes.Equal(got, data[i]) {
+			t.Errorf("%s unreadable after %d promotions and %d demotions: err=%v",
+				path(i), last.Counters.Promoted, last.Counters.Demoted, err)
+		}
+	}
+	report, err := fs.Fsck("/soak")
+	if err != nil || len(report) != files {
+		t.Fatalf("fsck = %d files, %v", len(report), err)
+	}
+	for _, f := range report {
+		if f.HealthyBlocks != f.Blocks || f.MissingBlocks != 0 {
+			t.Errorf("fsck after the soak: %+v", f)
+		}
+	}
+	if bad := c.Master.CheckReplicas(); len(bad) != 0 {
+		t.Errorf("life-cycle check after the soak: %v", bad)
 	}
 }

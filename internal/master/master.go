@@ -12,6 +12,7 @@ import (
 	"math/rand"
 	"net"
 	netrpc "net/rpc"
+	"slices"
 	"sort"
 	"strconv"
 	"sync"
@@ -64,11 +65,6 @@ type Config struct {
 	// LeaseTimeout abandons under-construction files whose writer has
 	// gone silent (simplified HDFS lease recovery).
 	LeaseTimeout time.Duration
-
-	// ReportGrace exempts replicas added within this window from
-	// block-report reconciliation (a report generated before a
-	// pipeline write completed must not erase the fresh replica).
-	ReportGrace time.Duration
 
 	// Seed seeds the randomness used for placement tie-breaking.
 	Seed int64
@@ -150,9 +146,6 @@ func (c *Config) fillDefaults() {
 	if c.LeaseTimeout <= 0 {
 		c.LeaseTimeout = time.Minute
 	}
-	if c.ReportGrace == 0 {
-		c.ReportGrace = 5 * time.Second
-	}
 	if c.Logger == nil {
 		c.Logger = slog.New(slog.DiscardHandler)
 	}
@@ -181,16 +174,6 @@ type Master struct {
 	mu      sync.RWMutex
 	workers map[core.WorkerID]*workerState
 	pending map[core.WorkerID][]rpc.Command
-	// scheduled tracks write pipelines handed out but not yet
-	// confirmed via BlockReceived, so placement sees in-flight load
-	// between heartbeats.
-	scheduled map[core.StorageID]int
-	// schedTargets records, per in-flight block, the pipeline targets
-	// still awaiting BlockReceived, so the scheduled counts drain when
-	// a pipeline dies (abandon, lease recovery) instead of leaking.
-	schedTargets map[core.BlockID][]core.StorageID
-	// repairing de-duplicates replication work across monitor ticks.
-	repairing map[core.BlockID]time.Time
 
 	started time.Time
 
@@ -261,9 +244,6 @@ func New(cfg Config) (*Master, error) {
 		topo:           topology.NewMap(),
 		workers:        make(map[core.WorkerID]*workerState),
 		pending:        make(map[core.WorkerID][]rpc.Command),
-		scheduled:      make(map[core.StorageID]int),
-		schedTargets:   make(map[core.BlockID][]core.StorageID),
-		repairing:      make(map[core.BlockID]time.Time),
 		decommissioned: make(map[core.WorkerID]struct{}),
 		history:        make([]rpc.ClusterSample, historyCapacity),
 		placements:     make(map[core.BlockID]rpc.BlockExplanation),
@@ -460,7 +440,7 @@ func (m *Master) snapshotLocked() *policy.Snapshot {
 				Rack:          w.rack,
 				Capacity:      ms.Capacity,
 				Remaining:     ms.Remaining,
-				Connections:   ms.Connections + m.scheduled[sid],
+				Connections:   ms.Connections + m.blocks.PendingAdds(sid),
 				WriteThruMBps: ms.WriteMBps,
 				ReadThruMBps:  ms.ReadMBps,
 			})
@@ -527,6 +507,22 @@ func (m *Master) enqueue(w core.WorkerID, cmd rpc.Command) {
 	m.pending[w] = append(m.pending[w], cmd)
 }
 
+// enqueueDeletes orders the replicas a block-map transition condemned
+// deleted on their workers. A known block's replica goes only this way:
+// already tombstoned, so no report brings it back mid-command.
+func (m *Master) enqueueDeletes(deletes []blockmgmt.BlockReplica) {
+	for _, d := range deletes {
+		m.enqueue(d.Worker, rpc.Command{Kind: rpc.CmdDelete, Block: d.Block, Target: d.Storage})
+	}
+}
+
+// Expiry of an unconfirmed pending-add: after it the work is forgotten
+// and the next scan (or mover pass) may issue it anew.
+const (
+	repairExpiryTicks = 5  // monitor ticks
+	moverExpiryTicks  = 20 // mover passes; startMoveLocked converts to ticks
+)
+
 // monitor is the background loop that expires dead workers and repairs
 // under- and over-replicated blocks (paper §5).
 func (m *Master) monitor() {
@@ -548,6 +544,7 @@ func (m *Master) monitor() {
 		case <-ticker.C:
 			m.expireWorkers()
 			m.recoverLeases()
+			m.blocks.Tick()
 			m.repairBlocks()
 			if m.mover.enabled() && time.Since(lastMove) >= m.mover.interval {
 				m.moverPass()
@@ -583,19 +580,10 @@ func (m *Master) expireWorkers() {
 	cutoff := time.Now().Add(-m.cfg.WorkerTimeout)
 	var expired []*workerState
 	m.mu.Lock()
-	for id, w := range m.workers {
+	for _, w := range m.workers {
 		if w.lastSeen.Before(cutoff) {
 			expired = append(expired, w)
-			delete(m.workers, id)
-			delete(m.pending, id)
-		}
-	}
-	// Drop a node's rack mapping only when its last worker left:
-	// evicting a node that still hosts a live worker would corrupt
-	// fault-domain scoring for every placement that follows.
-	for _, w := range expired {
-		if !m.nodeInUseLocked(w.node) {
-			m.topo.Remove(w.node)
+			m.dropWorkerLocked(w)
 		}
 	}
 	m.mu.Unlock()
@@ -608,70 +596,45 @@ func (m *Master) expireWorkers() {
 }
 
 // repairBlocks scans for unhealthy blocks and issues replication or
-// deletion commands.
+// deletion commands. Outstanding work is a pending-add, so the scan does
+// not report it again until it expires; a repair that could not start
+// recorded nothing and retries next tick.
 func (m *Master) repairBlocks() {
 	snap := m.snapshot()
 	if len(snap.Media) == 0 {
 		return
 	}
-	now := time.Now()
 	m.blocks.ScanUnhealthy(func(info blockmgmt.BlockInfo, st blockmgmt.ReplicationState) {
-		// Blocks with an in-flight tier move belong to the mover: the
-		// transient extra replica mid-move is not excess, and the
-		// mover's retire step finishes the transition.
-		if m.moverBusy(info.Block.ID) {
-			return
-		}
-		m.mu.Lock()
-		if until, busy := m.repairing[info.Block.ID]; busy && now.Before(until) {
-			m.mu.Unlock()
-			return
-		}
-		m.mu.Unlock()
-
-		issued := 0
 		if st.MissingTotal() > 0 && len(info.Replicas) > 0 {
-			issued += m.replicateBlock(snap, info, st)
+			m.replicateBlock(snap, info, st)
 		}
 		if st.Excess > 0 {
-			issued += m.removeExcess(snap, info, st)
-		}
-		// Arm the backoff marker only when work was actually scheduled:
-		// a block whose repair could not start (no source replica yet,
-		// placement infeasible) must retry on the next tick, not wait
-		// out a pointless backoff.
-		if issued > 0 {
-			m.mu.Lock()
-			m.repairing[info.Block.ID] = now.Add(5 * m.cfg.MonitorInterval)
-			m.mu.Unlock()
+			m.removeExcess(snap, info, st)
 		}
 	})
-	// Drop stale repair markers.
-	m.mu.Lock()
-	for id, until := range m.repairing {
-		if now.After(until) {
-			delete(m.repairing, id)
-		}
-	}
-	m.mu.Unlock()
 }
 
-// nodeInUseLocked reports whether any live worker still runs on node.
-// Callers must hold m.mu.
-func (m *Master) nodeInUseLocked(node string) bool {
-	for _, w := range m.workers {
-		if w.node == node {
-			return true
+// dropWorkerLocked takes a worker out of service: its record, its
+// queued commands, and its node's rack mapping once the node's last
+// worker has left (co-hosted workers share one fault domain). The
+// caller follows, outside m.mu, with blocks.RemoveWorker, which cancels
+// the replicas those commands were to create or delete.
+func (m *Master) dropWorkerLocked(w *workerState) {
+	delete(m.workers, w.id)
+	delete(m.pending, w.id)
+	for _, other := range m.workers {
+		if other.node == w.node {
+			return
 		}
 	}
-	return false
+	m.topo.Remove(w.node)
 }
 
 // replicateBlock selects targets for the missing replicas via the
 // placement policy (with the surviving replicas as context, paper §5)
 // and instructs the chosen workers to copy the block from the most
-// efficient source. It returns the number of commands issued.
-func (m *Master) replicateBlock(snap *policy.Snapshot, info blockmgmt.BlockInfo, st blockmgmt.ReplicationState) int {
+// efficient source.
+func (m *Master) replicateBlock(snap *policy.Snapshot, info blockmgmt.BlockInfo, st blockmgmt.ReplicationState) {
 	missing := core.ReplicationVector(0)
 	for tier, n := range st.MissingPerTier {
 		missing = missing.WithTier(tier, n)
@@ -680,7 +643,7 @@ func (m *Master) replicateBlock(snap *policy.Snapshot, info blockmgmt.BlockInfo,
 
 	existing := m.mediaFor(info.Replicas)
 	if len(existing) == 0 {
-		return 0 // nothing to copy from
+		return // nothing to copy from
 	}
 	var targets []policy.Media
 	var err error
@@ -695,32 +658,14 @@ func (m *Master) replicateBlock(snap *policy.Snapshot, info blockmgmt.BlockInfo,
 	})
 	if err != nil && len(targets) == 0 {
 		m.cfg.Logger.Warn("re-replication placement failed", "block", info.Block.ID, "err", err)
-		return 0
+		return
 	}
 
-	// Order sources once with the retrieval policy; each target worker
-	// copies from the best available replica.
-	var sources []core.BlockLocation
-	var ordered []policy.Media
-	m.withRand(func(rng *rand.Rand) {
-		ordered = m.cfg.Retrieval.Order(policy.RetrievalRequest{
-			Snapshot: snap,
-			Replicas: existing,
-			Rand:     rng,
-		})
-	})
-	for _, src := range ordered {
-		if loc, ok := m.locationFor(blockmgmt.Replica{Worker: src.Worker, Storage: src.ID, Tier: src.Tier}); ok {
-			sources = append(sources, loc)
-		}
-	}
+	sources := m.copySources(snap, existing)
 	for _, tgt := range targets {
-		m.enqueue(tgt.Worker, rpc.Command{
-			Kind:    rpc.CmdReplicate,
-			Block:   info.Block,
-			Target:  tgt.ID,
-			Sources: sources,
-		})
+		if !m.scheduleCopy(info.Block, tgt, sources, repairExpiryTicks, "") {
+			continue
+		}
 		m.cfg.Logger.Info("scheduled re-replication",
 			"block", info.Block.ID, "target", tgt.ID)
 		m.journal.Publish(events.Warn, evBlockRereplicated,
@@ -730,57 +675,71 @@ func (m *Master) replicateBlock(snap *policy.Snapshot, info blockmgmt.BlockInfo,
 			"worker", string(tgt.Worker),
 			"tier", tgt.Tier.String())
 	}
-	return len(targets)
+}
+
+// copySources orders a block's live replicas with the retrieval policy:
+// a worker told to copy the block tries them best first.
+func (m *Master) copySources(snap *policy.Snapshot, existing []policy.Media) []core.BlockLocation {
+	var ordered []policy.Media
+	m.withRand(func(rng *rand.Rand) {
+		ordered = m.cfg.Retrieval.Order(policy.RetrievalRequest{Snapshot: snap, Replicas: existing, Rand: rng})
+	})
+	sources := make([]core.BlockLocation, 0, len(ordered))
+	for _, src := range ordered {
+		if loc, ok := m.locationFor(blockmgmt.Replica{Worker: src.Worker, Storage: src.ID, Tier: src.Tier}); ok {
+			sources = append(sources, loc)
+		}
+	}
+	return sources
+}
+
+// scheduleCopy records target as a pending-add of the block and orders
+// its worker to make the copy. False: the block already has a record on
+// that medium (in flight, or a tombstone not yet cleared); try later.
+func (m *Master) scheduleCopy(b core.Block, target policy.Media, sources []core.BlockLocation, ttl int, retire core.StorageID) bool {
+	if !m.blocks.Schedule(b.ID, blockmgmt.Replica{Worker: target.Worker, Storage: target.ID, Tier: target.Tier}, ttl, retire) {
+		return false
+	}
+	m.enqueue(target.Worker, rpc.Command{Kind: rpc.CmdReplicate, Block: b, Target: target.ID, Sources: sources})
+	return true
 }
 
 // removeExcess picks the replicas whose removal leaves the
 // best-scoring remaining set (paper §5) and instructs their workers to
-// delete them. It returns the number of removals scheduled.
-func (m *Master) removeExcess(snap *policy.Snapshot, info blockmgmt.BlockInfo, st blockmgmt.ReplicationState) int {
-	removed := 0
+// delete them.
+func (m *Master) removeExcess(snap *policy.Snapshot, info blockmgmt.BlockInfo, st blockmgmt.ReplicationState) {
 	replicas := append([]blockmgmt.Replica(nil), info.Replicas...)
 	for n := 0; n < st.Excess; n++ {
 		media := m.mediaFor(replicas)
 		if len(media) == 0 {
-			return removed
+			return
 		}
-		// Restrict removal to the tiers with surplus replicas.
-		idx := -1
-		for _, tier := range st.ExcessTiers {
-			if i, ok := policy.SelectExcessReplica(snap, info.Block.NumBytes, media, tier); ok {
-				idx = i
+		// Restrict removal to the tiers with surplus replicas if any has
+		// a candidate.
+		idx, ok := -1, false
+		for _, tier := range append(st.ExcessTiers, core.TierUnspecified) {
+			if idx, ok = policy.SelectExcessReplica(snap, info.Block.NumBytes, media, tier); ok {
 				break
 			}
 		}
-		if idx < 0 {
-			var ok bool
-			idx, ok = policy.SelectExcessReplica(snap, info.Block.NumBytes, media, core.TierUnspecified)
-			if !ok {
-				return removed
-			}
+		if !ok {
+			return
 		}
 		victim := media[idx]
-		// media and replicas may diverge in order; find the replica.
-		for i, r := range replicas {
-			if r.Storage == victim.ID {
-				m.blocks.RemoveReplica(info.Block.ID, r.Storage)
-				m.enqueue(r.Worker, rpc.Command{
-					Kind: rpc.CmdDelete, Block: info.Block, Target: r.Storage,
-				})
-				m.cfg.Logger.Info("scheduled excess removal",
-					"block", info.Block.ID, "storage", r.Storage)
-				m.journal.Publish(events.Info, evBlockExcessRemoved,
-					"over-replicated block scheduled for replica removal",
-					"block", formatBlockID(info.Block.ID),
-					"storage", string(r.Storage),
-					"worker", string(r.Worker))
-				replicas = append(replicas[:i], replicas[i+1:]...)
-				removed++
-				break
-			}
+		deletes := m.blocks.Retire(info.Block.ID, victim.ID)
+		if len(deletes) == 0 {
+			return // the block changed under the scan; look again next tick
 		}
+		m.enqueueDeletes(deletes)
+		m.cfg.Logger.Info("scheduled excess removal",
+			"block", info.Block.ID, "storage", victim.ID)
+		m.journal.Publish(events.Info, evBlockExcessRemoved,
+			"over-replicated block scheduled for replica removal",
+			"block", formatBlockID(info.Block.ID),
+			"storage", string(victim.ID),
+			"worker", string(victim.Worker))
+		replicas = slices.DeleteFunc(replicas, func(r blockmgmt.Replica) bool { return r.Storage == victim.ID })
 	}
-	return removed
 }
 
 // tierReports aggregates per-tier statistics for the
@@ -829,4 +788,16 @@ func (m *Master) NumWorkers() int {
 	m.mu.RLock()
 	defer m.mu.RUnlock()
 	return len(m.workers)
+}
+
+// CheckReplicas runs the block map's invariant check against the live
+// worker set; tests call it once the cluster has quiesced.
+func (m *Master) CheckReplicas() []string {
+	m.mu.RLock()
+	alive := make(map[core.WorkerID]bool, len(m.workers))
+	for id := range m.workers {
+		alive[id] = true
+	}
+	m.mu.RUnlock()
+	return m.blocks.Check(func(w core.WorkerID) bool { return alive[w] })
 }

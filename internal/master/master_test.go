@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/blockmgmt"
 	"repro/internal/core"
 	"repro/internal/rpc"
 )
@@ -129,9 +130,11 @@ func TestSnapshotCaching(t *testing.T) {
 func TestSnapshotIncludesScheduledLoad(t *testing.T) {
 	m := testMaster(t)
 	registerFakeWorker(t, m, "w1", "/r1", mediaStat("w1:hdd0", core.TierHDD, 400, 120, 170))
-	m.mu.Lock()
-	m.scheduled["w1:hdd0"] = 3
-	m.mu.Unlock()
+	// Three pipelines handed out and not yet confirmed.
+	for id := core.BlockID(1); id <= 3; id++ {
+		m.blocks.AddBlock(core.Block{ID: id, GenStamp: 1}, core.ReplicationVectorFromFactor(1),
+			blockmgmt.Replica{Worker: "w1", Storage: "w1:hdd0", Tier: core.TierHDD})
+	}
 	time.Sleep(snapshotTTL + 10*time.Millisecond) // bust the cache
 	snap := m.snapshot()
 	med, ok := snap.MediaByID("w1:hdd0")
@@ -166,9 +169,7 @@ func TestServiceNamespaceOpsWithoutWorkers(t *testing.T) {
 }
 
 func TestBlockReportReconcilesLostReplicas(t *testing.T) {
-	// Negative grace disables the fresh-replica exemption so the
-	// reconciliation path is exercised immediately.
-	m := testMaster(t, func(c *Config) { c.ReportGrace = -time.Nanosecond })
+	m := testMaster(t)
 	registerFakeWorker(t, m, "w1", "/r1", mediaStat("w1:hdd0", core.TierHDD, 4<<30, 120, 170))
 	svc := &Service{m: m}
 
@@ -191,12 +192,19 @@ func TestBlockReportReconcilesLostReplicas(t *testing.T) {
 		t.Fatalf("replicas = %d, want 1", got)
 	}
 
-	// An empty block report from w1 means the replica is gone.
+	// One empty report may have been generated before the write
+	// finished; the second consecutive one means the replica is gone.
+	if err := svc.BlockReport(&rpc.BlockReportArgs{ID: "w1"}, &rpc.BlockReportReply{}); err != nil {
+		t.Fatal(err)
+	}
+	if got := len(m.blocks.Replicas(blk.ID)); got != 1 {
+		t.Fatalf("replicas after one empty report = %d, want 1", got)
+	}
 	if err := svc.BlockReport(&rpc.BlockReportArgs{ID: "w1"}, &rpc.BlockReportReply{}); err != nil {
 		t.Fatal(err)
 	}
 	if got := len(m.blocks.Replicas(blk.ID)); got != 0 {
-		t.Errorf("replicas after empty report = %d, want 0", got)
+		t.Errorf("replicas after two empty reports = %d, want 0", got)
 	}
 }
 

@@ -3,6 +3,7 @@ package master
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 	"strconv"
 	"sync"
@@ -23,9 +24,10 @@ import (
 // policy and then retiring the coldest source replica once the new
 // copy is confirmed, and demotes cold-on-premium blocks the inverse
 // way (the automated tier management of Herodotou & Kakoulli's
-// follow-up work). A move is copy-then-delete, never delete-then-copy:
-// the per-tier replica count is conserved and the replication monitor
-// never sees the block as unhealthy mid-move.
+// follow-up work). A move is one pending-add in the block map naming
+// the replica to retire; confirming the copy flips both in one step
+// (DESIGN.md "Replica life-cycle"), and the MoveRecords kept here only
+// narrate that state for /debug/mover.
 //
 // Moves are governed so the mover cannot starve foreground traffic or
 // thrash on flapping heat: a pass interval, a cap on concurrent
@@ -43,16 +45,10 @@ const (
 	// moverRecentCap bounds the ring of finished moves kept for the
 	// status document.
 	moverRecentCap = 64
-
-	// moverConfirmTicks bounds how many mover intervals a scheduled
-	// replicate may stay unconfirmed before the move is abandoned (the
-	// target worker may have died or dropped the command).
-	moverConfirmTicks = 20
 )
 
 // mover holds the tier mover's state. All mutation happens on the
-// master's monitor goroutine; the mutex guards the status RPC readers
-// and the replication monitor's in-flight check.
+// master's monitor goroutine; the mutex guards the status RPC readers.
 type mover struct {
 	interval     time.Duration
 	maxMoves     int
@@ -60,7 +56,7 @@ type mover struct {
 	cooldownSpan time.Duration
 
 	mu       sync.Mutex
-	inflight map[core.BlockID]*rpc.MoveRecord
+	moves    map[core.BlockID]*rpc.MoveRecord // scheduled, outcome not yet recorded
 	cooldown map[core.BlockID]time.Time
 	recent   []rpc.MoveRecord // newest first, bounded by moverRecentCap
 	counters rpc.MoverCounters
@@ -77,7 +73,7 @@ func newMover(cfg Config) *mover {
 		maxMoves:     cfg.MoverMaxMoves,
 		bytesPerSec:  cfg.MoverBytesPerSec,
 		cooldownSpan: cfg.MoverCooldown,
-		inflight:     make(map[core.BlockID]*rpc.MoveRecord),
+		moves:        make(map[core.BlockID]*rpc.MoveRecord),
 		cooldown:     make(map[core.BlockID]time.Time),
 	}
 	if mv.interval == 0 {
@@ -125,18 +121,6 @@ func (mv *mover) pushRecentLocked(rec rpc.MoveRecord) {
 	}
 }
 
-// moverBusy reports whether the mover has an in-flight move for the
-// block. The replication monitor skips such blocks: the transient
-// extra replica mid-move must not be treated as excess, and the
-// mover's own retire step finishes the transition.
-func (m *Master) moverBusy(id core.BlockID) bool {
-	mv := m.mover
-	mv.mu.Lock()
-	_, busy := mv.inflight[id]
-	mv.mu.Unlock()
-	return busy
-}
-
 // moverPass runs one mover iteration: finish or expire in-flight
 // moves, then convert fresh tier-fitness findings into new moves
 // within the governors. Called from the monitor goroutine at
@@ -159,103 +143,62 @@ func (m *Master) moverPass() {
 	}
 }
 
-// moverFinishLocked retires the source replica of every in-flight move
-// whose new replica has been confirmed (via BlockReceived or a block
-// report), and abandons moves that outlived the confirmation deadline.
+// moverFinishLocked records the outcome of every move the block map has
+// settled: done once the target is live and the source is not (confirming
+// the one tombstoned the other), expired once the pending-add is gone
+// without that — cancelled, or confirmed too late to retire anything, in
+// which case the extra copy is the replication monitor's to remove.
 func (m *Master) moverFinishLocked(now time.Time) {
 	mv := m.mover
-	deadline := time.Duration(moverConfirmTicks) * mv.interval
-	for id, rec := range mv.inflight {
-		confirmed := false
-		for _, r := range m.blocks.Replicas(id) {
-			if r.Storage == rec.ToStorage {
-				confirmed = true
-				break
-			}
+	for id, rec := range mv.moves {
+		info, _ := m.blocks.Info(id)
+		has := func(rs []blockmgmt.Replica, s core.StorageID) bool {
+			return slices.ContainsFunc(rs, func(r blockmgmt.Replica) bool { return r.Storage == s })
 		}
-		if confirmed {
-			m.moverCompleteLocked(rec, now)
-			delete(mv.inflight, id)
+		if has(info.Pending, rec.ToStorage) {
 			continue
 		}
-		if now.Sub(time.Unix(0, rec.StartedNs)) > deadline {
+		delete(mv.moves, id)
+		rec.FinishedNs = now.UnixNano()
+		mv.cooldown[id] = now.Add(mv.cooldownSpan)
+		if !has(info.Replicas, rec.ToStorage) || has(info.Replicas, rec.FromStorage) {
 			rec.Outcome = rpc.MoveExpired
-			rec.FinishedNs = now.UnixNano()
 			mv.counters.Expired++
-			mv.cooldown[id] = now.Add(mv.cooldownSpan)
 			mv.pushRecentLocked(*rec)
-			delete(mv.inflight, id)
 			m.journal.PublishTraced(events.Warn, evBlockMoveExpired, rec.TraceID,
 				"tier move expired before the new replica was confirmed",
 				"block", formatBlockID(id),
 				"path", rec.Path,
 				"kind", rec.Kind,
 				"to", string(rec.ToStorage))
+			continue
 		}
-	}
-}
-
-// moverCompleteLocked finishes one confirmed move: retire the source
-// replica (shifting one pinned-tier entry of the block's expected
-// vector when the source was pin-covered, so the per-tier counts stay
-// conserved and the block never goes under-replicated against its own
-// expectation), journal the block_moved event, and arm the cooldown.
-func (m *Master) moverCompleteLocked(rec *rpc.MoveRecord, now time.Time) {
-	mv := m.mover
-	if info, ok := m.blocks.Info(rec.Block); ok {
-		var actual [core.NumTiers]int
-		victimLive := false
 		for _, r := range info.Replicas {
-			actual[r.Tier]++
-			if r.Storage == rec.FromStorage {
-				victimLive = true
-			}
+			rec.AfterTiers[r.Tier]++
 		}
-		// The source may have vanished mid-move (worker death); then
-		// there is nothing to retire and the replication monitor takes
-		// over with the new replica as a healthy source.
-		if victimLive {
-			if pinned := info.Expected.Tier(rec.FromTier); actual[rec.FromTier] <= pinned {
-				shifted := info.Expected.
-					WithTier(rec.FromTier, pinned-1).
-					WithTier(rec.ToTier, info.Expected.Tier(rec.ToTier)+1)
-				m.blocks.SetExpected(rec.Block, shifted)
-			}
-			m.blocks.RemoveReplica(rec.Block, rec.FromStorage)
-			m.enqueue(rec.FromWorker, rpc.Command{
-				Kind: rpc.CmdDelete, Block: info.Block, Target: rec.FromStorage,
-			})
+		rec.Outcome = rpc.MoveDone
+		if rec.Kind == rpc.MovePromote {
+			mv.counters.Promoted++
+		} else {
+			mv.counters.Demoted++
 		}
+		mv.counters.MovedBytes += rec.Bytes
+		mv.pushRecentLocked(*rec)
+		m.cfg.Logger.Info("tier move completed",
+			"block", rec.Block, "kind", rec.Kind,
+			"from", rec.FromTier.String(), "to", rec.ToTier.String())
+		m.journal.PublishTraced(events.Info, evBlockMoved, rec.TraceID,
+			"replica moved between tiers by the heat-driven mover",
+			"block", formatBlockID(rec.Block),
+			"path", rec.Path,
+			"kind", rec.Kind,
+			"heat", fmt.Sprintf("%.2f", rec.Heat),
+			"from", rec.FromTier.String(),
+			"to", rec.ToTier.String(),
+			"before", formatTierVector(rec.BeforeTiers),
+			"after", formatTierVector(rec.AfterTiers),
+			"bytes", strconv.FormatInt(rec.Bytes, 10))
 	}
-	var after [core.NumTiers]int
-	for _, r := range m.blocks.Replicas(rec.Block) {
-		after[r.Tier]++
-	}
-	rec.AfterTiers = after
-	rec.Outcome = rpc.MoveDone
-	rec.FinishedNs = now.UnixNano()
-	if rec.Kind == rpc.MovePromote {
-		mv.counters.Promoted++
-	} else {
-		mv.counters.Demoted++
-	}
-	mv.counters.MovedBytes += rec.Bytes
-	mv.cooldown[rec.Block] = now.Add(mv.cooldownSpan)
-	mv.pushRecentLocked(*rec)
-	m.cfg.Logger.Info("tier move completed",
-		"block", rec.Block, "kind", rec.Kind,
-		"from", rec.FromTier.String(), "to", rec.ToTier.String())
-	m.journal.PublishTraced(events.Info, evBlockMoved, rec.TraceID,
-		"replica moved between tiers by the heat-driven mover",
-		"block", formatBlockID(rec.Block),
-		"path", rec.Path,
-		"kind", rec.Kind,
-		"heat", fmt.Sprintf("%.2f", rec.Heat),
-		"from", rec.FromTier.String(),
-		"to", rec.ToTier.String(),
-		"before", formatTierVector(rec.BeforeTiers),
-		"after", formatTierVector(rec.AfterTiers),
-		"bytes", strconv.FormatInt(rec.Bytes, 10))
 }
 
 // moverScheduleLocked turns the current tier-fitness findings into new
@@ -273,18 +216,18 @@ func (m *Master) moverScheduleLocked(now time.Time) {
 	}
 	findings := m.misplacedFrom(entries, entries[0].Stat.Heat())
 	for _, f := range findings {
-		if _, busy := mv.inflight[f.Block]; busy {
-			continue
+		info, ok := m.blocks.Info(f.Block)
+		if len(info.Pending) > 0 {
+			continue // a move or repair is in flight; wait until it settles
 		}
 		if until, cool := mv.cooldown[f.Block]; cool && now.Before(until) {
 			mv.counters.SkippedCooldown++
 			continue
 		}
-		if len(mv.inflight) >= mv.maxMoves {
+		if len(mv.moves) >= mv.maxMoves {
 			mv.counters.SkippedConcurrency++
 			continue
 		}
-		info, ok := m.blocks.Info(f.Block)
 		if !ok || info.UnderConstruction {
 			mv.counters.SkippedUnhealthy++
 			continue
@@ -344,11 +287,6 @@ func (m *Master) startMoveLocked(snap *policy.Snapshot, f rpc.MisplacedBlock, in
 		mv.counters.SkippedUnhealthy++
 		return false
 	}
-	occupied := make(map[core.StorageID]bool, len(info.Replicas))
-	for _, r := range info.Replicas {
-		occupied[r.Storage] = true
-	}
-
 	var target policy.Media
 	var decisions []policy.ReplicaDecision
 	chosen := false
@@ -370,7 +308,7 @@ func (m *Master) startMoveLocked(snap *policy.Snapshot, f rpc.MisplacedBlock, in
 				tgts, perr = m.cfg.Placement.PlaceReplicas(req)
 			}
 		})
-		if perr != nil || len(tgts) == 0 || occupied[tgts[0].ID] {
+		if perr != nil || len(tgts) == 0 {
 			continue
 		}
 		target = tgts[0]
@@ -382,22 +320,7 @@ func (m *Master) startMoveLocked(snap *policy.Snapshot, f rpc.MisplacedBlock, in
 		return false
 	}
 
-	// Order the copy sources once with the retrieval policy, like
-	// re-replication: the target worker copies from the best replica.
-	var sources []core.BlockLocation
-	var ordered []policy.Media
-	m.withRand(func(rng *rand.Rand) {
-		ordered = m.cfg.Retrieval.Order(policy.RetrievalRequest{
-			Snapshot: snap,
-			Replicas: existing,
-			Rand:     rng,
-		})
-	})
-	for _, src := range ordered {
-		if loc, ok := m.locationFor(blockmgmt.Replica{Worker: src.Worker, Storage: src.ID, Tier: src.Tier}); ok {
-			sources = append(sources, loc)
-		}
-	}
+	sources := m.copySources(snap, existing)
 	if len(sources) == 0 {
 		mv.counters.SkippedUnhealthy++
 		return false
@@ -420,13 +343,15 @@ func (m *Master) startMoveLocked(snap *policy.Snapshot, f rpc.MisplacedBlock, in
 		Outcome:     rpc.MoveInFlight,
 		TraceID:     rpc.NewRequestID(),
 	}
-	m.enqueue(target.Worker, rpc.Command{
-		Kind:    rpc.CmdReplicate,
-		Block:   info.Block,
-		Target:  target.ID,
-		Sources: sources,
-	})
-	mv.inflight[f.Block] = rec
+	// The move is a pending-add naming its source: confirming the copy
+	// retires the source in the same step. Its expiry is counted in mover
+	// passes, one every so many monitor ticks.
+	ticksPerPass := max(1, int((mv.interval+m.cfg.MonitorInterval-1)/m.cfg.MonitorInterval))
+	if !m.scheduleCopy(info.Block, target, sources, moverExpiryTicks*ticksPerPass, victim.Storage) {
+		mv.counters.SkippedNoTarget++
+		return false
+	}
+	mv.moves[f.Block] = rec
 	m.recordMove(rec, decisions)
 	m.cfg.Logger.Info("tier move scheduled",
 		"block", f.Block, "kind", kind, "path", f.Path,
@@ -438,24 +363,14 @@ func (m *Master) startMoveLocked(snap *policy.Snapshot, f rpc.MisplacedBlock, in
 // mover's decision, so octopus-cli explain shows why the block last
 // moved rather than where its write originally landed.
 func (m *Master) recordMove(rec *rpc.MoveRecord, decisions []policy.ReplicaDecision) {
-	be := rpc.BlockExplanation{
+	m.storePlacement(rpc.BlockExplanation{
 		Block:    rec.Block,
 		TimeNs:   rec.StartedNs,
 		TraceID:  rec.TraceID,
 		Origin:   rec.Kind,
 		Heat:     rec.Heat,
 		Replicas: wireDecisions(decisions),
-	}
-	m.placeMu.Lock()
-	if _, exists := m.placements[rec.Block]; !exists {
-		m.placeOrder = append(m.placeOrder, rec.Block)
-		for len(m.placeOrder) > placementCapacity {
-			delete(m.placements, m.placeOrder[0])
-			m.placeOrder = m.placeOrder[1:]
-		}
-	}
-	m.placements[rec.Block] = be
-	m.placeMu.Unlock()
+	})
 }
 
 // moverStatus assembles the mover observability document served by
@@ -471,7 +386,7 @@ func (m *Master) moverStatus() rpc.MoverStatus {
 	}
 	mv.mu.Lock()
 	defer mv.mu.Unlock()
-	for _, rec := range mv.inflight {
+	for _, rec := range mv.moves {
 		st.InFlight = append(st.InFlight, *rec)
 	}
 	sort.Slice(st.InFlight, func(i, j int) bool { return st.InFlight[i].StartedNs < st.InFlight[j].StartedNs })

@@ -87,9 +87,6 @@ func TestMoverPromotesHotBlock(t *testing.T) {
 
 	m.moverPass()
 
-	if !m.moverBusy(blk.ID) {
-		t.Fatal("no move in flight after a pass over a hot-on-cold block")
-	}
 	st := m.moverStatus()
 	if len(st.InFlight) != 1 || st.Counters.Scheduled != 1 {
 		t.Fatalf("status = %d in flight / %d scheduled, want 1 / 1", len(st.InFlight), st.Counters.Scheduled)
@@ -112,19 +109,24 @@ func TestMoverPromotesHotBlock(t *testing.T) {
 		t.Fatalf("replicate command for w2 = %+v, want target w2:mem0 with sources", cmds)
 	}
 
-	// The copy lands. With two replicas against a one-replica vector the
-	// block looks over-replicated, but the replication monitor must
-	// leave the mid-move block to the mover.
+	// Mid-move the block has one live replica and one pending-add: the
+	// replication monitor must see nothing to repair and nothing excess.
+	m.repairBlocks()
+	if info, _ := m.blocks.Info(blk.ID); len(info.Replicas) != 1 || len(info.Pending) != 1 {
+		t.Fatalf("repair monitor touched a mid-move block: %+v", info)
+	}
+	if cmds := pendingCommands(m, "w1"); len(cmds) != 0 {
+		t.Fatalf("commands for the source worker mid-move: %+v", cmds)
+	}
+
+	// The copy lands: confirming it retires the source in the same step,
+	// so the block never shows two live replicas for repair to trim.
 	if err := svc.BlockReceived(&rpc.BlockReceivedArgs{
 		ID: "w2", Storage: "w2:mem0", Block: blk,
 	}, &rpc.BlockReceivedReply{}); err != nil {
 		t.Fatal(err)
 	}
 	m.repairBlocks()
-	if got := len(m.blocks.Replicas(blk.ID)); got != 2 {
-		t.Fatalf("repair monitor touched a mid-move block: %d replicas, want 2", got)
-	}
-
 	m.moverPass()
 
 	reps := m.blocks.Replicas(blk.ID)
@@ -292,19 +294,24 @@ func TestMoverCooldownPreventsRepeatMoves(t *testing.T) {
 }
 
 func TestMoverExpiresUnconfirmedMoves(t *testing.T) {
-	m := moverTestMaster(t, func(cfg *Config) { cfg.MoverInterval = time.Millisecond })
+	m := moverTestMaster(t)
 	blk := moverTestBlock(t, m, "/hot", core.NewReplicationVector(0, 0, 1, 0, 0), "w1", "w1:hdd0")
 	heatUp(t, m, "w1", blk.ID)
 
 	m.moverPass()
-	if !m.moverBusy(blk.ID) {
+	if len(m.moverStatus().InFlight) != 1 {
 		t.Fatal("move not scheduled")
 	}
-	// The copy never confirms; past moverConfirmTicks intervals the
+	// The copy never confirms; past moverExpiryTicks monitor ticks the
 	// move is abandoned and the block cools down instead of wedging a
 	// concurrency slot forever.
-	time.Sleep(50 * time.Millisecond)
-	m.moverPass()
+	for i := 0; i < moverExpiryTicks; i++ {
+		if len(m.moverStatus().InFlight) != 1 {
+			t.Fatalf("move gone after %d ticks, want it in flight until %d", i, moverExpiryTicks)
+		}
+		m.blocks.Tick()
+		m.moverPass()
+	}
 
 	st := m.moverStatus()
 	if len(st.InFlight) != 0 || st.Counters.Expired != 1 {
@@ -321,6 +328,52 @@ func TestMoverExpiresUnconfirmedMoves(t *testing.T) {
 	}
 }
 
+// The confirmation deadline is moverExpiryTicks mover passes however many
+// monitor ticks a pass spans, and a copy confirmed after it retired
+// nothing: the move is expired, not done, and the surplus replica goes
+// the ordinary excess-removal way.
+func TestMoverLateConfirmIsExpiredNotDone(t *testing.T) {
+	m := moverTestMaster(t, func(cfg *Config) { cfg.MoverInterval = 4 * cfg.MonitorInterval })
+	svc := &Service{m: m}
+	blk := moverTestBlock(t, m, "/hot", core.NewReplicationVector(0, 0, 1, 0, 0), "w1", "w1:hdd0")
+	heatUp(t, m, "w1", blk.ID)
+	m.moverPass()
+
+	for i := 1; i < 4*moverExpiryTicks; i++ {
+		m.blocks.Tick()
+	}
+	if m.blocks.PendingAdds("w2:mem0") != 1 {
+		t.Fatalf("move cancelled before %d monitor ticks", 4*moverExpiryTicks)
+	}
+	m.blocks.Tick()
+	if m.blocks.PendingAdds("w2:mem0") != 0 {
+		t.Fatalf("move still pending after %d monitor ticks", 4*moverExpiryTicks)
+	}
+	if err := svc.BlockReceived(&rpc.BlockReceivedArgs{ID: "w2", Storage: "w2:mem0", Block: blk},
+		&rpc.BlockReceivedReply{}); err != nil {
+		t.Fatal(err)
+	}
+	m.moverPass()
+
+	st := m.moverStatus()
+	if st.Counters.Expired != 1 || st.Counters.Promoted != 0 || st.Counters.MovedBytes != 0 {
+		t.Errorf("counters = %+v, want one expired move and none done", st.Counters)
+	}
+	if n := len(m.Journal().Since(0, evBlockMoved, 0).Entries); n != 0 {
+		t.Errorf("block_moved events = %d, want 0: the source was never retired", n)
+	}
+	if got := len(m.blocks.Replicas(blk.ID)); got != 2 {
+		t.Fatalf("live replicas after the late confirm = %d, want source and copy", got)
+	}
+	m.repairBlocks()
+	if got := len(m.blocks.Replicas(blk.ID)); got != 1 {
+		t.Errorf("live replicas after excess removal = %d, want 1", got)
+	}
+	if bad := m.CheckReplicas(); len(bad) != 0 {
+		t.Errorf("life-cycle check: %v", bad)
+	}
+}
+
 // Satellite regression: a failed write pipeline must release the
 // scheduled-load counters its AddBlock took out; before the fix they
 // leaked forever and skewed placement load scoring.
@@ -330,16 +383,7 @@ func TestAbandonedWriteDrainsScheduledLoad(t *testing.T) {
 		mediaStat("w1:hdd0", core.TierHDD, 4<<30, 120, 170))
 	svc := &Service{m: m}
 
-	scheduledOn := func(sid core.StorageID) int {
-		m.mu.Lock()
-		defer m.mu.Unlock()
-		return m.scheduled[sid]
-	}
-	outstanding := func() int {
-		m.mu.Lock()
-		defer m.mu.Unlock()
-		return len(m.schedTargets)
-	}
+	scheduledOn := m.blocks.PendingAdds
 	addBlock := func(path string) core.Block {
 		if err := svc.Create(&rpc.CreateArgs{
 			Path: path, RepVector: core.ReplicationVectorFromFactor(1),
@@ -376,8 +420,8 @@ func TestAbandonedWriteDrainsScheduledLoad(t *testing.T) {
 	if got := scheduledOn("w1:hdd0"); got != 0 {
 		t.Fatalf("scheduled after Abandon = %d, want 0", got)
 	}
-	if got := outstanding(); got != 0 {
-		t.Fatalf("outstanding pipeline-target entries = %d, want 0", got)
+	if bad := m.CheckReplicas(); len(bad) != 0 {
+		t.Fatalf("life-cycle check after abandoned writes: %v", bad)
 	}
 
 	// The happy path still balances, and a confirmation for an
@@ -474,13 +518,11 @@ func TestRepairRetriesAfterInfeasiblePlacement(t *testing.T) {
 	}
 
 	// One worker, one occupied medium: the second replica has nowhere
-	// to go, so no repair command is issued and no backoff is armed.
+	// to go, so no repair command is issued and nothing is recorded as
+	// outstanding.
 	m.repairBlocks()
-	m.mu.Lock()
-	armed := len(m.repairing)
-	m.mu.Unlock()
-	if armed != 0 {
-		t.Fatalf("repair backoff armed with nothing scheduled (%d markers)", armed)
+	if info, _ := m.blocks.Info(blk.ID); len(info.Pending) != 0 {
+		t.Fatalf("work recorded as outstanding with nothing scheduled: %+v", info.Pending)
 	}
 
 	// Capacity appears; the very next tick must schedule the copy.
@@ -498,10 +540,21 @@ func TestRepairRetriesAfterInfeasiblePlacement(t *testing.T) {
 	if !scheduled {
 		t.Fatal("re-replication not scheduled on the next tick after capacity appeared")
 	}
-	m.mu.Lock()
-	armed = len(m.repairing)
-	m.mu.Unlock()
-	if armed != 1 {
-		t.Errorf("repair backoff markers = %d, want 1 after scheduling", armed)
+	if info, _ := m.blocks.Info(blk.ID); len(info.Pending) != 1 || info.Pending[0].Storage != "w2:hdd0" {
+		t.Errorf("outstanding work = %+v, want the one copy to w2:hdd0", info.Pending)
+	}
+	// The outstanding copy is supply: later ticks do not issue it again
+	// until it expires unconfirmed.
+	for i := 1; i < repairExpiryTicks; i++ {
+		m.blocks.Tick()
+		m.repairBlocks()
+	}
+	if n := len(pendingCommands(m, "w2")); n != 1 {
+		t.Errorf("commands for w2 before the expiry = %d, want the original 1", n)
+	}
+	m.blocks.Tick()
+	m.repairBlocks()
+	if n := len(pendingCommands(m, "w2")); n != 2 {
+		t.Errorf("commands for w2 after the expiry = %d, want a re-issue", n)
 	}
 }

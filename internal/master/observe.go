@@ -132,6 +132,21 @@ func (m *Master) clusterHistory(last int) []rpc.ClusterSample {
 	return out
 }
 
+// storePlacement retains (or overwrites) a block's explanation for
+// Master.Explain, FIFO-bounded.
+func (m *Master) storePlacement(be rpc.BlockExplanation) {
+	m.placeMu.Lock()
+	defer m.placeMu.Unlock()
+	if _, exists := m.placements[be.Block]; !exists {
+		m.placeOrder = append(m.placeOrder, be.Block)
+		for len(m.placeOrder) > placementCapacity {
+			delete(m.placements, m.placeOrder[0])
+			m.placeOrder = m.placeOrder[1:]
+		}
+	}
+	m.placements[be.Block] = be
+}
+
 // recordPlacement converts a placement decision set to its wire form,
 // retains it for Master.Explain (FIFO-bounded), and journals the
 // chosen-vs-runner-up breakdown as a placement event.
@@ -145,16 +160,7 @@ func (m *Master) recordPlacement(path string, blk core.Block, traceID string, de
 		TraceID:  traceID,
 		Replicas: wireDecisions(decisions),
 	}
-	m.placeMu.Lock()
-	if _, exists := m.placements[blk.ID]; !exists {
-		m.placeOrder = append(m.placeOrder, blk.ID)
-		for len(m.placeOrder) > placementCapacity {
-			delete(m.placements, m.placeOrder[0])
-			m.placeOrder = m.placeOrder[1:]
-		}
-	}
-	m.placements[blk.ID] = be
-	m.placeMu.Unlock()
+	m.storePlacement(be)
 
 	attrs := []string{
 		"path", path,
@@ -229,13 +235,7 @@ func (m *Master) decommission(id core.WorkerID, reqID string) error {
 		m.mu.Unlock()
 		return fmt.Errorf("master: unknown worker %s: %w", id, core.ErrNotFound)
 	}
-	delete(m.workers, id)
-	delete(m.pending, id)
-	// Keep the node's rack mapping while other live workers still run
-	// on it — co-hosted workers share one fault domain.
-	if !m.nodeInUseLocked(w.node) {
-		m.topo.Remove(w.node)
-	}
+	m.dropWorkerLocked(w)
 	m.decommissioned[id] = struct{}{}
 	m.mu.Unlock()
 	m.blocks.RemoveWorker(id)

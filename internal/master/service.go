@@ -121,11 +121,14 @@ func (s *Service) AddBlock(args *rpc.AddBlockArgs, reply *rpc.AddBlockReply) (er
 	if err != nil {
 		return wire(err)
 	}
-	s.m.blocks.AddBlock(blk, rv)
+	// As pending-adds the targets are in-flight load placement can see.
 	tiers := make([]string, len(targets))
+	pipeline := make([]blockmgmt.Replica, len(targets))
 	for i, t := range targets {
 		tiers[i] = t.Tier.String()
+		pipeline[i] = blockmgmt.Replica{Worker: t.Worker, Storage: t.ID, Tier: t.Tier}
 	}
+	s.m.blocks.AddBlock(blk, rv, pipeline...)
 	s.m.journal.PublishTraced(events.Info, evBlockAllocated, args.ReqID,
 		"block allocated",
 		"path", args.Path,
@@ -139,10 +142,8 @@ func (s *Service) AddBlock(args *rpc.AddBlockArgs, reply *rpc.AddBlockReply) (er
 	for _, t := range targets {
 		s.m.metrics.placements.With(t.Tier.String()).Inc()
 	}
-	s.m.mu.Lock()
+	s.m.mu.RLock()
 	for _, t := range targets {
-		s.m.scheduled[t.ID]++
-		s.m.schedTargets[blk.ID] = append(s.m.schedTargets[blk.ID], t.ID)
 		w := s.m.workers[t.Worker]
 		if w == nil {
 			continue
@@ -155,29 +156,12 @@ func (s *Service) AddBlock(args *rpc.AddBlockArgs, reply *rpc.AddBlockReply) (er
 			Rack:    t.Rack,
 		})
 	}
-	s.m.mu.Unlock()
+	s.m.mu.RUnlock()
 	if len(located.Locations) == 0 {
 		return wire(core.ErrNoWorkers)
 	}
 	reply.Located = located
 	return nil
-}
-
-// drainScheduled releases any still-outstanding pipeline targets for
-// a block whose write finished or died, so their in-flight load stops
-// inflating that medium's Connections in placement snapshots.
-func (m *Master) drainScheduled(id core.BlockID) {
-	m.mu.Lock()
-	for _, sid := range m.schedTargets[id] {
-		if m.scheduled[sid] > 0 {
-			m.scheduled[sid]--
-		}
-		if m.scheduled[sid] == 0 {
-			delete(m.scheduled, sid)
-		}
-	}
-	delete(m.schedTargets, id)
-	m.mu.Unlock()
 }
 
 // commitBlock records a finished block in both metadata collections.
@@ -186,7 +170,6 @@ func (m *Master) commitBlock(path string, b core.Block, reqID string, st *namesp
 		return err
 	}
 	m.blocks.CommitBlock(b)
-	m.drainScheduled(b.ID)
 	m.journal.PublishTraced(events.Info, evBlockCommitted, reqID,
 		"block committed",
 		"path", path,
@@ -211,7 +194,6 @@ func (s *Service) Complete(args *rpc.CompleteArgs, _ *rpc.CompleteReply) (err er
 	defer op.Finish(&err)
 	if args.Last != nil {
 		s.m.blocks.CommitBlock(*args.Last)
-		s.m.drainScheduled(args.Last.ID)
 		s.m.journal.PublishTraced(events.Info, evBlockCommitted, args.ReqID,
 			"final block committed at file completion",
 			"path", args.Path,
@@ -251,11 +233,8 @@ func (s *Service) AbandonBlock(args *rpc.AbandonBlockArgs, _ *rpc.AbandonBlockRe
 func (m *Master) invalidateBlocks(blocks []core.Block) {
 	m.heat.forgetBlocks(blocks)
 	for _, b := range blocks {
-		m.drainScheduled(b.ID)
 		replicas := m.blocks.RemoveBlock(b.ID)
-		for _, r := range replicas {
-			m.enqueue(r.Worker, rpc.Command{Kind: rpc.CmdDelete, Block: b, Target: r.Storage})
-		}
+		m.enqueueDeletes(replicas)
 		m.journal.Publish(events.Info, evBlockAbandoned,
 			"block invalidated; replica deletion scheduled",
 			"block", formatBlockID(b.ID),
@@ -436,14 +415,19 @@ type ReportBadBlockArgs struct {
 }
 type ReportBadBlockReply struct{}
 
-// ReportBadBlock drops a corrupt replica from the block map and
-// schedules its deletion; re-replication restores the count.
+// ReportBadBlock tombstones a corrupt replica and schedules its deletion;
+// re-replication restores the count. A block's last live replica is kept
+// (and says so): one reader's checksum failure is no ground to turn a
+// block that may yet be read into one that is missing.
 func (s *Service) ReportBadBlock(args *ReportBadBlockArgs, _ *ReportBadBlockReply) (err error) {
 	defer s.m.trackOp("reportBadBlock", args.ReqHeader)(&err)
-	s.m.blocks.RemoveReplica(args.Block.ID, args.Storage)
-	s.m.enqueue(args.Worker, rpc.Command{Kind: rpc.CmdDelete, Block: args.Block, Target: args.Storage})
-	s.m.journal.PublishTraced(events.Error, evBlockCorrupt, args.ReqID,
-		"corrupt replica reported; deletion scheduled",
+	deletes := s.m.blocks.Retire(args.Block.ID, args.Storage)
+	s.m.enqueueDeletes(deletes)
+	msg := "corrupt replica reported; deletion scheduled"
+	if len(deletes) == 0 {
+		msg = "corrupt replica reported; not deleted (sole live replica, or none on that storage)"
+	}
+	s.m.journal.PublishTraced(events.Error, evBlockCorrupt, args.ReqID, msg,
 		"block", formatBlockID(args.Block.ID),
 		"storage", string(args.Storage),
 		"worker", string(args.Worker))
@@ -523,55 +507,25 @@ func (s *Service) Heartbeat(args *rpc.HeartbeatArgs, reply *rpc.HeartbeatReply) 
 // reports).
 func (s *Service) BlockReport(args *rpc.BlockReportArgs, _ *rpc.BlockReportReply) (err error) {
 	defer s.m.trackOpUntraced("blockReport", args.ReqID)(&err)
+	stored := make([]blockmgmt.BlockReplica, 0, len(args.Blocks))
 	s.m.mu.Lock()
 	w, ok := s.m.workers[args.ID]
-	var tiers map[core.StorageID]core.StorageTier
 	if ok {
 		w.lastSeen = time.Now() // a block report proves liveness
-		tiers = make(map[core.StorageID]core.StorageTier, len(w.media))
-		for sid, ms := range w.media {
-			tiers[sid] = ms.Tier
+		for _, sb := range args.Blocks {
+			if ms, known := w.media[sb.Storage]; known {
+				stored = append(stored, blockmgmt.BlockReplica{Block: sb.Block, Replica: blockmgmt.Replica{
+					Worker: args.ID, Storage: sb.Storage, Tier: ms.Tier,
+				}})
+			}
 		}
 	}
 	s.m.mu.Unlock()
 	if !ok {
 		return wire(fmt.Errorf("master: unknown worker %s: %w", args.ID, core.ErrNotFound))
 	}
-
-	reported := make(map[core.StorageID]map[core.BlockID]struct{})
-	for _, sb := range args.Blocks {
-		tier, known := tiers[sb.Storage]
-		if !known {
-			continue
-		}
-		accepted, _ := s.m.blocks.AddReplica(sb.Block, blockmgmt.Replica{
-			Worker: args.ID, Storage: sb.Storage, Tier: tier,
-		})
-		if !accepted {
-			// Unknown or stale block: have the worker delete it.
-			s.m.enqueue(args.ID, rpc.Command{Kind: rpc.CmdDelete, Block: sb.Block, Target: sb.Storage})
-			continue
-		}
-		set, ok := reported[sb.Storage]
-		if !ok {
-			set = make(map[core.BlockID]struct{})
-			reported[sb.Storage] = set
-		}
-		set[sb.Block.ID] = struct{}{}
-	}
-	// Reconcile: any replica the map attributes to this worker that
-	// the report omitted has been lost (media failure, manual wipe).
-	// Replicas added within the last report interval are exempt: the
-	// report may have been generated before their write completed.
-	grace := time.Now().Add(-s.m.cfg.ReportGrace)
-	for blockID, storage := range s.m.blocks.ReplicasOnWorker(args.ID, grace) {
-		if set, ok := reported[storage]; ok {
-			if _, present := set[blockID]; present {
-				continue
-			}
-		}
-		s.m.blocks.RemoveReplica(blockID, storage)
-	}
+	// Unknown, stale and tombstoned replicas come back as deletions.
+	s.m.enqueueDeletes(s.m.blocks.Report(args.ID, stored))
 	return nil
 }
 
@@ -594,41 +548,10 @@ func (s *Service) BlockReceived(args *rpc.BlockReceivedArgs, _ *rpc.BlockReceive
 	if !ok {
 		return wire(fmt.Errorf("master: unknown worker/media %s/%s: %w", args.ID, args.Storage, core.ErrNotFound))
 	}
-	s.m.blocks.AddReplica(args.Block, blockmgmt.Replica{
+	// Confirming a tier move's copy retires its source in the same step.
+	s.m.enqueueDeletes(s.m.blocks.AddReplica(args.Block, blockmgmt.Replica{
 		Worker: args.ID, Storage: args.Storage, Tier: tier,
-	})
-	// Release exactly the scheduled count this (block, storage) pair
-	// took out in AddBlock. Confirmations for replication/mover copies
-	// (never counted) and duplicates leave the counts alone.
-	s.m.mu.Lock()
-	if outstanding, ok := s.m.schedTargets[args.Block.ID]; ok {
-		for i, sid := range outstanding {
-			if sid != args.Storage {
-				continue
-			}
-			if s.m.scheduled[sid] > 0 {
-				s.m.scheduled[sid]--
-			}
-			if s.m.scheduled[sid] == 0 {
-				delete(s.m.scheduled, sid)
-			}
-			outstanding = append(outstanding[:i], outstanding[i+1:]...)
-			if len(outstanding) == 0 {
-				delete(s.m.schedTargets, args.Block.ID)
-			} else {
-				s.m.schedTargets[args.Block.ID] = outstanding
-			}
-			break
-		}
-	}
-	s.m.mu.Unlock()
-	return nil
-}
-
-// BlockDeleted records a replica removal acknowledged by a worker.
-func (s *Service) BlockDeleted(args *rpc.BlockDeletedArgs, _ *rpc.BlockDeletedReply) (err error) {
-	defer s.m.trackOpUntraced("blockDeleted", args.ReqID)(&err)
-	s.m.blocks.RemoveReplica(args.Block.ID, args.Storage)
+	}))
 	return nil
 }
 

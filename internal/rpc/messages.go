@@ -273,15 +273,6 @@ type BlockReceivedArgs struct {
 }
 type BlockReceivedReply struct{}
 
-// BlockDeletedArgs / -Reply implement Master.BlockDeleted.
-type BlockDeletedArgs struct {
-	ReqHeader
-	ID      core.WorkerID
-	Storage core.StorageID
-	Block   core.Block
-}
-type BlockDeletedReply struct{}
-
 // ContentSummaryArgs / -Reply implement Master.GetContentSummary:
 // recursive usage accounting for a directory subtree, including the
 // per-tier byte usage that tier quotas charge against.

@@ -10,9 +10,11 @@
 package sim
 
 import (
+	"cmp"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
+	"strings"
 )
 
 // Resource is a capacity-constrained stage (a media's write or read
@@ -31,6 +33,7 @@ func (r *Resource) Load() int { return r.flows }
 // resources. Rate = min over resources of capacity/flows.
 type Flow struct {
 	name      string
+	seq       int64   // start order; ties completions between same-named flows
 	remaining float64 // MB still to move
 	resources []*Resource
 	onDone    func(e *Engine)
@@ -47,8 +50,7 @@ func (f *Flow) Name() string { return f.name }
 type Engine struct {
 	now   float64 // seconds
 	flows map[*Flow]struct{}
-	// spawned defers completions scheduled during callbacks.
-	epoch int64
+	seq   int64 // flows started so far
 }
 
 // NewEngine returns an empty engine at t=0.
@@ -69,7 +71,7 @@ func (e *Engine) StartFlow(name string, sizeMB float64, resources []*Resource, o
 	for _, r := range resources {
 		r.flows++
 	}
-	e.flows[f] = struct{}{}
+	e.add(f)
 	return f
 }
 
@@ -80,8 +82,14 @@ func (e *Engine) StartDelay(name string, seconds float64, onDone func(*Engine)) 
 	if seconds <= 0 {
 		f.remaining = 0
 	}
-	e.flows[f] = struct{}{}
+	e.add(f)
 	return f
+}
+
+func (e *Engine) add(f *Flow) {
+	e.seq++
+	f.seq = e.seq
+	e.flows[f] = struct{}{}
 }
 
 // rateOf computes a flow's current equal-share rate.
@@ -137,8 +145,10 @@ func (e *Engine) Run() (float64, error) {
 				completed = append(completed, f)
 			}
 		}
-		// Deterministic completion order.
-		sort.Slice(completed, func(i, j int) bool { return completed[i].name < completed[j].name })
+		// Deterministic completion order: by name, then by start order.
+		slices.SortFunc(completed, func(a, b *Flow) int {
+			return cmp.Or(strings.Compare(a.name, b.name), cmp.Compare(a.seq, b.seq))
+		})
 		for _, f := range completed {
 			delete(e.flows, f)
 			for _, r := range f.resources {

@@ -140,3 +140,21 @@ func TestPipelineSharedNIC(t *testing.T) {
 		t.Errorf("elapsed = %v, want 2s (NIC shared)", elapsed)
 	}
 }
+
+// Flows that finish at the same instant under the same name complete in
+// the order they were started, so a run is reproducible.
+func TestSameNamedFlowsCompleteInStartOrder(t *testing.T) {
+	e := NewEngine()
+	var order []int
+	for i := 0; i < 32; i++ {
+		e.StartFlow("w", 10, []*Resource{{Name: "disk", Capacity: 100}}, func(*Engine) { order = append(order, i) })
+	}
+	if _, err := e.Run(); err != nil {
+		t.Fatal(err)
+	}
+	for i, got := range order {
+		if got != i {
+			t.Fatalf("completion order = %v, want start order", order)
+		}
+	}
+}

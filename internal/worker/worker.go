@@ -421,10 +421,10 @@ func (w *Worker) execute(cmd rpc.Command) {
 			"replica deleted on master command",
 			"block", fmt.Sprintf("%d", cmd.Block.ID),
 			"storage", string(cmd.Target))
-		var reply rpc.BlockDeletedReply
-		w.callMaster("Master.BlockDeleted", &rpc.BlockDeletedArgs{
-			ID: w.id, Storage: cmd.Target, Block: cmd.Block,
-		}, &reply)
+		// No acknowledgement: the master clears the tombstone when the
+		// block reports stop listing the replica, which (unlike an ack
+		// overtaking a report generated before this delete ran) cannot
+		// resurrect it.
 	case rpc.CmdReplicate:
 		// Command-driven replications get a fresh request ID so their
 		// slow-op lines are traceable like client-driven ops.
