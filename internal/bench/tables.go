@@ -13,11 +13,15 @@ import (
 
 // Table2Row is one media type's probed throughput (paper Table 2).
 type Table2Row struct {
-	Media      string
-	WriteMBps  float64
-	ReadMBps   float64
-	TargetW    float64 // the emulated device's configured rate
-	TargetR    float64
+	Media     string
+	WriteMBps float64
+	ReadMBps  float64
+	TargetW   float64 // the emulated device's configured rate
+	TargetR   float64
+	// SchedW and SchedR are the limiters' own schedule: probe bytes ÷ the
+	// time they made the probe wait (+Inf when the host never got ahead).
+	SchedW     float64
+	SchedR     float64
 	ProbeBytes int64
 }
 
@@ -54,6 +58,10 @@ func RunTable2(probeBytes int64) ([]Table2Row, error) {
 			Dir: dir + "/hdd",
 		}},
 	}
+	sched := func(l *storage.RateLimiter) float64 {
+		bytes, waited := l.Stats()
+		return float64(bytes) / 1e6 / waited.Seconds()
+	}
 	var rows []Table2Row
 	for _, c := range configs {
 		m, err := storage.OpenMedia(c.cfg)
@@ -68,6 +76,7 @@ func RunTable2(probeBytes int64) ([]Table2Row, error) {
 		rows = append(rows, Table2Row{
 			Media: c.name, WriteMBps: w, ReadMBps: r,
 			TargetW: c.cfg.WriteMBps, TargetR: c.cfg.ReadMBps,
+			SchedW: sched(m.WriteLimit()), SchedR: sched(m.ReadLimit()),
 			ProbeBytes: probeBytes,
 		})
 	}

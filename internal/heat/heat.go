@@ -86,7 +86,7 @@ type Entry[K comparable] struct {
 }
 
 // Map is a bounded collection of decayed access counters keyed by K
-// (block IDs on the master's block heat map, paths on its file heat
+// (block IDs on the master's block heat map, file IDs on its file heat
 // map). All methods take explicit nanosecond timestamps so decay is
 // deterministic under test. Map is safe for concurrent use; it is
 // NOT meant for per-I/O hot paths — workers use Collector there and
@@ -188,47 +188,6 @@ func (m *Map[K]) Remove(key K) {
 	delete(m.stats, key)
 }
 
-// RemoveFunc forgets every key the predicate matches (e.g. all paths
-// under a deleted directory).
-func (m *Map[K]) RemoveFunc(pred func(K) bool) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	for k := range m.stats {
-		if pred(k) {
-			delete(m.stats, k)
-		}
-	}
-}
-
-// Rekey rewrites keys through fn (e.g. path prefixes after a rename);
-// fn returns the new key and whether to apply it. A rewrite that
-// collides with an existing key folds the two stats together at the
-// later of their fold instants.
-func (m *Map[K]) Rekey(fn func(K) (K, bool)) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	moved := make(map[K]*Stat)
-	for k, st := range m.stats {
-		if nk, ok := fn(k); ok && nk != k {
-			delete(m.stats, k)
-			moved[nk] = st
-		}
-	}
-	for nk, st := range moved {
-		if dst, exists := m.stats[nk]; exists {
-			now := max64(dst.LastNs, st.LastNs)
-			a, b := dst.At(now, m.halfLife), st.At(now, m.halfLife)
-			*dst = Stat{
-				Read:   Score{a.Read.Ops + b.Read.Ops, a.Read.Bytes + b.Read.Bytes},
-				Write:  Score{a.Write.Ops + b.Write.Ops, a.Write.Bytes + b.Write.Bytes},
-				LastNs: now,
-			}
-			continue
-		}
-		m.stats[nk] = st
-	}
-}
-
 // Len returns the number of tracked keys.
 func (m *Map[K]) Len() int {
 	m.mu.Lock()
@@ -246,11 +205,4 @@ func (m *Map[K]) Snapshot(nowNs int64) []Entry[K] {
 	m.mu.Unlock()
 	sort.SliceStable(out, func(i, j int) bool { return out[i].Stat.Heat() > out[j].Stat.Heat() })
 	return out
-}
-
-func max64(a, b int64) int64 {
-	if a > b {
-		return a
-	}
-	return b
 }

@@ -106,27 +106,6 @@ func TestMapCapacityEvictsColdest(t *testing.T) {
 	}
 }
 
-func TestMapRemoveFuncAndRekey(t *testing.T) {
-	m := NewMap[string](time.Minute, 0)
-	m.Add("/a/x", Read, 1, 0, 0)
-	m.Add("/a/y", Read, 2, 0, 0)
-	m.Add("/b/z", Read, 3, 0, 0)
-	m.RemoveFunc(func(k string) bool { return k == "/a/y" })
-	if m.Len() != 2 {
-		t.Fatalf("Len = %d, want 2", m.Len())
-	}
-	m.Rekey(func(k string) (string, bool) {
-		if k == "/a/x" {
-			return "/b/z", true // collide: stats fold together
-		}
-		return k, false
-	})
-	st, ok := m.Get("/b/z", 0)
-	if !ok || !almostEqual(st.Read.Ops, 4) {
-		t.Errorf("folded stat = %+v ok=%v, want Read.Ops 4", st, ok)
-	}
-}
-
 func TestCollectorDrain(t *testing.T) {
 	c := NewCollector()
 	c.Touch(7, Read, 100)

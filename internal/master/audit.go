@@ -52,7 +52,8 @@ func (m *Master) beginOp(op string, h rpc.ReqHeader, path, dst string) *opAudit 
 func (a *opAudit) Span() *trace.ActiveSpan { return a.sp }
 
 // Stats returns the OpStats the handler passes into namespace calls;
-// the namespace fills in lock-wait, apply, append, and fsync times.
+// the namespace fills in lock-wait, apply, append, and fsync times, and
+// the ID of the file the call acted on.
 func (a *opAudit) Stats() *namespace.OpStats { return &a.st }
 
 // Bytes records the op's data size (committed block bytes, located

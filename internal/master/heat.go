@@ -10,6 +10,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/events"
 	"repro/internal/heat"
+	"repro/internal/namespace"
 	"repro/internal/rpc"
 )
 
@@ -25,103 +26,80 @@ import (
 // tier, not just that it is.
 
 // heatPlane bundles the master's heat state: the two decayed maps and
-// the block → path index that joins worker-reported block heat back
-// to namespace files.
+// the file each tracked block belongs to. Files are keyed by the
+// namespace's FileID, not by path: a rename changes nothing here, a
+// delete removes exactly the keys the namespace says it unlinked, and
+// paths are resolved (namespace.PathOf) only for the entries a report,
+// event or move record actually shows.
 type heatPlane struct {
 	blocks *heat.Map[core.BlockID]
-	files  *heat.Map[string]
+	files  *heat.Map[namespace.FileID]
 
-	mu    sync.Mutex
-	paths map[core.BlockID]string
-	// flagged records the misplacement kind last journaled per block,
-	// so the scan publishes entries and kind changes, not every tick.
-	flagged map[core.BlockID]string
+	// mu guards owner, and orders forget after any add that saw its
+	// block or file still live.
+	mu sync.Mutex
+	// owner is written once per block, at allocation or recovery, and
+	// dropped with the block.
+	owner map[core.BlockID]namespace.FileID
 }
 
-func newHeatPlane(halfLife time.Duration, capacity int) *heatPlane {
-	if capacity <= 0 {
-		capacity = heat.DefaultMapCapacity
-	}
-	fileCap := capacity / 4
-	if fileCap < 1 {
-		fileCap = 1
-	}
+func newHeatPlane(halfLife time.Duration) *heatPlane {
 	return &heatPlane{
-		blocks:  heat.NewMap[core.BlockID](halfLife, capacity),
-		files:   heat.NewMap[string](halfLife, fileCap),
-		paths:   make(map[core.BlockID]string),
-		flagged: make(map[core.BlockID]string),
+		blocks: heat.NewMap[core.BlockID](halfLife, heat.DefaultMapCapacity),
+		files:  heat.NewMap[namespace.FileID](halfLife, heat.DefaultMapCapacity/4),
+		owner:  make(map[core.BlockID]namespace.FileID),
 	}
 }
 
-// indexBlock records which file a block belongs to.
-func (hp *heatPlane) indexBlock(id core.BlockID, path string) {
+// setOwner records which file a block belongs to.
+func (hp *heatPlane) setOwner(id core.BlockID, file namespace.FileID) {
 	hp.mu.Lock()
-	hp.paths[id] = path
+	hp.owner[id] = file
 	hp.mu.Unlock()
 }
 
-// pathOf resolves a block to its owning file ("" when unknown).
-func (hp *heatPlane) pathOf(id core.BlockID) string {
+// ownerOf resolves a block to its owning file (zero when unknown).
+func (hp *heatPlane) ownerOf(id core.BlockID) namespace.FileID {
 	hp.mu.Lock()
 	defer hp.mu.Unlock()
-	return hp.paths[id]
+	return hp.owner[id]
 }
 
-// forgetBlocks drops deleted blocks from the heat map, the path
-// index, and the misplacement flag set.
-func (hp *heatPlane) forgetBlocks(blocks []core.Block) {
+// forget drops what the namespace unlinked from both heat maps and the
+// owner index.
+func (hp *heatPlane) forget(removed namespace.Removed) {
 	hp.mu.Lock()
-	for _, b := range blocks {
-		delete(hp.paths, b.ID)
-		delete(hp.flagged, b.ID)
-	}
-	hp.mu.Unlock()
-	for _, b := range blocks {
+	for _, b := range removed.Blocks {
+		delete(hp.owner, b.ID)
 		hp.blocks.Remove(b.ID)
 	}
-}
-
-// forgetPath drops a deleted file (or directory subtree) from the
-// file heat map.
-func (hp *heatPlane) forgetPath(path string) {
-	prefix := strings.TrimSuffix(path, "/") + "/"
-	hp.files.RemoveFunc(func(p string) bool {
-		return p == path || strings.HasPrefix(p, prefix)
-	})
-}
-
-// rename rewrites the file heat map and block path index after a
-// namespace rename of src (file or directory) to dst.
-func (hp *heatPlane) rename(src, dst string) {
-	srcPrefix := strings.TrimSuffix(src, "/") + "/"
-	rewrite := func(p string) (string, bool) {
-		if p == src {
-			return dst, true
-		}
-		if strings.HasPrefix(p, srcPrefix) {
-			return dst + "/" + p[len(srcPrefix):], true
-		}
-		return p, false
-	}
-	hp.files.Rekey(rewrite)
-	hp.mu.Lock()
-	for id, p := range hp.paths {
-		if np, ok := rewrite(p); ok {
-			hp.paths[id] = np
-		}
+	for _, f := range removed.Files {
+		hp.files.Remove(f)
 	}
 	hp.mu.Unlock()
+}
+
+// blockPath renders the current path of a block's file ("" when the
+// block or the file is gone).
+func (m *Master) blockPath(id core.BlockID) string {
+	return m.ns.PathOf(m.heat.ownerOf(id))
 }
 
 // foldHeat merges one heartbeat's worth of worker deltas into the
-// cluster block heat map.
+// cluster block heat map. Deltas a worker drained after their block was
+// invalidated are dropped — nothing would ever forget that entry again —
+// and the plane's lock keeps forget from slipping between check and add.
 func (m *Master) foldHeat(deltas []heat.Delta) {
 	if len(deltas) == 0 {
 		return
 	}
 	nowNs := time.Now().UnixNano()
+	m.heat.mu.Lock()
+	defer m.heat.mu.Unlock()
 	for _, d := range deltas {
+		if _, live := m.heat.owner[d.Block]; !live {
+			continue
+		}
 		if d.ReadOps > 0 || d.ReadBytes > 0 {
 			m.heat.blocks.Add(d.Block, heat.Read, int64(d.ReadOps), d.ReadBytes, nowNs)
 		}
@@ -133,13 +111,23 @@ func (m *Master) foldHeat(deltas []heat.Delta) {
 
 // touchFileRead records one file open-for-read covering roughly
 // `bytes` bytes (the requested range).
-func (m *Master) touchFileRead(path string, bytes int64) {
-	m.heat.files.Add(path, heat.Read, 1, bytes, time.Now().UnixNano())
+func (m *Master) touchFileRead(file namespace.FileID, bytes int64) {
+	m.touchFile(file, heat.Read, bytes)
 }
 
 // touchFileWrite records one file create/overwrite.
-func (m *Master) touchFileWrite(path string) {
-	m.heat.files.Add(path, heat.Write, 1, 0, time.Now().UnixNano())
+func (m *Master) touchFileWrite(file namespace.FileID) {
+	m.touchFile(file, heat.Write, 0)
+}
+
+// touchFile drops the touch when a delete unlinked the file after the
+// handler resolved it, for foldHeat's reason and under the same lock.
+func (m *Master) touchFile(file namespace.FileID, kind heat.Kind, bytes int64) {
+	m.heat.mu.Lock()
+	defer m.heat.mu.Unlock()
+	if m.ns.PathOf(file) != "" {
+		m.heat.files.Add(file, kind, 1, bytes, time.Now().UnixNano())
+	}
 }
 
 // Tier-fitness thresholds. Hotness is judged both absolutely (a block
@@ -163,8 +151,14 @@ func tierRank(t core.StorageTier) int { return int(t) }
 // snapshot: hot blocks whose replicas sit only on cold tiers
 // (HDD/REMOTE) and cold blocks squatting on premium tiers
 // (MEMORY/SSD), ranked by heat×misplacement. Blocks without located
-// replicas are skipped — there is no tier vector to judge.
-func (m *Master) misplacedFrom(entries []heat.Entry[core.BlockID], maxHeat float64) []rpc.MisplacedBlock {
+// replicas are skipped — there is no tier vector to judge. entries is a
+// Snapshot, hottest first; Path is left for the caller to fill in on the
+// findings it emits.
+func (m *Master) misplacedFrom(entries []heat.Entry[core.BlockID]) []rpc.MisplacedBlock {
+	if len(entries) == 0 {
+		return nil
+	}
+	maxHeat := entries[0].Stat.Heat()
 	hotCut := heatHotMinOps
 	if f := heatHotFrac * maxHeat; f > hotCut {
 		hotCut = f
@@ -190,7 +184,6 @@ func (m *Master) misplacedFrom(entries []heat.Entry[core.BlockID], maxHeat float
 		h := e.Stat.Heat()
 		mb := rpc.MisplacedBlock{
 			Block:    e.Key,
-			Path:     m.heat.pathOf(e.Key),
 			Heat:     h,
 			Tiers:    tiers,
 			BestTier: core.StorageTier(best),
@@ -258,11 +251,7 @@ func (m *Master) heatAggregate(entries []heat.Entry[core.BlockID], misplaced []r
 // samples.
 func (m *Master) liveHeatAggregate() rpc.HeatAggregate {
 	entries := m.heat.blocks.Snapshot(time.Now().UnixNano())
-	var maxHeat float64
-	if len(entries) > 0 {
-		maxHeat = entries[0].Stat.Heat()
-	}
-	return m.heatAggregate(entries, m.misplacedFrom(entries, maxHeat))
+	return m.heatAggregate(entries, m.misplacedFrom(entries))
 }
 
 // heatReport assembles the full heat document served by Master.GetHeat
@@ -275,11 +264,7 @@ func (m *Master) heatReport(top int, file string, misplacedOnly bool) rpc.HeatRe
 	}
 	nowNs := time.Now().UnixNano()
 	blockEntries := m.heat.blocks.Snapshot(nowNs)
-	var maxHeat float64
-	if len(blockEntries) > 0 {
-		maxHeat = blockEntries[0].Stat.Heat()
-	}
-	misplaced := m.misplacedFrom(blockEntries, maxHeat)
+	misplaced := m.misplacedFrom(blockEntries)
 
 	report := rpc.HeatReport{
 		TimeNs:     nowNs,
@@ -289,17 +274,28 @@ func (m *Master) heatReport(top int, file string, misplacedOnly bool) rpc.HeatRe
 	if len(misplaced) > top {
 		misplaced = misplaced[:top]
 	}
+	for i := range misplaced {
+		misplaced[i].Path = m.blockPath(misplaced[i].Block)
+	}
 	report.Misplaced = misplaced
 	if misplacedOnly {
 		return report
 	}
 
+	var only namespace.FileID
+	if file != "" {
+		var st namespace.OpStats
+		if _, _, _, err := m.ns.FileBlocks(file, &st); err != nil {
+			return report // no such file: nothing to list
+		}
+		only = st.File
+	}
 	for _, e := range m.heat.files.Snapshot(nowNs) {
-		if file != "" && e.Key != file {
+		if file != "" && e.Key != only {
 			continue
 		}
 		report.Files = append(report.Files, rpc.FileHeat{
-			Path:   e.Key,
+			Path:   m.ns.PathOf(e.Key),
 			Read:   rpc.HeatScore{Ops: e.Stat.Read.Ops, Bytes: e.Stat.Read.Bytes},
 			Write:  rpc.HeatScore{Ops: e.Stat.Write.Ops, Bytes: e.Stat.Write.Bytes},
 			Heat:   e.Stat.Heat(),
@@ -310,13 +306,13 @@ func (m *Master) heatReport(top int, file string, misplacedOnly bool) rpc.HeatRe
 		}
 	}
 	for _, e := range blockEntries {
-		path := m.heat.pathOf(e.Key)
-		if file != "" && path != file {
+		owner := m.heat.ownerOf(e.Key)
+		if file != "" && owner != only {
 			continue
 		}
 		bh := rpc.BlockHeat{
 			Block:  e.Key,
-			Path:   path,
+			Path:   m.ns.PathOf(owner),
 			Read:   rpc.HeatScore{Ops: e.Stat.Read.Ops, Bytes: e.Stat.Read.Bytes},
 			Write:  rpc.HeatScore{Ops: e.Stat.Write.Ops, Bytes: e.Stat.Write.Bytes},
 			Heat:   e.Stat.Heat(),
@@ -334,51 +330,29 @@ func (m *Master) heatReport(top int, file string, misplacedOnly bool) rpc.HeatRe
 }
 
 // scanMisplaced recomputes the tier-fitness findings and journals
-// blocks that entered the misplaced set (or changed kind) as
-// heat_misplaced events; blocks that left the set are unflagged so a
-// relapse journals again. The monitor loop runs this at history
+// blocks that entered the misplaced set (or changed kind) since the last
+// scan as heat_misplaced events; a block that left the set is absent from
+// the returned one, so a relapse journals again. flagged is the previous
+// scan's result: state of the monitor loop, which runs this at history
 // cadence — misplacement is a trend, not a per-tick alarm.
-func (m *Master) scanMisplaced() {
-	nowNs := time.Now().UnixNano()
-	entries := m.heat.blocks.Snapshot(nowNs)
-	var maxHeat float64
-	if len(entries) > 0 {
-		maxHeat = entries[0].Stat.Heat()
-	}
-	misplaced := m.misplacedFrom(entries, maxHeat)
-
-	current := make(map[core.BlockID]string, len(misplaced))
-	for _, mb := range misplaced {
+func (m *Master) scanMisplaced(flagged map[core.BlockID]string) map[core.BlockID]string {
+	current := make(map[core.BlockID]string)
+	for _, mb := range m.misplacedFrom(m.heat.blocks.Snapshot(time.Now().UnixNano())) {
 		current[mb.Block] = mb.Kind
-	}
-	m.heat.mu.Lock()
-	var fresh []rpc.MisplacedBlock
-	for _, mb := range misplaced {
-		if m.heat.flagged[mb.Block] != mb.Kind {
-			m.heat.flagged[mb.Block] = mb.Kind
-			fresh = append(fresh, mb)
+		if flagged[mb.Block] == mb.Kind {
+			continue
 		}
-	}
-	for id := range m.heat.flagged {
-		if _, still := current[id]; !still {
-			delete(m.heat.flagged, id)
-		}
-	}
-	m.heat.mu.Unlock()
-
-	for _, mb := range fresh {
-		attrs := []string{
+		m.journal.PublishTraced(events.Warn, evHeatMisplaced, mb.DecisionTraceID,
+			"block tier placement contradicts its access heat",
 			"block", formatBlockID(mb.Block),
-			"path", mb.Path,
+			"path", m.blockPath(mb.Block),
 			"kind", mb.Kind,
 			"heat", fmt.Sprintf("%.2f", mb.Heat),
 			"score", fmt.Sprintf("%.2f", mb.Score),
 			"tiers", formatTierVector(mb.Tiers),
-			"best_tier", mb.BestTier.String(),
-		}
-		m.journal.PublishTraced(events.Warn, evHeatMisplaced, mb.DecisionTraceID,
-			"block tier placement contradicts its access heat", attrs...)
+			"best_tier", mb.BestTier.String())
 	}
+	return current
 }
 
 // formatTierVector renders a replica-count-per-tier vector compactly,

@@ -2,11 +2,13 @@ package master
 
 import (
 	"net/http"
+	"slices"
 	"testing"
 	"time"
 
 	"repro/internal/core"
 	"repro/internal/heat"
+	"repro/internal/namespace"
 	"repro/internal/rpc"
 )
 
@@ -136,7 +138,7 @@ func TestHeatReportRanksAndFlagsMisplacement(t *testing.T) {
 func TestScanMisplacedJournalsTransitionsOnce(t *testing.T) {
 	m, hot, _ := heatTestCluster(t)
 
-	m.scanMisplaced()
+	flagged := m.scanMisplaced(nil)
 	page := m.Journal().Since(0, evHeatMisplaced, 0)
 	if len(page.Entries) != 2 {
 		t.Fatalf("heat_misplaced events = %d, want 2 (hot + cold)", len(page.Entries))
@@ -158,7 +160,7 @@ func TestScanMisplacedJournalsTransitionsOnce(t *testing.T) {
 	}
 
 	// A steady misplacement journals once, not every scan.
-	m.scanMisplaced()
+	flagged = m.scanMisplaced(flagged)
 	if n := len(m.Journal().Since(0, evHeatMisplaced, 0).Entries); n != 2 {
 		t.Fatalf("re-scan journaled again: %d events, want 2", n)
 	}
@@ -166,54 +168,132 @@ func TestScanMisplacedJournalsTransitionsOnce(t *testing.T) {
 	// Leaving the misplaced set unflags the block, so a relapse
 	// journals a fresh event.
 	m.heat.blocks.Remove(hot)
-	m.scanMisplaced()
+	flagged = m.scanMisplaced(flagged)
 	m.foldHeat([]heat.Delta{{Block: hot, ReadOps: 100, ReadBytes: 1 << 20}})
-	m.scanMisplaced()
+	m.scanMisplaced(flagged)
 	if n := len(m.Journal().Since(0, evHeatMisplaced, 0).Entries); n != 3 {
 		t.Fatalf("relapse events = %d, want 3", n)
 	}
 }
 
+// TestHeatRenameAndForgetFollowNamespace drives the real handlers and
+// reads only the rendered report: heat follows a file through renames and
+// an overwrite, and goes with it on delete.
 func TestHeatRenameAndForgetFollowNamespace(t *testing.T) {
 	m := testMaster(t)
-	now := time.Now().UnixNano()
-	m.touchFileWrite("/a/f")
-	m.touchFileRead("/a/f", 100)
-	m.heat.indexBlock(7, "/a/f")
-	m.heat.blocks.Add(7, heat.Read, 3, 300, now)
+	svc := &Service{m: m}
+	registerFakeWorker(t, m, "w1", "/r1", mediaStat("w1:hdd0", core.TierHDD, 4<<30, 120, 170))
+	call := func(what string, err error) {
+		t.Helper()
+		if err != nil {
+			t.Fatalf("%s: %v", what, err)
+		}
+	}
+	// write creates and seals a one-block file, then opens it once and
+	// reports three block reads: every counter of the file is non-zero.
+	write := func(path string) core.BlockID {
+		t.Helper()
+		id := heatTestBlock(t, m, path, "w1", "w1:hdd0")
+		call("complete", svc.Complete(&rpc.CompleteArgs{Path: path}, &rpc.CompleteReply{}))
+		call("open", svc.GetBlockLocations(&rpc.GetBlockLocationsArgs{Path: path, Length: -1}, &rpc.GetBlockLocationsReply{}))
+		call("heartbeat", svc.Heartbeat(&rpc.HeartbeatArgs{ID: "w1",
+			Heat: []heat.Delta{{Block: id, ReadOps: 3, ReadBytes: 300}}}, &rpc.HeartbeatReply{}))
+		return id
+	}
+	rename := func(src, dst string) {
+		t.Helper()
+		call("rename", svc.Rename(&rpc.RenameArgs{Src: src, Dst: dst}, &rpc.RenameReply{}))
+	}
+	// want asserts the rendered file and block paths, sorted.
+	want := func(when string, files, blocks []string) rpc.HeatReport {
+		t.Helper()
+		report := m.heatReport(100, "", false)
+		var gotFiles, gotBlocks []string
+		for _, f := range report.Files {
+			gotFiles = append(gotFiles, f.Path)
+		}
+		for _, b := range report.Blocks {
+			gotBlocks = append(gotBlocks, b.Path)
+		}
+		slices.Sort(gotFiles)
+		slices.Sort(gotBlocks)
+		if !slices.Equal(gotFiles, files) || !slices.Equal(gotBlocks, blocks) {
+			t.Fatalf("%s: report lists files %v and blocks of %v, want %v and %v",
+				when, gotFiles, gotBlocks, files, blocks)
+		}
+		if agg := report.Aggregate; agg.TrackedFiles != len(files) || agg.TrackedBlocks != len(blocks) {
+			t.Fatalf("%s: tracking %d files / %d blocks, want %d / %d",
+				when, agg.TrackedFiles, agg.TrackedBlocks, len(files), len(blocks))
+		}
+		return report
+	}
 
-	// Directory rename rewrites both the file map and the block index.
-	m.heat.rename("/a", "/b")
-	files := m.heat.files.Snapshot(now)
-	if len(files) != 1 || files[0].Key != "/b/f" {
-		t.Fatalf("files after dir rename = %+v, want /b/f", files)
+	call("mkdir", svc.Mkdir(&rpc.MkdirArgs{Path: "/a/sub", Parents: true}, &rpc.MkdirReply{}))
+	f := write("/a/f")
+	write("/a/sub/h")
+	want("written", []string{"/a/f", "/a/sub/h"}, []string{"/a/f", "/a/sub/h"})
+
+	rename("/a/f", "/a/g")
+	want("file renamed", []string{"/a/g", "/a/sub/h"}, []string{"/a/g", "/a/sub/h"})
+
+	// A directory rename moves every hot file and block underneath.
+	rename("/a", "/b")
+	report := want("directory renamed", []string{"/b/g", "/b/sub/h"}, []string{"/b/g", "/b/sub/h"})
+	for _, fh := range report.Files {
+		if fh.Read.Ops < 0.9 || fh.Write.Ops < 0.9 {
+			t.Errorf("%s lost heat over two renames: %+v", fh.Path, fh)
+		}
 	}
-	if got := m.heat.pathOf(7); got != "/b/f" {
-		t.Fatalf("pathOf after dir rename = %q, want /b/f", got)
+	if got := m.heatReport(100, "/b/g", false); len(got.Files) != 1 || len(got.Blocks) != 1 || got.Blocks[0].Block != f {
+		t.Errorf("?file=/b/g lists %+v / %+v, want the file and its block", got.Files, got.Blocks)
 	}
-	// Exact-file rename.
-	m.heat.rename("/b/f", "/c")
-	if got := m.heat.pathOf(7); got != "/c" {
-		t.Fatalf("pathOf after file rename = %q, want /c", got)
-	}
-	if files = m.heat.files.Snapshot(now); len(files) != 1 || files[0].Key != "/c" {
-		t.Fatalf("files after file rename = %+v, want /c", files)
-	}
-	if files[0].Stat.Read.Ops == 0 || files[0].Stat.Write.Ops == 0 {
-		t.Error("rename lost accumulated heat")
+	if got := m.heatReport(100, "/a/g", false); got.Files != nil || got.Blocks != nil {
+		t.Errorf("?file=<old path> still lists %+v / %+v", got.Files, got.Blocks)
 	}
 
-	// Deletion drops the file heat and the block bookkeeping.
-	m.heat.forgetPath("/c")
+	// An overwriting create replaces the blocks and keeps the file's heat.
+	call("overwrite", svc.Create(&rpc.CreateArgs{Path: "/b/g", Overwrite: true,
+		RepVector: core.ReplicationVectorFromFactor(1)}, &rpc.CreateReply{}))
+	report = want("overwritten", []string{"/b/g", "/b/sub/h"}, []string{"/b/sub/h"})
+	for _, fh := range report.Files {
+		if fh.Path == "/b/g" && (fh.Read.Ops < 0.9 || fh.Write.Ops < 1.9) {
+			t.Errorf("overwrite lost /b/g's heat: %+v, want ~1 read and ~2 writes", fh)
+		}
+	}
+
+	// Delete-then-recreate is a new file: it starts cold.
+	call("delete", svc.Delete(&rpc.DeleteArgs{Path: "/b/g"}, &rpc.DeleteReply{}))
+	want("deleted", []string{"/b/sub/h"}, []string{"/b/sub/h"})
+	call("recreate", svc.Create(&rpc.CreateArgs{Path: "/b/g",
+		RepVector: core.ReplicationVectorFromFactor(1)}, &rpc.CreateReply{}))
+	report = want("recreated", []string{"/b/g", "/b/sub/h"}, []string{"/b/sub/h"})
+	for _, fh := range report.Files {
+		if fh.Path == "/b/g" && (fh.Read.Ops != 0 || fh.Write.Ops > 1) {
+			t.Errorf("recreated /b/g inherited heat: %+v, want no reads and one write", fh)
+		}
+	}
+
+	var h namespace.OpStats
+	if _, _, _, err := m.ns.FileBlocks("/b/sub/h", &h); err != nil {
+		t.Fatal(err)
+	}
+	call("delete -r", svc.Delete(&rpc.DeleteArgs{Path: "/b", Recursive: true}, &rpc.DeleteReply{}))
+	want("directory deleted", nil, nil)
+
+	// A handler that resolved the file before the delete and touches it
+	// after must not bring the file's heat back either.
+	m.touchFileRead(h.File, 100)
+	m.touchFileWrite(h.File)
 	if n := m.heat.files.Len(); n != 0 {
-		t.Errorf("files after forgetPath = %d, want 0", n)
+		t.Errorf("late touch resurrected %d file heat entries", n)
 	}
-	m.heat.forgetBlocks([]core.Block{{ID: 7}})
-	if got := m.heat.pathOf(7); got != "" {
-		t.Errorf("pathOf after forgetBlocks = %q, want \"\"", got)
-	}
+
+	// A delta the worker drained after the delete must not bring the
+	// block's heat back: nothing would ever forget it again.
+	call("late heartbeat", svc.Heartbeat(&rpc.HeartbeatArgs{ID: "w1",
+		Heat: []heat.Delta{{Block: f, ReadOps: 5, ReadBytes: 500}}}, &rpc.HeartbeatReply{}))
 	if n := m.heat.blocks.Len(); n != 0 {
-		t.Errorf("block heat after forgetBlocks = %d entries, want 0", n)
+		t.Errorf("late heartbeat resurrected %d block heat entries", n)
 	}
 }
 

@@ -16,6 +16,7 @@ import (
 	"sort"
 	"strconv"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/audit"
@@ -84,10 +85,6 @@ type Config struct {
 	// negative keeps only slow traces.
 	TraceSample float64
 
-	// TraceCapacity bounds the number of retained traces; zero
-	// selects trace.DefaultCapacity.
-	TraceCapacity int
-
 	// HistoryInterval paces telemetry history sampling; zero selects
 	// the default (2s). Negative disables sampling (GetClusterHistory
 	// then returns only a live sample).
@@ -96,10 +93,6 @@ type Config struct {
 	// HeatHalfLife is the decay half-life of the access-heat counters;
 	// zero selects heat.DefaultHalfLife (60s).
 	HeatHalfLife time.Duration
-
-	// HeatCapacity bounds the block heat map (the file heat map gets a
-	// quarter of it); zero selects heat.DefaultMapCapacity.
-	HeatCapacity int
 
 	// MoverInterval paces the background tier mover that acts on the
 	// tier-fitness findings; zero selects the default (2s), negative
@@ -174,6 +167,9 @@ type Master struct {
 	mu      sync.RWMutex
 	workers map[core.WorkerID]*workerState
 	pending map[core.WorkerID][]rpc.Command
+	// membership counts the entries workers has gained or lost; a cached
+	// policy snapshot taken at another count is not served.
+	membership atomic.Uint64
 
 	started time.Time
 
@@ -183,6 +179,7 @@ type Master struct {
 	snapMu    sync.Mutex
 	snapshot_ *policy.Snapshot
 	snapTime  time.Time
+	snapAt    uint64 // membership when snapshot_ was taken
 
 	metrics *masterMetrics
 	traces  *trace.Store
@@ -209,7 +206,7 @@ type Master struct {
 	placeOrder []core.BlockID // FIFO eviction order
 
 	// heat is the access-heat plane: decayed per-block/per-file
-	// counters and the block → path index (see heat.go).
+	// counters and each block's owning file (see heat.go).
 	heat *heatPlane
 
 	// mover is the background tier mover acting on the heat plane's
@@ -276,9 +273,9 @@ func New(cfg Config) (*Master, error) {
 			"replay_ms", formatMillis(rec.ReplayNs),
 			"open_ms", formatMillis(loadDur.Nanoseconds()))
 	}
-	m.heat = newHeatPlane(cfg.HeatHalfLife, cfg.HeatCapacity)
+	m.heat = newHeatPlane(cfg.HeatHalfLife)
 	m.mover = newMover(cfg)
-	m.traces = trace.NewStore(cfg.TraceCapacity, cfg.SlowOpThreshold, cfg.TraceSample)
+	m.traces = trace.NewStore(trace.DefaultCapacity, cfg.SlowOpThreshold, cfg.TraceSample)
 	m.tracer = trace.NewTracer("master", m.traces)
 	m.metrics = newMasterMetrics(m)
 	m.metrics.slow.SetSink(func(op, reqID string, d time.Duration) {
@@ -287,13 +284,13 @@ func New(cfg Config) (*Master, error) {
 	})
 	// Rebuild the block map from the recovered namespace; replica
 	// locations arrive via the workers' block reports.
-	ns.ForEachFile(func(path string, blocks []core.Block, rv core.ReplicationVector) {
+	ns.ForEachFile(func(file namespace.FileID, _ string, blocks []core.Block, rv core.ReplicationVector) {
 		for _, b := range blocks {
 			m.blocks.AddBlock(b, rv)
 			// Recovered blocks are committed: release them to the
 			// replication monitor right away.
 			m.blocks.CommitBlock(b)
-			m.heat.indexBlock(b.ID, path)
+			m.heat.setOwner(b.ID, file)
 		}
 	})
 
@@ -403,11 +400,13 @@ func (m *Master) withRand(fn func(*rand.Rand)) {
 const snapshotTTL = 20 * time.Millisecond
 
 // snapshot returns the policy view of the current cluster state,
-// cached for snapshotTTL. Callers must not hold m.mu.
+// cached for snapshotTTL or until a worker joins or leaves. Callers must
+// not hold m.mu.
 func (m *Master) snapshot() *policy.Snapshot {
 	m.snapMu.Lock()
 	defer m.snapMu.Unlock()
-	if m.snapshot_ != nil && time.Since(m.snapTime) < snapshotTTL {
+	members := m.membership.Load()
+	if m.snapshot_ != nil && m.snapAt == members && time.Since(m.snapTime) < snapshotTTL {
 		return m.snapshot_
 	}
 	m.mu.RLock()
@@ -415,6 +414,7 @@ func (m *Master) snapshot() *policy.Snapshot {
 	m.mu.RUnlock()
 	m.snapshot_ = snap
 	m.snapTime = time.Now()
+	m.snapAt = members
 	return snap
 }
 
@@ -534,6 +534,7 @@ func (m *Master) monitor() {
 		histEvery = defaultHistoryInterval
 	}
 	var lastSample time.Time
+	var misplaced map[core.BlockID]string // what scanMisplaced last journaled
 	// The first mover pass waits a full interval: at boot there is no
 	// heat history worth acting on yet.
 	lastMove := time.Now()
@@ -552,7 +553,7 @@ func (m *Master) monitor() {
 			}
 			if histEvery > 0 && time.Since(lastSample) >= histEvery {
 				m.sampleHistory()
-				m.scanMisplaced()
+				misplaced = m.scanMisplaced(misplaced)
 				lastSample = time.Now()
 			}
 		}
@@ -565,14 +566,14 @@ func (m *Master) monitor() {
 func (m *Master) recoverLeases() {
 	cutoff := time.Now().Add(-m.cfg.LeaseTimeout).UnixNano()
 	for _, path := range m.ns.StaleOpenFiles(cutoff) {
-		blocks, err := m.ns.Abandon(path)
+		removed, err := m.ns.Abandon(path)
 		if err != nil {
 			continue // e.g. completed concurrently
 		}
 		m.cfg.Logger.Warn("lease expired; abandoned file", "path", path)
 		m.journal.Publish(events.Warn, evLeaseExpired,
 			"writer lease expired; file abandoned", "path", path)
-		m.invalidateBlocks(blocks)
+		m.invalidate(removed)
 	}
 }
 
@@ -621,6 +622,7 @@ func (m *Master) repairBlocks() {
 // the replicas those commands were to create or delete.
 func (m *Master) dropWorkerLocked(w *workerState) {
 	delete(m.workers, w.id)
+	m.membership.Add(1)
 	delete(m.pending, w.id)
 	for _, other := range m.workers {
 		if other.node == w.node {

@@ -14,7 +14,7 @@ import (
 	"repro/internal/rpc"
 )
 
-func testMaster(t *testing.T, mutate ...func(*Config)) *Master {
+func testMaster(t testing.TB, mutate ...func(*Config)) *Master {
 	t.Helper()
 	cfg := Config{
 		ListenAddr:      "127.0.0.1:0",
@@ -35,7 +35,7 @@ func testMaster(t *testing.T, mutate ...func(*Config)) *Master {
 
 // registerFakeWorker registers a synthetic worker directly through the
 // RPC service handler (no real worker process needed).
-func registerFakeWorker(t *testing.T, m *Master, id, rack string, media ...rpc.MediaStat) {
+func registerFakeWorker(t testing.TB, m *Master, id, rack string, media ...rpc.MediaStat) {
 	t.Helper()
 	svc := &Service{m: m}
 	err := svc.Register(&rpc.RegisterArgs{
@@ -114,7 +114,7 @@ func TestWorkerExpiry(t *testing.T) {
 
 func TestSnapshotCaching(t *testing.T) {
 	m := testMaster(t)
-	registerFakeWorker(t, m, "w1", "/r1", mediaStat("w1:hdd0", core.TierHDD, 400, 120, 170))
+	registerFakeWorker(t, m, "w1", "/r1", mediaStat("w1:hdd0", core.TierHDD, 4<<30, 120, 170))
 	s1 := m.snapshot()
 	s2 := m.snapshot()
 	if s1 != s2 {
@@ -124,6 +124,23 @@ func TestSnapshotCaching(t *testing.T) {
 	s3 := m.snapshot()
 	if s3 == s1 {
 		t.Error("snapshot cache never expires")
+	}
+	// A membership change is not cached over: a block allocated right
+	// after a registration may land on the new worker.
+	registerFakeWorker(t, m, "w2", "/r2", mediaStat("w2:hdd0", core.TierHDD, 4<<30, 120, 170))
+	svc := &Service{m: m}
+	if err := svc.Create(&rpc.CreateArgs{Path: "/f", RepVector: core.NewReplicationVector(0, 0, 2, 0, 0)}, &rpc.CreateReply{}); err != nil {
+		t.Fatal(err)
+	}
+	var reply rpc.AddBlockReply
+	if err := svc.AddBlock(&rpc.AddBlockArgs{Path: "/f"}, &reply); err != nil || len(reply.Located.Locations) != 2 {
+		t.Errorf("AddBlock right after Register placed on %+v (err %v), want both workers", reply.Located.Locations, err)
+	}
+	if err := m.decommission("w2", ""); err != nil {
+		t.Fatal(err)
+	}
+	if _, still := m.snapshot().Workers["w2"]; still {
+		t.Error("snapshot right after a decommission still holds the worker")
 	}
 }
 

@@ -210,12 +210,7 @@ func (m *Master) moverScheduleLocked(now time.Time) {
 	if len(snap.Media) == 0 {
 		return
 	}
-	entries := m.heat.blocks.Snapshot(now.UnixNano())
-	if len(entries) == 0 {
-		return
-	}
-	findings := m.misplacedFrom(entries, entries[0].Stat.Heat())
-	for _, f := range findings {
+	for _, f := range m.misplacedFrom(m.heat.blocks.Snapshot(now.UnixNano())) {
 		info, ok := m.blocks.Info(f.Block)
 		if len(info.Pending) > 0 {
 			continue // a move or repair is in flight; wait until it settles
@@ -328,7 +323,7 @@ func (m *Master) startMoveLocked(snap *policy.Snapshot, f rpc.MisplacedBlock, in
 
 	rec := &rpc.MoveRecord{
 		Block:       f.Block,
-		Path:        f.Path,
+		Path:        m.blockPath(f.Block),
 		Kind:        kind,
 		Heat:        f.Heat,
 		Bytes:       info.Block.NumBytes,
@@ -354,7 +349,7 @@ func (m *Master) startMoveLocked(snap *policy.Snapshot, f rpc.MisplacedBlock, in
 	mv.moves[f.Block] = rec
 	m.recordMove(rec, decisions)
 	m.cfg.Logger.Info("tier move scheduled",
-		"block", f.Block, "kind", kind, "path", f.Path,
+		"block", f.Block, "kind", kind, "path", rec.Path,
 		"from", string(victim.Storage), "to", string(target.ID))
 	return true
 }

@@ -60,8 +60,8 @@ func (s *Service) Create(args *rpc.CreateArgs, _ *rpc.CreateReply) (err error) {
 	if err != nil {
 		return wire(err)
 	}
-	s.m.invalidateBlocks(removed)
-	s.m.touchFileWrite(args.Path)
+	s.m.invalidate(removed)
+	s.m.touchFileWrite(op.Stats().File)
 	return nil
 }
 
@@ -136,7 +136,7 @@ func (s *Service) AddBlock(args *rpc.AddBlockArgs, reply *rpc.AddBlockReply) (er
 		"replicas", strconv.Itoa(len(targets)),
 		"tiers", strings.Join(tiers, ","))
 	s.m.recordPlacement(args.Path, blk, args.ReqID, decisions)
-	s.m.heat.indexBlock(blk.ID, args.Path)
+	s.m.heat.setOwner(blk.ID, op.Stats().File)
 
 	located := core.LocatedBlock{Block: blk, Offset: offset}
 	for _, t := range targets {
@@ -207,11 +207,11 @@ func (s *Service) Complete(args *rpc.CompleteArgs, _ *rpc.CompleteReply) (err er
 func (s *Service) Abandon(args *rpc.AbandonArgs, _ *rpc.AbandonReply) (err error) {
 	op := s.m.beginOp("abandon", args.ReqHeader, args.Path, "")
 	defer op.Finish(&err)
-	blocks, err := s.m.ns.Abandon(args.Path, op.Stats())
+	removed, err := s.m.ns.Abandon(args.Path, op.Stats())
 	if err != nil {
 		return wire(err)
 	}
-	s.m.invalidateBlocks(blocks)
+	s.m.invalidate(removed)
 	return nil
 }
 
@@ -224,15 +224,15 @@ func (s *Service) AbandonBlock(args *rpc.AbandonBlockArgs, _ *rpc.AbandonBlockRe
 	if err := s.m.ns.AbandonBlock(args.Path, args.Block.ID, op.Stats()); err != nil {
 		return wire(err)
 	}
-	s.m.invalidateBlocks([]core.Block{args.Block})
+	s.m.invalidate(namespace.Removed{Blocks: []core.Block{args.Block}})
 	return nil
 }
 
-// invalidateBlocks forgets blocks and schedules replica deletion on
-// their workers.
-func (m *Master) invalidateBlocks(blocks []core.Block) {
-	m.heat.forgetBlocks(blocks)
-	for _, b := range blocks {
+// invalidate forgets what the namespace unlinked and schedules replica
+// deletion on the blocks' workers.
+func (m *Master) invalidate(removed namespace.Removed) {
+	m.heat.forget(removed)
+	for _, b := range removed.Blocks {
 		replicas := m.blocks.RemoveBlock(b.ID)
 		m.enqueueDeletes(replicas)
 		m.journal.Publish(events.Info, evBlockAbandoned,
@@ -273,7 +273,7 @@ func (s *Service) GetBlockLocations(args *rpc.GetBlockLocationsArgs, reply *rpc.
 		touched = 0
 	}
 	op.Bytes(touched)
-	s.m.touchFileRead(args.Path, touched)
+	s.m.touchFileRead(op.Stats().File, touched)
 
 	snap := s.m.snapshot()
 	client := s.clientLocation(args.ClientNode)
@@ -352,12 +352,11 @@ func toFileStatus(info namespace.FileInfo) rpc.FileStatus {
 func (s *Service) Delete(args *rpc.DeleteArgs, _ *rpc.DeleteReply) (err error) {
 	op := s.m.beginOp("delete", args.ReqHeader, args.Path, "")
 	defer op.Finish(&err)
-	blocks, err := s.m.ns.Delete(args.Path, args.Recursive, op.Stats())
+	removed, err := s.m.ns.Delete(args.Path, args.Recursive, op.Stats())
 	if err != nil {
 		return wire(err)
 	}
-	s.m.invalidateBlocks(blocks)
-	s.m.heat.forgetPath(args.Path)
+	s.m.invalidate(removed)
 	return nil
 }
 
@@ -365,11 +364,7 @@ func (s *Service) Delete(args *rpc.DeleteArgs, _ *rpc.DeleteReply) (err error) {
 func (s *Service) Rename(args *rpc.RenameArgs, _ *rpc.RenameReply) (err error) {
 	op := s.m.beginOp("rename", args.ReqHeader, args.Src, args.Dst)
 	defer op.Finish(&err)
-	if err := s.m.ns.Rename(args.Src, args.Dst, op.Stats()); err != nil {
-		return wire(err)
-	}
-	s.m.heat.rename(args.Src, args.Dst)
-	return nil
+	return wire(s.m.ns.Rename(args.Src, args.Dst, op.Stats()))
 }
 
 // SetReplication changes a file's replication vector; the replication
@@ -460,6 +455,7 @@ func (s *Service) Register(args *rpc.RegisterArgs, reply *rpc.RegisterReply) (er
 		return wire(fmt.Errorf("master: worker %s is decommissioned: %w", args.ID, core.ErrPermission))
 	}
 	s.m.workers[args.ID] = w
+	s.m.membership.Add(1)
 	s.m.mu.Unlock()
 	s.m.topo.Add(args.Node, rack)
 	s.m.cfg.Logger.Info("worker registered",

@@ -13,6 +13,12 @@ const numQuotaSlots = core.NumTiers + 1
 // totalQuotaSlot indexes the total-space quota/usage counter.
 const totalQuotaSlot = core.NumTiers
 
+// FileID identifies a file inode for the life of the process: assigned
+// at create and at image load, kept across rename and across an
+// overwriting create, never reused and never serialised. Side tables
+// key by it so a rename has nothing to rewrite; zero is no file.
+type FileID uint64
+
 // INode is one entry of the namespace tree. Exported fields make the
 // whole tree gob-serialisable for fsimage checkpoints.
 type INode struct {
@@ -35,6 +41,11 @@ type INode struct {
 	BlockSize         int64
 	Blocks            []core.Block
 	UnderConstruction bool
+
+	// In-memory only (gob skips unexported fields): a file's identity,
+	// and the link PathOf climbs.
+	id     FileID
+	parent *INode
 }
 
 // newDirectory builds an empty directory inode.
@@ -125,13 +136,22 @@ func subtreeCharges(n *INode) [numQuotaSlots]int64 {
 	return total
 }
 
-// collectBlocks appends every block under n to out, returning it.
-func collectBlocks(n *INode, out []core.Block) []core.Block {
+// Removed is what a mutation unlinked from the namespace: the caller
+// invalidates the blocks' replicas and forgets whatever it keyed by the
+// files' IDs.
+type Removed struct {
+	Files  []FileID
+	Blocks []core.Block
+}
+
+// collect appends every file and block under n to rm.
+func collect(n *INode, rm *Removed) {
 	if !n.IsDir {
-		return append(out, n.Blocks...)
+		rm.Files = append(rm.Files, n.id)
+		rm.Blocks = append(rm.Blocks, n.Blocks...)
+		return
 	}
 	for _, name := range n.childNames() {
-		out = collectBlocks(n.Children[name], out)
+		collect(n.Children[name], rm)
 	}
-	return out
 }

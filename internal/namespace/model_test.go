@@ -2,7 +2,9 @@ package namespace
 
 import (
 	"math/rand"
+	"slices"
 	"sort"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -106,13 +108,63 @@ func hasFile(m *modelFS, p string) bool {
 	return ok
 }
 
+// checkIdentity asserts the file-identity invariants and returns the
+// path → ID map it read: IDs are non-zero and unique, the ID index holds
+// exactly the files in the tree and the open index exactly those under
+// construction, and path → ID → path round-trips both through the walk
+// and through the ID an op hands back in its OpStats.
+func checkIdentity(t *testing.T, ns *Namespace, when string) map[string]FileID {
+	t.Helper()
+	ids := map[string]FileID{}
+	owner := map[FileID]string{}
+	ns.ForEachFile(func(id FileID, p string, _ []core.Block, _ core.ReplicationVector) {
+		if id == 0 {
+			t.Fatalf("%s: %s has no ID", when, p)
+		}
+		if other, dup := owner[id]; dup {
+			t.Fatalf("%s: %s and %s share ID %d", when, other, p, id)
+		}
+		owner[id], ids[p] = p, id
+	})
+	if len(ns.files) != len(ids) {
+		t.Fatalf("%s: ID index holds %d files, tree has %d", when, len(ns.files), len(ids))
+	}
+	for id, n := range ns.files {
+		if (ns.open[id] == n) != n.UnderConstruction {
+			t.Fatalf("%s: open index disagrees with %s (under construction: %v)", when, owner[id], n.UnderConstruction)
+		}
+	}
+	for id := range ns.open {
+		if ns.files[id] == nil {
+			t.Fatalf("%s: open index keeps unlinked file %d", when, id)
+		}
+	}
+	for p, id := range ids {
+		if got := ns.PathOf(id); got != p {
+			t.Fatalf("%s: PathOf(%d) = %q, want %q", when, id, got, p)
+		}
+		var st OpStats
+		if _, _, _, err := ns.FileBlocks(p, &st); err != nil || st.File != id {
+			t.Fatalf("%s: FileBlocks(%s) handed back ID %d (err %v), want %d", when, p, st.File, err, id)
+		}
+	}
+	return ids
+}
+
 // TestNamespaceAgainstModel applies a long random operation sequence
-// to both the real namespace and the flat reference model, then
-// verifies they contain exactly the same tree.
+// to both the real namespace and the flat reference model, checking the
+// identity invariants after every op, then verifies they contain exactly
+// the same tree — before and after a checkpoint and reopen.
 func TestNamespaceAgainstModel(t *testing.T) {
 	rng := rand.New(rand.NewSource(2024))
-	ns := volatileNS(t)
+	dir := t.TempDir()
+	ns, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { ns.Close() }()
 	model := newModel()
+	ids := map[string]FileID{}
 
 	names := []string{"a", "b", "c", "d"}
 	randPath := func(depth int) string {
@@ -202,6 +254,13 @@ func TestNamespaceAgainstModel(t *testing.T) {
 			}
 			if err == nil {
 				model.rename(src, dst)
+				// Every file that moved kept its ID.
+				after := checkIdentity(t, ns, "after rename")
+				for p, id := range ids {
+					if IsAncestor(src, p) && after[dst+strings.TrimPrefix(p, src)] != id {
+						t.Fatalf("op %d: rename %s -> %s gave %s a new ID", op, src, dst, p)
+					}
+				}
 			}
 		case 4: // status check on a random path
 			p := randPath(1 + rng.Intn(3))
@@ -224,28 +283,36 @@ func TestNamespaceAgainstModel(t *testing.T) {
 				}
 			}
 		}
+		ids = checkIdentity(t, ns, "after op "+strconv.Itoa(op))
 	}
 
-	// Final full-tree comparison.
-	var realFiles []string
-	ns.ForEachFile(func(p string, _ []core.Block, _ core.ReplicationVector) {
-		realFiles = append(realFiles, p)
-	})
+	// Final full-tree comparison, on the live tree and on the one a
+	// checkpoint and reopen rebuild (with fresh IDs: they are not stored).
 	var modelFiles []string
 	for f := range model.files {
 		modelFiles = append(modelFiles, f)
 	}
-	sort.Strings(realFiles)
 	sort.Strings(modelFiles)
-	if len(realFiles) != len(modelFiles) {
-		t.Fatalf("final trees diverge: real %d files %v vs model %d files %v",
-			len(realFiles), realFiles, len(modelFiles), modelFiles)
-	}
-	for i := range realFiles {
-		if realFiles[i] != modelFiles[i] {
-			t.Fatalf("final trees diverge at %d: %s vs %s", i, realFiles[i], modelFiles[i])
+	compare := func(when string) {
+		var realFiles []string
+		for p := range checkIdentity(t, ns, when) {
+			realFiles = append(realFiles, p)
+		}
+		sort.Strings(realFiles)
+		if !slices.Equal(realFiles, modelFiles) {
+			t.Fatalf("%s: trees diverge: real %d files %v vs model %d files %v",
+				when, len(realFiles), realFiles, len(modelFiles), modelFiles)
 		}
 	}
+	compare("final")
+	if err := ns.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	ns.Close()
+	if ns, err = Open(dir); err != nil {
+		t.Fatalf("reopen: %v", err)
+	}
+	compare("after checkpoint and reopen")
 }
 
 // rename2Check mirrors the real namespace's rename preconditions on

@@ -37,6 +37,12 @@ type Namespace struct {
 	nextGen     uint64
 	txid        uint64
 
+	// files finds a file inode by its ID; with the inodes' parent links
+	// that makes PathOf O(depth). open is the under-construction subset,
+	// so the lease check of every monitor tick does not walk the tree.
+	files, open map[FileID]*INode
+	nextFileID  FileID
+
 	recovery RecoveryStats
 
 	lockObs atomic.Pointer[LockObserver]
@@ -75,6 +81,8 @@ func OpenWithOptions(dir string, opts Options) (*Namespace, error) {
 		sync:        opts.SyncEdits,
 		nextBlockID: 1,
 		nextGen:     1,
+		files:       make(map[FileID]*INode),
+		open:        make(map[FileID]*INode),
 	}
 	if dir == "" {
 		return ns, nil
@@ -200,6 +208,52 @@ func (ns *Namespace) ancestors(path string) ([]*INode, error) {
 	return chain, nil
 }
 
+// adopt links node under parent and gives every file in its subtree that
+// has no ID yet (a new file, a loaded image) one.
+func (ns *Namespace) adopt(parent, node *INode) {
+	node.parent = parent
+	if !node.IsDir {
+		if node.id == 0 {
+			ns.nextFileID++
+			node.id = ns.nextFileID
+		}
+		ns.files[node.id] = node
+		if node.UnderConstruction {
+			ns.open[node.id] = node
+		}
+	}
+	for _, c := range node.Children {
+		ns.adopt(node, c)
+	}
+}
+
+// forget drops every file under an unlinked node from the ID index.
+func (ns *Namespace) forget(n *INode) {
+	if !n.IsDir {
+		delete(ns.files, n.id)
+		delete(ns.open, n.id)
+	}
+	for _, c := range n.Children {
+		ns.forget(c)
+	}
+}
+
+// PathOf returns the current path of the file with the given ID, "" once
+// it is deleted. What is keyed by FileID calls this when it renders.
+func (ns *Namespace) PathOf(id FileID) string {
+	ns.mu.RLock()
+	defer ns.mu.RUnlock()
+	return pathTo(ns.files[id])
+}
+
+// pathTo climbs n's parent links to the root; a nil n has no path.
+func pathTo(n *INode) (path string) {
+	for ; n != nil && n.parent != nil; n = n.parent {
+		path = Separator + n.Name + path
+	}
+	return path
+}
+
 // checkQuota verifies that adding delta to every directory in chain
 // stays within each configured quota.
 func checkQuota(chain []*INode, delta [numQuotaSlots]int64) error {
@@ -270,6 +324,7 @@ func (ns *Namespace) applyMkdir(rec EditRecord) error {
 			}
 			child = newDirectory(part, rec.Owner, rec.Time)
 			node.Children[part] = child
+			ns.adopt(node, child)
 			node.ModTime = rec.Time
 		}
 		node = child
@@ -278,17 +333,17 @@ func (ns *Namespace) applyMkdir(rec EditRecord) error {
 }
 
 // Create registers a new under-construction file. With overwrite=true
-// an existing file at the path is replaced; its blocks are returned so
-// the caller can invalidate the replicas.
+// an existing file at the path is replaced: it keeps its ID, and its
+// blocks are returned so the caller can invalidate the replicas.
 func (ns *Namespace) Create(path string, rv core.ReplicationVector, blockSize int64,
-	overwrite bool, owner string, stats ...*OpStats) ([]core.Block, error) {
+	overwrite bool, owner string, stats ...*OpStats) (Removed, error) {
 
 	path, err := CleanPath(path)
 	if err != nil {
-		return nil, err
+		return Removed{}, err
 	}
 	if err := rv.Validate(); err != nil {
-		return nil, err
+		return Removed{}, err
 	}
 	if blockSize <= 0 {
 		blockSize = core.DefaultBlockSize
@@ -298,31 +353,32 @@ func (ns *Namespace) Create(path string, rv core.ReplicationVector, blockSize in
 	defer ns.mu.Unlock()
 	parentChain, err := ns.ancestors(path)
 	if err != nil {
-		return nil, err
+		return Removed{}, err
 	}
 	parent := parentChain[len(parentChain)-1]
 	if !parent.IsDir {
-		return nil, fmt.Errorf("namespace: %s: %w", ParentPath(path), core.ErrNotDirectory)
+		return Removed{}, fmt.Errorf("namespace: %s: %w", ParentPath(path), core.ErrNotDirectory)
 	}
-	var removed []core.Block
+	var removed Removed
 	if existing, ok := parent.Children[BaseName(path)]; ok {
 		if existing.IsDir {
-			return nil, fmt.Errorf("namespace: %s: %w", path, core.ErrIsDirectory)
+			return Removed{}, fmt.Errorf("namespace: %s: %w", path, core.ErrIsDirectory)
 		}
 		if !overwrite {
-			return nil, fmt.Errorf("namespace: %s: %w", path, core.ErrExists)
+			return Removed{}, fmt.Errorf("namespace: %s: %w", path, core.ErrExists)
 		}
 		if existing.UnderConstruction {
-			return nil, fmt.Errorf("namespace: %s: %w", path, core.ErrFileOpen)
+			return Removed{}, fmt.Errorf("namespace: %s: %w", path, core.ErrFileOpen)
 		}
-		removed = append(removed, existing.Blocks...)
+		removed.Blocks = append(removed.Blocks, existing.Blocks...)
 	}
 	if err := ns.logAndApply(EditRecord{
 		Op: EditCreate, Path: path, RepVector: rv, BlockSize: blockSize,
 		Overwrite: overwrite, Owner: owner,
 	}, st); err != nil {
-		return nil, err
+		return Removed{}, err
 	}
+	st.resolved(parent.Children[BaseName(path)])
 	return removed, nil
 }
 
@@ -336,10 +392,13 @@ func (ns *Namespace) applyCreate(rec EditRecord) error {
 	if parent.Children == nil {
 		parent.Children = make(map[string]*INode)
 	}
+	file := newFile(name, rec.Owner, rec.RepVector, rec.BlockSize, rec.Time)
 	if existing, ok := parent.Children[name]; ok && !existing.IsDir {
 		chargeChain(chain, negCharges(fileCharges(existing)))
+		file.id = existing.id
 	}
-	parent.Children[name] = newFile(name, rec.Owner, rec.RepVector, rec.BlockSize, rec.Time)
+	parent.Children[name] = file
+	ns.adopt(parent, file)
 	parent.ModTime = rec.Time
 	return nil
 }
@@ -379,6 +438,7 @@ func (ns *Namespace) AddBlock(path string, stats ...*OpStats) (core.Block, error
 	if err := ns.logAndApply(EditRecord{Op: EditAddBlock, Path: path, Block: blk}, st); err != nil {
 		return core.Block{}, err
 	}
+	st.resolved(node)
 	return blk, nil
 }
 
@@ -536,64 +596,67 @@ func (ns *Namespace) applyComplete(rec EditRecord) error {
 		return err
 	}
 	node.UnderConstruction = false
+	delete(ns.open, node.id)
 	node.ModTime = rec.Time
 	return nil
 }
 
 // Abandon removes an under-construction file after a failed write,
-// returning its blocks for invalidation.
-func (ns *Namespace) Abandon(path string, stats ...*OpStats) ([]core.Block, error) {
+// returning it and its blocks for invalidation.
+func (ns *Namespace) Abandon(path string, stats ...*OpStats) (Removed, error) {
 	path, err := CleanPath(path)
 	if err != nil {
-		return nil, err
+		return Removed{}, err
 	}
 	st := statsOf(stats)
 	ns.lock(st)
 	defer ns.mu.Unlock()
 	node, err := ns.resolve(path)
 	if err != nil {
-		return nil, err
+		return Removed{}, err
 	}
 	if node.IsDir || !node.UnderConstruction {
-		return nil, fmt.Errorf("namespace: %s is not under construction: %w", path, core.ErrFileClosed)
+		return Removed{}, fmt.Errorf("namespace: %s is not under construction: %w", path, core.ErrFileClosed)
 	}
-	blocks := append([]core.Block(nil), node.Blocks...)
+	var removed Removed
+	collect(node, &removed)
 	if err := ns.logAndApply(EditRecord{Op: EditAbandon, Path: path}, st); err != nil {
-		return nil, err
+		return Removed{}, err
 	}
-	return blocks, nil
+	return removed, nil
 }
 
 func (ns *Namespace) applyAbandon(rec EditRecord) error {
 	return ns.removeNode(rec.Path, rec.Time)
 }
 
-// Delete removes a file or directory, returning every block of the
-// removed subtree so the caller can invalidate the replicas. Deleting
+// Delete removes a file or directory, returning every file and block of
+// the removed subtree so the caller can invalidate the replicas. Deleting
 // a non-empty directory requires recursive=true.
-func (ns *Namespace) Delete(path string, recursive bool, stats ...*OpStats) ([]core.Block, error) {
+func (ns *Namespace) Delete(path string, recursive bool, stats ...*OpStats) (Removed, error) {
 	path, err := CleanPath(path)
 	if err != nil {
-		return nil, err
+		return Removed{}, err
 	}
 	st := statsOf(stats)
 	ns.lock(st)
 	defer ns.mu.Unlock()
 	if path == Separator {
-		return nil, fmt.Errorf("namespace: cannot delete the root: %w", core.ErrPermission)
+		return Removed{}, fmt.Errorf("namespace: cannot delete the root: %w", core.ErrPermission)
 	}
 	node, err := ns.resolve(path)
 	if err != nil {
-		return nil, err
+		return Removed{}, err
 	}
 	if node.IsDir && len(node.Children) > 0 && !recursive {
-		return nil, fmt.Errorf("namespace: %s: %w", path, core.ErrNotEmpty)
+		return Removed{}, fmt.Errorf("namespace: %s: %w", path, core.ErrNotEmpty)
 	}
-	blocks := collectBlocks(node, nil)
+	var removed Removed
+	collect(node, &removed)
 	if err := ns.logAndApply(EditRecord{Op: EditDelete, Path: path, Recursive: recursive}, st); err != nil {
-		return nil, err
+		return Removed{}, err
 	}
-	return blocks, nil
+	return removed, nil
 }
 
 func (ns *Namespace) applyDelete(rec EditRecord) error {
@@ -614,6 +677,7 @@ func (ns *Namespace) removeNode(path string, now int64) error {
 	}
 	chargeChain(chain, negCharges(subtreeCharges(node)))
 	delete(parent.Children, name)
+	ns.forget(node)
 	parent.ModTime = now
 	return nil
 }
@@ -680,6 +744,7 @@ func (ns *Namespace) applyRename(rec EditRecord) error {
 	}
 	dstParent := dstChain[len(dstChain)-1]
 	node.Name = BaseName(rec.Dst)
+	node.parent = dstParent
 	if dstParent.Children == nil {
 		dstParent.Children = make(map[string]*INode)
 	}
@@ -899,25 +964,27 @@ func (ns *Namespace) FileBlocks(path string, stats ...*OpStats) ([]core.Block, c
 	if node.IsDir {
 		return nil, 0, 0, fmt.Errorf("namespace: %s: %w", path, core.ErrIsDirectory)
 	}
+	st.resolved(node)
 	return append([]core.Block(nil), node.Blocks...), node.RepVector, node.BlockSize, nil
 }
 
 // ForEachFile visits every file in the namespace in depth-first
 // order. The callback must not call back into the namespace.
-func (ns *Namespace) ForEachFile(fn func(path string, blocks []core.Block, rv core.ReplicationVector)) {
+func (ns *Namespace) ForEachFile(fn func(id FileID, path string, blocks []core.Block, rv core.ReplicationVector)) {
 	ns.mu.RLock()
 	defer ns.mu.RUnlock()
-	var walk func(path string, node *INode)
-	walk = func(path string, node *INode) {
-		if !node.IsDir {
-			fn(path, node.Blocks, node.RepVector)
-			return
-		}
-		for _, name := range node.childNames() {
-			walk(JoinPath(path, name), node.Children[name])
-		}
+	walkFiles(Separator, ns.root, func(path string, f *INode) { fn(f.id, path, f.Blocks, f.RepVector) })
+}
+
+// walkFiles visits every file under node, depth-first in name order.
+func walkFiles(path string, node *INode, fn func(path string, file *INode)) {
+	if !node.IsDir {
+		fn(path, node)
+		return
 	}
-	walk(Separator, ns.root)
+	for _, name := range node.childNames() {
+		walkFiles(JoinPath(path, name), node.Children[name], fn)
+	}
 }
 
 // Stats returns the number of directories, files, and blocks.
@@ -986,6 +1053,8 @@ func (ns *Namespace) loadImage(data []byte) error {
 	if ns.root.Children == nil {
 		ns.root.Children = make(map[string]*INode)
 	}
+	ns.files, ns.open = make(map[FileID]*INode), make(map[FileID]*INode)
+	ns.adopt(nil, ns.root)
 	return nil
 }
 
@@ -1035,34 +1104,20 @@ func (ns *Namespace) checkpointLocked() error {
 	return nil
 }
 
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}
-
 // StaleOpenFiles lists under-construction files whose last mutation is
 // older than the cutoff — files whose writer likely died without
 // completing or abandoning them. The master's lease recovery abandons
-// them (HDFS's lease expiry, simplified).
+// them (HDFS's lease expiry, simplified). The cost is that of the open
+// files, not of the tree; the order is not defined.
 func (ns *Namespace) StaleOpenFiles(cutoff int64) []string {
 	ns.mu.RLock()
 	defer ns.mu.RUnlock()
 	var stale []string
-	var walk func(path string, node *INode)
-	walk = func(path string, node *INode) {
-		if !node.IsDir {
-			if node.UnderConstruction && node.ModTime < cutoff {
-				stale = append(stale, path)
-			}
-			return
-		}
-		for _, name := range node.childNames() {
-			walk(JoinPath(path, name), node.Children[name])
+	for _, f := range ns.open {
+		if f.ModTime < cutoff {
+			stale = append(stale, pathTo(f))
 		}
 	}
-	walk(Separator, ns.root)
 	return stale
 }
 
@@ -1125,16 +1180,6 @@ func (ns *Namespace) WalkFiles(root string, fn func(path string, blocks []core.B
 	if err != nil {
 		return err
 	}
-	var walk func(path string, n *INode)
-	walk = func(path string, n *INode) {
-		if !n.IsDir {
-			fn(path, n.Blocks, n.RepVector, n.UnderConstruction)
-			return
-		}
-		for _, name := range n.childNames() {
-			walk(JoinPath(path, name), n.Children[name])
-		}
-	}
-	walk(root, node)
+	walkFiles(root, node, func(path string, f *INode) { fn(path, f.Blocks, f.RepVector, f.UnderConstruction) })
 	return nil
 }

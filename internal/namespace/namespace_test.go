@@ -2,6 +2,8 @@ package namespace
 
 import (
 	"errors"
+	"slices"
+	"sort"
 	"testing"
 
 	"repro/internal/core"
@@ -111,13 +113,27 @@ func TestCreateValidation(t *testing.T) {
 	if _, err := ns.Create("/f", rv3, 0, false, "u"); !errors.Is(err, core.ErrExists) {
 		t.Errorf("duplicate create err = %v, want ErrExists", err)
 	}
-	// Overwrite returns the old blocks for invalidation.
-	removed, err := ns.Create("/f", rv3, 0, true, "u")
+	// Overwrite returns the old blocks for invalidation; the file keeps
+	// its ID, where delete-then-create would hand out a new one.
+	var before, after OpStats
+	ns.FileBlocks("/f", &before)
+	removed, err := ns.Create("/f", rv3, 0, true, "u", &after)
 	if err != nil {
 		t.Fatalf("overwrite create: %v", err)
 	}
-	if len(removed) != 1 {
-		t.Errorf("overwrite returned %d blocks, want 1", len(removed))
+	if len(removed.Blocks) != 1 || len(removed.Files) != 0 {
+		t.Errorf("overwrite returned %+v, want 1 block and no file", removed)
+	}
+	if before.File == 0 || after.File != before.File {
+		t.Errorf("overwrite changed the file's ID: %d -> %d", before.File, after.File)
+	}
+	ns.Complete("/f", nil)
+	ns.Delete("/f", false)
+	if ns.Create("/f", rv3, 0, false, "u", &after); after.File == before.File {
+		t.Errorf("delete-then-create reused ID %d", after.File)
+	}
+	if got := ns.PathOf(before.File); got != "" {
+		t.Errorf("PathOf a deleted file's ID = %q, want \"\"", got)
 	}
 	if err := ns.Mkdir("/d", false, "u"); err != nil {
 		t.Fatal(err)
@@ -176,12 +192,12 @@ func TestAbandon(t *testing.T) {
 		t.Fatal(err)
 	}
 	b, _ := ns.AddBlock("/tmp1")
-	blocks, err := ns.Abandon("/tmp1")
+	removed, err := ns.Abandon("/tmp1")
 	if err != nil {
 		t.Fatalf("Abandon: %v", err)
 	}
-	if len(blocks) != 1 || blocks[0].ID != b.ID {
-		t.Errorf("Abandon returned %v, want [%v]", blocks, b)
+	if len(removed.Files) != 1 || len(removed.Blocks) != 1 || removed.Blocks[0].ID != b.ID {
+		t.Errorf("Abandon returned %+v, want one file and [%v]", removed, b)
 	}
 	if ns.Exists("/tmp1") {
 		t.Error("abandoned file still exists")
@@ -193,6 +209,68 @@ func TestAbandon(t *testing.T) {
 	}
 }
 
+// StaleOpenFiles reads the open-file index, not the tree: it must list
+// exactly the under-construction files, by their current path, through
+// complete, rename, delete of an ancestor, edit-log replay and image load.
+func TestStaleOpenFilesFollowsTheOpenSet(t *testing.T) {
+	dir := t.TempDir()
+	ns, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { ns.Close() }()
+	stale := func(when string, want ...string) {
+		t.Helper()
+		got := ns.StaleOpenFiles(1 << 62)
+		sort.Strings(got)
+		if !slices.Equal(got, want) {
+			t.Fatalf("%s: StaleOpenFiles = %v, want %v", when, got, want)
+		}
+	}
+	reopen := func() {
+		t.Helper()
+		ns.Close()
+		if ns, err = Open(dir); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := ns.Mkdir("/d/e", true, "u"); err != nil {
+		t.Fatal(err)
+	}
+	writeFile(t, ns, "/d/sealed", rv3, 1)
+	for _, p := range []string{"/d/e/open1", "/d/open2", "/open3"} {
+		if _, err := ns.Create(p, rv3, 1024, false, "u"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	stale("after create", "/d/e/open1", "/d/open2", "/open3")
+	if got := ns.StaleOpenFiles(0); len(got) != 0 {
+		t.Fatalf("cutoff before every mutation lists %v", got)
+	}
+	if err := ns.Complete("/open3", nil); err != nil {
+		t.Fatal(err)
+	}
+	if err := ns.Rename("/d/e", "/moved"); err != nil {
+		t.Fatal(err)
+	}
+	stale("after complete and directory rename", "/d/open2", "/moved/open1")
+	reopen()
+	stale("after edit-log replay", "/d/open2", "/moved/open1")
+	if err := ns.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	reopen()
+	stale("after image load", "/d/open2", "/moved/open1")
+	if _, err := ns.Delete("/d", true); err != nil {
+		t.Fatal(err)
+	}
+	stale("after deleting an ancestor", "/moved/open1")
+	if _, err := ns.Abandon("/moved/open1"); err != nil {
+		t.Fatal(err)
+	}
+	stale("after abandon")
+}
+
 func TestDelete(t *testing.T) {
 	ns := volatileNS(t)
 	ns.Mkdir("/d/sub", true, "u")
@@ -202,12 +280,13 @@ func TestDelete(t *testing.T) {
 	if _, err := ns.Delete("/d", false); !errors.Is(err, core.ErrNotEmpty) {
 		t.Errorf("non-recursive delete err = %v, want ErrNotEmpty", err)
 	}
-	blocks, err := ns.Delete("/d", true)
+	removed, err := ns.Delete("/d", true)
 	if err != nil {
 		t.Fatalf("Delete: %v", err)
 	}
-	if len(blocks) != len(b1)+len(b2) {
-		t.Errorf("Delete returned %d blocks, want %d", len(blocks), len(b1)+len(b2))
+	if len(removed.Blocks) != len(b1)+len(b2) || len(removed.Files) != 2 {
+		t.Errorf("Delete returned %d blocks of %d files, want %d of 2",
+			len(removed.Blocks), len(removed.Files), len(b1)+len(b2))
 	}
 	if ns.Exists("/d") {
 		t.Error("deleted directory still exists")
@@ -382,7 +461,7 @@ func TestForEachFile(t *testing.T) {
 	writeFile(t, ns, "/x/a", rv3, 1)
 	writeFile(t, ns, "/x/b", rv3, 2)
 	var paths []string
-	ns.ForEachFile(func(p string, blocks []core.Block, rv core.ReplicationVector) {
+	ns.ForEachFile(func(_ FileID, p string, blocks []core.Block, rv core.ReplicationVector) {
 		paths = append(paths, p)
 		if rv != rv3 {
 			t.Errorf("rv for %s = %s", p, rv)

@@ -221,18 +221,13 @@ type TransferTiming struct {
 // connection to the pool when the stream completed cleanly and closes
 // it otherwise. length == -1 requests the remainder of the block.
 func OpenBlockReader(addr string, block core.Block, storageID core.StorageID, offset, length int64) (io.ReadCloser, int64, error) {
-	return OpenBlockReaderReq(addr, block, storageID, offset, length, "")
+	return OpenBlockReaderTimed(addr, block, storageID, offset, length, "", "", nil)
 }
 
-// OpenBlockReaderReq is OpenBlockReader with a request ID stamped on
-// the exchange header so the worker's logs can be correlated with the
-// client operation.
-func OpenBlockReaderReq(addr string, block core.Block, storageID core.StorageID, offset, length int64, reqID string) (io.ReadCloser, int64, error) {
-	return OpenBlockReaderSpan(addr, block, storageID, offset, length, reqID, "")
-}
-
-// OpenBlockReaderSpan is OpenBlockReaderReq with the caller's span ID
-// stamped on the header, parenting the worker's read span.
+// OpenBlockReaderSpan is OpenBlockReader with a request ID stamped on
+// the exchange header, so the worker's logs can be correlated with the
+// client operation, and the caller's span ID, parenting the worker's
+// read span.
 func OpenBlockReaderSpan(addr string, block core.Block, storageID core.StorageID, offset, length int64, reqID, spanID string) (io.ReadCloser, int64, error) {
 	return OpenBlockReaderTimed(addr, block, storageID, offset, length, reqID, spanID, nil)
 }
@@ -376,20 +371,14 @@ type BlockWriter struct {
 // OpenBlockWriter connects to the first pipeline stage and sends the
 // write header. pipeline[0] is the stage being dialled.
 func OpenBlockWriter(block core.Block, pipeline []PipelineTarget, client string) (*BlockWriter, error) {
-	return OpenBlockWriterReq(block, pipeline, client, "")
+	return OpenBlockWriterSpan(block, pipeline, client, "", "")
 }
 
-// OpenBlockWriterReq is OpenBlockWriter with a request ID stamped on
-// the pipeline header; every downstream stage forwards it, so one
-// write is traceable across all its workers.
-func OpenBlockWriterReq(block core.Block, pipeline []PipelineTarget, client, reqID string) (*BlockWriter, error) {
-	return OpenBlockWriterSpan(block, pipeline, client, reqID, "")
-}
-
-// OpenBlockWriterSpan is OpenBlockWriterReq with the sender's span ID
-// stamped on the header, parenting the first stage's write span. Like
-// the reader open, a stale pooled connection is discarded and retried
-// once over a fresh dial.
+// OpenBlockWriterSpan is OpenBlockWriter with a request ID stamped on
+// the pipeline header — every downstream stage forwards it, so one
+// write is traceable across all its workers — and the sender's span ID,
+// parenting the first stage's write span. Like the reader open, a stale
+// pooled connection is discarded and retried once over a fresh dial.
 func OpenBlockWriterSpan(block core.Block, pipeline []PipelineTarget, client, reqID, spanID string) (*BlockWriter, error) {
 	if len(pipeline) == 0 {
 		return nil, fmt.Errorf("rpc: empty write pipeline: %w", core.ErrNoWorkers)

@@ -229,7 +229,7 @@ func TestDialFailureTaggedAndHooked(t *testing.T) {
 	defer remove()
 
 	for i := 0; i < DialFailureThreshold; i++ {
-		_, _, err := OpenBlockReaderReq(addr, core.Block{ID: 9}, "s0", 0, -1, "deadbeefcafef00d")
+		_, _, err := OpenBlockReaderSpan(addr, core.Block{ID: 9}, "s0", 0, -1, "deadbeefcafef00d", "")
 		if err == nil {
 			t.Fatal("dial to a closed address succeeded")
 		}

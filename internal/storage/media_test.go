@@ -133,11 +133,26 @@ func TestMediaProbeMeasuresThrottleRate(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Probe: %v", err)
 	}
-	if w < 10 || w > 30 {
-		t.Errorf("probed write throughput = %.1f MB/s, want ~20", w)
-	}
-	if r < 20 || r > 60 {
-		t.Errorf("probed read throughput = %.1f MB/s, want ~40", r)
+	// A throttle promises two things whatever the host's speed: the wall
+	// rate never exceeds the target, and the limiter never makes callers
+	// wait longer than the target demands (bytes ÷ waited >= target; a
+	// host that falls behind is made to wait less, so there is no upper
+	// bound to assert). How far below the target a loaded host lands is
+	// the benchmark's storage.put_mbps.* to report, not tier-1's to judge.
+	const tolerance = 1.5
+	for _, c := range []struct {
+		op           string
+		wall, target float64
+		limit        *RateLimiter
+	}{{"write", w, 20, m.WriteLimit()}, {"read", r, 40, m.ReadLimit()}} {
+		if c.wall > c.target*tolerance {
+			t.Errorf("probed %s throughput = %.1f MB/s, above the %.0f MB/s throttle", c.op, c.wall, c.target)
+		}
+		bytes, waited := c.limit.Stats()
+		if sched := float64(bytes) / 1e6 / waited.Seconds(); waited == 0 || sched < c.target/tolerance {
+			t.Errorf("%s limiter scheduled %d bytes over %v of waiting (%.1f MB/s), want >= ~%.0f MB/s and some wait",
+				c.op, bytes, waited, sched, c.target)
+		}
 	}
 	if got := m.WriteThruMBps(); math.Abs(got-w) > 1e-9 {
 		t.Errorf("WriteThruMBps = %v, want stored probe value %v", got, w)

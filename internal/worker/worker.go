@@ -72,10 +72,6 @@ type Config struct {
 	// negative keeps only slow traces.
 	TraceSample float64
 
-	// TraceCapacity bounds the number of retained traces; zero
-	// selects trace.DefaultCapacity.
-	TraceCapacity int
-
 	// Pprof mounts net/http/pprof under /debug/pprof/ on the HTTP
 	// endpoint. Off by default.
 	Pprof bool
@@ -176,7 +172,7 @@ func New(cfg Config) (*Worker, error) {
 			"addr", addr, "consecutive", fmt.Sprintf("%d", consecutive),
 			"worker", string(id))
 	})
-	w.traces = trace.NewStore(cfg.TraceCapacity, cfg.SlowOpThreshold, cfg.TraceSample)
+	w.traces = trace.NewStore(trace.DefaultCapacity, cfg.SlowOpThreshold, cfg.TraceSample)
 	w.tracer = trace.NewTracer("worker", w.traces)
 	w.metrics = newWorkerMetrics(w)
 	w.metrics.slow.SetSink(func(op, reqID string, d time.Duration) {
