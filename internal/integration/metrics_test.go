@@ -128,7 +128,18 @@ func TestClusterMetricsEndpoints(t *testing.T) {
 	}
 
 	// Every replica's bytes must land in some worker's per-tier write
-	// counter; the read bytes come from exactly one replica.
+	// counter; the read bytes come from exactly one replica. A worker
+	// counts a transfer after its last packet is on the wire, so the
+	// totals can trail ReadFile's return: wait for them.
+	workerBytes := func(op string) (total float64) {
+		for _, addr := range workerAddrs {
+			total += sumPrefix(parseExposition(t, fetchMetrics(t, addr, "")), `octopus_worker_bytes_total{op="`+op+`"`)
+		}
+		return total
+	}
+	waitFor(t, 5*time.Second, "the workers' byte counters to cover the workload", func() bool {
+		return workerBytes("write") >= float64(len(data)*replicas) && workerBytes("read") >= float64(len(data))
+	})
 	tiered := regexp.MustCompile(`^octopus_worker_bytes_total\{op="(write|read)",tier="(MEMORY|SSD|HDD|REMOTE)"\} `)
 	var wrote, read float64
 	tierLabelled := false

@@ -141,12 +141,8 @@ func (b *Backup) syncOnce() error {
 		return err
 	}
 	if b.cfg.CheckpointDir != "" {
-		tmp := filepath.Join(b.cfg.CheckpointDir, "fsimage.tmp")
-		if err := os.WriteFile(tmp, reply.Image, 0o644); err != nil {
+		if err := namespace.WriteFileDurable(filepath.Join(b.cfg.CheckpointDir, "fsimage"), reply.Image); err != nil {
 			return fmt.Errorf("backup: writing checkpoint: %w", err)
-		}
-		if err := os.Rename(tmp, filepath.Join(b.cfg.CheckpointDir, "fsimage")); err != nil {
-			return fmt.Errorf("backup: committing checkpoint: %w", err)
 		}
 	}
 	b.mu.Lock()

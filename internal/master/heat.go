@@ -284,11 +284,11 @@ func (m *Master) heatReport(top int, file string, misplacedOnly bool) rpc.HeatRe
 
 	var only namespace.FileID
 	if file != "" {
-		var st namespace.OpStats
-		if _, _, _, err := m.ns.FileBlocks(file, &st); err != nil {
+		info, err := m.ns.Status(file)
+		if err != nil || info.IsDir {
 			return report // no such file: nothing to list
 		}
-		only = st.File
+		only = info.ID
 	}
 	for _, e := range m.heat.files.Snapshot(nowNs) {
 		if file != "" && e.Key != only {

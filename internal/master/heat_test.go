@@ -8,7 +8,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/heat"
-	"repro/internal/namespace"
 	"repro/internal/rpc"
 )
 
@@ -273,8 +272,8 @@ func TestHeatRenameAndForgetFollowNamespace(t *testing.T) {
 		}
 	}
 
-	var h namespace.OpStats
-	if _, _, _, err := m.ns.FileBlocks("/b/sub/h", &h); err != nil {
+	_, _, _, h, err := m.ns.FileBlocks("/b/sub/h")
+	if err != nil {
 		t.Fatal(err)
 	}
 	call("delete -r", svc.Delete(&rpc.DeleteArgs{Path: "/b", Recursive: true}, &rpc.DeleteReply{}))
@@ -282,8 +281,8 @@ func TestHeatRenameAndForgetFollowNamespace(t *testing.T) {
 
 	// A handler that resolved the file before the delete and touches it
 	// after must not bring the file's heat back either.
-	m.touchFileRead(h.File, 100)
-	m.touchFileWrite(h.File)
+	m.touchFileRead(h, 100)
+	m.touchFileWrite(h)
 	if n := m.heat.files.Len(); n != 0 {
 		t.Errorf("late touch resurrected %d file heat entries", n)
 	}

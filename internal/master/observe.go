@@ -266,7 +266,7 @@ func (s *Service) GetClusterHistory(args *rpc.GetClusterHistoryArgs, reply *rpc.
 // four-objective score vector and the runner-up candidates.
 func (s *Service) Explain(args *rpc.ExplainArgs, reply *rpc.ExplainReply) (err error) {
 	defer s.m.trackOp("explain", args.ReqHeader)(&err)
-	blocks, _, _, err := s.m.ns.FileBlocks(args.Path)
+	blocks, _, _, _, err := s.m.ns.FileBlocks(args.Path)
 	if err != nil {
 		return wire(err)
 	}

@@ -56,12 +56,12 @@ func (s *Service) Create(args *rpc.CreateArgs, _ *rpc.CreateReply) (err error) {
 	if args.BlockSize <= 0 {
 		args.BlockSize = s.m.cfg.BlockSize
 	}
-	removed, err := s.m.ns.Create(args.Path, args.RepVector, args.BlockSize, args.Overwrite, args.Owner, op.Stats())
+	created, err := s.m.ns.Create(args.Path, args.RepVector, args.BlockSize, args.Overwrite, args.Owner, op.Stats())
 	if err != nil {
 		return wire(err)
 	}
-	s.m.invalidate(removed)
-	s.m.touchFileWrite(op.Stats().File)
+	s.m.invalidate(created.Removed)
+	s.m.touchFileWrite(created.File)
 	return nil
 }
 
@@ -76,7 +76,7 @@ func (s *Service) AddBlock(args *rpc.AddBlockArgs, reply *rpc.AddBlockReply) (er
 			return wire(err)
 		}
 	}
-	blocks, rv, blockSize, err := s.m.ns.FileBlocks(args.Path, op.Stats())
+	blocks, rv, blockSize, _, err := s.m.ns.FileBlocks(args.Path, op.Stats())
 	if err != nil {
 		return wire(err)
 	}
@@ -117,7 +117,7 @@ func (s *Service) AddBlock(args *rpc.AddBlockArgs, reply *rpc.AddBlockReply) (er
 		return wire(perr)
 	}
 
-	blk, err := s.m.ns.AddBlock(args.Path, op.Stats())
+	blk, file, err := s.m.ns.AddBlock(args.Path, op.Stats())
 	if err != nil {
 		return wire(err)
 	}
@@ -136,7 +136,7 @@ func (s *Service) AddBlock(args *rpc.AddBlockArgs, reply *rpc.AddBlockReply) (er
 		"replicas", strconv.Itoa(len(targets)),
 		"tiers", strings.Join(tiers, ","))
 	s.m.recordPlacement(args.Path, blk, args.ReqID, decisions)
-	s.m.heat.setOwner(blk.ID, op.Stats().File)
+	s.m.heat.setOwner(blk.ID, file)
 
 	located := core.LocatedBlock{Block: blk, Offset: offset}
 	for _, t := range targets {
@@ -247,7 +247,7 @@ func (m *Master) invalidate(removed namespace.Removed) {
 func (s *Service) GetBlockLocations(args *rpc.GetBlockLocationsArgs, reply *rpc.GetBlockLocationsReply) (err error) {
 	op := s.m.beginOp("getBlockLocations", args.ReqHeader, args.Path, "")
 	defer op.Finish(&err)
-	blocks, _, _, err := s.m.ns.FileBlocks(args.Path, op.Stats())
+	blocks, _, _, file, err := s.m.ns.FileBlocks(args.Path, op.Stats())
 	if err != nil {
 		return wire(err)
 	}
@@ -273,7 +273,7 @@ func (s *Service) GetBlockLocations(args *rpc.GetBlockLocationsArgs, reply *rpc.
 		touched = 0
 	}
 	op.Bytes(touched)
-	s.m.touchFileRead(op.Stats().File, touched)
+	s.m.touchFileRead(file, touched)
 
 	snap := s.m.snapshot()
 	client := s.clientLocation(args.ClientNode)
@@ -376,7 +376,7 @@ func (s *Service) SetReplication(args *rpc.SetReplicationArgs, _ *rpc.SetReplica
 	if _, err := s.m.ns.SetRepVector(args.Path, args.RepVector, op.Stats()); err != nil {
 		return wire(err)
 	}
-	blocks, _, _, err := s.m.ns.FileBlocks(args.Path, op.Stats())
+	blocks, _, _, _, err := s.m.ns.FileBlocks(args.Path, op.Stats())
 	if err != nil {
 		return wire(err)
 	}

@@ -2,11 +2,11 @@ package namespace
 
 import (
 	"bytes"
-	"encoding/gob"
-	"errors"
+	"encoding/binary"
 	"fmt"
-	"io"
+	"hash/crc32"
 	"os"
+	"path/filepath"
 
 	"repro/internal/core"
 )
@@ -29,8 +29,9 @@ const (
 	EditAbandonBlock
 )
 
-// EditRecord is one entry of the write-ahead edit log. A single sparse
-// struct keeps the gob stream simple and append-only.
+// EditRecord is one namespace mutation: what a public method hands to
+// commit, what apply validates and enacts, and what the edit log stores.
+// One sparse struct serves every op; paths in a logged record are clean.
 type EditRecord struct {
 	TxID uint64
 	Op   EditOp
@@ -40,7 +41,7 @@ type EditRecord struct {
 	Owner     string
 	RepVector core.ReplicationVector
 	BlockSize int64
-	Block     core.Block
+	Block     core.Block // EditComplete: the final block, ID 0 for none
 	Parents   bool
 	Overwrite bool
 	Recursive bool
@@ -49,103 +50,257 @@ type EditRecord struct {
 	Time      int64 // mutation time, Unix nanoseconds
 }
 
-// EditLog is an append-only, gob-encoded log of namespace mutations.
-// Mutations are logged before being applied (write-ahead), so a
-// restart replays exactly the committed operations.
-type EditLog struct {
-	f   *os.File
-	enc *gob.Encoder
+// The edit log is editMagic followed by frames
+//
+//	[u32 LE payload length][u32 LE CRC-32C over the length bytes and the payload][payload]
+//
+// with one record per frame, so records written by different processes
+// follow each other in one file, and each is checked by itself.
+const (
+	editMagic      = "OFSEDIT1"
+	editFrameHdr   = 8
+	maxEditPayload = 64 << 10
+	// maxEditStrings is what a record's strings may add up to: the
+	// numeric fields take under a hundred bytes of a payload.
+	maxEditStrings = maxEditPayload - 128
+)
+
+var castagnoli = crc32.MakeTable(crc32.Castagnoli)
+
+func frameSum(length, payload []byte) uint32 {
+	return crc32.Update(crc32.Update(0, castagnoli, length), castagnoli, payload)
 }
 
-// OpenEditLog opens (creating or appending to) the edit log at path.
-func OpenEditLog(path string) (*EditLog, error) {
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
+// appendFrame appends rec's frame to buf. Every field is written for
+// every op — uvarints, zig-zag varints and length-prefixed strings — so
+// the decoder has no per-op cases.
+func appendFrame(buf []byte, rec EditRecord) []byte {
+	start := len(buf)
+	buf = append(buf, make([]byte, editFrameHdr)...)
+	buf = binary.AppendUvarint(buf, rec.TxID)
+	buf = append(buf, byte(rec.Op))
+	buf = binary.AppendVarint(buf, rec.Time)
+	for _, s := range []string{rec.Path, rec.Dst, rec.Owner} {
+		buf = binary.AppendUvarint(buf, uint64(len(s)))
+		buf = append(buf, s...)
+	}
+	buf = binary.AppendUvarint(buf, uint64(rec.RepVector))
+	buf = binary.AppendVarint(buf, rec.BlockSize)
+	buf = binary.AppendUvarint(buf, uint64(rec.Block.ID))
+	buf = binary.AppendUvarint(buf, uint64(rec.Block.GenStamp))
+	buf = binary.AppendVarint(buf, rec.Block.NumBytes)
+	var flags byte
+	for i, set := range []bool{rec.Parents, rec.Overwrite, rec.Recursive} {
+		if set {
+			flags |= 1 << i
+		}
+	}
+	buf = append(buf, flags, byte(rec.Tier))
+	buf = binary.AppendVarint(buf, rec.Bytes)
+
+	frame := buf[start:]
+	binary.LittleEndian.PutUint32(frame, uint32(len(frame)-editFrameHdr))
+	binary.LittleEndian.PutUint32(frame[4:], frameSum(frame[:4], frame[editFrameHdr:]))
+	return buf
+}
+
+// editReader consumes a frame's payload; a short or malformed field
+// sets bad.
+type editReader struct {
+	b   []byte
+	bad bool
+}
+
+func (r *editReader) take(n uint64) []byte {
+	if r.bad || n > uint64(len(r.b)) {
+		r.bad = true
+		return nil
+	}
+	out := r.b[:n]
+	r.b = r.b[n:]
+	return out
+}
+
+func (r *editReader) uvarint() uint64 {
+	v, n := binary.Uvarint(r.b)
+	if n <= 0 {
+		r.bad = true
+		return 0
+	}
+	r.b = r.b[n:]
+	return v
+}
+
+func (r *editReader) varint() int64 {
+	v, n := binary.Varint(r.b)
+	if n <= 0 {
+		r.bad = true
+		return 0
+	}
+	r.b = r.b[n:]
+	return v
+}
+
+func (r *editReader) u8() byte {
+	if b := r.take(1); b != nil {
+		return b[0]
+	}
+	return 0
+}
+
+func (r *editReader) str() string { return string(r.take(r.uvarint())) }
+
+// decodeRecord is appendFrame's inverse on one payload. A payload with
+// bytes left over, an op outside the table or unknown flag bits is not a
+// record.
+func decodeRecord(payload []byte) (rec EditRecord, ok bool) {
+	r := editReader{b: payload}
+	rec.TxID = r.uvarint()
+	rec.Op = EditOp(r.u8())
+	rec.Time = r.varint()
+	rec.Path, rec.Dst, rec.Owner = r.str(), r.str(), r.str()
+	rec.RepVector = core.ReplicationVector(r.uvarint())
+	rec.BlockSize = r.varint()
+	rec.Block.ID = core.BlockID(r.uvarint())
+	rec.Block.GenStamp = core.GenerationStamp(r.uvarint())
+	rec.Block.NumBytes = r.varint()
+	flags := r.u8()
+	rec.Parents, rec.Overwrite, rec.Recursive = flags&1 != 0, flags&2 != 0, flags&4 != 0
+	rec.Tier = core.StorageTier(r.u8())
+	rec.Bytes = r.varint()
+	ok = !r.bad && len(r.b) == 0 && flags < 8 && rec.Op >= EditMkdir && rec.Op <= EditAbandonBlock
+	return rec, ok
+}
+
+// decodeEdits returns the records of an edit log image up to its first
+// bad frame. Every input is exactly one of three things. Clean: the
+// frames end where the data does. Torn tail — what an interrupted append
+// or a zero-extended file leaves, dropped silently: the data is a proper
+// prefix of the magic; a header is cut short; a frame with a length
+// within maxEditPayload runs past the end; or a frame is bad (zero
+// length, checksum mismatch, undecodable payload) and nothing but zero
+// bytes, if anything, follows it. Corruption, an error naming the
+// offset: anything else — no magic, a length over the bound, a bad frame
+// with data behind it. A torn tail therefore discards at most one
+// maximal frame's worth of non-zero bytes.
+func decodeEdits(data []byte) ([]EditRecord, error) {
+	if !bytes.HasPrefix(data, []byte(editMagic)) {
+		if bytes.HasPrefix([]byte(editMagic), data) {
+			return nil, nil
+		}
+		return nil, fmt.Errorf("namespace: edit log corrupt at byte 0: no %q header "+
+			"(a log written before the framed format is refused, not converted)", editMagic)
+	}
+	var recs []EditRecord
+	for off := len(editMagic); off < len(data); {
+		rest := data[off:]
+		if len(rest) < editFrameHdr {
+			break
+		}
+		n := binary.LittleEndian.Uint32(rest)
+		if n > maxEditPayload {
+			return recs, fmt.Errorf("namespace: edit log corrupt at byte %d: frame length %d exceeds %d", off, n, maxEditPayload)
+		}
+		end := editFrameHdr + int(n)
+		if end > len(rest) {
+			break
+		}
+		payload := rest[editFrameHdr:end]
+		rec, ok := EditRecord{}, binary.LittleEndian.Uint32(rest[4:]) == frameSum(rest[:4], payload)
+		if ok {
+			rec, ok = decodeRecord(payload)
+		}
+		if !ok {
+			if len(bytes.TrimLeft(rest[end:], "\x00")) == 0 {
+				break
+			}
+			return recs, fmt.Errorf("namespace: edit log corrupt at byte %d: bad frame with %d bytes behind it", off, len(rest)-end)
+		}
+		recs = append(recs, rec)
+		off += end
+	}
+	return recs, nil
+}
+
+// ReadEdits decodes the edit log file at path; a missing file is an
+// empty log. See decodeEdits for what is tolerated and what is not.
+func ReadEdits(path string) ([]EditRecord, error) {
+	data, err := os.ReadFile(path)
+	if err != nil && !os.IsNotExist(err) {
+		return nil, fmt.Errorf("namespace: reading edit log: %w", err)
+	}
+	return decodeEdits(data)
+}
+
+// EditLog appends frames to an edit log file.
+type EditLog struct {
+	f   *os.File
+	buf []byte
+}
+
+// CreateEditLog durably replaces whatever is at path with an empty log
+// and opens it for appending.
+func CreateEditLog(path string) (*EditLog, error) {
+	if err := WriteFileDurable(path, []byte(editMagic)); err != nil {
+		return nil, err
+	}
+	f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0o644)
 	if err != nil {
 		return nil, fmt.Errorf("namespace: opening edit log: %w", err)
 	}
-	return &EditLog{f: f, enc: gob.NewEncoder(f)}, nil
+	return &EditLog{f: f}, nil
 }
 
-// Append writes one record to the log.
+// Append writes one record's frame with a single Write.
 func (l *EditLog) Append(rec EditRecord) error {
-	if err := l.enc.Encode(rec); err != nil {
-		return fmt.Errorf("namespace: appending edit %d: %w", rec.Op, err)
+	l.buf = appendFrame(l.buf[:0], rec)
+	if _, err := l.f.Write(l.buf); err != nil {
+		return fmt.Errorf("namespace: appending edit %d: %w", rec.TxID, err)
 	}
 	return nil
 }
 
 // Sync flushes the log to stable storage.
-func (l *EditLog) Sync() error { return l.f.Sync() }
+func (l *EditLog) Sync() error {
+	if err := l.f.Sync(); err != nil {
+		return fmt.Errorf("namespace: syncing edit log: %w", err)
+	}
+	return nil
+}
 
 // Close closes the log file.
 func (l *EditLog) Close() error { return l.f.Close() }
 
-// ReadEdits decodes every record in an edit log file, tolerating a
-// truncated trailing record (the torn-write case after a crash).
-func ReadEdits(path string) ([]EditRecord, error) {
-	recs, _, err := ReadEditsTruncating(path)
-	return recs, err
-}
-
-// ReadEditsTruncating is ReadEdits plus the byte offset at which the
-// last complete record ends. A crash can leave a torn partial record
-// at the tail; recovery must truncate the file back to this offset
-// before appending again, or the new records would land after the
-// garbage bytes and be unreadable on the next replay.
-//
-// Gob streams are self-framing — every message is a byte count
-// followed by that many payload bytes — so the offset of the last
-// complete frame can be found without decoding.
-func ReadEditsTruncating(path string) ([]EditRecord, int64, error) {
-	data, err := os.ReadFile(path)
-	if os.IsNotExist(err) {
-		return nil, 0, nil
+// WriteFileDurable replaces the file at path with data so that a crash
+// at any point leaves the old content or the new, never a mixture and
+// never neither: the data goes to a temporary file that is fsynced,
+// renamed over path, and the directory entry is fsynced in turn.
+func WriteFileDurable(path string, data []byte) error {
+	tmp := path + ".tmp"
+	f, err := os.OpenFile(tmp, os.O_CREATE|os.O_WRONLY|os.O_TRUNC, 0o644)
+	if err != nil {
+		return fmt.Errorf("namespace: creating %s: %w", tmp, err)
+	}
+	_, err = f.Write(data)
+	if err == nil {
+		err = f.Sync()
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err == nil {
+		err = os.Rename(tmp, path)
 	}
 	if err != nil {
-		return nil, 0, fmt.Errorf("namespace: opening edit log: %w", err)
+		return fmt.Errorf("namespace: writing %s: %w", path, err)
 	}
-	good := 0
-	for good < len(data) {
-		n, w := gobUint(data[good:])
-		if w <= 0 || uint64(good)+uint64(w)+n > uint64(len(data)) {
-			break // torn tail frame
-		}
-		good += w + int(n)
+	dir, err := os.Open(filepath.Dir(path))
+	if err != nil {
+		return fmt.Errorf("namespace: syncing directory of %s: %w", path, err)
 	}
-	dec := gob.NewDecoder(bytes.NewReader(data[:good]))
-	var out []EditRecord
-	for {
-		var rec EditRecord
-		if err := dec.Decode(&rec); err != nil {
-			if err == io.EOF || errors.Is(err, io.ErrUnexpectedEOF) {
-				return out, int64(good), nil
-			}
-			return out, int64(good), fmt.Errorf("namespace: decoding edit log: %w", err)
-		}
-		out = append(out, rec)
+	defer dir.Close()
+	if err := dir.Sync(); err != nil {
+		return fmt.Errorf("namespace: syncing directory of %s: %w", path, err)
 	}
-}
-
-// gobUint decodes one gob-encoded unsigned integer (the message
-// length prefix): a value below 128 is a single byte; otherwise the
-// first byte is the negated count of the big-endian bytes that
-// follow. Returns width 0 when the prefix itself is incomplete or
-// malformed.
-func gobUint(data []byte) (uint64, int) {
-	if len(data) == 0 {
-		return 0, 0
-	}
-	b := data[0]
-	if b <= 0x7f {
-		return uint64(b), 1
-	}
-	n := int(-int8(b))
-	if n <= 0 || n > 8 || len(data) < 1+n {
-		return 0, 0
-	}
-	var v uint64
-	for _, c := range data[1 : 1+n] {
-		v = v<<8 | uint64(c)
-	}
-	return v, 1 + n
+	return nil
 }

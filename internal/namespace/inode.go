@@ -143,15 +143,3 @@ type Removed struct {
 	Files  []FileID
 	Blocks []core.Block
 }
-
-// collect appends every file and block under n to rm.
-func collect(n *INode, rm *Removed) {
-	if !n.IsDir {
-		rm.Files = append(rm.Files, n.id)
-		rm.Blocks = append(rm.Blocks, n.Blocks...)
-		return
-	}
-	for _, name := range n.childNames() {
-		collect(n.Children[name], rm)
-	}
-}

@@ -112,7 +112,7 @@ func hasFile(m *modelFS, p string) bool {
 // path → ID map it read: IDs are non-zero and unique, the ID index holds
 // exactly the files in the tree and the open index exactly those under
 // construction, and path → ID → path round-trips both through the walk
-// and through the ID an op hands back in its OpStats.
+// and through the ID an op hands back.
 func checkIdentity(t *testing.T, ns *Namespace, when string) map[string]FileID {
 	t.Helper()
 	ids := map[string]FileID{}
@@ -143,9 +143,8 @@ func checkIdentity(t *testing.T, ns *Namespace, when string) map[string]FileID {
 		if got := ns.PathOf(id); got != p {
 			t.Fatalf("%s: PathOf(%d) = %q, want %q", when, id, got, p)
 		}
-		var st OpStats
-		if _, _, _, err := ns.FileBlocks(p, &st); err != nil || st.File != id {
-			t.Fatalf("%s: FileBlocks(%s) handed back ID %d (err %v), want %d", when, p, st.File, err, id)
+		if _, _, _, got, err := ns.FileBlocks(p); err != nil || got != id {
+			t.Fatalf("%s: FileBlocks(%s) handed back ID %d (err %v), want %d", when, p, got, err, id)
 		}
 	}
 	return ids
@@ -218,7 +217,7 @@ func TestNamespaceAgainstModel(t *testing.T) {
 				t.Fatalf("op %d: create %s: model=%v real err=%v", op, p, want, err)
 			}
 			if err == nil {
-				b, err := ns.AddBlock(p)
+				b, _, err := ns.AddBlock(p)
 				if err != nil {
 					t.Fatalf("op %d: addblock %s: %v", op, p, err)
 				}

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -15,6 +16,7 @@ import (
 
 // FileInfo describes one namespace entry to callers.
 type FileInfo struct {
+	ID        FileID // zero for a directory
 	Path      string
 	IsDir     bool
 	Length    int64
@@ -32,6 +34,9 @@ type Namespace struct {
 	log  *EditLog // nil when running without persistence
 	dir  string   // persistence directory ("" = volatile)
 	sync bool     // fsync the edit log after every append
+	// failed is the append, fsync or log-creation error that left the tree
+	// ahead of the log; commit refuses mutations while it is set.
+	failed error
 
 	nextBlockID uint64
 	nextGen     uint64
@@ -109,18 +114,16 @@ func OpenWithOptions(dir string, opts Options) (*Namespace, error) {
 		if rec.TxID <= ns.txid {
 			continue // already reflected in the checkpoint
 		}
-		if err := ns.apply(rec); err != nil {
+		if _, err := ns.apply(rec); err != nil {
 			return nil, fmt.Errorf("namespace: replaying edit tx %d: %w", rec.TxID, err)
 		}
 		ns.txid = rec.TxID
 		ns.recovery.EditsReplayed++
 	}
 	ns.recovery.ReplayNs = time.Since(replayStart).Nanoseconds()
-	// Absorb the replayed edits into a fresh checkpoint before
-	// accepting new mutations. This starts a new edit stream — a gob
-	// decoder cannot resume a log written across two encoder sessions
-	// — discards any torn tail bytes left by a crash, and bounds the
-	// next restart's replay.
+	// Absorb the replayed edits into a fresh checkpoint before accepting
+	// new mutations: nothing else bounds the next restart's replay, and
+	// the new log starts without whatever torn tail a crash left.
 	if err := ns.checkpointLocked(); err != nil {
 		return nil, err
 	}
@@ -137,39 +140,104 @@ func (ns *Namespace) Close() error {
 	return nil
 }
 
-// logAndApply appends rec to the edit log (write-ahead), fsyncs when
-// configured, and applies it to the in-memory tree, timing each phase
-// into st and the edit observer. Callers hold ns.mu and have already
-// validated the mutation, so apply cannot fail except on programming
-// error.
-func (ns *Namespace) logAndApply(rec EditRecord, st *OpStats) error {
-	ns.txid++
-	rec.TxID = ns.txid
-	if rec.Time == 0 {
-		rec.Time = time.Now().UnixNano()
+// result is what an applied record did, for the public method to return.
+type result struct {
+	file    FileID                 // the file a create or addBlock acted on
+	block   core.Block             // the block an addBlock appended
+	removed Removed                // what a create, abandon or delete unlinked
+	old     core.ReplicationVector // the vector a setRepVector replaced
+	noop    bool                   // an idempotent mkdir -p: nothing to log
+}
+
+// commit is the one way a live mutation happens: clean the paths, take
+// the write lock, stamp the record, apply it, append it. A rejected
+// record leaves tree and log untouched and no reader sees an unlogged
+// change, since both happen under the write lock. If the append or the
+// fsync fails the tree is ahead of the log: the error sticks, and every
+// later mutation returns it, until a Checkpoint has made the tree
+// durable another way and started a new log. Reads keep working.
+func (ns *Namespace) commit(rec EditRecord, stats []*OpStats) (result, error) {
+	var err error
+	if rec.Path, err = CleanPath(rec.Path); err != nil {
+		return result{}, err
 	}
-	if ns.log != nil {
-		t0 := time.Now()
-		if err := ns.log.Append(rec); err != nil {
-			return err
+	if rec.Op == EditRename {
+		if rec.Dst, err = CleanPath(rec.Dst); err != nil {
+			return result{}, err
 		}
-		appendD := time.Since(t0)
-		var fsyncD time.Duration
-		if ns.sync {
-			t1 := time.Now()
-			if err := ns.log.Sync(); err != nil {
-				return fmt.Errorf("namespace: syncing edit log: %w", err)
-			}
-			fsyncD = time.Since(t1)
-		}
-		ns.observeEdit(appendD, fsyncD, 1, st)
 	}
-	t2 := time.Now()
-	err := ns.apply(rec)
+	if n := len(rec.Path) + len(rec.Dst) + len(rec.Owner); n > maxEditStrings {
+		return result{}, fmt.Errorf("namespace: %d bytes of path and owner do not fit an edit record", n)
+	}
+	st := statsOf(stats)
+	ns.lock(st)
+	defer ns.mu.Unlock()
+	if ns.failed != nil {
+		return result{}, ns.failed
+	}
+	rec.TxID = ns.txid + 1
+	t0 := time.Now()
+	rec.Time = t0.UnixNano()
+	if rec.Op == EditAddBlock {
+		rec.Block = core.Block{ID: core.BlockID(ns.nextBlockID), GenStamp: core.GenerationStamp(ns.nextGen)}
+	}
+	res, err := ns.apply(rec)
+	t1 := time.Now()
 	if st != nil {
-		st.ApplyNs += time.Since(t2).Nanoseconds()
+		st.ApplyNs += t1.Sub(t0).Nanoseconds()
 	}
-	return err
+	if err != nil || res.noop {
+		return res, err
+	}
+	ns.txid = rec.TxID
+	if ns.log == nil {
+		return res, nil
+	}
+	err = ns.log.Append(rec)
+	t2 := time.Now()
+	if err == nil && ns.sync {
+		err = ns.log.Sync()
+	}
+	if err != nil {
+		ns.failed = fmt.Errorf("%w (mutations are refused until a checkpoint succeeds)", err)
+		return result{}, ns.failed
+	}
+	var fsyncD time.Duration
+	if ns.sync {
+		fsyncD = time.Since(t2)
+	}
+	ns.observeEdit(t2.Sub(t1), fsyncD, 1, st)
+	return res, nil
+}
+
+// apply validates one record against the tree and enacts it; a rejected
+// record has changed nothing. Live mutations (commit) and replay (Open)
+// both come through here, and the functions it dispatches to hold the
+// only copy of each op's preconditions.
+func (ns *Namespace) apply(rec EditRecord) (result, error) {
+	switch rec.Op {
+	case EditMkdir:
+		return ns.applyMkdir(rec)
+	case EditCreate:
+		return ns.applyCreate(rec)
+	case EditAddBlock:
+		return ns.applyAddBlock(rec)
+	case EditCommitBlock:
+		return ns.applyCommitBlock(rec)
+	case EditComplete:
+		return ns.applyComplete(rec)
+	case EditAbandon, EditDelete:
+		return ns.applyRemove(rec)
+	case EditRename:
+		return ns.applyRename(rec)
+	case EditSetRepVector:
+		return ns.applySetRepVector(rec)
+	case EditSetQuota:
+		return ns.applySetQuota(rec)
+	case EditAbandonBlock:
+		return ns.applyAbandonBlock(rec)
+	}
+	return result{}, fmt.Errorf("namespace: unknown edit op %d", rec.Op)
 }
 
 // resolve walks the tree to the inode at path. Callers hold ns.mu.
@@ -188,24 +256,47 @@ func (ns *Namespace) resolve(path string) (*INode, error) {
 	return node, nil
 }
 
-// ancestors returns the chain of directory inodes from the root down
-// to (and including) the parent directory of path.
-func (ns *Namespace) ancestors(path string) ([]*INode, error) {
+// locate is resolve for mutations: it returns the chain of directories
+// from the root down to path's parent, whose usage a mutation charges,
+// and the inode at path itself — nil when only that last component is
+// missing. The root is its own parent.
+func (ns *Namespace) locate(path string) (chain []*INode, node *INode, err error) {
 	parts := SplitPath(path)
-	chain := []*INode{ns.root}
-	node := ns.root
-	for _, part := range parts[:max(0, len(parts)-1)] {
+	chain = append(make([]*INode, 0, len(parts)+1), ns.root)
+	node = ns.root
+	for i, part := range parts {
 		if !node.IsDir {
-			return nil, fmt.Errorf("namespace: %s: %w", path, core.ErrNotDirectory)
+			return nil, nil, fmt.Errorf("namespace: %s: %w", path, core.ErrNotDirectory)
 		}
 		child, ok := node.Children[part]
+		if i == len(parts)-1 {
+			return chain, child, nil
+		}
 		if !ok {
-			return nil, fmt.Errorf("namespace: %s: %w", path, core.ErrNotFound)
+			return nil, nil, fmt.Errorf("namespace: %s: %w", path, core.ErrNotFound)
 		}
 		node = child
 		chain = append(chain, node)
 	}
-	return chain, nil
+	return chain, node, nil
+}
+
+// existing is locate for a path that must resolve.
+func (ns *Namespace) existing(path string) ([]*INode, *INode, error) {
+	chain, node, err := ns.locate(path)
+	if err == nil && node == nil {
+		err = fmt.Errorf("namespace: %s: %w", path, core.ErrNotFound)
+	}
+	return chain, node, err
+}
+
+// existingFile is locate for a path that must resolve to a file.
+func (ns *Namespace) existingFile(path string) ([]*INode, *INode, error) {
+	chain, node, err := ns.existing(path)
+	if err == nil && node.IsDir {
+		err = fmt.Errorf("namespace: %s: %w", path, core.ErrIsDirectory)
+	}
+	return chain, node, err
 }
 
 // adopt links node under parent and gives every file in its subtree that
@@ -227,14 +318,30 @@ func (ns *Namespace) adopt(parent, node *INode) {
 	}
 }
 
-// forget drops every file under an unlinked node from the ID index.
-func (ns *Namespace) forget(n *INode) {
+// unlink removes node from its parent, the last of chain: the subtree's
+// charges are refunded, its files leave the ID index, and what it held
+// is returned for the caller to invalidate.
+func (ns *Namespace) unlink(chain []*INode, node *INode, now int64) (rm Removed) {
+	parent := chain[len(chain)-1]
+	chargeChain(chain, negCharges(subtreeCharges(node)))
+	delete(parent.Children, node.Name)
+	parent.ModTime = now
+	ns.forget(node, &rm)
+	return rm
+}
+
+// forget drops every file under an unlinked node from the ID index,
+// appending the files and their blocks to rm in name order.
+func (ns *Namespace) forget(n *INode, rm *Removed) {
 	if !n.IsDir {
 		delete(ns.files, n.id)
 		delete(ns.open, n.id)
+		rm.Files = append(rm.Files, n.id)
+		rm.Blocks = append(rm.Blocks, n.Blocks...)
+		return
 	}
-	for _, c := range n.Children {
-		ns.forget(c)
+	for _, name := range n.childNames() {
+		ns.forget(n.Children[name], rm)
 	}
 }
 
@@ -279,602 +386,333 @@ func chargeChain(chain []*INode, delta [numQuotaSlots]int64) {
 // Mkdir creates a directory; with parents=true it creates missing
 // ancestors like mkdir -p and is idempotent on existing directories.
 func (ns *Namespace) Mkdir(path string, parents bool, owner string, stats ...*OpStats) error {
-	path, err := CleanPath(path)
-	if err != nil {
-		return err
-	}
-	st := statsOf(stats)
-	ns.lock(st)
-	defer ns.mu.Unlock()
-	if path == Separator {
-		if parents {
-			return nil
-		}
-		return fmt.Errorf("namespace: %s: %w", path, core.ErrExists)
-	}
-	if node, err := ns.resolve(path); err == nil {
-		if node.IsDir && parents {
-			return nil
-		}
-		return fmt.Errorf("namespace: %s: %w", path, core.ErrExists)
-	}
-	if !parents {
-		parent, err := ns.resolve(ParentPath(path))
-		if err != nil {
-			return err
-		}
-		if !parent.IsDir {
-			return fmt.Errorf("namespace: %s: %w", ParentPath(path), core.ErrNotDirectory)
-		}
-	}
-	return ns.logAndApply(EditRecord{Op: EditMkdir, Path: path, Parents: parents, Owner: owner}, st)
+	_, err := ns.commit(EditRecord{Op: EditMkdir, Path: path, Parents: parents, Owner: owner}, stats)
+	return err
 }
 
-func (ns *Namespace) applyMkdir(rec EditRecord) error {
-	node := ns.root
+func (ns *Namespace) applyMkdir(rec EditRecord) (result, error) {
 	parts := SplitPath(rec.Path)
-	for i, part := range parts {
+	node, have := ns.root, 0
+	for ; have < len(parts); have++ {
 		if !node.IsDir {
-			return fmt.Errorf("namespace: %s: %w", rec.Path, core.ErrNotDirectory)
+			return result{}, fmt.Errorf("namespace: %s: %w", rec.Path, core.ErrNotDirectory)
 		}
-		child, ok := node.Children[part]
+		child, ok := node.Children[parts[have]]
 		if !ok {
-			if !rec.Parents && i < len(parts)-1 {
-				return fmt.Errorf("namespace: %s: %w", rec.Path, core.ErrNotFound)
-			}
-			child = newDirectory(part, rec.Owner, rec.Time)
-			node.Children[part] = child
-			ns.adopt(node, child)
-			node.ModTime = rec.Time
+			break
 		}
 		node = child
 	}
-	return nil
+	switch {
+	case have == len(parts) && node.IsDir && rec.Parents:
+		return result{noop: true}, nil
+	case have == len(parts):
+		return result{}, fmt.Errorf("namespace: %s: %w", rec.Path, core.ErrExists)
+	case have < len(parts)-1 && !rec.Parents:
+		return result{}, fmt.Errorf("namespace: %s: %w", rec.Path, core.ErrNotFound)
+	}
+	for _, part := range parts[have:] {
+		child := newDirectory(part, rec.Owner, rec.Time)
+		node.Children[part] = child
+		ns.adopt(node, child)
+		node.ModTime = rec.Time
+		node = child
+	}
+	return result{}, nil
+}
+
+// Created is what Create did: the file's ID, and what an overwrite
+// unlinked — the replaced file's blocks but not the file, which keeps
+// its ID.
+type Created struct {
+	File FileID
+	Removed
 }
 
 // Create registers a new under-construction file. With overwrite=true
 // an existing file at the path is replaced: it keeps its ID, and its
 // blocks are returned so the caller can invalidate the replicas.
 func (ns *Namespace) Create(path string, rv core.ReplicationVector, blockSize int64,
-	overwrite bool, owner string, stats ...*OpStats) (Removed, error) {
+	overwrite bool, owner string, stats ...*OpStats) (Created, error) {
 
-	path, err := CleanPath(path)
-	if err != nil {
-		return Removed{}, err
-	}
-	if err := rv.Validate(); err != nil {
-		return Removed{}, err
-	}
 	if blockSize <= 0 {
 		blockSize = core.DefaultBlockSize
 	}
-	st := statsOf(stats)
-	ns.lock(st)
-	defer ns.mu.Unlock()
-	parentChain, err := ns.ancestors(path)
-	if err != nil {
-		return Removed{}, err
-	}
-	parent := parentChain[len(parentChain)-1]
-	if !parent.IsDir {
-		return Removed{}, fmt.Errorf("namespace: %s: %w", ParentPath(path), core.ErrNotDirectory)
-	}
-	var removed Removed
-	if existing, ok := parent.Children[BaseName(path)]; ok {
-		if existing.IsDir {
-			return Removed{}, fmt.Errorf("namespace: %s: %w", path, core.ErrIsDirectory)
-		}
-		if !overwrite {
-			return Removed{}, fmt.Errorf("namespace: %s: %w", path, core.ErrExists)
-		}
-		if existing.UnderConstruction {
-			return Removed{}, fmt.Errorf("namespace: %s: %w", path, core.ErrFileOpen)
-		}
-		removed.Blocks = append(removed.Blocks, existing.Blocks...)
-	}
-	if err := ns.logAndApply(EditRecord{
+	res, err := ns.commit(EditRecord{
 		Op: EditCreate, Path: path, RepVector: rv, BlockSize: blockSize,
 		Overwrite: overwrite, Owner: owner,
-	}, st); err != nil {
-		return Removed{}, err
-	}
-	st.resolved(parent.Children[BaseName(path)])
-	return removed, nil
+	}, stats)
+	return Created{File: res.file, Removed: res.removed}, err
 }
 
-func (ns *Namespace) applyCreate(rec EditRecord) error {
-	chain, err := ns.ancestors(rec.Path)
+func (ns *Namespace) applyCreate(rec EditRecord) (result, error) {
+	if err := rec.RepVector.Validate(); err != nil {
+		return result{}, err
+	}
+	chain, old, err := ns.locate(rec.Path)
 	if err != nil {
-		return err
+		return result{}, err
+	}
+	switch {
+	case old == nil:
+	case old.IsDir: // the root included
+		return result{}, fmt.Errorf("namespace: %s: %w", rec.Path, core.ErrIsDirectory)
+	case !rec.Overwrite:
+		return result{}, fmt.Errorf("namespace: %s: %w", rec.Path, core.ErrExists)
+	case old.UnderConstruction:
+		return result{}, fmt.Errorf("namespace: %s: %w", rec.Path, core.ErrFileOpen)
+	}
+	file := newFile(BaseName(rec.Path), rec.Owner, rec.RepVector, rec.BlockSize, rec.Time)
+	var res result
+	if old != nil {
+		chargeChain(chain, negCharges(fileCharges(old)))
+		file.id, res.removed.Blocks = old.id, old.Blocks
 	}
 	parent := chain[len(chain)-1]
-	name := BaseName(rec.Path)
-	if parent.Children == nil {
-		parent.Children = make(map[string]*INode)
-	}
-	file := newFile(name, rec.Owner, rec.RepVector, rec.BlockSize, rec.Time)
-	if existing, ok := parent.Children[name]; ok && !existing.IsDir {
-		chargeChain(chain, negCharges(fileCharges(existing)))
-		file.id = existing.id
-	}
-	parent.Children[name] = file
+	parent.Children[file.Name] = file
 	ns.adopt(parent, file)
 	parent.ModTime = rec.Time
-	return nil
+	res.file = file.id
+	return res, nil
 }
 
 // AddBlock allocates the next block of an under-construction file,
 // after checking that a full block would fit within every ancestor's
-// tier quotas (the conservative HDFS-style check).
-func (ns *Namespace) AddBlock(path string, stats ...*OpStats) (core.Block, error) {
-	path, err := CleanPath(path)
-	if err != nil {
-		return core.Block{}, err
-	}
-	st := statsOf(stats)
-	ns.lock(st)
-	defer ns.mu.Unlock()
-	node, err := ns.resolve(path)
-	if err != nil {
-		return core.Block{}, err
-	}
-	if node.IsDir {
-		return core.Block{}, fmt.Errorf("namespace: %s: %w", path, core.ErrIsDirectory)
-	}
-	if !node.UnderConstruction {
-		return core.Block{}, fmt.Errorf("namespace: %s: %w", path, core.ErrFileClosed)
-	}
-	chain, err := ns.ancestors(path)
-	if err != nil {
-		return core.Block{}, err
-	}
-	if err := checkQuota(chain, charges(node.RepVector, node.BlockSize)); err != nil {
-		return core.Block{}, err
-	}
-	blk := core.Block{
-		ID:       core.BlockID(ns.nextBlockID),
-		GenStamp: core.GenerationStamp(ns.nextGen),
-	}
-	if err := ns.logAndApply(EditRecord{Op: EditAddBlock, Path: path, Block: blk}, st); err != nil {
-		return core.Block{}, err
-	}
-	st.resolved(node)
-	return blk, nil
+// tier quotas (the conservative HDFS-style check). It returns the block
+// and the file's ID.
+func (ns *Namespace) AddBlock(path string, stats ...*OpStats) (core.Block, FileID, error) {
+	res, err := ns.commit(EditRecord{Op: EditAddBlock, Path: path}, stats)
+	return res.block, res.file, err
 }
 
-func (ns *Namespace) applyAddBlock(rec EditRecord) error {
-	node, err := ns.resolve(rec.Path)
+func (ns *Namespace) applyAddBlock(rec EditRecord) (result, error) {
+	chain, node, err := ns.existingFile(rec.Path)
 	if err != nil {
-		return err
+		return result{}, err
+	}
+	if !node.UnderConstruction {
+		return result{}, fmt.Errorf("namespace: %s: %w", rec.Path, core.ErrFileClosed)
+	}
+	if err := checkQuota(chain, charges(node.RepVector, node.BlockSize)); err != nil {
+		return result{}, err
 	}
 	node.Blocks = append(node.Blocks, rec.Block)
 	node.ModTime = rec.Time
-	if id := uint64(rec.Block.ID); id >= ns.nextBlockID {
-		ns.nextBlockID = id + 1
-	}
-	if g := uint64(rec.Block.GenStamp); g >= ns.nextGen {
-		ns.nextGen = g + 1
-	}
-	return nil
+	ns.nextBlockID = max(ns.nextBlockID, uint64(rec.Block.ID)+1)
+	ns.nextGen = max(ns.nextGen, uint64(rec.Block.GenStamp)+1)
+	return result{file: node.id, block: rec.Block}, nil
 }
 
 // CommitBlock records the final length of a block that the client has
 // finished writing, charging the actual bytes against the quotas.
 func (ns *Namespace) CommitBlock(path string, b core.Block, stats ...*OpStats) error {
-	path, err := CleanPath(path)
-	if err != nil {
-		return err
-	}
-	st := statsOf(stats)
-	ns.lock(st)
-	defer ns.mu.Unlock()
-	node, err := ns.resolve(path)
-	if err != nil {
-		return err
-	}
-	if node.IsDir {
-		return fmt.Errorf("namespace: %s: %w", path, core.ErrIsDirectory)
-	}
-	found := false
-	for _, existing := range node.Blocks {
-		if existing.ID == b.ID {
-			found = true
-			break
-		}
-	}
-	if !found {
-		return fmt.Errorf("namespace: %s has no block %s: %w", path, b.ID, core.ErrNotFound)
-	}
-	return ns.logAndApply(EditRecord{Op: EditCommitBlock, Path: path, Block: b}, st)
+	_, err := ns.commit(EditRecord{Op: EditCommitBlock, Path: path, Block: b}, stats)
+	return err
 }
 
-func (ns *Namespace) applyCommitBlock(rec EditRecord) error {
-	node, err := ns.resolve(rec.Path)
+func (ns *Namespace) applyCommitBlock(rec EditRecord) (result, error) {
+	chain, node, err := ns.existingFile(rec.Path)
 	if err != nil {
-		return err
+		return result{}, err
 	}
-	chain, err := ns.ancestors(rec.Path)
-	if err != nil {
-		return err
+	return result{}, commitBlock(chain, node, rec)
+}
+
+// commitBlock replaces node's block of the same ID with rec's and
+// charges the difference in length; with no such block it does nothing
+// and says so.
+func commitBlock(chain []*INode, node *INode, rec EditRecord) error {
+	i := slices.IndexFunc(node.Blocks, func(b core.Block) bool { return b.ID == rec.Block.ID })
+	if i < 0 {
+		return fmt.Errorf("namespace: %s has no block %s: %w", rec.Path, rec.Block.ID, core.ErrNotFound)
 	}
-	for i, existing := range node.Blocks {
-		if existing.ID == rec.Block.ID {
-			delta := rec.Block.NumBytes - existing.NumBytes
-			node.Blocks[i] = rec.Block
-			chargeChain(chain, charges(node.RepVector, delta))
-			node.ModTime = rec.Time
-			return nil
-		}
-	}
-	return fmt.Errorf("namespace: %s has no block %s: %w", rec.Path, rec.Block.ID, core.ErrNotFound)
+	chargeChain(chain, charges(node.RepVector, rec.Block.NumBytes-node.Blocks[i].NumBytes))
+	node.Blocks[i] = rec.Block
+	node.ModTime = rec.Time
+	return nil
 }
 
 // AbandonBlock removes the last, still-uncommitted block of an
 // under-construction file after a failed pipeline write, so the client
 // can allocate a replacement (HDFS-style block recovery, simplified).
 func (ns *Namespace) AbandonBlock(path string, id core.BlockID, stats ...*OpStats) error {
-	path, err := CleanPath(path)
-	if err != nil {
-		return err
-	}
-	st := statsOf(stats)
-	ns.lock(st)
-	defer ns.mu.Unlock()
-	node, err := ns.resolve(path)
-	if err != nil {
-		return err
-	}
-	if node.IsDir {
-		return fmt.Errorf("namespace: %s: %w", path, core.ErrIsDirectory)
-	}
-	if !node.UnderConstruction {
-		return fmt.Errorf("namespace: %s: %w", path, core.ErrFileClosed)
-	}
-	if len(node.Blocks) == 0 || node.Blocks[len(node.Blocks)-1].ID != id {
-		return fmt.Errorf("namespace: %s: block %s is not the last block: %w", path, id, core.ErrNotFound)
-	}
-	return ns.logAndApply(EditRecord{Op: EditAbandonBlock, Path: path, Block: core.Block{ID: id}}, st)
+	_, err := ns.commit(EditRecord{Op: EditAbandonBlock, Path: path, Block: core.Block{ID: id}}, stats)
+	return err
 }
 
-func (ns *Namespace) applyAbandonBlock(rec EditRecord) error {
-	node, err := ns.resolve(rec.Path)
+func (ns *Namespace) applyAbandonBlock(rec EditRecord) (result, error) {
+	chain, node, err := ns.existingFile(rec.Path)
 	if err != nil {
-		return err
+		return result{}, err
 	}
-	chain, err := ns.ancestors(rec.Path)
-	if err != nil {
-		return err
+	if !node.UnderConstruction {
+		return result{}, fmt.Errorf("namespace: %s: %w", rec.Path, core.ErrFileClosed)
 	}
 	last := len(node.Blocks) - 1
 	if last < 0 || node.Blocks[last].ID != rec.Block.ID {
-		return fmt.Errorf("namespace: %s: block %s is not the last block: %w", rec.Path, rec.Block.ID, core.ErrNotFound)
+		return result{}, fmt.Errorf("namespace: %s: block %s is not the last block: %w", rec.Path, rec.Block.ID, core.ErrNotFound)
 	}
 	// Refund whatever bytes the block had already been charged.
 	chargeChain(chain, negCharges(charges(node.RepVector, node.Blocks[last].NumBytes)))
 	node.Blocks = node.Blocks[:last]
 	node.ModTime = rec.Time
-	return nil
+	return result{}, nil
 }
 
 // Complete commits the final block (if any) and seals the file.
 func (ns *Namespace) Complete(path string, last *core.Block, stats ...*OpStats) error {
-	path, err := CleanPath(path)
-	if err != nil {
-		return err
-	}
-	st := statsOf(stats)
-	ns.lock(st)
-	defer ns.mu.Unlock()
-	node, err := ns.resolve(path)
-	if err != nil {
-		return err
-	}
-	if node.IsDir {
-		return fmt.Errorf("namespace: %s: %w", path, core.ErrIsDirectory)
-	}
-	if !node.UnderConstruction {
-		return fmt.Errorf("namespace: %s: %w", path, core.ErrFileClosed)
-	}
 	rec := EditRecord{Op: EditComplete, Path: path}
 	if last != nil {
 		rec.Block = *last
-		rec.Bytes = 1 // marks the presence of a final block
 	}
-	return ns.logAndApply(rec, st)
+	_, err := ns.commit(rec, stats)
+	return err
 }
 
-func (ns *Namespace) applyComplete(rec EditRecord) error {
-	if rec.Bytes == 1 {
-		commit := rec
-		commit.Op = EditCommitBlock
-		if err := ns.applyCommitBlock(commit); err != nil {
-			return err
-		}
-	}
-	node, err := ns.resolve(rec.Path)
+func (ns *Namespace) applyComplete(rec EditRecord) (result, error) {
+	chain, node, err := ns.existingFile(rec.Path)
 	if err != nil {
-		return err
+		return result{}, err
+	}
+	if !node.UnderConstruction {
+		return result{}, fmt.Errorf("namespace: %s: %w", rec.Path, core.ErrFileClosed)
+	}
+	if rec.Block.ID != 0 { // block IDs start at 1
+		if err := commitBlock(chain, node, rec); err != nil {
+			return result{}, err
+		}
 	}
 	node.UnderConstruction = false
 	delete(ns.open, node.id)
 	node.ModTime = rec.Time
-	return nil
+	return result{}, nil
 }
 
 // Abandon removes an under-construction file after a failed write,
 // returning it and its blocks for invalidation.
 func (ns *Namespace) Abandon(path string, stats ...*OpStats) (Removed, error) {
-	path, err := CleanPath(path)
-	if err != nil {
-		return Removed{}, err
-	}
-	st := statsOf(stats)
-	ns.lock(st)
-	defer ns.mu.Unlock()
-	node, err := ns.resolve(path)
-	if err != nil {
-		return Removed{}, err
-	}
-	if node.IsDir || !node.UnderConstruction {
-		return Removed{}, fmt.Errorf("namespace: %s is not under construction: %w", path, core.ErrFileClosed)
-	}
-	var removed Removed
-	collect(node, &removed)
-	if err := ns.logAndApply(EditRecord{Op: EditAbandon, Path: path}, st); err != nil {
-		return Removed{}, err
-	}
-	return removed, nil
-}
-
-func (ns *Namespace) applyAbandon(rec EditRecord) error {
-	return ns.removeNode(rec.Path, rec.Time)
+	res, err := ns.commit(EditRecord{Op: EditAbandon, Path: path}, stats)
+	return res.removed, err
 }
 
 // Delete removes a file or directory, returning every file and block of
 // the removed subtree so the caller can invalidate the replicas. Deleting
 // a non-empty directory requires recursive=true.
 func (ns *Namespace) Delete(path string, recursive bool, stats ...*OpStats) (Removed, error) {
-	path, err := CleanPath(path)
-	if err != nil {
-		return Removed{}, err
-	}
-	st := statsOf(stats)
-	ns.lock(st)
-	defer ns.mu.Unlock()
-	if path == Separator {
-		return Removed{}, fmt.Errorf("namespace: cannot delete the root: %w", core.ErrPermission)
-	}
-	node, err := ns.resolve(path)
-	if err != nil {
-		return Removed{}, err
-	}
-	if node.IsDir && len(node.Children) > 0 && !recursive {
-		return Removed{}, fmt.Errorf("namespace: %s: %w", path, core.ErrNotEmpty)
-	}
-	var removed Removed
-	collect(node, &removed)
-	if err := ns.logAndApply(EditRecord{Op: EditDelete, Path: path, Recursive: recursive}, st); err != nil {
-		return Removed{}, err
-	}
-	return removed, nil
+	res, err := ns.commit(EditRecord{Op: EditDelete, Path: path, Recursive: recursive}, stats)
+	return res.removed, err
 }
 
-func (ns *Namespace) applyDelete(rec EditRecord) error {
-	return ns.removeNode(rec.Path, rec.Time)
-}
-
-// removeNode unlinks the inode at path and updates ancestor usage.
-func (ns *Namespace) removeNode(path string, now int64) error {
-	chain, err := ns.ancestors(path)
-	if err != nil {
-		return err
+// applyRemove enacts both ways of unlinking: an abandon takes a file
+// under construction, a delete anything but the root and, unless
+// recursive, a directory with children.
+func (ns *Namespace) applyRemove(rec EditRecord) (result, error) {
+	chain, node, err := ns.existing(rec.Path)
+	switch {
+	case rec.Op == EditDelete && rec.Path == Separator:
+		return result{}, fmt.Errorf("namespace: cannot delete the root: %w", core.ErrPermission)
+	case err != nil:
+		return result{}, err
+	case rec.Op == EditAbandon && (node.IsDir || !node.UnderConstruction):
+		return result{}, fmt.Errorf("namespace: %s is not under construction: %w", rec.Path, core.ErrFileClosed)
+	case rec.Op == EditDelete && len(node.Children) > 0 && !rec.Recursive:
+		return result{}, fmt.Errorf("namespace: %s: %w", rec.Path, core.ErrNotEmpty)
 	}
-	parent := chain[len(chain)-1]
-	name := BaseName(path)
-	node, ok := parent.Children[name]
-	if !ok {
-		return fmt.Errorf("namespace: %s: %w", path, core.ErrNotFound)
-	}
-	chargeChain(chain, negCharges(subtreeCharges(node)))
-	delete(parent.Children, name)
-	ns.forget(node)
-	parent.ModTime = now
-	return nil
+	return result{removed: ns.unlink(chain, node, rec.Time)}, nil
 }
 
 // Rename moves a file or directory. The destination must not exist;
 // moving a directory into its own subtree is rejected.
 func (ns *Namespace) Rename(src, dst string, stats ...*OpStats) error {
-	src, err := CleanPath(src)
-	if err != nil {
-		return err
-	}
-	dst, err = CleanPath(dst)
-	if err != nil {
-		return err
-	}
-	st := statsOf(stats)
-	ns.lock(st)
-	defer ns.mu.Unlock()
-	if src == Separator {
-		return fmt.Errorf("namespace: cannot rename the root: %w", core.ErrPermission)
-	}
-	if IsAncestor(src, dst) {
-		return fmt.Errorf("namespace: cannot move %s into itself (%s): %w", src, dst, core.ErrExists)
-	}
-	node, err := ns.resolve(src)
-	if err != nil {
-		return err
-	}
-	if _, err := ns.resolve(dst); err == nil {
-		return fmt.Errorf("namespace: %s: %w", dst, core.ErrExists)
-	}
-	dstChain, err := ns.ancestors(dst)
-	if err != nil {
-		return err
-	}
-	if !dstChain[len(dstChain)-1].IsDir {
-		return fmt.Errorf("namespace: %s: %w", ParentPath(dst), core.ErrNotDirectory)
-	}
-	if err := checkQuota(dstChain, subtreeCharges(node)); err != nil {
-		return err
-	}
-	return ns.logAndApply(EditRecord{Op: EditRename, Path: src, Dst: dst}, st)
+	_, err := ns.commit(EditRecord{Op: EditRename, Path: src, Dst: dst}, stats)
+	return err
 }
 
-func (ns *Namespace) applyRename(rec EditRecord) error {
-	srcChain, err := ns.ancestors(rec.Path)
-	if err != nil {
-		return err
+func (ns *Namespace) applyRename(rec EditRecord) (result, error) {
+	if rec.Path == Separator {
+		return result{}, fmt.Errorf("namespace: cannot rename the root: %w", core.ErrPermission)
 	}
-	srcParent := srcChain[len(srcChain)-1]
-	name := BaseName(rec.Path)
-	node, ok := srcParent.Children[name]
-	if !ok {
-		return fmt.Errorf("namespace: %s: %w", rec.Path, core.ErrNotFound)
+	if IsAncestor(rec.Path, rec.Dst) {
+		return result{}, fmt.Errorf("namespace: cannot move %s into itself (%s): %w", rec.Path, rec.Dst, core.ErrExists)
+	}
+	srcChain, node, err := ns.existing(rec.Path)
+	if err != nil {
+		return result{}, err
+	}
+	dstChain, taken, err := ns.locate(rec.Dst)
+	if err != nil {
+		return result{}, err
+	}
+	if taken != nil {
+		return result{}, fmt.Errorf("namespace: %s: %w", rec.Dst, core.ErrExists)
 	}
 	usage := subtreeCharges(node)
+	if err := checkQuota(dstChain, usage); err != nil {
+		return result{}, err
+	}
+	srcParent, dstParent := srcChain[len(srcChain)-1], dstChain[len(dstChain)-1]
 	chargeChain(srcChain, negCharges(usage))
-	delete(srcParent.Children, name)
+	delete(srcParent.Children, node.Name)
 	srcParent.ModTime = rec.Time
-
-	dstChain, err := ns.ancestors(rec.Dst)
-	if err != nil {
-		return err
-	}
-	dstParent := dstChain[len(dstChain)-1]
-	node.Name = BaseName(rec.Dst)
-	node.parent = dstParent
-	if dstParent.Children == nil {
-		dstParent.Children = make(map[string]*INode)
-	}
+	node.Name, node.parent = BaseName(rec.Dst), dstParent
 	dstParent.Children[node.Name] = node
 	dstParent.ModTime = rec.Time
 	chargeChain(dstChain, usage)
-	return nil
+	return result{}, nil
 }
 
 // SetRepVector changes a file's replication vector (paper Table 1),
 // returning the previous vector so the caller can compute the per-tier
 // replica deltas to enact.
 func (ns *Namespace) SetRepVector(path string, rv core.ReplicationVector, stats ...*OpStats) (core.ReplicationVector, error) {
-	path, err := CleanPath(path)
-	if err != nil {
-		return 0, err
-	}
-	if err := rv.Validate(); err != nil {
-		return 0, err
-	}
-	st := statsOf(stats)
-	ns.lock(st)
-	defer ns.mu.Unlock()
-	node, err := ns.resolve(path)
-	if err != nil {
-		return 0, err
-	}
-	if node.IsDir {
-		return 0, fmt.Errorf("namespace: %s: %w", path, core.ErrIsDirectory)
-	}
-	old := node.RepVector
-	chain, err := ns.ancestors(path)
-	if err != nil {
-		return 0, err
-	}
-	delta := addCharges(charges(rv, node.Length()), negCharges(charges(old, node.Length())))
-	if err := checkQuota(chain, delta); err != nil {
-		return 0, err
-	}
-	if err := ns.logAndApply(EditRecord{Op: EditSetRepVector, Path: path, RepVector: rv}, st); err != nil {
-		return 0, err
-	}
-	return old, nil
+	res, err := ns.commit(EditRecord{Op: EditSetRepVector, Path: path, RepVector: rv}, stats)
+	return res.old, err
 }
 
-func (ns *Namespace) applySetRepVector(rec EditRecord) error {
-	node, err := ns.resolve(rec.Path)
-	if err != nil {
-		return err
+func (ns *Namespace) applySetRepVector(rec EditRecord) (result, error) {
+	if err := rec.RepVector.Validate(); err != nil {
+		return result{}, err
 	}
-	chain, err := ns.ancestors(rec.Path)
+	chain, node, err := ns.existingFile(rec.Path)
 	if err != nil {
-		return err
+		return result{}, err
 	}
-	length := node.Length()
-	delta := addCharges(charges(rec.RepVector, length), negCharges(charges(node.RepVector, length)))
+	length, old := node.Length(), node.RepVector
+	delta := addCharges(charges(rec.RepVector, length), negCharges(charges(old, length)))
+	if err := checkQuota(chain, delta); err != nil {
+		return result{}, err
+	}
 	chargeChain(chain, delta)
 	node.RepVector = rec.RepVector
 	node.ModTime = rec.Time
-	return nil
+	return result{old: old}, nil
 }
 
 // SetQuota sets a per-tier byte quota on a directory; tier
 // TierUnspecified sets the total-space quota and bytes<=0 clears it.
 func (ns *Namespace) SetQuota(path string, tier core.StorageTier, bytes int64, stats ...*OpStats) error {
-	path, err := CleanPath(path)
-	if err != nil {
-		return err
-	}
-	if tier > core.TierUnspecified {
-		return fmt.Errorf("namespace: invalid quota tier %v: %w", tier, core.ErrNotFound)
-	}
-	st := statsOf(stats)
-	ns.lock(st)
-	defer ns.mu.Unlock()
-	node, err := ns.resolve(path)
-	if err != nil {
-		return err
-	}
-	if !node.IsDir {
-		return fmt.Errorf("namespace: %s: %w", path, core.ErrNotDirectory)
-	}
-	return ns.logAndApply(EditRecord{Op: EditSetQuota, Path: path, Tier: tier, Bytes: bytes}, st)
+	_, err := ns.commit(EditRecord{Op: EditSetQuota, Path: path, Tier: tier, Bytes: bytes}, stats)
+	return err
 }
 
-func (ns *Namespace) applySetQuota(rec EditRecord) error {
-	node, err := ns.resolve(rec.Path)
+func (ns *Namespace) applySetQuota(rec EditRecord) (result, error) {
+	if rec.Tier > core.TierUnspecified {
+		return result{}, fmt.Errorf("namespace: invalid quota tier %v: %w", rec.Tier, core.ErrNotFound)
+	}
+	_, node, err := ns.existing(rec.Path)
 	if err != nil {
-		return err
+		return result{}, err
+	}
+	if !node.IsDir {
+		return result{}, fmt.Errorf("namespace: %s: %w", rec.Path, core.ErrNotDirectory)
 	}
 	slot := int(rec.Tier)
 	if rec.Tier == core.TierUnspecified {
 		slot = totalQuotaSlot
 	}
-	if rec.Bytes <= 0 {
-		node.Quota[slot] = 0
-	} else {
-		node.Quota[slot] = rec.Bytes
-	}
+	node.Quota[slot] = max(rec.Bytes, 0)
 	node.ModTime = rec.Time
-	return nil
-}
-
-// apply dispatches one edit record to its handler.
-func (ns *Namespace) apply(rec EditRecord) error {
-	switch rec.Op {
-	case EditMkdir:
-		return ns.applyMkdir(rec)
-	case EditCreate:
-		return ns.applyCreate(rec)
-	case EditAddBlock:
-		return ns.applyAddBlock(rec)
-	case EditCommitBlock:
-		return ns.applyCommitBlock(rec)
-	case EditComplete:
-		return ns.applyComplete(rec)
-	case EditAbandon:
-		return ns.applyAbandon(rec)
-	case EditDelete:
-		return ns.applyDelete(rec)
-	case EditRename:
-		return ns.applyRename(rec)
-	case EditSetRepVector:
-		return ns.applySetRepVector(rec)
-	case EditSetQuota:
-		return ns.applySetQuota(rec)
-	case EditAbandonBlock:
-		return ns.applyAbandonBlock(rec)
-	}
-	return fmt.Errorf("namespace: unknown edit op %d", rec.Op)
+	return result{}, nil
 }
 
 // Status returns the FileInfo of one path.
@@ -902,6 +740,7 @@ func infoFor(path string, node *INode) FileInfo {
 		Owner:   node.Owner,
 	}
 	if !node.IsDir {
+		info.ID = node.id
 		info.Length = node.Length()
 		info.RepVector = node.RepVector
 		info.BlockSize = node.BlockSize
@@ -947,11 +786,11 @@ func (ns *Namespace) Exists(path string) bool {
 }
 
 // FileBlocks returns a file's blocks in order plus its replication
-// vector and block size.
-func (ns *Namespace) FileBlocks(path string, stats ...*OpStats) ([]core.Block, core.ReplicationVector, int64, error) {
+// vector, block size and ID.
+func (ns *Namespace) FileBlocks(path string, stats ...*OpStats) ([]core.Block, core.ReplicationVector, int64, FileID, error) {
 	path, err := CleanPath(path)
 	if err != nil {
-		return nil, 0, 0, err
+		return nil, 0, 0, 0, err
 	}
 	st := statsOf(stats)
 	ns.rlock(st)
@@ -959,13 +798,12 @@ func (ns *Namespace) FileBlocks(path string, stats ...*OpStats) ([]core.Block, c
 	defer timeApply(st)()
 	node, err := ns.resolve(path)
 	if err != nil {
-		return nil, 0, 0, err
+		return nil, 0, 0, 0, err
 	}
 	if node.IsDir {
-		return nil, 0, 0, fmt.Errorf("namespace: %s: %w", path, core.ErrIsDirectory)
+		return nil, 0, 0, 0, fmt.Errorf("namespace: %s: %w", path, core.ErrIsDirectory)
 	}
-	st.resolved(node)
-	return append([]core.Block(nil), node.Blocks...), node.RepVector, node.BlockSize, nil
+	return append([]core.Block(nil), node.Blocks...), node.RepVector, node.BlockSize, node.id, nil
 }
 
 // ForEachFile visits every file in the namespace in depth-first
@@ -1066,15 +904,20 @@ func (ns *Namespace) LoadImageBytes(data []byte) error {
 	return ns.loadImage(data)
 }
 
-// Checkpoint atomically persists the current tree as the new fsimage
-// and truncates the edit log (paper §2.1: periodic checkpoints). It is
-// a no-op for volatile namespaces.
+// Checkpoint durably persists the current tree as the new fsimage and
+// then starts an empty edit log (paper §2.1: periodic checkpoints). It
+// is a no-op for volatile namespaces.
 func (ns *Namespace) Checkpoint() error {
 	ns.mu.Lock()
 	defer ns.mu.Unlock()
 	return ns.checkpointLocked()
 }
 
+// checkpointLocked replaces the image before it touches the log, each
+// durably: a crash in between leaves the new image beside the old log,
+// whose records are all at or below the image's TxID and are skipped on
+// replay. Until the image is safe the old log stays in use; after that a
+// failure leaves no log to append to, so it sticks like a failed append.
 func (ns *Namespace) checkpointLocked() error {
 	if ns.dir == "" {
 		return nil
@@ -1083,25 +926,14 @@ func (ns *Namespace) checkpointLocked() error {
 	if err != nil {
 		return err
 	}
-	tmp := filepath.Join(ns.dir, imageFile+".tmp")
-	if err := os.WriteFile(tmp, data, 0o644); err != nil {
-		return fmt.Errorf("namespace: writing fsimage: %w", err)
-	}
-	if err := os.Rename(tmp, filepath.Join(ns.dir, imageFile)); err != nil {
-		return fmt.Errorf("namespace: committing fsimage: %w", err)
-	}
-	if ns.log != nil {
-		ns.log.Close()
-	}
-	if err := os.Remove(filepath.Join(ns.dir, editsFile)); err != nil && !os.IsNotExist(err) {
-		return fmt.Errorf("namespace: truncating edit log: %w", err)
-	}
-	log, err := OpenEditLog(filepath.Join(ns.dir, editsFile))
-	if err != nil {
+	if err := WriteFileDurable(filepath.Join(ns.dir, imageFile), data); err != nil {
 		return err
 	}
-	ns.log = log
-	return nil
+	if ns.log != nil {
+		ns.log.Close() // whatever it failed to take is in the image
+	}
+	ns.log, ns.failed = CreateEditLog(filepath.Join(ns.dir, editsFile))
+	return ns.failed
 }
 
 // StaleOpenFiles lists under-construction files whose last mutation is

@@ -29,7 +29,7 @@ func writeFile(t *testing.T, ns *Namespace, path string, rv core.ReplicationVect
 	}
 	var blocks []core.Block
 	for _, size := range blockSizes {
-		b, err := ns.AddBlock(path)
+		b, _, err := ns.AddBlock(path)
 		if err != nil {
 			t.Fatalf("AddBlock(%s): %v", path, err)
 		}
@@ -95,7 +95,7 @@ func TestCreateWriteComplete(t *testing.T) {
 		t.Error("file reported as directory")
 	}
 
-	got, rv, bs, err := ns.FileBlocks("/f1")
+	got, rv, bs, _, err := ns.FileBlocks("/f1")
 	if err != nil {
 		t.Fatalf("FileBlocks: %v", err)
 	}
@@ -115,24 +115,23 @@ func TestCreateValidation(t *testing.T) {
 	}
 	// Overwrite returns the old blocks for invalidation; the file keeps
 	// its ID, where delete-then-create would hand out a new one.
-	var before, after OpStats
-	ns.FileBlocks("/f", &before)
-	removed, err := ns.Create("/f", rv3, 0, true, "u", &after)
+	_, _, _, before, _ := ns.FileBlocks("/f")
+	removed, err := ns.Create("/f", rv3, 0, true, "u")
 	if err != nil {
 		t.Fatalf("overwrite create: %v", err)
 	}
 	if len(removed.Blocks) != 1 || len(removed.Files) != 0 {
 		t.Errorf("overwrite returned %+v, want 1 block and no file", removed)
 	}
-	if before.File == 0 || after.File != before.File {
-		t.Errorf("overwrite changed the file's ID: %d -> %d", before.File, after.File)
+	if before == 0 || removed.File != before {
+		t.Errorf("overwrite changed the file's ID: %d -> %d", before, removed.File)
 	}
 	ns.Complete("/f", nil)
 	ns.Delete("/f", false)
-	if ns.Create("/f", rv3, 0, false, "u", &after); after.File == before.File {
+	if after, _ := ns.Create("/f", rv3, 0, false, "u"); after.File == before {
 		t.Errorf("delete-then-create reused ID %d", after.File)
 	}
-	if got := ns.PathOf(before.File); got != "" {
+	if got := ns.PathOf(before); got != "" {
 		t.Errorf("PathOf a deleted file's ID = %q, want \"\"", got)
 	}
 	if err := ns.Mkdir("/d", false, "u"); err != nil {
@@ -159,7 +158,7 @@ func TestUnderConstructionRules(t *testing.T) {
 		t.Fatal(err)
 	}
 	// AddBlock on a sealed file fails.
-	if _, err := ns.AddBlock("/uc"); !errors.Is(err, core.ErrFileClosed) {
+	if _, _, err := ns.AddBlock("/uc"); !errors.Is(err, core.ErrFileClosed) {
 		t.Errorf("AddBlock on sealed file err = %v, want ErrFileClosed", err)
 	}
 	if err := ns.Complete("/uc", nil); !errors.Is(err, core.ErrFileClosed) {
@@ -172,7 +171,7 @@ func TestCompleteWithFinalBlock(t *testing.T) {
 	if _, err := ns.Create("/f", rv3, 1024, false, "u"); err != nil {
 		t.Fatal(err)
 	}
-	b, err := ns.AddBlock("/f")
+	b, _, err := ns.AddBlock("/f")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -191,7 +190,7 @@ func TestAbandon(t *testing.T) {
 	if _, err := ns.Create("/tmp1", rv3, 1024, false, "u"); err != nil {
 		t.Fatal(err)
 	}
-	b, _ := ns.AddBlock("/tmp1")
+	b, _, _ := ns.AddBlock("/tmp1")
 	removed, err := ns.Abandon("/tmp1")
 	if err != nil {
 		t.Fatalf("Abandon: %v", err)
@@ -363,7 +362,7 @@ func TestTierQuotas(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 2; i++ {
-		b, err := ns.AddBlock("/q/f")
+		b, _, err := ns.AddBlock("/q/f")
 		if err != nil {
 			t.Fatalf("AddBlock %d: %v", i, err)
 		}
@@ -372,7 +371,7 @@ func TestTierQuotas(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if _, err := ns.AddBlock("/q/f"); !errors.Is(err, core.ErrQuotaExceeded) {
+	if _, _, err := ns.AddBlock("/q/f"); !errors.Is(err, core.ErrQuotaExceeded) {
 		t.Errorf("third block err = %v, want ErrQuotaExceeded", err)
 	}
 	ns.Complete("/q/f", nil)
@@ -384,7 +383,7 @@ func TestTierQuotas(t *testing.T) {
 	if _, err := ns.Create("/q/f2", rv, 1024, false, "u"); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ns.AddBlock("/q/f2"); err != nil {
+	if _, _, err := ns.AddBlock("/q/f2"); err != nil {
 		t.Errorf("AddBlock after clearing quota: %v", err)
 	}
 }
@@ -399,13 +398,13 @@ func TestTotalSpaceQuota(t *testing.T) {
 	if _, err := ns.Create("/q/f", rv3, 1024, false, "u"); err != nil {
 		t.Fatal(err)
 	}
-	b, err := ns.AddBlock("/q/f")
+	b, _, err := ns.AddBlock("/q/f")
 	if err != nil {
 		t.Fatalf("first block: %v", err)
 	}
 	b.NumBytes = 1024
 	ns.CommitBlock("/q/f", b)
-	if _, err := ns.AddBlock("/q/f"); !errors.Is(err, core.ErrQuotaExceeded) {
+	if _, _, err := ns.AddBlock("/q/f"); !errors.Is(err, core.ErrQuotaExceeded) {
 		t.Errorf("second block err = %v, want ErrQuotaExceeded", err)
 	}
 }
@@ -418,13 +417,13 @@ func TestQuotaReleasedOnDelete(t *testing.T) {
 	if _, err := ns.Create("/q/f2", rv3, 1024, false, "u"); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ns.AddBlock("/q/f2"); !errors.Is(err, core.ErrQuotaExceeded) {
+	if _, _, err := ns.AddBlock("/q/f2"); !errors.Is(err, core.ErrQuotaExceeded) {
 		t.Fatalf("expected quota exhaustion, got %v", err)
 	}
 	if _, err := ns.Delete("/q/f", false); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ns.AddBlock("/q/f2"); err != nil {
+	if _, _, err := ns.AddBlock("/q/f2"); err != nil {
 		t.Errorf("AddBlock after delete freed quota: %v", err)
 	}
 }

@@ -38,11 +38,11 @@ func TestEditLogReplayAfterRestart(t *testing.T) {
 		t.Errorf("replayed length = %d, want 300", info.Length)
 	}
 	// Block ID allocation must continue after the replayed maximum.
-	blocks, _, _, _ := ns2.FileBlocks("/tmp/g")
+	blocks, _, _, _, _ := ns2.FileBlocks("/tmp/g")
 	if _, err := ns2.Create("/new", rv3, 1024, false, "u"); err != nil {
 		t.Fatal(err)
 	}
-	nb, err := ns2.AddBlock("/new")
+	nb, _, err := ns2.AddBlock("/new")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -158,7 +158,7 @@ func TestQuotaSurvivesRestart(t *testing.T) {
 	if _, err := ns2.Create("/q/f2", rv3, 1024, false, "u"); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ns2.AddBlock("/q/f2"); err == nil {
+	if _, _, err := ns2.AddBlock("/q/f2"); err == nil {
 		t.Error("quota enforcement lost across restart")
 	}
 }

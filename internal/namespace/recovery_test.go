@@ -30,7 +30,7 @@ func snapshotTree(t *testing.T, ns *Namespace) []string {
 				walk(info.Path)
 				continue
 			}
-			blocks, rv, bs, err := ns.FileBlocks(info.Path)
+			blocks, rv, bs, _, err := ns.FileBlocks(info.Path)
 			if err != nil {
 				t.Fatalf("blocks %s: %v", info.Path, err)
 			}
@@ -153,7 +153,7 @@ func TestReplayDeterministicUnderConcurrentMutations(t *testing.T) {
 					t.Error(err)
 					return
 				}
-				blk, err := ns.AddBlock(path)
+				blk, _, err := ns.AddBlock(path)
 				if err != nil {
 					t.Error(err)
 					return

@@ -14,17 +14,6 @@ type OpStats struct {
 	ApplyNs    int64
 	AppendNs   int64
 	FsyncNs    int64
-
-	// File is the identity of the file a successful Create, AddBlock or
-	// FileBlocks acted on, read under the same lock as the op itself.
-	File FileID
-}
-
-// resolved records the file an op acted on.
-func (st *OpStats) resolved(file *INode) {
-	if st != nil {
-		st.File = file.id
-	}
 }
 
 // statsOf unpacks the optional variadic stats argument: namespace

@@ -2,6 +2,7 @@ package trace
 
 import (
 	"hash/fnv"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -38,6 +39,7 @@ type Store struct {
 	sample   float64
 	traces   map[string]*traceEntry
 	order    []string // insertion order, oldest first
+	fast     int      // retained traces that are not slow
 }
 
 type traceEntry struct {
@@ -114,12 +116,15 @@ func (s *Store) Add(sp Span) {
 		if !slow && !s.Sampled(sp.TraceID) {
 			return
 		}
-		e = &traceEntry{}
+		e = &traceEntry{slow: slow}
 		s.traces[sp.TraceID] = e
 		s.order = append(s.order, sp.TraceID)
-	}
-	if slow {
+		if !slow {
+			s.fast++
+		}
+	} else if slow && !e.slow {
 		e.slow = true
+		s.fast--
 	}
 	if len(e.spans) >= maxSpansPerTrace {
 		e.dropped++
@@ -130,21 +135,19 @@ func (s *Store) Add(sp Span) {
 }
 
 // evictLocked enforces capacity, preferring the oldest non-slow
-// trace; if every trace is slow the oldest overall goes.
+// trace; if every trace is slow the oldest overall goes, without a
+// search. The victim's elders move up one slot and the head is dropped,
+// so the cost is the victim's position, nothing for the oldest.
 func (s *Store) evictLocked() {
 	for len(s.order) > s.capacity {
-		victim := -1
-		for i, id := range s.order {
-			if !s.traces[id].slow {
-				victim = i
-				break
-			}
-		}
-		if victim < 0 {
-			victim = 0
+		victim := 0
+		if s.fast > 0 {
+			victim = slices.IndexFunc(s.order, func(id string) bool { return !s.traces[id].slow })
+			s.fast--
 		}
 		delete(s.traces, s.order[victim])
-		s.order = append(s.order[:victim:victim], s.order[victim+1:]...)
+		copy(s.order[1:], s.order[:victim])
+		s.order = s.order[1:]
 	}
 }
 

@@ -273,3 +273,23 @@ func TestStoreBoundedUnderChurn(t *testing.T) {
 		t.Fatalf("store grew to %d traces, capacity 64", st.Len())
 	}
 }
+
+// BenchmarkStoreAddAtCapacity adds new traces to a full store in which
+// every retained trace is slow — the state of every store built with
+// threshold 0, as integration.StartCluster's are: each add evicts the
+// oldest trace, and must not cost a walk or a copy of the whole order.
+func BenchmarkStoreAddAtCapacity(b *testing.B) {
+	st := NewStore(0, 0, 1.0)
+	ids := make([]string, DefaultCapacity+b.N)
+	for i := range ids {
+		ids[i] = fmt.Sprintf("trace%d", i)
+	}
+	for _, id := range ids[:DefaultCapacity] {
+		st.Add(span(id, "s", "", "op", 0, 10))
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for _, id := range ids[DefaultCapacity:] {
+		st.Add(span(id, "s", "", "op", 0, 10))
+	}
+}
