@@ -6,9 +6,7 @@
 package client
 
 import (
-	"fmt"
 	"log/slog"
-	netrpc "net/rpc"
 	"sync"
 	"time"
 
@@ -72,7 +70,6 @@ func WithWriteWindow(k int) Option {
 
 // FileSystem is a client handle to an OctopusFS master.
 type FileSystem struct {
-	addr        string
 	node        string
 	owner       string
 	logger      *slog.Logger
@@ -88,13 +85,12 @@ type FileSystem struct {
 	shipMu     sync.Mutex
 	shipCursor uint64 // flight-recorder seq already shipped to the master
 
-	mu   sync.Mutex
-	conn *netrpc.Client
+	master *rpc.MasterClient
 }
 
 // Dial connects to the master at addr.
 func Dial(addr string, opts ...Option) (*FileSystem, error) {
-	fs := &FileSystem{addr: addr, owner: "anonymous"}
+	fs := &FileSystem{owner: "anonymous", master: rpc.NewMasterClient(addr)}
 	for _, opt := range opts {
 		opt(fs)
 	}
@@ -110,24 +106,10 @@ func Dial(addr string, opts ...Option) (*FileSystem, error) {
 	// Client-side transfer records are shipped to the master as
 	// operations finish, so the ring only needs to cover in-flight work.
 	fs.xfers = xfer.New(1024)
-	if err := fs.reconnect(); err != nil {
+	if err := fs.master.Connect(); err != nil {
 		return nil, err
 	}
 	return fs, nil
-}
-
-func (fs *FileSystem) reconnect() error {
-	c, err := netrpc.Dial("tcp", fs.addr)
-	if err != nil {
-		return fmt.Errorf("client: dialling master %s: %w", fs.addr, err)
-	}
-	fs.mu.Lock()
-	if fs.conn != nil {
-		fs.conn.Close()
-	}
-	fs.conn = c
-	fs.mu.Unlock()
-	return nil
 }
 
 // call invokes a master RPC under a fresh request ID. Multi-step
@@ -137,54 +119,8 @@ func (fs *FileSystem) call(method string, args, reply any) error {
 	return fs.callReq(rpc.NewRequestID(), method, args, reply)
 }
 
-// rawCall invokes a master RPC, reconnecting once on connection failure.
-func (fs *FileSystem) rawCall(method string, args, reply any) error {
-	fs.mu.Lock()
-	c := fs.conn
-	fs.mu.Unlock()
-	if c == nil {
-		if err := fs.reconnect(); err != nil {
-			return err
-		}
-		fs.mu.Lock()
-		c = fs.conn
-		fs.mu.Unlock()
-	}
-	err := c.Call(method, args, reply)
-	if isTransportErr(err) {
-		if rerr := fs.reconnect(); rerr == nil {
-			fs.mu.Lock()
-			c = fs.conn
-			fs.mu.Unlock()
-			err = c.Call(method, args, reply)
-		}
-	}
-	return rpc.WrapRemote(err)
-}
-
-// isTransportErr reports whether an RPC failure came from the
-// connection rather than the server (net/rpc wraps server-side errors
-// in rpc.ServerError), in which case a reconnect and single retry is
-// safe for our idempotent-or-reported operations.
-func isTransportErr(err error) bool {
-	if err == nil {
-		return false
-	}
-	_, isServer := err.(netrpc.ServerError)
-	return !isServer
-}
-
 // Close releases the client connection.
-func (fs *FileSystem) Close() error {
-	fs.mu.Lock()
-	defer fs.mu.Unlock()
-	if fs.conn != nil {
-		err := fs.conn.Close()
-		fs.conn = nil
-		return err
-	}
-	return nil
-}
+func (fs *FileSystem) Close() error { return fs.master.Close() }
 
 // Node returns the client's declared topology node ("" off-cluster).
 func (fs *FileSystem) Node() string { return fs.node }

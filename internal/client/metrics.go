@@ -88,7 +88,7 @@ func (fs *FileSystem) callReq(reqID, method string, args, reply any) error {
 	}
 	op := strings.TrimPrefix(method, "Master.")
 	start := time.Now()
-	err := fs.rawCall(method, args, reply)
+	err := fs.master.Call(method, args, reply)
 	d := time.Since(start)
 	fs.metrics.rpcs.With(op).Inc()
 	fs.metrics.rpcDur.With(op).Observe(d.Seconds())

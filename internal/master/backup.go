@@ -3,7 +3,6 @@ package master
 import (
 	"fmt"
 	"log/slog"
-	netrpc "net/rpc"
 	"os"
 	"path/filepath"
 	"sync"
@@ -37,8 +36,9 @@ type Backup struct {
 	cfg BackupConfig
 	ns  *namespace.Namespace
 
+	primary *rpc.MasterClient
+
 	mu     sync.Mutex
-	client *netrpc.Client
 	lastOK time.Time
 
 	done chan struct{}
@@ -63,7 +63,7 @@ func NewBackup(cfg BackupConfig) (*Backup, error) {
 	if err != nil {
 		return nil, err
 	}
-	b := &Backup{cfg: cfg, ns: ns, done: make(chan struct{})}
+	b := &Backup{cfg: cfg, ns: ns, primary: rpc.NewMasterClient(cfg.PrimaryAddr), done: make(chan struct{})}
 	if err := b.syncOnce(); err != nil {
 		ns.Close()
 		return nil, err
@@ -88,11 +88,7 @@ func (b *Backup) LastSync() time.Time {
 func (b *Backup) Close() error {
 	b.once.Do(func() { close(b.done) })
 	b.wg.Wait()
-	b.mu.Lock()
-	if b.client != nil {
-		b.client.Close()
-	}
-	b.mu.Unlock()
+	b.primary.Close()
 	return b.ns.Close()
 }
 
@@ -115,27 +111,9 @@ func (b *Backup) loop() {
 // syncOnce pulls the primary's namespace image, refreshes the standby
 // copy, and persists a checkpoint file.
 func (b *Backup) syncOnce() error {
-	b.mu.Lock()
-	if b.client == nil {
-		c, err := netrpc.Dial("tcp", b.cfg.PrimaryAddr)
-		if err != nil {
-			b.mu.Unlock()
-			return fmt.Errorf("backup: dialling primary: %w", err)
-		}
-		b.client = c
-	}
-	c := b.client
-	b.mu.Unlock()
-
 	var reply ImageReply
-	if err := c.Call("Master.GetImage", &ImageArgs{}, &reply); err != nil {
-		b.mu.Lock()
-		if b.client == c {
-			b.client.Close()
-			b.client = nil
-		}
-		b.mu.Unlock()
-		return rpc.WrapRemote(err)
+	if err := b.primary.Call("Master.GetImage", &ImageArgs{}, &reply); err != nil {
+		return err
 	}
 	if err := b.ns.LoadImageBytes(reply.Image); err != nil {
 		return err

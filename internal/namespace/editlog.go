@@ -71,24 +71,52 @@ func frameSum(length, payload []byte) uint32 {
 	return crc32.Update(crc32.Update(0, castagnoli, length), castagnoli, payload)
 }
 
+// openFrame appends room for a frame header to buf and returns where the
+// frame starts; sealFrame fills the header in once the payload follows.
+// The edit log and the fsimage are both written this way.
+func openFrame(buf []byte) ([]byte, int) {
+	return append(buf, make([]byte, editFrameHdr)...), len(buf)
+}
+
+func sealFrame(buf []byte, start int) []byte {
+	frame := buf[start:]
+	binary.LittleEndian.PutUint32(frame, uint32(len(frame)-editFrameHdr))
+	binary.LittleEndian.PutUint32(frame[4:], frameSum(frame[:4], frame[editFrameHdr:]))
+	return buf
+}
+
+// cutFrame reads the frame at the head of data: its declared payload
+// length n; fits, whether the header and the payload lie within data;
+// and, if they do, the payload and whether its checksum holds.
+func cutFrame(data []byte) (n uint32, payload []byte, fits, sumOK bool) {
+	if len(data) < editFrameHdr {
+		return 0, nil, false, false
+	}
+	n = binary.LittleEndian.Uint32(data)
+	if uint64(n) > uint64(len(data)-editFrameHdr) {
+		return n, nil, false, false
+	}
+	payload = data[editFrameHdr : editFrameHdr+int(n)]
+	return n, payload, true, binary.LittleEndian.Uint32(data[4:]) == frameSum(data[:4], payload)
+}
+
+func appendString(buf []byte, s string) []byte {
+	return append(binary.AppendUvarint(buf, uint64(len(s))), s...)
+}
+
 // appendFrame appends rec's frame to buf. Every field is written for
 // every op — uvarints, zig-zag varints and length-prefixed strings — so
 // the decoder has no per-op cases.
 func appendFrame(buf []byte, rec EditRecord) []byte {
-	start := len(buf)
-	buf = append(buf, make([]byte, editFrameHdr)...)
+	buf, start := openFrame(buf)
 	buf = binary.AppendUvarint(buf, rec.TxID)
 	buf = append(buf, byte(rec.Op))
 	buf = binary.AppendVarint(buf, rec.Time)
 	for _, s := range []string{rec.Path, rec.Dst, rec.Owner} {
-		buf = binary.AppendUvarint(buf, uint64(len(s)))
-		buf = append(buf, s...)
+		buf = appendString(buf, s)
 	}
-	buf = binary.AppendUvarint(buf, uint64(rec.RepVector))
-	buf = binary.AppendVarint(buf, rec.BlockSize)
-	buf = binary.AppendUvarint(buf, uint64(rec.Block.ID))
-	buf = binary.AppendUvarint(buf, uint64(rec.Block.GenStamp))
-	buf = binary.AppendVarint(buf, rec.Block.NumBytes)
+	buf = binary.AppendVarint(binary.AppendUvarint(buf, uint64(rec.RepVector)), rec.BlockSize)
+	buf = binary.AppendVarint(appendUvarints(buf, uint64(rec.Block.ID), uint64(rec.Block.GenStamp)), rec.Block.NumBytes)
 	var flags byte
 	for i, set := range []bool{rec.Parents, rec.Overwrite, rec.Recursive} {
 		if set {
@@ -97,33 +125,29 @@ func appendFrame(buf []byte, rec EditRecord) []byte {
 	}
 	buf = append(buf, flags, byte(rec.Tier))
 	buf = binary.AppendVarint(buf, rec.Bytes)
-
-	frame := buf[start:]
-	binary.LittleEndian.PutUint32(frame, uint32(len(frame)-editFrameHdr))
-	binary.LittleEndian.PutUint32(frame[4:], frameSum(frame[:4], frame[editFrameHdr:]))
-	return buf
+	return sealFrame(buf, start)
 }
 
 // editReader consumes a frame's payload; a short or malformed field
-// sets bad.
+// sets bad, and so does a varint longer than it needs to be, so each
+// value has exactly one encoding.
 type editReader struct {
 	b   []byte
 	bad bool
 }
 
-func (r *editReader) take(n uint64) []byte {
+func (r *editReader) take(n uint64) (out []byte) {
 	if r.bad || n > uint64(len(r.b)) {
 		r.bad = true
 		return nil
 	}
-	out := r.b[:n]
-	r.b = r.b[n:]
+	out, r.b = r.b[:n], r.b[n:]
 	return out
 }
 
 func (r *editReader) uvarint() uint64 {
 	v, n := binary.Uvarint(r.b)
-	if n <= 0 {
+	if n <= 0 || (n > 1 && r.b[n-1] == 0) {
 		r.bad = true
 		return 0
 	}
@@ -132,13 +156,8 @@ func (r *editReader) uvarint() uint64 {
 }
 
 func (r *editReader) varint() int64 {
-	v, n := binary.Varint(r.b)
-	if n <= 0 {
-		r.bad = true
-		return 0
-	}
-	r.b = r.b[n:]
-	return v
+	u := r.uvarint()
+	return int64(u>>1) ^ -int64(u&1)
 }
 
 func (r *editReader) u8() byte {
@@ -193,31 +212,25 @@ func decodeEdits(data []byte) ([]EditRecord, error) {
 	}
 	var recs []EditRecord
 	for off := len(editMagic); off < len(data); {
-		rest := data[off:]
-		if len(rest) < editFrameHdr {
-			break
-		}
-		n := binary.LittleEndian.Uint32(rest)
+		n, payload, fits, ok := cutFrame(data[off:])
 		if n > maxEditPayload {
 			return recs, fmt.Errorf("namespace: edit log corrupt at byte %d: frame length %d exceeds %d", off, n, maxEditPayload)
 		}
-		end := editFrameHdr + int(n)
-		if end > len(rest) {
+		if !fits {
 			break
 		}
-		payload := rest[editFrameHdr:end]
-		rec, ok := EditRecord{}, binary.LittleEndian.Uint32(rest[4:]) == frameSum(rest[:4], payload)
+		rec, end := EditRecord{}, off+editFrameHdr+int(n)
 		if ok {
 			rec, ok = decodeRecord(payload)
 		}
 		if !ok {
-			if len(bytes.TrimLeft(rest[end:], "\x00")) == 0 {
+			if len(bytes.TrimLeft(data[end:], "\x00")) == 0 {
 				break
 			}
-			return recs, fmt.Errorf("namespace: edit log corrupt at byte %d: bad frame with %d bytes behind it", off, len(rest)-end)
+			return recs, fmt.Errorf("namespace: edit log corrupt at byte %d: bad frame with %d bytes behind it", off, len(data)-end)
 		}
 		recs = append(recs, rec)
-		off += end
+		off = end
 	}
 	return recs, nil
 }

@@ -15,25 +15,36 @@ import (
 	"repro/internal/core"
 )
 
-// fullState is snapshotTree plus what it leaves out: every directory's
-// quotas and usage, modification times, and the namespace's counters.
+// fullState lists every inode in pre-order with everything it holds —
+// name, type, owner, modification time, quotas, usage, vector, block
+// size, blocks with their generation, the under-construction flag — and
+// then the namespace's counters and its open files.
 func fullState(t *testing.T, ns *Namespace) string {
 	t.Helper()
-	var dirs []string
-	var walk func(n *INode)
-	walk = func(n *INode) {
-		dirs = append(dirs, fmt.Sprintf("%s mod=%d quota=%v usage=%v", pathTo(n), n.ModTime, n.Quota, n.Usage))
-		for _, c := range n.Children {
-			walk(c)
+	var out []string
+	var walk func(path string, n *INode)
+	walk = func(path string, n *INode) {
+		line := fmt.Sprintf("%s dir=%v owner=%q mod=%d quota=%v usage=%v rv=%d bs=%d open=%v blocks=",
+			path, n.IsDir, n.Owner, n.ModTime, n.Quota, n.Usage, uint64(n.RepVector), n.BlockSize, n.UnderConstruction)
+		for _, b := range n.Blocks {
+			line += fmt.Sprintf("%d:%d:%d,", b.ID, b.GenStamp, b.NumBytes)
+		}
+		out = append(out, line)
+		for _, name := range n.childNames() {
+			walk(JoinPath(path, name), n.Children[name])
 		}
 	}
 	ns.mu.RLock()
-	walk(ns.root)
-	counters := fmt.Sprintf("tx=%d block=%d gen=%d files=%d open=%d",
-		ns.txid, ns.nextBlockID, ns.nextGen, len(ns.files), len(ns.open))
-	ns.mu.RUnlock()
-	sort.Strings(dirs)
-	return strings.Join(append(append(snapshotTree(t, ns), dirs...), counters), "\n")
+	defer ns.mu.RUnlock()
+	walk(Separator, ns.root)
+	var open []string
+	for _, f := range ns.open {
+		open = append(open, pathTo(f))
+	}
+	sort.Strings(open)
+	out = append(out, fmt.Sprintf("tx=%d block=%d gen=%d files=%d open=%v",
+		ns.txid, ns.nextBlockID, ns.nextGen, len(ns.files), open))
+	return strings.Join(out, "\n")
 }
 
 func readEditsFile(t *testing.T, dir string) []byte {
@@ -533,26 +544,37 @@ func TestEditRecordRoundTrip(t *testing.T) {
 	}
 }
 
+// frameWalk is the fuzz targets' reference reading of frames, sharing
+// the decoders' rule for one frame and nothing else: it counts the frames
+// at the head of data that are whole, no longer than limit, checksummed
+// right and, under good, hold a good payload, and reports whether they
+// end exactly where data does.
+func frameWalk(data []byte, limit uint32, good func(payload []byte) bool) (n int, clean bool) {
+	for ; len(data) >= editFrameHdr; n++ {
+		size := binary.LittleEndian.Uint32(data)
+		if size > limit || uint64(size) > uint64(len(data)-editFrameHdr) {
+			break
+		}
+		payload := data[editFrameHdr : editFrameHdr+int(size)]
+		if binary.LittleEndian.Uint32(data[4:]) != frameSum(data[:4], payload) || !good(payload) {
+			break
+		}
+		data = data[editFrameHdr+int(size):]
+	}
+	return n, len(data) == 0
+}
+
 // FuzzReadEdits: the decoder never panics and never returns a record at
-// or past the first bad frame. The reference walk below shares the
-// decoder's rule for one frame (whole, checksum right, payload a record)
-// and nothing else.
+// or past the first bad frame that frameWalk finds.
 func FuzzReadEdits(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		recs, err := decodeEdits(data)
 		good := 0
 		if bytes.HasPrefix(data, []byte(editMagic)) {
-			for rest := data[len(editMagic):]; len(rest) >= editFrameHdr; good++ {
-				n := binary.LittleEndian.Uint32(rest)
-				if n > maxEditPayload || int(n) > len(rest)-editFrameHdr {
-					break
-				}
-				payload := rest[editFrameHdr : editFrameHdr+n]
-				if _, ok := decodeRecord(payload); !ok || binary.LittleEndian.Uint32(rest[4:]) != frameSum(rest[:4], payload) {
-					break
-				}
-				rest = rest[editFrameHdr+n:]
-			}
+			good, _ = frameWalk(data[len(editMagic):], maxEditPayload, func(payload []byte) bool {
+				_, ok := decodeRecord(payload)
+				return ok
+			})
 		} else if err == nil && !bytes.HasPrefix([]byte(editMagic), data) {
 			t.Fatalf("%d bytes without the magic were accepted", len(data))
 		}

@@ -19,8 +19,9 @@ const totalQuotaSlot = core.NumTiers
 // key by it so a rename has nothing to rewrite; zero is no file.
 type FileID uint64
 
-// INode is one entry of the namespace tree. Exported fields make the
-// whole tree gob-serialisable for fsimage checkpoints.
+// INode is one entry of the namespace tree. The fsimage (fsimage.go)
+// stores every exported field but Usage and Children, which the loader
+// rebuilds.
 type INode struct {
 	Name    string
 	IsDir   bool
@@ -42,8 +43,7 @@ type INode struct {
 	Blocks            []core.Block
 	UnderConstruction bool
 
-	// In-memory only (gob skips unexported fields): a file's identity,
-	// and the link PathOf climbs.
+	// In-memory only: a file's identity, and the link PathOf climbs.
 	id     FileID
 	parent *INode
 }
@@ -119,21 +119,13 @@ func negCharges(a [numQuotaSlots]int64) [numQuotaSlots]int64 {
 	return a
 }
 
-// fileCharges computes the total quota charges of an existing file.
-func fileCharges(n *INode) [numQuotaSlots]int64 {
+// chargesOf is what n charges against its ancestors' quotas: a file its
+// length times its vector, a directory its usage — its files' charges.
+func chargesOf(n *INode) [numQuotaSlots]int64 {
+	if n.IsDir {
+		return n.Usage
+	}
 	return charges(n.RepVector, n.Length())
-}
-
-// subtreeCharges sums the quota charges of every file under n.
-func subtreeCharges(n *INode) [numQuotaSlots]int64 {
-	if !n.IsDir {
-		return fileCharges(n)
-	}
-	var total [numQuotaSlots]int64
-	for _, c := range n.Children {
-		total = addCharges(total, subtreeCharges(c))
-	}
-	return total
 }
 
 // Removed is what a mutation unlinked from the namespace: the caller

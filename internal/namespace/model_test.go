@@ -2,6 +2,8 @@ package namespace
 
 import (
 	"math/rand"
+	"os"
+	"path/filepath"
 	"slices"
 	"sort"
 	"strconv"
@@ -285,8 +287,50 @@ func TestNamespaceAgainstModel(t *testing.T) {
 		ids = checkIdentity(t, ns, "after op "+strconv.Itoa(op))
 	}
 
+	// Before the checkpoint, add what the random ops do not make: open
+	// files, a file of 8,192 blocks of 1 GiB, whose inode frame is past
+	// the edit log's 64 KiB bound, with a vector of its own, and a quota
+	// below its directory's usage — apply allows that state, so the image
+	// loader must not refuse it.
+	if err := ns.Mkdir("/q", false, "quota-owner"); err != nil {
+		t.Fatal(err)
+	}
+	writeFile(t, ns, "/q/f", rv3, 100)
+	if err := ns.SetQuota("/q", core.TierUnspecified, 1); err != nil {
+		t.Fatal(err)
+	}
+	model.dirs["/q"], model.files["/q/f"] = true, 100
+	for _, p := range []string{"/open", "/q/open"} {
+		if _, err := ns.Create(p, rv3, 0, false, "writer"); err != nil {
+			t.Fatal(err)
+		}
+		model.files[p] = 0
+	}
+	if _, _, err := ns.AddBlock("/open"); err != nil {
+		t.Fatal(err)
+	}
+	big := core.NewReplicationVector(1, 0, 2, 0, 0)
+	if _, err := ns.Create("/big", big, 1<<30, false, "u"); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 8192; i++ {
+		b, _, err := ns.AddBlock("/big")
+		if err != nil {
+			t.Fatal(err)
+		}
+		b.NumBytes = 1 << 30
+		if err := ns.CommitBlock("/big", b); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := ns.Complete("/big", nil); err != nil {
+		t.Fatal(err)
+	}
+	model.files["/big"] = 8192 << 30
+
 	// Final full-tree comparison, on the live tree and on the one a
-	// checkpoint and reopen rebuild (with fresh IDs: they are not stored).
+	// checkpoint and reopen rebuild (with fresh IDs: they are not stored),
+	// which must also match it inode by inode.
 	var modelFiles []string
 	for f := range model.files {
 		modelFiles = append(modelFiles, f)
@@ -304,14 +348,31 @@ func TestNamespaceAgainstModel(t *testing.T) {
 		}
 	}
 	compare("final")
+	want := fullState(t, ns)
 	if err := ns.Checkpoint(); err != nil {
 		t.Fatal(err)
+	}
+	image, err := os.ReadFile(filepath.Join(dir, imageFile))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, clean := frameWalk(image[len(imageMagic):], maxEditPayload, func([]byte) bool { return true }); clean {
+		t.Fatalf("no inode frame of the %d-byte image is over the edit log's bound", len(image))
 	}
 	ns.Close()
 	if ns, err = Open(dir); err != nil {
 		t.Fatalf("reopen: %v", err)
 	}
 	compare("after checkpoint and reopen")
+	if got := fullState(t, ns); got != want {
+		g, w := strings.Split(got, "\n"), strings.Split(want, "\n")
+		for i := 0; i < len(g) && i < len(w); i++ {
+			if g[i] != w[i] {
+				t.Fatalf("after checkpoint and reopen, inode %d differs:\n got %.300s\nwant %.300s", i, g[i], w[i])
+			}
+		}
+		t.Fatalf("after checkpoint and reopen: %d inode lines, want %d", len(g), len(w))
+	}
 }
 
 // rename2Check mirrors the real namespace's rename preconditions on

@@ -1,8 +1,6 @@
 package namespace
 
 import (
-	"bytes"
-	"encoding/gob"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -97,9 +95,10 @@ func OpenWithOptions(dir string, opts Options) (*Namespace, error) {
 	}
 	imgStart := time.Now()
 	if data, err := os.ReadFile(filepath.Join(dir, imageFile)); err == nil {
-		if err := ns.loadImage(data); err != nil {
+		if ns, err = decodeImage(data, 0); err != nil {
 			return nil, err
 		}
+		ns.dir, ns.sync = dir, opts.SyncEdits
 		ns.recovery.ImageBytes = int64(len(data))
 		ns.recovery.ImageLoadNs = time.Since(imgStart).Nanoseconds()
 	} else if !os.IsNotExist(err) {
@@ -240,67 +239,44 @@ func (ns *Namespace) apply(rec EditRecord) (result, error) {
 	return result{}, fmt.Errorf("namespace: unknown edit op %d", rec.Op)
 }
 
-// resolve walks the tree to the inode at path. Callers hold ns.mu.
-func (ns *Namespace) resolve(path string) (*INode, error) {
-	node := ns.root
+// locate walks the tree to path: it returns the directory holding the
+// last component — the lowest of those whose usage a mutation there
+// charges — and the inode at path, nil when only that last component is
+// missing. The root is its own directory. Callers hold ns.mu.
+func (ns *Namespace) locate(path string) (dir, node *INode, err error) {
+	dir, node = ns.root, ns.root
 	for _, part := range SplitPath(path) {
-		if !node.IsDir {
-			return nil, fmt.Errorf("namespace: %s: %w", path, core.ErrNotDirectory)
+		if node == nil {
+			return nil, nil, fmt.Errorf("namespace: %s: %w", path, core.ErrNotFound)
 		}
-		child, ok := node.Children[part]
-		if !ok {
-			return nil, fmt.Errorf("namespace: %s: %w", path, core.ErrNotFound)
-		}
-		node = child
-	}
-	return node, nil
-}
-
-// locate is resolve for mutations: it returns the chain of directories
-// from the root down to path's parent, whose usage a mutation charges,
-// and the inode at path itself — nil when only that last component is
-// missing. The root is its own parent.
-func (ns *Namespace) locate(path string) (chain []*INode, node *INode, err error) {
-	parts := SplitPath(path)
-	chain = append(make([]*INode, 0, len(parts)+1), ns.root)
-	node = ns.root
-	for i, part := range parts {
 		if !node.IsDir {
 			return nil, nil, fmt.Errorf("namespace: %s: %w", path, core.ErrNotDirectory)
 		}
-		child, ok := node.Children[part]
-		if i == len(parts)-1 {
-			return chain, child, nil
-		}
-		if !ok {
-			return nil, nil, fmt.Errorf("namespace: %s: %w", path, core.ErrNotFound)
-		}
-		node = child
-		chain = append(chain, node)
+		dir, node = node, node.Children[part]
 	}
-	return chain, node, nil
+	return dir, node, nil
 }
 
 // existing is locate for a path that must resolve.
-func (ns *Namespace) existing(path string) ([]*INode, *INode, error) {
-	chain, node, err := ns.locate(path)
+func (ns *Namespace) existing(path string) (*INode, *INode, error) {
+	dir, node, err := ns.locate(path)
 	if err == nil && node == nil {
 		err = fmt.Errorf("namespace: %s: %w", path, core.ErrNotFound)
 	}
-	return chain, node, err
+	return dir, node, err
 }
 
 // existingFile is locate for a path that must resolve to a file.
-func (ns *Namespace) existingFile(path string) ([]*INode, *INode, error) {
-	chain, node, err := ns.existing(path)
+func (ns *Namespace) existingFile(path string) (*INode, *INode, error) {
+	dir, node, err := ns.existing(path)
 	if err == nil && node.IsDir {
 		err = fmt.Errorf("namespace: %s: %w", path, core.ErrIsDirectory)
 	}
-	return chain, node, err
+	return dir, node, err
 }
 
-// adopt links node under parent and gives every file in its subtree that
-// has no ID yet (a new file, a loaded image) one.
+// adopt links a new or loaded node under parent and indexes it if it is
+// a file, giving it an ID unless it has one.
 func (ns *Namespace) adopt(parent, node *INode) {
 	node.parent = parent
 	if !node.IsDir {
@@ -313,19 +289,15 @@ func (ns *Namespace) adopt(parent, node *INode) {
 			ns.open[node.id] = node
 		}
 	}
-	for _, c := range node.Children {
-		ns.adopt(node, c)
-	}
 }
 
-// unlink removes node from its parent, the last of chain: the subtree's
-// charges are refunded, its files leave the ID index, and what it held
-// is returned for the caller to invalidate.
-func (ns *Namespace) unlink(chain []*INode, node *INode, now int64) (rm Removed) {
-	parent := chain[len(chain)-1]
-	chargeChain(chain, negCharges(subtreeCharges(node)))
-	delete(parent.Children, node.Name)
-	parent.ModTime = now
+// unlink removes node from its directory: the subtree's charges are
+// refunded, its files leave the ID index, and what it held is returned
+// for the caller to invalidate.
+func (ns *Namespace) unlink(dir, node *INode, now int64) (rm Removed) {
+	charge(dir, negCharges(chargesOf(node)))
+	delete(dir.Children, node.Name)
+	dir.ModTime = now
 	ns.forget(node, &rm)
 	return rm
 }
@@ -361,10 +333,10 @@ func pathTo(n *INode) (path string) {
 	return path
 }
 
-// checkQuota verifies that adding delta to every directory in chain
-// stays within each configured quota.
-func checkQuota(chain []*INode, delta [numQuotaSlots]int64) error {
-	for _, dir := range chain {
+// checkQuota verifies that adding delta to dir and every directory above
+// it stays within each configured quota.
+func checkQuota(dir *INode, delta [numQuotaSlots]int64) error {
+	for ; dir != nil; dir = dir.parent {
 		for slot := 0; slot < numQuotaSlots; slot++ {
 			if dir.Quota[slot] > 0 && delta[slot] > 0 &&
 				dir.Usage[slot]+delta[slot] > dir.Quota[slot] {
@@ -376,9 +348,9 @@ func checkQuota(chain []*INode, delta [numQuotaSlots]int64) error {
 	return nil
 }
 
-// chargeChain applies delta to every directory's usage counters.
-func chargeChain(chain []*INode, delta [numQuotaSlots]int64) {
-	for _, dir := range chain {
+// charge applies delta to the usage of dir and every directory above it.
+func charge(dir *INode, delta [numQuotaSlots]int64) {
+	for ; dir != nil; dir = dir.parent {
 		dir.Usage = addCharges(dir.Usage, delta)
 	}
 }
@@ -449,7 +421,7 @@ func (ns *Namespace) applyCreate(rec EditRecord) (result, error) {
 	if err := rec.RepVector.Validate(); err != nil {
 		return result{}, err
 	}
-	chain, old, err := ns.locate(rec.Path)
+	dir, old, err := ns.locate(rec.Path)
 	if err != nil {
 		return result{}, err
 	}
@@ -465,13 +437,12 @@ func (ns *Namespace) applyCreate(rec EditRecord) (result, error) {
 	file := newFile(BaseName(rec.Path), rec.Owner, rec.RepVector, rec.BlockSize, rec.Time)
 	var res result
 	if old != nil {
-		chargeChain(chain, negCharges(fileCharges(old)))
+		charge(dir, negCharges(chargesOf(old)))
 		file.id, res.removed.Blocks = old.id, old.Blocks
 	}
-	parent := chain[len(chain)-1]
-	parent.Children[file.Name] = file
-	ns.adopt(parent, file)
-	parent.ModTime = rec.Time
+	dir.Children[file.Name] = file
+	ns.adopt(dir, file)
+	dir.ModTime = rec.Time
 	res.file = file.id
 	return res, nil
 }
@@ -486,14 +457,14 @@ func (ns *Namespace) AddBlock(path string, stats ...*OpStats) (core.Block, FileI
 }
 
 func (ns *Namespace) applyAddBlock(rec EditRecord) (result, error) {
-	chain, node, err := ns.existingFile(rec.Path)
+	dir, node, err := ns.existingFile(rec.Path)
 	if err != nil {
 		return result{}, err
 	}
 	if !node.UnderConstruction {
 		return result{}, fmt.Errorf("namespace: %s: %w", rec.Path, core.ErrFileClosed)
 	}
-	if err := checkQuota(chain, charges(node.RepVector, node.BlockSize)); err != nil {
+	if err := checkQuota(dir, charges(node.RepVector, node.BlockSize)); err != nil {
 		return result{}, err
 	}
 	node.Blocks = append(node.Blocks, rec.Block)
@@ -511,23 +482,24 @@ func (ns *Namespace) CommitBlock(path string, b core.Block, stats ...*OpStats) e
 }
 
 func (ns *Namespace) applyCommitBlock(rec EditRecord) (result, error) {
-	chain, node, err := ns.existingFile(rec.Path)
+	dir, node, err := ns.existingFile(rec.Path)
 	if err != nil {
 		return result{}, err
 	}
-	return result{}, commitBlock(chain, node, rec)
+	return result{}, commitBlock(dir, node, rec)
 }
 
-// commitBlock replaces node's block of the same ID with rec's and
-// charges the difference in length; with no such block it does nothing
-// and says so.
-func commitBlock(chain []*INode, node *INode, rec EditRecord) error {
+// commitBlock sets the length of node's block with rec's block ID and
+// charges the difference; the ID and generation stay as AddBlock issued
+// them, so the image's counters bound every block in the tree. With no
+// such block it does nothing and says so.
+func commitBlock(dir, node *INode, rec EditRecord) error {
 	i := slices.IndexFunc(node.Blocks, func(b core.Block) bool { return b.ID == rec.Block.ID })
 	if i < 0 {
 		return fmt.Errorf("namespace: %s has no block %s: %w", rec.Path, rec.Block.ID, core.ErrNotFound)
 	}
-	chargeChain(chain, charges(node.RepVector, rec.Block.NumBytes-node.Blocks[i].NumBytes))
-	node.Blocks[i] = rec.Block
+	charge(dir, charges(node.RepVector, rec.Block.NumBytes-node.Blocks[i].NumBytes))
+	node.Blocks[i].NumBytes = rec.Block.NumBytes
 	node.ModTime = rec.Time
 	return nil
 }
@@ -541,7 +513,7 @@ func (ns *Namespace) AbandonBlock(path string, id core.BlockID, stats ...*OpStat
 }
 
 func (ns *Namespace) applyAbandonBlock(rec EditRecord) (result, error) {
-	chain, node, err := ns.existingFile(rec.Path)
+	dir, node, err := ns.existingFile(rec.Path)
 	if err != nil {
 		return result{}, err
 	}
@@ -553,7 +525,7 @@ func (ns *Namespace) applyAbandonBlock(rec EditRecord) (result, error) {
 		return result{}, fmt.Errorf("namespace: %s: block %s is not the last block: %w", rec.Path, rec.Block.ID, core.ErrNotFound)
 	}
 	// Refund whatever bytes the block had already been charged.
-	chargeChain(chain, negCharges(charges(node.RepVector, node.Blocks[last].NumBytes)))
+	charge(dir, negCharges(charges(node.RepVector, node.Blocks[last].NumBytes)))
 	node.Blocks = node.Blocks[:last]
 	node.ModTime = rec.Time
 	return result{}, nil
@@ -570,7 +542,7 @@ func (ns *Namespace) Complete(path string, last *core.Block, stats ...*OpStats) 
 }
 
 func (ns *Namespace) applyComplete(rec EditRecord) (result, error) {
-	chain, node, err := ns.existingFile(rec.Path)
+	dir, node, err := ns.existingFile(rec.Path)
 	if err != nil {
 		return result{}, err
 	}
@@ -578,7 +550,7 @@ func (ns *Namespace) applyComplete(rec EditRecord) (result, error) {
 		return result{}, fmt.Errorf("namespace: %s: %w", rec.Path, core.ErrFileClosed)
 	}
 	if rec.Block.ID != 0 { // block IDs start at 1
-		if err := commitBlock(chain, node, rec); err != nil {
+		if err := commitBlock(dir, node, rec); err != nil {
 			return result{}, err
 		}
 	}
@@ -607,7 +579,7 @@ func (ns *Namespace) Delete(path string, recursive bool, stats ...*OpStats) (Rem
 // under construction, a delete anything but the root and, unless
 // recursive, a directory with children.
 func (ns *Namespace) applyRemove(rec EditRecord) (result, error) {
-	chain, node, err := ns.existing(rec.Path)
+	dir, node, err := ns.existing(rec.Path)
 	switch {
 	case rec.Op == EditDelete && rec.Path == Separator:
 		return result{}, fmt.Errorf("namespace: cannot delete the root: %w", core.ErrPermission)
@@ -618,7 +590,7 @@ func (ns *Namespace) applyRemove(rec EditRecord) (result, error) {
 	case rec.Op == EditDelete && len(node.Children) > 0 && !rec.Recursive:
 		return result{}, fmt.Errorf("namespace: %s: %w", rec.Path, core.ErrNotEmpty)
 	}
-	return result{removed: ns.unlink(chain, node, rec.Time)}, nil
+	return result{removed: ns.unlink(dir, node, rec.Time)}, nil
 }
 
 // Rename moves a file or directory. The destination must not exist;
@@ -635,29 +607,28 @@ func (ns *Namespace) applyRename(rec EditRecord) (result, error) {
 	if IsAncestor(rec.Path, rec.Dst) {
 		return result{}, fmt.Errorf("namespace: cannot move %s into itself (%s): %w", rec.Path, rec.Dst, core.ErrExists)
 	}
-	srcChain, node, err := ns.existing(rec.Path)
+	srcDir, node, err := ns.existing(rec.Path)
 	if err != nil {
 		return result{}, err
 	}
-	dstChain, taken, err := ns.locate(rec.Dst)
+	dstDir, taken, err := ns.locate(rec.Dst)
 	if err != nil {
 		return result{}, err
 	}
 	if taken != nil {
 		return result{}, fmt.Errorf("namespace: %s: %w", rec.Dst, core.ErrExists)
 	}
-	usage := subtreeCharges(node)
-	if err := checkQuota(dstChain, usage); err != nil {
+	usage := chargesOf(node)
+	if err := checkQuota(dstDir, usage); err != nil {
 		return result{}, err
 	}
-	srcParent, dstParent := srcChain[len(srcChain)-1], dstChain[len(dstChain)-1]
-	chargeChain(srcChain, negCharges(usage))
-	delete(srcParent.Children, node.Name)
-	srcParent.ModTime = rec.Time
-	node.Name, node.parent = BaseName(rec.Dst), dstParent
-	dstParent.Children[node.Name] = node
-	dstParent.ModTime = rec.Time
-	chargeChain(dstChain, usage)
+	charge(srcDir, negCharges(usage))
+	delete(srcDir.Children, node.Name)
+	srcDir.ModTime = rec.Time
+	node.Name, node.parent = BaseName(rec.Dst), dstDir
+	dstDir.Children[node.Name] = node
+	dstDir.ModTime = rec.Time
+	charge(dstDir, usage)
 	return result{}, nil
 }
 
@@ -673,16 +644,16 @@ func (ns *Namespace) applySetRepVector(rec EditRecord) (result, error) {
 	if err := rec.RepVector.Validate(); err != nil {
 		return result{}, err
 	}
-	chain, node, err := ns.existingFile(rec.Path)
+	dir, node, err := ns.existingFile(rec.Path)
 	if err != nil {
 		return result{}, err
 	}
 	length, old := node.Length(), node.RepVector
 	delta := addCharges(charges(rec.RepVector, length), negCharges(charges(old, length)))
-	if err := checkQuota(chain, delta); err != nil {
+	if err := checkQuota(dir, delta); err != nil {
 		return result{}, err
 	}
-	chargeChain(chain, delta)
+	charge(dir, delta)
 	node.RepVector = rec.RepVector
 	node.ModTime = rec.Time
 	return result{old: old}, nil
@@ -715,21 +686,32 @@ func (ns *Namespace) applySetQuota(rec EditRecord) (result, error) {
 	return result{}, nil
 }
 
-// Status returns the FileInfo of one path.
-func (ns *Namespace) Status(path string, stats ...*OpStats) (FileInfo, error) {
+// read is how a read op sees the tree: it cleans path, takes the read
+// lock — timing the wait and fn into the optional stats — and hands fn
+// the inode at path.
+func (ns *Namespace) read(path string, stats []*OpStats, fn func(path string, node *INode) error) error {
 	path, err := CleanPath(path)
 	if err != nil {
-		return FileInfo{}, err
+		return err
 	}
 	st := statsOf(stats)
 	ns.rlock(st)
 	defer ns.mu.RUnlock()
 	defer timeApply(st)()
-	node, err := ns.resolve(path)
+	_, node, err := ns.existing(path)
 	if err != nil {
-		return FileInfo{}, err
+		return err
 	}
-	return infoFor(path, node), nil
+	return fn(path, node)
+}
+
+// Status returns the FileInfo of one path.
+func (ns *Namespace) Status(path string, stats ...*OpStats) (info FileInfo, err error) {
+	err = ns.read(path, stats, func(path string, node *INode) error {
+		info = infoFor(path, node)
+		return nil
+	})
+	return info, err
 }
 
 func infoFor(path string, node *INode) FileInfo {
@@ -750,60 +732,38 @@ func infoFor(path string, node *INode) FileInfo {
 
 // List returns the entries of a directory sorted by name, or the
 // single entry for a file path.
-func (ns *Namespace) List(path string, stats ...*OpStats) ([]FileInfo, error) {
-	path, err := CleanPath(path)
-	if err != nil {
-		return nil, err
-	}
-	st := statsOf(stats)
-	ns.rlock(st)
-	defer ns.mu.RUnlock()
-	defer timeApply(st)()
-	node, err := ns.resolve(path)
-	if err != nil {
-		return nil, err
-	}
-	if !node.IsDir {
-		return []FileInfo{infoFor(path, node)}, nil
-	}
-	out := make([]FileInfo, 0, len(node.Children))
-	for _, name := range node.childNames() {
-		out = append(out, infoFor(JoinPath(path, name), node.Children[name]))
-	}
-	return out, nil
+func (ns *Namespace) List(path string, stats ...*OpStats) (out []FileInfo, err error) {
+	err = ns.read(path, stats, func(path string, node *INode) error {
+		if !node.IsDir {
+			out = []FileInfo{infoFor(path, node)}
+			return nil
+		}
+		out = make([]FileInfo, 0, len(node.Children))
+		for _, name := range node.childNames() {
+			out = append(out, infoFor(JoinPath(path, name), node.Children[name]))
+		}
+		return nil
+	})
+	return out, err
 }
 
 // Exists reports whether a path resolves.
 func (ns *Namespace) Exists(path string) bool {
-	path, err := CleanPath(path)
-	if err != nil {
-		return false
-	}
-	ns.mu.RLock()
-	defer ns.mu.RUnlock()
-	_, err = ns.resolve(path)
+	_, err := ns.Status(path)
 	return err == nil
 }
 
 // FileBlocks returns a file's blocks in order plus its replication
 // vector, block size and ID.
-func (ns *Namespace) FileBlocks(path string, stats ...*OpStats) ([]core.Block, core.ReplicationVector, int64, FileID, error) {
-	path, err := CleanPath(path)
-	if err != nil {
-		return nil, 0, 0, 0, err
-	}
-	st := statsOf(stats)
-	ns.rlock(st)
-	defer ns.mu.RUnlock()
-	defer timeApply(st)()
-	node, err := ns.resolve(path)
-	if err != nil {
-		return nil, 0, 0, 0, err
-	}
-	if node.IsDir {
-		return nil, 0, 0, 0, fmt.Errorf("namespace: %s: %w", path, core.ErrIsDirectory)
-	}
-	return append([]core.Block(nil), node.Blocks...), node.RepVector, node.BlockSize, node.id, nil
+func (ns *Namespace) FileBlocks(path string, stats ...*OpStats) (blocks []core.Block, rv core.ReplicationVector, bs int64, id FileID, err error) {
+	err = ns.read(path, stats, func(path string, node *INode) error {
+		if node.IsDir {
+			return fmt.Errorf("namespace: %s: %w", path, core.ErrIsDirectory)
+		}
+		blocks, rv, bs, id = append([]core.Block(nil), node.Blocks...), node.RepVector, node.BlockSize, node.id
+		return nil
+	})
+	return blocks, rv, bs, id, err
 }
 
 // ForEachFile visits every file in the namespace in depth-first
@@ -829,79 +789,30 @@ func walkFiles(path string, node *INode, fn func(path string, file *INode)) {
 func (ns *Namespace) Stats() (dirs, files, blocks int) {
 	ns.mu.RLock()
 	defer ns.mu.RUnlock()
-	var walk func(node *INode)
-	walk = func(node *INode) {
-		if node.IsDir {
-			dirs++
-			for _, c := range node.Children {
-				walk(c)
-			}
-			return
-		}
-		files++
-		blocks += len(node.Blocks)
-	}
-	walk(ns.root)
-	return dirs, files, blocks
-}
-
-// image is the gob-serialised checkpoint payload.
-type image struct {
-	Root        *INode
-	NextBlockID uint64
-	NextGen     uint64
-	TxID        uint64
+	sum := summarize(ns.root)
+	return sum.Directories, sum.Files, sum.Blocks
 }
 
 // ImageBytes serialises the current namespace into a checkpoint
-// payload, used both for local checkpoints and for Backup Master
-// synchronisation (paper §2.1).
+// payload (fsimage.go), used both for local checkpoints and for Backup
+// Master synchronisation (paper §2.1).
 func (ns *Namespace) ImageBytes() ([]byte, error) {
 	ns.mu.RLock()
 	defer ns.mu.RUnlock()
-	return ns.imageBytesLocked()
+	return ns.imageBytesLocked(), nil
 }
 
-func (ns *Namespace) imageBytesLocked() ([]byte, error) {
-	var buf bytes.Buffer
-	err := gob.NewEncoder(&buf).Encode(image{
-		Root:        ns.root,
-		NextBlockID: ns.nextBlockID,
-		NextGen:     ns.nextGen,
-		TxID:        ns.txid,
-	})
-	if err != nil {
-		return nil, fmt.Errorf("namespace: encoding fsimage: %w", err)
-	}
-	return buf.Bytes(), nil
-}
-
-func (ns *Namespace) loadImage(data []byte) error {
-	var img image
-	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&img); err != nil {
-		return fmt.Errorf("namespace: decoding fsimage: %w", err)
-	}
-	ns.root = img.Root
-	ns.nextBlockID = img.NextBlockID
-	ns.nextGen = img.NextGen
-	ns.txid = img.TxID
-	if ns.root == nil {
-		ns.root = newDirectory("", "root", time.Now().UnixNano())
-	}
-	if ns.root.Children == nil {
-		ns.root.Children = make(map[string]*INode)
-	}
-	ns.files, ns.open = make(map[FileID]*INode), make(map[FileID]*INode)
-	ns.adopt(nil, ns.root)
-	return nil
-}
-
-// LoadImageBytes replaces the in-memory tree with a checkpoint
-// payload; used by Backup Masters.
+// LoadImageBytes replaces the in-memory tree with a checkpoint payload;
+// used by Backup Masters. A bad payload leaves the tree as it was.
 func (ns *Namespace) LoadImageBytes(data []byte) error {
 	ns.mu.Lock()
 	defer ns.mu.Unlock()
-	return ns.loadImage(data)
+	img, err := decodeImage(data, ns.nextFileID)
+	if err == nil {
+		ns.root, ns.files, ns.open, ns.nextFileID = img.root, img.files, img.open, img.nextFileID
+		ns.txid, ns.nextBlockID, ns.nextGen = img.txid, img.nextBlockID, img.nextGen
+	}
+	return err
 }
 
 // Checkpoint durably persists the current tree as the new fsimage and
@@ -922,11 +833,7 @@ func (ns *Namespace) checkpointLocked() error {
 	if ns.dir == "" {
 		return nil
 	}
-	data, err := ns.imageBytesLocked()
-	if err != nil {
-		return err
-	}
-	if err := WriteFileDurable(filepath.Join(ns.dir, imageFile), data); err != nil {
+	if err := WriteFileDurable(filepath.Join(ns.dir, imageFile), ns.imageBytesLocked()); err != nil {
 		return err
 	}
 	if ns.log != nil {
@@ -953,65 +860,45 @@ func (ns *Namespace) StaleOpenFiles(cutoff int64) []string {
 	return stale
 }
 
-// Summary aggregates a subtree: directory and file counts, logical
-// bytes, and per-quota-slot byte usage (per-tier plus total).
+// Summary aggregates a subtree: directory, file and block counts,
+// logical bytes, and per-quota-slot byte usage (per-tier plus total).
 type Summary struct {
 	Files       int
 	Directories int
+	Blocks      int
 	Bytes       int64
 	TierBytes   [numQuotaSlots]int64
 }
 
-// ContentSummary walks the subtree at path and aggregates usage — the
-// recursive accounting behind `du` and quota inspection.
-func (ns *Namespace) ContentSummary(path string, stats ...*OpStats) (Summary, error) {
-	path, err := CleanPath(path)
-	if err != nil {
-		return Summary{}, err
+// ContentSummary aggregates the subtree at path — the recursive
+// accounting behind `du` and quota inspection.
+func (ns *Namespace) ContentSummary(path string, stats ...*OpStats) (sum Summary, err error) {
+	err = ns.read(path, stats, func(_ string, node *INode) error {
+		sum = summarize(node)
+		return nil
+	})
+	return sum, err
+}
+
+func summarize(n *INode) Summary {
+	if !n.IsDir {
+		length := n.Length()
+		return Summary{Files: 1, Blocks: len(n.Blocks), Bytes: length, TierBytes: charges(n.RepVector, length)}
 	}
-	st := statsOf(stats)
-	ns.rlock(st)
-	defer ns.mu.RUnlock()
-	defer timeApply(st)()
-	node, err := ns.resolve(path)
-	if err != nil {
-		return Summary{}, err
+	sum := Summary{Directories: 1}
+	for _, c := range n.Children {
+		s := summarize(c)
+		sum.Files, sum.Directories, sum.Blocks = sum.Files+s.Files, sum.Directories+s.Directories, sum.Blocks+s.Blocks
+		sum.Bytes, sum.TierBytes = sum.Bytes+s.Bytes, addCharges(sum.TierBytes, s.TierBytes)
 	}
-	var sum Summary
-	var walk func(n *INode)
-	walk = func(n *INode) {
-		if !n.IsDir {
-			sum.Files++
-			length := n.Length()
-			sum.Bytes += length
-			ch := charges(n.RepVector, length)
-			for i := range ch {
-				sum.TierBytes[i] += ch[i]
-			}
-			return
-		}
-		sum.Directories++
-		for _, name := range n.childNames() {
-			walk(n.Children[name])
-		}
-	}
-	walk(node)
-	return sum, nil
+	return sum
 }
 
 // WalkFiles visits every file under root in depth-first order,
 // exposing the under-construction flag; used by fsck.
 func (ns *Namespace) WalkFiles(root string, fn func(path string, blocks []core.Block, rv core.ReplicationVector, underConstruction bool)) error {
-	root, err := CleanPath(root)
-	if err != nil {
-		return err
-	}
-	ns.mu.RLock()
-	defer ns.mu.RUnlock()
-	node, err := ns.resolve(root)
-	if err != nil {
-		return err
-	}
-	walkFiles(root, node, func(path string, f *INode) { fn(path, f.Blocks, f.RepVector, f.UnderConstruction) })
-	return nil
+	return ns.read(root, nil, func(root string, node *INode) error {
+		walkFiles(root, node, func(path string, f *INode) { fn(path, f.Blocks, f.RepVector, f.UnderConstruction) })
+		return nil
+	})
 }

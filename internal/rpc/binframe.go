@@ -29,8 +29,6 @@ const (
 	msgWriteBlockAck
 	msgReadBlockHeader
 	msgReadBlockResponse
-	msgReplicateBlockHeader
-	msgReplicateBlockAck
 )
 
 // frameScratch pools frame assembly and parse buffers: control frames
@@ -140,28 +138,11 @@ func encodeBinary(buf []byte, v any) ([]byte, bool) {
 		buf = append(buf, msgReadBlockResponse)
 		buf = appendStr(buf, m.Err)
 		return appendI64(buf, m.Length), true
-	case ReplicateBlockHeader:
-		buf = append(buf, msgReplicateBlockHeader)
-		buf = appendBlock(buf, m.Block)
-		buf = appendStr(buf, string(m.Target))
-		buf = appendU32(buf, uint32(len(m.Sources)))
-		for _, s := range m.Sources {
-			buf = appendStr(buf, string(s.Worker))
-			buf = appendStr(buf, s.Address)
-			buf = appendStr(buf, string(s.Storage))
-			buf = append(buf, byte(s.Tier))
-			buf = appendStr(buf, s.Rack)
-		}
-		buf = appendStr(buf, m.ReqID)
-		return appendStr(buf, m.SpanID), true
-	case ReplicateBlockAck:
-		buf = append(buf, msgReplicateBlockAck)
-		return appendStr(buf, m.Err), true
 	}
 	return buf, false
 }
 
-// maxFrameList bounds decoded pipeline/source list lengths; a cluster
+// maxFrameList bounds a decoded pipeline's length; a cluster
 // pipeline is replica-count long, so anything large indicates a
 // corrupt frame.
 const maxFrameList = 1 << 12
@@ -222,39 +203,6 @@ func decodeBinary(payload []byte, v any) error {
 		}
 		m.Err = r.str()
 		m.Length = r.i64()
-	case *ReplicateBlockHeader:
-		if err := want(msgReplicateBlockHeader); err != nil {
-			return err
-		}
-		m.Block = r.block()
-		m.Target = core.StorageID(r.str())
-		n := r.u32()
-		if n > maxFrameList {
-			return fmt.Errorf("rpc: binary frame source list of %d", n)
-		}
-		m.Sources = make([]core.BlockLocation, 0, n)
-		for i := uint32(0); i < n && !r.bad; i++ {
-			loc := core.BlockLocation{
-				Worker:  core.WorkerID(r.str()),
-				Address: r.str(),
-				Storage: core.StorageID(r.str()),
-			}
-			if r.bad || len(r.b) < 1 {
-				r.bad = true
-				break
-			}
-			loc.Tier = core.StorageTier(r.b[0])
-			r.b = r.b[1:]
-			loc.Rack = r.str()
-			m.Sources = append(m.Sources, loc)
-		}
-		m.ReqID = r.str()
-		m.SpanID = r.str()
-	case *ReplicateBlockAck:
-		if err := want(msgReplicateBlockAck); err != nil {
-			return err
-		}
-		m.Err = r.str()
 	default:
 		return fmt.Errorf("rpc: no binary decoder for %T", v)
 	}

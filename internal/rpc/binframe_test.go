@@ -37,16 +37,6 @@ func hotMessages() []struct {
 			ReqID: "ffee", SpanID: "span-2",
 		}, &ReadBlockHeader{}},
 		{"ReadBlockResponse", ReadBlockResponse{Err: "", Length: 1 << 22}, &ReadBlockResponse{}},
-		{"ReplicateBlockHeader", ReplicateBlockHeader{
-			Block:  core.Block{ID: 77, GenStamp: 1, NumBytes: 64},
-			Target: "w3:mem0",
-			Sources: []core.BlockLocation{
-				{Worker: "w1", Address: "h1:9866", Storage: "w1:hdd0", Tier: core.TierHDD, Rack: "/rack1"},
-				{Worker: "w2", Address: "h2:9866", Storage: "w2:mem0", Tier: core.TierMemory, Rack: "/rack2"},
-			},
-			ReqID: "0102", SpanID: "span-3",
-		}, &ReplicateBlockHeader{}},
-		{"ReplicateBlockAck", ReplicateBlockAck{Err: "E_NOTFOUND: block"}, &ReplicateBlockAck{}},
 	}
 }
 
@@ -119,22 +109,6 @@ func assertFrameEqual(t *testing.T, name string, in, out any) {
 		}
 	case ReadBlockResponse:
 		if got := *out.(*ReadBlockResponse); got != want {
-			t.Fatalf("%s mismatch: %+v vs %+v", name, got, want)
-		}
-	case ReplicateBlockHeader:
-		got := *out.(*ReplicateBlockHeader)
-		if got.Block != want.Block || got.Target != want.Target ||
-			got.ReqID != want.ReqID || got.SpanID != want.SpanID ||
-			len(got.Sources) != len(want.Sources) {
-			t.Fatalf("%s mismatch: %+v vs %+v", name, got, want)
-		}
-		for i := range want.Sources {
-			if got.Sources[i] != want.Sources[i] {
-				t.Fatalf("%s sources[%d]: %+v vs %+v", name, i, got.Sources[i], want.Sources[i])
-			}
-		}
-	case ReplicateBlockAck:
-		if got := *out.(*ReplicateBlockAck); got != want {
 			t.Fatalf("%s mismatch: %+v vs %+v", name, got, want)
 		}
 	default:

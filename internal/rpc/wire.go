@@ -30,9 +30,7 @@ const (
 	// OpReadBlock streams a block (or a byte range of it) to a reader.
 	OpReadBlock
 
-	// OpReplicateBlock instructs a worker to fetch a block from
-	// another worker and store it locally (paper §5).
-	OpReplicateBlock
+	_ // unassigned, so that the opcodes after it keep their values
 
 	// OpTraceDump asks a worker for its stored spans of one trace, so
 	// the master can assemble a cross-daemon timeline without the
@@ -102,24 +100,6 @@ type ReadBlockHeader struct {
 type ReadBlockResponse struct {
 	Err    string // EncodeError representation; "" = data follows
 	Length int64  // number of bytes that will be streamed
-}
-
-// ReplicateBlockHeader opens an OpReplicateBlock exchange, telling the
-// receiving worker to copy a block from a source location onto one of
-// its own media.
-type ReplicateBlockHeader struct {
-	Block   core.Block
-	Target  core.StorageID       // local media to store on
-	Sources []core.BlockLocation // replica locations to copy from, best first
-	// ReqID correlates this exchange across master and worker logs.
-	ReqID string
-	// SpanID is the requester's span, parenting the replication span.
-	SpanID string
-}
-
-// ReplicateBlockAck closes an OpReplicateBlock exchange.
-type ReplicateBlockAck struct {
-	Err string
 }
 
 // TraceDumpHeader opens an OpTraceDump exchange.

@@ -134,20 +134,6 @@ func TestExtendedHeaderRoundTrip(t *testing.T) {
 			t.Errorf("read header round trip: %+v", out)
 		}
 	})
-	t.Run("replicate", func(t *testing.T) {
-		var buf bytes.Buffer
-		in := ReplicateBlockHeader{Block: core.Block{ID: 5, GenStamp: 2}, Target: "w2:mem0", ReqID: reqID}
-		if err := WriteFrame(&buf, in); err != nil {
-			t.Fatal(err)
-		}
-		var out ReplicateBlockHeader
-		if err := ReadFrame(&buf, &out); err != nil {
-			t.Fatal(err)
-		}
-		if out.ReqID != reqID || out.Target != in.Target {
-			t.Errorf("replicate header round trip: %+v", out)
-		}
-	})
 }
 
 func TestNewRequestID(t *testing.T) {

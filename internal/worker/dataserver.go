@@ -99,8 +99,6 @@ func (w *Worker) handleConn(conn net.Conn) {
 			keep = w.handleWriteBlock(conn)
 		case rpc.OpReadBlock:
 			keep = w.handleReadBlock(conn)
-		case rpc.OpReplicateBlock:
-			keep = w.handleReplicateBlock(conn)
 		case rpc.OpTraceDump:
 			keep = w.handleTraceDump(conn)
 		case rpc.OpTransferDump:
@@ -461,52 +459,6 @@ func (w *Worker) readBlock(conn net.Conn, hdr rpc.ReadBlockHeader, rec *xfer.Rec
 		return n, tier, false, err
 	}
 	return n, tier, true, nil
-}
-
-// handleReplicateBlock lets a peer push a replication order directly
-// over the data port (the master normally uses heartbeat commands
-// instead).
-func (w *Worker) handleReplicateBlock(conn net.Conn) (keep bool) {
-	start := time.Now()
-	var hdr rpc.ReplicateBlockHeader
-	if err := rpc.ReadFrame(conn, &hdr); err != nil {
-		return false
-	}
-	endHandshake(conn)
-	reqID := hdr.ReqID
-	if reqID == "" {
-		reqID = rpc.NewRequestID()
-	}
-	sp := w.tracer.Start(reqID, hdr.SpanID, "worker.replicate")
-	sp.Annotate("worker", string(w.id)).AnnotateInt("block", int64(hdr.Block.ID))
-	rec := xfer.Record{
-		Op:             "replicate",
-		Source:         "worker:" + string(w.id),
-		Block:          uint64(hdr.Block.ID),
-		TraceID:        reqID,
-		SpanID:         sp.ID(),
-		HeaderDecodeNs: time.Since(start).Nanoseconds(),
-	}
-	n, tier, err := w.replicate(reqID, sp, hdr.Block, hdr.Target, hdr.Sources, &rec)
-	sp.Annotate("tier", tier).AnnotateInt("bytes", n)
-	rec.Tier = tier
-	rec.Bytes = n
-	rec.Result = "ok"
-	if err != nil {
-		rec.Result = err.Error()
-	}
-	annotatePhases(sp, &rec)
-	sp.SetError(err)
-	sp.End()
-	if err == nil {
-		w.heat.Touch(hdr.Block.ID, heat.Write, n)
-	}
-	w.metrics.observeOp("replicate", reqID, start, n, tier, err != nil)
-	w.metrics.observeDisk(tier, "replicate", rec.DiskNs)
-	ackErr := rpc.WriteFrame(conn, rpc.ReplicateBlockAck{Err: rpc.WithReqID(rpc.EncodeError(err), reqID)})
-	rec.TotalNs = time.Since(start).Nanoseconds()
-	w.xfers.Append(rec)
-	return ackErr == nil
 }
 
 // serveDump answers one cold-path exchange from the master's fan-out:

@@ -118,7 +118,7 @@ func TestWorkerHTTPAddrAdvertised(t *testing.T) {
 	deadline := time.Now().Add(5 * time.Second)
 	for {
 		var reply rpc.WorkerReportsReply
-		if err := w.callMaster("Master.GetWorkerReports", &rpc.WorkerReportsArgs{}, &reply); err != nil {
+		if err := w.master.Call("Master.GetWorkerReports", &rpc.WorkerReportsArgs{}, &reply); err != nil {
 			t.Fatal(err)
 		}
 		if len(reply.Workers) == 1 && reply.Workers[0].HTTPAddr == addr {

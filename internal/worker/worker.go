@@ -9,7 +9,6 @@ import (
 	"fmt"
 	"log/slog"
 	"net"
-	netrpc "net/rpc"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -98,8 +97,7 @@ type Worker struct {
 	id    core.WorkerID
 	media map[core.StorageID]*storage.Media
 
-	masterMu sync.Mutex
-	master   *netrpc.Client
+	master *rpc.MasterClient
 
 	ln       net.Listener
 	netConns atomic.Int64
@@ -137,12 +135,13 @@ func New(cfg Config) (*Worker, error) {
 		id = core.WorkerID(ln.Addr().String())
 	}
 	w := &Worker{
-		cfg:   cfg,
-		id:    id,
-		media: make(map[core.StorageID]*storage.Media, len(cfg.Media)),
-		ln:    ln,
-		conns: make(map[net.Conn]struct{}),
-		done:  make(chan struct{}),
+		cfg:    cfg,
+		id:     id,
+		media:  make(map[core.StorageID]*storage.Media, len(cfg.Media)),
+		ln:     ln,
+		master: rpc.NewMasterClient(cfg.MasterAddr),
+		conns:  make(map[net.Conn]struct{}),
+		done:   make(chan struct{}),
 	}
 	for _, mc := range cfg.Media {
 		if mc.ID == "" {
@@ -238,53 +237,11 @@ func (w *Worker) Close() error {
 	}
 	w.connMu.Unlock()
 	w.wg.Wait()
-	w.masterMu.Lock()
-	if w.master != nil {
-		w.master.Close()
-	}
-	w.masterMu.Unlock()
+	w.master.Close()
 	for _, m := range w.media {
 		m.Close()
 	}
 	return nil
-}
-
-// callMaster invokes a master RPC, (re)dialling as needed.
-func (w *Worker) callMaster(method string, args, reply any) error {
-	w.masterMu.Lock()
-	if w.master == nil {
-		c, err := netrpc.Dial("tcp", w.cfg.MasterAddr)
-		if err != nil {
-			w.masterMu.Unlock()
-			return fmt.Errorf("worker: dialling master: %w", err)
-		}
-		w.master = c
-	}
-	c := w.master
-	w.masterMu.Unlock()
-
-	err := c.Call(method, args, reply)
-	if isTransportError(err) {
-		w.masterMu.Lock()
-		if w.master == c {
-			w.master.Close()
-			w.master = nil
-		}
-		w.masterMu.Unlock()
-	}
-	return rpc.WrapRemote(err)
-}
-
-// isTransportError reports whether an RPC failure came from the
-// connection rather than the server: net/rpc wraps server-side errors
-// in rpc.ServerError, so anything else (EOF, reset, shutdown) means
-// the connection must be re-dialled.
-func isTransportError(err error) bool {
-	if err == nil {
-		return false
-	}
-	_, isServer := err.(netrpc.ServerError)
-	return !isServer
 }
 
 // mediaStats snapshots every media's statistics for registration and
@@ -317,7 +274,7 @@ func (w *Worker) register() error {
 		Media:     w.mediaStats(),
 	}
 	var reply rpc.RegisterReply
-	if err := w.callMaster("Master.Register", args, &reply); err != nil {
+	if err := w.master.Call("Master.Register", args, &reply); err != nil {
 		return fmt.Errorf("worker %s: registration failed: %w", w.id, err)
 	}
 	return nil
@@ -349,7 +306,7 @@ func (w *Worker) heartbeat() {
 	}
 	w.metrics.heartbeats.Inc()
 	var reply rpc.HeartbeatReply
-	if err := w.callMaster("Master.Heartbeat", args, &reply); err != nil {
+	if err := w.master.Call("Master.Heartbeat", args, &reply); err != nil {
 		// The master may have expired us (e.g. after its restart):
 		// re-register and retry on the next tick. Put the drained heat
 		// deltas back so access history survives master hiccups.
@@ -394,7 +351,7 @@ func (w *Worker) sendBlockReport() {
 	}
 	args := &rpc.BlockReportArgs{ID: w.id, Blocks: blocks}
 	var reply rpc.BlockReportReply
-	if err := w.callMaster("Master.BlockReport", args, &reply); err != nil {
+	if err := w.master.Call("Master.BlockReport", args, &reply); err != nil {
 		w.cfg.Logger.Warn("block report failed", "err", err)
 	}
 }
@@ -471,7 +428,7 @@ func (w *Worker) execute(cmd rpc.Command) {
 // notifyReceived tells the master a replica landed on local media.
 func (w *Worker) notifyReceived(storageID core.StorageID, b core.Block) {
 	var reply rpc.BlockReceivedReply
-	if err := w.callMaster("Master.BlockReceived", &rpc.BlockReceivedArgs{
+	if err := w.master.Call("Master.BlockReceived", &rpc.BlockReceivedArgs{
 		ID: w.id, Storage: storageID, Block: b,
 	}, &reply); err != nil {
 		w.cfg.Logger.Warn("block-received notification failed", "err", err)

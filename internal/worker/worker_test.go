@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"errors"
 	"io"
-	"net"
 	"testing"
 	"time"
 
@@ -119,8 +118,8 @@ func TestWriteToUnknownMediaFails(t *testing.T) {
 
 func TestReplicateViaDataPort(t *testing.T) {
 	_, w := testWorker(t)
-	// Store a block on hdd0, then ask the worker (over the data port)
-	// to replicate it onto mem0 from itself.
+	// Store a block on hdd0 over the data port, then have the worker run
+	// the master's replicate command for it onto mem0 from itself.
 	blk := core.Block{ID: 3, GenStamp: 1, NumBytes: 4096}
 	payload := bytes.Repeat([]byte{7}, 4096)
 	bw, err := rpc.OpenBlockWriter(blk, []rpc.PipelineTarget{
@@ -134,28 +133,14 @@ func TestReplicateViaDataPort(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	conn, err := net.Dial("tcp", w.DataAddr())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
-	conn.Write([]byte{rpc.OpReplicateBlock})
-	if err := rpc.WriteFrame(conn, rpc.ReplicateBlockHeader{
+	w.execute(rpc.Command{
+		Kind:   rpc.CmdReplicate,
 		Block:  blk,
 		Target: "wtest:mem0",
 		Sources: []core.BlockLocation{{
 			Worker: w.ID(), Address: w.DataAddr(), Storage: "wtest:hdd0", Tier: core.TierHDD,
 		}},
-	}); err != nil {
-		t.Fatal(err)
-	}
-	var ack rpc.ReplicateBlockAck
-	if err := rpc.ReadFrame(conn, &ack); err != nil {
-		t.Fatal(err)
-	}
-	if ack.Err != "" {
-		t.Fatalf("replicate ack: %s", ack.Err)
-	}
+	})
 	if !w.Media()["wtest:mem0"].Has(blk) {
 		t.Error("replica not present on memory media")
 	}
