@@ -25,7 +25,7 @@ type Replica struct {
 }
 
 // BlockReplica pairs a replica with its block: one line of a worker's
-// block report going in, one replica for a worker to delete coming out
+// block listing going in, one replica for a worker to delete coming out
 // of a transition that tombstoned (or refused) it.
 type BlockReplica struct {
 	Block core.Block
@@ -43,8 +43,8 @@ type BlockInfo struct {
 
 	// UnderConstruction marks a block still being written through a
 	// client pipeline. The replication monitor ignores such blocks —
-	// their replicas trickle in as the pipeline stages acknowledge —
-	// and only repairs committed blocks, like HDFS.
+	// their replicas are confirmed by the client's commit — and only
+	// repairs committed blocks, like HDFS.
 	UnderConstruction bool
 }
 
@@ -134,7 +134,7 @@ type replica struct {
 	Replica
 	state replicaState
 	// Pending-add only: the tick at which the unconfirmed add is cancelled
-	// (0 = a pipeline target, cancelled when its block commits), and the
+	// (0 = a pipeline target, confirmed when its block commits), and the
 	// live replica to tombstone in the same step that confirms this one
 	// (a tier move).
 	expires int64
@@ -203,7 +203,7 @@ type Manager struct {
 	mu     sync.RWMutex
 	blocks map[core.BlockID]*block
 	// byWorker counts, per worker, the records (in any state) each block
-	// holds for it: the index behind block reports and failure handling.
+	// holds for it: the index behind block listings and failure handling.
 	byWorker map[core.WorkerID]map[core.BlockID]int
 	// adds counts pending-add records per storage: the in-flight load
 	// placement adds to a medium's reported connections.
@@ -255,7 +255,7 @@ func (m *Manager) dropLocked(bi *block, i int) {
 
 // dropWhereLocked deletes the block's records that match selects. A
 // live record is only ever dropped on its worker's own testimony (its
-// expiry, its block reports), which alone may leave a held block empty.
+// expiry, its block listings), which alone may leave a held block empty.
 func (m *Manager) dropWhereLocked(bi *block, match func(*replica) bool) {
 	before := bi.count(live)
 	for i := len(bi.replicas) - 1; i >= 0; i-- {
@@ -270,7 +270,7 @@ func (m *Manager) dropWhereLocked(bi *block, match func(*replica) bool) {
 
 // AddBlock registers a freshly allocated block with its expected
 // replication vector; targets, the pipeline media handed to the writer,
-// are pending-adds until they confirm or the block commits.
+// are pending-adds until the block commits.
 func (m *Manager) AddBlock(b core.Block, expected core.ReplicationVector, targets ...Replica) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -287,18 +287,25 @@ func (m *Manager) AddBlock(b core.Block, expected core.ReplicationVector, target
 	}
 }
 
-// CommitBlock records a block's final length and releases it to the
-// replication monitor. Pipeline targets that never confirmed stop
-// counting: the write is over.
+// CommitBlock records a block's final length, releases it to the
+// replication monitor and confirms its pipeline targets: a client
+// commits only after a clean end-to-end ack, which every stage sends
+// only once it stored the block.
 func (m *Manager) CommitBlock(b core.Block) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if bi, ok := m.blocks[b.ID]; ok {
-		if b.GenStamp >= bi.GenStamp {
-			bi.Block = b
+	bi, ok := m.blocks[b.ID]
+	if !ok {
+		return
+	}
+	if b.GenStamp >= bi.GenStamp {
+		bi.Block = b
+	}
+	bi.underConstruction = false
+	for _, r := range slices.Clone(bi.replicas) {
+		if r.state == pendingAdd && r.expires == 0 {
+			m.confirmLocked(bi.Block, r.Replica, nil)
 		}
-		bi.underConstruction = false
-		m.dropWhereLocked(bi, func(r *replica) bool { return r.state == pendingAdd && r.expires == 0 })
 	}
 }
 
@@ -346,12 +353,12 @@ func (m *Manager) Schedule(id core.BlockID, r Replica, ttl int, retire core.Stor
 	})
 }
 
-// AddReplica records a worker's word that it stores a replica
-// (BlockReceived) and returns the deletions to enqueue. A pending-add
-// becomes live and, if it named a replica to retire, that one becomes a
-// tombstone in the same step. A replica of an unknown block (file
-// deleted meanwhile) or a stale generation, or one tombstoned, is
-// refused: the deletion returned is its own.
+// AddReplica records a worker's word that it stores a replica (a copy
+// its heartbeat confirms) and returns the deletions to enqueue. A
+// pending-add becomes live and, if it named a replica to retire, that
+// one becomes a tombstone in the same step. A replica of an unknown
+// block (file deleted meanwhile) or a stale generation, or one
+// tombstoned, is refused: the deletion returned is its own.
 func (m *Manager) AddReplica(b core.Block, r Replica) []BlockReplica {
 	m.mu.Lock()
 	defer m.mu.Unlock()

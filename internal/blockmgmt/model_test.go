@@ -133,7 +133,8 @@ type world struct {
 	// copies and deletes are commands handed out and not yet run;
 	// overdue holds the deletes that survived one report of their worker.
 	copies, deletes, overdue []slot
-	pipeline                 map[slot]bool // copies that need no source (client writes)
+	pipeline                 map[slot]bool           // copies that need no source (client writes)
+	targets                  map[core.BlockID][]slot // each block's write pipeline
 	snap                     map[core.WorkerID][]slot
 	mustFresh                map[core.WorkerID]bool
 	nextBlock                core.BlockID
@@ -234,21 +235,33 @@ func (w *world) step() (name string, lossy bool) {
 				targets = append(targets, replicaOf(k))
 				w.copies = append(w.copies, k)
 				w.pipeline[k] = true
+				w.targets[b] = append(w.targets[b], k)
 			}
 		}
 		m.AddBlock(blockOf(b), core.ReplicationVectorFromFactor(2), targets...)
 		return fmt.Sprintf("addBlock %d %v", b, targets), false
-	case n < 12: // the client commits
+	case n < 12: // the client commits after the ack: every stage stored it
 		b := w.randBlock()
+		for _, k := range w.targets[b] {
+			if !w.disk[k] {
+				return fmt.Sprintf("commit %d: no ack", b), false
+			}
+		}
 		m.CommitBlock(blockOf(b))
-		o.dropWhere(func(k slot, r *orec) bool { return k.b == b && r.state == pendingAdd && r.pipeline })
+		for k, r := range o.recs {
+			if k.b == b && r.state == pendingAdd && r.pipeline {
+				*r = orec{state: live}
+			}
+		}
 		return fmt.Sprintf("commit %d", b), false
-	case n < 30: // a copy lands (or fails) and the worker says so
+	case n < 30: // a copy lands (or fails); a copy's worker says so, a pipeline stage does not
 		k, ok := w.pick(&w.copies, up)
 		if !ok {
 			return "land: none", false
 		}
-		source := w.pipeline[k]
+		stage := w.pipeline[k]
+		delete(w.pipeline, k)
+		source := stage
 		for d := range w.disk {
 			source = source || d.b == k.b && d != k
 		}
@@ -256,6 +269,9 @@ func (w *world) step() (name string, lossy bool) {
 			return fmt.Sprintf("copy %v failed", k), false
 		}
 		w.disk[k] = true
+		if stage {
+			return fmt.Sprintf("pipeline stage %v stored", k), false
+		}
 		w.queue("land", m.AddReplica(blockOf(k.b), replicaOf(k)), o.confirm(k))
 		return fmt.Sprintf("land %v", k), false
 	case n < 38: // re-replication
@@ -330,7 +346,9 @@ func (w *world) step() (name string, lossy bool) {
 		}
 		m.RemoveWorker(worker)
 		o.dropWhere(func(k slot, _ *orec) bool { return k.worker() == worker })
-		take(&w.copies, worker)
+		for _, k := range take(&w.copies, worker) {
+			delete(w.pipeline, k)
+		}
 		take(&w.deletes, worker)
 		take(&w.overdue, worker)
 		w.mustFresh[worker] = true
@@ -400,7 +418,7 @@ func runLifeCycleModel(t *testing.T, seed int64, steps int) {
 		t: t, rng: rand.New(rand.NewSource(seed)), m: NewManager(),
 		o:     &oracle{recs: make(map[slot]*orec), known: make(map[core.BlockID]bool)},
 		alive: map[core.WorkerID]bool{"w1": true, "w2": true, "w3": true},
-		disk:  make(map[slot]bool), pipeline: make(map[slot]bool),
+		disk:  make(map[slot]bool), pipeline: make(map[slot]bool), targets: make(map[core.BlockID][]slot),
 		snap: make(map[core.WorkerID][]slot), mustFresh: make(map[core.WorkerID]bool),
 	}
 	var trail []string

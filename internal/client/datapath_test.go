@@ -120,14 +120,6 @@ func (s *stubMaster) Complete(args *rpc.CompleteArgs, _ *rpc.CompleteReply) erro
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	f := s.file(args.Path)
-	if args.Last != nil {
-		for i, b := range f.blocks {
-			if b.ID == args.Last.ID {
-				f.blocks[i] = *args.Last
-				f.committed[args.Last.ID] = true
-			}
-		}
-	}
 	for _, b := range f.blocks {
 		if !f.committed[b.ID] {
 			return fmt.Errorf("complete with uncommitted block %d", b.ID)

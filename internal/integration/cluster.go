@@ -253,17 +253,16 @@ func (c *Cluster) startWorker(i int) (*worker.Worker, error) {
 		})
 	}
 	return worker.New(worker.Config{
-		ID:                  core.WorkerID(node),
-		Node:                node,
-		Rack:                rack,
-		MasterAddr:          c.Master.Addr(),
-		DataAddr:            "127.0.0.1:0",
-		Media:               media,
-		HeartbeatInterval:   50 * time.Millisecond,
-		BlockReportInterval: 250 * time.Millisecond,
-		Logger:              cfg.WorkerLogger,
-		SlowOpThreshold:     cfg.SlowOpThreshold,
-		TraceSample:         cfg.TraceSample,
+		ID:                core.WorkerID(node),
+		Node:              node,
+		Rack:              rack,
+		MasterAddr:        c.Master.Addr(),
+		DataAddr:          "127.0.0.1:0",
+		Media:             media,
+		HeartbeatInterval: 50 * time.Millisecond,
+		Logger:            cfg.WorkerLogger,
+		SlowOpThreshold:   cfg.SlowOpThreshold,
+		TraceSample:       cfg.TraceSample,
 	})
 }
 

@@ -11,6 +11,7 @@ import (
 	"repro/internal/client"
 	"repro/internal/core"
 	"repro/internal/master"
+	"repro/internal/rpc"
 )
 
 func startTestCluster(t *testing.T, mutate ...func(*ClusterConfig)) *Cluster {
@@ -85,6 +86,46 @@ func TestWriteReadRoundTrip(t *testing.T) {
 		if len(b.Locations) != 2 {
 			t.Errorf("block %s has %d locations, want 2", b.Block.ID, len(b.Locations))
 		}
+	}
+}
+
+// The client's commit confirms its pipeline: the moment Close returns,
+// every pipeline target is a location of its block and serves its
+// bytes, with no worker message in between.
+func TestEveryTargetServesRightAfterClose(t *testing.T) {
+	c := startTestCluster(t)
+	fs, err := c.Client("")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer fs.Close()
+	data := randomBytes(6<<20, 11)
+	if err := fs.WriteFile("/every", data, core.ReplicationVectorFromFactor(3)); err != nil {
+		t.Fatalf("WriteFile: %v", err)
+	}
+	blocks, err := fs.GetFileBlockLocations("/every", 0, -1)
+	if err != nil || len(blocks) != 2 {
+		t.Fatalf("blocks = %d, %v; want 2", len(blocks), err)
+	}
+	for _, b := range blocks {
+		if len(b.Locations) != 3 {
+			t.Errorf("block %s has %d locations right after Close, want 3", b.Block.ID, len(b.Locations))
+		}
+		want := data[b.Offset : b.Offset+b.Block.NumBytes]
+		for _, loc := range b.Locations {
+			rc, _, err := rpc.OpenBlockReader(loc.Address, b.Block, loc.Storage, 0, -1)
+			if err != nil {
+				t.Fatalf("block %s on %s: %v", b.Block.ID, loc.Storage, err)
+			}
+			got, err := io.ReadAll(rc)
+			rc.Close()
+			if err != nil || !bytes.Equal(got, want) {
+				t.Errorf("block %s on %s: read %d bytes (err %v), want its %d", b.Block.ID, loc.Storage, len(got), err, len(want))
+			}
+		}
+	}
+	if bad := c.Master.CheckReplicas(); len(bad) != 0 {
+		t.Errorf("life-cycle check: %v", bad)
 	}
 }
 

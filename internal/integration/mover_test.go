@@ -48,8 +48,8 @@ func TestMoverPromotesHotBlockEndToEnd(t *testing.T) {
 	}
 
 	// Heat rides worker heartbeats (50ms), the mover passes every
-	// 100ms, and the copy confirms via BlockReceived: within a few
-	// seconds the only replica should sit in memory.
+	// 100ms, and the copy confirms on the heartbeat it wakes: within a
+	// few seconds the only replica should sit in memory.
 	waitFor(t, 10*time.Second, "hot block promoted to memory and HDD source retired", func() bool {
 		blocks, err := fs.GetFileBlockLocations("/mover-hot", 0, -1)
 		if err != nil || len(blocks) != 1 {

@@ -30,11 +30,7 @@ func heatTestBlock(t *testing.T, m *Master, path, worker, storage string) core.B
 	}
 	blk := reply.Located.Block
 	blk.NumBytes = 1 << 20
-	if err := svc.BlockReceived(&rpc.BlockReceivedArgs{
-		ID: core.WorkerID(worker), Storage: core.StorageID(storage), Block: blk,
-	}, &rpc.BlockReceivedReply{}); err != nil {
-		t.Fatal(err)
-	}
+	received(t, m, core.WorkerID(worker), core.StorageID(storage), blk)
 	return blk.ID
 }
 

@@ -11,7 +11,7 @@ import (
 
 // These tests replay, through the Service handlers, the interleaving
 // that used to lose blocks: the master retires a replica, and a block
-// report generated before the worker ran the delete still lists it.
+// listing built before the worker ran the delete still lists it.
 
 // lifecycleHarness drives one master by hand and remembers every command
 // any worker was ever handed.
@@ -29,40 +29,34 @@ func newLifecycleHarness(t *testing.T) *lifecycleHarness {
 		handed: make(map[core.WorkerID][]rpc.Command), deleted: make(map[core.StorageID]int)}
 }
 
-// heartbeat delivers the worker's queued commands, as its next
-// heartbeat would, without executing them.
-func (h *lifecycleHarness) heartbeat(worker core.WorkerID) {
-	h.t.Helper()
-	var reply rpc.HeartbeatReply
-	if err := h.svc.Heartbeat(&rpc.HeartbeatArgs{ID: worker}, &reply); err != nil {
-		h.t.Fatal(err)
-	}
-	h.handed[worker] = append(h.handed[worker], reply.Commands...)
-	for _, c := range reply.Commands {
+// record remembers the commands a heartbeat reply handed the worker,
+// without executing them.
+func (h *lifecycleHarness) record(worker core.WorkerID, cmds []rpc.Command) {
+	h.handed[worker] = append(h.handed[worker], cmds...)
+	for _, c := range cmds {
 		if c.Kind == rpc.CmdDelete {
 			h.deleted[c.Target]++
 		}
 	}
 }
 
-func (h *lifecycleHarness) received(worker core.WorkerID, storage core.StorageID, blk core.Block) {
+// heartbeat delivers the worker's queued commands, as its next plain
+// heartbeat would.
+func (h *lifecycleHarness) heartbeat(worker core.WorkerID) {
 	h.t.Helper()
-	if err := h.svc.BlockReceived(&rpc.BlockReceivedArgs{ID: worker, Storage: storage, Block: blk},
-		&rpc.BlockReceivedReply{}); err != nil {
-		h.t.Fatal(err)
-	}
+	h.record(worker, beat(h.t, h.m, &rpc.HeartbeatArgs{ID: worker}))
 }
 
-// report sends a block report listing blk on each given storage.
+// received is the heartbeat confirming the worker's copy of blk.
+func (h *lifecycleHarness) received(worker core.WorkerID, storage core.StorageID, blk core.Block) {
+	h.t.Helper()
+	h.record(worker, received(h.t, h.m, worker, storage, blk))
+}
+
+// report is the heartbeat whose listing holds blk on each given storage.
 func (h *lifecycleHarness) report(worker core.WorkerID, blk core.Block, storages ...core.StorageID) {
 	h.t.Helper()
-	args := &rpc.BlockReportArgs{ID: worker}
-	for _, s := range storages {
-		args.Blocks = append(args.Blocks, rpc.StoredBlock{Storage: s, Block: blk})
-	}
-	if err := h.svc.BlockReport(args, &rpc.BlockReportReply{}); err != nil {
-		h.t.Fatal(err)
-	}
+	h.record(worker, listing(h.t, h.m, worker, blk, storages...))
 }
 
 // liveOn asserts the block's live replicas are exactly the given media.

@@ -283,7 +283,7 @@ func New(cfg Config) (*Master, error) {
 			"slow operation on master", "op", op, "dur", d.String())
 	})
 	// Rebuild the block map from the recovered namespace; replica
-	// locations arrive via the workers' block reports.
+	// locations arrive via the workers' block listings.
 	ns.ForEachFile(func(file namespace.FileID, _ string, blocks []core.Block, rv core.ReplicationVector) {
 		for _, b := range blocks {
 			m.blocks.AddBlock(b, rv)

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"io"
 	"net/http"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -49,6 +50,35 @@ func registerFakeWorker(t testing.TB, m *Master, id, rack string, media ...rpc.M
 	if err != nil {
 		t.Fatalf("Register(%s): %v", id, err)
 	}
+}
+
+// beat delivers one heartbeat and returns the commands its reply hands
+// the worker.
+func beat(t testing.TB, m *Master, args *rpc.HeartbeatArgs) []rpc.Command {
+	t.Helper()
+	var reply rpc.HeartbeatReply
+	if err := (&Service{m: m}).Heartbeat(args, &reply); err != nil {
+		t.Fatal(err)
+	}
+	return reply.Commands
+}
+
+// received is the heartbeat with which a worker confirms a finished
+// copy of blk on storage.
+func received(t testing.TB, m *Master, worker core.WorkerID, storage core.StorageID, blk core.Block) []rpc.Command {
+	t.Helper()
+	return beat(t, m, &rpc.HeartbeatArgs{ID: worker, Received: []rpc.StoredBlock{{Storage: storage, Block: blk}}})
+}
+
+// listing is a heartbeat carrying the worker's full block listing: blk
+// on each given storage, and nothing else.
+func listing(t testing.TB, m *Master, worker core.WorkerID, blk core.Block, storages ...core.StorageID) []rpc.Command {
+	t.Helper()
+	args := &rpc.HeartbeatArgs{ID: worker, Listing: true}
+	for _, s := range storages {
+		args.Blocks = append(args.Blocks, rpc.StoredBlock{Storage: s, Block: blk})
+	}
+	return beat(t, m, args)
 }
 
 func mediaStat(id string, tier core.StorageTier, capBytes int64, w, r float64) rpc.MediaStat {
@@ -200,56 +230,116 @@ func TestBlockReportReconcilesLostReplicas(t *testing.T) {
 	}
 	blk := reply.Located.Block
 	blk.NumBytes = 100
-	if err := svc.BlockReceived(&rpc.BlockReceivedArgs{
-		ID: "w1", Storage: "w1:hdd0", Block: blk,
-	}, &rpc.BlockReceivedReply{}); err != nil {
-		t.Fatal(err)
-	}
+	received(t, m, "w1", "w1:hdd0", blk)
 	if got := len(m.blocks.Replicas(blk.ID)); got != 1 {
 		t.Fatalf("replicas = %d, want 1", got)
 	}
 
-	// One empty report may have been generated before the write
-	// finished; the second consecutive one means the replica is gone.
-	if err := svc.BlockReport(&rpc.BlockReportArgs{ID: "w1"}, &rpc.BlockReportReply{}); err != nil {
-		t.Fatal(err)
-	}
+	// One empty listing may have been built before the write finished;
+	// the second consecutive one means the replica is gone.
+	listing(t, m, "w1", blk)
 	if got := len(m.blocks.Replicas(blk.ID)); got != 1 {
-		t.Fatalf("replicas after one empty report = %d, want 1", got)
+		t.Fatalf("replicas after one empty listing = %d, want 1", got)
 	}
-	if err := svc.BlockReport(&rpc.BlockReportArgs{ID: "w1"}, &rpc.BlockReportReply{}); err != nil {
-		t.Fatal(err)
-	}
+	listing(t, m, "w1", blk)
 	if got := len(m.blocks.Replicas(blk.ID)); got != 0 {
-		t.Errorf("replicas after two empty reports = %d, want 0", got)
+		t.Errorf("replicas after two empty listings = %d, want 0", got)
 	}
+}
+
+// deletes returns the storages cmds order blk deleted from.
+func deletes(cmds []rpc.Command, blk core.BlockID) (out []core.StorageID) {
+	for _, c := range cmds {
+		if c.Kind == rpc.CmdDelete && c.Block.ID == blk {
+			out = append(out, c.Target)
+		}
+	}
+	return out
 }
 
 func TestBlockReportRejectsUnknownBlocks(t *testing.T) {
 	m := testMaster(t)
 	registerFakeWorker(t, m, "w1", "/r1", mediaStat("w1:hdd0", core.TierHDD, 4<<30, 120, 170))
-	svc := &Service{m: m}
-	// Report a block the namespace never allocated: the master should
-	// schedule its deletion on the next heartbeat.
+	// List a block the namespace never allocated: the reply to that very
+	// heartbeat orders it deleted.
 	orphan := core.Block{ID: 4242, GenStamp: 1, NumBytes: 10}
-	if err := svc.BlockReport(&rpc.BlockReportArgs{
-		ID:     "w1",
-		Blocks: []rpc.StoredBlock{{Storage: "w1:hdd0", Block: orphan}},
-	}, &rpc.BlockReportReply{}); err != nil {
+	cmds := listing(t, m, "w1", orphan, "w1:hdd0")
+	if got := deletes(cmds, orphan.ID); len(got) != 1 || got[0] != "w1:hdd0" {
+		t.Errorf("no delete command for orphan block; commands = %+v", cmds)
+	}
+}
+
+// The client's commit, sent only after a clean end-to-end ack, is what
+// confirms a pipeline; a failed pipeline leaves nothing live, and the
+// replica a stage stored anyway goes at that worker's next listing.
+func TestCommitConfirmsPipelineAndListingDeletesAbandonedOrphan(t *testing.T) {
+	m := testMaster(t, func(cfg *Config) { cfg.MonitorInterval = time.Hour })
+	registerFakeWorker(t, m, "w1", "/r1", mediaStat("w1:hdd0", core.TierHDD, 4<<30, 120, 170))
+	registerFakeWorker(t, m, "w2", "/r2", mediaStat("w2:hdd0", core.TierHDD, 4<<30, 120, 170))
+	svc := &Service{m: m}
+	if err := svc.Create(&rpc.CreateArgs{Path: "/f", RepVector: core.ReplicationVectorFromFactor(2)}, &rpc.CreateReply{}); err != nil {
 		t.Fatal(err)
 	}
-	var hb rpc.HeartbeatReply
-	if err := svc.Heartbeat(&rpc.HeartbeatArgs{ID: "w1"}, &hb); err != nil {
+	addBlock := func() core.LocatedBlock {
+		t.Helper()
+		var reply rpc.AddBlockReply
+		if err := svc.AddBlock(&rpc.AddBlockArgs{Path: "/f"}, &reply); err != nil {
+			t.Fatal(err)
+		}
+		if len(reply.Located.Locations) != 2 {
+			t.Fatalf("pipeline = %+v, want both workers", reply.Located.Locations)
+		}
+		return reply.Located
+	}
+	sameMedia := func(got []blockmgmt.Replica, want []core.BlockLocation) bool {
+		if len(got) != len(want) {
+			return false
+		}
+		for _, l := range want {
+			if !slices.ContainsFunc(got, func(r blockmgmt.Replica) bool { return r.Storage == l.Storage && r.Worker == l.Worker }) {
+				return false
+			}
+		}
+		return true
+	}
+
+	ok := addBlock()
+	if got := m.blocks.Replicas(ok.Block.ID); len(got) != 0 {
+		t.Fatalf("live replicas before the commit = %+v, want none", got)
+	}
+	ok.Block.NumBytes = 1 << 20
+	if err := svc.CommitBlock(&rpc.CommitBlockArgs{Path: "/f", Block: ok.Block}, &rpc.CommitBlockReply{}); err != nil {
 		t.Fatal(err)
 	}
-	foundDelete := false
-	for _, cmd := range hb.Commands {
-		if cmd.Kind == rpc.CmdDelete && cmd.Block.ID == orphan.ID {
-			foundDelete = true
+	if got := m.blocks.Replicas(ok.Block.ID); !sameMedia(got, ok.Locations) {
+		t.Errorf("live replicas after the commit = %+v, want the pipeline %+v", got, ok.Locations)
+	}
+	for _, l := range ok.Locations {
+		if n := m.blocks.PendingAdds(l.Storage); n != 0 {
+			t.Errorf("pending-adds on %s after the commit = %d, want 0", l.Storage, n)
 		}
 	}
-	if !foundDelete {
-		t.Errorf("no delete command for orphan block; commands = %+v", hb.Commands)
+	if bad := m.CheckReplicas(); len(bad) != 0 {
+		t.Errorf("life-cycle check after the commit: %v", bad)
+	}
+
+	failed := addBlock()
+	if err := svc.AbandonBlock(&rpc.AbandonBlockArgs{Path: "/f", Block: failed.Block}, &rpc.AbandonBlockReply{}); err != nil {
+		t.Fatal(err)
+	}
+	if _, known := m.blocks.Info(failed.Block.ID); known {
+		t.Errorf("abandoned block still in the block map")
+	}
+	head := failed.Locations[0]
+	if cmds := beat(t, m, &rpc.HeartbeatArgs{ID: head.Worker}); len(deletes(cmds, failed.Block.ID)) != 0 {
+		t.Errorf("delete ordered before any listing showed the orphan: %+v", cmds)
+	}
+	cmds := listing(t, m, head.Worker, failed.Block, head.Storage)
+	if got := deletes(cmds, failed.Block.ID); len(got) != 1 || got[0] != head.Storage {
+		t.Errorf("listing the abandoned block's orphan ordered deletes %v, want [%s]", got, head.Storage)
+	}
+	if bad := m.CheckReplicas(); len(bad) != 0 {
+		t.Errorf("life-cycle check after the abandon: %v", bad)
 	}
 }
 

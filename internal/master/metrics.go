@@ -194,11 +194,10 @@ func (m *Master) trackOp(op string, h rpc.ReqHeader) func(*error) {
 }
 
 // trackOpUntraced instruments an operation without recording a span.
-// The worker-protocol handlers (register, heartbeats, block reports)
-// use it: at heartbeat rates their per-call traces would churn the
-// bounded trace store out of every client trace worth keeping, and
-// the trace-service RPCs themselves must not recursively mint trace
-// entries.
+// The worker-protocol handlers (register, heartbeat) use it: at
+// heartbeat rates their per-call traces would churn the bounded trace
+// store out of every client trace worth keeping, and the trace-service
+// RPCs themselves must not recursively mint trace entries.
 func (m *Master) trackOpUntraced(op, reqID string) func(*error) {
 	start := time.Now()
 	mm := m.metrics

@@ -4,6 +4,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/blockmgmt"
 	"repro/internal/core"
 	"repro/internal/heat"
 	"repro/internal/rpc"
@@ -29,29 +30,27 @@ func moverTestMaster(t *testing.T, mutate ...func(*Config)) *Master {
 	return m
 }
 
-// moverTestBlock creates a one-block file pinned to rv, reports its
-// single replica on the given medium, and commits it so the mover
-// sees a steady, healthy block.
+// moverTestBlock creates a one-block file pinned to rv, written through
+// a one-stage pipeline on the given medium, and commits it: the commit
+// confirms that single replica, so the mover sees a steady, healthy
+// block. The pipeline is set by hand because placement could pick
+// another medium.
 func moverTestBlock(t *testing.T, m *Master, path string, rv core.ReplicationVector, worker, storage string) core.Block {
 	t.Helper()
 	svc := &Service{m: m}
 	if err := svc.Create(&rpc.CreateArgs{Path: path, RepVector: rv}, &rpc.CreateReply{}); err != nil {
 		t.Fatal(err)
 	}
-	var reply rpc.AddBlockReply
-	if err := svc.AddBlock(&rpc.AddBlockArgs{
-		ReqHeader: rpc.ReqHeader{ReqID: rpc.NewRequestID()},
-		Path:      path,
-	}, &reply); err != nil {
+	blk, file, err := m.ns.AddBlock(path)
+	if err != nil {
 		t.Fatal(err)
 	}
-	blk := reply.Located.Block
+	m.mu.RLock()
+	tier := m.workers[core.WorkerID(worker)].media[core.StorageID(storage)].Tier
+	m.mu.RUnlock()
+	m.blocks.AddBlock(blk, rv, blockmgmt.Replica{Worker: core.WorkerID(worker), Storage: core.StorageID(storage), Tier: tier})
+	m.heat.setOwner(blk.ID, file)
 	blk.NumBytes = 1 << 20
-	if err := svc.BlockReceived(&rpc.BlockReceivedArgs{
-		ID: core.WorkerID(worker), Storage: core.StorageID(storage), Block: blk,
-	}, &rpc.BlockReceivedReply{}); err != nil {
-		t.Fatal(err)
-	}
 	if err := svc.CommitBlock(&rpc.CommitBlockArgs{Path: path, Block: blk}, &rpc.CommitBlockReply{}); err != nil {
 		t.Fatal(err)
 	}
@@ -81,7 +80,6 @@ func pendingCommands(m *Master, worker core.WorkerID) []rpc.Command {
 
 func TestMoverPromotesHotBlock(t *testing.T) {
 	m := moverTestMaster(t)
-	svc := &Service{m: m}
 	blk := moverTestBlock(t, m, "/hot", core.NewReplicationVector(0, 0, 1, 0, 0), "w1", "w1:hdd0")
 	heatUp(t, m, "w1", blk.ID)
 
@@ -121,11 +119,7 @@ func TestMoverPromotesHotBlock(t *testing.T) {
 
 	// The copy lands: confirming it retires the source in the same step,
 	// so the block never shows two live replicas for repair to trim.
-	if err := svc.BlockReceived(&rpc.BlockReceivedArgs{
-		ID: "w2", Storage: "w2:mem0", Block: blk,
-	}, &rpc.BlockReceivedReply{}); err != nil {
-		t.Fatal(err)
-	}
+	received(t, m, "w2", "w2:mem0", blk)
 	m.repairBlocks()
 	m.moverPass()
 
@@ -192,7 +186,6 @@ func TestMoverPromotesHotBlock(t *testing.T) {
 
 func TestMoverDemotesColdBlock(t *testing.T) {
 	m := moverTestMaster(t)
-	svc := &Service{m: m}
 	blk := moverTestBlock(t, m, "/cold", core.NewReplicationVector(1, 0, 0, 0, 0), "w2", "w2:mem0")
 	// Touched once, twenty half-lives ago: decayed heat ~1e-6 ops while
 	// a memory replica still holds the bytes.
@@ -209,11 +202,7 @@ func TestMoverDemotesColdBlock(t *testing.T) {
 	if mov.Kind != rpc.MoveDemote || mov.FromStorage != "w2:mem0" || mov.ToTier != core.TierHDD {
 		t.Fatalf("move = %+v, want demote w2:mem0 -> HDD", mov)
 	}
-	if err := svc.BlockReceived(&rpc.BlockReceivedArgs{
-		ID: mov.ToWorker, Storage: mov.ToStorage, Block: blk,
-	}, &rpc.BlockReceivedReply{}); err != nil {
-		t.Fatal(err)
-	}
+	received(t, m, mov.ToWorker, mov.ToStorage, blk)
 
 	m.moverPass()
 
@@ -334,7 +323,6 @@ func TestMoverExpiresUnconfirmedMoves(t *testing.T) {
 // the ordinary excess-removal way.
 func TestMoverLateConfirmIsExpiredNotDone(t *testing.T) {
 	m := moverTestMaster(t, func(cfg *Config) { cfg.MoverInterval = 4 * cfg.MonitorInterval })
-	svc := &Service{m: m}
 	blk := moverTestBlock(t, m, "/hot", core.NewReplicationVector(0, 0, 1, 0, 0), "w1", "w1:hdd0")
 	heatUp(t, m, "w1", blk.ID)
 	m.moverPass()
@@ -349,10 +337,7 @@ func TestMoverLateConfirmIsExpiredNotDone(t *testing.T) {
 	if m.blocks.PendingAdds("w2:mem0") != 0 {
 		t.Fatalf("move still pending after %d monitor ticks", 4*moverExpiryTicks)
 	}
-	if err := svc.BlockReceived(&rpc.BlockReceivedArgs{ID: "w2", Storage: "w2:mem0", Block: blk},
-		&rpc.BlockReceivedReply{}); err != nil {
-		t.Fatal(err)
-	}
+	received(t, m, "w2", "w2:mem0", blk)
 	m.moverPass()
 
 	st := m.moverStatus()
@@ -424,26 +409,20 @@ func TestAbandonedWriteDrainsScheduledLoad(t *testing.T) {
 		t.Fatalf("life-cycle check after abandoned writes: %v", bad)
 	}
 
-	// The happy path still balances, and a confirmation for an
-	// unrelated block (replication, duplicate report) must not release
-	// another pipeline's count.
+	// The happy path still balances — the commit confirms the pipeline —
+	// and a confirmation for an unrelated block (replication, duplicate
+	// listing) must not release another pipeline's count.
 	done := addBlock("/h")
 	done.NumBytes = 1 << 20
-	if err := svc.BlockReceived(&rpc.BlockReceivedArgs{
-		ID: "w1", Storage: "w1:hdd0", Block: done,
-	}, &rpc.BlockReceivedReply{}); err != nil {
-		t.Fatal(err)
-	}
 	if err := svc.CommitBlock(&rpc.CommitBlockArgs{Path: "/h", Block: done},
 		&rpc.CommitBlockReply{}); err != nil {
 		t.Fatal(err)
 	}
-	addBlock("/i") // outstanding pipeline holds one slot
-	if err := svc.BlockReceived(&rpc.BlockReceivedArgs{
-		ID: "w1", Storage: "w1:hdd0", Block: done, // duplicate confirm for /h
-	}, &rpc.BlockReceivedReply{}); err != nil {
-		t.Fatal(err)
+	if got := scheduledOn("w1:hdd0"); got != 0 {
+		t.Fatalf("scheduled after CommitBlock = %d, want 0", got)
 	}
+	addBlock("/i")                        // outstanding pipeline holds one slot
+	received(t, m, "w1", "w1:hdd0", done) // duplicate confirm for /h
 	if got := scheduledOn("w1:hdd0"); got != 1 {
 		t.Fatalf("scheduled after unrelated confirm = %d, want the /i pipeline's 1", got)
 	}

@@ -65,17 +65,12 @@ func (s *Service) Create(args *rpc.CreateArgs, _ *rpc.CreateReply) (err error) {
 	return nil
 }
 
-// AddBlock commits the previous block (if any) and allocates the next
-// block with replica locations chosen by the placement policy.
+// AddBlock allocates a file's next block with replica locations chosen
+// by the placement policy.
 func (s *Service) AddBlock(args *rpc.AddBlockArgs, reply *rpc.AddBlockReply) (err error) {
 	op := s.m.beginOp("addBlock", args.ReqHeader, args.Path, "")
 	defer op.Finish(&err)
 	opSpan := op.Span()
-	if args.Previous != nil {
-		if err := s.m.commitBlock(args.Path, *args.Previous, args.ReqID, op.Stats()); err != nil {
-			return wire(err)
-		}
-	}
 	blocks, rv, blockSize, _, err := s.m.ns.FileBlocks(args.Path, op.Stats())
 	if err != nil {
 		return wire(err)
@@ -121,33 +116,22 @@ func (s *Service) AddBlock(args *rpc.AddBlockArgs, reply *rpc.AddBlockReply) (er
 	if err != nil {
 		return wire(err)
 	}
-	// As pending-adds the targets are in-flight load placement can see.
+	// The pipeline handed to the writer is pending-adds, in-flight load
+	// placement can see, until the client's commit confirms it.
+	located := core.LocatedBlock{Block: blk, Offset: offset}
 	tiers := make([]string, len(targets))
-	pipeline := make([]blockmgmt.Replica, len(targets))
 	for i, t := range targets {
 		tiers[i] = t.Tier.String()
-		pipeline[i] = blockmgmt.Replica{Worker: t.Worker, Storage: t.ID, Tier: t.Tier}
+		s.m.metrics.placements.With(tiers[i]).Inc()
 	}
-	s.m.blocks.AddBlock(blk, rv, pipeline...)
-	s.m.journal.PublishTraced(events.Info, evBlockAllocated, args.ReqID,
-		"block allocated",
-		"path", args.Path,
-		"block", formatBlockID(blk.ID),
-		"replicas", strconv.Itoa(len(targets)),
-		"tiers", strings.Join(tiers, ","))
-	s.m.recordPlacement(args.Path, blk, args.ReqID, decisions)
-	s.m.heat.setOwner(blk.ID, file)
-
-	located := core.LocatedBlock{Block: blk, Offset: offset}
-	for _, t := range targets {
-		s.m.metrics.placements.With(t.Tier.String()).Inc()
-	}
+	var pipeline []blockmgmt.Replica
 	s.m.mu.RLock()
 	for _, t := range targets {
 		w := s.m.workers[t.Worker]
 		if w == nil {
 			continue
 		}
+		pipeline = append(pipeline, blockmgmt.Replica{Worker: t.Worker, Storage: t.ID, Tier: t.Tier})
 		located.Locations = append(located.Locations, core.BlockLocation{
 			Worker:  t.Worker,
 			Address: w.dataAddr,
@@ -157,6 +141,15 @@ func (s *Service) AddBlock(args *rpc.AddBlockArgs, reply *rpc.AddBlockReply) (er
 		})
 	}
 	s.m.mu.RUnlock()
+	s.m.blocks.AddBlock(blk, rv, pipeline...)
+	s.m.journal.PublishTraced(events.Info, evBlockAllocated, args.ReqID,
+		"block allocated",
+		"path", args.Path,
+		"block", formatBlockID(blk.ID),
+		"replicas", strconv.Itoa(len(targets)),
+		"tiers", strings.Join(tiers, ","))
+	s.m.recordPlacement(args.Path, blk, args.ReqID, decisions)
+	s.m.heat.setOwner(blk.ID, file)
 	if len(located.Locations) == 0 {
 		return wire(core.ErrNoWorkers)
 	}
@@ -164,43 +157,31 @@ func (s *Service) AddBlock(args *rpc.AddBlockArgs, reply *rpc.AddBlockReply) (er
 	return nil
 }
 
-// commitBlock records a finished block in both metadata collections.
-func (m *Master) commitBlock(path string, b core.Block, reqID string, st *namespace.OpStats) error {
-	if err := m.ns.CommitBlock(path, b, st); err != nil {
-		return err
-	}
-	m.blocks.CommitBlock(b)
-	m.journal.PublishTraced(events.Info, evBlockCommitted, reqID,
-		"block committed",
-		"path", path,
-		"block", formatBlockID(b.ID),
-		"bytes", strconv.FormatInt(b.NumBytes, 10))
-	return nil
-}
-
-// CommitBlock records the final length of a finished block without
-// allocating a successor; the overlapped client write path commits
-// each block as its pipeline ack arrives.
+// CommitBlock records the final length of a block in both metadata
+// collections. The client commits each block once its pipeline acked
+// it end to end, so the commit also confirms the pipeline's replicas:
+// no stage tells the master on its own.
 func (s *Service) CommitBlock(args *rpc.CommitBlockArgs, _ *rpc.CommitBlockReply) (err error) {
 	op := s.m.beginOp("commitBlock", args.ReqHeader, args.Path, "")
 	defer op.Finish(&err)
 	op.Bytes(args.Block.NumBytes)
-	return wire(s.m.commitBlock(args.Path, args.Block, args.ReqID, op.Stats()))
+	if err := s.m.ns.CommitBlock(args.Path, args.Block, op.Stats()); err != nil {
+		return wire(err)
+	}
+	s.m.blocks.CommitBlock(args.Block)
+	s.m.journal.PublishTraced(events.Info, evBlockCommitted, args.ReqID,
+		"block committed",
+		"path", args.Path,
+		"block", formatBlockID(args.Block.ID),
+		"bytes", strconv.FormatInt(args.Block.NumBytes, 10))
+	return nil
 }
 
-// Complete seals a file after its final block.
+// Complete seals a file whose blocks are all committed.
 func (s *Service) Complete(args *rpc.CompleteArgs, _ *rpc.CompleteReply) (err error) {
 	op := s.m.beginOp("complete", args.ReqHeader, args.Path, "")
 	defer op.Finish(&err)
-	if args.Last != nil {
-		s.m.blocks.CommitBlock(*args.Last)
-		s.m.journal.PublishTraced(events.Info, evBlockCommitted, args.ReqID,
-			"final block committed at file completion",
-			"path", args.Path,
-			"block", formatBlockID(args.Last.ID),
-			"bytes", strconv.FormatInt(args.Last.NumBytes, 10))
-	}
-	return wire(s.m.ns.Complete(args.Path, args.Last, op.Stats()))
+	return wire(s.m.ns.Complete(args.Path, nil, op.Stats()))
 }
 
 // Abandon drops an under-construction file after a failed write.
@@ -215,9 +196,10 @@ func (s *Service) Abandon(args *rpc.AbandonArgs, _ *rpc.AbandonReply) (err error
 	return nil
 }
 
-// AbandonBlock drops a failed block from an under-construction file
-// and invalidates any replicas that were stored before the pipeline
-// broke.
+// AbandonBlock drops a failed block from an under-construction file.
+// No commit confirmed its pipeline, so a stage that stored it before
+// the pipeline broke is told to delete it when its next listing shows
+// the unknown block (at once, if a listing already confirmed it).
 func (s *Service) AbandonBlock(args *rpc.AbandonBlockArgs, _ *rpc.AbandonBlockReply) (err error) {
 	op := s.m.beginOp("abandonBlock", args.ReqHeader, args.Path, "")
 	defer op.Finish(&err)
@@ -430,7 +412,7 @@ func (s *Service) ReportBadBlock(args *ReportBadBlockArgs, _ *ReportBadBlockRepl
 }
 
 // Register adds a worker to the cluster (paper §2.2).
-func (s *Service) Register(args *rpc.RegisterArgs, reply *rpc.RegisterReply) (err error) {
+func (s *Service) Register(args *rpc.RegisterArgs, _ *rpc.RegisterReply) (err error) {
 	defer s.m.trackOpUntraced("register", args.ReqID)(&err)
 	if args.ID == "" || args.Node == "" {
 		return wire(fmt.Errorf("master: registration missing worker identity: %w", core.ErrNotFound))
@@ -464,12 +446,14 @@ func (s *Service) Register(args *rpc.RegisterArgs, reply *rpc.RegisterReply) (er
 		"worker registered",
 		"worker", string(args.ID), "node", args.Node, "rack", rack,
 		"media", strconv.Itoa(len(args.Media)))
-	reply.Registered = args.ID
 	return nil
 }
 
-// Heartbeat refreshes a worker's statistics and delivers pending
-// commands (paper §2.2).
+// Heartbeat is a worker's one state message (paper §2.2): it refreshes
+// the worker's statistics, folds its heat deltas, the copies it
+// confirms and, on a listing beat, its full block listing (paper §5:
+// under- and over-replication is detected from the listings), then
+// delivers the pending commands, including any delete the fold issued.
 func (s *Service) Heartbeat(args *rpc.HeartbeatArgs, reply *rpc.HeartbeatReply) (err error) {
 	defer s.m.trackOpUntraced("heartbeat", args.ReqID)(&err)
 	s.m.mu.Lock()
@@ -489,66 +473,37 @@ func (s *Service) Heartbeat(args *rpc.HeartbeatArgs, reply *rpc.HeartbeatReply) 
 	for _, ms := range args.Media {
 		w.media[ms.ID] = ms
 	}
+	received, listing := w.replicas(args.Received), w.replicas(args.Blocks)
+	s.m.mu.Unlock()
+	// Fold outside the worker lock: the heat maps and the block map have
+	// their own synchronisation. Confirming a tier move's copy retires
+	// its source in the same step; unknown, stale and tombstoned
+	// replicas come back as deletions.
+	s.m.foldHeat(args.Heat)
+	for _, r := range received {
+		s.m.enqueueDeletes(s.m.blocks.AddReplica(r.Block, r.Replica))
+	}
+	if args.Listing {
+		s.m.enqueueDeletes(s.m.blocks.Report(args.ID, listing))
+	}
+	s.m.mu.Lock()
 	reply.Commands = s.m.pending[args.ID]
 	delete(s.m.pending, args.ID)
 	s.m.mu.Unlock()
-	// Fold the piggybacked heat deltas outside the worker lock: the
-	// heat maps have their own synchronisation.
-	s.m.foldHeat(args.Heat)
 	return nil
 }
 
-// BlockReport reconciles the master's replica map with a worker's full
-// listing (paper §5: under-/over-replication is detected during block
-// reports).
-func (s *Service) BlockReport(args *rpc.BlockReportArgs, _ *rpc.BlockReportReply) (err error) {
-	defer s.m.trackOpUntraced("blockReport", args.ReqID)(&err)
-	stored := make([]blockmgmt.BlockReplica, 0, len(args.Blocks))
-	s.m.mu.Lock()
-	w, ok := s.m.workers[args.ID]
-	if ok {
-		w.lastSeen = time.Now() // a block report proves liveness
-		for _, sb := range args.Blocks {
-			if ms, known := w.media[sb.Storage]; known {
-				stored = append(stored, blockmgmt.BlockReplica{Block: sb.Block, Replica: blockmgmt.Replica{
-					Worker: args.ID, Storage: sb.Storage, Tier: ms.Tier,
-				}})
-			}
+// replicas resolves a worker's stored-block lines against its media;
+// a line on a medium it did not register is skipped. Caller holds m.mu.
+func (w *workerState) replicas(stored []rpc.StoredBlock) (out []blockmgmt.BlockReplica) {
+	for _, sb := range stored {
+		if ms, known := w.media[sb.Storage]; known {
+			out = append(out, blockmgmt.BlockReplica{Block: sb.Block, Replica: blockmgmt.Replica{
+				Worker: w.id, Storage: sb.Storage, Tier: ms.Tier,
+			}})
 		}
 	}
-	s.m.mu.Unlock()
-	if !ok {
-		return wire(fmt.Errorf("master: unknown worker %s: %w", args.ID, core.ErrNotFound))
-	}
-	// Unknown, stale and tombstoned replicas come back as deletions.
-	s.m.enqueueDeletes(s.m.blocks.Report(args.ID, stored))
-	return nil
-}
-
-// BlockReceived records a freshly stored replica (sent by workers
-// right after a pipeline write or replication completes).
-func (s *Service) BlockReceived(args *rpc.BlockReceivedArgs, _ *rpc.BlockReceivedReply) (err error) {
-	defer s.m.trackOpUntraced("blockReceived", args.ReqID)(&err)
-	s.m.mu.Lock()
-	w, ok := s.m.workers[args.ID]
-	var tier core.StorageTier
-	if ok {
-		w.lastSeen = time.Now() // a stored block proves liveness
-		if ms, found := w.media[args.Storage]; found {
-			tier = ms.Tier
-		} else {
-			ok = false
-		}
-	}
-	s.m.mu.Unlock()
-	if !ok {
-		return wire(fmt.Errorf("master: unknown worker/media %s/%s: %w", args.ID, args.Storage, core.ErrNotFound))
-	}
-	// Confirming a tier move's copy retires its source in the same step.
-	s.m.enqueueDeletes(s.m.blocks.AddReplica(args.Block, blockmgmt.Replica{
-		Worker: args.ID, Storage: args.Storage, Tier: tier,
-	}))
-	return nil
+	return out
 }
 
 // ImageArgs / ImageReply implement Backup Master synchronisation: the

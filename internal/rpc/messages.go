@@ -10,8 +10,8 @@ import (
 
 // This file defines the net/rpc message types of the two master
 // protocols: the client protocol (file system operations, paper §2.3)
-// and the worker protocol (registration, heartbeats, block reports,
-// paper §2.1–§2.2). Every argument struct embeds ReqHeader so the
+// and the worker protocol (registration and heartbeats, paper
+// §2.1–§2.2). Every argument struct embeds ReqHeader so the
 // caller's request ID travels with the operation for cross-node log
 // correlation and slow-op tracing.
 
@@ -50,25 +50,20 @@ type CreateArgs struct {
 }
 type CreateReply struct{}
 
-// AddBlockArgs / AddBlockReply implement Master.AddBlock: commit the
-// previous block (if any) and allocate the next one with replica
-// locations chosen by the placement policy.
+// AddBlockArgs / AddBlockReply implement Master.AddBlock: allocate the
+// next block with replica locations chosen by the placement policy.
 type AddBlockArgs struct {
 	ReqHeader
 	Path       string
 	ClientNode string
-	// Previous is the just-finished block with its final length; nil
-	// for the first block of a file.
-	Previous *core.Block
 }
 type AddBlockReply struct {
 	Located core.LocatedBlock
 }
 
 // CommitBlockArgs / -Reply implement Master.CommitBlock: record the
-// final length of a finished block without allocating a successor.
-// The overlapped client write path commits each block as its pipeline
-// ack arrives instead of piggybacking the commit on the next AddBlock.
+// final length of a block whose pipeline acknowledged it end to end,
+// which confirms the replicas on every pipeline target.
 type CommitBlockArgs struct {
 	ReqHeader
 	Path  string
@@ -76,12 +71,11 @@ type CommitBlockArgs struct {
 }
 type CommitBlockReply struct{}
 
-// CompleteArgs / CompleteReply implement Master.Complete: commit the
-// final block and seal the file.
+// CompleteArgs / CompleteReply implement Master.Complete: seal a file
+// whose blocks are all committed.
 type CompleteArgs struct {
 	ReqHeader
 	Path string
-	Last *core.Block // nil for an empty file
 }
 type CompleteReply struct{}
 
@@ -201,10 +195,7 @@ type RegisterArgs struct {
 	NetMBps  float64
 	Media    []MediaStat
 }
-type RegisterReply struct {
-	// Registered echoes the accepted worker ID.
-	Registered core.WorkerID
-}
+type RegisterReply struct{}
 
 // CommandKind discriminates the commands a master piggybacks on
 // heartbeat replies (paper §2.2: block creation, deletion, and
@@ -242,36 +233,26 @@ type HeartbeatArgs struct {
 	// worker's data path since the previous successful heartbeat
 	// (piggybacked so heat costs no extra RPC).
 	Heat []heat.Delta
+	// Received lists the copies made on master command since the
+	// previous successful heartbeat. Pipeline replicas are not listed:
+	// the client's CommitBlock confirms those.
+	Received []StoredBlock
+	// Listing marks a beat that carries the worker's full block
+	// listing in Blocks, from which the master detects under- and
+	// over-replication (paper §5). The flag is needed because gob
+	// encodes an empty listing and none alike.
+	Listing bool
+	Blocks  []StoredBlock
 }
 type HeartbeatReply struct {
 	Commands []Command
 }
 
-// StoredBlock locates one replica within a worker's block report.
+// StoredBlock locates one replica a worker holds.
 type StoredBlock struct {
 	Storage core.StorageID
 	Block   core.Block
 }
-
-// BlockReportArgs / -Reply implement Master.BlockReport, the periodic
-// full listing from which the master detects under- and
-// over-replication (paper §5).
-type BlockReportArgs struct {
-	ReqHeader
-	ID     core.WorkerID
-	Blocks []StoredBlock
-}
-type BlockReportReply struct{}
-
-// BlockReceivedArgs / -Reply implement Master.BlockReceived, the
-// incremental notification sent right after a worker stores a replica.
-type BlockReceivedArgs struct {
-	ReqHeader
-	ID      core.WorkerID
-	Storage core.StorageID
-	Block   core.Block
-}
-type BlockReceivedReply struct{}
 
 // ContentSummaryArgs / -Reply implement Master.GetContentSummary:
 // recursive usage accounting for a directory subtree, including the

@@ -333,22 +333,20 @@ func (w *Worker) writeBlockPipeline(conn net.Conn, hdr rpc.WriteBlockHeader, sp 
 		rec.PoolHit = downstream.PoolHit()
 	}
 
-	block := hdr.Block
-	block.NumBytes = stored
 	switch {
 	case streamErr != nil:
-		media.Delete(block) // drop the partial replica
+		media.Delete(hdr.Block) // drop the partial replica
 		return rpc.WriteBlockAck{Err: rpc.EncodeError(fmt.Errorf("worker: pipeline stream: %w", streamErr))}, streamDone
 	case putErr != nil:
 		return rpc.WriteBlockAck{Err: rpc.EncodeError(putErr), Stored: 0}, streamDone
 	case downErr != nil:
 		// Local copy is good; report the downstream failure so the
-		// client can decide. The local replica is kept and will be
-		// reported to the master.
-		w.notifyReceived(hdr.Pipeline[0].Storage, block)
+		// client can decide. The client abandons the block, so the local
+		// replica is an orphan the next listing gets deleted.
 		return rpc.WriteBlockAck{Err: rpc.EncodeError(fmt.Errorf("worker: downstream: %w", downErr)), Stored: stored}, streamDone
 	default:
-		w.notifyReceived(hdr.Pipeline[0].Storage, block)
+		// No master call: the client's commit after this ack confirms
+		// the replica.
 		return rpc.WriteBlockAck{Stored: stored}, streamDone
 	}
 }
@@ -514,7 +512,6 @@ func (w *Worker) replicate(reqID string, sp *trace.ActiveSpan, block core.Block,
 	}
 	tier := media.Tier().String()
 	if media.Has(block) {
-		w.notifyReceived(target, block)
 		return 0, tier, nil
 	}
 	var lastErr error
@@ -538,7 +535,6 @@ func (w *Worker) replicate(reqID string, sp *trace.ActiveSpan, block core.Block,
 				}
 				rec.DiskNs += iost.DeviceNs + iost.SourceNs
 				rec.ThrottleWaitNs += iost.ThrottleWaitNs
-				w.notifyReceived(target, block)
 				return n, tier, nil
 			}
 		}
@@ -566,7 +562,6 @@ func (w *Worker) replicate(reqID string, sp *trace.ActiveSpan, block core.Block,
 		rec.NetNs += iost.SourceNs
 		rec.DiskNs += iost.DeviceNs
 		rec.ThrottleWaitNs += iost.ThrottleWaitNs
-		w.notifyReceived(target, block)
 		return n, tier, nil
 	}
 	if lastErr == nil {

@@ -46,10 +46,9 @@ type Config struct {
 	// retrieval policy's rate estimates (paper Eq. 12).
 	NetMBps float64
 
-	// HeartbeatInterval paces heartbeats; BlockReportInterval paces
-	// full block reports.
-	HeartbeatInterval   time.Duration
-	BlockReportInterval time.Duration
+	// HeartbeatInterval paces heartbeats; every listingEvery-th one
+	// carries the full block listing.
+	HeartbeatInterval time.Duration
 
 	// ProbeBytes sizes the startup throughput probe per media
 	// (paper §3.2). Zero skips probing and trusts the configured
@@ -79,9 +78,6 @@ type Config struct {
 func (c *Config) fillDefaults() {
 	if c.HeartbeatInterval <= 0 {
 		c.HeartbeatInterval = 250 * time.Millisecond
-	}
-	if c.BlockReportInterval <= 0 {
-		c.BlockReportInterval = 2 * time.Second
 	}
 	if c.NetMBps <= 0 {
 		c.NetMBps = 1250 // 10 Gbps
@@ -113,6 +109,16 @@ type Worker struct {
 
 	unhookDial func() // deregisters the repeated-dial-failure journal hook
 
+	// received holds the copies made on master command that no
+	// successful heartbeat has confirmed yet; a finished copy also puts
+	// a token in copied, waking the heartbeat loop.
+	recvMu   sync.Mutex
+	received []rpc.StoredBlock
+	copied   chan struct{}
+	// relist makes the next heartbeat carry the full listing; set by
+	// every registration, owned by the heartbeat loop after New.
+	relist bool
+
 	httpMu   sync.Mutex
 	httpAddr string // bound debug HTTP endpoint ("" until ServeHTTP)
 
@@ -141,6 +147,7 @@ func New(cfg Config) (*Worker, error) {
 		ln:     ln,
 		master: rpc.NewMasterClient(cfg.MasterAddr),
 		conns:  make(map[net.Conn]struct{}),
+		copied: make(chan struct{}, 1),
 		done:   make(chan struct{}),
 	}
 	for _, mc := range cfg.Media {
@@ -184,10 +191,9 @@ func New(cfg Config) (*Worker, error) {
 		ln.Close()
 		return nil, err
 	}
-	w.wg.Add(3)
+	w.wg.Add(2)
 	go w.serveData()
 	go w.heartbeatLoop()
-	go w.blockReportLoop()
 	w.cfg.Logger.Info("worker started", "id", id, "data", ln.Addr().String())
 	return w, nil
 }
@@ -277,24 +283,38 @@ func (w *Worker) register() error {
 	if err := w.master.Call("Master.Register", args, &reply); err != nil {
 		return fmt.Errorf("worker %s: registration failed: %w", w.id, err)
 	}
+	w.relist = true // a fresh registration knows none of our replicas
 	return nil
 }
 
+// listingEvery is how many ticks apart the heartbeats carrying the full
+// block listing are: every 2 s at the default 250 ms interval.
+const listingEvery = 8
+
+// heartbeatLoop beats on every tick, and at once after a finished copy
+// so the master hears of it one RPC later; wake-ups do not count
+// toward the listing cadence.
 func (w *Worker) heartbeatLoop() {
 	defer w.wg.Done()
 	ticker := time.NewTicker(w.cfg.HeartbeatInterval)
 	defer ticker.Stop()
-	for {
+	for tick := 1; ; {
 		select {
 		case <-w.done:
 			return
+		case <-w.copied:
+			w.heartbeat(false)
 		case <-ticker.C:
-			w.heartbeat()
+			w.heartbeat(tick%listingEvery == 0)
+			tick++
 		}
 	}
 }
 
-func (w *Worker) heartbeat() {
+// heartbeat sends the worker's one state message: statistics, heat
+// deltas, the copies finished since the last successful beat and, when
+// listing is set or after a registration, the full block listing.
+func (w *Worker) heartbeat(listing bool) {
 	args := &rpc.HeartbeatArgs{
 		ReqHeader: rpc.ReqHeader{ReqID: rpc.NewRequestID()},
 		ID:        w.id,
@@ -304,13 +324,28 @@ func (w *Worker) heartbeat() {
 		HTTPAddr:  w.HTTPAddr(),
 		Heat:      w.heat.Drain(),
 	}
+	// Drain the confirmations before snapshotting the listing, so a
+	// listing never omits a replica its own beat confirms.
+	w.recvMu.Lock()
+	args.Received, w.received = w.received, nil
+	w.recvMu.Unlock()
+	if args.Listing = listing || w.relist; args.Listing {
+		for id, m := range w.media {
+			for _, b := range m.Blocks() {
+				args.Blocks = append(args.Blocks, rpc.StoredBlock{Storage: id, Block: b})
+			}
+		}
+	}
 	w.metrics.heartbeats.Inc()
 	var reply rpc.HeartbeatReply
 	if err := w.master.Call("Master.Heartbeat", args, &reply); err != nil {
 		// The master may have expired us (e.g. after its restart):
 		// re-register and retry on the next tick. Put the drained heat
-		// deltas back so access history survives master hiccups.
+		// deltas and confirmations back for that beat.
 		w.heat.Restore(args.Heat)
+		w.recvMu.Lock()
+		w.received = append(args.Received, w.received...)
+		w.recvMu.Unlock()
 		w.metrics.hbErrs.Inc()
 		w.cfg.Logger.Warn("heartbeat failed", "req", args.ReqID, "err", err)
 		if err := w.register(); err != nil {
@@ -318,41 +353,13 @@ func (w *Worker) heartbeat() {
 		}
 		return
 	}
+	w.relist = false // any listing owed went out with this beat
 	for _, cmd := range reply.Commands {
-		cmd := cmd
 		w.wg.Add(1)
 		go func() {
 			defer w.wg.Done()
 			w.execute(cmd)
 		}()
-	}
-}
-
-func (w *Worker) blockReportLoop() {
-	defer w.wg.Done()
-	ticker := time.NewTicker(w.cfg.BlockReportInterval)
-	defer ticker.Stop()
-	for {
-		select {
-		case <-w.done:
-			return
-		case <-ticker.C:
-			w.sendBlockReport()
-		}
-	}
-}
-
-func (w *Worker) sendBlockReport() {
-	var blocks []rpc.StoredBlock
-	for id, m := range w.media {
-		for _, b := range m.Blocks() {
-			blocks = append(blocks, rpc.StoredBlock{Storage: id, Block: b})
-		}
-	}
-	args := &rpc.BlockReportArgs{ID: w.id, Blocks: blocks}
-	var reply rpc.BlockReportReply
-	if err := w.master.Call("Master.BlockReport", args, &reply); err != nil {
-		w.cfg.Logger.Warn("block report failed", "err", err)
 	}
 }
 
@@ -374,10 +381,9 @@ func (w *Worker) execute(cmd rpc.Command) {
 			"replica deleted on master command",
 			"block", fmt.Sprintf("%d", cmd.Block.ID),
 			"storage", string(cmd.Target))
-		// No acknowledgement: the master clears the tombstone when the
-		// block reports stop listing the replica, which (unlike an ack
-		// overtaking a report generated before this delete ran) cannot
-		// resurrect it.
+		// No acknowledgement: the tombstone clears when listings stop
+		// showing the replica, which, unlike an ack overtaking a listing
+		// built before this delete ran, cannot resurrect it.
 	case rpc.CmdReplicate:
 		// Command-driven replications get a fresh request ID so their
 		// slow-op lines are traceable like client-driven ops.
@@ -417,20 +423,18 @@ func (w *Worker) execute(cmd rpc.Command) {
 				"target", string(cmd.Target), "err", err.Error())
 		} else {
 			w.heat.Touch(cmd.Block.ID, heat.Write, n)
+			// The next heartbeat, woken now, confirms the copy.
+			w.recvMu.Lock()
+			w.received = append(w.received, rpc.StoredBlock{Storage: cmd.Target, Block: cmd.Block})
+			w.recvMu.Unlock()
+			select {
+			case w.copied <- struct{}{}:
+			default:
+			}
 			w.journal.PublishTraced(events.Info, "block_replicated", reqID,
 				"replica copied on master command",
 				"block", fmt.Sprintf("%d", cmd.Block.ID),
 				"target", string(cmd.Target), "tier", tier)
 		}
-	}
-}
-
-// notifyReceived tells the master a replica landed on local media.
-func (w *Worker) notifyReceived(storageID core.StorageID, b core.Block) {
-	var reply rpc.BlockReceivedReply
-	if err := w.master.Call("Master.BlockReceived", &rpc.BlockReceivedArgs{
-		ID: w.id, Storage: storageID, Block: b,
-	}, &reply); err != nil {
-		w.cfg.Logger.Warn("block-received notification failed", "err", err)
 	}
 }

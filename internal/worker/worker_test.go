@@ -4,10 +4,15 @@ import (
 	"bytes"
 	"errors"
 	"io"
+	"net"
+	netrpc "net/rpc"
+	"strings"
+	"sync"
 	"testing"
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/heat"
 	"repro/internal/master"
 	"repro/internal/rpc"
 	"repro/internal/storage"
@@ -36,8 +41,7 @@ func testWorker(t *testing.T) (*master.Master, *Worker) {
 			{ID: "wtest:mem0", Tier: core.TierMemory, Capacity: 64 << 20},
 			{ID: "wtest:hdd0", Tier: core.TierHDD, Capacity: 64 << 20, Dir: t.TempDir()},
 		},
-		HeartbeatInterval:   50 * time.Millisecond,
-		BlockReportInterval: 200 * time.Millisecond,
+		HeartbeatInterval: 50 * time.Millisecond,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -46,9 +50,34 @@ func testWorker(t *testing.T) (*master.Master, *Worker) {
 	return m, w
 }
 
+// hddBlock allocates a one-block file on the worker's HDD through the
+// test master. A block the master never allocated is ordered deleted at
+// the first listing that shows it, which can come one RPC after a write
+// or a copy; this one the master knows.
+func hddBlock(t *testing.T, m *master.Master, path string, size int64) core.Block {
+	t.Helper()
+	c := rpc.NewMasterClient(m.Addr())
+	defer c.Close()
+	if err := c.Call("Master.Create", &rpc.CreateArgs{
+		Path: path, RepVector: core.NewReplicationVector(0, 0, 1, 0, 0),
+	}, &rpc.CreateReply{}); err != nil {
+		t.Fatal(err)
+	}
+	var reply rpc.AddBlockReply
+	if err := c.Call("Master.AddBlock", &rpc.AddBlockArgs{Path: path}, &reply); err != nil {
+		t.Fatal(err)
+	}
+	if locs := reply.Located.Locations; len(locs) != 1 || locs[0].Storage != "wtest:hdd0" {
+		t.Fatalf("pipeline = %+v, want wtest:hdd0", locs)
+	}
+	blk := reply.Located.Block
+	blk.NumBytes = size
+	return blk
+}
+
 func TestWriteAndReadBlockDirectly(t *testing.T) {
-	_, w := testWorker(t)
-	blk := core.Block{ID: 1, GenStamp: 1, NumBytes: 1 << 20}
+	m, w := testWorker(t)
+	blk := hddBlock(t, m, "/direct", 1<<20)
 	payload := bytes.Repeat([]byte("octo"), 1<<18)
 
 	bw, err := rpc.OpenBlockWriter(blk, []rpc.PipelineTarget{
@@ -65,7 +94,7 @@ func TestWriteAndReadBlockDirectly(t *testing.T) {
 	}
 
 	// Full read.
-	rc, length, err := rpc.OpenBlockReader(w.DataAddr(), core.Block{ID: 1, GenStamp: 1, NumBytes: int64(len(payload))}, "wtest:hdd0", 0, -1)
+	rc, length, err := rpc.OpenBlockReader(w.DataAddr(), blk, "wtest:hdd0", 0, -1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,7 +108,7 @@ func TestWriteAndReadBlockDirectly(t *testing.T) {
 	}
 
 	// Ranged read.
-	rc, length, err = rpc.OpenBlockReader(w.DataAddr(), core.Block{ID: 1, GenStamp: 1, NumBytes: int64(len(payload))}, "wtest:hdd0", 100, 256)
+	rc, length, err = rpc.OpenBlockReader(w.DataAddr(), blk, "wtest:hdd0", 100, 256)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -117,10 +146,10 @@ func TestWriteToUnknownMediaFails(t *testing.T) {
 }
 
 func TestReplicateViaDataPort(t *testing.T) {
-	_, w := testWorker(t)
+	m, w := testWorker(t)
 	// Store a block on hdd0 over the data port, then have the worker run
 	// the master's replicate command for it onto mem0 from itself.
-	blk := core.Block{ID: 3, GenStamp: 1, NumBytes: 4096}
+	blk := hddBlock(t, m, "/copied", 4096)
 	payload := bytes.Repeat([]byte{7}, 4096)
 	bw, err := rpc.OpenBlockWriter(blk, []rpc.PipelineTarget{
 		{Worker: w.ID(), Address: w.DataAddr(), Storage: "wtest:hdd0"},
@@ -141,8 +170,14 @@ func TestReplicateViaDataPort(t *testing.T) {
 			Worker: w.ID(), Address: w.DataAddr(), Storage: "wtest:hdd0", Tier: core.TierHDD,
 		}},
 	})
-	if !w.Media()["wtest:mem0"].Has(blk) {
-		t.Error("replica not present on memory media")
+	// The master may retire the surplus copy as soon as the woken
+	// heartbeat confirms it, so assert on what no later delete undoes.
+	evs := w.Journal().Since(0, "block_replicated", 0).Entries
+	if len(evs) != 1 || evs[0].Attrs["target"] != "wtest:mem0" {
+		t.Errorf("block_replicated events = %+v, want one onto wtest:mem0", evs)
+	}
+	if n := len(w.Journal().Since(0, "block_replicate_failed", 0).Entries); n != 0 {
+		t.Errorf("block_replicate_failed events = %d, want 0", n)
 	}
 }
 
@@ -166,5 +201,107 @@ func TestMediaStats(t *testing.T) {
 		if s.Remaining > s.Capacity {
 			t.Errorf("%s remaining > capacity", s.ID)
 		}
+	}
+}
+
+// fakeMaster serves Register and Heartbeat, records every heartbeat, and
+// refuses the ones it is told to.
+type fakeMaster struct {
+	mu            sync.Mutex
+	registrations int
+	beats         []rpc.HeartbeatArgs
+	refused       []bool
+	refuse        int // heartbeats still to refuse
+}
+
+func (f *fakeMaster) Register(*rpc.RegisterArgs, *rpc.RegisterReply) error {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	f.registrations++
+	return nil
+}
+
+func (f *fakeMaster) Heartbeat(args *rpc.HeartbeatArgs, _ *rpc.HeartbeatReply) error {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	f.beats = append(f.beats, *args)
+	f.refused = append(f.refused, f.refuse > 0)
+	if f.refuse > 0 {
+		f.refuse--
+		return errors.New(rpc.EncodeError(core.ErrNotFound))
+	}
+	return nil
+}
+
+func startFakeMaster(t *testing.T) (*fakeMaster, string) {
+	t.Helper()
+	fm := &fakeMaster{}
+	srv := netrpc.NewServer()
+	if err := srv.RegisterName("Master", fm); err != nil {
+		t.Fatal(err)
+	}
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { ln.Close() })
+	go srv.Accept(ln)
+	return fm, ln.Addr().String()
+}
+
+// A heartbeat the master refuses keeps its copy confirmations and heat
+// for the next beat, and the re-registration it triggers makes that
+// next beat carry the full listing.
+func TestFailedHeartbeatKeepsConfirmationsAndRelists(t *testing.T) {
+	fm, addr := startFakeMaster(t)
+	w, err := New(Config{
+		ID: "wfake", Node: "wfake", MasterAddr: addr, DataAddr: "127.0.0.1:0",
+		Media:             []storage.MediaConfig{{ID: "wfake:mem0", Tier: core.TierMemory, Capacity: 1 << 20}},
+		HeartbeatInterval: time.Hour, // beats are driven by hand
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer w.Close()
+	blk := core.Block{ID: 7, GenStamp: 1, NumBytes: 4}
+	if _, err := w.Media()["wfake:mem0"].Put(blk, strings.NewReader("octo")); err != nil {
+		t.Fatal(err)
+	}
+	listed := func(a rpc.HeartbeatArgs) bool {
+		return a.Listing && len(a.Blocks) == 1 && a.Blocks[0].Block.ID == blk.ID
+	}
+
+	w.heartbeat(false) // the first beat after registering lists
+	w.heartbeat(false)
+	copied := rpc.StoredBlock{Storage: "wfake:mem0", Block: blk}
+	w.recvMu.Lock()
+	w.received = append(w.received, copied)
+	w.recvMu.Unlock()
+	w.heat.Touch(blk.ID, heat.Write, 4)
+	fm.mu.Lock()
+	fm.refuse = 1
+	fm.mu.Unlock()
+	w.heartbeat(false) // refused: the worker re-registers
+	w.heartbeat(false)
+
+	fm.mu.Lock()
+	defer fm.mu.Unlock()
+	b := fm.beats
+	if len(b) != 4 || !fm.refused[2] || fm.refused[3] {
+		t.Fatalf("beats = %d refused %v, want 4 with the third refused", len(b), fm.refused)
+	}
+	if !listed(b[0]) || b[1].Listing {
+		t.Errorf("listings: first beat %v (%d blocks), second %v; want only the first", b[0].Listing, len(b[0].Blocks), b[1].Listing)
+	}
+	for i := 2; i < 4; i++ {
+		if len(b[i].Received) != 1 || b[i].Received[0] != copied {
+			t.Errorf("beat %d received = %+v, want [%+v]", i, b[i].Received, copied)
+		}
+		if len(b[i].Heat) != 1 || b[i].Heat[0].Block != blk.ID || b[i].Heat[0].WriteBytes != 4 {
+			t.Errorf("beat %d heat = %+v, want the block's one write", i, b[i].Heat)
+		}
+	}
+	if fm.registrations != 2 || !listed(b[3]) {
+		t.Errorf("after %d registrations the next beat listed %v (%d blocks), want a listing after the second", fm.registrations, b[3].Listing, len(b[3].Blocks))
 	}
 }
