@@ -12,24 +12,21 @@ import (
 	"repro/internal/events"
 	"repro/internal/httpjson"
 	"repro/internal/ringlog"
-	"repro/internal/rpc"
 	"repro/internal/xfer"
 )
 
 // pageLog is the events, audit and transfers subcommands: the cursor
 // flags, then per fetched page either its JSON document or one line
-// per record with the loss notes and the next cursor. filter names the
+// per record with the loss note and the next cursor. filter names the
 // key flag ("type", "op"), noun the records in the loss note; follow
-// adds the -follow flag, which keeps polling from Page.Next. A fetch
-// answered by one unnamed source prints flat; named sources (one per
-// daemon, each with its own cursor) print under a header each.
+// adds the -follow flag, which keeps polling from Page.Next.
 func pageLog[T any](name string, args []string, filter, noun string, follow bool, line func(T) string,
-	fetch func(since uint64, key string, limit int) ([]rpc.LogSource[T], error)) error {
+	fetch func(since uint64, key string, limit int) (ringlog.Page[T], map[string]uint64, error)) error {
 	fl := flag.NewFlagSet(name, flag.ContinueOnError)
 	jsonOut := fl.Bool("json", false, "emit pages as JSON")
-	cursor := fl.Uint64("since", 0, "exclusive sequence cursor, applied per source (0 = oldest retained)")
+	cursor := fl.Uint64("since", 0, "exclusive sequence cursor (0 = oldest retained)")
 	key := fl.String(filter, "", "show only records with this "+filter)
-	limit := fl.Int("limit", 0, "page size cap per source (0 = no cap)")
+	limit := fl.Int("limit", 0, "page size cap (0 = no cap)")
 	following := new(bool)
 	if follow {
 		following = fl.Bool("follow", false, "poll for new records until interrupted")
@@ -40,18 +37,13 @@ func pageLog[T any](name string, args []string, filter, noun string, follow bool
 	enc := json.NewEncoder(os.Stdout)
 	enc.SetIndent("", "  ")
 	for ; ; time.Sleep(500 * time.Millisecond) {
-		sources, err := fetch(*cursor, *key, *limit)
+		page, counts, err := fetch(*cursor, *key, *limit)
 		if err != nil {
 			return err
 		}
-		flat := len(sources) == 1 && sources[0].Source == ""
-		switch {
-		case *jsonOut && flat:
-			err = enc.Encode(httpjson.LogDoc[T]{Page: sources[0].Page, Counts: sources[0].Counts})
-		case *jsonOut:
-			err = enc.Encode(sources)
-		case flat:
-			page := sources[0].Page
+		if *jsonOut {
+			err = enc.Encode(httpjson.LogDoc[T]{Page: page, Counts: counts})
+		} else {
 			for _, e := range page.Entries {
 				fmt.Println(line(e))
 			}
@@ -61,38 +53,12 @@ func pageLog[T any](name string, args []string, filter, noun string, follow bool
 			if !*following {
 				fmt.Printf("next cursor: %d\n", page.Next)
 			}
-		default:
-			for i, src := range sources {
-				if i > 0 {
-					fmt.Println()
-				}
-				if src.Err != "" {
-					fmt.Printf("%s: fan-out failed: %s\n", src.Source, src.Err)
-					continue
-				}
-				fmt.Printf("%s: %d %s (next cursor %d", src.Source, len(src.Page.Entries), noun, src.Page.Next)
-				if src.Page.Missed > 0 {
-					fmt.Printf(", %d missed to eviction", src.Page.Missed)
-				}
-				if src.Page.Dropped > 0 {
-					fmt.Printf(", %d dropped at append", src.Page.Dropped)
-				}
-				fmt.Println(")")
-				for _, e := range src.Page.Entries {
-					fmt.Println("  " + line(e))
-				}
-			}
 		}
 		if err != nil || !*following {
 			return err
 		}
-		*cursor = sources[0].Page.Next
+		*cursor = page.Next
 	}
-}
-
-// oneSource wraps a single daemon's page as pageLog's unnamed source.
-func oneSource[T any](page ringlog.Page[T], counts map[string]uint64, err error) ([]rpc.LogSource[T], error) {
-	return []rpc.LogSource[T]{{LogReply: rpc.LogReply[T]{Page: page, Counts: counts}}}, err
 }
 
 // formatEvent renders one journal event on a single line, attributes

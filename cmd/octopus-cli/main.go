@@ -29,8 +29,8 @@
 //	                                 phase breakdown (queue/lock/apply/append/fsync)
 //	transfers [-json] [-since n] [-op kind] [-limit n]
 //	                                 data-path flight recorder: per-transfer
-//	                                 phase breakdown (dial/disk/net/ack) from
-//	                                 the master and every live worker
+//	                                 phase breakdown (dial/disk/net/ack) of
+//	                                 every client and worker, from the master
 //	top [-last n]                    cluster telemetry: live sample + history
 //	heat [-json] [-top n] [-file p] [-misplaced]
 //	                                 hottest files/blocks + tier-fitness report
@@ -50,10 +50,8 @@ import (
 	"strings"
 	"time"
 
-	"repro/internal/audit"
 	"repro/internal/client"
 	"repro/internal/core"
-	"repro/internal/events"
 	"repro/internal/rpc"
 	"repro/internal/trace"
 )
@@ -350,16 +348,10 @@ func run(fs *client.FileSystem, args []string) error {
 		return trace.RenderTree(os.Stdout, spans)
 
 	case "events":
-		return pageLog(cmd, rest, "type", "events", false, formatEvent,
-			func(since uint64, typ string, limit int) ([]rpc.LogSource[events.Event], error) {
-				return oneSource(fs.Events(since, typ, limit))
-			})
+		return pageLog(cmd, rest, "type", "events", false, formatEvent, fs.Events)
 
 	case "audit":
-		return pageLog(cmd, rest, "op", "entries", true, formatAuditEntry,
-			func(since uint64, op string, limit int) ([]rpc.LogSource[audit.Entry], error) {
-				return oneSource(fs.Audit(since, op, limit))
-			})
+		return pageLog(cmd, rest, "op", "entries", true, formatAuditEntry, fs.Audit)
 
 	case "transfers":
 		return pageLog(cmd, rest, "op", "records", false, formatTransferRecord, fs.Transfers)

@@ -5,6 +5,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/events"
 	"repro/internal/rpc"
+	"repro/internal/xfer"
 )
 
 // This file holds the administrative/observability client surface:
@@ -34,17 +35,14 @@ func (fs *FileSystem) Audit(since uint64, op string, limit int) (audit.Page, map
 	return reply.Page, reply.Counts, err
 }
 
-// Transfers fetches one page of the cluster's transfer flight
-// recorders: the master's own log (which holds client-reported
-// records) plus every live worker's, one TransferSource per daemon.
-// Cursor semantics match Audit per source — each daemon assigns its
-// own sequence numbers, so poll each source with since = its Page.Next.
-// op filters by transfer kind ("" = all); limit caps each source's
-// page (<= 0 = server default).
-func (fs *FileSystem) Transfers(since uint64, op string, limit int) ([]rpc.TransferSource, error) {
-	var reply rpc.GetTransfersReply
+// Transfers fetches one page of the master's transfer log, which holds
+// the flight-recorder records every client and worker pushed. Cursor
+// semantics match Audit; op filters by transfer kind ("" = all); the
+// second result carries the per-kind lifetime counters.
+func (fs *FileSystem) Transfers(since uint64, op string, limit int) (xfer.Page, map[string]uint64, error) {
+	var reply rpc.LogReply[xfer.Record]
 	err := fs.call("Master.GetTransfers", &rpc.LogArgs{Since: since, Key: op, Limit: limit}, &reply)
-	return reply.Sources, err
+	return reply.Page, reply.Counts, err
 }
 
 // ClusterHistory fetches the master's sampled telemetry history,

@@ -166,14 +166,14 @@ func (fs *FileSystem) Create(path string, opts CreateOptions) (*Writer, error) {
 	if err != nil {
 		root.SetError(err)
 		root.End()
-		fs.reportSpans(reqID)
+		fs.report(reqID)
 		return nil, err
 	}
 	status, err := fs.Stat(path)
 	if err != nil {
 		root.SetError(err)
 		root.End()
-		fs.reportSpans(reqID)
+		fs.report(reqID)
 		return nil, err
 	}
 	return &Writer{fs: fs, path: path, blockSize: status.BlockSize, reqID: reqID, window: fs.writeWindow, span: root}, nil
@@ -208,7 +208,7 @@ func (fs *FileSystem) Open(path string) (*Reader, error) {
 	if err != nil {
 		root.SetError(err)
 		root.End()
-		fs.reportSpans(reqID)
+		fs.report(reqID)
 		return nil, err
 	}
 	return &Reader{fs: fs, path: path, length: reply.FileLength, blocks: reply.Blocks, reqID: reqID, readahead: fs.readahead, span: root}, nil

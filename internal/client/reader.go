@@ -85,19 +85,6 @@ func (r *Reader) endBlockSpan(err error) {
 // Length returns the file's total length at open time.
 func (r *Reader) Length() int64 { return r.length }
 
-// SetReadahead changes the number of blocks prefetched ahead of the
-// consumed position (0 disables readahead). It applies from the next
-// block boundary.
-func (r *Reader) SetReadahead(k int) {
-	if k < 0 {
-		k = 0
-	}
-	r.readahead = k
-	if k == 0 {
-		r.cancelWindow()
-	}
-}
-
 // CurrentLocation reports the replica location the reader is
 // currently streaming from; ok is false between blocks. Tests and
 // tooling use it to identify the worker an in-flight read depends on.
@@ -349,8 +336,7 @@ func (r *Reader) Close() error {
 	}
 	r.endBlockSpan(nil)
 	r.span.End()
-	r.fs.reportSpans(r.reqID)
-	r.fs.reportTransfers()
+	r.fs.report(r.reqID)
 	return err
 }
 

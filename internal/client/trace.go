@@ -23,56 +23,38 @@ func (fs *FileSystem) callTraced(parent *trace.ActiveSpan, reqID, method string,
 	return err
 }
 
-// Trace fetches the cluster-assembled span timeline for one request
-// ID: the master merges its own store with every live worker's and
-// with any client spans previously shipped via reportSpans.
+// Trace fetches the cluster-wide span timeline for one request ID from
+// the master, which holds what the client, the master itself and every
+// worker recorded for it.
 func (fs *FileSystem) Trace(reqID string) ([]trace.Span, error) {
 	var reply rpc.GetTraceReply
 	err := fs.call("Master.GetTrace", &rpc.GetTraceArgs{TraceID: reqID}, &reply)
 	return reply.Spans, err
 }
 
-// reportSpans ships the client's spans for one finished trace to the
-// master so cross-hop assembly includes the client side. Best-effort:
-// a failure only costs observability, never the operation. Spans still
-// open when this runs (e.g. a readahead open cancelled at Close) miss
-// the shipment but stay in the local store.
-func (fs *FileSystem) reportSpans(traceID string) {
-	if fs == nil || fs.traces == nil {
-		return // bare handles (tests) trace nothing
-	}
-	spans := fs.traces.Get(traceID)
-	if len(spans) == 0 {
-		return
-	}
-	fs.call("Master.ReportSpans", &rpc.ReportSpansArgs{Spans: spans}, &rpc.ReportSpansReply{})
-}
-
 // TransferLog exposes the client's transfer flight recorder (for
 // octopus-bench and tests).
 func (fs *FileSystem) TransferLog() *xfer.Log { return fs.xfers }
 
-// reportTransfers ships not-yet-reported flight-recorder entries to
-// the master, which folds them into its own transfer log so
-// Master.GetTransfers serves the client-side phase breakdowns after
-// the client has exited. Best-effort, like reportSpans: on failure
-// the cursor stays put and the next shipment retries.
-func (fs *FileSystem) reportTransfers() {
-	if fs == nil || fs.xfers == nil {
-		return
+// report ships, in one Master.Report, the client's spans of one
+// finished trace and its flight-recorder records not yet shipped, so
+// both survive the client process and join the cluster view.
+// Best-effort: a failure only costs observability, never the
+// operation; the record cursor then stays put and the next report
+// retries. Spans still open when this runs (e.g. a readahead open
+// cancelled at Close) miss the shipment but stay in the local store.
+func (fs *FileSystem) report(traceID string) {
+	if fs == nil || fs.traces == nil {
+		return // bare handles (tests) trace nothing
 	}
 	fs.shipMu.Lock()
 	defer fs.shipMu.Unlock()
-	for {
-		page := fs.xfers.Since(fs.shipCursor, "", 256)
-		if len(page.Entries) == 0 {
-			return
-		}
-		err := fs.call("Master.ReportTransfers",
-			&rpc.ReportTransfersArgs{Records: page.Entries}, &rpc.ReportTransfersReply{})
-		if err != nil {
-			return
-		}
+	page := fs.xfers.Since(fs.shipCursor, "", 0)
+	args := &rpc.ReportArgs{Telemetry: rpc.Telemetry{Spans: fs.traces.Get(traceID), Transfers: page.Entries}}
+	if len(args.Spans) == 0 && len(args.Transfers) == 0 {
+		return
+	}
+	if fs.call("Master.Report", args, &rpc.ReportReply{}) == nil {
 		fs.shipCursor = page.Next
 	}
 }

@@ -438,8 +438,7 @@ func (w *Writer) finishTrace(err error) {
 	w.span.AnnotateInt("bytes", w.written)
 	w.span.SetError(err)
 	w.span.End()
-	w.fs.reportSpans(w.reqID)
-	w.fs.reportTransfers()
+	w.fs.report(w.reqID)
 }
 
 // Written returns the number of bytes accepted so far.
@@ -448,15 +447,6 @@ func (w *Writer) Written() int64 { return w.written }
 // ReqID returns the request ID correlating all of this write's RPCs,
 // transfers, and trace spans (it doubles as the trace ID).
 func (w *Writer) ReqID() string { return w.reqID }
-
-// SetWindow changes the write window (0 = synchronous); it takes
-// effect when the next block finishes.
-func (w *Writer) SetWindow(k int) {
-	if k < 0 {
-		k = 0
-	}
-	w.window = k
-}
 
 // CurrentTargets returns the worker pipeline of the block currently
 // being streamed (nil between blocks); tests and tooling use it to

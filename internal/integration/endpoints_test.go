@@ -7,6 +7,7 @@ import (
 	"sort"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/audit"
 	"repro/internal/events"
@@ -54,8 +55,12 @@ func TestDebugLogEndpointKeySets(t *testing.T) {
 		Op: "shape", Path: "/a", Dst: "/b", TraceID: "cafecafecafecafe", Result: "ok", Bytes: 1,
 		QueueNs: 1, LockWaitNs: 1, ApplyNs: 1, AppendNs: 1, FsyncNs: 1, TotalNs: 9,
 	})
-	c.Master.TransferLog().Append(rec)
+	// The master's copy of the record is the one the worker's heartbeat
+	// ships.
 	w.TransferLog().Append(rec)
+	waitFor(t, 5*time.Second, "the worker's record on the master", func() bool {
+		return len(c.Master.TransferLog().Since(0, "shape", 0).Entries) == 1
+	})
 
 	masterAddr, err := c.Master.ServeHTTP("127.0.0.1:0")
 	if err != nil {

@@ -27,8 +27,8 @@ func indexSpans(spans []trace.Span) traceIndex {
 }
 
 // TestTraceTimelineAcrossDaemons writes and reads a multi-block file
-// with readahead on a 3-worker cluster, then assembles the timelines
-// via the master's cross-daemon fan-out and asserts that client,
+// with readahead on a 3-worker cluster, then fetches the timelines
+// from the master, which every daemon pushes to, and asserts that client,
 // master, and at least two distinct workers contributed spans sharing
 // the request's trace ID with intact parent/child links.
 func TestTraceTimelineAcrossDaemons(t *testing.T) {

@@ -8,14 +8,13 @@ import (
 
 	"repro/internal/client"
 	"repro/internal/core"
-	"repro/internal/rpc"
 	"repro/internal/xfer"
 )
 
 // TestTransferFlightRecorder is the acceptance test for the data-path
 // flight recorder: it writes and reads a multi-block file on a
 // 3-worker cluster, then asserts via Master.GetTransfers that every
-// daemon recorded its transfers with a coherent phase breakdown —
+// daemon's transfers reached the master with a coherent phase breakdown —
 // phases sum to no more than the wall time — and that each record
 // joins the request's trace (its span ID appears in the assembled
 // timeline "octopus-cli trace" renders).
@@ -60,29 +59,28 @@ func TestTransferFlightRecorder(t *testing.T) {
 		t.Fatal("read-back mismatch")
 	}
 
-	// Worker-side records land after the client has its bytes, and the
-	// client ships its own records on Reader.Close/Writer.Close, so
-	// poll the fan-out until both requests are fully represented.
-	var sources []rpc.TransferSource
+	// Worker-side records land after the client has its bytes and reach
+	// the master on the worker's next heartbeat, and the client ships
+	// its own records on Reader.Close/Writer.Close, so poll the master's
+	// log until both requests are fully represented.
+	var all []xfer.Record
 	waitFor(t, 5*time.Second, "transfer records from every side", func() bool {
-		var err error
-		sources, err = fs.Transfers(0, "", 0)
+		page, _, err := fs.Transfers(0, "", 0)
 		if err != nil {
 			return false
 		}
+		all = page.Entries
 		var clientWrites, clientReads, workerWrites, workerReads int
-		for _, src := range sources {
-			for _, rec := range src.Page.Entries {
-				switch {
-				case rec.Source == "client" && rec.Op == "write":
-					clientWrites++
-				case rec.Source == "client" && rec.Op == "read":
-					clientReads++
-				case rec.Source != "client" && rec.Op == "write":
-					workerWrites++
-				case rec.Source != "client" && rec.Op == "read":
-					workerReads++
-				}
+		for _, rec := range all {
+			switch {
+			case rec.Source == "client" && rec.Op == "write":
+				clientWrites++
+			case rec.Source == "client" && rec.Op == "read":
+				clientReads++
+			case rec.Source != "client" && rec.Op == "write":
+				workerWrites++
+			case rec.Source != "client" && rec.Op == "read":
+				workerReads++
 			}
 		}
 		// 3 blocks at 2 replicas: 3 client writes, 6 worker writes
@@ -90,22 +88,6 @@ func TestTransferFlightRecorder(t *testing.T) {
 		return clientWrites >= 3 && clientReads >= 3 && workerWrites >= 6 && workerReads >= 3
 	})
 
-	if len(sources) != 1+len(c.Workers) {
-		t.Fatalf("sources = %d, want master + %d workers", len(sources), len(c.Workers))
-	}
-	if sources[0].Source != "master" {
-		t.Fatalf("first source = %q, want master", sources[0].Source)
-	}
-	for _, src := range sources {
-		if src.Err != "" {
-			t.Fatalf("source %s fan-out failed: %s", src.Source, src.Err)
-		}
-	}
-
-	var all []xfer.Record
-	for _, src := range sources {
-		all = append(all, src.Page.Entries...)
-	}
 	for _, rec := range all {
 		checkRecord(t, rec)
 	}
@@ -115,6 +97,70 @@ func TestTransferFlightRecorder(t *testing.T) {
 	// worker record's span appears in the assembled timeline.
 	assertJoined(t, fs, all, writeID, "write")
 	assertJoined(t, fs, all, readID, "read")
+}
+
+// TestTelemetryOutlivesWorker: workers push their spans and transfer
+// records on the heartbeat, so after a worker that served a read dies,
+// the master still answers for its side of that read.
+func TestTelemetryOutlivesWorker(t *testing.T) {
+	c := startTestCluster(t, func(cfg *ClusterConfig) {
+		cfg.NumWorkers = 3
+		cfg.NumRacks = 1
+		cfg.BlockSize = 1 << 20
+	})
+	fs, err := c.Client("")
+	if err != nil {
+		t.Fatalf("Client: %v", err)
+	}
+	defer fs.Close()
+
+	data := randomBytes(3<<20, 29)
+	if err := fs.WriteFile("/outlive.bin", data, core.ReplicationVectorFromFactor(2)); err != nil {
+		t.Fatalf("WriteFile: %v", err)
+	}
+	r, err := fs.Open("/outlive.bin")
+	if err != nil {
+		t.Fatalf("Open: %v", err)
+	}
+	readID := r.ReqID()
+	if _, err := io.ReadAll(r); err != nil {
+		t.Fatalf("ReadAll: %v", err)
+	}
+	r.Close()
+
+	// served reports whether the master answers for worker id's side of
+	// the read: a worker.read span and a read record, both its own.
+	served := func(id string) (span, rec bool) {
+		if spans, err := fs.Trace(readID); err == nil {
+			for _, sp := range spans {
+				span = span || (sp.Op == "worker.read" && sp.Attrs["worker"] == id)
+			}
+		}
+		if page, _, err := fs.Transfers(0, "read", 0); err == nil {
+			for _, r := range page.Entries {
+				rec = rec || (r.TraceID == readID && r.Source == "worker:"+id)
+			}
+		}
+		return span, rec
+	}
+	var victim int
+	waitFor(t, 5*time.Second, "a worker's side of the read on the master", func() bool {
+		for i, w := range c.Workers {
+			if span, rec := served(string(w.ID())); span && rec {
+				victim = i
+				return true
+			}
+		}
+		return false
+	})
+
+	id := string(c.Workers[victim].ID())
+	if err := c.KillWorker(victim); err != nil {
+		t.Fatalf("KillWorker: %v", err)
+	}
+	if span, rec := served(id); !span || !rec {
+		t.Errorf("after %s closed: its worker.read span served %v, its read record served %v; want both", id, span, rec)
+	}
 }
 
 // checkRecord asserts the per-record invariants: identity fields set,

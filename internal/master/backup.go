@@ -38,9 +38,6 @@ type Backup struct {
 
 	primary *rpc.MasterClient
 
-	mu     sync.Mutex
-	lastOK time.Time
-
 	done chan struct{}
 	wg   sync.WaitGroup
 	once sync.Once
@@ -76,13 +73,6 @@ func NewBackup(cfg BackupConfig) (*Backup, error) {
 // Namespace exposes the backup's standby image (for take-over and
 // tests).
 func (b *Backup) Namespace() *namespace.Namespace { return b.ns }
-
-// LastSync returns the time of the last successful checkpoint pull.
-func (b *Backup) LastSync() time.Time {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.lastOK
-}
 
 // Close stops the backup.
 func (b *Backup) Close() error {
@@ -123,8 +113,5 @@ func (b *Backup) syncOnce() error {
 			return fmt.Errorf("backup: writing checkpoint: %w", err)
 		}
 	}
-	b.mu.Lock()
-	b.lastOK = time.Now()
-	b.mu.Unlock()
 	return nil
 }

@@ -74,13 +74,14 @@ func (m *Master) ServeHTTP(addr string) (string, error) {
 	mux.HandleFunc("/healthz", func(w http.ResponseWriter, r *http.Request) {
 		fmt.Fprintln(w, "ok")
 	})
-	// /debug/traces/<id> serves the cluster-assembled timeline (the
-	// master fans out to live workers); the list shows the local store.
-	trace.RegisterDebugHandlers(mux, m.traces, m.AssembleTrace)
+	// /debug/traces/<id> serves the cluster-wide timeline: the master's
+	// store holds every span clients and workers pushed.
+	trace.RegisterDebugHandlers(mux, m.traces)
 	// The three cursor logs: /debug/events serves the cluster event
 	// journal (?type filters), /debug/audit the namespace audit log and
-	// /debug/transfers the client-reported transfer records plus the
-	// process-wide data-connection lifecycle counters (?op filters).
+	// /debug/transfers the transfer records clients and workers pushed
+	// plus the process-wide data-connection lifecycle counters (?op
+	// filters).
 	mux.Handle("/debug/events", httpjson.LogHandler(m.journal.Log(), "type", nil))
 	mux.Handle("/debug/audit", httpjson.LogHandler(m.audit, "op", nil))
 	mux.Handle("/debug/transfers", httpjson.LogHandler(m.xfers, "op", func() any { return rpc.DataConnStats() }))

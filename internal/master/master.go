@@ -188,8 +188,6 @@ type Master struct {
 	audit   *audit.Log
 	xfers   *xfer.Log
 
-	unhookDial func() // deregisters the repeated-dial-failure journal hook
-
 	// decommissioned workers may not re-register; guarded by mu.
 	decommissioned map[core.WorkerID]struct{}
 	// httpAddr is the bound debug HTTP endpoint (set by ServeHTTP);
@@ -252,14 +250,6 @@ func New(cfg Config) (*Master, error) {
 	m.journal = events.NewJournal(0)
 	m.audit = audit.New(0)
 	m.xfers = xfer.New(0)
-	// The master dials worker data ports for trace and transfer-dump
-	// fan-outs; repeated dial failures to one worker surface as a
-	// cluster event rather than only fan-out warnings.
-	m.unhookDial = rpc.OnRepeatedDialFailure(func(addr string, consecutive int) {
-		m.journal.Publish(events.Warn, evWorkerUnreachable,
-			"repeated data-connection dial failures to worker",
-			"addr", addr, "consecutive", strconv.Itoa(consecutive))
-	})
 	// A persistent namespace journals its recovery cost: how big the
 	// checkpoint was, how long it took to load, and how many edits
 	// replayed on top — the numbers that decide when to re-checkpoint.
@@ -342,9 +332,6 @@ func (m *Master) Close() error {
 	m.closed = true
 	m.mu.Unlock()
 	close(m.done)
-	if m.unhookDial != nil {
-		m.unhookDial()
-	}
 	m.ln.Close()
 	// Close accepted RPC connections too, so clients and workers
 	// notice the shutdown immediately instead of talking to a dead

@@ -26,7 +26,6 @@ const (
 	evWorkerRegister       = "worker_register"
 	evWorkerExpired        = "worker_expired"
 	evWorkerDecommissioned = "worker_decommissioned"
-	evWorkerUnreachable    = "worker_unreachable"
 	evBlockAllocated       = "block_allocated"
 	evBlockCommitted       = "block_committed"
 	evBlockAbandoned       = "block_abandoned"

@@ -450,10 +450,11 @@ func (s *Service) Register(args *rpc.RegisterArgs, _ *rpc.RegisterReply) (err er
 }
 
 // Heartbeat is a worker's one state message (paper §2.2): it refreshes
-// the worker's statistics, folds its heat deltas, the copies it
-// confirms and, on a listing beat, its full block listing (paper §5:
-// under- and over-replication is detected from the listings), then
-// delivers the pending commands, including any delete the fold issued.
+// the worker's statistics, folds its heat deltas, its telemetry, the
+// copies it confirms and, on a listing beat, its full block listing
+// (paper §5: under- and over-replication is detected from the
+// listings), then delivers the pending commands, including any delete
+// the fold issued.
 func (s *Service) Heartbeat(args *rpc.HeartbeatArgs, reply *rpc.HeartbeatReply) (err error) {
 	defer s.m.trackOpUntraced("heartbeat", args.ReqID)(&err)
 	s.m.mu.Lock()
@@ -480,6 +481,7 @@ func (s *Service) Heartbeat(args *rpc.HeartbeatArgs, reply *rpc.HeartbeatReply) 
 	// its source in the same step; unknown, stale and tombstoned
 	// replicas come back as deletions.
 	s.m.foldHeat(args.Heat)
+	s.m.foldTelemetry(args.Telemetry)
 	for _, r := range received {
 		s.m.enqueueDeletes(s.m.blocks.AddReplica(r.Block, r.Replica))
 	}
@@ -595,30 +597,5 @@ func (s *Service) GetWorkerReports(args *rpc.WorkerReportsArgs, reply *rpc.Worke
 		reply.Workers = append(reply.Workers, wr)
 	}
 	sort.Slice(reply.Workers, func(i, j int) bool { return reply.Workers[i].ID < reply.Workers[j].ID })
-	return nil
-}
-
-// ReportSpans accepts a client's locally recorded spans, making the
-// master the rendezvous point for trace assembly after the client
-// process exits. Untraced: recording spans about span reporting would
-// pollute the store.
-func (s *Service) ReportSpans(args *rpc.ReportSpansArgs, _ *rpc.ReportSpansReply) (err error) {
-	defer s.m.trackOpUntraced("reportSpans", args.ReqID)(&err)
-	for _, sp := range args.Spans {
-		s.m.traces.Add(sp)
-	}
-	return nil
-}
-
-// GetTrace assembles the cross-daemon timeline of one trace: the
-// master's own spans (including client-reported ones) merged with
-// spans fanned out from every live worker's data port.
-func (s *Service) GetTrace(args *rpc.GetTraceArgs, reply *rpc.GetTraceReply) (err error) {
-	defer s.m.trackOpUntraced("getTrace", args.ReqID)(&err)
-	spans, err := s.m.AssembleTrace(args.TraceID)
-	if err != nil {
-		return wire(err)
-	}
-	reply.Spans = spans
 	return nil
 }

@@ -8,18 +8,15 @@ import (
 	"repro/internal/core"
 )
 
-// Binary framing for the hot-path control messages. A gob frame
-// builds an encoder (and re-transmits type descriptors) per frame; the
-// v1 binary format is a fixed little-endian layout:
+// Binary framing for the data port's control messages, the only frame
+// format it speaks. The v1 format is a fixed little-endian layout:
 //
 //	[0x01][u32 LE payload length][u8 msgType][fields…]
 //
 // where fields are little-endian integers and u32-length-prefixed
-// strings. The cold-path dump messages (trace and transfer pages)
-// carry nested structs and stay on gob. A gob frame starts with the
-// high byte of a big-endian u32 length, which maxFrameSize (1 MiB)
-// keeps at 0x00 — so the first byte on the wire tells ReadFrame which
-// of the two it is reading.
+// strings. The leading tag lets ReadFrame refuse anything else — the
+// gob frames older builds sent start with 0x00 — before it trusts a
+// length.
 const frameTagBinary = 0x01
 
 // Binary message types. The type byte leads the payload so a decoder
@@ -106,8 +103,8 @@ func (r *binReader) block() core.Block {
 	}
 }
 
-// encodeBinary appends msgType+fields for the hot-path messages,
-// returning ok == false for types that stay on gob.
+// encodeBinary appends msgType+fields for the block messages,
+// returning ok == false for any other type.
 func encodeBinary(buf []byte, v any) ([]byte, bool) {
 	switch m := v.(type) {
 	case WriteBlockHeader:

@@ -2,11 +2,12 @@ package rpc
 
 import (
 	"bytes"
-	"reflect"
+	"encoding/binary"
+	"encoding/gob"
+	"strings"
 	"testing"
 
 	"repro/internal/core"
-	"repro/internal/xfer"
 )
 
 // hotMessages returns one populated value of every message type the
@@ -61,25 +62,23 @@ func TestBinaryFrameRoundTrip(t *testing.T) {
 	}
 }
 
-// TestLegacyGobFrameRoundTrip pins the reader's half of the framing
-// contract: ReadFrame picks the codec from the frame's first byte, not
-// from the destination type, so a gob frame — the format the dump
-// messages travel in — decodes into every message type, including the
-// hot ones WriteFrame never emits as gob.
+// TestLegacyGobFrameRoundTrip pins that the data port speaks binary v1
+// only: a gob frame of any message, as older builds sent it (a
+// big-endian u32 length, so a leading 0x00, then the gob stream), is
+// refused by its tag before its length is trusted.
 func TestLegacyGobFrameRoundTrip(t *testing.T) {
 	for _, c := range hotMessages() {
 		t.Run(c.name, func(t *testing.T) {
-			var buf bytes.Buffer
-			if err := writeGobFrame(&buf, c.in); err != nil {
-				t.Fatalf("writeGobFrame: %v", err)
+			var body bytes.Buffer
+			if err := gob.NewEncoder(&body).Encode(c.in); err != nil {
+				t.Fatal(err)
 			}
-			if tag := buf.Bytes()[0]; tag == frameTagBinary {
-				t.Fatal("gob frame carries the binary tag")
+			frame := binary.BigEndian.AppendUint32(nil, uint32(body.Len()))
+			frame = append(frame, body.Bytes()...)
+			err := ReadFrame(bytes.NewReader(frame), c.out)
+			if err == nil || !strings.Contains(err.Error(), "0x00") {
+				t.Fatalf("gob frame: ReadFrame err = %v, want a refusal naming tag 0x00", err)
 			}
-			if err := ReadFrame(&buf, c.out); err != nil {
-				t.Fatalf("ReadFrame: %v", err)
-			}
-			assertFrameEqual(t, c.name, c.in, c.out)
 		})
 	}
 }
@@ -113,33 +112,6 @@ func assertFrameEqual(t *testing.T, name string, in, out any) {
 		}
 	default:
 		t.Fatalf("no comparison for %s", name)
-	}
-}
-
-// TestColdMessagesFallBackToGob: dump messages are not worth a binary
-// codec; WriteFrame emits them as gob frames, ReadFrame tells them
-// from binary ones by the first byte, and a truncated one is an error,
-// not a partial message. (An unknown first byte is
-// TestReadFrameRejectsUnknownTag's.)
-func TestColdMessagesFallBackToGob(t *testing.T) {
-	var buf bytes.Buffer
-	in := LogReply[xfer.Record]{
-		Page:   xfer.Page{Entries: []xfer.Record{{Seq: 3, Op: "read", Block: 9}}, Next: 3, Missed: 2},
-		Counts: map[string]uint64{"read": 3},
-	}
-	if err := WriteFrame(&buf, in); err != nil {
-		t.Fatal(err)
-	}
-	raw := append([]byte{}, buf.Bytes()...)
-	if raw[0] == frameTagBinary {
-		t.Error("dump response framed as binary, want gob fallback")
-	}
-	var out LogReply[xfer.Record]
-	if err := ReadFrame(&buf, &out); err != nil || !reflect.DeepEqual(in, out) {
-		t.Fatalf("gob round trip: %v\n got %+v\nwant %+v", err, out, in)
-	}
-	if err := ReadFrame(bytes.NewReader(raw[:len(raw)-3]), &out); err == nil {
-		t.Error("truncated gob frame accepted")
 	}
 }
 
@@ -177,9 +149,8 @@ func TestBinaryFrameRejectsTruncation(t *testing.T) {
 	}
 }
 
-// TestReadFrameRejectsUnknownTag: the first byte selects the framing;
-// anything but gob (0x00) or binary v1 must be rejected before any
-// length is trusted.
+// TestReadFrameRejectsUnknownTag: a first byte other than binary v1's
+// tag must be rejected before any length is trusted.
 func TestReadFrameRejectsUnknownTag(t *testing.T) {
 	var out WriteBlockAck
 	if err := ReadFrame(bytes.NewReader([]byte{0x7f, 0, 0, 0, 0}), &out); err == nil {

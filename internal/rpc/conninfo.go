@@ -7,8 +7,8 @@ import (
 
 // Process-wide data-connection lifecycle counters. They cover the
 // dialling side of the data protocol — every outbound block read,
-// pipeline hop, replication pull, and dump exchange goes through
-// dialData — plus the gob control-frame totals from both directions.
+// pipeline hop and replication pull goes through dialData — plus the
+// control-frame totals from both directions.
 // The counters quantify the per-transfer connection churn the
 // data-path roadmap attributes the protocol's overhead to: one dial,
 // one handshake, and fresh buffers per block.
@@ -28,7 +28,7 @@ var connStats struct {
 type ConnStats struct {
 	// Dials counts outbound data-connection attempts; DialFailures
 	// the ones that never connected. Handshakes counts connections
-	// that completed the opcode + gob header exchange.
+	// that completed the opcode + header exchange.
 	Dials        uint64 `json:"dials"`
 	DialFailures uint64 `json:"dial_failures"`
 	Handshakes   uint64 `json:"handshakes"`
@@ -46,7 +46,7 @@ type ConnStats struct {
 	BytesPerConn uint64 `json:"bytes_per_conn"`
 
 	// Frames / FrameBytes count control frames encoded or decoded by
-	// this process (headers, acks, dump pages) — the framing cost the
+	// this process (headers and acks) — the framing cost the
 	// per-transfer header phases measure in time.
 	Frames     uint64 `json:"frames"`
 	FrameBytes uint64 `json:"frame_bytes"`
@@ -89,7 +89,7 @@ var dialFailHookSeq int
 
 // OnRepeatedDialFailure registers a hook called when consecutive data
 // dials to one address fail DialFailureThreshold times in a row (a
-// successful dial resets the streak). Daemons use it to journal
+// successful dial resets the streak). Workers use it to journal
 // worker_unreachable events. The returned function deregisters the
 // hook; hooks run synchronously on the failing dial path and must be
 // cheap and non-blocking.

@@ -243,6 +243,9 @@ type HeartbeatArgs struct {
 	// encodes an empty listing and none alike.
 	Listing bool
 	Blocks  []StoredBlock
+	// Telemetry ships the transfer records the worker appended since
+	// its last successful beat, with their spans.
+	Telemetry
 }
 type HeartbeatReply struct {
 	Commands []Command
@@ -321,20 +324,28 @@ type WorkerReportsReply struct {
 	MasterHTTP string
 }
 
-// ReportSpansArgs / -Reply implement Master.ReportSpans: clients push
-// their locally recorded spans to the master at the end of an
-// operation, making the master the rendezvous point for cross-daemon
-// trace assembly (the client process is usually gone by the time
-// anyone asks for the trace).
-type ReportSpansArgs struct {
-	ReqHeader
-	Spans []trace.Span
+// Telemetry is what a daemon recorded locally and pushes to the
+// master: spans and transfer records. Clients send it in Master.Report
+// when an operation finishes and workers in every heartbeat, so the
+// master holds the whole cluster's telemetry in its own stores — it is
+// the rendezvous point for trace assembly, and what a daemon pushed
+// outlives the daemon.
+type Telemetry struct {
+	Spans     []trace.Span
+	Transfers []xfer.Record
 }
-type ReportSpansReply struct{}
 
-// GetTraceArgs / GetTraceReply implement Master.GetTrace: assemble
-// the full timeline of one trace by merging the master's own spans,
-// client-reported spans, and spans fanned out from live workers.
+// ReportArgs / ReportReply implement Master.Report, a client's push
+// of its telemetry.
+type ReportArgs struct {
+	ReqHeader
+	Telemetry
+}
+type ReportReply struct{}
+
+// GetTraceArgs / GetTraceReply implement Master.GetTrace: the full
+// timeline of one trace from the master's store, which holds its own
+// spans and every span clients and workers pushed.
 type GetTraceArgs struct {
 	ReqHeader
 	TraceID string
@@ -346,9 +357,8 @@ type GetTraceReply struct {
 // LogArgs is one cursor read of a daemon's ringlog. Master.GetEvents,
 // Master.GetAudit and Master.GetTransfers take it over RPC (the
 // /debug/events, /debug/audit and /debug/transfers endpoints serve the
-// same pages over HTTP), and it opens an OpTransferDump exchange on a
-// worker's data port. Since is an exclusive sequence cursor; polling
-// with Since = Page.Next is exactly-once over retained records.
+// same pages over HTTP). Since is an exclusive sequence cursor;
+// polling with Since = Page.Next is exactly-once over retained records.
 type LogArgs struct {
 	ReqHeader
 	Since uint64
@@ -366,39 +376,6 @@ type LogReply[T any] struct {
 // ReadLog answers args from l.
 func ReadLog[T any](l *ringlog.Log[T], args *LogArgs) LogReply[T] {
 	return LogReply[T]{Page: l.Since(args.Since, args.Key, args.Limit), Counts: l.Counts()}
-}
-
-// ReportTransfersArgs / -Reply implement Master.ReportTransfers:
-// clients push their locally recorded transfer records to the master
-// at the end of an operation (like ReportSpans), so client-side
-// dial/ack phases survive the client process and join the cluster
-// view served by Master.GetTransfers.
-type ReportTransfersArgs struct {
-	ReqHeader
-	Records []xfer.Record
-}
-type ReportTransfersReply struct{}
-
-// LogSource is one daemon's LogReply where several daemons answer the
-// same LogArgs. Err reports a fan-out failure for that source ("" =
-// the page is valid).
-type LogSource[T any] struct {
-	Source string
-	LogReply[T]
-	Err string
-}
-
-// TransferSource is one daemon's page of transfer records inside a
-// GetTransfersReply: the master's client-reported log ("master") or a
-// worker's recorder ("worker:<id>").
-type TransferSource = LogSource[xfer.Record]
-
-// GetTransfersReply answers Master.GetTransfers, the fan-out face of
-// the transfer flight recorder: the LogArgs apply per source, and
-// cursors are per source daemon, so a poller resumes each source from
-// that source's Page.Next.
-type GetTransfersReply struct {
-	Sources []TransferSource
 }
 
 // WorkerSample is one worker's point-in-time telemetry inside a

@@ -7,7 +7,7 @@ import (
 )
 
 // Connection pooling for the data protocol. Every outbound exchange —
-// block reads, pipeline hops, replication pulls, dump pages — used to
+// block reads, pipeline hops, replication pulls — used to
 // pay a fresh TCP dial; the pool keeps connections whose previous
 // exchange completed cleanly (every request byte consumed, every
 // response byte read) idle per worker address and hands them to the

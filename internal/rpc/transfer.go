@@ -232,65 +232,80 @@ func OpenBlockReaderSpan(addr string, block core.Block, storageID core.StorageID
 	return OpenBlockReaderTimed(addr, block, storageID, offset, length, reqID, spanID, nil)
 }
 
-// OpenBlockReaderTimed is OpenBlockReaderSpan recording the dial and
-// header phases into tm (which may be nil). A pooled connection that
-// turns out stale mid-handshake (the worker closed it while idle) is
+// openExchange opens one exchange with the worker at addr: a pooled
+// connection (or a fresh dial), the opcode, the header frame and, when
+// resp is non-nil, the worker's response frame decoded into resp. Its
+// phases land in tm. A pooled connection that fails anywhere in that
+// handshake went stale while idle (the worker closed it): it is
 // discarded and the exchange retried once over a fresh dial, so
 // callers never see pool staleness.
+func openExchange(addr string, op byte, hdr, resp any, reqID string, tm *TransferTiming) (*deadlineConn, error) {
+	for freshOnly := false; ; freshOnly = true {
+		start := time.Now()
+		var conn *deadlineConn
+		var err error
+		tm.PoolHit = false
+		if freshOnly {
+			conn, err = dialData(addr)
+		} else {
+			conn, tm.PoolHit, err = checkoutData(addr)
+		}
+		tm.DialNs = time.Since(start).Nanoseconds()
+		if err != nil {
+			return nil, tagReq(err, reqID)
+		}
+		if err = exchangeHeaders(conn, op, hdr, resp, tm); err == nil {
+			conn.established()
+			return conn, nil
+		}
+		conn.Close()
+		if !tm.PoolHit {
+			return nil, tagReq(err, reqID)
+		}
+		dataPool.noteStale()
+	}
+}
+
+// exchangeHeaders writes the opcode and header frame, then reads the
+// response frame if one is expected, timing both halves into tm.
+func exchangeHeaders(conn *deadlineConn, op byte, hdr, resp any, tm *TransferTiming) error {
+	encStart := time.Now()
+	if _, err := conn.Write([]byte{op}); err != nil {
+		return fmt.Errorf("rpc: sending opcode %d: %w", op, err)
+	}
+	if err := WriteFrame(conn, hdr); err != nil {
+		return err
+	}
+	tm.HeaderEncodeNs = time.Since(encStart).Nanoseconds()
+	if resp == nil {
+		return nil
+	}
+	decStart := time.Now()
+	if err := ReadFrame(conn, resp); err != nil {
+		return err
+	}
+	tm.HeaderDecodeNs = time.Since(decStart).Nanoseconds()
+	return nil
+}
+
+// OpenBlockReaderTimed is OpenBlockReaderSpan recording the dial and
+// header phases into tm (which may be nil).
 func OpenBlockReaderTimed(addr string, block core.Block, storageID core.StorageID, offset, length int64, reqID, spanID string, tm *TransferTiming) (io.ReadCloser, int64, error) {
 	if tm == nil {
 		tm = &TransferTiming{}
 	}
 	hdr := ReadBlockHeader{Block: block, Storage: storageID, Offset: offset, Length: length, ReqID: reqID, SpanID: spanID}
-	for freshOnly := false; ; freshOnly = true {
-		start := time.Now()
-		var conn *deadlineConn
-		var pooled bool
-		var err error
-		if freshOnly {
-			conn, err = dialData(addr)
-		} else {
-			conn, pooled, err = checkoutData(addr)
-		}
-		tm.DialNs = time.Since(start).Nanoseconds()
-		tm.PoolHit = pooled
-		if err != nil {
-			return nil, 0, tagReq(err, reqID)
-		}
-		encStart := time.Now()
-		var resp ReadBlockResponse
-		err = func() error {
-			if _, err := conn.Write([]byte{OpReadBlock}); err != nil {
-				return fmt.Errorf("rpc: sending read opcode: %w", err)
-			}
-			if err := WriteFrame(conn, hdr); err != nil {
-				return err
-			}
-			tm.HeaderEncodeNs = time.Since(encStart).Nanoseconds()
-			decStart := time.Now()
-			if err := ReadFrame(conn, &resp); err != nil {
-				return err
-			}
-			tm.HeaderDecodeNs = time.Since(decStart).Nanoseconds()
-			return nil
-		}()
-		if err != nil {
-			conn.Close()
-			if pooled && !freshOnly {
-				dataPool.noteStale()
-				continue // the idle conn went stale under us; retry fresh
-			}
-			return nil, 0, tagReq(err, reqID)
-		}
-		if resp.Err != "" {
-			// A refusal leaves the exchange complete and the conn clean.
-			conn.established()
-			releaseData(conn)
-			return nil, 0, DecodeError(resp.Err)
-		}
-		conn.established()
-		return &blockReadCloser{r: NewPacketReader(conn), conn: conn, poolHit: pooled}, resp.Length, nil
+	var resp ReadBlockResponse
+	conn, err := openExchange(addr, OpReadBlock, hdr, &resp, reqID, tm)
+	if err != nil {
+		return nil, 0, err
 	}
+	if resp.Err != "" {
+		// A refusal leaves the exchange complete and the conn clean.
+		releaseData(conn)
+		return nil, 0, DecodeError(resp.Err)
+	}
+	return &blockReadCloser{r: NewPacketReader(conn), conn: conn, poolHit: tm.PoolHit}, resp.Length, nil
 }
 
 // drainGrace bounds how long Close waits for the end-of-stream packet
@@ -384,46 +399,20 @@ func OpenBlockWriterSpan(block core.Block, pipeline []PipelineTarget, client, re
 		return nil, fmt.Errorf("rpc: empty write pipeline: %w", core.ErrNoWorkers)
 	}
 	hdr := WriteBlockHeader{Block: block, Pipeline: pipeline, Client: client, ReqID: reqID, SpanID: spanID}
-	for freshOnly := false; ; freshOnly = true {
-		start := time.Now()
-		var conn *deadlineConn
-		var pooled bool
-		var err error
-		if freshOnly {
-			conn, err = dialData(pipeline[0].Address)
-		} else {
-			conn, pooled, err = checkoutData(pipeline[0].Address)
-		}
-		dialNs := time.Since(start).Nanoseconds()
-		if err != nil {
-			return nil, tagReq(err, reqID)
-		}
-		encStart := time.Now()
-		err = func() error {
-			if _, err := conn.Write([]byte{OpWriteBlock}); err != nil {
-				return fmt.Errorf("rpc: sending write opcode: %w", err)
-			}
-			return WriteFrame(conn, hdr)
-		}()
-		if err != nil {
-			conn.Close()
-			if pooled && !freshOnly {
-				dataPool.noteStale()
-				continue
-			}
-			return nil, tagReq(err, reqID)
-		}
-		conn.established()
-		bw := &BlockWriter{
-			conn:    conn,
-			pw:      NewPacketWriter(conn),
-			peer:    pipeline[0].Address,
-			poolHit: pooled,
-		}
-		bw.dialNs.Store(dialNs)
-		bw.hdrNs.Store(time.Since(encStart).Nanoseconds())
-		return bw, nil
+	var tm TransferTiming
+	conn, err := openExchange(pipeline[0].Address, OpWriteBlock, hdr, nil, reqID, &tm)
+	if err != nil {
+		return nil, err
 	}
+	bw := &BlockWriter{
+		conn:    conn,
+		pw:      NewPacketWriter(conn),
+		peer:    pipeline[0].Address,
+		poolHit: tm.PoolHit,
+	}
+	bw.dialNs.Store(tm.DialNs)
+	bw.hdrNs.Store(tm.HeaderEncodeNs)
+	return bw, nil
 }
 
 // Write implements io.Writer.
@@ -508,43 +497,4 @@ func (w *BlockWriter) Abort() error {
 	err := w.conn.Close()
 	w.pw.Release()
 	return err
-}
-
-// Dump runs one cold-path exchange with the worker at addr on a
-// pooled data connection: the opcode, a gob-framed request, one framed
-// response decoded into resp. The master fans OpTraceDump and
-// OpTransferDump out with it. A pooled connection the worker has since
-// closed is retried once on a fresh dial.
-func Dump(addr string, op byte, req, resp any) error {
-	for freshOnly := false; ; freshOnly = true {
-		var conn *deadlineConn
-		var pooled bool
-		var err error
-		if freshOnly {
-			conn, err = dialData(addr)
-		} else {
-			conn, pooled, err = checkoutData(addr)
-		}
-		if err != nil {
-			return err
-		}
-		if _, err = conn.Write([]byte{op}); err != nil {
-			err = fmt.Errorf("rpc: sending dump opcode %d: %w", op, err)
-		} else if err = WriteFrame(conn, req); err == nil {
-			if err = ReadFrame(conn, resp); err != nil {
-				err = fmt.Errorf("rpc: reading dump %d: %w", op, err)
-			}
-		}
-		if err != nil {
-			conn.Close()
-			if pooled && !freshOnly {
-				dataPool.noteStale()
-				continue
-			}
-			return err
-		}
-		conn.established()
-		releaseData(conn)
-		return nil
-	}
 }

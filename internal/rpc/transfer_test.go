@@ -174,10 +174,10 @@ func TestHandshakeDeadlineTricklingPeer(t *testing.T) {
 			return
 		}
 		defer conn.Close()
-		// Advertise an enormous response frame, then trickle one byte
-		// per 100ms: each byte resets a rolling deadline, but the
-		// frame never completes.
-		conn.Write([]byte{0x00, 0x10, 0x00, 0x00})
+		// Advertise an enormous binary response frame (1 MiB, the
+		// limit), then trickle one byte per 100ms: each byte resets a
+		// rolling deadline, but the frame never completes.
+		conn.Write([]byte{frameTagBinary, 0x00, 0x00, 0x10, 0x00})
 		for {
 			select {
 			case <-stop:

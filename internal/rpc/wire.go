@@ -2,9 +2,7 @@ package rpc
 
 import (
 	"bufio"
-	"bytes"
 	"encoding/binary"
-	"encoding/gob"
 	"fmt"
 	"hash/crc32"
 	"io"
@@ -12,16 +10,13 @@ import (
 
 	"repro/internal/bufpool"
 	"repro/internal/core"
-	"repro/internal/trace"
 )
 
 // The data-transfer protocol spoken on a worker's data port. Every
-// exchange starts with a one-byte opcode followed by a length-prefixed
-// header frame (binary v1 for the hot-path messages, gob for the
-// dump messages — see binframe.go); block
-// content then flows as checksummed packets. Connections are
-// persistent: after a clean exchange the same connection carries the
-// next opcode.
+// exchange starts with a one-byte opcode followed by a binary v1
+// header frame (see binframe.go); block content then flows as
+// checksummed packets. Connections are persistent: after a clean
+// exchange the same connection carries the next opcode.
 const (
 	// OpWriteBlock streams a block into a pipeline of workers
 	// (paper §3.1: Worker-to-Worker pipeline).
@@ -29,19 +24,6 @@ const (
 
 	// OpReadBlock streams a block (or a byte range of it) to a reader.
 	OpReadBlock
-
-	_ // unassigned, so that the opcodes after it keep their values
-
-	// OpTraceDump asks a worker for its stored spans of one trace, so
-	// the master can assemble a cross-daemon timeline without the
-	// worker exposing an RPC server.
-	OpTraceDump
-
-	// OpTransferDump asks a worker for one page of its transfer
-	// flight-recorder log (a LogArgs answered by a
-	// LogReply[xfer.Record]), so Master.GetTransfers can fan out
-	// across the cluster over the existing data port.
-	OpTransferDump
 )
 
 // MaxPacketSize bounds one data packet. 64 KiB balances syscall
@@ -102,20 +84,8 @@ type ReadBlockResponse struct {
 	Length int64  // number of bytes that will be streamed
 }
 
-// TraceDumpHeader opens an OpTraceDump exchange.
-type TraceDumpHeader struct {
-	TraceID string
-}
-
-// TraceDumpResponse carries the worker's retained spans for the
-// requested trace. The per-trace span cap keeps it well under the
-// control-frame size limit.
-type TraceDumpResponse struct {
-	Spans []trace.Span
-}
-
-// WriteFrame encodes v as one length-prefixed frame: binary v1 for
-// the hot-path messages, gob for the rest (the dump messages).
+// WriteFrame encodes v, one of the four block messages, as one binary
+// v1 frame.
 func WriteFrame(w io.Writer, v any) error {
 	bp := frameScratch.Get().(*[]byte)
 	// Reserve the tag + length prefix, then append the payload.
@@ -130,7 +100,7 @@ func WriteFrame(w io.Writer, v any) error {
 	*bp = buf[:0]
 	frameScratch.Put(bp)
 	if !ok {
-		return writeGobFrame(w, v)
+		return fmt.Errorf("rpc: no binary encoder for %T", v)
 	}
 	if err != nil {
 		return fmt.Errorf("rpc: writing frame: %w", err)
@@ -138,85 +108,45 @@ func WriteFrame(w io.Writer, v any) error {
 	return nil
 }
 
-// writeGobFrame encodes v as a gob frame: a big-endian length, then
-// the gob stream.
-func writeGobFrame(w io.Writer, v any) error {
-	var body bytes.Buffer
-	if err := gob.NewEncoder(&body).Encode(v); err != nil {
-		return fmt.Errorf("rpc: encoding frame: %w", err)
-	}
-	connStats.frames.Add(1)
-	connStats.frameBytes.Add(uint64(body.Len()))
-	var hdr [4]byte
-	binary.BigEndian.PutUint32(hdr[:], uint32(body.Len()))
-	if _, err := w.Write(hdr[:]); err != nil {
-		return fmt.Errorf("rpc: writing frame header: %w", err)
-	}
-	if _, err := w.Write(body.Bytes()); err != nil {
-		return fmt.Errorf("rpc: writing frame body: %w", err)
-	}
-	return nil
-}
-
 // maxFrameSize bounds a control frame; headers are small, so anything
-// bigger indicates a corrupt or hostile stream. Keeping it under
-// 1<<24 also guarantees a gob frame's first byte is 0x00, which is
-// how ReadFrame tells the formats apart.
+// bigger indicates a corrupt or hostile stream.
 const maxFrameSize = 1 << 20
 
-// ReadFrame decodes one length-prefixed frame into v, picking the
-// format — binary v1 or gob — from the frame's first byte.
+// ReadFrame decodes one binary v1 frame into v. Any other first byte,
+// including the 0x00 a gob frame of older builds starts with, is
+// refused before a length is trusted.
 func ReadFrame(r io.Reader, v any) error {
 	var hdr [4]byte
 	if _, err := io.ReadFull(r, hdr[:1]); err != nil {
 		return err
 	}
-	if hdr[0] == frameTagBinary {
-		if _, err := io.ReadFull(r, hdr[:]); err != nil {
-			return fmt.Errorf("rpc: reading frame length: %w", err)
-		}
-		n := binary.LittleEndian.Uint32(hdr[:])
-		if n > maxFrameSize {
-			return fmt.Errorf("rpc: frame of %d bytes exceeds limit", n)
-		}
-		connStats.frames.Add(1)
-		connStats.frameBytes.Add(uint64(n))
-		bp := frameScratch.Get().(*[]byte)
-		buf := *bp
-		if cap(buf) < int(n) {
-			buf = make([]byte, n)
-		}
-		buf = buf[:n]
-		_, err := io.ReadFull(r, buf)
-		if err != nil {
-			err = fmt.Errorf("rpc: reading frame body: %w", err)
-		} else {
-			err = decodeBinary(buf, v)
-		}
-		*bp = buf[:0]
-		frameScratch.Put(bp)
-		return err
-	}
-	if hdr[0] != 0 {
+	if hdr[0] != frameTagBinary {
 		return fmt.Errorf("rpc: unknown frame tag 0x%02x", hdr[0])
 	}
-	if _, err := io.ReadFull(r, hdr[1:]); err != nil {
-		return err
+	if _, err := io.ReadFull(r, hdr[:]); err != nil {
+		return fmt.Errorf("rpc: reading frame length: %w", err)
 	}
-	n := binary.BigEndian.Uint32(hdr[:])
+	n := binary.LittleEndian.Uint32(hdr[:])
 	if n > maxFrameSize {
 		return fmt.Errorf("rpc: frame of %d bytes exceeds limit", n)
 	}
 	connStats.frames.Add(1)
 	connStats.frameBytes.Add(uint64(n))
-	buf := make([]byte, n)
-	if _, err := io.ReadFull(r, buf); err != nil {
-		return fmt.Errorf("rpc: reading frame body: %w", err)
+	bp := frameScratch.Get().(*[]byte)
+	buf := *bp
+	if cap(buf) < int(n) {
+		buf = make([]byte, n)
 	}
-	if err := gob.NewDecoder(bytes.NewReader(buf)).Decode(v); err != nil {
-		return fmt.Errorf("rpc: decoding frame: %w", err)
+	buf = buf[:n]
+	_, err := io.ReadFull(r, buf)
+	if err != nil {
+		err = fmt.Errorf("rpc: reading frame body: %w", err)
+	} else {
+		err = decodeBinary(buf, v)
 	}
-	return nil
+	*bp = buf[:0]
+	frameScratch.Put(bp)
+	return err
 }
 
 // castagnoli is the CRC-32C table used for packet checksums, the same

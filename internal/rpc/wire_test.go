@@ -97,8 +97,8 @@ func TestFrameRoundTrip(t *testing.T) {
 }
 
 // TestExtendedHeaderRoundTrip covers the request-ID field added to
-// every data-transfer header: it must survive the gob frame intact on
-// all three exchange types.
+// every data-transfer header: it must survive the frame intact on both
+// exchange types.
 func TestExtendedHeaderRoundTrip(t *testing.T) {
 	reqID := NewRequestID()
 	t.Run("write", func(t *testing.T) {

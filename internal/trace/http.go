@@ -9,11 +9,9 @@ import (
 
 // RegisterDebugHandlers mounts a trace store on mux at /debug/traces
 // (JSON list of retained traces, newest first) and
-// /debug/traces/<traceID> (the trace's spans as JSON). fetch, when
-// non-nil, overrides single-trace lookup — the master passes its
-// cluster-assembly fan-out so the endpoint serves merged timelines;
-// workers pass nil and serve their local store.
-func RegisterDebugHandlers(mux *http.ServeMux, store *Store, fetch func(traceID string) ([]Span, error)) {
+// /debug/traces/<traceID> (the trace's spans as JSON, a span stored
+// twice served once).
+func RegisterDebugHandlers(mux *http.ServeMux, store *Store) {
 	mux.HandleFunc("/debug/traces", func(w http.ResponseWriter, r *http.Request) {
 		list := store.List()
 		if list == nil {
@@ -27,13 +25,7 @@ func RegisterDebugHandlers(mux *http.ServeMux, store *Store, fetch func(traceID 
 			http.NotFound(w, r)
 			return
 		}
-		var spans []Span
-		if fetch != nil {
-			spans, _ = fetch(id)
-		}
-		if len(spans) == 0 {
-			spans = store.Get(id)
-		}
+		spans := Merge(store.Get(id))
 		if len(spans) == 0 {
 			http.Error(w, "trace not retained: "+id, http.StatusNotFound)
 			return

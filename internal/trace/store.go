@@ -170,6 +170,23 @@ func (s *Store) Get(traceID string) []Span {
 	return spans
 }
 
+// Span returns one retained span of a trace by its ID.
+func (s *Store) Span(traceID, spanID string) (Span, bool) {
+	if s == nil {
+		return Span{}, false
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if e, ok := s.traces[traceID]; ok {
+		for _, sp := range e.spans {
+			if sp.SpanID == spanID {
+				return sp, true
+			}
+		}
+	}
+	return Span{}, false
+}
+
 // Len returns the number of retained traces.
 func (s *Store) Len() int {
 	if s == nil {
@@ -236,9 +253,9 @@ func SortSpans(spans []Span) {
 	})
 }
 
-// Merge combines span sets from several daemons into one sorted
-// timeline, dropping duplicate span IDs (a span can surface both
-// from a daemon's own store and from a client report).
+// Merge combines span sets into one sorted timeline, dropping
+// duplicate span IDs (a push the transport retried can deliver a span
+// twice).
 func Merge(sets ...[]Span) []Span {
 	seen := make(map[string]bool)
 	var out []Span

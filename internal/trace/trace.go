@@ -1,8 +1,9 @@
 // Package trace implements lightweight distributed tracing for
 // OctopusFS. A trace is identified by the 16-hex request ID that
 // already flows through every RPC and data-transfer header (PR 1);
-// each daemon records its own spans into a bounded in-memory Store
-// and the master assembles the cross-daemon timeline on demand.
+// each daemon records its own spans into a bounded in-memory Store,
+// and clients and workers push theirs to the master, whose store then
+// holds the cross-daemon timeline.
 //
 // The package depends only on the standard library so every layer
 // (rpc, client, master, worker) can import it without cycles.
@@ -61,14 +62,6 @@ type Tracer struct {
 // NewTracer returns a Tracer recording spans for service into store.
 func NewTracer(service string, store *Store) *Tracer {
 	return &Tracer{service: service, store: store}
-}
-
-// Store returns the tracer's backing span store.
-func (t *Tracer) Store() *Store {
-	if t == nil {
-		return nil
-	}
-	return t.store
 }
 
 // Start begins a span. It returns nil — a valid no-op span — when the

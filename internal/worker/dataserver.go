@@ -99,10 +99,6 @@ func (w *Worker) handleConn(conn net.Conn) {
 			keep = w.handleWriteBlock(conn)
 		case rpc.OpReadBlock:
 			keep = w.handleReadBlock(conn)
-		case rpc.OpTraceDump:
-			keep = w.handleTraceDump(conn)
-		case rpc.OpTransferDump:
-			keep = w.handleTransferDump(conn)
 		default:
 			w.cfg.Logger.Warn("unknown data opcode", "op", op[0])
 		}
@@ -457,45 +453,6 @@ func (w *Worker) readBlock(conn net.Conn, hdr rpc.ReadBlockHeader, rec *xfer.Rec
 		return n, tier, false, err
 	}
 	return n, tier, true, nil
-}
-
-// serveDump answers one cold-path exchange from the master's fan-out:
-// a framed request of type Q, one framed answer.
-func serveDump[Q, A any](w *Worker, conn net.Conn, what string, answer func(Q) A) (keep bool) {
-	var req Q
-	if err := rpc.ReadFrame(conn, &req); err != nil {
-		return false
-	}
-	endHandshake(conn)
-	if err := rpc.WriteFrame(conn, answer(req)); err != nil {
-		w.cfg.Logger.Warn(what+" dump failed", "err", err)
-		return false
-	}
-	return true
-}
-
-// handleTraceDump serves the worker's retained spans of one trace to
-// the master's assembly fan-out.
-func (w *Worker) handleTraceDump(conn net.Conn) (keep bool) {
-	return serveDump(w, conn, "trace", func(hdr rpc.TraceDumpHeader) rpc.TraceDumpResponse {
-		return rpc.TraceDumpResponse{Spans: w.traces.Get(hdr.TraceID)}
-	})
-}
-
-// transferDumpMaxPage caps one OpTransferDump page so the response
-// stays well under the control-frame size limit; callers page with
-// Since = Page.Next.
-const transferDumpMaxPage = 512
-
-// handleTransferDump serves one page of the worker's transfer flight
-// recorder to Master.GetTransfers' fan-out.
-func (w *Worker) handleTransferDump(conn net.Conn) (keep bool) {
-	return serveDump(w, conn, "transfer", func(args rpc.LogArgs) rpc.LogReply[xfer.Record] {
-		if args.Limit <= 0 || args.Limit > transferDumpMaxPage {
-			args.Limit = transferDumpMaxPage
-		}
-		return rpc.ReadLog(w.xfers, &args)
-	})
 }
 
 // replicate copies a block from the best available source replica onto

@@ -58,7 +58,7 @@ func (w *Worker) ServeHTTP(addr string) (string, error) {
 	mux.HandleFunc("/healthz", func(rw http.ResponseWriter, r *http.Request) {
 		fmt.Fprintln(rw, "ok")
 	})
-	trace.RegisterDebugHandlers(mux, w.traces, nil)
+	trace.RegisterDebugHandlers(mux, w.traces)
 	mux.Handle("/debug/events", httpjson.LogHandler(w.journal.Log(), "type", nil))
 	mux.Handle("/debug/transfers", httpjson.LogHandler(w.xfers, "op", func() any { return rpc.DataConnStats() }))
 	if w.cfg.Pprof {

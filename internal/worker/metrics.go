@@ -21,6 +21,7 @@ type workerMetrics struct {
 
 	heartbeats *metrics.Counter
 	hbErrs     *metrics.Counter
+	unshipped  *metrics.Counter
 	commands   *metrics.CounterVec // octopus_worker_commands_total{kind}
 
 	slow *metrics.SlowLogger
@@ -42,6 +43,8 @@ func newWorkerMetrics(w *Worker) *workerMetrics {
 		heartbeats: reg.Counter("octopus_worker_heartbeats_total", "Heartbeats sent to the master.", nil),
 		hbErrs:     reg.Counter("octopus_worker_heartbeat_failures_total", "Heartbeats that failed.", nil),
 		commands:   reg.CounterVec("octopus_worker_commands_total", "Master commands executed, by kind.", "kind"),
+		unshipped: reg.Counter("octopus_worker_transfers_unshipped_total",
+			"Transfer records evicted from the flight recorder before a heartbeat shipped them.", nil),
 		slow: metrics.NewSlowLogger(w.cfg.Logger, w.cfg.SlowOpThreshold,
 			reg.Counter("octopus_worker_slow_ops_total", "Operations slower than the slow-op threshold.", nil)),
 	}

@@ -118,6 +118,10 @@ type Worker struct {
 	// relist makes the next heartbeat carry the full listing; set by
 	// every registration, owned by the heartbeat loop after New.
 	relist bool
+	// shipped is the transfer-log cursor the master has acknowledged:
+	// the next beat ships the records after it. Owned by the heartbeat
+	// loop.
+	shipped uint64
 
 	httpMu   sync.Mutex
 	httpAddr string // bound debug HTTP endpoint ("" until ServeHTTP)
@@ -291,6 +295,10 @@ func (w *Worker) register() error {
 // block listing are: every 2 s at the default 250 ms interval.
 const listingEvery = 8
 
+// maxBeatRecords caps the transfer records one heartbeat ships; a
+// larger backlog drains over the following beats.
+const maxBeatRecords = 512
+
 // heartbeatLoop beats on every tick, and at once after a finished copy
 // so the master hears of it one RPC later; wake-ups do not count
 // toward the listing cadence.
@@ -312,7 +320,8 @@ func (w *Worker) heartbeatLoop() {
 }
 
 // heartbeat sends the worker's one state message: statistics, heat
-// deltas, the copies finished since the last successful beat and, when
+// deltas, the transfer records after the shipping cursor with their
+// spans, the copies finished since the last successful beat and, when
 // listing is set or after a registration, the full block listing.
 func (w *Worker) heartbeat(listing bool) {
 	args := &rpc.HeartbeatArgs{
@@ -323,6 +332,15 @@ func (w *Worker) heartbeat(listing bool) {
 		NetMBps:   w.cfg.NetMBps,
 		HTTPAddr:  w.HTTPAddr(),
 		Heat:      w.heat.Drain(),
+	}
+	// Every worker span has exactly one transfer record, so looking up
+	// each record's span ships every span the store kept, once.
+	page := w.xfers.Since(w.shipped, "", maxBeatRecords)
+	args.Transfers = page.Entries
+	for _, r := range page.Entries {
+		if sp, ok := w.traces.Span(r.TraceID, r.SpanID); ok {
+			args.Spans = append(args.Spans, sp)
+		}
 	}
 	// Drain the confirmations before snapshotting the listing, so a
 	// listing never omits a replica its own beat confirms.
@@ -341,7 +359,8 @@ func (w *Worker) heartbeat(listing bool) {
 	if err := w.master.Call("Master.Heartbeat", args, &reply); err != nil {
 		// The master may have expired us (e.g. after its restart):
 		// re-register and retry on the next tick. Put the drained heat
-		// deltas and confirmations back for that beat.
+		// deltas and confirmations back for that beat; the telemetry
+		// cursor has not moved, so that beat re-reads the same records.
 		w.heat.Restore(args.Heat)
 		w.recvMu.Lock()
 		w.received = append(args.Received, w.received...)
@@ -354,6 +373,8 @@ func (w *Worker) heartbeat(listing bool) {
 		return
 	}
 	w.relist = false // any listing owed went out with this beat
+	w.shipped = page.Next
+	w.metrics.unshipped.Add(float64(page.Missed))
 	for _, cmd := range reply.Commands {
 		w.wg.Add(1)
 		go func() {

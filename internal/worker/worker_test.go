@@ -16,6 +16,7 @@ import (
 	"repro/internal/master"
 	"repro/internal/rpc"
 	"repro/internal/storage"
+	"repro/internal/xfer"
 )
 
 // testWorker boots a master and one worker with a memory and an HDD
@@ -303,5 +304,54 @@ func TestFailedHeartbeatKeepsConfirmationsAndRelists(t *testing.T) {
 	}
 	if fm.registrations != 2 || !listed(b[3]) {
 		t.Errorf("after %d registrations the next beat listed %v (%d blocks), want a listing after the second", fm.registrations, b[3].Listing, len(b[3].Blocks))
+	}
+}
+
+// A heartbeat the master refuses leaves the telemetry cursor where it
+// was: the next beat ships the same transfer records with the spans the
+// store kept for them, and the beat after that ships nothing again.
+func TestFailedHeartbeatReshipsTelemetry(t *testing.T) {
+	fm, addr := startFakeMaster(t)
+	w, err := New(Config{
+		ID: "wfake", Node: "wfake", MasterAddr: addr, DataAddr: "127.0.0.1:0",
+		Media:             []storage.MediaConfig{{ID: "wfake:mem0", Tier: core.TierMemory, Capacity: 1 << 20}},
+		HeartbeatInterval: time.Hour, // beats are driven by hand
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer w.Close()
+
+	w.heartbeat(false)
+	sp := w.tracer.Start("feedfacefeedface", "", "worker.read")
+	sp.End()
+	w.xfers.Append(xfer.Record{Op: "read", Source: "worker:wfake", Block: 7, TraceID: "feedfacefeedface", SpanID: sp.ID(), Result: "ok"})
+	w.xfers.Append(xfer.Record{Op: "read", Source: "worker:wfake", Block: 8, Result: "ok"}) // untraced: no span
+	fm.mu.Lock()
+	fm.refuse = 1
+	fm.mu.Unlock()
+	w.heartbeat(false) // refused
+	w.heartbeat(false)
+	w.heartbeat(false)
+
+	fm.mu.Lock()
+	defer fm.mu.Unlock()
+	b := fm.beats
+	if len(b) != 4 || !fm.refused[1] {
+		t.Fatalf("beats = %d refused %v, want 4 with the second refused", len(b), fm.refused)
+	}
+	for _, i := range []int{0, 3} {
+		if len(b[i].Transfers) != 0 || len(b[i].Spans) != 0 {
+			t.Errorf("beat %d shipped %d records and %d spans, want none", i, len(b[i].Transfers), len(b[i].Spans))
+		}
+	}
+	for _, i := range []int{1, 2} {
+		recs, spans := b[i].Transfers, b[i].Spans
+		if len(recs) != 2 || recs[0].Block != 7 || recs[1].Block != 8 {
+			t.Errorf("beat %d shipped records %+v, want blocks 7 and 8", i, recs)
+		}
+		if len(spans) != 1 || spans[0].SpanID != sp.ID() || spans[0].Op != "worker.read" {
+			t.Errorf("beat %d shipped spans %+v, want the one worker.read span %s", i, spans, sp.ID())
+		}
 	}
 }

@@ -2,7 +2,7 @@
 // structured record per block transfer — client reads and writes,
 // worker pipeline stages, and replications — carrying the op, block,
 // tier, byte count, the request/span IDs that join it to the trace
-// store, and a per-phase latency breakdown (dial, gob header
+// store, and a per-phase latency breakdown (dial, header
 // encode/decode, throttle wait, disk, network, downstream forward,
 // ack wait). Where the namespace audit log answers "where did a
 // metadata op's time go", the transfer log answers the same question
@@ -67,7 +67,7 @@ type Record struct {
 
 	// Phase breakdown. DialNs is TCP connect time (client side, or a
 	// pipeline stage dialling downstream). HeaderEncodeNs and
-	// HeaderDecodeNs are the gob control-frame costs: encoding+sending
+	// HeaderDecodeNs are the control-frame costs: encoding+sending
 	// the opener's header, and decoding the peer's frame (which, on
 	// the opener side, includes the peer's pre-response work such as
 	// the checksum scrub before a read). ThrottleWaitNs is time the
