@@ -50,9 +50,9 @@ type Entry struct {
 	Bytes int64 `json:"bytes,omitempty"`
 
 	// Phase breakdown. QueueNs is the wait between the RPC server
-	// decoding the request and the handler starting; LockWaitNs the
-	// wait for the namespace mutex; ApplyNs the in-memory tree
-	// mutation (or read body); AppendNs the edit-log gob append;
+	// reading the request frame and the handler starting; LockWaitNs
+	// the wait for the namespace mutex; ApplyNs the in-memory tree
+	// mutation (or read body); AppendNs the edit-log append;
 	// FsyncNs the edit-log file sync. TotalNs is handler start to
 	// completion and can exceed the sum (placement, block-map work).
 	QueueNs    int64 `json:"queue_ns"`

@@ -8,17 +8,15 @@ import (
 	"io"
 	"math/rand"
 	"net"
-	netrpc "net/rpc"
 	"sync"
 	"testing"
 
 	"repro/internal/core"
-	"repro/internal/master"
 	"repro/internal/rpc"
 )
 
-// The data-path tests run the real client against a stub master (a
-// net/rpc server that enforces the namespace's block-commit rules)
+// The data-path tests run the real client against a stub master (an
+// rpc.Server that enforces the namespace's block-commit rules)
 // and a fake worker speaking the wire transfer protocol, with fault
 // injection: aborted write streams, error acks, and replica streams
 // that die mid-block.
@@ -151,7 +149,7 @@ func (s *stubMaster) GetBlockLocations(args *rpc.GetBlockLocationsArgs, reply *r
 	return nil
 }
 
-func (s *stubMaster) ReportBadBlock(args *master.ReportBadBlockArgs, _ *master.ReportBadBlockReply) error {
+func (s *stubMaster) ReportBadBlock(args *rpc.ReportBadBlockArgs, _ *rpc.ReportBadBlockReply) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.badReports++
@@ -306,24 +304,22 @@ func startStub(t *testing.T, blockSize int64, storages ...core.StorageID) (*File
 		}
 		return locs
 	}
-	srv := netrpc.NewServer()
-	if err := srv.RegisterName("Master", sm); err != nil {
-		t.Fatal(err)
-	}
+	srv := rpc.NewServer(nil)
+	rpc.Handle(srv, "Master.Create", sm.Create)
+	rpc.Handle(srv, "Master.GetFileInfo", sm.GetFileInfo)
+	rpc.Handle(srv, "Master.AddBlock", sm.AddBlock)
+	rpc.Handle(srv, "Master.CommitBlock", sm.CommitBlock)
+	rpc.Handle(srv, "Master.AbandonBlock", sm.AbandonBlock)
+	rpc.Handle(srv, "Master.Complete", sm.Complete)
+	rpc.Handle(srv, "Master.Abandon", sm.Abandon)
+	rpc.Handle(srv, "Master.GetBlockLocations", sm.GetBlockLocations)
+	rpc.Handle(srv, "Master.ReportBadBlock", sm.ReportBadBlock)
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
-	go func() {
-		for {
-			conn, err := ln.Accept()
-			if err != nil {
-				return
-			}
-			go srv.ServeConn(conn)
-		}
-	}()
-	t.Cleanup(func() { ln.Close() })
+	go srv.Serve(ln)
+	t.Cleanup(srv.Close)
 	fs, err := Dial(ln.Addr().String(), WithOwner("test"))
 	if err != nil {
 		t.Fatal(err)

@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/master"
 	"repro/internal/rpc"
 	"repro/internal/trace"
 	"repro/internal/xfer"
@@ -290,9 +289,9 @@ func (r *Reader) blockAt(offset int64) (*core.LocatedBlock, int) {
 // re-replication can repair it (paper §5).
 func (r *Reader) reportBad(b core.Block, loc core.BlockLocation) {
 	r.fs.metrics.badReports.Inc()
-	r.fs.callReq(r.reqID, "Master.ReportBadBlock", &master.ReportBadBlockArgs{
+	r.fs.callReq(r.reqID, "Master.ReportBadBlock", &rpc.ReportBadBlockArgs{
 		Block: b, Storage: loc.Storage, Worker: loc.Worker,
-	}, &master.ReportBadBlockReply{})
+	}, &rpc.ReportBadBlockReply{})
 }
 
 // Seek implements io.Seeker. Seeking cancels the readahead window; it

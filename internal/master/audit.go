@@ -32,8 +32,8 @@ type opAudit struct {
 // beginOp starts the shared instrumentation of one audited namespace
 // RPC. path and dst prefill the entry's paths (dst is "" except for
 // rename). Queue wait is computed against the arrival time the RPC
-// codec stamped onto the header; zero when the request came in
-// through an uninstrumented transport.
+// server stamped onto the header when it read the request frame; zero
+// when the handler was called directly.
 func (m *Master) beginOp(op string, h rpc.ReqHeader, path, dst string) *opAudit {
 	sp, done := m.trackOpSpan(op, h)
 	a := &opAudit{m: m, sp: sp, done: done, start: time.Now()}

@@ -101,8 +101,8 @@ func (b *Backup) loop() {
 // syncOnce pulls the primary's namespace image, refreshes the standby
 // copy, and persists a checkpoint file.
 func (b *Backup) syncOnce() error {
-	var reply ImageReply
-	if err := b.primary.Call("Master.GetImage", &ImageArgs{}, &reply); err != nil {
+	var reply rpc.ImageReply
+	if err := b.primary.Call("Master.GetImage", &rpc.ImageArgs{}, &reply); err != nil {
 		return err
 	}
 	if err := b.ns.LoadImageBytes(reply.Image); err != nil {

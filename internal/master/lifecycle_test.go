@@ -128,8 +128,8 @@ func TestStaleReportAfterBadBlockDoesNotServeCorruptReplica(t *testing.T) {
 	blk := moverTestBlock(t, h.m, "/f", core.ReplicationVectorFromFactor(2), "w1", "w1:hdd0")
 	h.received("w2", "w2:hdd0", blk)
 
-	if err := h.svc.ReportBadBlock(&ReportBadBlockArgs{Block: blk, Storage: "w1:hdd0", Worker: "w1"},
-		&ReportBadBlockReply{}); err != nil {
+	if err := h.svc.ReportBadBlock(&rpc.ReportBadBlockArgs{Block: blk, Storage: "w1:hdd0", Worker: "w1"},
+		&rpc.ReportBadBlockReply{}); err != nil {
 		t.Fatal(err)
 	}
 	h.liveOn("after the corruption report", blk, "w2:hdd0")
@@ -153,8 +153,8 @@ func TestStaleReportAfterBadBlockDoesNotServeCorruptReplica(t *testing.T) {
 
 	// A corrupt replica that is the block's last is kept: there is
 	// nothing to repair from, and a reader's word is not proof.
-	if err := h.svc.ReportBadBlock(&ReportBadBlockArgs{Block: blk, Storage: "w2:hdd0", Worker: "w2"},
-		&ReportBadBlockReply{}); err != nil {
+	if err := h.svc.ReportBadBlock(&rpc.ReportBadBlockArgs{Block: blk, Storage: "w2:hdd0", Worker: "w2"},
+		&rpc.ReportBadBlockReply{}); err != nil {
 		t.Fatal(err)
 	}
 	h.liveOn("after a report against the last replica", blk, "w2:hdd0")

@@ -11,7 +11,6 @@ import (
 	"log/slog"
 	"math/rand"
 	"net"
-	netrpc "net/rpc"
 	"slices"
 	"sort"
 	"strconv"
@@ -212,13 +211,10 @@ type Master struct {
 	mover *mover
 
 	ln     net.Listener
-	srv    *netrpc.Server
+	srv    *rpc.Server
 	done   chan struct{}
 	wg     sync.WaitGroup
 	closed bool
-
-	connMu sync.Mutex
-	conns  map[net.Conn]struct{}
 }
 
 // New starts a Master listening on cfg.ListenAddr.
@@ -244,7 +240,6 @@ func New(cfg Config) (*Master, error) {
 		placements:     make(map[core.BlockID]rpc.BlockExplanation),
 		rng:            rand.New(rand.NewSource(cfg.Seed)),
 		done:           make(chan struct{}),
-		conns:          make(map[net.Conn]struct{}),
 		started:        time.Now(),
 	}
 	m.journal = events.NewJournal(0)
@@ -284,11 +279,8 @@ func New(cfg Config) (*Master, error) {
 		}
 	})
 
-	m.srv = netrpc.NewServer()
-	if err := m.srv.RegisterName("Master", &Service{m: m}); err != nil {
-		ns.Close()
-		return nil, fmt.Errorf("master: registering RPC service: %w", err)
-	}
+	m.srv = rpc.NewServer(m.metrics.rpcInflight)
+	(&Service{m: m}).register(m.srv)
 	ln, err := net.Listen("tcp", cfg.ListenAddr)
 	if err != nil {
 		ns.Close()
@@ -296,7 +288,10 @@ func New(cfg Config) (*Master, error) {
 	}
 	m.ln = ln
 	m.wg.Add(2)
-	go m.serve()
+	go func() {
+		defer m.wg.Done()
+		m.srv.Serve(ln)
+	}()
 	go m.monitor()
 	m.cfg.Logger.Info("master started", "addr", ln.Addr().String())
 	dirs, files, blocks := ns.Stats()
@@ -332,45 +327,13 @@ func (m *Master) Close() error {
 	m.closed = true
 	m.mu.Unlock()
 	close(m.done)
-	m.ln.Close()
-	// Close accepted RPC connections too, so clients and workers
-	// notice the shutdown immediately instead of talking to a dead
-	// master object over surviving TCP connections.
-	m.connMu.Lock()
-	for conn := range m.conns {
-		conn.Close()
-	}
-	m.connMu.Unlock()
+	// Closing the RPC connections too, not just the listener, makes
+	// clients and workers notice the shutdown at once instead of talking
+	// to a dead master over surviving TCP connections; the namespace
+	// closes only after the calls in hand have finished.
+	m.srv.Close()
 	m.wg.Wait()
 	return m.ns.Close()
-}
-
-func (m *Master) serve() {
-	defer m.wg.Done()
-	for {
-		conn, err := m.ln.Accept()
-		if err != nil {
-			select {
-			case <-m.done:
-				return
-			default:
-				m.cfg.Logger.Warn("accept failed", "err", err)
-				continue
-			}
-		}
-		m.connMu.Lock()
-		m.conns[conn] = struct{}{}
-		m.connMu.Unlock()
-		go func() {
-			// The instrumented codec stamps request arrival times (for
-			// queue-wait attribution) and feeds the in-flight gauge.
-			m.srv.ServeCodec(newServerCodec(conn, m.metrics.rpcInflight))
-			m.connMu.Lock()
-			delete(m.conns, conn)
-			m.connMu.Unlock()
-			conn.Close()
-		}()
-	}
 }
 
 // withRand runs fn with the master's seeded rng under its lock.

@@ -73,7 +73,7 @@ func newMasterMetrics(m *Master) *masterMetrics {
 			"Namespace mutex acquisition wait in seconds, by lock mode (read/write).",
 			contentionBuckets, "mode"),
 		editAppend: reg.Histogram("octopus_master_editlog_append_seconds",
-			"Edit-log gob append latency in seconds.", contentionBuckets, nil),
+			"Edit-log append latency in seconds.", contentionBuckets, nil),
 		editFsync: reg.Histogram("octopus_master_editlog_fsync_seconds",
 			"Edit-log fsync latency in seconds (sync mode only).", contentionBuckets, nil),
 		editBatch: reg.Histogram("octopus_master_editlog_batch_records",
@@ -82,7 +82,7 @@ func newMasterMetrics(m *Master) *masterMetrics {
 			"Wait between RPC request decode and handler start, in seconds.",
 			contentionBuckets, nil),
 		rpcInflight: reg.Gauge("octopus_master_rpc_inflight",
-			"RPC requests decoded but not yet responded to.", nil),
+			"RPC requests read but not yet responded to.", nil),
 		slow: metrics.NewSlowLogger(m.cfg.Logger, m.cfg.SlowOpThreshold,
 			reg.Counter("octopus_master_slow_ops_total", "Operations slower than the slow-op threshold.", nil)),
 	}

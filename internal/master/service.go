@@ -18,11 +18,47 @@ import (
 	"repro/internal/topology"
 )
 
-// Service exposes the master protocols over net/rpc. Every method
-// converts internal errors into their stable wire representation so
-// clients keep matching with errors.Is.
+// Service implements the master protocols; the master serves it on an
+// rpc.Server. Every method converts internal errors into their stable
+// wire representation so clients keep matching with errors.Is.
 type Service struct {
 	m *Master
+}
+
+// register serves every method of the master protocols on srv.
+func (s *Service) register(srv *rpc.Server) {
+	rpc.Handle(srv, "Master.GetFileInfo", s.GetFileInfo)
+	rpc.Handle(srv, "Master.List", s.List)
+	rpc.Handle(srv, "Master.GetBlockLocations", s.GetBlockLocations)
+	rpc.Handle(srv, "Master.Mkdir", s.Mkdir)
+	rpc.Handle(srv, "Master.Create", s.Create)
+	rpc.Handle(srv, "Master.AddBlock", s.AddBlock)
+	rpc.Handle(srv, "Master.CommitBlock", s.CommitBlock)
+	rpc.Handle(srv, "Master.Complete", s.Complete)
+	rpc.Handle(srv, "Master.Abandon", s.Abandon)
+	rpc.Handle(srv, "Master.AbandonBlock", s.AbandonBlock)
+	rpc.Handle(srv, "Master.Delete", s.Delete)
+	rpc.Handle(srv, "Master.Rename", s.Rename)
+	rpc.Handle(srv, "Master.Report", s.Report)
+	rpc.Handle(srv, "Master.Register", s.Register)
+	rpc.Handle(srv, "Master.Heartbeat", s.Heartbeat)
+	rpc.Handle(srv, "Master.GetEvents", s.GetEvents)
+	rpc.Handle(srv, "Master.GetAudit", s.GetAudit)
+	rpc.Handle(srv, "Master.GetTransfers", s.GetTransfers)
+	rpc.Handle(srv, "Master.GetTrace", s.GetTrace)
+	rpc.Handle(srv, "Master.GetClusterHistory", s.GetClusterHistory)
+	rpc.Handle(srv, "Master.Explain", s.Explain)
+	rpc.Handle(srv, "Master.GetHeat", s.GetHeat)
+	rpc.Handle(srv, "Master.GetMover", s.GetMover)
+	rpc.Handle(srv, "Master.GetWorkerReports", s.GetWorkerReports)
+	rpc.Handle(srv, "Master.GetStorageTierReports", s.GetStorageTierReports)
+	rpc.Handle(srv, "Master.SetQuota", s.SetQuota)
+	rpc.Handle(srv, "Master.SetReplication", s.SetReplication)
+	rpc.Handle(srv, "Master.GetContentSummary", s.GetContentSummary)
+	rpc.Handle(srv, "Master.Fsck", s.Fsck)
+	rpc.Handle(srv, "Master.GetImage", s.GetImage)
+	rpc.Handle(srv, "Master.ReportBadBlock", s.ReportBadBlock)
+	rpc.Handle(srv, "Master.Decommission", s.Decommission)
 }
 
 // wire converts an internal error for the RPC boundary.
@@ -383,20 +419,11 @@ func (s *Service) SetQuota(args *rpc.SetQuotaArgs, _ *rpc.SetQuotaReply) (err er
 	return wire(s.m.ns.SetQuota(args.Path, args.Tier, args.Bytes, op.Stats()))
 }
 
-// ReportBadBlockArgs / -Reply implement client corruption reports.
-type ReportBadBlockArgs struct {
-	rpc.ReqHeader
-	Block   core.Block
-	Storage core.StorageID
-	Worker  core.WorkerID
-}
-type ReportBadBlockReply struct{}
-
 // ReportBadBlock tombstones a corrupt replica and schedules its deletion;
 // re-replication restores the count. A block's last live replica is kept
 // (and says so): one reader's checksum failure is no ground to turn a
 // block that may yet be read into one that is missing.
-func (s *Service) ReportBadBlock(args *ReportBadBlockArgs, _ *ReportBadBlockReply) (err error) {
+func (s *Service) ReportBadBlock(args *rpc.ReportBadBlockArgs, _ *rpc.ReportBadBlockReply) (err error) {
 	defer s.m.trackOp("reportBadBlock", args.ReqHeader)(&err)
 	deletes := s.m.blocks.Retire(args.Block.ID, args.Storage)
 	s.m.enqueueDeletes(deletes)
@@ -508,16 +535,9 @@ func (w *workerState) replicas(stored []rpc.StoredBlock) (out []blockmgmt.BlockR
 	return out
 }
 
-// ImageArgs / ImageReply implement Backup Master synchronisation: the
-// backup periodically fetches a serialized namespace checkpoint
-// (paper §2.1).
-type ImageArgs struct{ rpc.ReqHeader }
-type ImageReply struct {
-	Image []byte
-}
-
-// GetImage serialises the namespace for a Backup Master.
-func (s *Service) GetImage(args *ImageArgs, reply *ImageReply) (err error) {
+// GetImage serialises the namespace for a Backup Master, which fetches
+// it periodically (paper §2.1).
+func (s *Service) GetImage(args *rpc.ImageArgs, reply *rpc.ImageReply) (err error) {
 	defer s.m.trackOpUntraced("getImage", args.ReqID)(&err)
 	data, err := s.m.ns.ImageBytes()
 	if err != nil {

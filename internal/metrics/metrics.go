@@ -14,6 +14,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"maps"
 	"math"
 	"sort"
 	"strconv"
@@ -322,18 +323,25 @@ type CounterVec struct {
 	name string
 	help string
 	keys []string
+	seen seriesCache[*Counter]
 }
 
-// CounterVec declares a labelled counter family.
+// CounterVec declares a labelled counter family with at most
+// maxVecKeys label keys.
 func (r *Registry) CounterVec(name, help string, keys ...string) *CounterVec {
+	checkVecKeys(name, keys)
 	r.family(name, help, typeCounter, nil)
 	return &CounterVec{r: r, name: name, help: help, keys: keys}
 }
 
 // With returns the series for the given label values (ordered like the
-// vec's keys).
+// vec's keys). A tuple the vec has served before costs one lock-free
+// map lookup and no allocation.
 func (v *CounterVec) With(values ...string) *Counter {
-	return v.r.Counter(v.name, v.help, zipLabels(v.keys, values))
+	checkValues(v.keys, values)
+	return v.seen.get(values, func() *Counter {
+		return v.r.Counter(v.name, v.help, zipLabels(v.keys, values))
+	})
 }
 
 // HistogramVec is a family of histograms distinguished by an ordered
@@ -344,11 +352,13 @@ type HistogramVec struct {
 	help    string
 	keys    []string
 	buckets []float64
+	seen    seriesCache[*Histogram]
 }
 
 // HistogramVec declares a labelled histogram family (nil buckets
-// selects DefLatencyBuckets).
+// selects DefLatencyBuckets) with at most maxVecKeys label keys.
 func (r *Registry) HistogramVec(name, help string, buckets []float64, keys ...string) *HistogramVec {
+	checkVecKeys(name, keys)
 	if buckets == nil {
 		buckets = DefLatencyBuckets
 	}
@@ -356,15 +366,65 @@ func (r *Registry) HistogramVec(name, help string, buckets []float64, keys ...st
 	return &HistogramVec{r: r, name: name, help: help, keys: keys, buckets: buckets}
 }
 
-// With returns the series for the given label values.
+// With returns the series for the given label values, like
+// CounterVec.With.
 func (v *HistogramVec) With(values ...string) *Histogram {
-	return v.r.Histogram(v.name, v.help, v.buckets, zipLabels(v.keys, values))
+	checkValues(v.keys, values)
+	return v.seen.get(values, func() *Histogram {
+		return v.r.Histogram(v.name, v.help, v.buckets, zipLabels(v.keys, values))
+	})
 }
 
-func zipLabels(keys, values []string) Labels {
+// labelValues is a vec's label-value tuple as a map key.
+type labelValues [maxVecKeys]string
+
+// maxVecKeys bounds a vec's label keys, the width of labelValues.
+const maxVecKeys = 4
+
+func checkVecKeys(name string, keys []string) {
+	if len(keys) > maxVecKeys {
+		panic(fmt.Sprintf("metrics: %s has %d label keys, at most %d", name, len(keys), maxVecKeys))
+	}
+}
+
+// seriesCache maps the label-value tuples a vec has served to their
+// series. Readers load an immutable map through an atomic pointer; a
+// miss copies it under mu. A vec serves a handful of tuples, so the
+// copies end after warm-up.
+type seriesCache[T any] struct {
+	mu sync.Mutex
+	m  atomic.Pointer[map[labelValues]T]
+}
+
+// get returns the series for values, resolving a new tuple with
+// lookup.
+func (c *seriesCache[T]) get(values []string, lookup func() T) T {
+	var key labelValues
+	copy(key[:], values)
+	if m := c.m.Load(); m != nil {
+		if s, ok := (*m)[key]; ok {
+			return s
+		}
+	}
+	s := lookup()
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	next := make(map[labelValues]T)
+	if m := c.m.Load(); m != nil {
+		maps.Copy(next, *m)
+	}
+	next[key] = s
+	c.m.Store(&next)
+	return s
+}
+
+func checkValues(keys, values []string) {
 	if len(keys) != len(values) {
 		panic(fmt.Sprintf("metrics: %d label values for %d keys", len(values), len(keys)))
 	}
+}
+
+func zipLabels(keys, values []string) Labels {
 	l := make(Labels, len(keys))
 	for i, k := range keys {
 		l[k] = values[i]

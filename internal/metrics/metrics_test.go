@@ -198,3 +198,25 @@ func TestTypeConflictPanics(t *testing.T) {
 	}()
 	r.Gauge("x", "", nil)
 }
+
+// TestVecWithSeenSeriesAllocatesNothing: a label tuple a vec has served
+// before is a lookup, not a label map, a sort and a family lock.
+func TestVecWithSeenSeriesAllocatesNothing(t *testing.T) {
+	r := NewRegistry()
+	ops := r.CounterVec("ops_total", "", "op")
+	dur := r.HistogramVec("dur_seconds", "", nil, "op", "tier")
+	ops.With("x").Inc()
+	dur.With("x", "HDD").Observe(0.1)
+	if n := testing.AllocsPerRun(100, func() { ops.With("x").Inc() }); n != 0 {
+		t.Errorf("CounterVec.With on a seen series: %v allocs, want 0", n)
+	}
+	if n := testing.AllocsPerRun(100, func() { dur.With("x", "HDD").Observe(0.1) }); n != 0 {
+		t.Errorf("HistogramVec.With on a seen series: %v allocs, want 0", n)
+	}
+	if got := ops.With("x").Value(); got != 102 {
+		t.Errorf("counter = %v, want 102", got)
+	}
+	if again := r.CounterVec("ops_total", "", "op").With("x"); again != ops.With("x") {
+		t.Error("a second vec over the family returned a different series")
+	}
+}

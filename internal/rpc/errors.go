@@ -1,7 +1,8 @@
 // Package rpc provides the wire-level building blocks shared by the
-// OctopusFS master, workers, and client: stable error codes that
-// survive net/rpc boundaries, and the framed, checksummed streaming
-// protocol used on the workers' data-transfer port.
+// OctopusFS master, workers, and client: one frame format with the
+// master protocol's client and server on top of it, stable error codes
+// that survive the wire, and the checksummed streaming protocol used on
+// the workers' data-transfer port.
 package rpc
 
 import (
@@ -69,13 +70,4 @@ func DecodeError(s string) error {
 		}
 	}
 	return errors.New(s)
-}
-
-// WrapRemote maps an error returned by net/rpc (which flattens server
-// errors to strings) back onto the core sentinels.
-func WrapRemote(err error) error {
-	if err == nil {
-		return nil
-	}
-	return DecodeError(err.Error())
 }

@@ -1,6 +1,8 @@
 package rpc
 
 import (
+	"slices"
+
 	"repro/internal/core"
 	"repro/internal/heat"
 	"repro/internal/ringlog"
@@ -8,12 +10,27 @@ import (
 	"repro/internal/xfer"
 )
 
-// This file defines the net/rpc message types of the two master
-// protocols: the client protocol (file system operations, paper §2.3)
-// and the worker protocol (registration and heartbeats, paper
-// §2.1–§2.2). Every argument struct embeds ReqHeader so the
-// caller's request ID travels with the operation for cross-node log
-// correlation and slow-op tracing.
+// This file defines the message types of the two master protocols:
+// the client protocol (file system operations, paper §2.3) and the
+// worker protocol (registration and heartbeats, paper §2.1–§2.2).
+// Every argument struct embeds ReqHeader so the caller's request ID
+// travels with the operation for cross-node log correlation and
+// slow-op tracing. The messages of the hot methods have a wire method
+// and travel as binary frame bodies; the rest travel as gob
+// (methods.go).
+
+// Empty is the reply of a method that returns nothing but its error.
+type Empty struct{}
+
+func (*Empty) wire(*coder) {}
+
+// header carries a request's ReqHeader. It is a function, not a method
+// of ReqHeader, so an argument struct that embeds ReqHeader does not
+// inherit a wire method that would drop its other fields.
+func header(c *coder, h *ReqHeader) {
+	str(c, &h.ReqID)
+	str(c, &h.SpanID)
+}
 
 // FileStatus describes one file or directory to clients.
 type FileStatus struct {
@@ -26,6 +43,36 @@ type FileStatus struct {
 	Owner     string
 }
 
+func fileStatus(c *coder, s *FileStatus) {
+	str(c, &s.Path)
+	flag(c, &s.IsDir)
+	num(c, &s.Length)
+	num(c, &s.RepVector)
+	num(c, &s.BlockSize)
+	num(c, &s.ModTime)
+	str(c, &s.Owner)
+}
+
+func block(c *coder, b *core.Block) {
+	num(c, &b.ID)
+	num(c, &b.GenStamp)
+	num(c, &b.NumBytes)
+}
+
+func location(c *coder, l *core.BlockLocation) {
+	str(c, &l.Worker)
+	str(c, &l.Address)
+	str(c, &l.Storage)
+	small(c, &l.Tier)
+	str(c, &l.Rack)
+}
+
+func located(c *coder, lb *core.LocatedBlock) {
+	block(c, &lb.Block)
+	num(c, &lb.Offset)
+	list(c, &lb.Locations, location)
+}
+
 // MkdirArgs / MkdirReply implement Master.Mkdir.
 type MkdirArgs struct {
 	ReqHeader
@@ -33,7 +80,14 @@ type MkdirArgs struct {
 	Parents bool // create missing parents like mkdir -p
 	Owner   string
 }
-type MkdirReply struct{}
+type MkdirReply = Empty
+
+func (a *MkdirArgs) wire(c *coder) {
+	header(c, &a.ReqHeader)
+	str(c, &a.Path)
+	flag(c, &a.Parents)
+	str(c, &a.Owner)
+}
 
 // CreateArgs / CreateReply implement Master.Create (paper Table 1:
 // create with a replication vector instead of a replication factor).
@@ -48,7 +102,17 @@ type CreateArgs struct {
 	// off-cluster); the placement policy uses it for collocation.
 	ClientNode string
 }
-type CreateReply struct{}
+type CreateReply = Empty
+
+func (a *CreateArgs) wire(c *coder) {
+	header(c, &a.ReqHeader)
+	str(c, &a.Path)
+	num(c, &a.RepVector)
+	num(c, &a.BlockSize)
+	flag(c, &a.Overwrite)
+	str(c, &a.Owner)
+	str(c, &a.ClientNode)
+}
 
 // AddBlockArgs / AddBlockReply implement Master.AddBlock: allocate the
 // next block with replica locations chosen by the placement policy.
@@ -61,6 +125,14 @@ type AddBlockReply struct {
 	Located core.LocatedBlock
 }
 
+func (a *AddBlockArgs) wire(c *coder) {
+	header(c, &a.ReqHeader)
+	str(c, &a.Path)
+	str(c, &a.ClientNode)
+}
+
+func (r *AddBlockReply) wire(c *coder) { located(c, &r.Located) }
+
 // CommitBlockArgs / -Reply implement Master.CommitBlock: record the
 // final length of a block whose pipeline acknowledged it end to end,
 // which confirms the replicas on every pipeline target.
@@ -69,7 +141,13 @@ type CommitBlockArgs struct {
 	Path  string
 	Block core.Block
 }
-type CommitBlockReply struct{}
+type CommitBlockReply = Empty
+
+func (a *CommitBlockArgs) wire(c *coder) {
+	header(c, &a.ReqHeader)
+	str(c, &a.Path)
+	block(c, &a.Block)
+}
 
 // CompleteArgs / CompleteReply implement Master.Complete: seal a file
 // whose blocks are all committed.
@@ -77,7 +155,12 @@ type CompleteArgs struct {
 	ReqHeader
 	Path string
 }
-type CompleteReply struct{}
+type CompleteReply = Empty
+
+func (a *CompleteArgs) wire(c *coder) {
+	header(c, &a.ReqHeader)
+	str(c, &a.Path)
+}
 
 // AbandonArgs / AbandonReply implement Master.Abandon: drop an
 // under-construction file after a failed write.
@@ -85,7 +168,12 @@ type AbandonArgs struct {
 	ReqHeader
 	Path string
 }
-type AbandonReply struct{}
+type AbandonReply = Empty
+
+func (a *AbandonArgs) wire(c *coder) {
+	header(c, &a.ReqHeader)
+	str(c, &a.Path)
+}
 
 // AbandonBlockArgs / -Reply implement Master.AbandonBlock: drop the
 // last, uncommitted block of an under-construction file after a
@@ -95,7 +183,13 @@ type AbandonBlockArgs struct {
 	Path  string
 	Block core.Block
 }
-type AbandonBlockReply struct{}
+type AbandonBlockReply = Empty
+
+func (a *AbandonBlockArgs) wire(c *coder) {
+	header(c, &a.ReqHeader)
+	str(c, &a.Path)
+	block(c, &a.Block)
+}
 
 // GetBlockLocationsArgs / -Reply implement Master.GetBlockLocations
 // (paper Table 1: getFileBlockLocations exposing storage tiers).
@@ -111,6 +205,19 @@ type GetBlockLocationsReply struct {
 	Blocks     []core.LocatedBlock
 }
 
+func (a *GetBlockLocationsArgs) wire(c *coder) {
+	header(c, &a.ReqHeader)
+	str(c, &a.Path)
+	num(c, &a.Offset)
+	num(c, &a.Length)
+	str(c, &a.ClientNode)
+}
+
+func (r *GetBlockLocationsReply) wire(c *coder) {
+	num(c, &r.FileLength)
+	list(c, &r.Blocks, located)
+}
+
 // GetFileInfoArgs / -Reply implement Master.GetFileInfo.
 type GetFileInfoArgs struct {
 	ReqHeader
@@ -119,6 +226,13 @@ type GetFileInfoArgs struct {
 type GetFileInfoReply struct {
 	Status FileStatus
 }
+
+func (a *GetFileInfoArgs) wire(c *coder) {
+	header(c, &a.ReqHeader)
+	str(c, &a.Path)
+}
+
+func (r *GetFileInfoReply) wire(c *coder) { fileStatus(c, &r.Status) }
 
 // ListArgs / ListReply implement Master.List.
 type ListArgs struct {
@@ -129,20 +243,39 @@ type ListReply struct {
 	Entries []FileStatus
 }
 
+func (a *ListArgs) wire(c *coder) {
+	header(c, &a.ReqHeader)
+	str(c, &a.Path)
+}
+
+func (r *ListReply) wire(c *coder) { list(c, &r.Entries, fileStatus) }
+
 // DeleteArgs / DeleteReply implement Master.Delete.
 type DeleteArgs struct {
 	ReqHeader
 	Path      string
 	Recursive bool
 }
-type DeleteReply struct{}
+type DeleteReply = Empty
+
+func (a *DeleteArgs) wire(c *coder) {
+	header(c, &a.ReqHeader)
+	str(c, &a.Path)
+	flag(c, &a.Recursive)
+}
 
 // RenameArgs / RenameReply implement Master.Rename.
 type RenameArgs struct {
 	ReqHeader
 	Src, Dst string
 }
-type RenameReply struct{}
+type RenameReply = Empty
+
+func (a *RenameArgs) wire(c *coder) {
+	header(c, &a.ReqHeader)
+	str(c, &a.Src)
+	str(c, &a.Dst)
+}
 
 // SetReplicationArgs / -Reply implement Master.SetReplication (paper
 // Table 1: setReplication with a replication vector, driving
@@ -152,7 +285,7 @@ type SetReplicationArgs struct {
 	Path      string
 	RepVector core.ReplicationVector
 }
-type SetReplicationReply struct{}
+type SetReplicationReply = Empty
 
 // TierReportsArgs / -Reply implement Master.GetStorageTierReports
 // (paper Table 1).
@@ -170,7 +303,7 @@ type SetQuotaArgs struct {
 	Tier  core.StorageTier // TierUnspecified sets the total-space quota
 	Bytes int64            // -1 clears the quota
 }
-type SetQuotaReply struct{}
+type SetQuotaReply = Empty
 
 // MediaStat is a worker's per-media statistics report, delivered at
 // registration and in every heartbeat (paper §3.2).
@@ -184,6 +317,16 @@ type MediaStat struct {
 	ReadMBps    float64
 }
 
+func mediaStat(c *coder, m *MediaStat) {
+	str(c, &m.ID)
+	small(c, &m.Tier)
+	num(c, &m.Capacity)
+	num(c, &m.Remaining)
+	num(c, &m.Connections)
+	float(c, &m.WriteMBps)
+	float(c, &m.ReadMBps)
+}
+
 // RegisterArgs / RegisterReply implement Master.Register.
 type RegisterArgs struct {
 	ReqHeader
@@ -195,7 +338,18 @@ type RegisterArgs struct {
 	NetMBps  float64
 	Media    []MediaStat
 }
-type RegisterReply struct{}
+type RegisterReply = Empty
+
+func (a *RegisterArgs) wire(c *coder) {
+	header(c, &a.ReqHeader)
+	str(c, &a.ID)
+	str(c, &a.Node)
+	str(c, &a.Rack)
+	str(c, &a.DataAddr)
+	str(c, &a.HTTPAddr)
+	float(c, &a.NetMBps)
+	list(c, &a.Media, mediaStat)
+}
 
 // CommandKind discriminates the commands a master piggybacks on
 // heartbeat replies (paper §2.2: block creation, deletion, and
@@ -221,6 +375,13 @@ type Command struct {
 	Sources []core.BlockLocation
 }
 
+func command(c *coder, cmd *Command) {
+	num(c, &cmd.Kind)
+	block(c, &cmd.Block)
+	str(c, &cmd.Target)
+	list(c, &cmd.Sources, location)
+}
+
 // HeartbeatArgs / HeartbeatReply implement Master.Heartbeat.
 type HeartbeatArgs struct {
 	ReqHeader
@@ -239,8 +400,8 @@ type HeartbeatArgs struct {
 	Received []StoredBlock
 	// Listing marks a beat that carries the worker's full block
 	// listing in Blocks, from which the master detects under- and
-	// over-replication (paper §5). The flag is needed because gob
-	// encodes an empty listing and none alike.
+	// over-replication (paper §5). The flag is needed because the wire
+	// carries an empty listing and none alike.
 	Listing bool
 	Blocks  []StoredBlock
 	// Telemetry ships the transfer records the worker appended since
@@ -251,10 +412,39 @@ type HeartbeatReply struct {
 	Commands []Command
 }
 
+func (a *HeartbeatArgs) wire(c *coder) {
+	header(c, &a.ReqHeader)
+	str(c, &a.ID)
+	list(c, &a.Media, mediaStat)
+	num(c, &a.NetConns)
+	float(c, &a.NetMBps)
+	str(c, &a.HTTPAddr)
+	list(c, &a.Heat, heatDelta)
+	list(c, &a.Received, storedBlock)
+	flag(c, &a.Listing)
+	list(c, &a.Blocks, storedBlock)
+	telemetry(c, &a.Telemetry)
+}
+
+func (r *HeartbeatReply) wire(c *coder) { list(c, &r.Commands, command) }
+
+func heatDelta(c *coder, d *heat.Delta) {
+	num(c, &d.Block)
+	num32(c, &d.ReadOps)
+	num32(c, &d.WriteOps)
+	num(c, &d.ReadBytes)
+	num(c, &d.WriteBytes)
+}
+
 // StoredBlock locates one replica a worker holds.
 type StoredBlock struct {
 	Storage core.StorageID
 	Block   core.Block
+}
+
+func storedBlock(c *coder, s *StoredBlock) {
+	str(c, &s.Storage)
+	block(c, &s.Block)
 }
 
 // ContentSummaryArgs / -Reply implement Master.GetContentSummary:
@@ -335,13 +525,117 @@ type Telemetry struct {
 	Transfers []xfer.Record
 }
 
+// telemetry is the one codec of pushed telemetry, shared by Report and
+// Heartbeat.
+func telemetry(c *coder, t *Telemetry) {
+	list(c, &t.Spans, span)
+	list(c, &t.Transfers, record)
+}
+
+func span(c *coder, s *trace.Span) {
+	str(c, &s.TraceID)
+	str(c, &s.SpanID)
+	str(c, &s.ParentID)
+	str(c, &s.Service)
+	str(c, &s.Op)
+	num(c, &s.Start)
+	num(c, &s.End)
+	str(c, &s.Error)
+	attrs(c, &s.Attrs)
+}
+
+// attrs carries a span's annotations in key order; decoding refuses
+// keys out of order or repeated, so a body has one encoding.
+func attrs(c *coder, m *map[string]string) {
+	if !c.dec {
+		var stack [8]string
+		keys := stack[:0]
+		for k := range *m {
+			keys = append(keys, k)
+		}
+		slices.Sort(keys)
+		c.length(len(keys))
+		for _, k := range keys {
+			v := (*m)[k]
+			str(c, &k)
+			str(c, &v)
+		}
+		return
+	}
+	// A pair takes at least its two length prefixes.
+	n := c.length(0)
+	if n*8 > len(c.buf) {
+		c.bad = true
+	}
+	if c.bad || n == 0 {
+		return
+	}
+	*m = make(map[string]string, n)
+	var prev string
+	for i := 0; i < n && !c.bad; i++ {
+		var k, v string
+		str(c, &k)
+		str(c, &v)
+		c.bad = c.bad || i > 0 && k <= prev
+		(*m)[k], prev = v, k
+	}
+}
+
+func record(c *coder, r *xfer.Record) {
+	num(c, &r.Seq)
+	num(c, &r.Time)
+	str(c, &r.Op)
+	str(c, &r.Source)
+	num(c, &r.Block)
+	str(c, &r.Tier)
+	str(c, &r.Peer)
+	str(c, &r.TraceID)
+	str(c, &r.SpanID)
+	str(c, &r.Result)
+	num(c, &r.Bytes)
+	num(c, &r.DialNs)
+	num(c, &r.HeaderEncodeNs)
+	num(c, &r.HeaderDecodeNs)
+	num(c, &r.ThrottleWaitNs)
+	num(c, &r.DiskNs)
+	num(c, &r.NetNs)
+	num(c, &r.ForwardNs)
+	num(c, &r.AckWaitNs)
+	num(c, &r.StallNs)
+	num(c, &r.TotalNs)
+	num(c, &r.AllocBytes)
+	flag(c, &r.PoolHit)
+}
+
 // ReportArgs / ReportReply implement Master.Report, a client's push
 // of its telemetry.
 type ReportArgs struct {
 	ReqHeader
 	Telemetry
 }
-type ReportReply struct{}
+type ReportReply = Empty
+
+func (a *ReportArgs) wire(c *coder) {
+	header(c, &a.ReqHeader)
+	telemetry(c, &a.Telemetry)
+}
+
+// ReportBadBlockArgs / -Reply implement Master.ReportBadBlock, a
+// reader's report of a corrupt replica.
+type ReportBadBlockArgs struct {
+	ReqHeader
+	Block   core.Block
+	Storage core.StorageID
+	Worker  core.WorkerID
+}
+type ReportBadBlockReply = Empty
+
+// ImageArgs / ImageReply implement Master.GetImage, the Backup
+// Master's pull of a serialised namespace checkpoint (paper §2.1).
+type ImageArgs struct{ ReqHeader }
+type ImageReply struct {
+	Image []byte
+}
 
 // GetTraceArgs / GetTraceReply implement Master.GetTrace: the full
 // timeline of one trace from the master's store, which holds its own
@@ -473,7 +767,7 @@ type DecommissionArgs struct {
 	ReqHeader
 	ID core.WorkerID
 }
-type DecommissionReply struct{}
+type DecommissionReply = Empty
 
 // HeatScore mirrors heat.Score on the wire: decayed operations and
 // bytes for one access direction.

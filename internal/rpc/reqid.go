@@ -1,11 +1,6 @@
 package rpc
 
-import (
-	crand "crypto/rand"
-	"encoding/binary"
-	"encoding/hex"
-	"sync/atomic"
-)
+import "repro/internal/trace"
 
 // Request IDs correlate one client operation across the master's RPC
 // log, the workers' data-server logs, and error strings returned to
@@ -21,11 +16,10 @@ type ReqHeader struct {
 	ReqID  string
 	SpanID string
 
-	// arrivalNs is the server-side decode timestamp, stamped by the
-	// RPC server codec so handlers can measure queue wait (decode to
-	// handler start). Unexported: it never crosses the wire (gob
-	// ignores unexported fields) and is meaningful only within the
-	// receiving process.
+	// arrivalNs is when the server read the request frame, so a
+	// handler can measure its queue wait (frame read to handler start).
+	// Unexported: no codec carries it, and it means something only in
+	// the receiving process.
 	arrivalNs int64
 }
 
@@ -38,12 +32,10 @@ func (h *ReqHeader) SetRequestID(id string) { h.ReqID = id }
 // ParentSpan returns the caller's span ID, if any.
 func (h ReqHeader) ParentSpan() string { return h.SpanID }
 
-// SetArrival stamps the server-side request decode time (Unix
-// nanoseconds). Called by the RPC server codec.
-func (h *ReqHeader) SetArrival(ns int64) { h.arrivalNs = ns }
+func (h *ReqHeader) setArrival(ns int64) { h.arrivalNs = ns }
 
-// Arrival returns the server-side decode time stamped by SetArrival,
-// or 0 when the request did not pass through an instrumented codec.
+// Arrival returns when the server read the request frame (Unix
+// nanoseconds), or 0 when the request did not come through a Server.
 func (h ReqHeader) Arrival() int64 { return h.arrivalNs }
 
 // SetParentSpan stamps the caller's span ID.
@@ -63,18 +55,9 @@ type Traced interface {
 	SetParentSpan(string)
 }
 
-var reqFallback atomic.Uint64
-
-// NewRequestID returns a 16-hex-character random request ID. When the
-// system randomness source fails it falls back to a process-local
-// counter, which still yields unique (if guessable) IDs.
-func NewRequestID() string {
-	var b [8]byte
-	if _, err := crand.Read(b[:]); err != nil {
-		binary.BigEndian.PutUint64(b[:], reqFallback.Add(1))
-	}
-	return hex.EncodeToString(b[:])
-}
+// NewRequestID returns a 16-hex-character random request ID. It is a
+// trace ID too, so it comes from the one ID source, trace.NewSpanID.
+func NewRequestID() string { return trace.NewSpanID() }
 
 // WithReqID appends the request ID marker to an already wire-encoded
 // error string, so failures are attributable end-to-end. DecodeError

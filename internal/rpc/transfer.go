@@ -53,8 +53,9 @@ func SetHandshakeTimeout(d time.Duration) { handshakeTimeoutNs.Store(int64(d)) }
 
 // deadlineConn applies a rolling deadline around every conn operation
 // and, until established() is called, caps every deadline at the
-// absolute handshake bound. It also feeds the process-wide connection
-// byte counters.
+// absolute handshake bound. A data connection also feeds the
+// process-wide connection counters; a master connection, which has no
+// deadlines either, does not.
 //
 // Deadline arming is coarsened: once a rolling deadline is set, it is
 // only pushed forward again after a quarter of the timeout window has
@@ -69,6 +70,7 @@ type deadlineConn struct {
 	armedW   time.Time // write deadline currently armed on the conn
 	closed   bool
 	lastAddr string // dialled address, the pool key
+	data     bool   // counted in connStats
 }
 
 // deadline computes the next I/O deadline: the rolling timeout,
@@ -95,7 +97,9 @@ func (c *deadlineConn) Read(p []byte) (int, error) {
 		c.armedR = time.Time{}
 	}
 	n, err := c.Conn.Read(p)
-	connStats.bytesRead.Add(uint64(n))
+	if c.data {
+		connStats.bytesRead.Add(uint64(n))
+	}
 	return n, err
 }
 
@@ -110,7 +114,9 @@ func (c *deadlineConn) Write(p []byte) (int, error) {
 		c.armedW = time.Time{}
 	}
 	n, err := c.Conn.Write(p)
-	connStats.bytesWritten.Add(uint64(n))
+	if c.data {
+		connStats.bytesWritten.Add(uint64(n))
+	}
 	return n, err
 }
 
@@ -146,7 +152,9 @@ func (c *deadlineConn) rearm() {
 func (c *deadlineConn) Close() error {
 	if !c.closed {
 		c.closed = true
-		connStats.open.Add(-1)
+		if c.data {
+			connStats.open.Add(-1)
+		}
 	}
 	return c.Conn.Close()
 }
@@ -162,7 +170,7 @@ func dialData(addr string) (*deadlineConn, error) {
 	}
 	noteDialSuccess(addr)
 	connStats.open.Add(1)
-	dc := &deadlineConn{Conn: conn, lastAddr: addr}
+	dc := &deadlineConn{Conn: conn, lastAddr: addr, data: true}
 	dc.timeout = TransferTimeout()
 	if hs := HandshakeTimeout(); hs > 0 {
 		dc.hsUntil = time.Now().Add(hs)

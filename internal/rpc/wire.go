@@ -84,69 +84,113 @@ type ReadBlockResponse struct {
 	Length int64  // number of bytes that will be streamed
 }
 
-// WriteFrame encodes v, one of the four block messages, as one binary
-// v1 frame.
+// Frame types of the four block messages.
+const (
+	msgWriteBlockHeader = byte(iota + 1)
+	msgWriteBlockAck
+	msgReadBlockHeader
+	msgReadBlockResponse
+)
+
+// blockMessage is a data-port message: a body that knows its frame type.
+type blockMessage interface {
+	message
+	frameType() byte
+}
+
+func (*WriteBlockHeader) frameType() byte  { return msgWriteBlockHeader }
+func (*WriteBlockAck) frameType() byte     { return msgWriteBlockAck }
+func (*ReadBlockHeader) frameType() byte   { return msgReadBlockHeader }
+func (*ReadBlockResponse) frameType() byte { return msgReadBlockResponse }
+
+func (m *WriteBlockHeader) wire(c *coder) {
+	block(c, &m.Block)
+	list(c, &m.Pipeline, pipelineTarget)
+	str(c, &m.Client)
+	str(c, &m.ReqID)
+	str(c, &m.SpanID)
+}
+
+func pipelineTarget(c *coder, t *PipelineTarget) {
+	str(c, &t.Worker)
+	str(c, &t.Address)
+	str(c, &t.Storage)
+}
+
+func (m *WriteBlockAck) wire(c *coder) {
+	str(c, &m.Err)
+	num(c, &m.Stored)
+}
+
+func (m *ReadBlockHeader) wire(c *coder) {
+	block(c, &m.Block)
+	str(c, &m.Storage)
+	num(c, &m.Offset)
+	num(c, &m.Length)
+	str(c, &m.ReqID)
+	str(c, &m.SpanID)
+}
+
+func (m *ReadBlockResponse) wire(c *coder) {
+	str(c, &m.Err)
+	num(c, &m.Length)
+}
+
+// WriteFrame encodes v, one of the four block messages, as one frame.
 func WriteFrame(w io.Writer, v any) error {
-	bp := frameScratch.Get().(*[]byte)
-	// Reserve the tag + length prefix, then append the payload.
-	buf, ok := encodeBinary(append((*bp)[:0], frameTagBinary, 0, 0, 0, 0), v)
-	var err error
-	if ok {
-		binary.LittleEndian.PutUint32(buf[1:5], uint32(len(buf)-5))
-		connStats.frames.Add(1)
-		connStats.frameBytes.Add(uint64(len(buf) - 5))
-		_, err = w.Write(buf)
+	var m blockMessage
+	switch v := v.(type) {
+	case WriteBlockHeader:
+		m = &v
+	case WriteBlockAck:
+		m = &v
+	case ReadBlockHeader:
+		m = &v
+	case ReadBlockResponse:
+		m = &v
+	default:
+		return fmt.Errorf("rpc: %T is not a block message", v)
 	}
-	*bp = buf[:0]
-	frameScratch.Put(bp)
-	if !ok {
-		return fmt.Errorf("rpc: no binary encoder for %T", v)
+	bp := getScratch()
+	defer putScratch(bp)
+	buf := encode(beginFrame((*bp)[:0], m.frameType()), m)
+	*bp = buf
+	if err := sealFrame(buf, 0, maxFrameSize); err != nil {
+		return err
 	}
-	if err != nil {
+	connStats.frames.Add(1)
+	connStats.frameBytes.Add(uint64(len(buf) - frameHeaderLen))
+	if _, err := w.Write(buf); err != nil {
 		return fmt.Errorf("rpc: writing frame: %w", err)
 	}
 	return nil
 }
 
-// maxFrameSize bounds a control frame; headers are small, so anything
+// maxFrameSize bounds a data-port frame; headers are small, so anything
 // bigger indicates a corrupt or hostile stream.
 const maxFrameSize = 1 << 20
 
-// ReadFrame decodes one binary v1 frame into v. Any other first byte,
-// including the 0x00 a gob frame of older builds starts with, is
-// refused before a length is trusted.
+// ReadFrame decodes one frame into v, a pointer to the block message
+// the exchange expects. Any first byte but the tag, including the 0x00
+// a gob frame of older builds starts with, is refused before a length
+// is trusted.
 func ReadFrame(r io.Reader, v any) error {
-	var hdr [4]byte
-	if _, err := io.ReadFull(r, hdr[:1]); err != nil {
+	m, ok := v.(blockMessage)
+	if !ok {
+		return fmt.Errorf("rpc: %T is not a block message", v)
+	}
+	bp := getScratch()
+	defer putScratch(bp)
+	typ, body, err := readFrame(r, bp, maxFrameSize)
+	if err != nil {
 		return err
 	}
-	if hdr[0] != frameTagBinary {
-		return fmt.Errorf("rpc: unknown frame tag 0x%02x", hdr[0])
-	}
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		return fmt.Errorf("rpc: reading frame length: %w", err)
-	}
-	n := binary.LittleEndian.Uint32(hdr[:])
-	if n > maxFrameSize {
-		return fmt.Errorf("rpc: frame of %d bytes exceeds limit", n)
-	}
 	connStats.frames.Add(1)
-	connStats.frameBytes.Add(uint64(n))
-	bp := frameScratch.Get().(*[]byte)
-	buf := *bp
-	if cap(buf) < int(n) {
-		buf = make([]byte, n)
+	connStats.frameBytes.Add(uint64(len(body) + 1))
+	if typ != m.frameType() {
+		return fmt.Errorf("rpc: frame type %d, want %d for %T", typ, m.frameType(), v)
 	}
-	buf = buf[:n]
-	_, err := io.ReadFull(r, buf)
-	if err != nil {
-		err = fmt.Errorf("rpc: reading frame body: %w", err)
-	} else {
-		err = decodeBinary(buf, v)
-	}
-	*bp = buf[:0]
-	frameScratch.Put(bp)
-	return err
+	return decode(body, m)
 }
 
 // castagnoli is the CRC-32C table used for packet checksums, the same

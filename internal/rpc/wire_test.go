@@ -66,9 +66,6 @@ func TestEncodeDecodeErrorNilAndUnknown(t *testing.T) {
 	if dec.Error() != unknown.Error() {
 		t.Errorf("unknown error mangled: %q vs %q", dec, unknown)
 	}
-	if WrapRemote(nil) != nil {
-		t.Error("WrapRemote(nil) != nil")
-	}
 }
 
 func TestFrameRoundTrip(t *testing.T) {

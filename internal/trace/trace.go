@@ -10,17 +10,15 @@
 package trace
 
 import (
-	"crypto/rand"
-	"encoding/hex"
 	"fmt"
+	"math/rand/v2"
 	"sync"
-	"sync/atomic"
 	"time"
 )
 
 // Span is one timed operation within a trace. Start and End are
-// UnixNano timestamps so spans serialise compactly over gob and JSON
-// and merge across daemons without clock-format ambiguity.
+// UnixNano timestamps so spans serialise compactly on the wire and in
+// JSON and merge across daemons without clock-format ambiguity.
 type Span struct {
 	TraceID  string            `json:"trace_id"`
 	SpanID   string            `json:"span_id"`
@@ -38,17 +36,19 @@ func (s Span) Duration() time.Duration {
 	return time.Duration(s.End - s.Start)
 }
 
-var spanFallback atomic.Uint64
-
-// NewSpanID returns a 16-hex span identifier, mirroring
-// rpc.NewRequestID: crypto/rand with a counter fallback so span
-// creation never fails.
+// NewSpanID returns a random 16-hex identifier, for spans and request
+// IDs alike. It draws from math/rand/v2's per-thread generator: an ID
+// must be unique, not unguessable, and a system call per span would
+// cost more than recording the span.
 func NewSpanID() string {
-	var b [8]byte
-	if _, err := rand.Read(b[:]); err != nil {
-		return fmt.Sprintf("%016x", spanFallback.Add(1))
+	const digits = "0123456789abcdef"
+	var b [16]byte
+	x := rand.Uint64()
+	for i := len(b) - 1; i >= 0; i-- {
+		b[i] = digits[x&15]
+		x >>= 4
 	}
-	return hex.EncodeToString(b[:])
+	return string(b[:])
 }
 
 // Tracer creates spans on behalf of one daemon ("client", "master",

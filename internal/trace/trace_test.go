@@ -15,18 +15,34 @@ func span(traceID, spanID, parentID, op string, start, end int64) Span {
 		Service: "test", Op: op, Start: start, End: end}
 }
 
+// TestNewSpanID: IDs drawn concurrently are 16 lowercase hex and never
+// repeat.
 func TestNewSpanID(t *testing.T) {
+	const goroutines, each = 4, 25000
+	ids := make([][]string, goroutines)
+	var wg sync.WaitGroup
+	for g := range ids {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < each; i++ {
+				ids[g] = append(ids[g], NewSpanID())
+			}
+		}(g)
+	}
+	wg.Wait()
 	hex16 := regexp.MustCompile(`^[0-9a-f]{16}$`)
-	seen := make(map[string]bool)
-	for i := 0; i < 100; i++ {
-		id := NewSpanID()
-		if !hex16.MatchString(id) {
-			t.Fatalf("span ID %q not 16-hex", id)
+	seen := make(map[string]bool, goroutines*each)
+	for _, list := range ids {
+		for _, id := range list {
+			if !hex16.MatchString(id) {
+				t.Fatalf("span ID %q not 16-hex", id)
+			}
+			if seen[id] {
+				t.Fatalf("duplicate span ID %q", id)
+			}
+			seen[id] = true
 		}
-		if seen[id] {
-			t.Fatalf("duplicate span ID %q", id)
-		}
-		seen[id] = true
 	}
 }
 

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"io"
 	"net"
-	netrpc "net/rpc"
 	"strings"
 	"sync"
 	"testing"
@@ -237,16 +236,15 @@ func (f *fakeMaster) Heartbeat(args *rpc.HeartbeatArgs, _ *rpc.HeartbeatReply) e
 func startFakeMaster(t *testing.T) (*fakeMaster, string) {
 	t.Helper()
 	fm := &fakeMaster{}
-	srv := netrpc.NewServer()
-	if err := srv.RegisterName("Master", fm); err != nil {
-		t.Fatal(err)
-	}
+	srv := rpc.NewServer(nil)
+	rpc.Handle(srv, "Master.Register", fm.Register)
+	rpc.Handle(srv, "Master.Heartbeat", fm.Heartbeat)
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(func() { ln.Close() })
-	go srv.Accept(ln)
+	go srv.Serve(ln)
+	t.Cleanup(srv.Close)
 	return fm, ln.Addr().String()
 }
 
