@@ -28,6 +28,10 @@ const (
 
 var classes [numClasses]sync.Pool
 
+// MaxSize is the largest buffer the pool recycles; Get allocates larger
+// ones directly and Put drops them.
+const MaxSize = 1 << maxClassBits
+
 // Counters for pool effectiveness, exposed through Stats.
 var (
 	gets   atomic.Uint64

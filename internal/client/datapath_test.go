@@ -3,6 +3,7 @@ package client
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"hash/crc32"
 	"io"
@@ -167,6 +168,7 @@ type fakeWorker struct {
 	abortWrites  int                     // write streams to sever mid-stream
 	ackErrWrites int                     // write streams to accept fully, then nack
 	dieReads     map[core.StorageID]bool // storages whose read streams die halfway
+	corruptReads map[core.StorageID]bool // storages whose second packet carries a bad CRC
 }
 
 func newFakeWorker(t *testing.T) *fakeWorker {
@@ -175,7 +177,7 @@ func newFakeWorker(t *testing.T) *fakeWorker {
 	if err != nil {
 		t.Fatal(err)
 	}
-	f := &fakeWorker{ln: ln, blocks: make(map[core.BlockID][]byte), dieReads: make(map[core.StorageID]bool)}
+	f := &fakeWorker{ln: ln, blocks: make(map[core.BlockID][]byte), dieReads: make(map[core.StorageID]bool), corruptReads: make(map[core.StorageID]bool)}
 	f.wg.Add(1)
 	go f.serve()
 	t.Cleanup(func() {
@@ -255,6 +257,7 @@ func (f *fakeWorker) handleRead(conn net.Conn) {
 	f.mu.Lock()
 	data, ok := f.blocks[hdr.Block.ID]
 	die := f.dieReads[hdr.Storage]
+	corrupt := f.corruptReads[hdr.Storage]
 	f.mu.Unlock()
 	if !ok {
 		rpc.WriteFrame(conn, rpc.ReadBlockResponse{Err: rpc.EncodeError(core.ErrNotFound)})
@@ -281,6 +284,16 @@ func (f *fakeWorker) handleRead(conn net.Conn) {
 		return
 	}
 	pw := rpc.NewPacketWriter(conn)
+	defer pw.Release()
+	if corrupt {
+		// A good first half, then a packet whose stored sum no longer
+		// matches its content, as a replica with a flipped bit serves it.
+		half, rest := data[hdr.Offset:hdr.Offset+length/2], data[hdr.Offset+length/2:hdr.Offset+length]
+		pw.WriteChunk(bytes.NewReader(half), len(half), core.ChunkSum(half))
+		pw.WriteChunk(bytes.NewReader(rest), len(rest), core.ChunkSum(rest)^1)
+		pw.Close()
+		return
+	}
 	if _, err := pw.Write(data[hdr.Offset : hdr.Offset+length]); err != nil {
 		return
 	}
@@ -520,6 +533,29 @@ func TestReaderMidStreamFailover(t *testing.T) {
 				t.Errorf("failovers = %.0f, want >= 1", stats.Failovers)
 			}
 		})
+	}
+}
+
+// TestReaderCorruptLastReplicaReturnsErrCorrupt serves the only
+// replica with a bad CRC mid-stream: with nowhere to fail over, Read
+// returns the stream's ErrCorrupt (not "no live replicas"), after
+// reporting the replica exactly once.
+func TestReaderCorruptLastReplicaReturnsErrCorrupt(t *testing.T) {
+	const blockSize = 16 << 10
+	fs, sm, fw := startStub(t, blockSize)
+	data := testPattern(blockSize*2, 7)
+	writeReadBack(t, fs, "/f", data)
+
+	fw.mu.Lock()
+	fw.corruptReads["w1:s0"] = true
+	fw.mu.Unlock()
+	if _, err := fs.ReadFile("/f"); !errors.Is(err, core.ErrCorrupt) {
+		t.Fatalf("read of a corrupt single replica: err = %v, want ErrCorrupt", err)
+	}
+	sm.mu.Lock()
+	defer sm.mu.Unlock()
+	if sm.badReports != 1 {
+		t.Errorf("ReportBadBlock calls = %d, want 1", sm.badReports)
 	}
 }
 

@@ -42,10 +42,13 @@ type Reader struct {
 	closed bool
 
 	// exclude lists replica locations of block excludeIdx that failed
-	// mid-stream or at open, so failover never re-picks them. It resets
-	// when the reader moves to another block.
+	// mid-stream or at open, so failover never re-picks them, and
+	// streamErr keeps the last mid-stream failure: when every replica
+	// is excluded it is the block's error. Both reset when the reader
+	// moves to another block.
 	exclude    map[core.StorageID]bool
 	excludeIdx int
+	streamErr  error
 
 	window []*prefetchedStream // pending prefetches, ascending block index
 
@@ -127,6 +130,7 @@ func (r *Reader) Read(p []byte) (int, error) {
 			r.cur = nil
 			r.endBlockSpan(err)
 			r.markBad(r.curLoc)
+			r.streamErr = err
 			if n > 0 {
 				return n, nil
 			}
@@ -156,6 +160,7 @@ func (r *Reader) openAt(offset int64) error {
 	if idx != r.excludeIdx {
 		r.excludeIdx = idx
 		r.exclude = nil
+		r.streamErr = nil
 	}
 	if r.readahead > 0 {
 		r.pruneWindow(idx)
@@ -255,6 +260,11 @@ func (r *Reader) openAt(offset int64) error {
 		}
 		r.adopt(blk, rc, loc)
 		return nil
+	}
+	if lastErr == nil {
+		// Every replica failed mid-stream: a corrupt chunk surfaces
+		// there, so the last stream's error (ErrCorrupt) is the answer.
+		lastErr = r.streamErr
 	}
 	if lastErr == nil {
 		lastErr = fmt.Errorf("client: block %s has no live replicas: %w", blk.Block.ID, core.ErrNoWorkers)

@@ -5,6 +5,7 @@ import (
 	"io"
 	"time"
 
+	"repro/internal/bufpool"
 	"repro/internal/core"
 	"repro/internal/rpc"
 	"repro/internal/trace"
@@ -43,7 +44,9 @@ type Writer struct {
 
 // inflightBlock is one allocated block with an open or flushed
 // pipeline stream. buf retains the block's bytes until the pipeline
-// acknowledgement arrives, so any failure can be replayed.
+// acknowledgement arrives, so any failure can be replayed; it is a
+// pooled buffer, handed to the block's replay on failure and returned
+// to the pool once the block is acknowledged or given up.
 type inflightBlock struct {
 	w       *Writer
 	block   core.Block
@@ -57,6 +60,24 @@ type inflightBlock struct {
 
 	start    time.Time // pipeline open start, the flight record's epoch
 	recorded bool      // flight-recorder entry already appended
+}
+
+// replayBuf returns an empty replay buffer for one block: a pooled one
+// of the full block size, or nil (grown by append) for a block size
+// past the pool's largest buffer.
+func (w *Writer) replayBuf() []byte {
+	if w.blockSize > bufpool.MaxSize {
+		return nil
+	}
+	buf, _ := bufpool.Get(int(w.blockSize))
+	return buf[:0]
+}
+
+// releaseBuf returns the block's replay buffer to the pool. Nothing
+// reads it after the ack or after bw.Abort.
+func (ib *inflightBlock) releaseBuf() {
+	bufpool.Put(ib.buf)
+	ib.buf = nil
 }
 
 // endSpan closes the block's span with its final byte count and
@@ -122,11 +143,11 @@ func (w *Writer) Write(p []byte) (int, error) {
 	for len(p) > 0 {
 		if w.cur == nil {
 			ib, err := w.allocBlock()
-			if err != nil {
-				if ib, err = w.redo(nil, 0, err); err != nil {
-					w.fail(err)
-					return total, w.err
-				}
+			if err == nil {
+				ib.buf = w.replayBuf()
+			} else if ib, err = w.redo(nil, 0, err); err != nil {
+				w.fail(err)
+				return total, w.err
 			}
 			w.cur = ib
 		}
@@ -213,12 +234,17 @@ func (w *Writer) abandonBlock(b core.Block) {
 }
 
 // redo allocates a fresh block and replays buf into its pipeline,
-// leaving the stream open. retries is the budget already consumed by
-// these bytes; each attempt here consumes more, bounded by
-// maxBlockRetries.
+// leaving the stream open. The new block takes buf over (a fresh
+// replay buffer when buf is nil); on failure it goes back to the pool.
+// retries is the budget already consumed by these bytes; each attempt
+// here consumes more, bounded by maxBlockRetries.
 func (w *Writer) redo(buf []byte, retries int, cause error) (*inflightBlock, error) {
+	if buf == nil {
+		buf = w.replayBuf()
+	}
 	for {
 		if retries >= maxBlockRetries {
+			bufpool.Put(buf)
 			return nil, fmt.Errorf("client: block failed after %d retries: %w", retries, cause)
 		}
 		retries++
@@ -252,7 +278,7 @@ func (w *Writer) recoverCur(cause error) error {
 	ib.bw.Abort()
 	ib.endSpan(cause)
 	w.abandonBlock(ib.block)
-	nc, err := w.redo(ib.buf, ib.retries, cause)
+	nc, err := w.redo(ib.buf, ib.retries, cause) // hands ib.buf over
 	if err != nil {
 		return err
 	}
@@ -315,6 +341,7 @@ func (w *Writer) reap(force bool) error {
 			continue
 		}
 		oldest.endSpan(nil)
+		oldest.releaseBuf()
 		done := oldest.block
 		done.NumBytes = oldest.n
 		if err := w.commitBlock(done); err != nil {
@@ -390,6 +417,7 @@ func (w *Writer) commitSync(ib *inflightBlock) error {
 			continue
 		}
 		ib.endSpan(nil)
+		ib.releaseBuf()
 		done := ib.block
 		done.NumBytes = ib.n
 		return w.commitBlock(done)
@@ -417,11 +445,13 @@ func (w *Writer) fail(err error) {
 	if w.cur != nil {
 		w.cur.bw.Abort()
 		w.cur.endSpan(err)
+		w.cur.releaseBuf()
 		w.cur = nil
 	}
 	for _, ib := range w.pending {
 		ib.bw.Abort()
 		ib.endSpan(err)
+		ib.releaseBuf()
 	}
 	w.pending = nil
 	w.fs.abandon(w.reqID, w.path)
@@ -501,11 +531,13 @@ func (w *Writer) Abort() error {
 	if w.cur != nil {
 		w.cur.bw.Abort()
 		w.cur.endSpan(core.ErrFileClosed)
+		w.cur.releaseBuf()
 		w.cur = nil
 	}
 	for _, ib := range w.pending {
 		ib.bw.Abort()
 		ib.endSpan(core.ErrFileClosed)
+		ib.releaseBuf()
 	}
 	w.pending = nil
 	if w.err != nil {

@@ -1,10 +1,24 @@
 package core
 
-import "fmt"
+import (
+	"fmt"
+	"hash/crc32"
+)
 
 // DefaultBlockSize is the default size into which file content is
 // split (paper §2.1: "large blocks, 128MB by default").
 const DefaultBlockSize = 128 * 1024 * 1024
+
+// ChunkSize is the checksum granularity of a replica: a block is cut
+// into 64 KiB chunks, each with one CRC-32C computed once by the writer,
+// stored with the replica and served with the data. One data packet
+// carries one chunk (HDFS's .meta checksums, with one chunk per packet).
+const ChunkSize = 64 << 10
+
+var castagnoli = crc32.MakeTable(crc32.Castagnoli)
+
+// ChunkSum returns the CRC-32C of p, the checksum of one chunk.
+func ChunkSum(p []byte) uint32 { return crc32.Checksum(p, castagnoli) }
 
 // BlockID uniquely identifies a file block within one master's
 // namespace. IDs are allocated monotonically by the master.

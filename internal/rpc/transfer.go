@@ -209,9 +209,9 @@ func tagReq(err error, reqID string) error {
 // TransferTiming receives the connection-establishment phases of one
 // transfer: TCP dial (or pool checkout), header encode+send, and the
 // peer's response frame decode (which includes the peer's pre-response
-// work, e.g. the checksum scrub before a read). Pass it to the Timed
-// open variants; the flight recorder folds it into the transfer's
-// record.
+// work, e.g. loading the chunk sums and checking the edge chunks of a
+// ranged read). Pass it to the Timed open variants; the flight
+// recorder folds it into the transfer's record.
 type TransferTiming struct {
 	DialNs         int64
 	HeaderEncodeNs int64
@@ -329,6 +329,10 @@ type blockReadCloser struct {
 
 func (b *blockReadCloser) Read(p []byte) (int, error) { return b.r.Read(p) }
 
+// Next returns the stream's next verified packet, for a consumer that
+// stores the chunks under the checksums they arrived with.
+func (b *blockReadCloser) Next() (Packet, error) { return b.r.Next() }
+
 // PoolHit reports whether the stream's connection was reused from the
 // pool; flight-recorder entries surface it per transfer.
 func (b *blockReadCloser) PoolHit() bool { return b.poolHit }
@@ -430,6 +434,18 @@ func (w *BlockWriter) Write(p []byte) (int, error) {
 	w.netNs.Add(time.Since(start).Nanoseconds())
 	w.n += int64(n)
 	return n, err
+}
+
+// WriteRaw forwards one verified packet verbatim, as a pipeline stage
+// passes the writer's packets downstream.
+func (w *BlockWriter) WriteRaw(raw []byte) error {
+	start := time.Now()
+	err := w.pw.WriteRaw(raw)
+	w.netNs.Add(time.Since(start).Nanoseconds())
+	if err == nil {
+		w.n += int64(len(raw) - packetHeaderLen)
+	}
+	return err
 }
 
 // Written returns the bytes written so far.

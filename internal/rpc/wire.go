@@ -4,7 +4,6 @@ import (
 	"bufio"
 	"encoding/binary"
 	"fmt"
-	"hash/crc32"
 	"io"
 	"sync"
 
@@ -26,9 +25,11 @@ const (
 	OpReadBlock
 )
 
-// MaxPacketSize bounds one data packet. 64 KiB balances syscall
-// overhead against pipelining latency, like HDFS's packet size.
-const MaxPacketSize = 64 << 10
+// MaxPacketSize bounds one data packet's payload: one checksum chunk,
+// so a packet's CRC is the chunk sum the replica stores. 64 KiB
+// balances syscall overhead against pipelining latency, like HDFS's
+// packet size.
+const MaxPacketSize = core.ChunkSize
 
 // PipelineTarget identifies one stage of a write pipeline: the worker
 // address to forward to and the media that stage must store on.
@@ -193,38 +194,44 @@ func ReadFrame(r io.Reader, v any) error {
 	return decode(body, m)
 }
 
-// castagnoli is the CRC-32C table used for packet checksums, the same
-// polynomial HDFS uses for block checksums.
-var castagnoli = crc32.MakeTable(crc32.Castagnoli)
+// packetHeaderLen is a data packet's header: [uint32 length][uint32
+// crc32c], both big-endian. A zero-length packet ends the stream.
+const packetHeaderLen = 8
 
-// packetBufSize is the staging-buffer size shared by the packet
-// reader and writer: one max-size packet plus framing headroom.
-const packetBufSize = MaxPacketSize + 64
+// packetBufSize is the writer's staging buffer: one header, one
+// max-size payload, and the end marker that rides the last packet's
+// write.
+const packetBufSize = packetHeaderLen + MaxPacketSize + packetHeaderLen
 
-// packetWriterPool and packetReaderPool recycle the bufio buffers the
-// packet layer stages through: one Get/Put pair per transfer instead
-// of a 64 KiB allocation each.
-var packetWriterPool = sync.Pool{}
+// headerBufSize is the reader's bufio buffer. It holds packet headers
+// only: payloads larger than it are read straight into the packet.
+const headerBufSize = 4 << 10
+
+// packetReaderPool recycles the readers' small header buffers.
 var packetReaderPool = sync.Pool{}
 
 // PacketWriter streams block content as checksummed packets:
 // [uint32 length][uint32 crc32c][payload]; a zero-length packet
-// terminates the stream. Its staging buffer comes from a pool;
-// Release returns it once the stream is settled.
+// terminates the stream. Write and ReadFrom cut the content into full
+// MaxPacketSize packets, only the last may be short; WriteChunk sends
+// a stored chunk under its stored checksum; WriteRaw forwards a packet
+// verbatim. Each packet is staged header-first in one pooled buffer
+// and sent with one Write. Release returns the buffer once the stream
+// is settled.
 type PacketWriter struct {
-	w     *bufio.Writer
-	buf   [8]byte
-	alloc int64
+	w      io.Writer
+	pkt    []byte // header, then payload
+	n      int    // payload bytes staged in pkt
+	sealed bool   // the staged packet carries a caller-supplied checksum
+	alloc  int64
 }
 
 // NewPacketWriter wraps w for packet output.
 func NewPacketWriter(w io.Writer) *PacketWriter {
-	pw := &PacketWriter{}
-	if v := packetWriterPool.Get(); v != nil {
-		pw.w = v.(*bufio.Writer)
-		pw.w.Reset(w)
-	} else {
-		pw.w = bufio.NewWriterSize(w, packetBufSize)
+	pw := &PacketWriter{w: w}
+	var fresh bool
+	pw.pkt, fresh = bufpool.Get(packetBufSize)
+	if fresh {
 		pw.alloc = packetBufSize
 	}
 	return pw
@@ -236,94 +243,147 @@ func NewPacketWriter(w io.Writer) *PacketWriter {
 func (pw *PacketWriter) AllocBytes() int64 { return pw.alloc }
 
 // Release returns the staging buffer to the pool. The stream must be
-// settled first (Close flushed it, or the transfer aborted and the
-// buffered tail is being dropped with the connection). Double release
-// is a no-op.
+// settled first (Close sent it, or the transfer aborted and the staged
+// tail is being dropped with the connection). Double release is a
+// no-op.
 func (pw *PacketWriter) Release() {
-	if pw.w == nil {
+	if pw.pkt == nil {
 		return
 	}
-	pw.w.Reset(io.Discard)
-	packetWriterPool.Put(pw.w)
-	pw.w = nil
+	bufpool.Put(pw.pkt)
+	pw.pkt = nil
 }
 
-// Write implements io.Writer, splitting p into packets of at most
-// MaxPacketSize bytes.
+// Write implements io.Writer. A full packet stays staged until more
+// content or Close arrives, so the end marker can ride its write.
 func (pw *PacketWriter) Write(p []byte) (int, error) {
 	total := 0
 	for len(p) > 0 {
-		chunk := p
-		if len(chunk) > MaxPacketSize {
-			chunk = chunk[:MaxPacketSize]
+		if err := pw.makeRoom(); err != nil {
+			return total, err
 		}
-		binary.BigEndian.PutUint32(pw.buf[0:4], uint32(len(chunk)))
-		binary.BigEndian.PutUint32(pw.buf[4:8], crc32.Checksum(chunk, castagnoli))
-		if _, err := pw.w.Write(pw.buf[:]); err != nil {
-			return total, fmt.Errorf("rpc: writing packet header: %w", err)
-		}
-		if _, err := pw.w.Write(chunk); err != nil {
-			return total, fmt.Errorf("rpc: writing packet payload: %w", err)
-		}
-		total += len(chunk)
-		p = p[len(chunk):]
+		c := copy(pw.pkt[packetHeaderLen+pw.n:packetHeaderLen+MaxPacketSize], p)
+		pw.n += c
+		total += c
+		p = p[c:]
 	}
 	return total, nil
 }
 
-// ReadFrom implements io.ReaderFrom: it pumps r into full-size packets
-// through one pooled buffer, so io.Copy onto a PacketWriter stages the
-// content exactly once instead of allocating its own copy buffer.
+// ReadFrom implements io.ReaderFrom: it reads r straight into the
+// staged packet, so io.Copy onto a PacketWriter stages the content
+// exactly once and slow readers still yield full-size packets.
 func (pw *PacketWriter) ReadFrom(r io.Reader) (int64, error) {
-	buf, fresh := bufpool.Get(MaxPacketSize)
-	if fresh {
-		pw.alloc += MaxPacketSize
-	}
-	defer bufpool.Put(buf)
 	var total int64
 	for {
-		// Fill the packet so slow readers still yield full-size packets.
-		n := 0
-		var rerr error
-		for n < len(buf) && rerr == nil {
-			var m int
-			m, rerr = r.Read(buf[n:])
-			n += m
+		if err := pw.makeRoom(); err != nil {
+			return total, err
 		}
-		if n > 0 {
-			if _, werr := pw.Write(buf[:n]); werr != nil {
-				return total, werr
-			}
-			total += int64(n)
-		}
-		if rerr == io.EOF {
+		m, err := r.Read(pw.pkt[packetHeaderLen+pw.n : packetHeaderLen+MaxPacketSize])
+		pw.n += m
+		total += int64(m)
+		if err == io.EOF {
 			return total, nil
 		}
-		if rerr != nil {
-			return total, rerr
+		if err != nil {
+			return total, err
 		}
 	}
 }
 
-// Close terminates the stream with an empty packet and flushes.
-func (pw *PacketWriter) Close() error {
-	binary.BigEndian.PutUint32(pw.buf[0:4], 0)
-	binary.BigEndian.PutUint32(pw.buf[4:8], 0)
-	if _, err := pw.w.Write(pw.buf[:]); err != nil {
-		return fmt.Errorf("rpc: writing end packet: %w", err)
+// makeRoom sends the staged packet when it cannot take more content.
+func (pw *PacketWriter) makeRoom() error {
+	if pw.n == MaxPacketSize || pw.sealed {
+		return pw.send(false)
 	}
-	return pw.w.Flush()
+	return nil
+}
+
+// WriteChunk sends n bytes read from r as one packet under the
+// caller-supplied checksum: a stored chunk served with the sum recorded
+// at ingest, so the payload is not hashed here and the reader's check
+// covers the chunk from the writer to the reader. A packet already
+// staged is sent first.
+func (pw *PacketWriter) WriteChunk(r io.Reader, n int, sum uint32) error {
+	if n <= 0 || n > MaxPacketSize {
+		return fmt.Errorf("rpc: chunk of %d bytes (limit %d)", n, MaxPacketSize)
+	}
+	if pw.n > 0 {
+		if err := pw.send(false); err != nil {
+			return err
+		}
+	}
+	if _, err := io.ReadFull(r, pw.pkt[packetHeaderLen:packetHeaderLen+n]); err != nil {
+		return fmt.Errorf("rpc: reading chunk: %w", err)
+	}
+	binary.BigEndian.PutUint32(pw.pkt[4:8], sum)
+	pw.n, pw.sealed = n, true
+	return nil
+}
+
+// WriteRaw forwards one packet verbatim: header and payload as Next
+// returned them, already verified, so a pipeline stage passes the
+// writer's checksum on without recomputing it. A packet already staged
+// is sent first.
+func (pw *PacketWriter) WriteRaw(raw []byte) error {
+	if pw.n > 0 {
+		if err := pw.send(false); err != nil {
+			return err
+		}
+	}
+	if _, err := pw.w.Write(raw); err != nil {
+		return fmt.Errorf("rpc: forwarding packet: %w", err)
+	}
+	return nil
+}
+
+// Close terminates the stream: the staged packet, if any, and the
+// end marker go out in one Write.
+func (pw *PacketWriter) Close() error { return pw.send(true) }
+
+// send writes the staged packet, checksumming its payload unless the
+// caller supplied the sum, followed by the end marker when end is set.
+func (pw *PacketWriter) send(end bool) error {
+	out := pw.pkt[:0]
+	if pw.n > 0 {
+		binary.BigEndian.PutUint32(pw.pkt[0:4], uint32(pw.n))
+		if !pw.sealed {
+			binary.BigEndian.PutUint32(pw.pkt[4:8], core.ChunkSum(pw.pkt[packetHeaderLen:packetHeaderLen+pw.n]))
+		}
+		out = pw.pkt[:packetHeaderLen+pw.n]
+	}
+	if end {
+		out = append(out, make([]byte, packetHeaderLen)...)
+	}
+	pw.n, pw.sealed = 0, false
+	if len(out) == 0 {
+		return nil
+	}
+	if _, err := pw.w.Write(out); err != nil {
+		return fmt.Errorf("rpc: writing packet: %w", err)
+	}
+	return nil
+}
+
+// Packet is one verified data packet as Next returns it. Raw is its
+// wire form (header and payload), Payload the content and Sum its
+// CRC-32C. The slices are valid until the next call on the reader.
+type Packet struct {
+	Raw     []byte
+	Payload []byte
+	Sum     uint32
 }
 
 // PacketReader consumes a packet stream, verifying each packet's
 // checksum. It implements io.Reader and reports core.ErrCorrupt on a
-// checksum mismatch. Its buffers come from pools; Release returns
-// them once the stream is settled.
+// checksum mismatch; Next hands out whole packets instead. Its buffers
+// come from pools; Release returns them once the stream is settled.
 type PacketReader struct {
 	r       *bufio.Reader
+	hdr     [packetHeaderLen]byte
+	pkt     []byte // the current packet: header, then payload
 	pending []byte
 	done    bool
-	scratch []byte
 	alloc   int64
 }
 
@@ -334,14 +394,14 @@ func NewPacketReader(r io.Reader) *PacketReader {
 		pr.r = v.(*bufio.Reader)
 		pr.r.Reset(r)
 	} else {
-		pr.r = bufio.NewReaderSize(r, packetBufSize)
-		pr.alloc = packetBufSize
+		pr.r = bufio.NewReaderSize(r, headerBufSize)
+		pr.alloc = headerBufSize
 	}
 	return pr
 }
 
 // AllocBytes reports the buffer bytes this reader freshly allocated
-// (bufio buffer plus scratch) — the per-transfer churn cost the
+// (header buffer plus packet buffer) — the per-transfer churn cost the
 // flight recorder tracks. Pool reuse makes it zero in steady state.
 func (pr *PacketReader) AllocBytes() int64 { return pr.alloc }
 
@@ -383,9 +443,9 @@ func (pr *PacketReader) Release() {
 		packetReaderPool.Put(pr.r)
 		pr.r = nil
 	}
-	if pr.scratch != nil {
-		bufpool.Put(pr.scratch)
-		pr.scratch = nil
+	if pr.pkt != nil {
+		bufpool.Put(pr.pkt)
+		pr.pkt = nil
 		pr.pending = nil
 	}
 }
@@ -432,41 +492,56 @@ func (pr *PacketReader) WriteTo(w io.Writer) (int64, error) {
 	}
 }
 
+// fill makes the next packet's payload pending; at the end marker it
+// leaves the reader done.
 func (pr *PacketReader) fill() error {
-	var hdr [8]byte
-	if _, err := io.ReadFull(pr.r, hdr[:]); err != nil {
-		if err == io.EOF {
-			return io.ErrUnexpectedEOF // stream ended without end packet
-		}
-		return err
-	}
-	length := binary.BigEndian.Uint32(hdr[0:4])
-	want := binary.BigEndian.Uint32(hdr[4:8])
-	if length == 0 {
-		pr.done = true
+	p, err := pr.Next()
+	if err == io.EOF {
 		return nil
 	}
+	pr.pending = p.Payload
+	return err
+}
+
+// Next reads the next packet and verifies its checksum, returning
+// io.EOF at the end marker. Any payload a Read left pending is
+// dropped. The packet's slices are valid until the next call.
+func (pr *PacketReader) Next() (Packet, error) {
+	pr.pending = nil
+	if pr.done {
+		return Packet{}, io.EOF
+	}
+	if _, err := io.ReadFull(pr.r, pr.hdr[:]); err != nil {
+		if err == io.EOF {
+			return Packet{}, io.ErrUnexpectedEOF // stream ended without end packet
+		}
+		return Packet{}, err
+	}
+	length := binary.BigEndian.Uint32(pr.hdr[0:4])
+	sum := binary.BigEndian.Uint32(pr.hdr[4:8])
+	if length == 0 {
+		pr.done = true
+		return Packet{}, io.EOF
+	}
 	if length > MaxPacketSize {
-		return fmt.Errorf("rpc: packet of %d bytes exceeds limit", length)
+		return Packet{}, fmt.Errorf("rpc: packet of %d bytes exceeds limit", length)
 	}
-	if cap(pr.scratch) < int(length) {
-		if pr.scratch != nil {
-			bufpool.Put(pr.scratch)
-		}
+	if pr.pkt == nil {
 		var fresh bool
-		pr.scratch, fresh = bufpool.Get(int(length))
+		pr.pkt, fresh = bufpool.Get(packetHeaderLen + MaxPacketSize)
 		if fresh {
-			pr.alloc += int64(length)
+			pr.alloc += packetHeaderLen + MaxPacketSize
 		}
 	}
-	buf := pr.scratch[:length]
-	if _, err := io.ReadFull(pr.r, buf); err != nil {
-		return fmt.Errorf("rpc: reading packet payload: %w", err)
+	raw := pr.pkt[:packetHeaderLen+int(length)]
+	copy(raw, pr.hdr[:])
+	payload := raw[packetHeaderLen:]
+	if _, err := io.ReadFull(pr.r, payload); err != nil {
+		return Packet{}, fmt.Errorf("rpc: reading packet payload: %w", err)
 	}
-	if got := crc32.Checksum(buf, castagnoli); got != want {
-		return fmt.Errorf("rpc: packet checksum mismatch (got %08x, want %08x): %w",
-			got, want, core.ErrCorrupt)
+	if got := core.ChunkSum(payload); got != sum {
+		return Packet{}, fmt.Errorf("rpc: packet checksum mismatch (got %08x, want %08x): %w",
+			got, sum, core.ErrCorrupt)
 	}
-	pr.pending = buf
-	return nil
+	return Packet{Raw: raw, Payload: payload, Sum: sum}, nil
 }

@@ -145,10 +145,10 @@ func (m *Media) setThroughput(w, r float64) {
 // stream's own critical path — unlike the limiter's cross-stream
 // Stats total, these are exact per stream. ThrottleWaitNs is time
 // the emulated pacing slept this stream. DeviceNs is store device
-// time: read time under a throttled Open, or the Put residual after
-// source-wait and throttle are subtracted. SourceNs (Put only) is
-// time the store spent waiting on the supplied reader — the network
-// or pipe feeding the write.
+// time: read time under a throttled Open, or time inside the store's
+// chunk writes and commit. SourceNs (Put only) is time spent waiting
+// on the supplied reader — the network or local replica feeding the
+// write.
 type IOStats struct {
 	ThrottleWaitNs int64
 	DeviceNs       int64
@@ -168,34 +168,64 @@ func (t *timedReader) Read(p []byte) (int, error) {
 	return n, err
 }
 
-// WriteTo implements io.WriterTo through one pooled staging buffer,
-// timing only the inner reads so the accumulated phase never exceeds
-// the stream's wall time.
-func (t *timedReader) WriteTo(w io.Writer) (int64, error) {
-	buf, _ := bufpool.Get(32 << 10)
-	defer bufpool.Put(buf)
-	var total int64
-	for {
-		start := time.Now()
-		n, err := t.r.Read(buf)
-		*t.ns += time.Since(start).Nanoseconds()
-		if n > 0 {
-			m, werr := w.Write(buf[:n])
-			total += int64(m)
-			if werr != nil {
-				return total, werr
-			}
-			if m < n {
-				return total, io.ErrShortWrite
-			}
-		}
-		if err == io.EOF {
-			return total, nil
-		}
-		if err != nil {
-			return total, err
-		}
+// Create starts a replica of b, received chunk by chunk: the media's
+// one write path. ErrNoSpace is returned when the declared content
+// would exceed the media's capacity, and again at Commit when the
+// written content does. The writer counts as an active connection
+// until it commits or aborts, each chunk is throttled at the media's
+// write rate, and the stream's throttle and device time land in st
+// (which may be nil).
+func (m *Media) Create(b core.Block, st *IOStats) (ChunkWriter, error) {
+	if st == nil {
+		st = &IOStats{}
 	}
+	if b.NumBytes > 0 && b.NumBytes > m.Remaining() && !m.store.Has(b) {
+		return nil, fmt.Errorf("storage: media %s: %w", m.id, core.ErrNoSpace)
+	}
+	cw, err := m.store.Create(b)
+	if err != nil {
+		return nil, err
+	}
+	m.conns.Add(1)
+	return &mediaWriter{m: m, b: b, cw: cw, st: st}, nil
+}
+
+// mediaWriter wraps a store's chunk writer with the media's pacing,
+// accounting and capacity check.
+type mediaWriter struct {
+	m  *Media
+	b  core.Block
+	cw ChunkWriter
+	st *IOStats
+}
+
+func (w *mediaWriter) WriteChunk(p []byte, crc uint32) error {
+	w.st.ThrottleWaitNs += w.m.writeLimit.Wait(len(p)).Nanoseconds()
+	start := time.Now()
+	err := w.cw.WriteChunk(p, crc)
+	w.st.DeviceNs += time.Since(start).Nanoseconds()
+	return err
+}
+
+func (w *mediaWriter) Commit() (int64, error) {
+	defer w.m.conns.Add(-1)
+	start := time.Now()
+	n, err := w.cw.Commit()
+	w.st.DeviceNs += time.Since(start).Nanoseconds()
+	if err != nil {
+		return 0, err
+	}
+	if w.m.store.Used() > w.m.cap {
+		// The writer lied about NumBytes; roll back.
+		w.m.store.Delete(w.b)
+		return 0, fmt.Errorf("storage: media %s: %w", w.m.id, core.ErrNoSpace)
+	}
+	return n, nil
+}
+
+func (w *mediaWriter) Abort() {
+	w.cw.Abort()
+	w.m.conns.Add(-1)
 }
 
 // Put stores a block replica, throttled at the media's write rate, and
@@ -206,32 +236,21 @@ func (m *Media) Put(b core.Block, r io.Reader) (int64, error) {
 }
 
 // PutStats is Put recording the stream's throttle, device, and
-// source-wait attribution into st (which may be nil).
+// source-wait attribution into st (which may be nil): Create fed with
+// chunks it checksums itself.
 func (m *Media) PutStats(b core.Block, r io.Reader, st *IOStats) (int64, error) {
 	if st == nil {
 		st = &IOStats{}
 	}
-	if b.NumBytes > 0 && b.NumBytes > m.Remaining() && !m.store.Has(b) {
-		return 0, fmt.Errorf("storage: media %s: %w", m.id, core.ErrNoSpace)
-	}
-	m.conns.Add(1)
-	defer m.conns.Add(-1)
-	src := LimitReaderStats(&timedReader{r: r, ns: &st.SourceNs}, m.writeLimit, &st.ThrottleWaitNs)
-	start := time.Now()
-	n, err := m.store.Put(b, src)
-	if d := time.Since(start).Nanoseconds() - st.SourceNs - st.ThrottleWaitNs; d > 0 {
-		st.DeviceNs = d
-	}
+	cw, err := m.Create(b, st)
 	if err != nil {
-		return n, err
+		return 0, err
 	}
-	if m.store.Used() > m.cap {
-		// The writer lied about NumBytes; roll back.
-		m.store.Delete(b)
-		return 0, fmt.Errorf("storage: media %s: %w", m.id, core.ErrNoSpace)
-	}
-	return n, nil
+	return putChunks(b, cw, &timedReader{r: r, ns: &st.SourceNs})
 }
+
+// Sums returns the replica's stored chunk checksums (see Store.Sums).
+func (m *Media) Sums(b core.Block) ([]uint32, error) { return m.store.Sums(b) }
 
 // Open returns a throttled reader over a stored replica. The media's
 // connection count stays elevated until the reader is closed.
@@ -293,7 +312,7 @@ func (m *Media) WriteLimit() *RateLimiter { return m.writeLimit }
 // unthrottled).
 func (m *Media) ReadLimit() *RateLimiter { return m.readLimit }
 
-// Verify recomputes a stored replica's checksum against the one
+// Verify re-reads a stored replica against the chunk checksums
 // recorded at write time, returning core.ErrCorrupt on mismatch.
 // Verification bypasses the throughput throttle and connection
 // accounting: it models a local scrub, not a served read.

@@ -4,8 +4,6 @@ import (
 	"io"
 	"sync"
 	"time"
-
-	"repro/internal/bufpool"
 )
 
 // RateLimiter paces bytes at a sustained rate to emulate the
@@ -134,38 +132,6 @@ func (lr *limitedReader) Read(p []byte) (int, error) {
 		*lr.waitNs += slept.Nanoseconds()
 	}
 	return n, err
-}
-
-// WriteTo implements io.WriterTo through one pooled staging buffer,
-// pacing each chunk exactly as Read would, so whole-stream copies out
-// of a throttled media avoid io.Copy's per-call allocation.
-func (lr *limitedReader) WriteTo(w io.Writer) (int64, error) {
-	buf, _ := bufpool.Get(64 << 10)
-	defer bufpool.Put(buf)
-	var total int64
-	for {
-		n, err := lr.r.Read(buf)
-		slept := lr.l.Wait(n)
-		if lr.waitNs != nil && slept > 0 {
-			*lr.waitNs += slept.Nanoseconds()
-		}
-		if n > 0 {
-			m, werr := w.Write(buf[:n])
-			total += int64(m)
-			if werr != nil {
-				return total, werr
-			}
-			if m < n {
-				return total, io.ErrShortWrite
-			}
-		}
-		if err == io.EOF {
-			return total, nil
-		}
-		if err != nil {
-			return total, err
-		}
-	}
 }
 
 // limitedReadCloser is LimitReader plus pass-through Close.

@@ -13,8 +13,9 @@ package storage
 
 import (
 	"bytes"
+	"encoding/binary"
+	"errors"
 	"fmt"
-	"hash/crc32"
 	"io"
 	"os"
 	"path/filepath"
@@ -22,20 +23,27 @@ import (
 	"strings"
 	"sync"
 
+	"repro/internal/bufpool"
 	"repro/internal/core"
 )
 
 // Store is a flat container of block replicas. Implementations must be
 // safe for concurrent use.
 type Store interface {
-	// Put stores the block's content read from r, replacing any
-	// existing replica of the same block, and returns the number of
-	// bytes stored.
-	Put(b core.Block, r io.Reader) (int64, error)
+	// Create starts a replica of the block, received chunk by chunk:
+	// the store's one write path. Nothing is visible until the writer
+	// commits, which replaces any existing replica of the same block.
+	Create(b core.Block) (ChunkWriter, error)
 
 	// Open returns a reader over the stored replica.
 	// It returns core.ErrNotFound if the replica is absent.
 	Open(b core.Block) (io.ReadCloser, error)
+
+	// Sums returns the replica's chunk checksums, one CRC-32C per
+	// core.ChunkSize bytes, as recorded when it was written. The slice
+	// is shared: callers must not modify it. A checksum record that
+	// does not match the replica is refused with core.ErrCorrupt.
+	Sums(b core.Block) ([]uint32, error)
 
 	// Delete removes the replica. Deleting an absent replica returns
 	// core.ErrNotFound.
@@ -50,14 +58,26 @@ type Store interface {
 	// Used returns the number of bytes currently stored.
 	Used() int64
 
-	// Verify recomputes the replica's checksum and compares it with
-	// the one recorded at Put time, returning core.ErrCorrupt on
-	// mismatch (the moral equivalent of HDFS's .meta files).
+	// Verify re-reads the whole replica and compares every chunk with
+	// its recorded checksum, returning core.ErrCorrupt on mismatch
+	// (HDFS's .meta check).
 	Verify(b core.Block) error
 
 	// Close releases the store's resources. Memory stores drop their
 	// content (the tier is volatile); disk stores keep files on disk.
 	Close() error
+}
+
+// ChunkWriter receives one replica chunk by chunk. Every chunk but the
+// last holds exactly core.ChunkSize bytes, and crc is its CRC-32C,
+// computed once by whoever produced the data and stored as given: a
+// chunk after a short one is refused. Commit installs the replica,
+// replacing any existing one of the same block, and returns its size;
+// Abort drops it. Exactly one of the two ends a writer.
+type ChunkWriter interface {
+	WriteChunk(p []byte, crc uint32) error
+	Commit() (int64, error)
+	Abort()
 }
 
 // blockKey identifies a replica within a store.
@@ -66,73 +86,171 @@ type blockKey struct {
 	gen core.GenerationStamp
 }
 
-// crcTable is the CRC-32C polynomial used for stored-replica
-// checksums, matching the transfer protocol's.
-var crcTable = crc32.MakeTable(crc32.Castagnoli)
+// chunks returns how many checksum chunks hold size bytes.
+func chunks(size int64) int {
+	return int((size + core.ChunkSize - 1) / core.ChunkSize)
+}
+
+// chunkSums collects a writer's checksums and enforces the chunk
+// layout.
+type chunkSums struct {
+	sums  []uint32
+	short bool // a short chunk was written: it must be the last
+}
+
+func (c *chunkSums) add(b core.Block, p []byte, crc uint32) error {
+	if len(p) == 0 || len(p) > core.ChunkSize {
+		return fmt.Errorf("storage: block %s: chunk of %d bytes", b.ID, len(p))
+	}
+	if c.short {
+		return fmt.Errorf("storage: block %s: chunk after a short chunk", b.ID)
+	}
+	if c.sums == nil {
+		c.sums = make([]uint32, 0, max(1, chunks(b.NumBytes)))
+	}
+	c.short = len(p) < core.ChunkSize
+	c.sums = append(c.sums, crc)
+	return nil
+}
+
+// putChunks feeds r to a fresh chunk writer, checksumming each chunk:
+// the loop behind Media.Put, for content that arrives without sums.
+func putChunks(b core.Block, cw ChunkWriter, r io.Reader) (int64, error) {
+	buf, _ := bufpool.Get(core.ChunkSize)
+	defer bufpool.Put(buf)
+	for {
+		n, err := io.ReadFull(r, buf)
+		if n > 0 {
+			if werr := cw.WriteChunk(buf[:n], core.ChunkSum(buf[:n])); werr != nil {
+				cw.Abort()
+				return 0, werr
+			}
+		}
+		if err == io.EOF || err == io.ErrUnexpectedEOF {
+			return cw.Commit()
+		}
+		if err != nil {
+			cw.Abort()
+			return 0, fmt.Errorf("storage: reading block %s: %w", b.ID, err)
+		}
+	}
+}
+
+// verifyChunks reads a replica chunk by chunk and compares each with
+// its recorded checksum.
+func verifyChunks(b core.Block, r io.Reader, sums []uint32) error {
+	buf, _ := bufpool.Get(core.ChunkSize)
+	defer bufpool.Put(buf)
+	for i, want := range sums {
+		n, err := io.ReadFull(r, buf)
+		if n == 0 || (err != nil && err != io.ErrUnexpectedEOF) || (n < core.ChunkSize && i < len(sums)-1) {
+			return fmt.Errorf("storage: block %s: chunk %d is missing: %w", b.ID, i, core.ErrCorrupt)
+		}
+		if got := core.ChunkSum(buf[:n]); got != want {
+			return fmt.Errorf("storage: block %s chunk %d checksum %08x != %08x: %w", b.ID, i, got, want, core.ErrCorrupt)
+		}
+	}
+	return nil
+}
+
+// memReplica is one replica in a memory store.
+type memReplica struct {
+	data []byte
+	sums []uint32
+}
 
 // MemStore is a volatile in-memory block store backing the memory
 // tier.
 type MemStore struct {
 	mu     sync.RWMutex
-	blocks map[blockKey][]byte
-	crcs   map[blockKey]uint32
+	blocks map[blockKey]memReplica
 	used   int64
 	closed bool
 }
 
 // NewMemStore returns an empty in-memory store.
 func NewMemStore() *MemStore {
-	return &MemStore{
-		blocks: make(map[blockKey][]byte),
-		crcs:   make(map[blockKey]uint32),
-	}
+	return &MemStore{blocks: make(map[blockKey]memReplica)}
 }
 
-// Put implements Store.
-func (s *MemStore) Put(b core.Block, r io.Reader) (int64, error) {
-	data, err := readAllSized(r, b.NumBytes)
-	if err != nil {
-		return 0, fmt.Errorf("storage: reading block %s: %w", b.ID, err)
+// Create implements Store. The content buffer is pre-sized from the
+// declared block length, avoiding growth-doubling copies.
+func (s *MemStore) Create(b core.Block) (ChunkWriter, error) {
+	s.mu.RLock()
+	closed := s.closed
+	s.mu.RUnlock()
+	if closed {
+		return nil, core.ErrShutdown
 	}
-	key := blockKey{b.ID, b.GenStamp}
+	return &memWriter{s: s, b: b, data: make([]byte, 0, max(512, b.NumBytes))}, nil
+}
+
+// memWriter assembles one memory replica.
+type memWriter struct {
+	s    *MemStore
+	b    core.Block
+	data []byte
+	chunkSums
+}
+
+func (w *memWriter) WriteChunk(p []byte, crc uint32) error {
+	if err := w.add(w.b, p, crc); err != nil {
+		return err
+	}
+	w.data = append(w.data, p...)
+	return nil
+}
+
+func (w *memWriter) Commit() (int64, error) {
+	s, key := w.s, blockKey{w.b.ID, w.b.GenStamp}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closed {
 		return 0, core.ErrShutdown
 	}
 	if old, ok := s.blocks[key]; ok {
-		s.used -= int64(len(old))
+		s.used -= int64(len(old.data))
 	}
-	s.blocks[key] = data
-	s.crcs[key] = crc32.Checksum(data, crcTable)
-	s.used += int64(len(data))
-	return int64(len(data)), nil
+	s.blocks[key] = memReplica{data: w.data, sums: w.sums}
+	s.used += int64(len(w.data))
+	return int64(len(w.data)), nil
+}
+
+func (w *memWriter) Abort() {}
+
+// replica looks a block up.
+func (s *MemStore) replica(b core.Block) (memReplica, error) {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	r, ok := s.blocks[blockKey{b.ID, b.GenStamp}]
+	if !ok {
+		return memReplica{}, fmt.Errorf("storage: block %s: %w", b.ID, core.ErrNotFound)
+	}
+	return r, nil
+}
+
+// Sums implements Store.
+func (s *MemStore) Sums(b core.Block) ([]uint32, error) {
+	r, err := s.replica(b)
+	return r.sums, err
 }
 
 // Verify implements Store.
 func (s *MemStore) Verify(b core.Block) error {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	key := blockKey{b.ID, b.GenStamp}
-	data, ok := s.blocks[key]
-	if !ok {
-		return fmt.Errorf("storage: block %s: %w", b.ID, core.ErrNotFound)
+	r, err := s.replica(b)
+	if err != nil {
+		return err
 	}
-	if crc32.Checksum(data, crcTable) != s.crcs[key] {
-		return fmt.Errorf("storage: block %s: %w", b.ID, core.ErrCorrupt)
-	}
-	return nil
+	return verifyChunks(b, bytes.NewReader(r.data), r.sums)
 }
 
 // Open implements Store.
 func (s *MemStore) Open(b core.Block) (io.ReadCloser, error) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	data, ok := s.blocks[blockKey{b.ID, b.GenStamp}]
-	if !ok {
-		return nil, fmt.Errorf("storage: block %s: %w", b.ID, core.ErrNotFound)
+	r, err := s.replica(b)
+	if err != nil {
+		return nil, err
 	}
-	return memReader{bytes.NewReader(data)}, nil
+	return memReader{bytes.NewReader(r.data)}, nil
 }
 
 // memReader is the memory store's block reader. Unlike io.NopCloser
@@ -148,13 +266,12 @@ func (s *MemStore) Delete(b core.Block) error {
 	key := blockKey{b.ID, b.GenStamp}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	data, ok := s.blocks[key]
+	r, ok := s.blocks[key]
 	if !ok {
 		return fmt.Errorf("storage: block %s: %w", b.ID, core.ErrNotFound)
 	}
-	s.used -= int64(len(data))
+	s.used -= int64(len(r.data))
 	delete(s.blocks, key)
-	delete(s.crcs, key)
 	return nil
 }
 
@@ -171,8 +288,8 @@ func (s *MemStore) Blocks() []core.Block {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	out := make([]core.Block, 0, len(s.blocks))
-	for k, data := range s.blocks {
-		out = append(out, core.Block{ID: k.id, GenStamp: k.gen, NumBytes: int64(len(data))})
+	for k, r := range s.blocks {
+		out = append(out, core.Block{ID: k.id, GenStamp: k.gen, NumBytes: int64(len(r.data))})
 	}
 	sortBlocks(out)
 	return out
@@ -189,7 +306,7 @@ func (s *MemStore) Used() int64 {
 func (s *MemStore) Close() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.blocks = make(map[blockKey][]byte)
+	s.blocks = make(map[blockKey]memReplica)
 	s.used = 0
 	s.closed = true
 	return nil
@@ -197,7 +314,9 @@ func (s *MemStore) Close() error {
 
 // DiskStore is a directory-backed block store. Each replica lives in
 // one file named "blk_<id>_<gen>", so the store can be rebuilt from
-// the directory listing on worker restart.
+// the directory listing on worker restart, next to its checksum
+// sidecar "blk_<id>_<gen>.crc": the magic sumsMagic, then one
+// little-endian uint32 CRC-32C per chunk.
 type DiskStore struct {
 	dir string
 
@@ -206,6 +325,11 @@ type DiskStore struct {
 	used   int64
 	closed bool
 }
+
+// sumsMagic opens every checksum sidecar. A sidecar without it (such as
+// the single hex CRC older builds wrote) is refused, and the replica
+// is treated as corrupt.
+const sumsMagic = "OFSSUMS1"
 
 // NewDiskStore opens (creating if needed) a directory-backed store and
 // indexes any replica files already present.
@@ -248,31 +372,55 @@ func (s *DiskStore) crcPath(b core.Block) string {
 	return s.path(b) + ".crc"
 }
 
-// Put implements Store. The content is written to a temporary file and
-// renamed into place so that a crash mid-write never leaves a
+// Create implements Store. The content goes to a temporary file that
+// Commit renames into place, so a crash mid-write never leaves a
 // truncated replica that could be mistaken for a valid one.
-func (s *DiskStore) Put(b core.Block, r io.Reader) (int64, error) {
+func (s *DiskStore) Create(b core.Block) (ChunkWriter, error) {
 	s.mu.RLock()
 	closed := s.closed
 	s.mu.RUnlock()
 	if closed {
-		return 0, core.ErrShutdown
+		return nil, core.ErrShutdown
 	}
 	tmp, err := os.CreateTemp(s.dir, ".tmp-blk-*")
 	if err != nil {
-		return 0, fmt.Errorf("storage: creating temp block file: %w", err)
+		return nil, fmt.Errorf("storage: creating temp block file: %w", err)
 	}
-	tmpName := tmp.Name()
-	h := crc32.New(crcTable)
-	n, err := io.Copy(io.MultiWriter(tmp, h), r)
-	if cerr := tmp.Close(); err == nil {
-		err = cerr
+	return &diskWriter{s: s, b: b, f: tmp}, nil
+}
+
+// diskWriter writes one disk replica.
+type diskWriter struct {
+	s *DiskStore
+	b core.Block
+	f *os.File
+	n int64
+	chunkSums
+}
+
+func (w *diskWriter) WriteChunk(p []byte, crc uint32) error {
+	if err := w.add(w.b, p, crc); err != nil {
+		return err
 	}
-	if err != nil {
+	if _, err := w.f.Write(p); err != nil {
+		return fmt.Errorf("storage: writing block %s: %w", w.b.ID, err)
+	}
+	w.n += int64(len(p))
+	return nil
+}
+
+func (w *diskWriter) Commit() (int64, error) {
+	s, b, tmpName := w.s, w.b, w.f.Name()
+	if err := w.f.Close(); err != nil {
 		os.Remove(tmpName)
 		return 0, fmt.Errorf("storage: writing block %s: %w", b.ID, err)
 	}
-	if err := os.WriteFile(s.crcPath(b), fmt.Appendf(nil, "%08x", h.Sum32()), 0o644); err != nil {
+	side := make([]byte, len(sumsMagic)+4*len(w.sums))
+	copy(side, sumsMagic)
+	for i, sum := range w.sums {
+		binary.LittleEndian.PutUint32(side[len(sumsMagic)+4*i:], sum)
+	}
+	if err := os.WriteFile(s.crcPath(b), side, 0o644); err != nil {
 		os.Remove(tmpName)
 		return 0, fmt.Errorf("storage: writing block checksum: %w", err)
 	}
@@ -285,10 +433,15 @@ func (s *DiskStore) Put(b core.Block, r io.Reader) (int64, error) {
 	if old, ok := s.sizes[key]; ok {
 		s.used -= old
 	}
-	s.sizes[key] = n
-	s.used += n
+	s.sizes[key] = w.n
+	s.used += w.n
 	s.mu.Unlock()
-	return n, nil
+	return w.n, nil
+}
+
+func (w *diskWriter) Abort() {
+	w.f.Close()
+	os.Remove(w.f.Name())
 }
 
 // Open implements Store.
@@ -324,33 +477,50 @@ func (s *DiskStore) Delete(b core.Block) error {
 	return err
 }
 
-// Verify implements Store by recomputing the file's CRC-32C and
-// comparing it with the sidecar recorded at Put time. Replicas that
-// predate checksum support (no sidecar) verify trivially.
-func (s *DiskStore) Verify(b core.Block) error {
-	want, err := os.ReadFile(s.crcPath(b))
-	if os.IsNotExist(err) {
-		if s.Has(b) {
-			return nil
-		}
-		return fmt.Errorf("storage: block %s: %w", b.ID, core.ErrNotFound)
+// Sums implements Store by reading the sidecar. One whose magic is
+// wrong, or whose sum count does not cover the replica, is refused
+// with core.ErrCorrupt: the read fails over as from a corrupt replica.
+func (s *DiskStore) Sums(b core.Block) ([]uint32, error) {
+	s.mu.RLock()
+	size, ok := s.sizes[blockKey{b.ID, b.GenStamp}]
+	s.mu.RUnlock()
+	if !ok {
+		return nil, fmt.Errorf("storage: block %s: %w", b.ID, core.ErrNotFound)
+	}
+	raw, err := os.ReadFile(s.crcPath(b))
+	if errors.Is(err, os.ErrNotExist) {
+		return nil, fmt.Errorf("storage: block %s has no checksum sidecar: %w", b.ID, core.ErrCorrupt)
 	}
 	if err != nil {
-		return fmt.Errorf("storage: reading block checksum: %w", err)
+		return nil, fmt.Errorf("storage: reading block checksum: %w", err)
+	}
+	if !bytes.HasPrefix(raw, []byte(sumsMagic)) {
+		return nil, fmt.Errorf("storage: block %s checksum sidecar is not in the %s format: %w", b.ID, sumsMagic, core.ErrCorrupt)
+	}
+	raw = raw[len(sumsMagic):]
+	if n := chunks(size); len(raw) != 4*n {
+		return nil, fmt.Errorf("storage: block %s checksum sidecar holds %d bytes of sums, want %d for %d chunks: %w",
+			b.ID, len(raw), 4*n, n, core.ErrCorrupt)
+	}
+	sums := make([]uint32, len(raw)/4)
+	for i := range sums {
+		sums[i] = binary.LittleEndian.Uint32(raw[4*i:])
+	}
+	return sums, nil
+}
+
+// Verify implements Store by re-reading the file against its sidecar.
+func (s *DiskStore) Verify(b core.Block) error {
+	sums, err := s.Sums(b)
+	if err != nil {
+		return err
 	}
 	f, err := os.Open(s.path(b))
 	if err != nil {
 		return fmt.Errorf("storage: block %s: %w", b.ID, core.ErrNotFound)
 	}
 	defer f.Close()
-	h := crc32.New(crcTable)
-	if _, err := io.Copy(h, f); err != nil {
-		return fmt.Errorf("storage: checksumming block %s: %w", b.ID, err)
-	}
-	if got := fmt.Sprintf("%08x", h.Sum32()); got != string(want) {
-		return fmt.Errorf("storage: block %s checksum %s != %s: %w", b.ID, got, want, core.ErrCorrupt)
-	}
-	return nil
+	return verifyChunks(b, f, sums)
 }
 
 // Has implements Store.
@@ -386,30 +556,6 @@ func (s *DiskStore) Close() error {
 	defer s.mu.Unlock()
 	s.closed = true
 	return nil
-}
-
-// readAllSized reads r to EOF like io.ReadAll but pre-sizes the buffer
-// from the declared block length, avoiding the growth-doubling copies
-// that dominate large in-memory writes.
-func readAllSized(r io.Reader, sizeHint int64) ([]byte, error) {
-	capHint := int(sizeHint)
-	if capHint < 512 {
-		capHint = 512
-	}
-	buf := make([]byte, 0, capHint)
-	for {
-		if len(buf) == cap(buf) {
-			buf = append(buf, 0)[:len(buf)] // grow
-		}
-		n, err := r.Read(buf[len(buf):cap(buf)])
-		buf = buf[:len(buf)+n]
-		if err == io.EOF {
-			return buf, nil
-		}
-		if err != nil {
-			return buf, err
-		}
-	}
 }
 
 func sortBlocks(bs []core.Block) {

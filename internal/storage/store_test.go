@@ -21,6 +21,15 @@ func testStores(t *testing.T) map[string]Store {
 	return map[string]Store{"mem": NewMemStore(), "disk": disk}
 }
 
+// put stores r's content through s.Create, as Media.Put does.
+func put(s Store, b core.Block, r io.Reader) (int64, error) {
+	cw, err := s.Create(b)
+	if err != nil {
+		return 0, err
+	}
+	return putChunks(b, cw, r)
+}
+
 func blk(id uint64, size int64) core.Block {
 	return core.Block{ID: core.BlockID(id), GenStamp: 1, NumBytes: size}
 }
@@ -31,7 +40,7 @@ func TestStorePutOpenDelete(t *testing.T) {
 			data := []byte("hello tiered storage")
 			b := blk(1, int64(len(data)))
 
-			n, err := s.Put(b, bytes.NewReader(data))
+			n, err := put(s, b, bytes.NewReader(data))
 			if err != nil {
 				t.Fatalf("Put: %v", err)
 			}
@@ -81,10 +90,10 @@ func TestStoreOverwriteAdjustsUsed(t *testing.T) {
 	for name, s := range testStores(t) {
 		t.Run(name, func(t *testing.T) {
 			b := blk(1, 0)
-			if _, err := s.Put(b, bytes.NewReader(make([]byte, 100))); err != nil {
+			if _, err := put(s, b, bytes.NewReader(make([]byte, 100))); err != nil {
 				t.Fatal(err)
 			}
-			if _, err := s.Put(b, bytes.NewReader(make([]byte, 40))); err != nil {
+			if _, err := put(s, b, bytes.NewReader(make([]byte, 40))); err != nil {
 				t.Fatal(err)
 			}
 			if got := s.Used(); got != 40 {
@@ -98,7 +107,7 @@ func TestStoreBlocksListing(t *testing.T) {
 	for name, s := range testStores(t) {
 		t.Run(name, func(t *testing.T) {
 			for i := 5; i >= 1; i-- {
-				if _, err := s.Put(blk(uint64(i), 0), bytes.NewReader(make([]byte, i))); err != nil {
+				if _, err := put(s, blk(uint64(i), 0), bytes.NewReader(make([]byte, i))); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -123,10 +132,10 @@ func TestStoreGenerationStampsDistinguishReplicas(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			old := core.Block{ID: 9, GenStamp: 1}
 			new_ := core.Block{ID: 9, GenStamp: 2}
-			if _, err := s.Put(old, bytes.NewReader([]byte("old"))); err != nil {
+			if _, err := put(s, old, bytes.NewReader([]byte("old"))); err != nil {
 				t.Fatal(err)
 			}
-			if _, err := s.Put(new_, bytes.NewReader([]byte("new!"))); err != nil {
+			if _, err := put(s, new_, bytes.NewReader([]byte("new!"))); err != nil {
 				t.Fatal(err)
 			}
 			if !s.Has(old) || !s.Has(new_) {
@@ -153,7 +162,7 @@ func TestDiskStoreReindexOnRestart(t *testing.T) {
 	}
 	data := []byte("persistent block content")
 	b := blk(42, int64(len(data)))
-	if _, err := s.Put(b, bytes.NewReader(data)); err != nil {
+	if _, err := put(s, b, bytes.NewReader(data)); err != nil {
 		t.Fatal(err)
 	}
 	s.Close()
@@ -182,14 +191,14 @@ func TestDiskStoreReindexOnRestart(t *testing.T) {
 func TestMemStoreCloseDropsContentAndRejectsWrites(t *testing.T) {
 	s := NewMemStore()
 	b := blk(1, 0)
-	if _, err := s.Put(b, bytes.NewReader([]byte("x"))); err != nil {
+	if _, err := put(s, b, bytes.NewReader([]byte("x"))); err != nil {
 		t.Fatal(err)
 	}
 	s.Close()
 	if s.Used() != 0 {
 		t.Error("Close did not drop volatile content")
 	}
-	if _, err := s.Put(b, bytes.NewReader([]byte("y"))); !errors.Is(err, core.ErrShutdown) {
+	if _, err := put(s, b, bytes.NewReader([]byte("y"))); !errors.Is(err, core.ErrShutdown) {
 		t.Errorf("Put after Close: err = %v, want ErrShutdown", err)
 	}
 }
@@ -205,7 +214,7 @@ func TestStoreConcurrentPutGet(t *testing.T) {
 					for i := 0; i < 25; i++ {
 						b := blk(uint64(g*100+i), 0)
 						payload := bytes.Repeat([]byte{byte(g)}, 64)
-						if _, err := s.Put(b, bytes.NewReader(payload)); err != nil {
+						if _, err := put(s, b, bytes.NewReader(payload)); err != nil {
 							t.Errorf("Put: %v", err)
 							return
 						}
@@ -269,7 +278,7 @@ func TestQuickStoreRoundTrip(t *testing.T) {
 		id++
 		for _, s := range stores {
 			b := blk(id, int64(len(payload)))
-			if _, err := s.Put(b, bytes.NewReader(payload)); err != nil {
+			if _, err := put(s, b, bytes.NewReader(payload)); err != nil {
 				return false
 			}
 			rc, err := s.Open(b)

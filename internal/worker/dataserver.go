@@ -1,6 +1,7 @@
 package worker
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"io"
@@ -134,9 +135,9 @@ func (t *timedWriter) Write(p []byte) (int, error) {
 }
 
 // handleWriteBlock implements one stage of the Worker-to-Worker write
-// pipeline (paper §3.1): store the incoming packet stream on the local
-// media named by the pipeline head while forwarding it verbatim to the
-// next stage, then combine the downstream ack with the local result.
+// pipeline (paper §3.1): forward each verified packet verbatim to the
+// next stage and store it on the local media named by the pipeline
+// head, then combine the downstream ack with the local result.
 // It reports whether the connection is clean for another exchange:
 // the upstream stream fully drained and the ack delivered.
 func (w *Worker) handleWriteBlock(conn net.Conn) (keep bool) {
@@ -240,88 +241,45 @@ func (w *Worker) writeBlockPipeline(conn net.Conn, hdr rpc.WriteBlockHeader, sp 
 		}
 	}
 
-	// Feed the verified packet stream both into the local media and
-	// down the pipeline. The phase split is measured serially on this
-	// goroutine so it can never sum past the wall time: netNs is time
-	// blocked reading the upstream socket, pipeNs is time blocked on
-	// the local store (pipe backpressure plus the final completion
-	// wait), and the downstream writer accumulates its own forward
-	// and ack phases.
+	// A refused replica (no space) still drains and forwards the
+	// stream, so the connection stays clean and the ack says why.
 	src := rpc.NewPacketReader(conn)
 	defer src.Release()
-	pr, pw := io.Pipe()
-	putDone := make(chan error, 1)
-	putStored := make(chan int64, 1)
 	var iost storage.IOStats
-	go func() {
-		n, err := media.PutStats(hdr.Block, pr, &iost)
-		// Drain on failure so the producer never blocks forever.
-		if err != nil {
-			io.Copy(io.Discard, pr)
-		}
-		putStored <- n
-		putDone <- err
-	}()
-
-	var streamErr error
-	var netNs, pipeNs int64
-	buf, fresh := bufpool.Get(rpc.MaxPacketSize)
-	defer bufpool.Put(buf)
-	var bufAlloc int64
-	if fresh {
-		bufAlloc = int64(len(buf))
+	cw, createErr := media.Create(hdr.Block, &iost)
+	netNs, streamDone, streamErr, storeErr := receive(src, cw, downstream)
+	if createErr != nil {
+		storeErr = createErr
 	}
-	streamDone := false
-	for {
-		rs := time.Now()
-		n, err := src.Read(buf)
-		netNs += time.Since(rs).Nanoseconds()
-		if n > 0 {
-			ps := time.Now()
-			_, werr := pw.Write(buf[:n])
-			pipeNs += time.Since(ps).Nanoseconds()
-			if werr != nil && streamErr == nil {
-				streamErr = werr
-			}
-			if downstream != nil {
-				if _, werr := downstream.Write(buf[:n]); werr != nil && streamErr == nil {
-					streamErr = werr
-				}
-			}
-		}
-		if err == io.EOF {
-			streamDone = true // end marker consumed: the conn is drained
-			break
-		}
-		if err != nil {
-			streamErr = err
-			break
-		}
-	}
-	ps := time.Now()
-	pw.Close()
-	putErr := <-putDone
-	stored := <-putStored
-	pipeNs += time.Since(ps).Nanoseconds()
 
+	// Send the end marker downstream before committing here, so the
+	// stages commit side by side.
 	var downErr error
 	if downstream != nil {
-		downErr = downstream.Commit()
+		if streamErr != nil {
+			downstream.Abort()
+		} else if downErr = downstream.CloseStream(); downErr != nil {
+			downstream.Abort()
+		}
+	}
+	var stored int64
+	if cw != nil {
+		if streamErr != nil || storeErr != nil {
+			cw.Abort() // drop the partial replica
+		} else {
+			stored, storeErr = cw.Commit()
+		}
+	}
+	if downstream != nil && streamErr == nil && downErr == nil {
+		downErr = downstream.WaitAck()
 	}
 
-	// The store goroutine overlaps with the socket reads, so only the
-	// backpressure this goroutine actually felt (pipeNs) is on the
-	// critical path. The limiter sleep is exact per stream; clip it to
-	// the visible stall and attribute the rest of the stall to the
-	// device.
+	// Every phase ran serially on this goroutine, so they sum to no
+	// more than the wall time.
 	rec.NetNs = netNs
-	throttle := iost.ThrottleWaitNs
-	if throttle > pipeNs {
-		throttle = pipeNs
-	}
-	rec.ThrottleWaitNs = throttle
-	rec.DiskNs = pipeNs - throttle
-	rec.AllocBytes = src.AllocBytes() + bufAlloc
+	rec.ThrottleWaitNs = iost.ThrottleWaitNs
+	rec.DiskNs = iost.DeviceNs
+	rec.AllocBytes = src.AllocBytes()
 	if downstream != nil {
 		dial, hdrEnc, fwd, ackWait := downstream.Phases()
 		rec.DialNs, rec.HeaderEncodeNs, rec.ForwardNs, rec.AckWaitNs = dial, hdrEnc, fwd, ackWait
@@ -331,10 +289,9 @@ func (w *Worker) writeBlockPipeline(conn net.Conn, hdr rpc.WriteBlockHeader, sp 
 
 	switch {
 	case streamErr != nil:
-		media.Delete(hdr.Block) // drop the partial replica
 		return rpc.WriteBlockAck{Err: rpc.EncodeError(fmt.Errorf("worker: pipeline stream: %w", streamErr))}, streamDone
-	case putErr != nil:
-		return rpc.WriteBlockAck{Err: rpc.EncodeError(putErr), Stored: 0}, streamDone
+	case storeErr != nil:
+		return rpc.WriteBlockAck{Err: rpc.EncodeError(storeErr)}, streamDone
 	case downErr != nil:
 		// Local copy is good; report the downstream failure so the
 		// client can decide. The client abandons the block, so the local
@@ -344,6 +301,55 @@ func (w *Worker) writeBlockPipeline(conn net.Conn, hdr rpc.WriteBlockHeader, sp 
 		// No master call: the client's commit after this ack confirms
 		// the replica.
 		return rpc.WriteBlockAck{Stored: stored}, streamDone
+	}
+}
+
+// storeStream stores a peer's packet stream as a new replica on media,
+// committing it only when the stream ended cleanly.
+func storeStream(media *storage.Media, block core.Block, src packetSource, st *storage.IOStats) (n, netNs int64, err error) {
+	cw, err := media.Create(block, st)
+	if err != nil {
+		return 0, 0, err
+	}
+	netNs, _, streamErr, storeErr := receive(src, cw, nil)
+	if err = errors.Join(streamErr, storeErr); err != nil {
+		cw.Abort()
+		return 0, netNs, err
+	}
+	n, err = cw.Commit()
+	return n, netNs, err
+}
+
+// packetSource is a verified packet stream: a pipeline's upstream or a
+// replica served by a peer.
+type packetSource interface {
+	Next() (rpc.Packet, error)
+}
+
+// receive drains a packet stream, HDFS BlockReceiver style: each packet
+// is verified by Next, forwarded verbatim to fwd (when set), then
+// stored as a chunk under the checksum it arrived with. After a
+// forward failure the stream is still drained so the connection stays
+// clean; after a store failure, or with no cw, chunks are not stored.
+// netNs is the time spent waiting on src; streamDone reports that the
+// end marker was consumed.
+func receive(src packetSource, cw storage.ChunkWriter, fwd *rpc.BlockWriter) (netNs int64, streamDone bool, streamErr, storeErr error) {
+	for {
+		start := time.Now()
+		p, err := src.Next()
+		netNs += time.Since(start).Nanoseconds()
+		if err == io.EOF {
+			return netNs, true, streamErr, storeErr
+		}
+		if err != nil {
+			return netNs, false, err, storeErr
+		}
+		if fwd != nil && streamErr == nil {
+			streamErr = fwd.WriteRaw(p.Raw)
+		}
+		if cw != nil && storeErr == nil && streamErr == nil {
+			storeErr = cw.WriteChunk(p.Payload, p.Sum)
+		}
 	}
 }
 
@@ -392,13 +398,25 @@ func (w *Worker) handleReadBlock(conn net.Conn) (keep bool) {
 
 // readBlock serves one OpReadBlock exchange; errors that can still be
 // delivered go back in the response frame with the request ID attached.
-// The record receives the serve's phase split: device and throttle
-// time from the media stream, socket time from a timed writer around
-// the response frame and packet stream. keep reports whether the
-// response (refusal or full stream) was delivered cleanly.
+// There is no scrub before the response: whole chunks are streamed
+// under the checksums stored at ingest, so the reader's per-packet
+// check verifies every byte against the writer's sums. A range that
+// starts or ends inside a chunk has that edge chunk read whole and
+// checked here before the response, then only its requested slice sent
+// under a fresh checksum, so a ranged read touches only its own
+// chunks. The record receives the serve's phase split: device and
+// throttle time from the media stream, socket time from a timed writer
+// around the response frame and packet stream. keep reports whether
+// the response (refusal or full stream) was delivered cleanly.
 func (w *Worker) readBlock(conn net.Conn, hdr rpc.ReadBlockHeader, rec *xfer.Record) (served int64, tier string, keep bool, err error) {
 	tier = "UNKNOWN"
 	refuse := func(e error) (int64, string, bool, error) {
+		if errors.Is(e, core.ErrCorrupt) {
+			w.journal.PublishTraced(events.Error, "block_corrupt", hdr.ReqID,
+				"replica failed its chunk checksums; read refused",
+				"block", fmt.Sprintf("%d", hdr.Block.ID),
+				"storage", string(hdr.Storage))
+		}
 		// A delivered refusal leaves the conn clean: the requester got
 		// its answer and nothing is mid-stream.
 		werr := rpc.WriteFrame(conn, rpc.ReadBlockResponse{Err: rpc.WithReqID(rpc.EncodeError(e), hdr.ReqID)})
@@ -409,50 +427,116 @@ func (w *Worker) readBlock(conn net.Conn, hdr rpc.ReadBlockHeader, rec *xfer.Rec
 		return refuse(fmt.Errorf("worker: unknown media %s: %w", hdr.Storage, core.ErrNotFound))
 	}
 	tier = media.Tier().String()
-	// Scrub the replica before serving so disk corruption surfaces as
-	// an explicit error the client can report (paper §5 repairs it).
-	if err := media.Verify(hdr.Block); err != nil {
-		w.journal.PublishTraced(events.Error, "block_corrupt", hdr.ReqID,
-			"replica failed checksum scrub; read refused",
-			"block", fmt.Sprintf("%d", hdr.Block.ID),
-			"storage", string(hdr.Storage))
-		return refuse(err)
-	}
-	var iost storage.IOStats
-	rc, err := media.OpenRangeStats(hdr.Block, hdr.Offset, &iost)
+	sums, err := media.Sums(hdr.Block)
 	if err != nil {
 		return refuse(err)
 	}
+	size := hdr.Block.NumBytes
+	if n := int((size + core.ChunkSize - 1) / core.ChunkSize); len(sums) != n {
+		return refuse(fmt.Errorf("worker: block %s: %d chunk sums for %d bytes: %w", hdr.Block.ID, len(sums), size, core.ErrCorrupt))
+	}
+	offset := min(max(hdr.Offset, 0), size)
+	length := hdr.Length
+	if length < 0 || length > size-offset {
+		length = size - offset
+	}
+	end := offset + length
+	first, last := offset/core.ChunkSize, (end-1)/core.ChunkSize
+	chunkLen := func(i int64) int { return int(min(core.ChunkSize, size-i*core.ChunkSize)) }
+	// slice bounds the requested part of chunk i, within the chunk.
+	slice := func(i int64) (lo, hi int) {
+		base := i * core.ChunkSize
+		return int(max(offset, base) - base), int(min(end, base+int64(chunkLen(i))) - base)
+	}
+	partial := func(i int64) bool {
+		lo, hi := slice(i)
+		return lo > 0 || hi < chunkLen(i)
+	}
+
+	var iost storage.IOStats
 	defer func() {
-		rc.Close()
 		rec.DiskNs = iost.DeviceNs
 		rec.ThrottleWaitNs = iost.ThrottleWaitNs
 	}()
+	// edge reads chunk i whole and checks it against its stored sum,
+	// returning the requested slice of it.
+	var edgeBufs [][]byte
+	defer func() {
+		for _, b := range edgeBufs {
+			bufpool.Put(b)
+		}
+	}()
+	edge := func(i int64) ([]byte, error) {
+		rc, err := media.OpenRangeStats(hdr.Block, i*core.ChunkSize, &iost)
+		if err != nil {
+			return nil, err
+		}
+		defer rc.Close()
+		buf, _ := bufpool.Get(chunkLen(i))
+		edgeBufs = append(edgeBufs, buf)
+		if _, err := io.ReadFull(rc, buf); err != nil {
+			return nil, fmt.Errorf("worker: block %s: reading chunk %d: %w", hdr.Block.ID, i, err)
+		}
+		if got := core.ChunkSum(buf); got != sums[i] {
+			return nil, fmt.Errorf("worker: block %s chunk %d checksum %08x != %08x: %w", hdr.Block.ID, i, got, sums[i], core.ErrCorrupt)
+		}
+		lo, hi := slice(i)
+		return buf[lo:hi], nil
+	}
+	var head, tail []byte
+	if length > 0 && partial(first) {
+		if head, err = edge(first); err != nil {
+			return refuse(err)
+		}
+	}
+	if length > 0 && last != first && partial(last) {
+		if tail, err = edge(last); err != nil {
+			return refuse(err)
+		}
+	}
+	// The whole chunks stream from one reader, opened past the head.
+	from := first
+	if head != nil {
+		from++
+	}
+	rc, err := media.OpenRangeStats(hdr.Block, from*core.ChunkSize, &iost)
+	if err != nil {
+		return refuse(err)
+	}
+	defer rc.Close()
 
-	length := hdr.Length
-	if length < 0 {
-		length = hdr.Block.NumBytes - hdr.Offset
-	}
-	if length < 0 {
-		length = 0
-	}
 	tw := &timedWriter{w: conn, ns: &rec.NetNs}
 	if err := rpc.WriteFrame(tw, rpc.ReadBlockResponse{Length: length}); err != nil {
 		return 0, tier, false, err
 	}
 	pw := rpc.NewPacketWriter(tw)
 	defer pw.Release()
-	n, err := io.CopyN(pw, rc, length)
-	rec.AllocBytes = pw.AllocBytes()
-	if err != nil {
-		w.cfg.Logger.Warn("block read stream failed", "block", hdr.Block.ID, "req", hdr.ReqID, "err", err)
-		return n, tier, false, err // connection dies; the client fails over
+	for i := first; length > 0 && i <= last; i++ {
+		var err error
+		n := chunkLen(i)
+		switch {
+		case i == first && head != nil:
+			n = len(head)
+			err = pw.WriteChunk(bytes.NewReader(head), n, core.ChunkSum(head))
+		case i == last && tail != nil:
+			n = len(tail)
+			err = pw.WriteChunk(bytes.NewReader(tail), n, core.ChunkSum(tail))
+		default:
+			err = pw.WriteChunk(rc, n, sums[i])
+		}
+		if err != nil {
+			rec.AllocBytes = pw.AllocBytes()
+			w.cfg.Logger.Warn("block read stream failed", "block", hdr.Block.ID, "req", hdr.ReqID, "err", err)
+			return served, tier, false, err // connection dies; the client fails over
+		}
+		served += int64(n)
 	}
+	rec.AllocBytes = pw.AllocBytes()
 	if err := pw.Close(); err != nil {
 		w.cfg.Logger.Warn("block read close failed", "err", err)
-		return n, tier, false, err
+		return served, tier, false, err
 	}
-	return n, tier, true, nil
+	return served, tier, true, nil
 }
 
 // replicate copies a block from the best available source replica onto
@@ -505,8 +589,10 @@ func (w *Worker) replicate(reqID string, sp *trace.ActiveSpan, block core.Block,
 		rec.HeaderEncodeNs += tm.HeaderEncodeNs
 		rec.HeaderDecodeNs += tm.HeaderDecodeNs
 		rec.PoolHit = tm.PoolHit
+		// The peer's packets are the replica's chunks: each is verified
+		// on arrival and stored under the checksum it came with.
 		var iost storage.IOStats
-		n, err := media.PutStats(block, rc, &iost)
+		n, netNs, err := storeStream(media, block, rc.(packetSource), &iost)
 		if ac, ok := rc.(interface{ AllocBytes() int64 }); ok {
 			rec.AllocBytes += ac.AllocBytes()
 		}
@@ -515,8 +601,7 @@ func (w *Worker) replicate(reqID string, sp *trace.ActiveSpan, block core.Block,
 			lastErr = err
 			continue
 		}
-		// Put's source wait is time reading the peer's packet stream.
-		rec.NetNs += iost.SourceNs
+		rec.NetNs += netNs
 		rec.DiskNs += iost.DeviceNs
 		rec.ThrottleWaitNs += iost.ThrottleWaitNs
 		return n, tier, nil

@@ -70,7 +70,7 @@ type Record struct {
 	// HeaderDecodeNs are the control-frame costs: encoding+sending
 	// the opener's header, and decoding the peer's frame (which, on
 	// the opener side, includes the peer's pre-response work such as
-	// the checksum scrub before a read). ThrottleWaitNs is time the
+	// loading a read's chunk sums). ThrottleWaitNs is time the
 	// emulated media pacing held this stream. DiskNs is media device
 	// time on the critical path. NetNs is time blocked on the data
 	// socket. ForwardNs is time feeding the downstream pipeline stage.
