@@ -34,9 +34,14 @@
 //	top [-last n]                    cluster telemetry: live sample + history
 //	heat [-json] [-top n] [-file p] [-misplaced]
 //	                                 hottest files/blocks + tier-fitness report
+//	mover [-json]                    tier mover status and recent moves
 //	health                           probe master + all live workers' /healthz
 //	explain <path>                   why each replica landed where it did
 //	decommission <worker-id>         remove a worker from service
+//
+// trace, events, audit, transfers, top, heat, mover and explain read the
+// master's HTTP endpoint, whose address the master advertises: start
+// octopus-master with -http for them.
 package main
 
 import (
@@ -675,7 +680,8 @@ func need(args []string, n int) {
 func usage() {
 	fmt.Fprintln(os.Stderr, `usage: octopus-cli [-master addr] [-node name] [-readahead k] [-write-window k] <command> [args]
 commands: mkdir ls put get cat rm mv stat setrep locations tiers report quota du fsck
-          metrics trace events audit transfers top heat mover health explain decommission`)
+          metrics trace events audit transfers top heat mover health explain decommission
+trace events audit transfers top heat mover explain need octopus-master -http`)
 }
 
 func fatal(err error) {

@@ -196,10 +196,7 @@ func TestCLIMetrics(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer cluster.Close()
-	addr, err := cluster.Master.ServeHTTP("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
+	addr := cluster.Master.HTTPAddr()
 
 	var out strings.Builder
 	if err := showMetrics(&out, addr, false); err != nil {

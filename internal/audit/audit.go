@@ -8,12 +8,9 @@
 // transitions, the audit log answers "who did what to the namespace,
 // and where did the time go" for every request.
 //
-// The log is a non-blocking ringlog.Log keyed by op: retained entries
-// live in a bounded ring, and the RPC hot path never takes the
-// consumer lock — when the producer backlog is full the entry is
-// dropped and counted rather than slowing the master down. "Droppable
-// under pressure" is a feature: the audit log must never become the
-// contention it exists to measure. This package adds the Entry record.
+// The log is a ringlog.Log keyed by op: a bounded ring that keeps the
+// newest entries whether or not anyone reads it. This package adds the
+// Entry record.
 package audit
 
 import "repro/internal/ringlog"
@@ -72,9 +69,9 @@ type Page = ringlog.Page[Entry]
 
 // New builds a log retaining up to capacity entries (<= 0 selects
 // ringlog.DefaultCapacity). Append stamps Time with the completion
-// time; Seq is assigned when the backlog is drained into the ring.
+// time and assigns Seq.
 func New(capacity int) *Log {
-	return ringlog.New(capacity, ringlog.Backlog, func(e *Entry) (*uint64, *int64, string) {
+	return ringlog.New(capacity, func(e *Entry) (*uint64, *int64, string) {
 		return &e.Seq, &e.Time, e.Op
 	})
 }

@@ -85,6 +85,9 @@ type FileSystem struct {
 	shipMu     sync.Mutex
 	shipCursor uint64 // flight-recorder seq already shipped to the master
 
+	httpMu   sync.Mutex
+	httpAddr string // the master's HTTP endpoint, once it named one
+
 	master *rpc.MasterClient
 }
 

@@ -23,15 +23,6 @@ func (fs *FileSystem) callTraced(parent *trace.ActiveSpan, reqID, method string,
 	return err
 }
 
-// Trace fetches the cluster-wide span timeline for one request ID from
-// the master, which holds what the client, the master itself and every
-// worker recorded for it.
-func (fs *FileSystem) Trace(reqID string) ([]trace.Span, error) {
-	var reply rpc.GetTraceReply
-	err := fs.call("Master.GetTrace", &rpc.GetTraceArgs{TraceID: reqID}, &reply)
-	return reply.Spans, err
-}
-
 // TransferLog exposes the client's transfer flight recorder (for
 // octopus-bench and tests).
 func (fs *FileSystem) TransferLog() *xfer.Log { return fs.xfers }

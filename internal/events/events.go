@@ -67,7 +67,7 @@ type Page = ringlog.Page[Event]
 // NewJournal builds a journal retaining up to capacity events (<= 0
 // selects ringlog.DefaultCapacity).
 func NewJournal(capacity int) *Journal {
-	return (*Journal)(ringlog.New(capacity, 0, func(e *Event) (*uint64, *int64, string) {
+	return (*Journal)(ringlog.New(capacity, func(e *Event) (*uint64, *int64, string) {
 		return &e.Seq, &e.Time, e.Type
 	}))
 }

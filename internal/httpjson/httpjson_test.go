@@ -88,7 +88,7 @@ type logRec struct {
 // named filter parameter, since and limit, the optional conns field,
 // and the 400s.
 func TestLogHandler(t *testing.T) {
-	l := ringlog.New(8, 0, func(r *logRec) (*uint64, *int64, string) { return &r.Seq, &r.Time, r.Kind })
+	l := ringlog.New(8, func(r *logRec) (*uint64, *int64, string) { return &r.Seq, &r.Time, r.Kind })
 	for _, kind := range []string{"a", "b", "a"} {
 		l.Append(logRec{Kind: kind})
 	}

@@ -126,10 +126,7 @@ func TestAuditPhaseBreakdownJoinsTrace(t *testing.T) {
 	})
 
 	// /debug/audit serves the same entry over HTTP with cursoring.
-	addr, err := c.Master.ServeHTTP("127.0.0.1:0")
-	if err != nil {
-		t.Fatalf("ServeHTTP: %v", err)
-	}
+	addr := c.Master.HTTPAddr()
 	resp, err := http.Get("http://" + addr + "/debug/audit?op=create")
 	if err != nil {
 		t.Fatalf("GET /debug/audit: %v", err)

@@ -184,6 +184,12 @@ func StartCluster(cfg ClusterConfig) (*Cluster, error) {
 	if err != nil {
 		return nil, err
 	}
+	// The observability documents are read from the master's HTTP
+	// endpoints, so every test cluster serves them.
+	if _, err := m.ServeHTTP("127.0.0.1:0"); err != nil {
+		m.Close()
+		return nil, err
+	}
 	c := &Cluster{Master: m, cfg: cfg}
 	for i := 0; i < cfg.NumWorkers; i++ {
 		w, err := c.startWorker(i)

@@ -2,6 +2,7 @@ package integration
 
 import (
 	"encoding/json"
+	"errors"
 	"io"
 	"net/http"
 	"sort"
@@ -10,6 +11,7 @@ import (
 	"time"
 
 	"repro/internal/audit"
+	"repro/internal/core"
 	"repro/internal/events"
 	"repro/internal/xfer"
 )
@@ -62,10 +64,7 @@ func TestDebugLogEndpointKeySets(t *testing.T) {
 		return len(c.Master.TransferLog().Since(0, "shape", 0).Entries) == 1
 	})
 
-	masterAddr, err := c.Master.ServeHTTP("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
+	masterAddr := c.Master.HTTPAddr()
 	workerAddr, err := w.ServeHTTP("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -124,5 +123,54 @@ func TestDebugLogEndpointKeySets(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestDebugExplainEndpoint pins the placement explanation document:
+// its key set and one block's, a 400 without ?path and a 404 for a
+// path the namespace does not hold, which the client reads as
+// core.ErrNotFound.
+func TestDebugExplainEndpoint(t *testing.T) {
+	c := startTestCluster(t, func(cfg *ClusterConfig) { cfg.NumWorkers = 1 })
+	fs, err := c.Client("")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer fs.Close()
+	if err := fs.WriteFile("/explained", randomBytes(1<<10, 5), core.ReplicationVectorFromFactor(1)); err != nil {
+		t.Fatal(err)
+	}
+	get := func(query string) (int, []byte) {
+		resp, err := http.Get("http://" + c.Master.HTTPAddr() + "/debug/explain" + query)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		body, _ := io.ReadAll(resp.Body)
+		return resp.StatusCode, body
+	}
+	code, body := get("?path=/explained")
+	if code != http.StatusOK {
+		t.Fatalf("status %d: %s", code, body)
+	}
+	keys, doc := jsonKeys(t, body)
+	if keys != "Blocks Objectives Path" {
+		t.Errorf("document keys = %q", keys)
+	}
+	var blocks []json.RawMessage
+	if err := json.Unmarshal(doc["Blocks"], &blocks); err != nil || len(blocks) != 1 {
+		t.Fatalf("%d blocks (%v), want 1", len(blocks), err)
+	}
+	if keys, _ := jsonKeys(t, blocks[0]); keys != "Block Heat Origin Replicas TimeNs TraceID" {
+		t.Errorf("block keys = %q", keys)
+	}
+	if code, _ := get(""); code != http.StatusBadRequest {
+		t.Errorf("no path: %d, want 400", code)
+	}
+	if code, _ := get("?path=/missing"); code != http.StatusNotFound {
+		t.Errorf("unknown path: %d, want 404", code)
+	}
+	if _, err := fs.Explain("/missing"); !errors.Is(err, core.ErrNotFound) {
+		t.Errorf("client Explain of an unknown path: %v, want ErrNotFound", err)
 	}
 }

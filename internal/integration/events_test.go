@@ -127,7 +127,7 @@ func TestEventJournalCausalOrder(t *testing.T) {
 }
 
 // TestExplainEveryReplica is the explainability acceptance test: after
-// a write, Master.Explain must account for every replica of every block
+// a write, /debug/explain must account for every replica of every block
 // with the winning (worker, tier), its four-objective score vector, and
 // at least one rejected candidate's scores.
 func TestExplainEveryReplica(t *testing.T) {

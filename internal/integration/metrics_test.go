@@ -81,10 +81,8 @@ func TestClusterMetricsEndpoints(t *testing.T) {
 		cfg.NumWorkers = 2
 		cfg.NumRacks = 1
 	})
-	masterAddr, err := c.Master.ServeHTTP("127.0.0.1:0")
-	if err != nil {
-		t.Fatalf("master ServeHTTP: %v", err)
-	}
+	masterAddr := c.Master.HTTPAddr()
+	var err error
 	workerAddrs := make([]string, len(c.Workers))
 	for i, w := range c.Workers {
 		if workerAddrs[i], err = w.ServeHTTP("127.0.0.1:0"); err != nil {

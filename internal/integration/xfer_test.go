@@ -13,7 +13,7 @@ import (
 
 // TestTransferFlightRecorder is the acceptance test for the data-path
 // flight recorder: it writes and reads a multi-block file on a
-// 3-worker cluster, then asserts via Master.GetTransfers that every
+// 3-worker cluster, then asserts via the master's /debug/transfers that every
 // daemon's transfers reached the master with a coherent phase breakdown —
 // phases sum to no more than the wall time — and that each record
 // joins the request's trace (its span ID appears in the assembled

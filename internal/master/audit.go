@@ -94,12 +94,3 @@ func (a *opAudit) Finish(errp *error) {
 
 // AuditLog exposes the audit log (for the HTTP handler and tests).
 func (m *Master) AuditLog() *audit.Log { return m.audit }
-
-// GetAudit serves one page of the namespace audit log over RPC.
-// Untraced and unaudited: a poller tailing the log must not fill the
-// very log it reads.
-func (s *Service) GetAudit(args *rpc.LogArgs, reply *rpc.LogReply[audit.Entry]) (err error) {
-	defer s.m.trackOpUntraced("getAudit", args.ReqID)(&err)
-	*reply = rpc.ReadLog(s.m.audit, args)
-	return nil
-}

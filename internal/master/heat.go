@@ -254,8 +254,8 @@ func (m *Master) liveHeatAggregate() rpc.HeatAggregate {
 	return m.heatAggregate(entries, m.misplacedFrom(entries))
 }
 
-// heatReport assembles the full heat document served by Master.GetHeat
-// and /debug/heat. top caps each list (<= 0 selects defaultHeatTop);
+// heatReport assembles the full heat document served at /debug/heat.
+// top caps each list (<= 0 selects defaultHeatTop);
 // file restricts the block list to one file's blocks; misplacedOnly
 // omits the file/block rankings.
 func (m *Master) heatReport(top int, file string, misplacedOnly bool) rpc.HeatReport {
@@ -368,13 +368,4 @@ func formatTierVector(tiers [core.NumTiers]int) string {
 		return "none"
 	}
 	return strings.Join(parts, ",")
-}
-
-// GetHeat serves the cluster heat map and tier-fitness report.
-// Untraced: pollers (octopus-cli heat, /debug/heat) would churn the
-// trace store.
-func (s *Service) GetHeat(args *rpc.GetHeatArgs, reply *rpc.GetHeatReply) (err error) {
-	defer s.m.trackOpUntraced("getHeat", args.ReqID)(&err)
-	reply.Report = s.m.heatReport(args.Top, args.File, args.Misplaced)
-	return nil
 }

@@ -1,6 +1,7 @@
 package master
 
 import (
+	"errors"
 	"fmt"
 	"net"
 	"net/http"
@@ -51,8 +52,9 @@ type StatusTier struct {
 
 // ServeHTTP starts an HTTP status server on addr and returns its bound
 // address. Endpoints: /status (JSON), /metrics (Prometheus text, or
-// JSON with ?format=json), /healthz, and / (plain-text overview). The
-// server stops when the master closes.
+// JSON with ?format=json), /healthz, the /debug/* observability
+// documents (the only way they are read), and / (plain-text overview).
+// The server stops when the master closes.
 func (m *Master) ServeHTTP(addr string) (string, error) {
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
@@ -123,6 +125,24 @@ func (m *Master) ServeHTTP(addr string) (string, error) {
 		}
 		httpjson.Write(w, st)
 	})
+	// /debug/explain?path= serves why each replica of a file's blocks
+	// landed where it did: 400 without a path, 404 for an unknown one.
+	mux.HandleFunc("/debug/explain", func(w http.ResponseWriter, r *http.Request) {
+		path := r.URL.Query().Get("path")
+		if path == "" {
+			http.Error(w, "missing path parameter", http.StatusBadRequest)
+			return
+		}
+		doc, err := m.explain(path)
+		switch {
+		case errors.Is(err, core.ErrNotFound):
+			http.Error(w, err.Error(), http.StatusNotFound)
+		case err != nil:
+			http.Error(w, err.Error(), http.StatusBadRequest)
+		default:
+			httpjson.Write(w, doc)
+		}
+	})
 	if m.cfg.Pprof {
 		registerPprof(mux)
 	}
@@ -161,6 +181,13 @@ func (m *Master) ServeHTTP(addr string) (string, error) {
 		srv.Close()
 	}()
 	return ln.Addr().String(), nil
+}
+
+// HTTPAddr returns the bound debug HTTP endpoint ("" until ServeHTTP).
+func (m *Master) HTTPAddr() string {
+	m.mu.RLock()
+	defer m.mu.RUnlock()
+	return m.httpAddr
 }
 
 // registerPprof mounts the standard net/http/pprof handlers on a

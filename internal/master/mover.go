@@ -368,8 +368,8 @@ func (m *Master) recordMove(rec *rpc.MoveRecord, decisions []policy.ReplicaDecis
 	})
 }
 
-// moverStatus assembles the mover observability document served by
-// Master.GetMover and /debug/mover.
+// moverStatus assembles the mover observability document served at
+// /debug/mover.
 func (m *Master) moverStatus() rpc.MoverStatus {
 	mv := m.mover
 	st := rpc.MoverStatus{
@@ -388,12 +388,4 @@ func (m *Master) moverStatus() rpc.MoverStatus {
 	st.Recent = append([]rpc.MoveRecord(nil), mv.recent...)
 	st.Counters = mv.counters
 	return st
-}
-
-// GetMover serves the tier mover's status. Untraced: pollers
-// (octopus-cli mover, /debug/mover) would churn the trace store.
-func (s *Service) GetMover(args *rpc.GetMoverArgs, reply *rpc.GetMoverReply) (err error) {
-	defer s.m.trackOpUntraced("getMover", args.ReqID)(&err)
-	reply.Status = s.m.moverStatus()
-	return nil
 }

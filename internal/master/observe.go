@@ -132,7 +132,7 @@ func (m *Master) clusterHistory(last int) []rpc.ClusterSample {
 }
 
 // storePlacement retains (or overwrites) a block's explanation for
-// Master.Explain, FIFO-bounded.
+// /debug/explain, FIFO-bounded.
 func (m *Master) storePlacement(be rpc.BlockExplanation) {
 	m.placeMu.Lock()
 	defer m.placeMu.Unlock()
@@ -147,7 +147,7 @@ func (m *Master) storePlacement(be rpc.BlockExplanation) {
 }
 
 // recordPlacement converts a placement decision set to its wire form,
-// retains it for Master.Explain (FIFO-bounded), and journals the
+// retains it for /debug/explain (FIFO-bounded), and journals the
 // chosen-vs-runner-up breakdown as a placement event.
 func (m *Master) recordPlacement(path string, blk core.Block, traceID string, decisions []policy.ReplicaDecision) {
 	if len(decisions) == 0 {
@@ -244,39 +244,22 @@ func (m *Master) decommission(id core.WorkerID, reqID string) error {
 	return nil
 }
 
-// GetEvents serves one page of the cluster event journal over RPC.
-// Untraced: pollers would churn the trace store.
-func (s *Service) GetEvents(args *rpc.LogArgs, reply *rpc.LogReply[events.Event]) (err error) {
-	defer s.m.trackOpUntraced("getEvents", args.ReqID)(&err)
-	*reply = rpc.ReadLog(s.m.journal.Log(), args)
-	return nil
-}
-
-// GetClusterHistory serves the telemetry history, oldest first, ending
-// with a fresh live sample.
-func (s *Service) GetClusterHistory(args *rpc.GetClusterHistoryArgs, reply *rpc.GetClusterHistoryReply) (err error) {
-	defer s.m.trackOpUntraced("getClusterHistory", args.ReqID)(&err)
-	reply.Samples = s.m.clusterHistory(args.Last)
-	return nil
-}
-
-// Explain returns the retained placement decisions for a file's
-// blocks: for every replica, the winning (worker, tier) with its
-// four-objective score vector and the runner-up candidates.
-func (s *Service) Explain(args *rpc.ExplainArgs, reply *rpc.ExplainReply) (err error) {
-	defer s.m.trackOp("explain", args.ReqHeader)(&err)
-	blocks, _, _, _, err := s.m.ns.FileBlocks(args.Path)
+// explain returns the explanation document of path: the retained
+// placement decisions for its blocks, for every replica the winning
+// (worker, tier) with its four-objective score vector and the
+// runner-up candidates.
+func (m *Master) explain(path string) (rpc.ExplainReply, error) {
+	blocks, _, _, _, err := m.ns.FileBlocks(path)
 	if err != nil {
-		return wire(err)
+		return rpc.ExplainReply{}, err
 	}
-	reply.Path = args.Path
-	reply.Objectives = policy.ObjectiveNames()
+	doc := rpc.ExplainReply{Path: path, Objectives: policy.ObjectiveNames()}
 	for _, b := range blocks {
-		if be, ok := s.m.placementFor(b.ID); ok {
-			reply.Blocks = append(reply.Blocks, be)
+		if be, ok := m.placementFor(b.ID); ok {
+			doc.Blocks = append(doc.Blocks, be)
 		}
 	}
-	return nil
+	return doc, nil
 }
 
 // Decommission removes a worker from service.

@@ -42,14 +42,6 @@ func (s *Service) register(srv *rpc.Server) {
 	rpc.Handle(srv, "Master.Report", s.Report)
 	rpc.Handle(srv, "Master.Register", s.Register)
 	rpc.Handle(srv, "Master.Heartbeat", s.Heartbeat)
-	rpc.Handle(srv, "Master.GetEvents", s.GetEvents)
-	rpc.Handle(srv, "Master.GetAudit", s.GetAudit)
-	rpc.Handle(srv, "Master.GetTransfers", s.GetTransfers)
-	rpc.Handle(srv, "Master.GetTrace", s.GetTrace)
-	rpc.Handle(srv, "Master.GetClusterHistory", s.GetClusterHistory)
-	rpc.Handle(srv, "Master.Explain", s.Explain)
-	rpc.Handle(srv, "Master.GetHeat", s.GetHeat)
-	rpc.Handle(srv, "Master.GetMover", s.GetMover)
 	rpc.Handle(srv, "Master.GetWorkerReports", s.GetWorkerReports)
 	rpc.Handle(srv, "Master.GetStorageTierReports", s.GetStorageTierReports)
 	rpc.Handle(srv, "Master.SetQuota", s.SetQuota)

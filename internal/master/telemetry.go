@@ -1,11 +1,7 @@
 package master
 
 import (
-	"fmt"
-
-	"repro/internal/core"
 	"repro/internal/rpc"
-	"repro/internal/trace"
 	"repro/internal/xfer"
 )
 
@@ -34,26 +30,6 @@ func (m *Master) foldTelemetry(t rpc.Telemetry) {
 func (s *Service) Report(args *rpc.ReportArgs, _ *rpc.ReportReply) (err error) {
 	defer s.m.trackOpUntraced("report", args.ReqID)(&err)
 	s.m.foldTelemetry(args.Telemetry)
-	return nil
-}
-
-// GetTransfers serves one page of the master's transfer log, which
-// holds the records of every client and worker. Untraced: pollers
-// would churn the trace store.
-func (s *Service) GetTransfers(args *rpc.LogArgs, reply *rpc.LogReply[xfer.Record]) (err error) {
-	defer s.m.trackOpUntraced("getTransfers", args.ReqID)(&err)
-	*reply = rpc.ReadLog(s.m.xfers, args)
-	return nil
-}
-
-// GetTrace serves the cross-daemon timeline of one trace: its retained
-// spans, sorted, with a span pushed twice listed once.
-func (s *Service) GetTrace(args *rpc.GetTraceArgs, reply *rpc.GetTraceReply) (err error) {
-	defer s.m.trackOpUntraced("getTrace", args.ReqID)(&err)
-	reply.Spans = trace.Merge(s.m.traces.Get(args.TraceID))
-	if len(reply.Spans) == 0 {
-		return wire(fmt.Errorf("master: no spans retained for trace %s: %w", args.TraceID, core.ErrNotFound))
-	}
 	return nil
 }
 

@@ -14,20 +14,15 @@
 // tell "no news" from "news lost". Per-key lifetime counts (event
 // type, op) survive eviction.
 //
-// A log has one of two producers, chosen at construction. With no
-// backlog, Append is synchronous: it takes the lock and returns the
-// record's sequence number (the journal). With a backlog, Append
-// never takes the lock and never blocks: the record goes onto a
-// buffered channel that readers drain into the ring, and when the
-// channel is full the record is dropped and counted (Dropped) — the
-// audit log and the flight recorder sit on hot paths and must never
-// become the contention they exist to measure.
+// Append writes the ring under the log's lock and returns the record's
+// sequence number: a full ring evicts its oldest record, so a log
+// nobody reads still holds the newest capacity records, and no record
+// is shed for want of a reader.
 package ringlog
 
 import (
 	"maps"
 	"sync"
-	"sync/atomic"
 	"time"
 )
 
@@ -36,12 +31,6 @@ import (
 // covers the recent past in about a MB.
 const DefaultCapacity = 4096
 
-// Backlog is the producer channel depth of the non-blocking logs: how
-// many records may sit between their producers and the ring before
-// Append starts dropping. Sized above any plausible handler
-// concurrency, so drops mean readers genuinely cannot keep up.
-const Backlog = 1024
-
 // Fields tells a Log where record type T keeps the three things the
 // log itself reads or writes: the sequence number, the Unix-nanosecond
 // timestamp, and the key Since filters on and Counts tallies by. It is
@@ -49,18 +38,10 @@ const Backlog = 1024
 // must do nothing else.
 type Fields[T any] func(r *T) (seq *uint64, at *int64, key string)
 
-// queued is a record waiting in the backlog with its Append time.
-type queued[T any] struct {
-	rec T
-	at  int64
-}
-
 // Log is the bounded record stream. A nil *Log is valid: it discards
 // appends and reads as empty, so callers never nil-check.
 type Log[T any] struct {
-	fields  Fields[T]
-	ch      chan queued[T] // nil: Append is synchronous
-	dropped atomic.Uint64
+	fields Fields[T]
 
 	mu      sync.Mutex
 	buf     []T    // ring storage, len == capacity
@@ -71,46 +52,25 @@ type Log[T any] struct {
 }
 
 // New builds a log retaining up to capacity records (<= 0 selects
-// DefaultCapacity). backlog > 0 makes Append non-blocking with that
-// channel depth; 0 makes it synchronous.
-func New[T any](capacity, backlog int, fields Fields[T]) *Log[T] {
+// DefaultCapacity).
+func New[T any](capacity int, fields Fields[T]) *Log[T] {
 	if capacity <= 0 {
 		capacity = DefaultCapacity
 	}
-	l := &Log[T]{fields: fields, buf: make([]T, capacity), counts: make(map[string]uint64)}
-	if backlog > 0 {
-		l.ch = make(chan queued[T], backlog)
-	}
-	return l
+	return &Log[T]{fields: fields, buf: make([]T, capacity), counts: make(map[string]uint64)}
 }
 
-// Append records r, stamping the current time unless the producer
-// already set one. On a synchronous log it returns the record's
-// sequence number. On a non-blocking log it queues the record, or
-// drops and counts it when the backlog is full, and returns 0: the
-// sequence number is assigned when a reader drains the backlog, in
-// queue order. Nil logs discard.
+// Append records r, overwriting the oldest record when the ring is
+// full, stamps the current time unless the producer already set one,
+// and returns the record's sequence number. Nil logs discard and
+// return 0.
 func (l *Log[T]) Append(r T) uint64 {
 	if l == nil {
 		return 0
 	}
-	q := queued[T]{rec: r, at: time.Now().UnixNano()}
-	if l.ch == nil {
-		l.mu.Lock()
-		defer l.mu.Unlock()
-		return l.push(q)
-	}
-	select {
-	case l.ch <- q:
-	default:
-		l.dropped.Add(1)
-	}
-	return 0
-}
-
-// push stores q in the ring, overwriting the oldest record when full,
-// and returns its sequence number. Callers hold l.mu.
-func (l *Log[T]) push(q queued[T]) uint64 {
+	now := time.Now().UnixNano()
+	l.mu.Lock()
+	defer l.mu.Unlock()
 	slot := &l.buf[(l.start+l.n)%len(l.buf)]
 	if l.n == len(l.buf) {
 		l.start = (l.start + 1) % len(l.buf)
@@ -118,27 +78,14 @@ func (l *Log[T]) push(q queued[T]) uint64 {
 	} else {
 		l.n++
 	}
-	*slot = q.rec
+	*slot = r
 	seq, at, key := l.fields(slot)
 	*seq = l.evicted + uint64(l.n)
 	if *at == 0 {
-		*at = q.at
+		*at = now
 	}
 	l.counts[key]++
 	return *seq
-}
-
-// drain moves the backlog into the ring (a synchronous log's nil
-// channel is never ready). Callers hold l.mu.
-func (l *Log[T]) drain() {
-	for {
-		select {
-		case q := <-l.ch:
-			l.push(q)
-		default:
-			return
-		}
-	}
 }
 
 // Page is one Since result: records plus the cursor state a poller
@@ -161,9 +108,8 @@ type Page[T any] struct {
 	// Evicted is the lifetime total of records the ring overwrote.
 	Evicted uint64 `json:"evicted"`
 
-	// Dropped is the lifetime total of records a non-blocking Append
-	// shed because the backlog was full (always 0 on a synchronous
-	// log) — load shedding, distinct from ring eviction.
+	// Dropped is always 0: Append never sheds a record. The field
+	// keeps the endpoints' key set.
 	Dropped uint64 `json:"dropped"`
 }
 
@@ -177,8 +123,7 @@ func (l *Log[T]) Since(since uint64, key string, limit int) Page[T] {
 	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	l.drain()
-	page.Evicted, page.Dropped = l.evicted, l.dropped.Load()
+	page.Evicted = l.evicted
 	var first uint64 // ring offset of the record with Seq == since+1
 	if l.evicted > since {
 		page.Missed = l.evicted - since
@@ -207,17 +152,12 @@ func (l *Log[T]) Counts() map[string]uint64 {
 	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	l.drain()
 	return maps.Clone(l.counts)
 }
 
-// Dropped returns how many records a non-blocking Append has shed.
-func (l *Log[T]) Dropped() uint64 {
-	if l == nil {
-		return 0
-	}
-	return l.dropped.Load()
-}
+// Dropped returns how many records Append has shed: always 0, kept
+// for the callers that report it.
+func (l *Log[T]) Dropped() uint64 { return 0 }
 
 // Len returns the number of retained records.
 func (l *Log[T]) Len() int {
@@ -226,7 +166,6 @@ func (l *Log[T]) Len() int {
 	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	l.drain()
 	return l.n
 }
 

@@ -17,15 +17,14 @@ import (
 type kind[T any] struct {
 	name string
 	new  func(capacity int) *ringlog.Log[T]
-	sync bool // Append is synchronous (no backlog, never drops)
 	rec  func(key string, n int, at int64) T
 	read func(T) (seq uint64, at int64, key string, n int)
 }
 
 var (
 	eventKind = kind[events.Event]{
-		name: "events", sync: true,
-		new: func(c int) *ringlog.Log[events.Event] { return events.NewJournal(c).Log() },
+		name: "events",
+		new:  func(c int) *ringlog.Log[events.Event] { return events.NewJournal(c).Log() },
 		rec: func(key string, n int, at int64) events.Event {
 			return events.Event{Type: key, Message: strconv.Itoa(n), Time: at}
 		},
@@ -204,9 +203,6 @@ func runSuite[T any](t *testing.T, k kind[T]) {
 			l := k.new(capacity)
 			for i := 0; i < published; i++ {
 				l.Append(k.rec("k"+strconv.Itoa(i%3), i, 0))
-				if i%512 == 0 {
-					l.Len() // a reader keeps a non-blocking log's backlog drained
-				}
 			}
 			if l.Len() != capacity || l.Cap() != capacity {
 				t.Fatalf("Len=%d Cap=%d, want exactly the capacity %d", l.Len(), l.Cap(), capacity)
@@ -274,8 +270,8 @@ func runSuite[T any](t *testing.T, k kind[T]) {
 			}
 			wg.Wait()
 			page := l.Since(0, "", 0)
-			if got := l.Dropped() + l.Counts()["a"]; got != producers*per {
-				t.Fatalf("dropped + counted = %d, want %d", got, producers*per)
+			if got := l.Counts()["a"]; got != producers*per {
+				t.Fatalf("counted = %d, want %d", got, producers*per)
 			}
 			if page.Next != l.Counts()["a"] || l.Len() != capacity {
 				t.Fatalf("last seq %d, counted %d, Len %d", page.Next, l.Counts()["a"], l.Len())
@@ -286,37 +282,58 @@ func runSuite[T any](t *testing.T, k kind[T]) {
 				}
 			}
 		}},
-		{"a full backlog drops and counts; seqs follow queue order", func(t *testing.T) {
-			l := k.new(16)
-			// No reader runs, so nothing drains while these are appended.
-			const total = ringlog.Backlog + 100
+		{"an unread log keeps its newest records", func(t *testing.T) {
+			const capacity, total = 16, 100_000
+			l := k.new(capacity)
+			// No reader runs while these are appended.
 			for i := 0; i < total; i++ {
-				seq := l.Append(k.rec("a", i, 0))
-				if k.sync && seq != uint64(i+1) {
-					t.Fatalf("synchronous Append %d returned seq %d", i, seq)
-				}
-				if !k.sync && seq != 0 {
-					t.Fatalf("non-blocking Append returned seq %d", seq)
+				if seq := l.Append(k.rec("a", i, 0)); seq != uint64(i+1) {
+					t.Fatalf("Append %d returned seq %d", i, seq)
 				}
 			}
-			kept, dropped := uint64(total), uint64(0)
-			if !k.sync {
-				kept, dropped = ringlog.Backlog, 100
-			}
-			if l.Dropped() != dropped {
-				t.Fatalf("dropped = %d, want %d", l.Dropped(), dropped)
-			}
-			// What was queued survives and drains first in, first out.
 			page := l.Since(0, "", 0)
-			if page.Dropped != dropped || page.Next != kept {
-				t.Fatalf("page dropped=%d next=%d, want %d and %d", page.Dropped, page.Next, dropped, kept)
+			if page.Dropped != 0 || page.Next != total || page.Evicted != total-capacity || len(page.Entries) != capacity {
+				t.Fatalf("page dropped=%d next=%d evicted=%d entries=%d, want 0, %d, %d, %d",
+					page.Dropped, page.Next, page.Evicted, len(page.Entries), total, total-capacity, capacity)
 			}
-			if seq, _, _, n := k.read(page.Entries[len(page.Entries)-1]); seq != kept || n != int(kept)-1 {
-				t.Fatalf("last retained = seq %d n %d, want seq %d n %d", seq, n, kept, kept-1)
+			for i, e := range page.Entries {
+				if seq, _, _, n := k.read(e); seq != uint64(total-capacity+i+1) || n != total-capacity+i {
+					t.Fatalf("entry %d = seq %d n %d, want the newest %d records, contiguous", i, seq, n, capacity)
+				}
 			}
 		}},
 	}
 	for _, row := range rows {
 		t.Run(k.name+"/"+row.name, row.run)
+	}
+}
+
+// BenchmarkAppend measures Append with 1, 2 and 8 producers on one log,
+// with no reader. dropped/op reports the share of records shed.
+func BenchmarkAppend(b *testing.B) {
+	benchAppend(b, eventKind)
+	benchAppend(b, auditKind)
+}
+
+func benchAppend[T any](b *testing.B, k kind[T]) {
+	for _, producers := range []int{1, 2, 8} {
+		b.Run(k.name+"/producers="+strconv.Itoa(producers), func(b *testing.B) {
+			l := k.new(0)
+			rec := k.rec("a", 1, 0)
+			per := (b.N + producers - 1) / producers
+			var wg sync.WaitGroup
+			b.ResetTimer()
+			for g := 0; g < producers; g++ {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					for i := 0; i < per; i++ {
+						l.Append(rec)
+					}
+				}()
+			}
+			wg.Wait()
+			b.ReportMetric(float64(l.Dropped())/float64(producers*per), "dropped/op")
+		})
 	}
 }

@@ -226,6 +226,18 @@ func str[T ~string](c *coder, v *T) {
 	}
 }
 
+// blob carries a byte string, such as an image. A decoded length is
+// bounded by the frame, and the bytes are copied out of it; an empty
+// string decodes as nil, so a body has one encoding.
+func blob(c *coder, v *[]byte) {
+	n := c.length(len(*v))
+	if !c.dec {
+		c.buf = append(c.buf, *v...)
+	} else if b := c.take(n); len(b) > 0 {
+		*v = slices.Clone(b)
+	}
+}
+
 // smallList is the longest list decoded without first checking that
 // the rest of the frame can hold it: a forged count can size at most
 // this many elements before the body runs out.

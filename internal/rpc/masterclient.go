@@ -60,10 +60,15 @@ func (c *MasterClient) Call(method string, args, reply any) error {
 	if !ok {
 		return fmt.Errorf("rpc: unknown method %s", method)
 	}
+	a, aok := args.(message)
+	r, rok := reply.(message)
+	if !aok || !rok {
+		return fmt.Errorf("rpc: %s takes %T and %T, not %T and %T", method, methods[id].args(), methods[id].reply(), args, reply)
+	}
 	req := getScratch()
 	defer putScratch(req)
 	var err error
-	if *req, err = appendRequest((*req)[:0], id, args); err != nil {
+	if *req, err = appendRequest((*req)[:0], id, a); err != nil {
 		return err
 	}
 	dc := c.pool.take(c.addr)
@@ -74,7 +79,7 @@ func (c *MasterClient) Call(method string, args, reply any) error {
 			}
 		}
 		var remote error
-		if remote, err = c.roundTrip(dc, id, *req, reply); err == nil {
+		if remote, err = c.roundTrip(dc, id, *req, r); err == nil {
 			c.pool.put(dc)
 			return remote
 		}
@@ -89,7 +94,7 @@ func (c *MasterClient) Call(method string, args, reply any) error {
 // roundTrip sends one request on dc and reads its reply. err is a
 // transport failure, after which dc is unusable; remote is the master's
 // error or a reply that would not decode.
-func (c *MasterClient) roundTrip(dc *deadlineConn, id byte, req []byte, reply any) (remote, err error) {
+func (c *MasterClient) roundTrip(dc *deadlineConn, id byte, req []byte, reply message) (remote, err error) {
 	if _, err := dc.Write(req); err != nil {
 		return nil, fmt.Errorf("rpc: calling master %s: %w", c.addr, err)
 	}

@@ -5,7 +5,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/heat"
-	"repro/internal/ringlog"
 	"repro/internal/trace"
 	"repro/internal/xfer"
 )
@@ -15,9 +14,10 @@ import (
 // worker protocol (registration and heartbeats, paper §2.1–§2.2).
 // Every argument struct embeds ReqHeader so the caller's request ID
 // travels with the operation for cross-node log correlation and
-// slow-op tracing. The messages of the hot methods have a wire method
-// and travel as binary frame bodies; the rest travel as gob
-// (methods.go).
+// slow-op tracing. Every message has a wire method and travels as a
+// binary frame body (methods.go). The JSON documents the master serves
+// on its HTTP endpoints (HeatReport, MoverStatus, ClusterSample,
+// ExplainReply) are defined here too.
 
 // Empty is the reply of a method that returns nothing but its error.
 type Empty struct{}
@@ -287,11 +287,31 @@ type SetReplicationArgs struct {
 }
 type SetReplicationReply = Empty
 
+func (a *SetReplicationArgs) wire(c *coder) {
+	header(c, &a.ReqHeader)
+	str(c, &a.Path)
+	num(c, &a.RepVector)
+}
+
 // TierReportsArgs / -Reply implement Master.GetStorageTierReports
 // (paper Table 1).
 type TierReportsArgs struct{ ReqHeader }
 type TierReportsReply struct {
 	Reports []core.StorageTierReport
+}
+
+func (a *TierReportsArgs) wire(c *coder) { header(c, &a.ReqHeader) }
+
+func (r *TierReportsReply) wire(c *coder) { list(c, &r.Reports, tierReport) }
+
+func tierReport(c *coder, r *core.StorageTierReport) {
+	small(c, &r.Tier)
+	num(c, &r.NumMedia)
+	num(c, &r.NumWorkers)
+	num(c, &r.Capacity)
+	num(c, &r.Remaining)
+	float(c, &r.WriteThruMBps)
+	float(c, &r.ReadThruMBps)
 }
 
 // SetQuotaArgs / SetQuotaReply implement Master.SetQuota: per-tier
@@ -304,6 +324,13 @@ type SetQuotaArgs struct {
 	Bytes int64            // -1 clears the quota
 }
 type SetQuotaReply = Empty
+
+func (a *SetQuotaArgs) wire(c *coder) {
+	header(c, &a.ReqHeader)
+	str(c, &a.Path)
+	small(c, &a.Tier)
+	num(c, &a.Bytes)
+}
 
 // MediaStat is a worker's per-media statistics report, delivered at
 // registration and in every heartbeat (paper §3.2).
@@ -468,6 +495,22 @@ type ContentSummaryReply struct {
 	Summary ContentSummary
 }
 
+func (a *ContentSummaryArgs) wire(c *coder) {
+	header(c, &a.ReqHeader)
+	str(c, &a.Path)
+}
+
+func (r *ContentSummaryReply) wire(c *coder) {
+	s := &r.Summary
+	str(c, &s.Path)
+	num(c, &s.Files)
+	num(c, &s.Directories)
+	num(c, &s.Bytes)
+	for i := range s.TierBytes {
+		num(c, &s.TierBytes[i])
+	}
+}
+
 // FsckArgs / FsckReply implement Master.Fsck: per-file replication
 // health over a subtree.
 type FsckArgs struct {
@@ -491,6 +534,24 @@ type FsckReply struct {
 	Files []FsckFile
 }
 
+func (a *FsckArgs) wire(c *coder) {
+	header(c, &a.ReqHeader)
+	str(c, &a.Path)
+}
+
+func (r *FsckReply) wire(c *coder) { list(c, &r.Files, fsckFile) }
+
+func fsckFile(c *coder, f *FsckFile) {
+	str(c, &f.Path)
+	num(c, &f.Expected)
+	num(c, &f.Blocks)
+	num(c, &f.HealthyBlocks)
+	num(c, &f.MissingReplicas)
+	num(c, &f.ExcessReplicas)
+	num(c, &f.MissingBlocks)
+	flag(c, &f.UnderConstruction)
+}
+
 // WorkerReportsArgs / -Reply implement Master.GetWorkerReports, the
 // dfsadmin-report equivalent: per-worker, per-media statistics.
 type WorkerReportsArgs struct{ ReqHeader }
@@ -509,9 +570,26 @@ type WorkerReport struct {
 type WorkerReportsReply struct {
 	Workers []WorkerReport
 	// MasterHTTP is the master's own debug HTTP endpoint ("" if
-	// disabled), so admin tools can fan out health checks without extra
-	// configuration.
+	// disabled), so admin tools can fan out health checks and read the
+	// master's observability endpoints without extra configuration.
 	MasterHTTP string
+}
+
+func (a *WorkerReportsArgs) wire(c *coder) { header(c, &a.ReqHeader) }
+
+func (r *WorkerReportsReply) wire(c *coder) {
+	list(c, &r.Workers, workerReport)
+	str(c, &r.MasterHTTP)
+}
+
+func workerReport(c *coder, w *WorkerReport) {
+	str(c, &w.ID)
+	str(c, &w.Node)
+	str(c, &w.Rack)
+	str(c, &w.DataAddr)
+	str(c, &w.HTTPAddr)
+	float(c, &w.NetMBps)
+	list(c, &w.Media, mediaStat)
 }
 
 // Telemetry is what a daemon recorded locally and pushes to the
@@ -630,6 +708,13 @@ type ReportBadBlockArgs struct {
 }
 type ReportBadBlockReply = Empty
 
+func (a *ReportBadBlockArgs) wire(c *coder) {
+	header(c, &a.ReqHeader)
+	block(c, &a.Block)
+	str(c, &a.Storage)
+	str(c, &a.Worker)
+}
+
 // ImageArgs / ImageReply implement Master.GetImage, the Backup
 // Master's pull of a serialised namespace checkpoint (paper §2.1).
 type ImageArgs struct{ ReqHeader }
@@ -637,40 +722,9 @@ type ImageReply struct {
 	Image []byte
 }
 
-// GetTraceArgs / GetTraceReply implement Master.GetTrace: the full
-// timeline of one trace from the master's store, which holds its own
-// spans and every span clients and workers pushed.
-type GetTraceArgs struct {
-	ReqHeader
-	TraceID string
-}
-type GetTraceReply struct {
-	Spans []trace.Span
-}
+func (a *ImageArgs) wire(c *coder) { header(c, &a.ReqHeader) }
 
-// LogArgs is one cursor read of a daemon's ringlog. Master.GetEvents,
-// Master.GetAudit and Master.GetTransfers take it over RPC (the
-// /debug/events, /debug/audit and /debug/transfers endpoints serve the
-// same pages over HTTP). Since is an exclusive sequence cursor;
-// polling with Since = Page.Next is exactly-once over retained records.
-type LogArgs struct {
-	ReqHeader
-	Since uint64
-	Key   string // "" = all; the event type for GetEvents, the op for the rest
-	Limit int    // <= 0 = no cap
-}
-
-// LogReply answers a LogArgs: one page plus the log's per-key
-// lifetime counts.
-type LogReply[T any] struct {
-	Page   ringlog.Page[T]
-	Counts map[string]uint64
-}
-
-// ReadLog answers args from l.
-func ReadLog[T any](l *ringlog.Log[T], args *LogArgs) LogReply[T] {
-	return LogReply[T]{Page: l.Since(args.Since, args.Key, args.Limit), Counts: l.Counts()}
-}
+func (r *ImageReply) wire(c *coder) { blob(c, &r.Image) }
 
 // WorkerSample is one worker's point-in-time telemetry inside a
 // ClusterSample: capacity, usage, and throughput aggregated over the
@@ -694,18 +748,6 @@ type ClusterSample struct {
 	Files   int
 	Blocks  int
 	Heat    HeatAggregate
-}
-
-// GetClusterHistoryArgs / -Reply implement Master.GetClusterHistory:
-// the sampled telemetry ring, oldest first, always ending with a fresh
-// live sample so "octopus-cli top" is current even between ticks.
-type GetClusterHistoryArgs struct {
-	ReqHeader
-	// Last caps how many trailing samples to return (<= 0 = all).
-	Last int
-}
-type GetClusterHistoryReply struct {
-	Samples []ClusterSample
 }
 
 // CandidateScore mirrors policy.CandidateScore on the wire: one
@@ -746,12 +788,8 @@ type BlockExplanation struct {
 	Replicas []ReplicaExplanation
 }
 
-// ExplainArgs / ExplainReply implement Master.Explain: retrieve the
-// retained placement decisions for a file's blocks.
-type ExplainArgs struct {
-	ReqHeader
-	Path string
-}
+// ExplainReply is the placement explanation document of one file,
+// served at /debug/explain: the retained decisions for its blocks.
 type ExplainReply struct {
 	Path       string
 	Objectives [4]string // objective display names, vector order
@@ -768,6 +806,11 @@ type DecommissionArgs struct {
 	ID core.WorkerID
 }
 type DecommissionReply = Empty
+
+func (a *DecommissionArgs) wire(c *coder) {
+	header(c, &a.ReqHeader)
+	str(c, &a.ID)
+}
 
 // HeatScore mirrors heat.Score on the wire: decayed operations and
 // bytes for one access direction.
@@ -833,18 +876,6 @@ type HeatAggregate struct {
 	TierHeat      [core.NumTiers]float64
 	MisplacedHot  int
 	MisplacedCold int
-}
-
-// GetHeatArgs / -Reply implement Master.GetHeat: the cluster heat map
-// and tier-fitness report.
-type GetHeatArgs struct {
-	ReqHeader
-	Top       int    // cap files/blocks/misplaced lists (<= 0 = default)
-	File      string // restrict block list to this file's blocks
-	Misplaced bool   // only compute/return the misplacement report
-}
-type GetHeatReply struct {
-	Report HeatReport
 }
 
 // HeatReport is the full heat observability document, also served at
@@ -917,12 +948,4 @@ type MoverStatus struct {
 	InFlight      []MoveRecord
 	Recent        []MoveRecord // newest first, bounded ring
 	Counters      MoverCounters
-}
-
-// GetMoverArgs / -Reply implement Master.GetMover.
-type GetMoverArgs struct {
-	ReqHeader
-}
-type GetMoverReply struct {
-	Status MoverStatus
 }

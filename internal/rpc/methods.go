@@ -1,14 +1,8 @@
 package rpc
 
 import (
-	"bytes"
-	"encoding/gob"
 	"fmt"
 	"strconv"
-
-	"repro/internal/audit"
-	"repro/internal/events"
-	"repro/internal/xfer"
 )
 
 // The master protocol. A method's frame type is its index in methods:
@@ -17,12 +11,11 @@ import (
 // method name here and the server dispatches on the index, so the two
 // cannot disagree on a number.
 //
-// A message with a wire method travels as a binary body: those are the
-// hot methods, which the namespace workload and every heartbeat pay
-// for. Every other message travels as one self-contained gob value —
-// the admin and observability methods, where a reflective codec costs
-// nothing anyone waits on and spares a hand-written layout for each of
-// their nested report types.
+// Every message is binary: def admits only types whose pointers have a
+// wire method, so a method without a binary layout does not compile.
+// The master's observability documents (events, audit, transfers,
+// traces, history, heat, mover, explain) are not methods: they are read
+// from its HTTP endpoints.
 var methods = [...]method{
 	1:  def[GetFileInfoArgs, GetFileInfoReply]("Master.GetFileInfo"),
 	2:  def[ListArgs, ListReply]("Master.List"),
@@ -39,33 +32,32 @@ var methods = [...]method{
 	13: def[ReportArgs, ReportReply]("Master.Report"),
 	14: def[RegisterArgs, RegisterReply]("Master.Register"),
 	15: def[HeartbeatArgs, HeartbeatReply]("Master.Heartbeat"),
-	16: def[LogArgs, LogReply[events.Event]]("Master.GetEvents"),
-	17: def[LogArgs, LogReply[audit.Entry]]("Master.GetAudit"),
-	18: def[LogArgs, LogReply[xfer.Record]]("Master.GetTransfers"),
-	19: def[GetTraceArgs, GetTraceReply]("Master.GetTrace"),
-	20: def[GetClusterHistoryArgs, GetClusterHistoryReply]("Master.GetClusterHistory"),
-	21: def[ExplainArgs, ExplainReply]("Master.Explain"),
-	22: def[GetHeatArgs, GetHeatReply]("Master.GetHeat"),
-	23: def[GetMoverArgs, GetMoverReply]("Master.GetMover"),
-	24: def[WorkerReportsArgs, WorkerReportsReply]("Master.GetWorkerReports"),
-	25: def[TierReportsArgs, TierReportsReply]("Master.GetStorageTierReports"),
-	26: def[SetQuotaArgs, SetQuotaReply]("Master.SetQuota"),
-	27: def[SetReplicationArgs, SetReplicationReply]("Master.SetReplication"),
-	28: def[ContentSummaryArgs, ContentSummaryReply]("Master.GetContentSummary"),
-	29: def[FsckArgs, FsckReply]("Master.Fsck"),
-	30: def[ImageArgs, ImageReply]("Master.GetImage"),
-	31: def[ReportBadBlockArgs, ReportBadBlockReply]("Master.ReportBadBlock"),
-	32: def[DecommissionArgs, DecommissionReply]("Master.Decommission"),
+	16: def[WorkerReportsArgs, WorkerReportsReply]("Master.GetWorkerReports"),
+	17: def[TierReportsArgs, TierReportsReply]("Master.GetStorageTierReports"),
+	18: def[SetQuotaArgs, SetQuotaReply]("Master.SetQuota"),
+	19: def[SetReplicationArgs, SetReplicationReply]("Master.SetReplication"),
+	20: def[ContentSummaryArgs, ContentSummaryReply]("Master.GetContentSummary"),
+	21: def[FsckArgs, FsckReply]("Master.Fsck"),
+	22: def[ImageArgs, ImageReply]("Master.GetImage"),
+	23: def[ReportBadBlockArgs, ReportBadBlockReply]("Master.ReportBadBlock"),
+	24: def[DecommissionArgs, DecommissionReply]("Master.Decommission"),
 }
 
 // method names one master method and makes its two messages.
 type method struct {
 	name        string
-	args, reply func() any
+	args, reply func() message
 }
 
-func def[A, R any](name string) method {
-	return method{name, func() any { return new(A) }, func() any { return new(R) }}
+// def defines a method whose argument and reply messages are A and R.
+func def[A, R any, PA interface {
+	*A
+	message
+}, PR interface {
+	*R
+	message
+}](name string) method {
+	return method{name, func() message { return PA(new(A)) }, func() message { return PR(new(R)) }}
 }
 
 // methodIDs resolves a method name to its frame type.
@@ -93,60 +85,25 @@ func methodName(id byte) string {
 // a length no real message reaches before anything is allocated.
 const maxMasterFrame = 128 << 20
 
-// appendBody appends v's body: its binary layout, or one gob value.
-func appendBody(buf []byte, v any) ([]byte, error) {
-	if m, ok := v.(message); ok {
-		return encode(buf, m), nil
-	}
-	w := bytes.NewBuffer(buf)
-	if err := gob.NewEncoder(w).Encode(v); err != nil {
-		return buf, fmt.Errorf("rpc: encoding %T: %w", v, err)
-	}
-	return w.Bytes(), nil
-}
-
-// decodeBody fills v from a body appendBody wrote, which it must consume
-// exactly.
-func decodeBody(body []byte, v any) error {
-	if m, ok := v.(message); ok {
-		return decode(body, m)
-	}
-	r := bytes.NewReader(body)
-	if err := gob.NewDecoder(r).Decode(v); err != nil {
-		return fmt.Errorf("rpc: decoding %T: %w", v, err)
-	}
-	if r.Len() != 0 {
-		return fmt.Errorf("rpc: %d trailing bytes in frame for %T", r.Len(), v)
-	}
-	return nil
-}
-
 // appendRequest appends the request frame of method id carrying args.
-func appendRequest(buf []byte, id byte, args any) ([]byte, error) {
+func appendRequest(buf []byte, id byte, args message) ([]byte, error) {
 	start := len(buf)
-	buf, err := appendBody(beginFrame(buf, id), args)
-	if err == nil {
-		err = sealFrame(buf, start, maxMasterFrame)
-	}
-	return buf, err
+	buf = encode(beginFrame(buf, id), args)
+	return buf, sealFrame(buf, start, maxMasterFrame)
 }
 
 // appendReply appends the reply frame of method id: errMsg, then, when
-// errMsg is empty, the reply. A reply that cannot be encoded or framed
-// is replaced by an error saying so.
-func appendReply(buf []byte, id byte, errMsg string, reply any) []byte {
+// errMsg is empty, the reply. A reply too long to frame is replaced by
+// an error saying so.
+func appendReply(buf []byte, id byte, errMsg string, reply message) []byte {
 	start := len(buf)
 	c := coder{buf: beginFrame(buf, id)}
 	str(&c, &errMsg)
-	buf = c.buf
-	var err error
 	if errMsg == "" {
-		buf, err = appendBody(buf, reply)
+		reply.wire(&c)
 	}
-	if err == nil {
-		err = sealFrame(buf, start, maxMasterFrame)
-	}
-	if err != nil {
+	buf = c.buf
+	if err := sealFrame(buf, start, maxMasterFrame); err != nil {
 		return appendReply(buf[:start], id, fmt.Sprintf("rpc: %s reply: %v", methodName(id), err), nil)
 	}
 	return buf
@@ -154,7 +111,7 @@ func appendReply(buf []byte, id byte, errMsg string, reply any) []byte {
 
 // decodeReply reads a reply body into reply and returns the master's
 // error, or the reason the body would not decode.
-func decodeReply(body []byte, reply any) error {
+func decodeReply(body []byte, reply message) error {
 	c := coder{buf: body, dec: true}
 	var errMsg string
 	str(&c, &errMsg)
@@ -164,5 +121,5 @@ func decodeReply(body []byte, reply any) error {
 	case errMsg != "":
 		return DecodeError(errMsg)
 	}
-	return decodeBody(c.buf, reply)
+	return decode(c.buf, reply)
 }

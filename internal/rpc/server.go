@@ -44,19 +44,25 @@ func NewServer(inflight *metrics.Gauge) *Server {
 // types must be the ones the method table lists for it. A request's
 // ReqHeader is stamped with its arrival time (ReqHeader.Arrival) before
 // fn runs; fn's error travels to the caller as its message.
-func Handle[A, R any](s *Server, name string, fn func(*A, *R) error) {
+func Handle[A, R any, PA interface {
+	*A
+	message
+}, PR interface {
+	*R
+	message
+}](s *Server, name string, fn func(*A, *R) error) {
 	id, ok := methodIDs[name]
 	if !ok {
 		panic("rpc: no master method " + name)
 	}
-	_, argsOK := methods[id].args().(*A)
-	_, replyOK := methods[id].reply().(*R)
+	_, argsOK := methods[id].args().(PA)
+	_, replyOK := methods[id].reply().(PR)
 	if !argsOK || !replyOK {
 		panic(fmt.Sprintf("rpc: %s takes %T and %T", name, methods[id].args(), methods[id].reply()))
 	}
 	s.handlers[id] = func(body []byte, arrival int64, out []byte) []byte {
 		args, reply := new(A), new(R)
-		if err := decodeBody(body, args); err != nil {
+		if err := decode(body, PA(args)); err != nil {
 			return appendReply(out, id, fmt.Sprintf("rpc: %s request: %v", name, err), nil)
 		}
 		if h, ok := any(args).(interface{ setArrival(int64) }); ok {
@@ -65,7 +71,7 @@ func Handle[A, R any](s *Server, name string, fn func(*A, *R) error) {
 		if err := fn(args, reply); err != nil {
 			return appendReply(out, id, err.Error(), nil)
 		}
-		return appendReply(out, id, "", reply)
+		return appendReply(out, id, "", PR(reply))
 	}
 }
 

@@ -9,12 +9,9 @@
 // for the data path, per transfer, so a slow read can be attributed
 // to the media, the link, or the framing without guesswork.
 //
-// The log is a non-blocking ringlog.Log keyed by op, exactly like the
-// audit log: retained records live in a bounded ring, and when the
-// producer backlog is full a record is dropped and counted rather than
-// slowing a transfer down. The recorder must never become the
-// data-path overhead it exists to measure. This package adds the
-// Record type.
+// The log is a ringlog.Log keyed by op, exactly like the audit log: a
+// bounded ring that keeps the newest records whether or not anyone
+// reads it. This package adds the Record type.
 package xfer
 
 import "repro/internal/ringlog"
@@ -116,10 +113,9 @@ type Page = ringlog.Page[Record]
 
 // New builds a log retaining up to capacity records (<= 0 selects
 // ringlog.DefaultCapacity). Append stamps Time with the completion
-// time unless the producer already set it; Seq is assigned when the
-// backlog is drained into the ring.
+// time unless the producer already set it, and assigns Seq.
 func New(capacity int) *Log {
-	return ringlog.New(capacity, ringlog.Backlog, func(r *Record) (*uint64, *int64, string) {
+	return ringlog.New(capacity, func(r *Record) (*uint64, *int64, string) {
 		return &r.Seq, &r.Time, r.Op
 	})
 }

@@ -8,11 +8,10 @@ import (
 	"testing"
 
 	"repro/internal/httpjson"
-	"repro/internal/ringlog"
 )
 
 // These tests drive the package's own surface end to end: New builds a
-// non-blocking log keyed by Op, Append stamps Time, the shared handler
+// log keyed by Op, Append stamps Time, the shared handler
 // serves it. The ring itself is specified by the suite in
 // internal/ringlog, which runs these cases against all three record
 // types.
@@ -102,28 +101,6 @@ func TestEvictionReportsMissed(t *testing.T) {
 	page = l.Since(page.Next, "", 0)
 	if page.Missed != 0 {
 		t.Fatalf("post-hole missed = %d, want 0", page.Missed)
-	}
-}
-
-func TestBacklogOverflowDropsAndCounts(t *testing.T) {
-	l := New(16)
-	// Never draining (no Since call), so everything past the channel
-	// backlog must be shed.
-	total := ringlog.Backlog + 100
-	appendN(l, total, "read")
-	if got := l.Dropped(); got != 100 {
-		t.Fatalf("dropped = %d, want 100", got)
-	}
-	// The backlog itself survives and drains in FIFO order.
-	page := l.Since(0, "", 0)
-	if page.Dropped != 100 {
-		t.Fatalf("page dropped = %d, want 100", page.Dropped)
-	}
-	if page.Next != uint64(ringlog.Backlog) {
-		t.Fatalf("next = %d, want %d", page.Next, ringlog.Backlog)
-	}
-	if last := page.Entries[len(page.Entries)-1]; last.Block != uint64(ringlog.Backlog-1) {
-		t.Fatalf("last retained block = %d", last.Block)
 	}
 }
 
