@@ -105,6 +105,31 @@ func TestEvictionReportsMissed(t *testing.T) {
 	}
 }
 
+func TestBacklogOverflowDropsAndCounts(t *testing.T) {
+	l := New(16)
+	// No reader runs, so the unread backlog overflows the ring: the
+	// oldest records are dropped, the drop is counted as Evicted and
+	// Missed, and the newest 16 survive. Append itself sheds nothing.
+	const total = 1124
+	appendN(l, total, "create")
+	if got := l.Dropped(); got != 0 {
+		t.Fatalf("dropped = %d, want 0", got)
+	}
+	page := l.Since(0, "", 0)
+	if page.Dropped != 0 || page.Evicted != total-16 || page.Missed != total-16 {
+		t.Fatalf("page dropped=%d evicted=%d missed=%d, want 0, %d, %d",
+			page.Dropped, page.Evicted, page.Missed, total-16, total-16)
+	}
+	if page.Next != total || len(page.Entries) != 16 {
+		t.Fatalf("next = %d entries = %d, want %d and 16", page.Next, len(page.Entries), total)
+	}
+	for i, e := range page.Entries {
+		if want := fmt.Sprintf("/f%d", total-16+i); e.Path != want || e.Seq != uint64(total-16+i+1) {
+			t.Fatalf("entry %d = seq %d path %q, want seq %d path %q", i, e.Seq, e.Path, total-16+i+1, want)
+		}
+	}
+}
+
 func TestCountsLifetime(t *testing.T) {
 	l := New(4)
 	appendN(l, 6, "create")
