@@ -132,28 +132,6 @@ func BenchmarkFig7Pegasus(b *testing.B) {
 	}
 }
 
-// BenchmarkMOOPPlacement measures one MOOP placement decision on the
-// paper's 45-media cluster — the O(s·r²) hot path of Algorithm 2.
-func BenchmarkMOOPPlacement(b *testing.B) {
-	c := sim.NewCluster(sim.PaperClusterConfig())
-	snap := c.Snapshot()
-	p := policy.NewMOOPPolicy(policy.DefaultMOOPConfig())
-	rng := rand.New(rand.NewSource(1))
-	req := policy.PlacementRequest{
-		Snapshot:  snap,
-		RepVector: core.ReplicationVectorFromFactor(3),
-		BlockSize: 128 << 20,
-		Rand:      rng,
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := p.PlaceReplicas(req); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // BenchmarkRetrievalOrdering measures one Eq. 12 replica ordering.
 func BenchmarkRetrievalOrdering(b *testing.B) {
 	c := sim.NewCluster(sim.PaperClusterConfig())

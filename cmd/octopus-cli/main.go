@@ -480,7 +480,11 @@ func run(fs *client.FileSystem, args []string) error {
 		fmt.Printf("%s: %d blocks with placement decisions\n", reply.Path, len(reply.Blocks))
 		for _, b := range reply.Blocks {
 			verb := "placed"
-			if b.Origin != "" {
+			switch b.Origin {
+			case "":
+			case rpc.OriginRepair:
+				verb = "repaired"
+			default:
 				// The tier mover rewrote this record: the block's last
 				// placement was a heat-driven promotion or demotion.
 				verb = fmt.Sprintf("moved (%s, heat %.2f)", b.Origin, b.Heat)

@@ -22,7 +22,6 @@ import (
 
 	"repro/internal/master"
 	"repro/internal/policy"
-	"repro/internal/rpc"
 )
 
 func main() {
@@ -36,7 +35,6 @@ func main() {
 		blockMB   = flag.Int64("block-mb", 128, "default block size in MB")
 		httpAddr  = flag.String("http", "", "HTTP status/metrics endpoint address (e.g. :9870; empty disables)")
 		slowOp    = flag.Duration("slowop", 100*time.Millisecond, "slow-op log threshold (0 logs every op, negative disables)")
-		traceRate = flag.Float64("trace-sample", 0.1, "fraction of fast traces retained (slow traces always kept)")
 		histEvery = flag.Duration("history-interval", 0, "telemetry history sampling interval (0 = default, negative disables)")
 		heatHalf  = flag.Duration("heat-half-life", 0, "access-heat decay half-life (0 = default 60s)")
 		moverIvl  = flag.Duration("mover-interval", 0, "tier mover pass interval (0 = default 2s, negative disables)")
@@ -47,12 +45,9 @@ func main() {
 		backup    = flag.Bool("backup", false, "run as a Backup Master")
 		primary   = flag.String("primary", "", "primary master address (backup mode)")
 		interval  = flag.Duration("checkpoint-interval", 30*time.Second, "backup checkpoint interval")
-		poolSize  = flag.Int("data-pool-size", rpc.DefaultDataPoolSize, "idle data connections kept per worker (0 disables pooling)")
-		poolIdle  = flag.Duration("data-pool-idle", rpc.DefaultDataPoolIdle, "max idle age of a pooled data connection")
 	)
 	flag.Parse()
 	logger := slog.New(slog.NewTextHandler(os.Stderr, nil))
-	rpc.SetDataPool(*poolSize, *poolIdle)
 
 	if *backup {
 		if *primary == "" {
@@ -94,7 +89,6 @@ func main() {
 		BlockSize:       *blockMB << 20,
 		Logger:          logger,
 		SlowOpThreshold: *slowOp,
-		TraceSample:     *traceRate,
 		HistoryInterval: *histEvery,
 		HeatHalfLife:    *heatHalf,
 		MoverInterval:   *moverIvl,

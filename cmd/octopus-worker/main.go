@@ -28,7 +28,6 @@ import (
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/rpc"
 	"repro/internal/storage"
 	"repro/internal/worker"
 )
@@ -78,15 +77,11 @@ func main() {
 		probeMB    = flag.Int64("probe-mb", 8, "startup throughput probe size per media (0 = skip)")
 		httpAddr   = flag.String("http", "", "HTTP status/metrics endpoint address (e.g. :9864; empty disables)")
 		slowOp     = flag.Duration("slowop", 100*time.Millisecond, "slow-op log threshold (0 logs every op, negative disables)")
-		traceRate  = flag.Float64("trace-sample", 0.1, "fraction of fast traces retained (slow traces always kept)")
 		pprofOn    = flag.Bool("pprof", false, "serve net/http/pprof under /debug/pprof/ on the -http endpoint")
-		poolSize   = flag.Int("data-pool-size", rpc.DefaultDataPoolSize, "idle data connections kept per peer worker (0 disables pooling)")
-		poolIdle   = flag.Duration("data-pool-idle", rpc.DefaultDataPoolIdle, "max idle age of a pooled data connection")
 	)
 	flag.Var(&media, "media", "media spec kind:capacityMB[:dir[:writeMBps:readMBps]] (repeatable)")
 	flag.Parse()
 	logger := slog.New(slog.NewTextHandler(os.Stderr, nil))
-	rpc.SetDataPool(*poolSize, *poolIdle)
 
 	if len(media) == 0 {
 		fmt.Fprintln(os.Stderr, "octopus-worker: at least one -media is required")
@@ -120,7 +115,6 @@ func main() {
 		ProbeBytes:      *probeMB << 20,
 		Logger:          logger,
 		SlowOpThreshold: *slowOp,
-		TraceSample:     *traceRate,
 		Pprof:           *pprofOn,
 	})
 	if err != nil {

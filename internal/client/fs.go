@@ -6,9 +6,7 @@
 package client
 
 import (
-	"log/slog"
 	"sync"
-	"time"
 
 	"repro/internal/core"
 	"repro/internal/rpc"
@@ -28,18 +26,6 @@ func WithNode(node string) Option {
 // WithOwner sets the owner recorded on created files and directories.
 func WithOwner(owner string) Option {
 	return func(fs *FileSystem) { fs.owner = owner }
-}
-
-// WithLogger directs the client's slow-op log lines to logger.
-func WithLogger(logger *slog.Logger) Option {
-	return func(fs *FileSystem) { fs.logger = logger }
-}
-
-// WithSlowOpThreshold sets the latency above which a master RPC is
-// logged as slow with its request ID. Zero logs every RPC; negative
-// disables slow-op logging.
-func WithSlowOpThreshold(d time.Duration) Option {
-	return func(fs *FileSystem) { fs.slowOp = d }
 }
 
 // WithReadahead sets the default number of blocks a Reader prefetches
@@ -72,8 +58,6 @@ func WithWriteWindow(k int) Option {
 type FileSystem struct {
 	node        string
 	owner       string
-	logger      *slog.Logger
-	slowOp      time.Duration
 	readahead   int
 	writeWindow int
 
@@ -97,14 +81,11 @@ func Dial(addr string, opts ...Option) (*FileSystem, error) {
 	for _, opt := range opts {
 		opt(fs)
 	}
-	if fs.logger == nil {
-		fs.logger = slog.New(slog.DiscardHandler)
-	}
-	fs.metrics = newClientMetrics(fs.logger, fs.slowOp)
+	fs.metrics = newClientMetrics()
 	// The client keeps every span of its own in-flight operations
 	// (sample 1): traces are short-lived here and shipped to the master
 	// when the operation finishes, so the small store is the only cost.
-	fs.traces = trace.NewStore(256, fs.slowOp, 1)
+	fs.traces = trace.NewStore(256, slowOpThreshold, 1)
 	fs.tracer = trace.NewTracer("client", fs.traces)
 	// Client-side transfer records are shipped to the master as
 	// operations finish, so the ring only needs to cover in-flight work.

@@ -29,7 +29,12 @@ type clientMetrics struct {
 	slow *metrics.SlowLogger
 }
 
-func newClientMetrics(logger *slog.Logger, slowOp time.Duration) *clientMetrics {
+// slowOpThreshold is the client's slow-op threshold. Zero counts every
+// master RPC in octopus_client_slow_ops_total; the slow-op lines
+// themselves go to a discard logger.
+const slowOpThreshold time.Duration = 0
+
+func newClientMetrics() *clientMetrics {
 	reg := metrics.NewRegistry()
 	return &clientMetrics{
 		reg:     reg,
@@ -47,7 +52,7 @@ func newClientMetrics(logger *slog.Logger, slowOp time.Duration) *clientMetrics 
 			"Replica streams opened by background block readahead.", nil),
 		writeStalls: reg.Counter("octopus_client_write_window_stalls_total",
 			"Writes that blocked on a pipeline ack because the write window was full.", nil),
-		slow: metrics.NewSlowLogger(logger, slowOp,
+		slow: metrics.NewSlowLogger(slog.New(slog.DiscardHandler), slowOpThreshold,
 			reg.Counter("octopus_client_slow_ops_total", "RPCs slower than the slow-op threshold.", nil)),
 	}
 }

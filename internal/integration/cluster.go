@@ -71,12 +71,6 @@ type ClusterConfig struct {
 	WorkerLogger    *slog.Logger
 	SlowOpThreshold time.Duration
 
-	// TraceSample is the fraction of fast traces each daemon retains
-	// (slow traces are always kept). Forwarded to master and workers;
-	// with the default zero SlowOpThreshold every trace counts as slow,
-	// so tests see all spans regardless.
-	TraceSample float64
-
 	// WorkerTimeout overrides how long the master waits without
 	// heartbeats before declaring a worker dead (0 = 10s). Failover
 	// tests shrink it so killed workers deregister quickly.
@@ -173,7 +167,6 @@ func StartCluster(cfg ClusterConfig) (*Cluster, error) {
 		Seed:             1,
 		Logger:           cfg.MasterLogger,
 		SlowOpThreshold:  cfg.SlowOpThreshold,
-		TraceSample:      cfg.TraceSample,
 		HistoryInterval:  cfg.HistoryInterval,
 		HeatHalfLife:     cfg.HeatHalfLife,
 		MoverInterval:    moverInterval,
@@ -268,7 +261,6 @@ func (c *Cluster) startWorker(i int) (*worker.Worker, error) {
 		HeartbeatInterval: 50 * time.Millisecond,
 		Logger:            cfg.WorkerLogger,
 		SlowOpThreshold:   cfg.SlowOpThreshold,
-		TraceSample:       cfg.TraceSample,
 	})
 }
 

@@ -353,6 +353,68 @@ func TestWorkerFailureTriggersReReplication(t *testing.T) {
 	}
 }
 
+// TestRepairPlacementIsExplained kills a replica's worker, waits for
+// the re-replication, and checks /debug/explain then says why the new
+// replica went where it did: a "repair" record whose winner is the new
+// replica's medium.
+func TestRepairPlacementIsExplained(t *testing.T) {
+	c := startTestCluster(t, func(cfg *ClusterConfig) {
+		cfg.WorkerTimeout = 300 * time.Millisecond
+	})
+	fs, _ := c.Client("")
+	defer fs.Close()
+
+	if err := fs.WriteFile("/repaired", randomBytes(1<<20, 23), core.NewReplicationVector(0, 0, 2, 0, 0)); err != nil {
+		t.Fatal(err)
+	}
+	blocks, err := fs.GetFileBlockLocations("/repaired", 0, -1)
+	if err != nil || len(blocks) != 1 || len(blocks[0].Locations) != 2 {
+		t.Fatalf("locations %+v (%v), want one block on two replicas", blocks, err)
+	}
+	before := map[core.StorageID]bool{}
+	for _, loc := range blocks[0].Locations {
+		before[loc.Storage] = true
+	}
+	victim := blocks[0].Locations[0].Worker
+	for i, w := range c.Workers {
+		if w.ID() == victim {
+			if err := c.KillWorker(i); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+
+	var added core.StorageID
+	waitFor(t, 15*time.Second, "re-replication onto a new medium", func() bool {
+		blocks, err := fs.GetFileBlockLocations("/repaired", 0, -1)
+		if err != nil || len(blocks) != 1 {
+			return false
+		}
+		for _, loc := range blocks[0].Locations {
+			if !before[loc.Storage] {
+				added = loc.Storage
+				return true
+			}
+		}
+		return false
+	})
+	doc, err := fs.Explain("/repaired")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(doc.Blocks) != 1 {
+		t.Fatalf("explain holds %d blocks, want 1", len(doc.Blocks))
+	}
+	be := doc.Blocks[0]
+	if be.Origin != rpc.OriginRepair || len(be.Replicas) != 1 || len(be.Replicas[0].Candidates) == 0 {
+		t.Fatalf("explanation = origin %q with %d replica decisions, want one repair decision",
+			be.Origin, len(be.Replicas))
+	}
+	if win := be.Replicas[0].Candidates[0]; win.Storage != added || !win.Chosen {
+		t.Errorf("repair winner %s (chosen %v), new replica on %s", win.Storage, win.Chosen, added)
+	}
+}
+
 func TestReaderFailoverAcrossReplicas(t *testing.T) {
 	c := startTestCluster(t)
 	fs, _ := c.Client("")

@@ -78,12 +78,6 @@ type Config struct {
 	// via their -slowop flag.
 	SlowOpThreshold time.Duration
 
-	// TraceSample is the fraction of non-slow traces the in-memory
-	// trace store retains; slow traces (per SlowOpThreshold) are
-	// always kept. Zero selects the default (trace.DefaultSample);
-	// negative keeps only slow traces.
-	TraceSample float64
-
 	// HistoryInterval paces telemetry history sampling; zero selects
 	// the default (2s). Negative disables sampling (GetClusterHistory
 	// then returns only a live sample).
@@ -260,7 +254,7 @@ func New(cfg Config) (*Master, error) {
 	}
 	m.heat = newHeatPlane(cfg.HeatHalfLife)
 	m.mover = newMover(cfg)
-	m.traces = trace.NewStore(trace.DefaultCapacity, cfg.SlowOpThreshold, cfg.TraceSample)
+	m.traces = trace.NewStore(trace.DefaultCapacity, cfg.SlowOpThreshold, 0)
 	m.tracer = trace.NewTracer("master", m.traces)
 	m.metrics = newMasterMetrics(m)
 	m.metrics.slow.SetSink(func(op, reqID string, d time.Duration) {
@@ -341,6 +335,27 @@ func (m *Master) withRand(fn func(*rand.Rand)) {
 	m.rngMu.Lock()
 	defer m.rngMu.Unlock()
 	fn(m.rng)
+}
+
+// place is the master's one call into the placement policy. It runs
+// the policy under the seeded rng with a decision sink, feeds each
+// placed replica's Eq. 11 score to octopus_master_policy_moop_score,
+// and returns the explanation, which the caller stores once it has
+// committed to the targets.
+func (m *Master) place(req policy.PlacementRequest, origin, traceID string) ([]policy.Media, rpc.BlockExplanation, error) {
+	be := rpc.BlockExplanation{TimeNs: time.Now().UnixNano(), TraceID: traceID, Origin: origin}
+	req.Decisions = &be.Replicas
+	var targets []policy.Media
+	var err error
+	m.withRand(func(rng *rand.Rand) {
+		req.Rand = rng
+		targets, err = m.cfg.Placement.PlaceReplicas(req)
+	})
+	for _, dec := range be.Replicas {
+		win := dec.Candidates[0]
+		m.metrics.moopScore.With(win.Tier.String()).Observe(win.Score)
+	}
+	return targets, be, err
 }
 
 // snapshotTTL bounds how stale a cached policy snapshot may be. Worker
@@ -597,27 +612,24 @@ func (m *Master) replicateBlock(snap *policy.Snapshot, info blockmgmt.BlockInfo,
 	if len(existing) == 0 {
 		return // nothing to copy from
 	}
-	var targets []policy.Media
-	var err error
-	m.withRand(func(rng *rand.Rand) {
-		targets, err = m.cfg.Placement.PlaceReplicas(policy.PlacementRequest{
-			Snapshot:  snap,
-			RepVector: missing,
-			BlockSize: info.Block.NumBytes,
-			Existing:  existing,
-			Rand:      rng,
-		})
-	})
+	targets, explained, err := m.place(policy.PlacementRequest{
+		Snapshot:  snap,
+		RepVector: missing,
+		BlockSize: info.Block.NumBytes,
+		Existing:  existing,
+	}, rpc.OriginRepair, "")
 	if err != nil && len(targets) == 0 {
 		m.cfg.Logger.Warn("re-replication placement failed", "block", info.Block.ID, "err", err)
 		return
 	}
 
 	sources := m.copySources(snap, existing)
+	scheduled := false
 	for _, tgt := range targets {
 		if !m.scheduleCopy(info.Block, tgt, sources, repairExpiryTicks, "") {
 			continue
 		}
+		scheduled = true
 		m.cfg.Logger.Info("scheduled re-replication",
 			"block", info.Block.ID, "target", tgt.ID)
 		m.journal.Publish(events.Warn, evBlockRereplicated,
@@ -626,6 +638,9 @@ func (m *Master) replicateBlock(snap *policy.Snapshot, info blockmgmt.BlockInfo,
 			"target", string(tgt.ID),
 			"worker", string(tgt.Worker),
 			"tier", tgt.Tier.String())
+	}
+	if scheduled {
+		m.storePlacement(info.Block.ID, explained)
 	}
 }
 

@@ -6,7 +6,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/metrics"
-	"repro/internal/policy"
 	"repro/internal/rpc"
 	"repro/internal/trace"
 )
@@ -117,11 +116,6 @@ func newMasterMetrics(m *Master) *masterMetrics {
 		"Time spent replaying edits at the last namespace open.", nil,
 		func() float64 { return float64(m.ns.Recovery().ReplayNs) / 1e9 })
 	metrics.RegisterRuntimeGauges(reg, "octopus_master", m.started)
-	if sr, ok := m.cfg.Placement.(policy.ScoreReporter); ok {
-		sr.SetScoreFunc(func(tier core.StorageTier, score float64) {
-			mm.moopScore.With(tier.String()).Observe(score)
-		})
-	}
 	// The namespace reports every mutex wait and edit-log append here;
 	// these observers are the sole feed for the contention histograms,
 	// so per-op audit stats never double count.

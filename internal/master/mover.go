@@ -2,7 +2,6 @@ package master
 
 import (
 	"fmt"
-	"math/rand"
 	"slices"
 	"sort"
 	"strconv"
@@ -283,30 +282,20 @@ func (m *Master) startMoveLocked(snap *policy.Snapshot, f rpc.MisplacedBlock, in
 		return false
 	}
 	var target policy.Media
-	var decisions []policy.ReplicaDecision
+	var explained rpc.BlockExplanation
 	chosen := false
-	explainer, canExplain := m.cfg.Placement.(policy.ExplainingPolicy)
+	traceID := rpc.NewRequestID()
 	for _, tier := range targetTiers {
-		req := policy.PlacementRequest{
+		tgts, be, perr := m.place(policy.PlacementRequest{
 			Snapshot:  snap,
 			RepVector: core.ReplicationVector(0).WithTier(tier, 1),
 			BlockSize: info.Block.NumBytes,
 			Existing:  existing,
-		}
-		var tgts []policy.Media
-		var perr error
-		m.withRand(func(rng *rand.Rand) {
-			req.Rand = rng
-			if canExplain {
-				tgts, decisions, perr = explainer.PlaceReplicasExplained(req)
-			} else {
-				tgts, perr = m.cfg.Placement.PlaceReplicas(req)
-			}
-		})
+		}, kind, traceID)
 		if perr != nil || len(tgts) == 0 {
 			continue
 		}
-		target = tgts[0]
+		target, explained = tgts[0], be
 		chosen = true
 		break
 	}
@@ -336,7 +325,7 @@ func (m *Master) startMoveLocked(snap *policy.Snapshot, f rpc.MisplacedBlock, in
 		BeforeTiers: f.Tiers,
 		StartedNs:   now.UnixNano(),
 		Outcome:     rpc.MoveInFlight,
-		TraceID:     rpc.NewRequestID(),
+		TraceID:     traceID,
 	}
 	// The move is a pending-add naming its source: confirming the copy
 	// retires the source in the same step. Its expiry is counted in mover
@@ -347,25 +336,14 @@ func (m *Master) startMoveLocked(snap *policy.Snapshot, f rpc.MisplacedBlock, in
 		return false
 	}
 	mv.moves[f.Block] = rec
-	m.recordMove(rec, decisions)
+	// The block's explanation now says why it last moved rather than
+	// where its write originally landed.
+	explained.Heat = f.Heat
+	m.storePlacement(f.Block, explained)
 	m.cfg.Logger.Info("tier move scheduled",
 		"block", f.Block, "kind", kind, "path", rec.Path,
 		"from", string(victim.Storage), "to", string(target.ID))
 	return true
-}
-
-// recordMove overwrites the block's explainability record with the
-// mover's decision, so octopus-cli explain shows why the block last
-// moved rather than where its write originally landed.
-func (m *Master) recordMove(rec *rpc.MoveRecord, decisions []policy.ReplicaDecision) {
-	m.storePlacement(rpc.BlockExplanation{
-		Block:    rec.Block,
-		TimeNs:   rec.StartedNs,
-		TraceID:  rec.TraceID,
-		Origin:   rec.Kind,
-		Heat:     rec.Heat,
-		Replicas: wireDecisions(decisions),
-	})
 }
 
 // moverStatus assembles the mover observability document served at

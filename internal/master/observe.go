@@ -131,56 +131,48 @@ func (m *Master) clusterHistory(last int) []rpc.ClusterSample {
 	return out
 }
 
-// storePlacement retains (or overwrites) a block's explanation for
+// storePlacement retains (or overwrites) the block's explanation for
 // /debug/explain, FIFO-bounded.
-func (m *Master) storePlacement(be rpc.BlockExplanation) {
+func (m *Master) storePlacement(block core.BlockID, be rpc.BlockExplanation) {
+	be.Block = block
 	m.placeMu.Lock()
 	defer m.placeMu.Unlock()
-	if _, exists := m.placements[be.Block]; !exists {
-		m.placeOrder = append(m.placeOrder, be.Block)
+	if _, exists := m.placements[block]; !exists {
+		m.placeOrder = append(m.placeOrder, block)
 		for len(m.placeOrder) > placementCapacity {
 			delete(m.placements, m.placeOrder[0])
 			m.placeOrder = m.placeOrder[1:]
 		}
 	}
-	m.placements[be.Block] = be
+	m.placements[block] = be
 }
 
-// recordPlacement converts a placement decision set to its wire form,
-// retains it for /debug/explain (FIFO-bounded), and journals the
-// chosen-vs-runner-up breakdown as a placement event.
-func (m *Master) recordPlacement(path string, blk core.Block, traceID string, decisions []policy.ReplicaDecision) {
-	if len(decisions) == 0 {
+// recordPlacement retains a write placement's explanation for
+// /debug/explain and journals the chosen-vs-runner-up breakdown as a
+// placement event. A policy that explains nothing leaves no record.
+func (m *Master) recordPlacement(path string, block core.BlockID, be rpc.BlockExplanation) {
+	if len(be.Replicas) == 0 {
 		return
 	}
-	be := rpc.BlockExplanation{
-		Block:    blk.ID,
-		TimeNs:   time.Now().UnixNano(),
-		TraceID:  traceID,
-		Replicas: wireDecisions(decisions),
-	}
-	m.storePlacement(be)
+	m.storePlacement(block, be)
 
 	attrs := []string{
 		"path", path,
-		"block", formatBlockID(blk.ID),
-		"replicas", strconv.Itoa(len(decisions)),
+		"block", formatBlockID(block),
+		"replicas", strconv.Itoa(len(be.Replicas)),
 	}
-	for i, dec := range decisions {
-		if len(dec.Candidates) == 0 {
-			continue
-		}
+	for i, dec := range be.Replicas {
 		win := dec.Candidates[0]
 		prefix := "replica" + strconv.Itoa(i)
 		attrs = append(attrs,
-			prefix+".chosen", fmt.Sprintf("%s(%s) score=%.4f", win.Media.ID, win.Media.Tier, win.Score))
+			prefix+".chosen", fmt.Sprintf("%s(%s) score=%.4f", win.Storage, win.Tier, win.Score))
 		if len(dec.Candidates) > 1 {
 			up := dec.Candidates[1]
 			attrs = append(attrs,
-				prefix+".runner_up", fmt.Sprintf("%s(%s) score=%.4f", up.Media.ID, up.Media.Tier, up.Score))
+				prefix+".runner_up", fmt.Sprintf("%s(%s) score=%.4f", up.Storage, up.Tier, up.Score))
 		}
 	}
-	m.journal.PublishTraced(events.Info, evPlacement, traceID,
+	m.journal.PublishTraced(events.Info, evPlacement, be.TraceID,
 		"placement decision for "+path, attrs...)
 }
 
@@ -190,33 +182,6 @@ func (m *Master) placementFor(id core.BlockID) (rpc.BlockExplanation, bool) {
 	defer m.placeMu.Unlock()
 	be, ok := m.placements[id]
 	return be, ok
-}
-
-// wireDecisions converts policy decisions to their RPC form.
-func wireDecisions(decisions []policy.ReplicaDecision) []rpc.ReplicaExplanation {
-	out := make([]rpc.ReplicaExplanation, len(decisions))
-	for i, dec := range decisions {
-		re := rpc.ReplicaExplanation{
-			Entry:      dec.Entry,
-			Ideal:      dec.Ideal,
-			Considered: dec.Considered,
-			Candidates: make([]rpc.CandidateScore, len(dec.Candidates)),
-		}
-		for k, c := range dec.Candidates {
-			re.Candidates[k] = rpc.CandidateScore{
-				Worker:     c.Media.Worker,
-				Storage:    c.Media.ID,
-				Node:       c.Media.Node,
-				Rack:       c.Media.Rack,
-				Tier:       c.Media.Tier,
-				Score:      c.Score,
-				Objectives: c.Objectives,
-				Chosen:     c.Chosen,
-			}
-		}
-		out[i] = re
-	}
-	return out
 }
 
 func formatBlockID(id core.BlockID) string {

@@ -113,24 +113,12 @@ func (s *Service) AddBlock(args *rpc.AddBlockArgs, reply *rpc.AddBlockReply) (er
 	// master-side cost the paper's §3.3 policies need attributed when
 	// tuning against observed per-tier service times.
 	placeSpan := s.m.tracer.Start(args.ReqID, opSpan.ID(), "master.placement")
-	var targets []policy.Media
-	var decisions []policy.ReplicaDecision
-	var perr error
-	explainer, canExplain := s.m.cfg.Placement.(policy.ExplainingPolicy)
-	s.m.withRand(func(rng *rand.Rand) {
-		req := policy.PlacementRequest{
-			Snapshot:  snap,
-			Client:    s.clientLocation(args.ClientNode),
-			RepVector: rv,
-			BlockSize: blockSize,
-			Rand:      rng,
-		}
-		if canExplain {
-			targets, decisions, perr = explainer.PlaceReplicasExplained(req)
-		} else {
-			targets, perr = s.m.cfg.Placement.PlaceReplicas(req)
-		}
-	})
+	targets, explained, perr := s.m.place(policy.PlacementRequest{
+		Snapshot:  snap,
+		Client:    s.clientLocation(args.ClientNode),
+		RepVector: rv,
+		BlockSize: blockSize,
+	}, "", args.ReqID)
 	for _, t := range targets {
 		placeSpan.Annotate("tier."+string(t.ID), t.Tier.String())
 	}
@@ -176,7 +164,7 @@ func (s *Service) AddBlock(args *rpc.AddBlockArgs, reply *rpc.AddBlockReply) (er
 		"block", formatBlockID(blk.ID),
 		"replicas", strconv.Itoa(len(targets)),
 		"tiers", strings.Join(tiers, ","))
-	s.m.recordPlacement(args.Path, blk, args.ReqID, decisions)
+	s.m.recordPlacement(args.Path, blk.ID, explained)
 	s.m.heat.setOwner(blk.ID, file)
 	if len(located.Locations) == 0 {
 		return wire(core.ErrNoWorkers)

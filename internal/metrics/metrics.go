@@ -21,7 +21,6 @@ import (
 	"strings"
 	"sync"
 	"sync/atomic"
-	"time"
 )
 
 // Labels attaches dimensions to a metric. Nil means no labels.
@@ -118,9 +117,6 @@ func (h *Histogram) Observe(v float64) {
 	h.sum.Add(v)
 }
 
-// ObserveSince records the seconds elapsed since t0.
-func (h *Histogram) ObserveSince(t0 time.Time) { h.Observe(time.Since(t0).Seconds()) }
-
 // Count returns the total number of observations.
 func (h *Histogram) Count() uint64 { return h.count.Load() }
 
@@ -147,10 +143,10 @@ func (h *Histogram) Snapshot() (upper []float64, cum []uint64, count uint64, sum
 	return append([]float64(nil), h.upper...), cum, count, sum
 }
 
-// Quantile estimates the q-quantile (0 ≤ q ≤ 1) of the observed
+// quantile estimates the q-quantile (0 ≤ q ≤ 1) of the observed
 // distribution from the bucket counts, Prometheus histogram_quantile
 // style. It returns 0 for an empty histogram.
-func (h *Histogram) Quantile(q float64) float64 {
+func (h *Histogram) quantile(q float64) float64 {
 	cum, count, _ := h.snapshot()
 	return QuantileFromBuckets(h.upper, cum, count, q)
 }

@@ -50,7 +50,7 @@ func TestRegisterRuntimeGauges(t *testing.T) {
 
 func TestHistogramQuantile(t *testing.T) {
 	h := newHistogram([]float64{0.01, 0.1, 1})
-	if got := h.Quantile(0.5); got != 0 {
+	if got := h.quantile(0.5); got != 0 {
 		t.Errorf("empty histogram quantile = %v, want 0", got)
 	}
 	// 100 observations uniformly in (0, 0.01]: p50 interpolates to
@@ -58,20 +58,20 @@ func TestHistogramQuantile(t *testing.T) {
 	for i := 0; i < 100; i++ {
 		h.Observe(0.005)
 	}
-	if got := h.Quantile(0.5); math.Abs(got-0.005) > 1e-9 {
+	if got := h.quantile(0.5); math.Abs(got-0.005) > 1e-9 {
 		t.Errorf("p50 = %v, want 0.005", got)
 	}
 	// Add 100 in (0.01, 0.1]: p75 lands in the second bucket.
 	for i := 0; i < 100; i++ {
 		h.Observe(0.05)
 	}
-	p75 := h.Quantile(0.75)
+	p75 := h.quantile(0.75)
 	if p75 <= 0.01 || p75 > 0.1 {
 		t.Errorf("p75 = %v, want within (0.01, 0.1]", p75)
 	}
 	// An observation beyond the last bound clamps to it.
 	h.Observe(50)
-	if got := h.Quantile(1); got != 1 {
+	if got := h.quantile(1); got != 1 {
 		t.Errorf("p100 with +Inf outlier = %v, want clamp to 1", got)
 	}
 	// Snapshot exposes merge-ready state.

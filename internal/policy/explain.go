@@ -1,15 +1,13 @@
 package policy
 
 import (
-	"fmt"
-	"math"
-
 	"repro/internal/core"
 )
 
-// This file adds placement explainability: the MOOP policy can report,
-// for every replica it places, the full per-objective score vector of
-// every candidate it considered — not just the winning media and its
+// This file adds placement explainability: asked through
+// PlacementRequest.Decisions, the MOOP policy reports, for every
+// replica it places, the full per-objective score vector of every
+// candidate it considered — not just the winning media and its
 // scalarised score. The master journals and stores these decisions so
 // "why is this replica on that worker/tier?" (paper §3.2–§3.3,
 // Algorithms 1–2) is answerable after the fact, which the follow-up
@@ -22,11 +20,16 @@ import (
 const MaxExplainedCandidates = 8
 
 // CandidateScore records how one candidate media scored in a MOOP
-// instance (Algorithm 1): the full four-objective f-vector of the
-// trial selection (chosen ∪ candidate) and the Eq. 11 scalarised
-// distance from the ideal vector that ranked it.
+// instance (Algorithm 1): where the media lives, the full
+// four-objective f-vector of the trial selection (chosen ∪ candidate)
+// and the Eq. 11 scalarised distance from the ideal vector that
+// ranked it. It is served as JSON at /debug/explain.
 type CandidateScore struct {
-	Media Media
+	Worker  core.WorkerID
+	Storage core.StorageID
+	Node    string
+	Rack    string
+	Tier    core.StorageTier
 
 	// Score is the Eq. 11 global-criterion distance over the policy's
 	// configured objective set; lower is better.
@@ -62,63 +65,17 @@ type ReplicaDecision struct {
 	Considered int
 }
 
-// ExplainingPolicy is implemented by placement policies that can
-// report the per-objective breakdown of their decisions. The master
-// uses it when present; policies without it (the HDFS and rule-based
-// baselines) simply produce no explanations.
-type ExplainingPolicy interface {
-	PlacementPolicy
-
-	// PlaceReplicasExplained behaves exactly like PlaceReplicas —
-	// identical winners, identical errors — and additionally returns
-	// one ReplicaDecision per placed replica.
-	PlaceReplicasExplained(req PlacementRequest) ([]Media, []ReplicaDecision, error)
-}
-
-// PlaceReplicasExplained implements ExplainingPolicy.
-func (p *MOOPPolicy) PlaceReplicasExplained(req PlacementRequest) ([]Media, []ReplicaDecision, error) {
-	return p.placeReplicas(req, true)
-}
-
-// solveMOOPExplained is Algorithm 1 with full bookkeeping: it selects
-// the same winner as solveMOOP (first-in-order wins ties) while
-// recording every candidate's four-objective vector and score.
-func solveMOOPExplained(ctx evalContext, options, chosen []Media,
-	objectives []Objective, norm Norm) (Media, float64, ReplicaDecision, bool) {
-
-	if len(options) == 0 {
-		return Media{}, 0, ReplicaDecision{}, false
+// newCandidateScore records one candidate's evaluation.
+func newCandidateScore(m Media, score float64, f [4]float64) CandidateScore {
+	return CandidateScore{
+		Worker:     m.Worker,
+		Storage:    m.ID,
+		Node:       m.Node,
+		Rack:       m.Rack,
+		Tier:       m.Tier,
+		Score:      score,
+		Objectives: f,
 	}
-	trial := make([]Media, len(chosen)+1)
-	copy(trial, chosen)
-	n := len(trial)
-	ideal := [4]float64{
-		ctx.idealDataBalancing(n),
-		ctx.idealLoadBalancing(n),
-		ctx.idealFaultTolerance(n),
-		ctx.idealThroughputMax(n),
-	}
-	scored := make([]CandidateScore, len(options))
-	bestScore := 0.0
-	bestIdx := -1
-	for i, opt := range options {
-		trial[len(chosen)] = opt
-		fvec := [4]float64{
-			ctx.fDataBalancing(trial),
-			ctx.fLoadBalancing(trial),
-			ctx.fFaultTolerance(trial),
-			ctx.fThroughputMax(trial),
-		}
-		score := scoreFromVectors(fvec, ideal, objectives, norm)
-		scored[i] = CandidateScore{Media: opt, Score: score, Objectives: fvec}
-		if bestIdx < 0 || score < bestScore {
-			bestScore, bestIdx = score, i
-		}
-	}
-	scored[bestIdx].Chosen = true
-	dec := ReplicaDecision{Ideal: ideal, Considered: len(options)}
-	dec.Candidates = rankCandidates(scored, bestIdx)
-	return options[bestIdx], bestScore, dec, true
 }
 
 // rankCandidates orders the scored candidates winner-first, then by
@@ -144,30 +101,6 @@ func rankCandidates(scored []CandidateScore, bestIdx int) []CandidateScore {
 	return out
 }
 
-// scoreFromVectors computes the Eq. 11 distance from precomputed f and
-// ideal vectors over the configured objective subset. It iterates the
-// objectives in the same order as evalContext.score, so the result is
-// bit-identical to the unexplained solver's score.
-func scoreFromVectors(fvec, ideal [4]float64, objectives []Objective, norm Norm) float64 {
-	total := 0.0
-	for _, o := range objectives {
-		if int(o) < 0 || int(o) >= int(numObjectives) {
-			continue
-		}
-		d := fvec[o] - ideal[o]
-		switch norm {
-		case NormL1:
-			total += math.Abs(d)
-		default:
-			total += d * d
-		}
-	}
-	if norm == NormL1 {
-		return total
-	}
-	return math.Sqrt(total)
-}
-
 // ObjectiveNames returns the display names of the four objectives in
 // vector order — the column headers for explain output.
 func ObjectiveNames() [4]string {
@@ -177,12 +110,4 @@ func ObjectiveNames() [4]string {
 		objectiveNames[FaultTolerance],
 		objectiveNames[ThroughputMax],
 	}
-}
-
-// FormatVector renders a four-objective vector compactly, e.g.
-// "DB=1.92 LB=0.75 FT=2.33 TM=1.80".
-func FormatVector(v [4]float64) string {
-	names := ObjectiveNames()
-	return fmt.Sprintf("%s=%.3f %s=%.3f %s=%.3f %s=%.3f",
-		names[0], v[0], names[1], v[1], names[2], v[2], names[3], v[3])
 }

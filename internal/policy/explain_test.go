@@ -1,43 +1,113 @@
 package policy
 
 import (
-	"strings"
+	"errors"
+	"fmt"
+	"math/rand"
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/topology"
 )
 
-// TestExplainedMatchesPlainPlacement proves the explainability path is
-// a pure observer: for the same seeded request, PlaceReplicasExplained
-// must pick exactly the media PlaceReplicas picks.
+// moopConfigs returns every MOOP configuration the system builds: the
+// paper default, the four single-objective evaluation policies, and
+// the knobs the ablations turn (memory for unspecified replicas, L1,
+// no rack pruning, no client collocation).
+func moopConfigs() map[string]MOOPConfig {
+	cfgs := map[string]MOOPConfig{"MOOP": DefaultMOOPConfig()}
+	for _, o := range AllObjectives() {
+		cfgs[o.String()] = NewSingleObjectivePolicy(o).cfg
+	}
+	useMemory := DefaultMOOPConfig()
+	useMemory.UseMemory = true
+	cfgs["UseMemory"] = useMemory
+	l1 := DefaultMOOPConfig()
+	l1.Norm = NormL1
+	cfgs["L1"] = l1
+	noPruning := DefaultMOOPConfig()
+	noPruning.RackPruning = false
+	noPruning.ClientLocal = false
+	cfgs["NoPruning"] = noPruning
+	return cfgs
+}
+
+// TestExplainedMatchesPlainPlacement proves the decision sink is a
+// pure observer: for the same seeded request, PlaceReplicas picks the
+// same media and returns the same error with and without it, and with
+// it records one decision per placed replica.
 func TestExplainedMatchesPlainPlacement(t *testing.T) {
 	vectors := []core.ReplicationVector{
 		core.ReplicationVectorFromFactor(3),
 		core.NewReplicationVector(1, 1, 1, 0, 0),
 		core.NewReplicationVector(0, 2, 2, 0, 0),
+		core.NewReplicationVector(4, 0, 0, 0, 1), // more memory than fits: partial
+		core.NewReplicationVector(0, 0, 0, 1, 0), // no remote media: infeasible
 	}
-	for _, rv := range vectors {
-		s := paperCluster(9, 3)
-		p := NewMOOPPolicy(DefaultMOOPConfig())
-		plain, err := p.PlaceReplicas(moopRequest(s, rv))
-		if err != nil {
-			t.Fatalf("%s: PlaceReplicas: %v", rv, err)
-		}
-		explained, decisions, err := p.PlaceReplicasExplained(moopRequest(s, rv))
-		if err != nil {
-			t.Fatalf("%s: PlaceReplicasExplained: %v", rv, err)
-		}
-		if len(plain) != len(explained) {
-			t.Fatalf("%s: plain placed %d, explained placed %d", rv, len(plain), len(explained))
-		}
-		for i := range plain {
-			if plain[i].ID != explained[i].ID {
-				t.Errorf("%s: replica %d differs: plain=%s explained=%s",
-					rv, i, plain[i].ID, explained[i].ID)
+	s := paperCluster(4, 2)
+	existing := []Media{*findMedia(s, "node1:ssd0")}
+	for name, cfg := range moopConfigs() {
+		p := NewMOOPPolicy(cfg)
+		for _, rv := range vectors {
+			for seed := int64(1); seed <= 5; seed++ {
+				req := PlacementRequest{
+					Snapshot:  s,
+					Client:    topology.Location{Rack: "/rack1", Node: "node1"},
+					RepVector: rv,
+					BlockSize: testBlock,
+				}
+				if seed%2 == 0 {
+					req.Client = topology.Location{}
+					req.Existing = existing
+				}
+				req.Rand = rand.New(rand.NewSource(seed))
+				plain, plainErr := p.PlaceReplicas(req)
+
+				var decisions []ReplicaDecision
+				req.Rand = rand.New(rand.NewSource(seed))
+				req.Decisions = &decisions
+				explained, err := p.PlaceReplicas(req)
+
+				where := fmt.Sprintf("%s %s seed %d", name, rv, seed)
+				if fmt.Sprint(plainErr) != fmt.Sprint(err) {
+					t.Errorf("%s: error %v without a sink, %v with one", where, plainErr, err)
+				}
+				if len(plain) != len(explained) {
+					t.Fatalf("%s: placed %d without a sink, %d with one", where, len(plain), len(explained))
+				}
+				for i := range plain {
+					if plain[i].ID != explained[i].ID {
+						t.Errorf("%s: replica %d is %s without a sink, %s with one",
+							where, i, plain[i].ID, explained[i].ID)
+					}
+				}
+				if len(decisions) != len(explained) {
+					t.Fatalf("%s: %d decisions for %d replicas", where, len(decisions), len(explained))
+				}
+				for i, dec := range decisions {
+					if dec.Candidates[0].Storage != explained[i].ID {
+						t.Errorf("%s: decision %d winner %s, placed %s",
+							where, i, dec.Candidates[0].Storage, explained[i].ID)
+					}
+				}
 			}
 		}
-		if len(decisions) != len(explained) {
-			t.Fatalf("%s: %d decisions for %d replicas", rv, len(decisions), len(explained))
+	}
+}
+
+// TestBaselinesExplainNothing pins that the HDFS and rule-based
+// baselines leave the decision sink empty.
+func TestBaselinesExplainNothing(t *testing.T) {
+	s := paperCluster(9, 3)
+	for _, p := range []PlacementPolicy{NewHDFSPolicy(), NewHDFSWithSSDPolicy(), NewRuleBasedPolicy()} {
+		var decisions []ReplicaDecision
+		req := moopRequest(s, core.ReplicationVectorFromFactor(3))
+		req.Decisions = &decisions
+		if _, err := p.PlaceReplicas(req); err != nil && !errors.Is(err, core.ErrNoSpace) {
+			t.Fatalf("%s: PlaceReplicas: %v", p.Name(), err)
+		}
+		if len(decisions) != 0 {
+			t.Errorf("%s recorded %d decisions, want none", p.Name(), len(decisions))
 		}
 	}
 }
@@ -49,9 +119,12 @@ func TestExplainDecisionContents(t *testing.T) {
 	s := paperCluster(9, 3)
 	p := NewMOOPPolicy(DefaultMOOPConfig())
 	rv := core.NewReplicationVector(1, 1, 1, 0, 0)
-	placed, decisions, err := p.PlaceReplicasExplained(moopRequest(s, rv))
+	var decisions []ReplicaDecision
+	req := moopRequest(s, rv)
+	req.Decisions = &decisions
+	placed, err := p.PlaceReplicas(req)
 	if err != nil {
-		t.Fatalf("PlaceReplicasExplained: %v", err)
+		t.Fatalf("PlaceReplicas: %v", err)
 	}
 	entries := rv.PinnedTiers()
 	for i, dec := range decisions {
@@ -77,8 +150,8 @@ func TestExplainDecisionContents(t *testing.T) {
 		if !win.Chosen {
 			t.Errorf("decision %d candidate 0 not marked Chosen", i)
 		}
-		if win.Media.ID != placed[i].ID {
-			t.Errorf("decision %d winner %s != placed %s", i, win.Media.ID, placed[i].ID)
+		if win.Storage != placed[i].ID || win.Worker != placed[i].Worker || win.Tier != placed[i].Tier {
+			t.Errorf("decision %d winner %s != placed %s", i, win.Storage, placed[i].ID)
 		}
 		for k, c := range dec.Candidates {
 			if k > 0 && c.Chosen {
@@ -99,54 +172,51 @@ func TestExplainDecisionContents(t *testing.T) {
 	}
 }
 
-// TestExplainScoreMatchesSolver proves the per-candidate score the
-// explainer reports is bit-identical to what the unexplained solver
-// computes for the same trial selection.
+// TestExplainScoreMatchesSolver proves, for every MOOP configuration,
+// that the per-candidate score recorded in a decision is bit-identical
+// to the score the solver ranks by without a sink, and that both runs
+// pick the same winner.
 func TestExplainScoreMatchesSolver(t *testing.T) {
 	s := paperCluster(6, 2)
-	cfg := DefaultMOOPConfig()
 	ctx := newEvalContext(s, testBlock)
-
+	chosen := []Media{*findMedia(s, "node1:ssd0")}
 	var options []Media
 	for _, m := range s.Media {
 		if m.Tier == core.TierHDD {
 			options = append(options, m)
 		}
 	}
-	best, score, dec, ok := solveMOOPExplained(ctx, options, nil, cfg.Objectives, cfg.Norm)
-	if !ok {
-		t.Fatal("solveMOOPExplained found no candidate")
-	}
-	wantBest, wantScore, wantOK := solveMOOP(ctx, options, nil, cfg.Objectives, cfg.Norm)
-	if !wantOK || best.ID != wantBest.ID || score != wantScore {
-		t.Fatalf("explained solver picked (%s, %v), plain solver picked (%s, %v)",
-			best.ID, score, wantBest.ID, wantScore)
-	}
-	// Every retained candidate's score must equal a from-scratch
-	// evaluation of the same trial selection.
-	for _, c := range dec.Candidates {
-		if got := ctx.score([]Media{c.Media}, cfg.Objectives, cfg.Norm); got != c.Score {
-			t.Errorf("candidate %s score %v, independent evaluation %v", c.Media.ID, c.Score, got)
+	for name, cfg := range moopConfigs() {
+		var dec ReplicaDecision
+		best, ok := solveMOOP(ctx, options, chosen, cfg.Objectives, cfg.Norm, &dec)
+		if !ok {
+			t.Fatalf("%s: solver with a sink found no candidate", name)
+		}
+		wantBest, wantOK := solveMOOP(ctx, options, chosen, cfg.Objectives, cfg.Norm, nil)
+		if !wantOK || best.ID != wantBest.ID {
+			t.Fatalf("%s: picked %s with a sink, %s without", name, best.ID, wantBest.ID)
+		}
+		if dec.Candidates[0].Storage != best.ID || dec.Considered != len(options) {
+			t.Errorf("%s: decision winner %s of %d, solver picked %s of %d",
+				name, dec.Candidates[0].Storage, dec.Considered, best.ID, len(options))
+		}
+		// Every retained candidate's score must equal the no-sink
+		// evaluation of the same trial selection.
+		for _, c := range dec.Candidates {
+			trial := []Media{chosen[0], *findMedia(s, c.Storage)}
+			if got := ctx.score(trial, cfg.Objectives, cfg.Norm); got != c.Score {
+				t.Errorf("%s: candidate %s score %v, no-sink evaluation %v", name, c.Storage, c.Score, got)
+			}
 		}
 	}
 }
 
-// TestExplainL1Norm covers the L1 branch of scoreFromVectors.
+// TestExplainL1Norm covers the L1 branch of the Eq. 11 scalariser.
 func TestExplainL1Norm(t *testing.T) {
 	fvec := [4]float64{3, 1, 4, 1.5}
 	ideal := [4]float64{1, 1, 2, 0.5}
 	objectives := []Objective{DataBalancing, FaultTolerance, ThroughputMax}
-	if got := scoreFromVectors(fvec, ideal, objectives, NormL1); got != 5 {
+	if got := scalarise(fvec, ideal, objectives, NormL1); got != 5 {
 		t.Errorf("L1 score = %v, want 5", got)
-	}
-}
-
-// TestFormatVector pins the rendering used by octopus-cli explain.
-func TestFormatVector(t *testing.T) {
-	out := FormatVector([4]float64{1.9, 0.75, 2.333, 1.8})
-	for _, name := range ObjectiveNames() {
-		if !strings.Contains(out, name+"=") {
-			t.Errorf("FormatVector output %q missing objective %s", out, name)
-		}
 	}
 }

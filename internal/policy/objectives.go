@@ -151,25 +151,47 @@ const (
 	NormL1
 )
 
-// score computes ‖f(chosen) − z*(chosen)‖ over the requested objective
-// set (Eq. 11). Restricting the set to a single objective yields the
-// paper's single-objective evaluation policies.
-func (c evalContext) score(chosen []Media, objectives []Objective, norm Norm) float64 {
-	n := len(chosen)
-	total := 0.0
+// vector evaluates the objective functions of the given set on a
+// chosen media list and returns them in (DB, LB, FT, TM) order — the
+// vector-valued f of Eq. 9. Objectives outside the set are left 0.
+func (c evalContext) vector(chosen []Media, objectives []Objective) [4]float64 {
+	var f [4]float64
 	for _, o := range objectives {
-		var f, ideal float64
 		switch o {
 		case DataBalancing:
-			f, ideal = c.fDataBalancing(chosen), c.idealDataBalancing(n)
+			f[o] = c.fDataBalancing(chosen)
 		case LoadBalancing:
-			f, ideal = c.fLoadBalancing(chosen), c.idealLoadBalancing(n)
+			f[o] = c.fLoadBalancing(chosen)
 		case FaultTolerance:
-			f, ideal = c.fFaultTolerance(chosen), c.idealFaultTolerance(n)
+			f[o] = c.fFaultTolerance(chosen)
 		case ThroughputMax:
-			f, ideal = c.fThroughputMax(chosen), c.idealThroughputMax(n)
+			f[o] = c.fThroughputMax(chosen)
 		}
-		d := f - ideal
+	}
+	return f
+}
+
+// ideal evaluates the ideal objective vector z* of Eq. 10 for a
+// selection of size n, in (DB, LB, FT, TM) order.
+func (c evalContext) ideal(n int) [4]float64 {
+	return [4]float64{
+		c.idealDataBalancing(n),
+		c.idealLoadBalancing(n),
+		c.idealFaultTolerance(n),
+		c.idealThroughputMax(n),
+	}
+}
+
+// scalarise computes the Eq. 11 global-criterion distance ‖f − z*‖
+// over the requested objective set. Restricting the set to a single
+// objective yields the paper's single-objective evaluation policies.
+func scalarise(f, ideal [4]float64, objectives []Objective, norm Norm) float64 {
+	total := 0.0
+	for _, o := range objectives {
+		if o < 0 || o >= numObjectives {
+			continue
+		}
+		d := f[o] - ideal[o]
 		switch norm {
 		case NormL1:
 			total += math.Abs(d)
@@ -183,35 +205,10 @@ func (c evalContext) score(chosen []Media, objectives []Objective, norm Norm) fl
 	return math.Sqrt(total)
 }
 
-// ObjectiveVector evaluates all four objective functions on a chosen
-// media list, in (DB, LB, FT, TM) order — the vector-valued f of
-// Eq. 9. Exposed for tests and the benchmark harness.
-func ObjectiveVector(s *Snapshot, blockSize int64, chosen []Media) [4]float64 {
-	c := newEvalContext(s, blockSize)
-	return [4]float64{
-		c.fDataBalancing(chosen),
-		c.fLoadBalancing(chosen),
-		c.fFaultTolerance(chosen),
-		c.fThroughputMax(chosen),
-	}
-}
-
-// IdealVector evaluates the ideal objective vector z* of Eq. 10 for a
-// selection of size n.
-func IdealVector(s *Snapshot, blockSize int64, n int) [4]float64 {
-	c := newEvalContext(s, blockSize)
-	return [4]float64{
-		c.idealDataBalancing(n),
-		c.idealLoadBalancing(n),
-		c.idealFaultTolerance(n),
-		c.idealThroughputMax(n),
-	}
-}
-
-// Score exposes the Eq. 11 global-criterion distance for a candidate
-// selection; used by tests, replication management, and benchmarks.
-func Score(s *Snapshot, blockSize int64, chosen []Media, objectives []Objective, norm Norm) float64 {
-	return newEvalContext(s, blockSize).score(chosen, objectives, norm)
+// score computes ‖f(chosen) − z*(chosen)‖ over the requested objective
+// set (Eq. 11) for one candidate selection.
+func (c evalContext) score(chosen []Media, objectives []Objective, norm Norm) float64 {
+	return scalarise(c.vector(chosen, objectives), c.ideal(len(chosen)), objectives, norm)
 }
 
 func abs(x int) int {
@@ -219,11 +216,4 @@ func abs(x int) int {
 		return -x
 	}
 	return x
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

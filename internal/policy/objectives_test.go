@@ -15,7 +15,7 @@ func TestDataBalancingObjective(t *testing.T) {
 	m1 := *findMedia(s, "node1:hdd0")
 	m2 := *findMedia(s, "node2:ssd0")
 
-	got := ObjectiveVector(s, block, []Media{m1, m2})[DataBalancing]
+	got := newEvalContext(s, block).vector([]Media{m1, m2}, AllObjectives())[DataBalancing]
 	want := float64(m1.Remaining-block)/float64(m1.Capacity) +
 		float64(m2.Remaining-block)/float64(m2.Capacity)
 	if !almostEqual(got, want) {
@@ -23,7 +23,7 @@ func TestDataBalancingObjective(t *testing.T) {
 	}
 
 	// Ideal (Eq. 2): |m| * max Rem/Cap. Fresh cluster => max percent 1.
-	ideal := IdealVector(s, block, 2)[DataBalancing]
+	ideal := newEvalContext(s, block).ideal(2)[DataBalancing]
 	if !almostEqual(ideal, 2.0) {
 		t.Errorf("fdb* = %v, want 2", ideal)
 	}
@@ -37,8 +37,8 @@ func TestDataBalancingPrefersEmptierMedia(t *testing.T) {
 
 	emptier := *findMedia(s, "node2:hdd0")
 	fuller := *findMedia(s, "node1:hdd0")
-	fEmptier := ObjectiveVector(s, block, []Media{emptier})[DataBalancing]
-	fFuller := ObjectiveVector(s, block, []Media{fuller})[DataBalancing]
+	fEmptier := newEvalContext(s, block).vector([]Media{emptier}, AllObjectives())[DataBalancing]
+	fFuller := newEvalContext(s, block).vector([]Media{fuller}, AllObjectives())[DataBalancing]
 	if fEmptier <= fFuller {
 		t.Errorf("fdb(emptier)=%v <= fdb(fuller)=%v; want emptier to score higher", fEmptier, fFuller)
 	}
@@ -50,14 +50,14 @@ func TestLoadBalancingObjective(t *testing.T) {
 	busy.Connections = 4
 	idle := *findMedia(s, "node2:hdd0")
 
-	got := ObjectiveVector(s, 1, []Media{*busy, idle})[LoadBalancing]
+	got := newEvalContext(s, 1).vector([]Media{*busy, idle}, AllObjectives())[LoadBalancing]
 	want := 1.0/5.0 + 1.0
 	if !almostEqual(got, want) {
 		t.Errorf("flb = %v, want %v", got, want)
 	}
 
 	// Ideal (Eq. 4): |m| / (minConn+1); min connections is 0 here.
-	if ideal := IdealVector(s, 1, 2)[LoadBalancing]; !almostEqual(ideal, 2.0) {
+	if ideal := newEvalContext(s, 1).ideal(2)[LoadBalancing]; !almostEqual(ideal, 2.0) {
 		t.Errorf("flb* = %v, want 2", ideal)
 	}
 }
@@ -72,7 +72,7 @@ func TestFaultToleranceObjective(t *testing.T) {
 		*findMedia(s, "node2:ssd0"), // rack2
 		*findMedia(s, "node5:hdd0"), // rack2
 	}
-	if got := ObjectiveVector(s, 1, spread)[FaultTolerance]; !almostEqual(got, 3) {
+	if got := newEvalContext(s, 1).vector(spread, AllObjectives())[FaultTolerance]; !almostEqual(got, 3) {
 		t.Errorf("fft(spread) = %v, want 3", got)
 	}
 
@@ -83,7 +83,7 @@ func TestFaultToleranceObjective(t *testing.T) {
 		*findMedia(s, "node1:hdd2"),
 	}
 	want := 1.0/3.0 + 1.0/3.0 + 0.5
-	if got := ObjectiveVector(s, 1, clumped)[FaultTolerance]; !almostEqual(got, want) {
+	if got := newEvalContext(s, 1).vector(clumped, AllObjectives())[FaultTolerance]; !almostEqual(got, want) {
 		t.Errorf("fft(clumped) = %v, want %v", got, want)
 	}
 
@@ -94,11 +94,11 @@ func TestFaultToleranceObjective(t *testing.T) {
 		*findMedia(s, "node3:hdd0"), // rack3
 	}
 	want = 1.0/3.0 + 3.0/3.0 + 0.5
-	if got := ObjectiveVector(s, 1, threeRacks)[FaultTolerance]; !almostEqual(got, want) {
+	if got := newEvalContext(s, 1).vector(threeRacks, AllObjectives())[FaultTolerance]; !almostEqual(got, want) {
 		t.Errorf("fft(threeRacks) = %v, want %v", got, want)
 	}
 
-	if ideal := IdealVector(s, 1, 3)[FaultTolerance]; !almostEqual(ideal, 3) {
+	if ideal := newEvalContext(s, 1).ideal(3)[FaultTolerance]; !almostEqual(ideal, 3) {
 		t.Errorf("fft* = %v, want 3", ideal)
 	}
 }
@@ -108,7 +108,7 @@ func TestFaultToleranceSingleRackClusterScoresRackTermOne(t *testing.T) {
 	sel := []Media{*findMedia(s, "node1:hdd0"), *findMedia(s, "node2:hdd0")}
 	// tiers=1/min(2,3), nodes=2/min(2,3), rack term = 1 since t=1.
 	want := 0.5 + 1.0 + 1.0
-	if got := ObjectiveVector(s, 1, sel)[FaultTolerance]; !almostEqual(got, want) {
+	if got := newEvalContext(s, 1).vector(sel, AllObjectives())[FaultTolerance]; !almostEqual(got, want) {
 		t.Errorf("fft(single rack) = %v, want %v", got, want)
 	}
 }
@@ -118,7 +118,7 @@ func TestThroughputObjective(t *testing.T) {
 	mem := *findMedia(s, "node1:mem0")
 	hdd := *findMedia(s, "node2:hdd0")
 
-	got := ObjectiveVector(s, 1, []Media{mem, hdd})[ThroughputMax]
+	got := newEvalContext(s, 1).vector([]Media{mem, hdd}, AllObjectives())[ThroughputMax]
 	logMax := math.Log(memWrite)
 	want := math.Log(memWrite)/logMax + math.Log(hddWrite)/logMax
 	if !almostEqual(got, want) {
@@ -126,11 +126,11 @@ func TestThroughputObjective(t *testing.T) {
 	}
 
 	// Ideal (Eq. 8): |m|.
-	if ideal := IdealVector(s, 1, 2)[ThroughputMax]; !almostEqual(ideal, 2) {
+	if ideal := newEvalContext(s, 1).ideal(2)[ThroughputMax]; !almostEqual(ideal, 2) {
 		t.Errorf("ftm* = %v, want 2", ideal)
 	}
 	// Memory media achieve the per-replica maximum of 1.
-	single := ObjectiveVector(s, 1, []Media{mem})[ThroughputMax]
+	single := newEvalContext(s, 1).vector([]Media{mem}, AllObjectives())[ThroughputMax]
 	if !almostEqual(single, 1) {
 		t.Errorf("ftm(mem) = %v, want 1", single)
 	}
@@ -140,7 +140,7 @@ func TestThroughputObjectiveClampsSlowMedia(t *testing.T) {
 	s := paperCluster(1, 1)
 	slow := *findMedia(s, "node1:hdd0")
 	slow.WriteThruMBps = 0.25 // would be log-negative without clamping
-	got := ObjectiveVector(s, 1, []Media{slow})[ThroughputMax]
+	got := newEvalContext(s, 1).vector([]Media{slow}, AllObjectives())[ThroughputMax]
 	if got != 0 {
 		t.Errorf("ftm(0.25MB/s media) = %v, want 0 (clamped)", got)
 	}
@@ -155,7 +155,7 @@ func TestScoreIsZeroForIdealSelection(t *testing.T) {
 	// nodes/tiers... A single memory replica attains all four ideals.
 	s := paperCluster(3, 1)
 	mem := []Media{*findMedia(s, "node1:mem0")}
-	got := Score(s, 0, mem, AllObjectives(), NormL2)
+	got := newEvalContext(s, 0).score(mem, AllObjectives(), NormL2)
 	// fdb: Rem% = 1 = ideal (block size 0); flb: 1 = ideal;
 	// fft: 1/1 + 1/1 + 1 = 3 = ideal; ftm: 1 = ideal.
 	if !almostEqual(got, 0) {
@@ -166,8 +166,8 @@ func TestScoreIsZeroForIdealSelection(t *testing.T) {
 func TestScoreNorms(t *testing.T) {
 	s := paperCluster(3, 1)
 	sel := []Media{*findMedia(s, "node1:hdd0")}
-	l2 := Score(s, 0, sel, AllObjectives(), NormL2)
-	l1 := Score(s, 0, sel, AllObjectives(), NormL1)
+	l2 := newEvalContext(s, 0).score(sel, AllObjectives(), NormL2)
+	l1 := newEvalContext(s, 0).score(sel, AllObjectives(), NormL1)
 	if l2 <= 0 || l1 <= 0 {
 		t.Fatalf("scores must be positive for a non-ideal selection: l2=%v l1=%v", l2, l1)
 	}

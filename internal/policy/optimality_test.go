@@ -29,7 +29,7 @@ func exhaustiveBest(s *Snapshot, blockSize int64, r int) (float64, bool) {
 	var rec func(start, memUsed int)
 	rec = func(start, memUsed int) {
 		if len(combo) == r {
-			score := Score(s, blockSize, combo, AllObjectives(), NormL2)
+			score := newEvalContext(s, blockSize).score(combo, AllObjectives(), NormL2)
 			if !found || score < best {
 				best, found = score, true
 			}
@@ -86,7 +86,7 @@ func TestGreedyMOOPNearOptimal(t *testing.T) {
 			if err != nil {
 				t.Fatalf("trial %d r=%d: %v", trial, r, err)
 			}
-			greedy := Score(s, blockSize, got, AllObjectives(), NormL2)
+			greedy := newEvalContext(s, blockSize).score(got, AllObjectives(), NormL2)
 			if r == 1 && greedy > optimal+1e-9 {
 				t.Errorf("trial %d: r=1 greedy %.4f > optimal %.4f (must be exact)", trial, greedy, optimal)
 			}
@@ -127,7 +127,7 @@ func TestGreedyExactForSingleReplica(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		greedy := Score(s, 1<<20, got, AllObjectives(), NormL2)
+		greedy := newEvalContext(s, 1<<20).score(got, AllObjectives(), NormL2)
 		if greedy > optimal+1e-9 {
 			t.Errorf("trial %d: r=1 greedy %.6f > optimal %.6f", trial, greedy, optimal)
 		}

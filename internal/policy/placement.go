@@ -37,6 +37,12 @@ type PlacementRequest struct {
 	// Rand provides the randomness used for tie-breaking and random
 	// node selection. A nil Rand makes the policy fully deterministic.
 	Rand *rand.Rand
+
+	// Decisions, when non-nil, receives one ReplicaDecision per placed
+	// replica, in pipeline order. Asking for them changes neither the
+	// winners nor the errors. The MOOP policies fill it; the HDFS and
+	// rule-based baselines explain nothing and leave it untouched.
+	Decisions *[]ReplicaDecision
 }
 
 // PlacementPolicy selects the storage media that will host a block's
@@ -104,25 +110,8 @@ func DefaultMOOPConfig() MOOPConfig {
 // §3.3). It greedily solves the multi-objective optimization problem
 // of Eq. 11 one replica at a time.
 type MOOPPolicy struct {
-	cfg     MOOPConfig
-	name    string
-	scoreFn func(tier core.StorageTier, score float64)
-}
-
-// ScoreReporter is implemented by placement policies that can report
-// the objective score of each decision, letting the master export
-// MOOP scores as metrics without the policy depending on them.
-type ScoreReporter interface {
-	// SetScoreFunc installs fn to receive the winning candidate's tier
-	// and Eq. 11 scalarised score after each replica decision. Call it
-	// before the policy starts serving requests; it is not synchronised
-	// against concurrent PlaceReplicas calls.
-	SetScoreFunc(fn func(tier core.StorageTier, score float64))
-}
-
-// SetScoreFunc implements ScoreReporter.
-func (p *MOOPPolicy) SetScoreFunc(fn func(tier core.StorageTier, score float64)) {
-	p.scoreFn = fn
+	cfg  MOOPConfig
+	name string
 }
 
 // NewMOOPPolicy builds a MOOP policy with the given configuration.
@@ -154,28 +143,17 @@ func NewSingleObjectivePolicy(o Objective) *MOOPPolicy {
 // Name implements PlacementPolicy.
 func (p *MOOPPolicy) Name() string { return p.name }
 
-// Config returns the policy's configuration (for reports and tests).
-func (p *MOOPPolicy) Config() MOOPConfig { return p.cfg }
-
 // PlaceReplicas implements Algorithm 2: it iterates over the
 // replication-vector entries, generating the pruned option list for
 // each entry and solving the MOOP instance (Algorithm 1) to pick the
 // best media, accumulating choices as it goes.
 func (p *MOOPPolicy) PlaceReplicas(req PlacementRequest) ([]Media, error) {
-	placed, _, err := p.placeReplicas(req, false)
-	return placed, err
-}
-
-// placeReplicas is the shared Algorithm 2 loop. With explain=true it
-// additionally records one ReplicaDecision per placed replica; the
-// winners and errors are identical either way.
-func (p *MOOPPolicy) placeReplicas(req PlacementRequest, explain bool) ([]Media, []ReplicaDecision, error) {
 	if req.Snapshot == nil || len(req.Snapshot.Media) == 0 {
-		return nil, nil, core.ErrNoWorkers
+		return nil, core.ErrNoWorkers
 	}
 	entries := req.RepVector.PinnedTiers()
 	if len(entries) == 0 {
-		return nil, nil, fmt.Errorf("policy: empty replication vector: %w", core.ErrNoSpace)
+		return nil, fmt.Errorf("policy: empty replication vector: %w", core.ErrNoSpace)
 	}
 	ctx := newEvalContext(req.Snapshot, req.BlockSize)
 
@@ -185,10 +163,6 @@ func (p *MOOPPolicy) placeReplicas(req PlacementRequest, explain bool) ([]Media,
 	chosen := make([]Media, 0, len(req.Existing)+len(entries))
 	chosen = append(chosen, req.Existing...)
 	placed := make([]Media, 0, len(entries))
-	var decisions []ReplicaDecision
-	if explain {
-		decisions = make([]ReplicaDecision, 0, len(entries))
-	}
 
 	memoryBudget := p.memoryBudget(req)
 	for _, m := range chosen {
@@ -199,37 +173,29 @@ func (p *MOOPPolicy) placeReplicas(req PlacementRequest, explain bool) ([]Media,
 
 	for _, entry := range entries {
 		options := p.genOptions(req, chosen, entry, len(placed), &memoryBudget)
-		var best Media
-		var score float64
-		var ok bool
-		if explain {
-			var dec ReplicaDecision
-			best, score, dec, ok = solveMOOPExplained(ctx, options, chosen, p.cfg.Objectives, p.cfg.Norm)
-			if ok {
-				dec.Entry = entry
-				decisions = append(decisions, dec)
-			}
-		} else {
-			best, score, ok = solveMOOP(ctx, options, chosen, p.cfg.Objectives, p.cfg.Norm)
+		var dec *ReplicaDecision
+		if req.Decisions != nil {
+			dec = &ReplicaDecision{Entry: entry}
 		}
+		best, ok := solveMOOP(ctx, options, chosen, p.cfg.Objectives, p.cfg.Norm, dec)
 		if !ok {
 			if len(placed) == 0 {
-				return nil, nil, fmt.Errorf("policy: no feasible media for %s entry of %s: %w",
+				return nil, fmt.Errorf("policy: no feasible media for %s entry of %s: %w",
 					entry, req.RepVector, core.ErrNoSpace)
 			}
-			return placed, decisions, fmt.Errorf("policy: placed %d of %d replicas: %w",
+			return placed, fmt.Errorf("policy: placed %d of %d replicas: %w",
 				len(placed), len(entries), core.ErrNoSpace)
+		}
+		if dec != nil {
+			*req.Decisions = append(*req.Decisions, *dec)
 		}
 		if best.Tier == core.TierMemory {
 			memoryBudget--
 		}
-		if p.scoreFn != nil {
-			p.scoreFn(best.Tier, score)
-		}
 		chosen = append(chosen, best)
 		placed = append(placed, best)
 	}
-	return placed, decisions, nil
+	return placed, nil
 }
 
 // memoryBudget computes how many of the request's replicas may sit on
@@ -332,36 +298,47 @@ func (p *MOOPPolicy) genOptions(req PlacementRequest, chosen []Media,
 }
 
 // solveMOOP implements Algorithm 1: evaluate every candidate appended
-// to the chosen list, score the result against the ideal vector, and
-// return the candidate with the lowest score alongside that score.
-// The first candidate in option order wins ties, so upstream shuffling
-// spreads tied load.
+// to the chosen list, score the result against the ideal vector
+// (Eq. 11), and return the candidate with the lowest score. The first
+// candidate in option order wins ties, so upstream shuffling spreads
+// tied load. A non-nil dec receives the ideal vector and every
+// candidate's full four-objective vector and score; the scores, and so
+// the winner, are the same either way.
 func solveMOOP(ctx evalContext, options, chosen []Media,
-	objectives []Objective, norm Norm) (Media, float64, bool) {
+	objectives []Objective, norm Norm, dec *ReplicaDecision) (Media, bool) {
 
 	if len(options) == 0 {
-		return Media{}, 0, false
+		return Media{}, false
 	}
 	trial := make([]Media, len(chosen)+1)
 	copy(trial, chosen)
+	ideal := ctx.ideal(len(trial))
+	evaluated := objectives
+	var scored []CandidateScore
+	if dec != nil {
+		evaluated = AllObjectives()
+		scored = make([]CandidateScore, len(options))
+	}
 	bestScore := 0.0
 	bestIdx := -1
 	for i, opt := range options {
 		trial[len(chosen)] = opt
-		score := ctx.score(trial, objectives, norm)
+		f := ctx.vector(trial, evaluated)
+		score := scalarise(f, ideal, objectives, norm)
+		if scored != nil {
+			scored[i] = newCandidateScore(opt, score, f)
+		}
 		if bestIdx < 0 || score < bestScore {
 			bestScore, bestIdx = score, i
 		}
 	}
-	return options[bestIdx], bestScore, true
-}
-
-// SolveMOOP exposes Algorithm 1 for replication management (paper §5)
-// and tests: given a snapshot, the candidate options, and the already
-// chosen media, it returns the best media to add.
-func SolveMOOP(s *Snapshot, blockSize int64, options, chosen []Media) (Media, bool) {
-	best, _, ok := solveMOOP(newEvalContext(s, blockSize), options, chosen, AllObjectives(), NormL2)
-	return best, ok
+	if dec != nil {
+		scored[bestIdx].Chosen = true
+		dec.Ideal = ideal
+		dec.Considered = len(options)
+		dec.Candidates = rankCandidates(scored, bestIdx)
+	}
+	return options[bestIdx], true
 }
 
 // SelectExcessReplica implements the over-replication decision of

@@ -321,18 +321,19 @@ func TestSelectExcessReplica(t *testing.T) {
 	}
 }
 
-func TestSolveMOOPExposedHelper(t *testing.T) {
+func TestSolveMOOP(t *testing.T) {
 	s := paperCluster(3, 1)
+	ctx := newEvalContext(s, testBlock)
 	options := []Media{*findMedia(s, "node1:hdd0"), *findMedia(s, "node1:mem0")}
-	best, ok := SolveMOOP(s, testBlock, options, nil)
+	best, ok := solveMOOP(ctx, options, nil, AllObjectives(), NormL2, nil)
 	if !ok {
-		t.Fatal("SolveMOOP returned no media")
+		t.Fatal("solveMOOP returned no media")
 	}
 	if best.Tier != core.TierMemory {
-		t.Errorf("SolveMOOP picked %s; on a fresh cluster the memory media dominates", best.ID)
+		t.Errorf("solveMOOP picked %s; on a fresh cluster the memory media dominates", best.ID)
 	}
-	if _, ok := SolveMOOP(s, testBlock, nil, nil); ok {
-		t.Error("SolveMOOP(no options): got ok=true")
+	if _, ok := solveMOOP(ctx, nil, nil, AllObjectives(), NormL2, nil); ok {
+		t.Error("solveMOOP(no options): got ok=true")
 	}
 }
 

@@ -152,10 +152,3 @@ func (p *HDFSRetrievalPolicy) Order(req RetrievalRequest) []Media {
 	sort.SliceStable(out, func(i, j int) bool { return dist(out[i]) < dist(out[j]) })
 	return out
 }
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}

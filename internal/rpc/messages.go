@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/heat"
+	"repro/internal/policy"
 	"repro/internal/trace"
 	"repro/internal/xfer"
 )
@@ -750,43 +751,22 @@ type ClusterSample struct {
 	Heat    HeatAggregate
 }
 
-// CandidateScore mirrors policy.CandidateScore on the wire: one
-// candidate media's four-objective vector and scalarised score from a
-// placement decision.
-type CandidateScore struct {
-	Worker     core.WorkerID
-	Storage    core.StorageID
-	Node       string
-	Rack       string
-	Tier       core.StorageTier
-	Score      float64
-	Objectives [4]float64
-	Chosen     bool
-}
-
-// ReplicaExplanation explains where one replica of a block went and
-// why: the requested tier entry, the ideal vector, and the scored
-// candidates with the winner first.
-type ReplicaExplanation struct {
-	Entry      core.StorageTier
-	Ideal      [4]float64
-	Candidates []CandidateScore
-	Considered int
-}
-
-// BlockExplanation is one block's placement record. Origin is ""
-// for the initial write placement; the background tier mover
-// overwrites the record with Origin "promote" or "demote" and the
-// block's decayed heat at decision time, so explain shows why the
-// block last moved.
+// BlockExplanation is one block's last placement record. Origin is
+// "" for the initial write placement, "repair" for a re-replication,
+// and "promote" or "demote" for a tier move, which also records the
+// block's decayed heat at decision time; so explain shows why the
+// block's newest replicas went where they did.
 type BlockExplanation struct {
 	Block    core.BlockID
 	TimeNs   int64
 	TraceID  string
 	Origin   string
 	Heat     float64
-	Replicas []ReplicaExplanation
+	Replicas []policy.ReplicaDecision
 }
+
+// OriginRepair is a BlockExplanation's Origin for a re-replication.
+const OriginRepair = "repair"
 
 // ExplainReply is the placement explanation document of one file,
 // served at /debug/explain: the retained decisions for its blocks.

@@ -146,32 +146,6 @@ func (p *ConnPool) Clear() {
 	}
 }
 
-// configure resizes the pool, closing idle conns beyond the new cap.
-func (p *ConnPool) configure(maxIdle int, maxAge time.Duration) {
-	if maxAge <= 0 {
-		maxAge = DefaultDataPoolIdle
-	}
-	p.mu.Lock()
-	p.maxIdle = maxIdle
-	p.maxAge = maxAge
-	var victims []*deadlineConn
-	for addr, list := range p.idle {
-		for len(list) > 0 && (maxIdle <= 0 || len(list) > maxIdle) {
-			victims = append(victims, list[len(list)-1].dc)
-			list = list[:len(list)-1]
-		}
-		if len(list) == 0 {
-			delete(p.idle, addr)
-		} else {
-			p.idle[addr] = list
-		}
-	}
-	p.mu.Unlock()
-	for _, dc := range victims {
-		dc.Close()
-	}
-}
-
 // idleCount returns the number of idle conns currently pooled.
 func (p *ConnPool) idleCount() int {
 	p.mu.Lock()
@@ -225,14 +199,6 @@ func (p *ConnPool) stats() PoolStats {
 // dataPool is the process-wide pool every outbound data exchange draws
 // from.
 var dataPool = NewConnPool(DefaultDataPoolSize, DefaultDataPoolIdle)
-
-// SetDataPool reconfigures the process-wide data-connection pool: the
-// per-worker idle cap (<= 0 disables pooling) and the maximum idle age
-// (<= 0 selects the default). Daemons wire the -data-pool-size and
-// -data-pool-idle flags here.
-func SetDataPool(maxIdle int, maxAge time.Duration) {
-	dataPool.configure(maxIdle, maxAge)
-}
 
 // ResetDataPool closes every idle pooled connection. Cluster teardown
 // and tests use it so conns to dead workers don't linger.

@@ -13,16 +13,11 @@ import (
 )
 
 // resetPool isolates a test from the process-wide data pool: idle
-// conns from other tests are dropped and the default configuration is
-// restored afterwards.
+// conns from other tests are dropped before and after it.
 func resetPool(t *testing.T) {
 	t.Helper()
 	ResetDataPool()
-	SetDataPool(DefaultDataPoolSize, DefaultDataPoolIdle)
-	t.Cleanup(func() {
-		ResetDataPool()
-		SetDataPool(DefaultDataPoolSize, DefaultDataPoolIdle)
-	})
+	t.Cleanup(ResetDataPool)
 }
 
 // fakeDataServer speaks just enough of the data protocol for pool

@@ -34,9 +34,9 @@ func init() {
 // stalling the client forever. Zero disables deadlines.
 func TransferTimeout() time.Duration { return time.Duration(transferTimeoutNs.Load()) }
 
-// SetTransferTimeout changes the rolling transfer deadline. It applies
+// setTransferTimeout changes the rolling transfer deadline. It applies
 // to connections established (or checked out of the pool) afterwards.
-func SetTransferTimeout(d time.Duration) { transferTimeoutNs.Store(int64(d)) }
+func setTransferTimeout(d time.Duration) { transferTimeoutNs.Store(int64(d)) }
 
 // HandshakeTimeout returns the absolute deadline over a connection's
 // opening exchange: dial through the header handshake. Unlike the
@@ -48,8 +48,8 @@ func SetTransferTimeout(d time.Duration) { transferTimeoutNs.Store(int64(d)) }
 // timeout. Zero disables it (tests that single-step the handshake).
 func HandshakeTimeout() time.Duration { return time.Duration(handshakeTimeoutNs.Load()) }
 
-// SetHandshakeTimeout changes the absolute handshake bound.
-func SetHandshakeTimeout(d time.Duration) { handshakeTimeoutNs.Store(int64(d)) }
+// setHandshakeTimeout changes the absolute handshake bound.
+func setHandshakeTimeout(d time.Duration) { handshakeTimeoutNs.Store(int64(d)) }
 
 // deadlineConn applies a rolling deadline around every conn operation
 // and, until established() is called, caps every deadline at the
@@ -375,7 +375,6 @@ func (b *blockReadCloser) AllocBytes() int64 { return b.r.AllocBytes() }
 type BlockWriter struct {
 	conn    *deadlineConn
 	pw      *PacketWriter
-	n       int64
 	peer    string
 	poolHit bool
 
@@ -432,7 +431,6 @@ func (w *BlockWriter) Write(p []byte) (int, error) {
 	start := time.Now()
 	n, err := w.pw.Write(p)
 	w.netNs.Add(time.Since(start).Nanoseconds())
-	w.n += int64(n)
 	return n, err
 }
 
@@ -442,14 +440,8 @@ func (w *BlockWriter) WriteRaw(raw []byte) error {
 	start := time.Now()
 	err := w.pw.WriteRaw(raw)
 	w.netNs.Add(time.Since(start).Nanoseconds())
-	if err == nil {
-		w.n += int64(len(raw) - packetHeaderLen)
-	}
 	return err
 }
-
-// Written returns the bytes written so far.
-func (w *BlockWriter) Written() int64 { return w.n }
 
 // Peer returns the address of the dialled pipeline stage.
 func (w *BlockWriter) Peer() string { return w.peer }

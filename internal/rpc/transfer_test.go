@@ -16,8 +16,8 @@ import (
 func shortTransferTimeout(t *testing.T, d time.Duration) {
 	t.Helper()
 	old := TransferTimeout()
-	SetTransferTimeout(d)
-	t.Cleanup(func() { SetTransferTimeout(old) })
+	setTransferTimeout(d)
+	t.Cleanup(func() { setTransferTimeout(old) })
 }
 
 // TestReadDeadlineHungWorker: a worker that accepts the connection
@@ -108,8 +108,8 @@ func TestWriteAckDeadlineHungWorker(t *testing.T) {
 func shortHandshakeTimeout(t *testing.T, d time.Duration) {
 	t.Helper()
 	old := HandshakeTimeout()
-	SetHandshakeTimeout(d)
-	t.Cleanup(func() { SetHandshakeTimeout(old) })
+	setHandshakeTimeout(d)
+	t.Cleanup(func() { setHandshakeTimeout(old) })
 }
 
 // TestHandshakeDeadlineHungPeer: the absolute handshake bound must

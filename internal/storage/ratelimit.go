@@ -105,13 +105,13 @@ type limitedReader struct {
 	waitNs *int64
 }
 
-// LimitReader wraps r so reads are throttled by l. A nil limiter
+// limitReader wraps r so reads are throttled by l. A nil limiter
 // returns r unchanged.
-func LimitReader(r io.Reader, l *RateLimiter) io.Reader {
+func limitReader(r io.Reader, l *RateLimiter) io.Reader {
 	return LimitReaderStats(r, l, nil)
 }
 
-// LimitReaderStats is LimitReader accumulating the stream's own
+// LimitReaderStats is limitReader accumulating the stream's own
 // throttle sleep (exact, unlike the limiter's cross-stream Stats
 // total) into *waitNs. waitNs may be nil.
 func LimitReaderStats(r io.Reader, l *RateLimiter, waitNs *int64) io.Reader {
@@ -133,19 +133,3 @@ func (lr *limitedReader) Read(p []byte) (int, error) {
 	}
 	return n, err
 }
-
-// limitedReadCloser is LimitReader plus pass-through Close.
-type limitedReadCloser struct {
-	limitedReader
-	c io.Closer
-}
-
-// LimitReadCloser wraps rc so reads are throttled by l.
-func LimitReadCloser(rc io.ReadCloser, l *RateLimiter) io.ReadCloser {
-	if l == nil {
-		return rc
-	}
-	return &limitedReadCloser{limitedReader{r: rc, l: l}, rc}
-}
-
-func (lrc *limitedReadCloser) Close() error { return lrc.c.Close() }

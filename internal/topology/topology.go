@@ -130,9 +130,9 @@ func (m *Map) Distance(a, b string) int {
 	return Distance(m.LocationOf(a), m.LocationOf(b))
 }
 
-// Racks returns the rack paths currently holding at least one node,
-// sorted lexicographically.
-func (m *Map) Racks() []string {
+// sortedRacks returns the rack paths currently holding at least one
+// node, sorted lexicographically.
+func (m *Map) sortedRacks() []string {
 	m.mu.RLock()
 	defer m.mu.RUnlock()
 	racks := make([]string, 0, len(m.racks))
@@ -143,8 +143,8 @@ func (m *Map) Racks() []string {
 	return racks
 }
 
-// NodesInRack returns the sorted node names in the given rack.
-func (m *Map) NodesInRack(rack string) []string {
+// nodesInRack returns the sorted node names in the given rack.
+func (m *Map) nodesInRack(rack string) []string {
 	rack = NormalizeRack(rack)
 	m.mu.RLock()
 	defer m.mu.RUnlock()
@@ -162,8 +162,8 @@ func (m *Map) NumRacks() int {
 	return len(m.racks)
 }
 
-// NumNodes returns the number of registered nodes.
-func (m *Map) NumNodes() int {
+// numNodes returns the number of registered nodes.
+func (m *Map) numNodes() int {
 	m.mu.RLock()
 	defer m.mu.RUnlock()
 	return len(m.nodes)

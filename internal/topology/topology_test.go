@@ -60,18 +60,18 @@ func TestMapAddAndLookup(t *testing.T) {
 	if got, want := m.NumRacks(), 3; got != want {
 		t.Errorf("NumRacks() = %d, want %d", got, want)
 	}
-	if got, want := m.NumNodes(), 4; got != want {
-		t.Errorf("NumNodes() = %d, want %d", got, want)
+	if got, want := m.numNodes(), 4; got != want {
+		t.Errorf("numNodes() = %d, want %d", got, want)
 	}
 
-	racks := m.Racks()
+	racks := m.sortedRacks()
 	if len(racks) != 3 || racks[0] != DefaultRack || racks[1] != "/r1" || racks[2] != "/r2" {
 		t.Errorf("Racks() = %v, want sorted [%s /r1 /r2]", racks, DefaultRack)
 	}
 
-	nodes := m.NodesInRack("/r1")
+	nodes := m.nodesInRack("/r1")
 	if len(nodes) != 2 || nodes[0] != "n1" || nodes[1] != "n2" {
-		t.Errorf("NodesInRack(/r1) = %v, want [n1 n2]", nodes)
+		t.Errorf("nodesInRack(/r1) = %v, want [n1 n2]", nodes)
 	}
 }
 
@@ -86,13 +86,13 @@ func TestMapReassignAndRemove(t *testing.T) {
 		t.Errorf("after reassign: NumRacks() = %d, want 1 (old rack emptied)", got)
 	}
 	m.Add("n1", "/r2") // idempotent re-add must not duplicate
-	if got := len(m.NodesInRack("/r2")); got != 1 {
+	if got := len(m.nodesInRack("/r2")); got != 1 {
 		t.Errorf("after duplicate add: rack members = %d, want 1", got)
 	}
 
 	m.Remove("n1")
-	if got := m.NumNodes(); got != 0 {
-		t.Errorf("after remove: NumNodes() = %d, want 0", got)
+	if got := m.numNodes(); got != 0 {
+		t.Errorf("after remove: numNodes() = %d, want 0", got)
 	}
 	if got := m.NumRacks(); got != 0 {
 		t.Errorf("after remove: NumRacks() = %d, want 0", got)
@@ -103,9 +103,9 @@ func TestMapReassignAndRemove(t *testing.T) {
 func TestNodesInRackIsCopy(t *testing.T) {
 	m := NewMap()
 	m.Add("n1", "/r1")
-	nodes := m.NodesInRack("/r1")
+	nodes := m.nodesInRack("/r1")
 	nodes[0] = "mutated"
-	if got := m.NodesInRack("/r1")[0]; got != "n1" {
+	if got := m.nodesInRack("/r1")[0]; got != "n1" {
 		t.Errorf("internal state mutated through returned slice: %q", got)
 	}
 }
@@ -146,7 +146,7 @@ func TestMapConcurrentAccess(t *testing.T) {
 				m.Add(n, "/r1")
 				m.RackOf(n)
 				m.Distance("a", n)
-				m.Racks()
+				m.sortedRacks()
 				if j%10 == 0 {
 					m.Remove(n)
 				}

@@ -64,12 +64,6 @@ type Config struct {
 	// to 100ms via their -slowop flag.
 	SlowOpThreshold time.Duration
 
-	// TraceSample is the fraction of non-slow traces the in-memory
-	// trace store retains; slow traces (per SlowOpThreshold) are
-	// always kept. Zero selects the default (trace.DefaultSample);
-	// negative keeps only slow traces.
-	TraceSample float64
-
 	// Pprof mounts net/http/pprof under /debug/pprof/ on the HTTP
 	// endpoint. Off by default.
 	Pprof bool
@@ -182,7 +176,7 @@ func New(cfg Config) (*Worker, error) {
 			"addr", addr, "consecutive", fmt.Sprintf("%d", consecutive),
 			"worker", string(id))
 	})
-	w.traces = trace.NewStore(trace.DefaultCapacity, cfg.SlowOpThreshold, cfg.TraceSample)
+	w.traces = trace.NewStore(trace.DefaultCapacity, cfg.SlowOpThreshold, 0)
 	w.tracer = trace.NewTracer("worker", w.traces)
 	w.metrics = newWorkerMetrics(w)
 	w.metrics.slow.SetSink(func(op, reqID string, d time.Duration) {
