@@ -169,6 +169,7 @@ type fakeWorker struct {
 	ackErrWrites int                     // write streams to accept fully, then nack
 	dieReads     map[core.StorageID]bool // storages whose read streams die halfway
 	corruptReads map[core.StorageID]bool // storages whose second packet carries a bad CRC
+	refuseReads  map[core.StorageID]bool // storages that refuse reads as missing replicas
 }
 
 func newFakeWorker(t *testing.T) *fakeWorker {
@@ -177,7 +178,7 @@ func newFakeWorker(t *testing.T) *fakeWorker {
 	if err != nil {
 		t.Fatal(err)
 	}
-	f := &fakeWorker{ln: ln, blocks: make(map[core.BlockID][]byte), dieReads: make(map[core.StorageID]bool), corruptReads: make(map[core.StorageID]bool)}
+	f := &fakeWorker{ln: ln, blocks: make(map[core.BlockID][]byte), dieReads: make(map[core.StorageID]bool), corruptReads: make(map[core.StorageID]bool), refuseReads: make(map[core.StorageID]bool)}
 	f.wg.Add(1)
 	go f.serve()
 	t.Cleanup(func() {
@@ -258,8 +259,9 @@ func (f *fakeWorker) handleRead(conn net.Conn) {
 	data, ok := f.blocks[hdr.Block.ID]
 	die := f.dieReads[hdr.Storage]
 	corrupt := f.corruptReads[hdr.Storage]
+	refuse := f.refuseReads[hdr.Storage]
 	f.mu.Unlock()
-	if !ok {
+	if !ok || refuse {
 		rpc.WriteFrame(conn, rpc.ReadBlockResponse{Err: rpc.EncodeError(core.ErrNotFound)})
 		return
 	}
@@ -531,6 +533,38 @@ func TestReaderMidStreamFailover(t *testing.T) {
 			}
 			if stats := fs.DataPathStats(); stats.Failovers < 1 {
 				t.Errorf("failovers = %.0f, want >= 1", stats.Failovers)
+			}
+		})
+	}
+}
+
+// TestReaderReportsRefusedReplica refuses every read of the first
+// replica as missing: each block fails over to the second and reports
+// the first exactly once, whether the foreground open or a readahead
+// prefetch opened it.
+func TestReaderReportsRefusedReplica(t *testing.T) {
+	for _, readahead := range []int{0, 2} {
+		t.Run(fmt.Sprintf("readahead=%d", readahead), func(t *testing.T) {
+			const blockSize, blocks = 16 << 10, 4
+			fs, sm, fw := startStub(t, blockSize, "w1:missing", "w1:good")
+			data := testPattern(blockSize*blocks, 8)
+			writeReadBack(t, fs, "/f", data)
+
+			fw.mu.Lock()
+			fw.refuseReads["w1:missing"] = true
+			fw.mu.Unlock()
+			fs.readahead = readahead
+			got, err := fs.ReadFile("/f")
+			if err != nil || !bytes.Equal(got, data) {
+				t.Fatalf("read with a missing first replica: %d bytes, err %v", len(got), err)
+			}
+			sm.mu.Lock()
+			defer sm.mu.Unlock()
+			if sm.badReports != blocks {
+				t.Errorf("ReportBadBlock calls = %d, want %d", sm.badReports, blocks)
+			}
+			if stats := fs.DataPathStats(); stats.Failovers != blocks || stats.BadReports != blocks {
+				t.Errorf("failovers = %.0f, bad reports = %.0f, want %d each", stats.Failovers, stats.BadReports, blocks)
 			}
 		})
 	}

@@ -6,6 +6,7 @@
 package client
 
 import (
+	"io"
 	"sync"
 
 	"repro/internal/core"
@@ -206,7 +207,7 @@ func (fs *FileSystem) ReadFile(path string) ([]byte, error) {
 	}
 	defer r.Close()
 	buf := make([]byte, r.Length())
-	if _, err := ioReadFull(r, buf); err != nil {
+	if _, err := io.ReadFull(r, buf); err != nil {
 		return nil, err
 	}
 	return buf, nil

@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"sync"
 	"time"
 
 	"repro/internal/core"
@@ -129,7 +128,10 @@ func (r *Reader) Read(p []byte) (int, error) {
 			r.cur.Close()
 			r.cur = nil
 			r.endBlockSpan(err)
-			r.markBad(r.curLoc)
+			if r.exclude == nil {
+				r.exclude = make(map[core.StorageID]bool)
+			}
+			r.exclude[r.curLoc.Storage] = true
 			r.streamErr = err
 			if n > 0 {
 				return n, nil
@@ -138,15 +140,6 @@ func (r *Reader) Read(p []byte) (int, error) {
 		}
 		return n, nil
 	}
-}
-
-// markBad records the location of a stream that failed mid-block so
-// the retry skips it.
-func (r *Reader) markBad(loc core.BlockLocation) {
-	if r.exclude == nil {
-		r.exclude = make(map[core.StorageID]bool)
-	}
-	r.exclude[loc.Storage] = true
 }
 
 // openAt connects to a replica of the block containing offset, taking
@@ -166,7 +159,8 @@ func (r *Reader) openAt(offset int64) error {
 		r.pruneWindow(idx)
 		if entry := r.takeWindow(idx); entry != nil {
 			awaitStart := time.Now()
-			rc, loc, err := entry.await()
+			res := <-entry.done
+			rc, loc, err := res.rc, res.loc, res.err
 			stallNs := time.Since(awaitStart).Nanoseconds()
 			// A prefetched stream always starts at the block head; it
 			// is only adoptable when the consumed position is there
@@ -218,16 +212,54 @@ func (r *Reader) openAt(offset int64) error {
 	bsp := r.fs.tracer.Start(r.reqID, r.span.ID(), "client.read_block")
 	bsp.AnnotateInt("block", int64(blk.Block.ID)).Annotate("prefetched", "false")
 	openStart := time.Now()
-	var lastErr error
-	failedOver := len(r.exclude) > 0
+	// tm holds the winning attempt's open-phase split; failed
+	// failover attempts still land in TotalNs via openStart. When
+	// every replica is excluded, they all failed mid-stream: a corrupt
+	// chunk surfaces there, so the last stream's error (ErrCorrupt) is
+	// the answer.
+	var tm rpc.TransferTiming
+	rc, loc, err := r.openReplica(blk, within, r.exclude, bsp, &tm, r.streamErr)
+	if err != nil {
+		bsp.SetError(err)
+		bsp.End()
+		return err
+	}
+	r.curSpan, r.curStart = bsp, r.pos
+	r.curRec = &xfer.Record{
+		Op:             "read",
+		Source:         "client",
+		Block:          uint64(blk.Block.ID),
+		Tier:           loc.Tier.String(),
+		Peer:           loc.Address,
+		TraceID:        r.reqID,
+		SpanID:         bsp.ID(),
+		DialNs:         tm.DialNs,
+		HeaderEncodeNs: tm.HeaderEncodeNs,
+		HeaderDecodeNs: tm.HeaderDecodeNs,
+		PoolHit:        tm.PoolHit,
+	}
+	r.curRecStart = openStart
+	if ab, ok := rc.(interface{ AllocBytes() int64 }); ok {
+		r.curRec.AllocBytes = ab.AllocBytes()
+	}
+	r.adopt(blk, rc, loc)
+	return nil
+}
+
+// openReplica opens blk from within bytes into it, trying its
+// locations in retrieval-policy order and skipping those in skip. It
+// is the one replica-open loop of the foreground and readahead paths:
+// a replica refused as corrupt or missing is reported to the master,
+// and a failover (a skipped or refused replica before the one opened)
+// is counted and annotated on sp. The error is the last refusal, or
+// lastErr when no location is tried.
+func (r *Reader) openReplica(blk *core.LocatedBlock, within int64, skip map[core.StorageID]bool, sp *trace.ActiveSpan, tm *rpc.TransferTiming, lastErr error) (io.ReadCloser, core.BlockLocation, error) {
+	failedOver := len(skip) > 0
 	for _, loc := range blk.Locations {
-		if r.exclude[loc.Storage] {
+		if skip[loc.Storage] {
 			continue
 		}
-		// tm holds the winning attempt's open-phase split; failed
-		// failover attempts still land in TotalNs via openStart.
-		var tm rpc.TransferTiming
-		rc, _, err := rpc.OpenBlockReaderTimed(loc.Address, blk.Block, loc.Storage, within, blk.Block.NumBytes-within, r.reqID, bsp.ID(), &tm)
+		rc, _, err := rpc.OpenBlockReaderTimed(loc.Address, blk.Block, loc.Storage, within, blk.Block.NumBytes-within, r.reqID, sp.ID(), tm)
 		if err != nil {
 			lastErr = err
 			failedOver = true
@@ -238,40 +270,14 @@ func (r *Reader) openAt(offset int64) error {
 		}
 		if failedOver {
 			r.fs.metrics.failovers.Inc()
-			bsp.Annotate("failover", "true")
+			sp.Annotate("failover", "true")
 		}
-		r.curSpan, r.curStart = bsp, r.pos
-		r.curRec = &xfer.Record{
-			Op:             "read",
-			Source:         "client",
-			Block:          uint64(blk.Block.ID),
-			Tier:           loc.Tier.String(),
-			Peer:           loc.Address,
-			TraceID:        r.reqID,
-			SpanID:         bsp.ID(),
-			DialNs:         tm.DialNs,
-			HeaderEncodeNs: tm.HeaderEncodeNs,
-			HeaderDecodeNs: tm.HeaderDecodeNs,
-			PoolHit:        tm.PoolHit,
-		}
-		r.curRecStart = openStart
-		if ab, ok := rc.(interface{ AllocBytes() int64 }); ok {
-			r.curRec.AllocBytes = ab.AllocBytes()
-		}
-		r.adopt(blk, rc, loc)
-		return nil
-	}
-	if lastErr == nil {
-		// Every replica failed mid-stream: a corrupt chunk surfaces
-		// there, so the last stream's error (ErrCorrupt) is the answer.
-		lastErr = r.streamErr
+		return rc, loc, nil
 	}
 	if lastErr == nil {
 		lastErr = fmt.Errorf("client: block %s has no live replicas: %w", blk.Block.ID, core.ErrNoWorkers)
 	}
-	bsp.SetError(lastErr)
-	bsp.End()
-	return lastErr
+	return nil, core.BlockLocation{}, lastErr
 }
 
 // adopt installs a replica stream as the current one. The stream's
@@ -354,54 +360,35 @@ func (r *Reader) Close() error {
 func (r *Reader) ReqID() string { return r.reqID }
 
 // prefetchedStream is one background block-open in the readahead
-// window. The opening goroutine publishes its result under mu and
-// closes done; cancellation closes an already-delivered stream and
-// makes a late delivery close itself.
+// window. The opening goroutine sends its one result on done, which is
+// buffered so the send never blocks.
 type prefetchedStream struct {
 	idx  int
-	done chan struct{}
-
-	mu        sync.Mutex
-	rc        io.ReadCloser
-	loc       core.BlockLocation
-	err       error
-	cancelled bool
+	done chan prefetched
 }
 
-// await blocks until the open attempt finished and hands over the
-// stream (or error). The caller owns the returned stream.
-func (p *prefetchedStream) await() (io.ReadCloser, core.BlockLocation, error) {
-	<-p.done
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	rc, loc, err := p.rc, p.loc, p.err
-	p.rc = nil
-	return rc, loc, err
+// prefetched is the result of a background open. The receiver owns
+// the stream.
+type prefetched struct {
+	rc  io.ReadCloser
+	loc core.BlockLocation
+	err error
 }
 
 // cancel discards the prefetch: a delivered stream is closed now, a
-// late one is closed by the opening goroutine.
+// late one when it arrives.
 func (p *prefetchedStream) cancel() {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	p.cancelled = true
-	if p.rc != nil {
-		p.rc.Close()
-		p.rc = nil
+	discard := func(res prefetched) {
+		if res.rc != nil {
+			res.rc.Close()
+		}
 	}
-}
-
-// deliver publishes the open result, closing the stream instead if
-// the prefetch was cancelled meanwhile.
-func (p *prefetchedStream) deliver(rc io.ReadCloser, loc core.BlockLocation, err error) {
-	p.mu.Lock()
-	if p.cancelled && rc != nil {
-		rc.Close()
-		rc = nil
+	select {
+	case res := <-p.done:
+		discard(res)
+	default:
+		go func() { discard(<-p.done) }()
 	}
-	p.rc, p.loc, p.err = rc, loc, err
-	p.mu.Unlock()
-	close(p.done)
 }
 
 // fillWindow ensures prefetches are running for the readahead blocks
@@ -415,7 +402,7 @@ func (r *Reader) fillWindow(idx int) {
 		next = r.window[len(r.window)-1].idx + 1
 	}
 	for ; next <= idx+r.readahead && next < len(r.blocks); next++ {
-		entry := &prefetchedStream{idx: next, done: make(chan struct{})}
+		entry := &prefetchedStream{idx: next, done: make(chan prefetched, 1)}
 		r.window = append(r.window, entry)
 		go r.prefetch(entry, r.blocks[next])
 	}
@@ -429,28 +416,15 @@ func (r *Reader) prefetch(entry *prefetchedStream, blk core.LocatedBlock) {
 	// span for the stream links under it.
 	psp := r.fs.tracer.Start(r.reqID, r.span.ID(), "client.prefetch")
 	psp.AnnotateInt("block", int64(blk.Block.ID))
-	var lastErr error
-	for i, loc := range blk.Locations {
-		rc, _, err := rpc.OpenBlockReaderSpan(loc.Address, blk.Block, loc.Storage, 0, blk.Block.NumBytes, r.reqID, psp.ID())
-		if err != nil {
-			lastErr = err
-			continue
-		}
-		if i > 0 {
-			r.fs.metrics.failovers.Inc()
-			psp.Annotate("failover", "true")
-		}
+	// No exclude set: the consumer owns r.exclude, and the adopting
+	// openAt checks the delivered location against it.
+	rc, loc, err := r.openReplica(&blk, 0, nil, psp, nil, nil)
+	if err == nil {
 		r.fs.metrics.readaheadOpens.Inc()
-		psp.End()
-		entry.deliver(rc, loc, nil)
-		return
 	}
-	if lastErr == nil {
-		lastErr = fmt.Errorf("client: block %s has no live replicas: %w", blk.Block.ID, core.ErrNoWorkers)
-	}
-	psp.SetError(lastErr)
+	psp.SetError(err)
 	psp.End()
-	entry.deliver(nil, core.BlockLocation{}, lastErr)
+	entry.done <- prefetched{rc, loc, err}
 }
 
 // takeWindow pops the window entry for block idx, if it is the head.
@@ -513,6 +487,3 @@ func (c *corruptionReportingReader) Read(p []byte) (int, error) {
 func (c *corruptionReportingReader) Close() error { return c.rc.Close() }
 
 var _ io.ReadSeekCloser = (*Reader)(nil)
-
-// ioReadFull is io.ReadFull, indirected for fs.go's ReadFile.
-func ioReadFull(r io.Reader, buf []byte) (int, error) { return io.ReadFull(r, buf) }

@@ -471,9 +471,6 @@ func (w *Writer) finishTrace(err error) {
 	w.fs.report(w.reqID)
 }
 
-// Written returns the number of bytes accepted so far.
-func (w *Writer) Written() int64 { return w.written }
-
 // ReqID returns the request ID correlating all of this write's RPCs,
 // transfers, and trace spans (it doubles as the trace ID).
 func (w *Writer) ReqID() string { return w.reqID }

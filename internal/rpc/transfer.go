@@ -34,10 +34,6 @@ func init() {
 // stalling the client forever. Zero disables deadlines.
 func TransferTimeout() time.Duration { return time.Duration(transferTimeoutNs.Load()) }
 
-// setTransferTimeout changes the rolling transfer deadline. It applies
-// to connections established (or checked out of the pool) afterwards.
-func setTransferTimeout(d time.Duration) { transferTimeoutNs.Store(int64(d)) }
-
 // HandshakeTimeout returns the absolute deadline over a connection's
 // opening exchange: dial through the header handshake. Unlike the
 // rolling TransferTimeout (which a peer trickling one byte per
@@ -47,9 +43,6 @@ func setTransferTimeout(d time.Duration) { transferTimeoutNs.Store(int64(d)) }
 // hangs before completing the header exchange always surfaces a
 // timeout. Zero disables it (tests that single-step the handshake).
 func HandshakeTimeout() time.Duration { return time.Duration(handshakeTimeoutNs.Load()) }
-
-// setHandshakeTimeout changes the absolute handshake bound.
-func setHandshakeTimeout(d time.Duration) { handshakeTimeoutNs.Store(int64(d)) }
 
 // deadlineConn applies a rolling deadline around every conn operation
 // and, until established() is called, caps every deadline at the
@@ -232,14 +225,6 @@ func OpenBlockReader(addr string, block core.Block, storageID core.StorageID, of
 	return OpenBlockReaderTimed(addr, block, storageID, offset, length, "", "", nil)
 }
 
-// OpenBlockReaderSpan is OpenBlockReader with a request ID stamped on
-// the exchange header, so the worker's logs can be correlated with the
-// client operation, and the caller's span ID, parenting the worker's
-// read span.
-func OpenBlockReaderSpan(addr string, block core.Block, storageID core.StorageID, offset, length int64, reqID, spanID string) (io.ReadCloser, int64, error) {
-	return OpenBlockReaderTimed(addr, block, storageID, offset, length, reqID, spanID, nil)
-}
-
 // openExchange opens one exchange with the worker at addr: a pooled
 // connection (or a fresh dial), the opcode, the header frame and, when
 // resp is non-nil, the worker's response frame decoded into resp. Its
@@ -296,8 +281,11 @@ func exchangeHeaders(conn *deadlineConn, op byte, hdr, resp any, tm *TransferTim
 	return nil
 }
 
-// OpenBlockReaderTimed is OpenBlockReaderSpan recording the dial and
-// header phases into tm (which may be nil).
+// OpenBlockReaderTimed is OpenBlockReader with a request ID stamped on
+// the exchange header, so the worker's logs can be correlated with the
+// client operation, and the caller's span ID, parenting the worker's
+// read span. The dial and header phases are recorded into tm (which
+// may be nil).
 func OpenBlockReaderTimed(addr string, block core.Block, storageID core.StorageID, offset, length int64, reqID, spanID string, tm *TransferTiming) (io.ReadCloser, int64, error) {
 	if tm == nil {
 		tm = &TransferTiming{}

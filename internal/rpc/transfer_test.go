@@ -16,8 +16,8 @@ import (
 func shortTransferTimeout(t *testing.T, d time.Duration) {
 	t.Helper()
 	old := TransferTimeout()
-	setTransferTimeout(d)
-	t.Cleanup(func() { setTransferTimeout(old) })
+	transferTimeoutNs.Store(int64(d))
+	t.Cleanup(func() { transferTimeoutNs.Store(int64(old)) })
 }
 
 // TestReadDeadlineHungWorker: a worker that accepts the connection
@@ -108,8 +108,8 @@ func TestWriteAckDeadlineHungWorker(t *testing.T) {
 func shortHandshakeTimeout(t *testing.T, d time.Duration) {
 	t.Helper()
 	old := HandshakeTimeout()
-	setHandshakeTimeout(d)
-	t.Cleanup(func() { setHandshakeTimeout(old) })
+	handshakeTimeoutNs.Store(int64(d))
+	t.Cleanup(func() { handshakeTimeoutNs.Store(int64(old)) })
 }
 
 // TestHandshakeDeadlineHungPeer: the absolute handshake bound must
@@ -229,7 +229,7 @@ func TestDialFailureTaggedAndHooked(t *testing.T) {
 	defer remove()
 
 	for i := 0; i < DialFailureThreshold; i++ {
-		_, _, err := OpenBlockReaderSpan(addr, core.Block{ID: 9}, "s0", 0, -1, "deadbeefcafef00d", "")
+		_, _, err := OpenBlockReaderTimed(addr, core.Block{ID: 9}, "s0", 0, -1, "deadbeefcafef00d", "", nil)
 		if err == nil {
 			t.Fatal("dial to a closed address succeeded")
 		}

@@ -127,17 +127,17 @@ func (m *Media) Connections() int { return int(m.conns.Load()) }
 
 // WriteThruMBps returns the measured sustained write throughput.
 func (m *Media) WriteThruMBps() float64 {
-	return float64FromBits(m.writeMBps.Load())
+	return math.Float64frombits(m.writeMBps.Load())
 }
 
 // ReadThruMBps returns the measured sustained read throughput.
 func (m *Media) ReadThruMBps() float64 {
-	return float64FromBits(m.readMBps.Load())
+	return math.Float64frombits(m.readMBps.Load())
 }
 
 func (m *Media) setThroughput(w, r float64) {
-	m.writeMBps.Store(float64Bits(w))
-	m.readMBps.Store(float64Bits(r))
+	m.writeMBps.Store(math.Float64bits(w))
+	m.readMBps.Store(math.Float64bits(r))
 }
 
 // IOStats receives one stream's media I/O attribution, for the
@@ -255,21 +255,16 @@ func (m *Media) Sums(b core.Block) ([]uint32, error) { return m.store.Sums(b) }
 // Open returns a throttled reader over a stored replica. The media's
 // connection count stays elevated until the reader is closed.
 func (m *Media) Open(b core.Block) (io.ReadCloser, error) {
-	return m.OpenStats(b, nil)
+	return m.OpenRangeStats(b, 0, nil)
 }
 
-// OpenStats is Open recording the stream's device read time and
-// throttle sleep into st (which may be nil) as the replica is
-// consumed.
-func (m *Media) OpenStats(b core.Block, st *IOStats) (io.ReadCloser, error) {
-	return m.OpenRangeStats(b, 0, st)
-}
-
-// OpenRangeStats is OpenStats starting at offset bytes into the
-// replica. When the store's reader can seek (disk files, memory
-// readers), the skipped prefix is never read — and thus neither
-// throttled nor charged as device time; otherwise it is discarded on
-// the raw store reader before the throttle wrapper is applied.
+// OpenRangeStats is Open starting at offset bytes into the replica,
+// recording the stream's device read time and throttle sleep into st
+// (which may be nil) as the replica is consumed. When the store's
+// reader can seek (disk files, memory readers), the skipped prefix is
+// never read — and thus neither throttled nor charged as device time;
+// otherwise it is discarded on the raw store reader before the
+// throttle wrapper is applied.
 func (m *Media) OpenRangeStats(b core.Block, offset int64, st *IOStats) (io.ReadCloser, error) {
 	if st == nil {
 		st = &IOStats{}
@@ -290,18 +285,11 @@ func (m *Media) OpenRangeStats(b core.Block, offset int64, st *IOStats) (io.Read
 		}
 	}
 	m.conns.Add(1)
-	r := LimitReaderStats(&timedReader{r: rc, ns: &st.DeviceNs}, m.readLimit, &st.ThrottleWaitNs)
 	return &connTrackingReadCloser{
-		ReadCloser: readerWithCloser{r, rc},
-		conns:      &m.conns,
+		Reader: LimitReaderStats(&timedReader{r: rc, ns: &st.DeviceNs}, m.readLimit, &st.ThrottleWaitNs),
+		store:  rc,
+		conns:  &m.conns,
 	}, nil
-}
-
-// readerWithCloser pairs a wrapped read path with the store reader's
-// Close.
-type readerWithCloser struct {
-	io.Reader
-	io.Closer
 }
 
 // WriteLimit returns the media's write-side throttle (nil when
@@ -330,10 +318,12 @@ func (m *Media) Blocks() []core.Block { return m.store.Blocks() }
 // Close shuts the media down.
 func (m *Media) Close() error { return m.store.Close() }
 
-// connTrackingReadCloser decrements the connection counter once on
-// Close, tolerating double-Close.
+// connTrackingReadCloser is a media read path over a store reader. It
+// closes the store reader and decrements the connection counter once
+// on Close, tolerating double-Close.
 type connTrackingReadCloser struct {
-	io.ReadCloser
+	io.Reader
+	store  io.Closer
 	conns  *atomic.Int64
 	closed atomic.Bool
 }
@@ -342,7 +332,7 @@ func (c *connTrackingReadCloser) Close() error {
 	if c.closed.CompareAndSwap(false, true) {
 		c.conns.Add(-1)
 	}
-	return c.ReadCloser.Close()
+	return c.store.Close()
 }
 
 // Probe measures the media's sustained write and read throughput by
@@ -395,6 +385,3 @@ func (m *Media) Probe(probeBytes int64) (writeMBps, readMBps float64, err error)
 	m.setThroughput(writeMBps, readMBps)
 	return writeMBps, readMBps, nil
 }
-
-func float64Bits(f float64) uint64     { return math.Float64bits(f) }
-func float64FromBits(b uint64) float64 { return math.Float64frombits(b) }

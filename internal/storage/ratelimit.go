@@ -105,15 +105,10 @@ type limitedReader struct {
 	waitNs *int64
 }
 
-// limitReader wraps r so reads are throttled by l. A nil limiter
-// returns r unchanged.
-func limitReader(r io.Reader, l *RateLimiter) io.Reader {
-	return LimitReaderStats(r, l, nil)
-}
-
-// LimitReaderStats is limitReader accumulating the stream's own
-// throttle sleep (exact, unlike the limiter's cross-stream Stats
-// total) into *waitNs. waitNs may be nil.
+// LimitReaderStats wraps r so reads are throttled by l, accumulating
+// the stream's own throttle sleep (exact, unlike the limiter's
+// cross-stream Stats total) into *waitNs, which may be nil. A nil
+// limiter returns r unchanged.
 func LimitReaderStats(r io.Reader, l *RateLimiter, waitNs *int64) io.Reader {
 	if l == nil {
 		return r

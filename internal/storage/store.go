@@ -312,11 +312,12 @@ func (s *MemStore) Close() error {
 	return nil
 }
 
-// DiskStore is a directory-backed block store. Each replica lives in
-// one file named "blk_<id>_<gen>", so the store can be rebuilt from
-// the directory listing on worker restart, next to its checksum
-// sidecar "blk_<id>_<gen>.crc": the magic sumsMagic, then one
-// little-endian uint32 CRC-32C per chunk.
+// DiskStore is a directory-backed block store. Each replica is one
+// file, "blk_<id>_<gen>": the block's bytes at offset 0, one
+// little-endian CRC-32C per chunk, then the byte count (little-endian
+// uint64) and replicaMagic. It is written to a temporary file and
+// installed by one rename, and the store is rebuilt from the directory
+// listing on worker restart.
 type DiskStore struct {
 	dir string
 
@@ -326,13 +327,67 @@ type DiskStore struct {
 	closed bool
 }
 
-// sumsMagic opens every checksum sidecar. A sidecar without it (such as
-// the single hex CRC older builds wrote) is refused, and the replica
-// is treated as corrupt.
-const sumsMagic = "OFSSUMS1"
+// replicaMagic ends every replica file, after the byte count. A file
+// without it, such as one written by an older build next to a ".crc"
+// sidecar, is refused.
+const (
+	replicaMagic       = "OFSSUMS2"
+	trailerSize  int64 = 8 + int64(len(replicaMagic))
+)
+
+// appendTrailer appends a replica's chunk sums and its trailer for n
+// bytes to dst.
+func appendTrailer(dst []byte, n int64, sums []uint32) []byte {
+	for _, sum := range sums {
+		dst = binary.LittleEndian.AppendUint32(dst, sum)
+	}
+	dst = binary.LittleEndian.AppendUint64(dst, uint64(n))
+	return append(dst, replicaMagic...)
+}
+
+// readReplica parses a replica file of size bytes from r: its byte
+// count and chunk sums. A trailer that does not describe the file is
+// refused with core.ErrCorrupt. The byte count is bounded by the file
+// size before any arithmetic on it, so nothing overflows, and nothing
+// larger than the file is allocated.
+func readReplica(r io.ReaderAt, size int64) (int64, []uint32, error) {
+	var tr [trailerSize]byte
+	if size >= trailerSize {
+		if _, err := r.ReadAt(tr[:], size-trailerSize); err != nil {
+			return 0, nil, err
+		}
+	}
+	if string(tr[8:]) != replicaMagic {
+		return 0, nil, fmt.Errorf("storage: replica file does not end in %s: %w", replicaMagic, core.ErrCorrupt)
+	}
+	body, n := uint64(size-trailerSize), binary.LittleEndian.Uint64(tr[:8])
+	if k := (n + core.ChunkSize - 1) / core.ChunkSize; n > body || body-n != 4*k {
+		return 0, nil, fmt.Errorf("storage: replica trailer records %d bytes in a %d-byte file: %w", n, size, core.ErrCorrupt)
+	}
+	sums := make([]uint32, (body-n)/4)
+	err := binary.Read(io.NewSectionReader(r, int64(n), int64(body-n)), binary.LittleEndian, sums)
+	return int64(n), sums, err
+}
+
+// readReplicaFile parses the replica file at path.
+func readReplicaFile(path string) (int64, []uint32, error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return 0, nil, err
+	}
+	defer f.Close()
+	info, err := f.Stat()
+	if err != nil {
+		return 0, nil, err
+	}
+	return readReplica(f, info.Size())
+}
 
 // NewDiskStore opens (creating if needed) a directory-backed store and
-// indexes any replica files already present.
+// indexes the replicas already present. Temporary files of unfinished
+// writes, ".crc" sidecars and replica files whose trailer does not
+// describe them are removed, not listed, so the master re-replicates
+// them. Other files are left alone.
 func NewDiskStore(dir string) (*DiskStore, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("storage: creating block directory: %w", err)
@@ -343,38 +398,48 @@ func NewDiskStore(dir string) (*DiskStore, error) {
 		return nil, fmt.Errorf("storage: listing block directory: %w", err)
 	}
 	for _, e := range entries {
-		if strings.HasSuffix(e.Name(), ".crc") {
-			continue // checksum sidecar
-		}
-		var id, gen uint64
-		if _, err := fmt.Sscanf(e.Name(), "blk_%d_%d", &id, &gen); err != nil {
+		name, path := e.Name(), filepath.Join(dir, e.Name())
+		var key blockKey
+		_, err := fmt.Sscanf(name, "blk_%d_%d", &key.id, &key.gen)
+		switch {
+		case err == nil && name == replicaName(key.id, key.gen):
+			if n, _, err := readReplicaFile(path); err == nil {
+				s.sizes[key] = n
+				s.used += n
+				continue
+			}
+		case !strings.HasPrefix(name, ".tmp-blk-") && !(strings.HasPrefix(name, "blk_") && strings.HasSuffix(name, ".crc")):
 			continue // foreign file; leave it alone
 		}
-		info, err := e.Info()
-		if err != nil {
-			continue
-		}
-		key := blockKey{core.BlockID(id), core.GenerationStamp(gen)}
-		s.sizes[key] = info.Size()
-		s.used += info.Size()
+		os.Remove(path)
 	}
 	return s, nil
 }
 
-// Dir returns the store's backing directory.
-func (s *DiskStore) Dir() string { return s.dir }
-
-func (s *DiskStore) path(b core.Block) string {
-	return filepath.Join(s.dir, fmt.Sprintf("blk_%d_%d", uint64(b.ID), uint64(b.GenStamp)))
+// replicaName is the file name of a replica.
+func replicaName(id core.BlockID, gen core.GenerationStamp) string {
+	return fmt.Sprintf("blk_%d_%d", uint64(id), uint64(gen))
 }
 
-func (s *DiskStore) crcPath(b core.Block) string {
-	return s.path(b) + ".crc"
+func (s *DiskStore) path(b core.Block) string {
+	return filepath.Join(s.dir, replicaName(b.ID, b.GenStamp))
+}
+
+// size returns the indexed byte count of a replica.
+func (s *DiskStore) size(b core.Block) (int64, error) {
+	s.mu.RLock()
+	size, ok := s.sizes[blockKey{b.ID, b.GenStamp}]
+	s.mu.RUnlock()
+	if !ok {
+		return 0, fmt.Errorf("storage: block %s: %w", b.ID, core.ErrNotFound)
+	}
+	return size, nil
 }
 
 // Create implements Store. The content goes to a temporary file that
-// Commit renames into place, so a crash mid-write never leaves a
-// truncated replica that could be mistaken for a valid one.
+// Commit completes with the sums and trailer and renames into place,
+// so a crash mid-write never leaves a replica that could be mistaken
+// for a valid one.
 func (s *DiskStore) Create(b core.Block) (ChunkWriter, error) {
 	s.mu.RLock()
 	closed := s.closed
@@ -411,20 +476,14 @@ func (w *diskWriter) WriteChunk(p []byte, crc uint32) error {
 
 func (w *diskWriter) Commit() (int64, error) {
 	s, b, tmpName := w.s, w.b, w.f.Name()
-	if err := w.f.Close(); err != nil {
-		os.Remove(tmpName)
-		return 0, fmt.Errorf("storage: writing block %s: %w", b.ID, err)
+	_, err := w.f.Write(appendTrailer(nil, w.n, w.sums))
+	if cerr := w.f.Close(); err == nil {
+		err = cerr
 	}
-	side := make([]byte, len(sumsMagic)+4*len(w.sums))
-	copy(side, sumsMagic)
-	for i, sum := range w.sums {
-		binary.LittleEndian.PutUint32(side[len(sumsMagic)+4*i:], sum)
+	if err == nil {
+		err = os.Rename(tmpName, s.path(b))
 	}
-	if err := os.WriteFile(s.crcPath(b), side, 0o644); err != nil {
-		os.Remove(tmpName)
-		return 0, fmt.Errorf("storage: writing block checksum: %w", err)
-	}
-	if err := os.Rename(tmpName, s.path(b)); err != nil {
+	if err != nil {
 		os.Remove(tmpName)
 		return 0, fmt.Errorf("storage: committing block %s: %w", b.ID, err)
 	}
@@ -444,8 +503,13 @@ func (w *diskWriter) Abort() {
 	os.Remove(w.f.Name())
 }
 
-// Open implements Store.
+// Open implements Store. The reader ends at the replica's byte count
+// and seeks, so a ranged read never reads the skipped prefix.
 func (s *DiskStore) Open(b core.Block) (io.ReadCloser, error) {
+	size, err := s.size(b)
+	if err != nil {
+		return nil, err
+	}
 	f, err := os.Open(s.path(b))
 	if os.IsNotExist(err) {
 		return nil, fmt.Errorf("storage: block %s: %w", b.ID, core.ErrNotFound)
@@ -453,8 +517,16 @@ func (s *DiskStore) Open(b core.Block) (io.ReadCloser, error) {
 	if err != nil {
 		return nil, fmt.Errorf("storage: opening block %s: %w", b.ID, err)
 	}
-	return f, nil
+	return diskReader{io.NewSectionReader(f, 0, size), f}, nil
 }
+
+// diskReader reads the bytes of a replica file.
+type diskReader struct {
+	*io.SectionReader
+	f *os.File
+}
+
+func (r diskReader) Close() error { return r.f.Close() }
 
 // Delete implements Store.
 func (s *DiskStore) Delete(b core.Block) error {
@@ -466,61 +538,48 @@ func (s *DiskStore) Delete(b core.Block) error {
 		s.used -= size
 	}
 	s.mu.Unlock()
-	err := os.Remove(s.path(b))
-	os.Remove(s.crcPath(b)) // best-effort sidecar cleanup
-	if os.IsNotExist(err) || (!ok && err == nil) {
-		if !ok {
-			return fmt.Errorf("storage: block %s: %w", b.ID, core.ErrNotFound)
-		}
-		return nil
+	if !ok {
+		return fmt.Errorf("storage: block %s: %w", b.ID, core.ErrNotFound)
 	}
-	return err
+	if err := os.Remove(s.path(b)); !os.IsNotExist(err) {
+		return err
+	}
+	return nil
 }
 
-// Sums implements Store by reading the sidecar. One whose magic is
-// wrong, or whose sum count does not cover the replica, is refused
-// with core.ErrCorrupt: the read fails over as from a corrupt replica.
+// Sums implements Store by reading the replica file's tail. A trailer
+// that does not describe the file, or records another byte count than
+// the replica's, is refused with core.ErrCorrupt: the read fails over
+// as from a corrupt replica.
 func (s *DiskStore) Sums(b core.Block) ([]uint32, error) {
-	s.mu.RLock()
-	size, ok := s.sizes[blockKey{b.ID, b.GenStamp}]
-	s.mu.RUnlock()
-	if !ok {
-		return nil, fmt.Errorf("storage: block %s: %w", b.ID, core.ErrNotFound)
-	}
-	raw, err := os.ReadFile(s.crcPath(b))
-	if errors.Is(err, os.ErrNotExist) {
-		return nil, fmt.Errorf("storage: block %s has no checksum sidecar: %w", b.ID, core.ErrCorrupt)
-	}
+	size, err := s.size(b)
 	if err != nil {
-		return nil, fmt.Errorf("storage: reading block checksum: %w", err)
+		return nil, err
 	}
-	if !bytes.HasPrefix(raw, []byte(sumsMagic)) {
-		return nil, fmt.Errorf("storage: block %s checksum sidecar is not in the %s format: %w", b.ID, sumsMagic, core.ErrCorrupt)
-	}
-	raw = raw[len(sumsMagic):]
-	if n := chunks(size); len(raw) != 4*n {
-		return nil, fmt.Errorf("storage: block %s checksum sidecar holds %d bytes of sums, want %d for %d chunks: %w",
-			b.ID, len(raw), 4*n, n, core.ErrCorrupt)
-	}
-	sums := make([]uint32, len(raw)/4)
-	for i := range sums {
-		sums[i] = binary.LittleEndian.Uint32(raw[4*i:])
+	n, sums, err := readReplicaFile(s.path(b))
+	switch {
+	case errors.Is(err, os.ErrNotExist):
+		return nil, fmt.Errorf("storage: block %s: %w", b.ID, core.ErrNotFound)
+	case err != nil:
+		return nil, fmt.Errorf("storage: block %s: %w", b.ID, err)
+	case n != size:
+		return nil, fmt.Errorf("storage: block %s trailer records %d bytes, want %d: %w", b.ID, n, size, core.ErrCorrupt)
 	}
 	return sums, nil
 }
 
-// Verify implements Store by re-reading the file against its sidecar.
+// Verify implements Store by re-reading the replica against its sums.
 func (s *DiskStore) Verify(b core.Block) error {
 	sums, err := s.Sums(b)
 	if err != nil {
 		return err
 	}
-	f, err := os.Open(s.path(b))
+	rc, err := s.Open(b)
 	if err != nil {
-		return fmt.Errorf("storage: block %s: %w", b.ID, core.ErrNotFound)
+		return err
 	}
-	defer f.Close()
-	return verifyChunks(b, f, sums)
+	defer rc.Close()
+	return verifyChunks(b, rc, sums)
 }
 
 // Has implements Store.

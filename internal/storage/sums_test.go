@@ -5,8 +5,10 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"math"
 	"math/rand"
 	"os"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -117,28 +119,33 @@ func TestCorruptChunkFailsVerify(t *testing.T) {
 	}
 }
 
-// TestSumsSidecarFormatRefused damages a disk replica's sidecar: a
-// truncated sum list, the single hex CRC older builds wrote, a wrong
-// magic and a missing file are each refused as corrupt.
+// TestSumsSidecarFormatRefused damages a disk replica file: sums cut
+// short, a wrong magic, a byte count the file cannot hold, no trailer
+// at all, and the bare data file of the sidecar era next to its hex or
+// OFSSUMS1 ".crc". Each is refused as corrupt while the store runs,
+// and removed, with its sidecar, when the store is reopened.
 func TestSumsSidecarFormatRefused(t *testing.T) {
 	data := randomData(3*core.ChunkSize+5, 2)
-	good := append([]byte(sumsMagic), make([]byte, 16)...)
-	for i, sum := range chunkSumsOf(data) {
-		binary.LittleEndian.PutUint32(good[len(sumsMagic)+4*i:], sum)
-	}
+	sums := chunkSumsOf(data)
+	replicaFile := func(n int64, sums []uint32) []byte { return appendTrailer(bytes.Clone(data), n, sums) }
+	good := replicaFile(int64(len(data)), sums)
 	cases := []struct {
 		name       string
-		sidecar    []byte // nil: no sidecar at all
+		file       []byte
+		sidecar    []byte // nil: no sidecar
 		namesMagic bool
 	}{
-		{"truncated", good[:len(good)-4], false},
-		{"old_hex", fmt.Appendf(nil, "%08x", core.ChunkSum(data)), true},
-		{"bad_magic", append([]byte("OFSSUMS0"), good[len(sumsMagic):]...), true},
-		{"missing", nil, false},
+		{"truncated", replicaFile(int64(len(data)), sums[:len(sums)-1]), nil, false},
+		{"bad_magic", append(bytes.Clone(good[:len(good)-len(replicaMagic)]), "OFSSUMS1"...), nil, true},
+		{"size_mismatch", replicaFile(int64(len(data))+1, sums), nil, false},
+		{"missing", data, nil, true},
+		{"old_hex", data, fmt.Appendf(nil, "%08x", core.ChunkSum(data)), true},
+		{"sidecar_era", data, binary.LittleEndian.AppendUint32([]byte("OFSSUMS1"), sums[0]), true},
 	}
 	for i, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			s, err := NewDiskStore(t.TempDir())
+			dir := t.TempDir()
+			s, err := NewDiskStore(dir)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -146,26 +153,82 @@ func TestSumsSidecarFormatRefused(t *testing.T) {
 			if _, err := put(s, b, bytes.NewReader(data)); err != nil {
 				t.Fatal(err)
 			}
-			if tc.sidecar == nil {
-				err = os.Remove(s.crcPath(b))
-			} else {
-				err = os.WriteFile(s.crcPath(b), tc.sidecar, 0o644)
+			if got, _ := os.ReadFile(s.path(b)); !bytes.Equal(got, good) {
+				t.Fatal("a committed replica file is not bytes, sums and trailer")
 			}
-			if err != nil {
+			if err := os.WriteFile(s.path(b), tc.file, 0o644); err != nil {
 				t.Fatal(err)
+			}
+			if tc.sidecar != nil {
+				if err := os.WriteFile(s.path(b)+".crc", tc.sidecar, 0o644); err != nil {
+					t.Fatal(err)
+				}
 			}
 			_, err = s.Sums(b)
 			if !errors.Is(err, core.ErrCorrupt) {
 				t.Fatalf("Sums: err = %v, want ErrCorrupt", err)
 			}
-			if tc.namesMagic && !strings.Contains(err.Error(), sumsMagic) {
-				t.Errorf("error %q does not name the %s format", err, sumsMagic)
+			if tc.namesMagic && !strings.Contains(err.Error(), replicaMagic) {
+				t.Errorf("error %q does not name the %s format", err, replicaMagic)
 			}
 			if err := s.Verify(b); !errors.Is(err, core.ErrCorrupt) {
 				t.Errorf("Verify: err = %v, want ErrCorrupt", err)
 			}
+			s, err = NewDiskStore(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if s.Has(b) || s.Used() != 0 {
+				t.Error("a reopened store lists the damaged replica")
+			}
+			if left, _ := os.ReadDir(dir); len(left) != 0 {
+				t.Errorf("a reopened store left %d files behind", len(left))
+			}
 		})
 	}
+}
+
+// FuzzReadReplica parses arbitrary file contents as a replica file: it
+// must never panic, never allocate more than the file holds, and accept
+// only a file that is bytes, their chunk sums and a trailer recording
+// their count.
+func FuzzReadReplica(f *testing.F) {
+	for _, size := range []int{0, 1, core.ChunkSize, 2*core.ChunkSize + 3} {
+		data := randomData(size, int64(size))
+		f.Add(appendTrailer(data, int64(size), chunkSumsOf(data)))
+	}
+	f.Add([]byte(replicaMagic))
+	f.Fuzz(func(t *testing.T, file []byte) {
+		// The least of three parses is the parser's own allocation,
+		// whatever the fuzzing engine allocates meanwhile. A refusal's
+		// error message is the only allocation a file cannot pay for.
+		var n int64
+		var sums []uint32
+		var err error
+		alloc := uint64(math.MaxUint64)
+		for range 3 {
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			n, sums, err = readReplica(bytes.NewReader(file), int64(len(file)))
+			runtime.ReadMemStats(&after)
+			alloc = min(alloc, after.TotalAlloc-before.TotalAlloc)
+		}
+		if alloc > uint64(len(file))+1024 {
+			t.Fatalf("parsing a %d-byte file allocated %d bytes", len(file), alloc)
+		}
+		if err != nil {
+			if !errors.Is(err, core.ErrCorrupt) {
+				t.Fatalf("refusal is not ErrCorrupt: %v", err)
+			}
+			return
+		}
+		if n < 0 || n > int64(len(file)) || len(sums) != chunks(n) {
+			t.Fatalf("accepted %d bytes with %d sums in a %d-byte file", n, len(sums), len(file))
+		}
+		if want := appendTrailer(nil, n, sums); !bytes.Equal(file[n:], want) {
+			t.Fatalf("accepted a file whose tail is not its sums and trailer")
+		}
+	})
 }
 
 // TestChunkAfterShortChunkRefused: only a replica's last chunk may be
