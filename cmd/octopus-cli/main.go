@@ -115,9 +115,11 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	defer fs.Close()
-
-	if err := run(fs, args); err != nil {
+	// Close before exiting, a failure included: it ships the client's
+	// queued telemetry, so the master can trace the command.
+	err = run(fs, args)
+	fs.Close()
+	if err != nil {
 		fatal(err)
 	}
 }

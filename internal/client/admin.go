@@ -140,8 +140,10 @@ var httpClient = &http.Client{Timeout: 30 * time.Second}
 
 // getJSON reads the master's HTTP endpoint path with query q into v. A
 // non-200 answer is an error carrying the body; a 404 wraps
-// core.ErrNotFound.
+// core.ErrNotFound. It first ships the client's queued telemetry, so a
+// client always reads its own finished operations back.
 func (fs *FileSystem) getJSON(path string, q url.Values, v any) error {
+	fs.ship()
 	addr, err := fs.masterHTTP()
 	if err != nil {
 		return err

@@ -11,9 +11,12 @@ import (
 	"net"
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/core"
 	"repro/internal/rpc"
+	"repro/internal/trace"
+	"repro/internal/xfer"
 )
 
 // The data-path tests run the real client against a stub master (an
@@ -39,6 +42,11 @@ type stubMaster struct {
 
 	abandonedBlocks []core.BlockID
 	badReports      int
+
+	reports     int           // Master.Report calls received, failed ones too
+	failReports int           // Reports to refuse before accepting again
+	spans       []trace.Span  // spans of the accepted Reports
+	records     []xfer.Record // transfer records of the accepted Reports
 }
 
 func (s *stubMaster) file(path string) *stubFile {
@@ -155,6 +163,27 @@ func (s *stubMaster) ReportBadBlock(args *rpc.ReportBadBlockArgs, _ *rpc.ReportB
 	defer s.mu.Unlock()
 	s.badReports++
 	return nil
+}
+
+func (s *stubMaster) Report(args *rpc.ReportArgs, _ *rpc.ReportReply) error {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.reports++
+	if s.failReports > 0 {
+		s.failReports--
+		return errors.New("injected report failure")
+	}
+	s.spans = append(s.spans, args.Spans...)
+	s.records = append(s.records, args.Transfers...)
+	return nil
+}
+
+// shipped returns what the accepted Reports delivered so far and how
+// many Reports arrived.
+func (s *stubMaster) shipped() (spans []trace.Span, records []xfer.Record, reports int) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return append([]trace.Span(nil), s.spans...), append([]xfer.Record(nil), s.records...), s.reports
 }
 
 // fakeWorker speaks the data-transfer wire protocol with injectable
@@ -329,6 +358,7 @@ func startStub(t *testing.T, blockSize int64, storages ...core.StorageID) (*File
 	rpc.Handle(srv, "Master.Abandon", sm.Abandon)
 	rpc.Handle(srv, "Master.GetBlockLocations", sm.GetBlockLocations)
 	rpc.Handle(srv, "Master.ReportBadBlock", sm.ReportBadBlock)
+	rpc.Handle(srv, "Master.Report", sm.Report)
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -625,5 +655,156 @@ func TestReaderSeekCancelsReadahead(t *testing.T) {
 		if !bytes.Equal(buf[:512], data[off:off+512]) {
 			t.Fatalf("content mismatch at offset %d", off)
 		}
+	}
+}
+
+// createClose creates path, writes data into it (none if empty) and
+// closes it, returning the write's request ID.
+func createClose(t testing.TB, fs *FileSystem, path string, data []byte) string {
+	t.Helper()
+	w, err := fs.Create(path, CreateOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := w.Write(data); err != nil {
+		t.Fatalf("write %s: %v", path, err)
+	}
+	if err := w.Close(); err != nil {
+		t.Fatalf("close %s: %v", path, err)
+	}
+	return w.ReqID()
+}
+
+// TestReportsShipInBatches: finished operations share Master.Reports,
+// one per shipTraces of them, instead of sending one each.
+func TestReportsShipInBatches(t *testing.T) {
+	fs, sm, _ := startStub(t, 64<<10)
+	const n = 200
+	start := time.Now()
+	for i := 0; i < n; i++ {
+		createClose(t, fs, fmt.Sprintf("/f%d", i), nil)
+	}
+	elapsed := time.Since(start)
+	_, _, reports := sm.shipped()
+	// The ship timer adds at most one Report per shipDelay the loop ran.
+	if limit := (n+shipTraces-1)/shipTraces + int(elapsed/shipDelay); reports > limit {
+		t.Errorf("%d create+close cycles sent %d Reports in %v, want at most %d", n, reports, elapsed, limit)
+	}
+	if reports < n/shipTraces {
+		t.Errorf("%d create+close cycles sent %d Reports, want at least %d: a full batch did not ship", n, reports, n/shipTraces)
+	}
+}
+
+// TestCloseShipsAllTelemetry runs three times as many writes as the
+// client's span store holds traces, each leaving four transfer records
+// (three times the flight recorder's capacity in all), and checks that
+// after Close the master holds every trace's spans and every record,
+// each exactly once.
+func TestCloseShipsAllTelemetry(t *testing.T) {
+	const blockSize = 1 << 10
+	fs, sm, _ := startStub(t, blockSize)
+	const ops = 3 * traceCapacity
+	data := testPattern(4*blockSize, 9)
+	ids := make(map[string]bool, ops)
+	for i := 0; i < ops; i++ {
+		ids[createClose(t, fs, fmt.Sprintf("/f%d", i), data)] = true
+	}
+	if err := fs.Close(); err != nil {
+		t.Fatal(err)
+	}
+	spans, records, _ := sm.shipped()
+
+	// The fake worker closes each connection after one block, so a
+	// pooled one is sometimes refused and the block retried: each retry
+	// leaves one failed record beside the block's good one.
+	retries := int(fs.DataPathStats().Retries)
+	if len(records) != 4*ops+retries {
+		t.Errorf("master holds %d transfer records, want %d (%d blocks, %d retries)", len(records), 4*ops+retries, 4*ops, retries)
+	}
+	seqs := make(map[uint64]bool, len(records))
+	good := make(map[string]int)
+	for _, r := range records {
+		if !ids[r.TraceID] || seqs[r.Seq] {
+			t.Fatalf("record %d of trace %q: unknown trace or shipped twice", r.Seq, r.TraceID)
+		}
+		seqs[r.Seq] = true
+		if r.Result == "ok" {
+			good[r.TraceID]++
+		}
+	}
+	for id := range ids {
+		if good[id] != 4 {
+			t.Fatalf("trace %s shipped %d good records, want 4", id, good[id])
+		}
+	}
+
+	seen := make(map[string]bool, len(spans))
+	opsOf := make(map[string]map[string]bool, ops)
+	for _, sp := range spans {
+		if seen[sp.SpanID] {
+			t.Fatalf("span %s/%s shipped twice", sp.TraceID, sp.Op)
+		}
+		seen[sp.SpanID] = true
+		if opsOf[sp.TraceID] == nil {
+			opsOf[sp.TraceID] = make(map[string]bool)
+		}
+		opsOf[sp.TraceID][sp.Op] = true
+	}
+	for id := range ids {
+		for _, op := range []string{"client.write", "client.rpc.Create", "client.rpc.GetFileInfo", "client.rpc.AddBlock", "client.block", "client.rpc.CommitBlock", "client.rpc.Complete"} {
+			if !opsOf[id][op] {
+				t.Fatalf("trace %s: no %s span reached the master (got %v)", id, op, opsOf[id])
+			}
+		}
+	}
+}
+
+// TestFailedReportKeepsTelemetry: a Report the master refuses leaves
+// the queued traces and the record cursor in place, and the next
+// shipment delivers them.
+func TestFailedReportKeepsTelemetry(t *testing.T) {
+	const blockSize = 4 << 10
+	fs, sm, _ := startStub(t, blockSize)
+	sm.mu.Lock()
+	sm.failReports = 1
+	sm.mu.Unlock()
+	id := createClose(t, fs, "/f", testPattern(blockSize, 3))
+	fs.ship()
+	if spans, records, reports := sm.shipped(); reports != 1 || len(spans) != 0 || len(records) != 0 {
+		t.Fatalf("after the refused Report: %d reports, %d spans, %d records", reports, len(spans), len(records))
+	}
+	fs.ship()
+	spans, records, reports := sm.shipped()
+	if reports != 2 || len(records) != 1 || records[0].TraceID != id {
+		t.Fatalf("retry: %d reports, records %+v", reports, records)
+	}
+	var root bool
+	for _, sp := range spans {
+		root = root || (sp.TraceID == id && sp.Op == "client.write")
+	}
+	if !root {
+		t.Fatalf("retry shipped %d spans without the write's root", len(spans))
+	}
+}
+
+// TestIdleClientShips: an operation followed by silence still reaches
+// the master, from the ship timer, about shipDelay later.
+func TestIdleClientShips(t *testing.T) {
+	fs, sm, _ := startStub(t, 4<<10)
+	start := time.Now()
+	id := createClose(t, fs, "/idle", nil)
+	for {
+		spans, _, _ := sm.shipped()
+		if len(spans) > 0 {
+			if spans[0].TraceID != id {
+				t.Fatalf("shipped trace %s, want %s", spans[0].TraceID, id)
+			}
+			t.Logf("shipped %v after the operation began", time.Since(start))
+			return
+		}
+		if time.Since(start) > shipDelay+time.Second {
+			t.Fatalf("nothing shipped %v after an idle client's operation", time.Since(start))
+		}
+		time.Sleep(10 * time.Millisecond)
 	}
 }

@@ -8,6 +8,8 @@ package client
 import (
 	"io"
 	"sync"
+	"sync/atomic"
+	"time"
 
 	"repro/internal/core"
 	"repro/internal/rpc"
@@ -67,8 +69,16 @@ type FileSystem struct {
 	tracer  *trace.Tracer
 	xfers   *xfer.Log
 
+	// Telemetry batching (trace.go): telMu guards the queue of finished
+	// traces and the ship timer; shipMu serialises shipments.
+	telMu     sync.Mutex
+	pending   []string    // finished traces not yet shipped, oldest first
+	shipTimer *time.Timer // ships pending traces shipDelay after the first
+	armed     bool        // shipTimer will fire
+	closed    bool        // Close ran: the timer is not armed again
+
 	shipMu     sync.Mutex
-	shipCursor uint64 // flight-recorder seq already shipped to the master
+	shipCursor atomic.Uint64 // flight-recorder seq already shipped to the master
 
 	httpMu   sync.Mutex
 	httpAddr string // the master's HTTP endpoint, once it named one
@@ -83,14 +93,14 @@ func Dial(addr string, opts ...Option) (*FileSystem, error) {
 		opt(fs)
 	}
 	fs.metrics = newClientMetrics()
-	// The client keeps every span of its own in-flight operations
-	// (sample 1): traces are short-lived here and shipped to the master
-	// when the operation finishes, so the small store is the only cost.
-	fs.traces = trace.NewStore(256, slowOpThreshold, 1)
+	// The client keeps every span of its own operations (sample 1):
+	// traces are short-lived here and shipped to the master in batches
+	// soon after they finish, so the small store is the only cost.
+	fs.traces = trace.NewStore(traceCapacity, slowOpThreshold, 1)
 	fs.tracer = trace.NewTracer("client", fs.traces)
-	// Client-side transfer records are shipped to the master as
-	// operations finish, so the ring only needs to cover in-flight work.
-	fs.xfers = xfer.New(1024)
+	// Client-side transfer records ship with the same batches, so the
+	// ring only needs to cover in-flight and unshipped work.
+	fs.xfers = xfer.New(recordCapacity)
 	if err := fs.master.Connect(); err != nil {
 		return nil, err
 	}
@@ -104,8 +114,18 @@ func (fs *FileSystem) call(method string, args, reply any) error {
 	return fs.callReq(rpc.NewRequestID(), method, args, reply)
 }
 
-// Close releases the client connection.
-func (fs *FileSystem) Close() error { return fs.master.Close() }
+// Close ships the client's unshipped telemetry, stops the ship timer
+// and releases the client connection.
+func (fs *FileSystem) Close() error {
+	fs.telMu.Lock()
+	fs.closed = true
+	if fs.shipTimer != nil {
+		fs.shipTimer.Stop()
+	}
+	fs.telMu.Unlock()
+	fs.ship()
+	return fs.master.Close()
+}
 
 // Node returns the client's declared topology node ("" off-cluster).
 func (fs *FileSystem) Node() string { return fs.node }
@@ -134,9 +154,10 @@ func (fs *FileSystem) Create(path string, opts CreateOptions) (*Writer, error) {
 	if opts.RepVector.IsZero() {
 		opts.RepVector = core.ReplicationVectorFromFactor(3)
 	}
-	// One request ID covers the whole write: create, every AddBlock,
-	// the pipeline transfers, and Complete share it across logs and
-	// trace spans (the request ID doubles as the trace ID).
+	// One request ID covers the whole write: create, the block-size
+	// lookup, every AddBlock, the pipeline transfers, and Complete share
+	// it across logs and trace spans (the request ID doubles as the
+	// trace ID).
 	reqID := rpc.NewRequestID()
 	root := fs.tracer.Start(reqID, "", "client.write")
 	root.Annotate("path", path)
@@ -154,14 +175,15 @@ func (fs *FileSystem) Create(path string, opts CreateOptions) (*Writer, error) {
 		fs.report(reqID)
 		return nil, err
 	}
-	status, err := fs.Stat(path)
+	var info rpc.GetFileInfoReply
+	err = fs.callTraced(root, reqID, "Master.GetFileInfo", &rpc.GetFileInfoArgs{Path: path}, &info)
 	if err != nil {
 		root.SetError(err)
 		root.End()
 		fs.report(reqID)
 		return nil, err
 	}
-	return &Writer{fs: fs, path: path, blockSize: status.BlockSize, reqID: reqID, window: fs.writeWindow, span: root}, nil
+	return &Writer{fs: fs, path: path, blockSize: info.Status.BlockSize, reqID: reqID, window: fs.writeWindow, span: root}, nil
 }
 
 // WriteFile writes data as a new file with the given replication

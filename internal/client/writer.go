@@ -39,7 +39,7 @@ type Writer struct {
 	closed  bool
 
 	span     *trace.ActiveSpan // root "client.write" span for the whole file
-	reported bool              // client spans already shipped to the master
+	reported bool              // client spans already queued for the master
 }
 
 // inflightBlock is one allocated block with an open or flushed
@@ -458,8 +458,8 @@ func (w *Writer) fail(err error) {
 	w.finishTrace(err)
 }
 
-// finishTrace ends the write's root span and ships the client's spans
-// to the master for cross-hop assembly, exactly once per Writer.
+// finishTrace ends the write's root span and queues the client's spans
+// for the next shipment to the master, exactly once per Writer.
 func (w *Writer) finishTrace(err error) {
 	if w.reported {
 		return

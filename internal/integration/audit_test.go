@@ -87,8 +87,9 @@ func TestAuditPhaseBreakdownJoinsTrace(t *testing.T) {
 		t.Error("lifetime counts missing create")
 	}
 
-	// Every mutation of the write shares the create's trace ID, so the
-	// audit stream reconstructs the whole file lifecycle.
+	// Every RPC of the write, the create's block-size lookup included,
+	// shares the create's trace ID, so the audit stream reconstructs the
+	// whole file lifecycle.
 	full, _, err := fs.Audit(0, "", 0)
 	if err != nil {
 		t.Fatalf("Audit all: %v", err)
@@ -99,7 +100,7 @@ func TestAuditPhaseBreakdownJoinsTrace(t *testing.T) {
 			sameTrace[e.Op] = true
 		}
 	}
-	for _, op := range []string{"create", "addBlock", "commitBlock", "complete"} {
+	for _, op := range []string{"create", "getFileInfo", "addBlock", "commitBlock", "complete"} {
 		if !sameTrace[op] {
 			t.Errorf("no %s audit entry under trace %s (got %v)", op, reqID, sameTrace)
 		}

@@ -202,3 +202,56 @@ func TestTraceReadahead(t *testing.T) {
 		return false
 	})
 }
+
+// TestClientReadsOwnTraceAtOnce: the client ships its queued telemetry
+// before it reads the master's endpoints, so a trace or transfer query
+// right after an operation sees the client's side of it without
+// polling, although operations no longer report one by one.
+func TestClientReadsOwnTraceAtOnce(t *testing.T) {
+	c := startTestCluster(t, func(cfg *ClusterConfig) {
+		cfg.NumWorkers = 1
+		cfg.NumRacks = 1
+		cfg.BlockSize = 1 << 20
+	})
+	fs, err := c.Client("")
+	if err != nil {
+		t.Fatalf("Client: %v", err)
+	}
+	defer fs.Close()
+
+	w, err := fs.Create("/own.bin", client.CreateOptions{RepVector: core.ReplicationVectorFromFactor(1)})
+	if err != nil {
+		t.Fatalf("Create: %v", err)
+	}
+	reqID := w.ReqID()
+	if _, err := w.Write(randomBytes(1<<20, 31)); err != nil {
+		t.Fatalf("Write: %v", err)
+	}
+	if err := w.Close(); err != nil {
+		t.Fatalf("Close: %v", err)
+	}
+
+	spans, err := fs.Trace(reqID)
+	if err != nil {
+		t.Fatalf("Trace right after Close: %v", err)
+	}
+	idx := indexSpans(spans)
+	for _, op := range []string{"client.write", "client.rpc.Create", "client.rpc.GetFileInfo", "client.block", "client.rpc.Complete"} {
+		if len(idx.byOp[op]) == 0 {
+			t.Errorf("trace %s read right after Close lacks %s", reqID, op)
+		}
+	}
+	page, _, err := fs.Transfers(0, "write", 0)
+	if err != nil {
+		t.Fatalf("Transfers: %v", err)
+	}
+	clientRecs := 0
+	for _, r := range page.Entries {
+		if r.Source == "client" && r.TraceID == reqID {
+			clientRecs++
+		}
+	}
+	if clientRecs != 1 {
+		t.Errorf("master holds %d client records of the write right after Close, want 1", clientRecs)
+	}
+}

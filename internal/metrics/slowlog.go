@@ -1,6 +1,7 @@
 package metrics
 
 import (
+	"context"
 	"log/slog"
 	"time"
 )
@@ -64,6 +65,11 @@ func (l *SlowLogger) Observe(op, reqID string, d time.Duration, attrs ...any) {
 	}
 	if l.sink != nil {
 		l.sink(op, reqID, d)
+	}
+	// A logger that drops warnings (the client's discard logger) gets
+	// no line built for it.
+	if !l.logger.Enabled(context.Background(), slog.LevelWarn) {
+		return
 	}
 	all := make([]any, 0, 8+len(attrs))
 	all = append(all, "op", op, "req", reqID, "dur", d.String())

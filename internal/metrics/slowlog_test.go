@@ -90,3 +90,24 @@ func TestSlowLoggerDisabled(t *testing.T) {
 	var nilLogger *SlowLogger
 	nilLogger.Observe("read", "r1", time.Hour) // must not panic
 }
+
+// TestSlowLoggerDiscardBuildsNothing: a logger that drops every line
+// (the client's) still counts each op and feeds the sink, but formats
+// nothing, so observing an op allocates nothing.
+func TestSlowLoggerDiscardBuildsNothing(t *testing.T) {
+	r := NewRegistry()
+	c := r.Counter("slow_ops_total", "", nil)
+	l := NewSlowLogger(slog.New(slog.DiscardHandler), 0, c)
+	if allocs := testing.AllocsPerRun(100, func() { l.Observe("GetFileInfo", "req-1", time.Millisecond) }); allocs != 0 {
+		t.Errorf("Observe on a discard logger allocates %v per op, want 0", allocs)
+	}
+	if c.Value() == 0 {
+		t.Error("slow-op counter did not move")
+	}
+	sunk := 0
+	l.SetSink(func(op, reqID string, d time.Duration) { sunk++ })
+	l.Observe("GetFileInfo", "req-2", time.Millisecond)
+	if sunk != 1 {
+		t.Errorf("sink called %d times, want 1", sunk)
+	}
+}

@@ -159,6 +159,17 @@ func (l *Log[T]) Counts() map[string]uint64 {
 // for the callers that report it.
 func (l *Log[T]) Dropped() uint64 { return 0 }
 
+// Last returns the sequence number of the newest record appended (0
+// before the first), so a shipper can tell how far its cursor lags.
+func (l *Log[T]) Last() uint64 {
+	if l == nil {
+		return 0
+	}
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.evicted + uint64(l.n)
+}
+
 // Len returns the number of retained records.
 func (l *Log[T]) Len() int {
 	if l == nil {

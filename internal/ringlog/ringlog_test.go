@@ -146,7 +146,13 @@ func runSuite[T any](t *testing.T, k kind[T]) {
 		}},
 		{"eviction is reported as Missed exactly once", func(t *testing.T) {
 			l := k.new(4)
+			if l.Last() != 0 {
+				t.Fatalf("empty log Last = %d, want 0", l.Last())
+			}
 			appendN(l, 10, "a") // seqs 1..10; the ring keeps 7..10
+			if l.Last() != 10 {
+				t.Fatalf("Last = %d, want the newest seq 10", l.Last())
+			}
 			page := l.Since(0, "", 0)
 			if page.Missed != 6 || page.Evicted != 6 {
 				t.Fatalf("missed=%d evicted=%d, want 6 and 6", page.Missed, page.Evicted)
@@ -248,7 +254,7 @@ func runSuite[T any](t *testing.T, k kind[T]) {
 			if page := l.Since(7, "", 0); len(page.Entries) != 0 || page.Entries == nil || page.Next != 7 {
 				t.Fatalf("nil Since = %+v", page)
 			}
-			if l.Dropped() != 0 || l.Len() != 0 || l.Cap() != 0 || l.Counts() != nil {
+			if l.Dropped() != 0 || l.Len() != 0 || l.Cap() != 0 || l.Last() != 0 || l.Counts() != nil {
 				t.Fatal("nil accessors not zero")
 			}
 		}},

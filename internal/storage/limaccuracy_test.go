@@ -38,3 +38,32 @@ func TestRateLimiterAccuracyAcrossRates(t *testing.T) {
 		}
 	}
 }
+
+// TestRateLimiterWaitReturnsSleptTime checks that Wait reports the
+// time it slept, overshoot included: never less than the debt it was
+// asked to pay, never more than the call took, and exactly what Stats
+// adds up.
+func TestRateLimiterWaitReturnsSleptTime(t *testing.T) {
+	const (
+		rate = 1e6  // bytes per second
+		n    = 5000 // 5 ms of debt at rate
+		debt = 5 * time.Millisecond
+	)
+	l := NewRateLimiter(rate)
+	var total time.Duration
+	for i := 0; i < 3; i++ {
+		// Idle past idleReset, so the schedule restarts at the call and
+		// the debt is exactly n bytes' worth.
+		time.Sleep(2 * idleReset)
+		start := time.Now()
+		got := l.Wait(n)
+		wall := time.Since(start)
+		if got < debt || got > wall {
+			t.Errorf("Wait(%d) = %v, want between the debt %v and the call's wall time %v", n, got, debt, wall)
+		}
+		total += got
+	}
+	if _, waited := l.Stats(); waited != total {
+		t.Errorf("Stats waited %v, want the sum of Wait's returns %v", waited, total)
+	}
+}

@@ -66,15 +66,19 @@ func (l *RateLimiter) Wait(n int) time.Duration {
 	l.next = l.next.Add(time.Duration(float64(n) / l.bytesPerSec * float64(time.Second)))
 	sleep := l.next.Sub(now)
 	l.totalBytes += int64(n)
-	if sleep >= minSleep {
-		l.totalWait += sleep
-	}
 	l.mu.Unlock()
-	if sleep >= minSleep {
-		time.Sleep(sleep)
-		return sleep
+	if sleep < minSleep {
+		return 0
 	}
-	return 0
+	// Timer overshoot is part of the wait the caller paid, so the
+	// sleep is measured, not taken as requested.
+	start := time.Now()
+	time.Sleep(sleep)
+	slept := time.Since(start)
+	l.mu.Lock()
+	l.totalWait += slept
+	l.mu.Unlock()
+	return slept
 }
 
 // Stats returns the cumulative bytes accounted by the limiter and the

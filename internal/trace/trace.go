@@ -10,8 +10,8 @@
 package trace
 
 import (
-	"fmt"
 	"math/rand/v2"
+	"strconv"
 	"sync"
 	"time"
 )
@@ -131,7 +131,7 @@ func (a *ActiveSpan) Annotate(key, value string) *ActiveSpan {
 
 // AnnotateInt attaches an integer annotation.
 func (a *ActiveSpan) AnnotateInt(key string, value int64) *ActiveSpan {
-	return a.Annotate(key, fmt.Sprint(value))
+	return a.Annotate(key, strconv.FormatInt(value, 10))
 }
 
 // SetError records the span's failure status.
