@@ -2,10 +2,8 @@ package client
 
 import (
 	"bytes"
-	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"io"
 	"math/rand"
 	"net"
@@ -193,11 +191,12 @@ type fakeWorker struct {
 	wg sync.WaitGroup
 
 	mu           sync.Mutex
+	conns        map[net.Conn]bool // open connections, severed at cleanup
 	blocks       map[core.BlockID][]byte
 	abortWrites  int                     // write streams to sever mid-stream
 	ackErrWrites int                     // write streams to accept fully, then nack
 	dieReads     map[core.StorageID]bool // storages whose read streams die halfway
-	corruptReads map[core.StorageID]bool // storages whose second packet carries a bad CRC
+	corruptReads map[core.StorageID]bool // storages whose second piece carries a bad sum
 	refuseReads  map[core.StorageID]bool // storages that refuse reads as missing replicas
 }
 
@@ -207,11 +206,16 @@ func newFakeWorker(t *testing.T) *fakeWorker {
 	if err != nil {
 		t.Fatal(err)
 	}
-	f := &fakeWorker{ln: ln, blocks: make(map[core.BlockID][]byte), dieReads: make(map[core.StorageID]bool), corruptReads: make(map[core.StorageID]bool), refuseReads: make(map[core.StorageID]bool)}
+	f := &fakeWorker{ln: ln, conns: make(map[net.Conn]bool), blocks: make(map[core.BlockID][]byte), dieReads: make(map[core.StorageID]bool), corruptReads: make(map[core.StorageID]bool), refuseReads: make(map[core.StorageID]bool)}
 	f.wg.Add(1)
 	go f.serve()
 	t.Cleanup(func() {
 		ln.Close()
+		f.mu.Lock()
+		for conn := range f.conns {
+			conn.Close() // a pooled idle connection would hold its handler
+		}
+		f.mu.Unlock()
 		f.wg.Wait()
 	})
 	return f
@@ -224,28 +228,45 @@ func (f *fakeWorker) serve() {
 		if err != nil {
 			return
 		}
+		f.mu.Lock()
+		f.conns[conn] = true
+		f.mu.Unlock()
 		f.wg.Add(1)
 		go func() {
 			defer f.wg.Done()
-			defer conn.Close()
-			var op [1]byte
-			if _, err := io.ReadFull(conn, op[:]); err != nil {
-				return
-			}
-			switch op[0] {
-			case rpc.OpWriteBlock:
-				f.handleWrite(conn)
-			case rpc.OpReadBlock:
-				f.handleRead(conn)
+			defer func() {
+				f.mu.Lock()
+				delete(f.conns, conn)
+				f.mu.Unlock()
+				conn.Close()
+			}()
+			// Exchanges follow one another on the connection, as on a
+			// real worker, until one leaves it unclean or the client
+			// closes it.
+			for keep := true; keep; {
+				var op [1]byte
+				if _, err := io.ReadFull(conn, op[:]); err != nil {
+					return
+				}
+				switch op[0] {
+				case rpc.OpWriteBlock:
+					keep = f.handleWrite(conn)
+				case rpc.OpReadBlock:
+					keep = f.handleRead(conn)
+				default:
+					return
+				}
 			}
 		}()
 	}
 }
 
-func (f *fakeWorker) handleWrite(conn net.Conn) {
+// handleWrite serves one write exchange and reports whether the
+// connection is clean for the next.
+func (f *fakeWorker) handleWrite(conn net.Conn) bool {
 	var hdr rpc.WriteBlockHeader
 	if err := rpc.ReadFrame(conn, &hdr); err != nil {
-		return
+		return false
 	}
 	f.mu.Lock()
 	abort := f.abortWrites > 0
@@ -260,29 +281,31 @@ func (f *fakeWorker) handleWrite(conn net.Conn) {
 	f.mu.Unlock()
 
 	pr := rpc.NewPacketReader(conn)
+	defer pr.Release()
 	if abort {
 		// Consume a little, then sever the connection mid-stream.
 		io.CopyN(io.Discard, pr, 512)
-		return
+		return false
 	}
 	data, err := io.ReadAll(pr)
 	if err != nil {
-		return
+		return false
 	}
 	if nack {
-		rpc.WriteFrame(conn, rpc.WriteBlockAck{Err: rpc.EncodeError(fmt.Errorf("injected media failure"))})
-		return
+		return rpc.WriteFrame(conn, rpc.WriteBlockAck{Err: rpc.EncodeError(fmt.Errorf("injected media failure"))}) == nil
 	}
 	f.mu.Lock()
 	f.blocks[hdr.Block.ID] = data
 	f.mu.Unlock()
-	rpc.WriteFrame(conn, rpc.WriteBlockAck{Stored: int64(len(data))})
+	return rpc.WriteFrame(conn, rpc.WriteBlockAck{Stored: int64(len(data))}) == nil
 }
 
-func (f *fakeWorker) handleRead(conn net.Conn) {
+// handleRead serves one read exchange and reports whether the
+// connection is clean for the next.
+func (f *fakeWorker) handleRead(conn net.Conn) bool {
 	var hdr rpc.ReadBlockHeader
 	if err := rpc.ReadFrame(conn, &hdr); err != nil {
-		return
+		return false
 	}
 	f.mu.Lock()
 	data, ok := f.blocks[hdr.Block.ID]
@@ -291,44 +314,30 @@ func (f *fakeWorker) handleRead(conn net.Conn) {
 	refuse := f.refuseReads[hdr.Storage]
 	f.mu.Unlock()
 	if !ok || refuse {
-		rpc.WriteFrame(conn, rpc.ReadBlockResponse{Err: rpc.EncodeError(core.ErrNotFound)})
-		return
+		return rpc.WriteFrame(conn, rpc.ReadBlockResponse{Err: rpc.EncodeError(core.ErrNotFound)}) == nil
 	}
 	length := hdr.Length
 	if length < 0 || hdr.Offset+length > int64(len(data)) {
 		length = int64(len(data)) - hdr.Offset
 	}
-	if err := rpc.WriteFrame(conn, rpc.ReadBlockResponse{Length: length}); err != nil {
-		return
+	content := data[hdr.Offset : hdr.Offset+length]
+	sums := rpc.PieceSums(content, hdr.Offset)
+	if corrupt && len(sums) > 0 {
+		// The second piece's stored sum (the only one's, in a one-piece
+		// range) no longer matches its content, as a replica with a
+		// flipped bit serves it.
+		sums[min(1, len(sums)-1)] ^= 1
+	}
+	if err := rpc.WriteFrame(conn, rpc.ReadBlockResponse{Length: length, Sums: sums}); err != nil {
+		return false
 	}
 	if die {
-		// Deliver half the range as one well-formed packet written
-		// straight to the conn (the PacketWriter buffers), then sever
-		// the connection without the end packet.
-		chunk := data[hdr.Offset : hdr.Offset+length/2]
-		var phdr [8]byte
-		binary.BigEndian.PutUint32(phdr[0:4], uint32(len(chunk)))
-		binary.BigEndian.PutUint32(phdr[4:8], crc32.Checksum(chunk, crc32.MakeTable(crc32.Castagnoli)))
-		conn.Write(phdr[:])
-		conn.Write(chunk)
-		conn.Close()
-		return
+		// Deliver half the range, then sever the connection.
+		conn.Write(content[:length/2])
+		return false
 	}
-	pw := rpc.NewPacketWriter(conn)
-	defer pw.Release()
-	if corrupt {
-		// A good first half, then a packet whose stored sum no longer
-		// matches its content, as a replica with a flipped bit serves it.
-		half, rest := data[hdr.Offset:hdr.Offset+length/2], data[hdr.Offset+length/2:hdr.Offset+length]
-		pw.WriteChunk(bytes.NewReader(half), len(half), core.ChunkSum(half))
-		pw.WriteChunk(bytes.NewReader(rest), len(rest), core.ChunkSum(rest)^1)
-		pw.Close()
-		return
-	}
-	if _, err := pw.Write(data[hdr.Offset : hdr.Offset+length]); err != nil {
-		return
-	}
-	pw.Close()
+	_, err := conn.Write(content)
+	return err == nil
 }
 
 // startStub wires a stub master + fake worker and returns a connected
@@ -398,6 +407,16 @@ func writeReadBack(t *testing.T, fs *FileSystem, path string, data []byte) {
 	}
 	if !bytes.Equal(got, data) {
 		t.Fatalf("read back %d bytes, want %d, content mismatch", len(got), len(data))
+	}
+}
+
+// noRetries fails a test that injected no fault if any block was
+// retried: the fake worker keeps pooled connections open, so nothing
+// but a fault may make the client retry.
+func noRetries(t *testing.T, fs *FileSystem) {
+	t.Helper()
+	if retries := fs.DataPathStats().Retries; retries != 0 {
+		t.Errorf("%.0f blocks retried with no fault injected", retries)
 	}
 }
 
@@ -535,6 +554,7 @@ func TestReaderReadaheadSequential(t *testing.T) {
 	if stats := fs.DataPathStats(); stats.ReadaheadOpens < 1 {
 		t.Errorf("readaheadOpens = %.0f, want >= 1", stats.ReadaheadOpens)
 	}
+	noRetries(t, fs)
 }
 
 // TestReaderMidStreamFailover kills the first replica's stream
@@ -656,6 +676,7 @@ func TestReaderSeekCancelsReadahead(t *testing.T) {
 			t.Fatalf("content mismatch at offset %d", off)
 		}
 	}
+	noRetries(t, fs)
 }
 
 // createClose creates path, writes data into it (none if empty) and
@@ -693,6 +714,7 @@ func TestReportsShipInBatches(t *testing.T) {
 	if reports < n/shipTraces {
 		t.Errorf("%d create+close cycles sent %d Reports, want at least %d: a full batch did not ship", n, reports, n/shipTraces)
 	}
+	noRetries(t, fs)
 }
 
 // TestCloseShipsAllTelemetry runs three times as many writes as the
@@ -714,12 +736,9 @@ func TestCloseShipsAllTelemetry(t *testing.T) {
 	}
 	spans, records, _ := sm.shipped()
 
-	// The fake worker closes each connection after one block, so a
-	// pooled one is sometimes refused and the block retried: each retry
-	// leaves one failed record beside the block's good one.
-	retries := int(fs.DataPathStats().Retries)
-	if len(records) != 4*ops+retries {
-		t.Errorf("master holds %d transfer records, want %d (%d blocks, %d retries)", len(records), 4*ops+retries, 4*ops, retries)
+	noRetries(t, fs)
+	if len(records) != 4*ops {
+		t.Errorf("master holds %d transfer records, want %d", len(records), 4*ops)
 	}
 	seqs := make(map[uint64]bool, len(records))
 	good := make(map[string]int)
@@ -785,6 +804,7 @@ func TestFailedReportKeepsTelemetry(t *testing.T) {
 	if !root {
 		t.Fatalf("retry shipped %d spans without the write's root", len(spans))
 	}
+	noRetries(t, fs)
 }
 
 // TestIdleClientShips: an operation followed by silence still reaches
@@ -800,6 +820,7 @@ func TestIdleClientShips(t *testing.T) {
 				t.Fatalf("shipped trace %s, want %s", spans[0].TraceID, id)
 			}
 			t.Logf("shipped %v after the operation began", time.Since(start))
+			noRetries(t, fs)
 			return
 		}
 		if time.Since(start) > shipDelay+time.Second {

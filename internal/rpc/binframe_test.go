@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"encoding/gob"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -37,7 +38,7 @@ func hotMessages() []struct {
 			Storage: "w1:ssd0", Offset: 512, Length: -1,
 			ReqID: "ffee", SpanID: "span-2",
 		}, &ReadBlockHeader{}},
-		{"ReadBlockResponse", ReadBlockResponse{Err: "", Length: 1 << 22}, &ReadBlockResponse{}},
+		{"ReadBlockResponse", ReadBlockResponse{Err: "", Length: 1<<16 + 5, Sums: []uint32{0x8a9136aa, 0x0c2e1f47}}, &ReadBlockResponse{}},
 	}
 }
 
@@ -107,7 +108,7 @@ func assertFrameEqual(t *testing.T, name string, in, out any) {
 			t.Fatalf("%s mismatch: %+v vs %+v", name, got, want)
 		}
 	case ReadBlockResponse:
-		if got := *out.(*ReadBlockResponse); got != want {
+		if got := *out.(*ReadBlockResponse); !reflect.DeepEqual(got, want) {
 			t.Fatalf("%s mismatch: %+v vs %+v", name, got, want)
 		}
 	default:

@@ -246,7 +246,7 @@ const smallList = 16
 // list carries a slice, each element by elem. A decoded count must fit
 // in what is left of the frame at the size of a zero element, the
 // smallest any element encodes to, so no count sizes an allocation the
-// frame could not fill.
+// frame could not fill. Decoding reuses the capacity *s brings.
 func list[T any](c *coder, s *[]T, elem func(*coder, *T)) {
 	n := c.length(len(*s))
 	if c.dec {
@@ -256,7 +256,11 @@ func list[T any](c *coder, s *[]T, elem func(*coder, *T)) {
 		if c.bad || n == 0 {
 			return
 		}
-		*s = make([]T, n)
+		if cap(*s) >= n {
+			*s = (*s)[:n]
+		} else {
+			*s = make([]T, n)
+		}
 	}
 	for i := range *s {
 		elem(c, &(*s)[i])

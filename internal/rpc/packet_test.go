@@ -3,7 +3,6 @@ package rpc
 import (
 	"bytes"
 	"encoding/binary"
-	"errors"
 	"io"
 	"runtime"
 	"testing"
@@ -102,39 +101,6 @@ func equalInts(a, b []int) bool {
 		}
 	}
 	return true
-}
-
-// TestPacketWriteChunkSendsStoredSum sends chunks under caller-supplied
-// checksums: the right sum reads back, a wrong one is the reader's
-// ErrCorrupt.
-func TestPacketWriteChunkSendsStoredSum(t *testing.T) {
-	a, b := bytes.Repeat([]byte{1}, MaxPacketSize), []byte("tail")
-	var buf bytes.Buffer
-	pw := NewPacketWriter(&buf)
-	if err := pw.WriteChunk(bytes.NewReader(a), len(a), core.ChunkSum(a)); err != nil {
-		t.Fatal(err)
-	}
-	if err := pw.WriteChunk(bytes.NewReader(b), len(b), core.ChunkSum(b)); err != nil {
-		t.Fatal(err)
-	}
-	if err := pw.WriteChunk(bytes.NewReader(b), MaxPacketSize+1, 0); err == nil {
-		t.Error("oversize chunk accepted")
-	}
-	pw.Close()
-	pw.Release()
-	got, err := io.ReadAll(NewPacketReader(&buf))
-	if err != nil || !bytes.Equal(got, append(append([]byte{}, a...), b...)) {
-		t.Fatalf("read back %d bytes, err %v", len(got), err)
-	}
-
-	buf.Reset()
-	pw = NewPacketWriter(&buf)
-	pw.WriteChunk(bytes.NewReader(b), len(b), core.ChunkSum(b)^1)
-	pw.Close()
-	pw.Release()
-	if _, err := io.ReadAll(NewPacketReader(&buf)); !errors.Is(err, core.ErrCorrupt) {
-		t.Errorf("wrong stored sum: err = %v, want ErrCorrupt", err)
-	}
 }
 
 // TestPacketWriteRawForwardsVerbatim re-sends every packet Next returns

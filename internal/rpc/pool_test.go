@@ -78,14 +78,10 @@ func (s *fakeDataServer) serve(conn net.Conn) {
 		if err := ReadFrame(conn, &hdr); err != nil {
 			return
 		}
-		if err := WriteFrame(conn, ReadBlockResponse{Length: int64(len(s.payload))}); err != nil {
+		if err := WriteFrame(conn, ReadBlockResponse{Length: int64(len(s.payload)), Sums: PieceSums(s.payload, 0)}); err != nil {
 			return
 		}
-		pw := NewPacketWriter(conn)
-		_, werr := pw.Write(s.payload)
-		cerr := pw.Close()
-		pw.Release()
-		if werr != nil || cerr != nil {
+		if _, err := conn.Write(s.payload); err != nil {
 			return
 		}
 	}

@@ -287,74 +287,38 @@ func exchangeHeaders(conn *deadlineConn, op byte, hdr, resp any, tm *TransferTim
 // read span. The dial and header phases are recorded into tm (which
 // may be nil).
 func OpenBlockReaderTimed(addr string, block core.Block, storageID core.StorageID, offset, length int64, reqID, spanID string, tm *TransferTiming) (io.ReadCloser, int64, error) {
+	if offset < 0 {
+		return nil, 0, fmt.Errorf("rpc: read of block %s at negative offset %d", block.ID, offset)
+	}
 	if tm == nil {
 		tm = &TransferTiming{}
 	}
 	hdr := ReadBlockHeader{Block: block, Storage: storageID, Offset: offset, Length: length, ReqID: reqID, SpanID: spanID}
-	var resp ReadBlockResponse
+	// The sums decode into a pooled slice, which the stream keeps
+	// until Close.
+	sums := sumsPool.Get().(*[]uint32)
+	resp := ReadBlockResponse{Sums: (*sums)[:0]}
 	conn, err := openExchange(addr, OpReadBlock, hdr, &resp, reqID, tm)
+	*sums = resp.Sums[:0]
 	if err != nil {
+		sumsPool.Put(sums)
 		return nil, 0, err
 	}
 	if resp.Err != "" {
 		// A refusal leaves the exchange complete and the conn clean.
+		sumsPool.Put(sums)
 		releaseData(conn)
 		return nil, 0, DecodeError(resp.Err)
 	}
-	return &blockReadCloser{r: NewPacketReader(conn), conn: conn, poolHit: tm.PoolHit}, resp.Length, nil
-}
-
-// drainGrace bounds how long Close waits for the end-of-stream packet
-// of a fully consumed block before giving up on reusing the conn.
-const drainGrace = 20 * time.Millisecond
-
-type blockReadCloser struct {
-	r        *PacketReader
-	conn     *deadlineConn
-	released bool
-	poolHit  bool
-}
-
-func (b *blockReadCloser) Read(p []byte) (int, error) { return b.r.Read(p) }
-
-// Next returns the stream's next verified packet, for a consumer that
-// stores the chunks under the checksums they arrived with.
-func (b *blockReadCloser) Next() (Packet, error) { return b.r.Next() }
-
-// PoolHit reports whether the stream's connection was reused from the
-// pool; flight-recorder entries surface it per transfer.
-func (b *blockReadCloser) PoolHit() bool { return b.poolHit }
-
-// Close returns the connection to the pool when the packet stream was
-// consumed to its end marker — the usual case, since readers drain
-// exactly the advertised length — and closes it otherwise (an
-// abandoned stream would poison the next transfer). A stream whose
-// data packets were fully drained but whose end marker is still in
-// flight gets one brief bounded attempt to consume it.
-func (b *blockReadCloser) Close() error {
-	if b.released {
-		return nil
+	s, err := newBlockStream(conn, hdr, resp)
+	if err != nil {
+		sumsPool.Put(sums)
+		conn.Close() // the bytes that follow are of unknown length
+		return nil, 0, tagReq(err, reqID)
 	}
-	b.released = true
-	clean := b.r.Drained()
-	if !clean && b.r.PendingEmpty() {
-		b.conn.hsUntil = time.Now().Add(drainGrace)
-		clean = b.r.TryFinish()
-		b.conn.hsUntil = time.Time{}
-	}
-	var err error
-	if clean {
-		releaseData(b.conn)
-	} else {
-		err = b.conn.Close()
-	}
-	b.r.Release()
-	return err
+	s.conn, s.pooled, s.poolHit = conn, sums, tm.PoolHit
+	return s, resp.Length, nil
 }
-
-// AllocBytes reports the stream's transfer-local buffer allocations,
-// for the flight recorder's churn accounting.
-func (b *blockReadCloser) AllocBytes() int64 { return b.r.AllocBytes() }
 
 // BlockWriter streams one block into a worker write pipeline. Create
 // it with OpenBlockWriter, Write the content, then either Commit to

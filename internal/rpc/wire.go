@@ -12,9 +12,10 @@ import (
 )
 
 // The data-transfer protocol spoken on a worker's data port. Every
-// exchange starts with a one-byte opcode followed by a binary v1
-// header frame (see binframe.go); block content then flows as
-// checksummed packets. Connections are persistent: after a clean
+// exchange starts with a one-byte opcode followed by a binary header
+// frame. A write's content then flows as checksummed packets; a read's
+// response frame carries the checksums and the bytes follow unframed
+// (see readstream.go). Connections are persistent: after a clean
 // exchange the same connection carries the next opcode.
 const (
 	// OpWriteBlock streams a block into a pipeline of workers
@@ -79,10 +80,13 @@ type ReadBlockHeader struct {
 	SpanID string
 }
 
-// ReadBlockResponse precedes the packet stream of an OpReadBlock.
+// ReadBlockResponse precedes the bytes of an OpReadBlock: exactly
+// Length raw bytes follow it, with no framing, and Sums holds one
+// CRC-32C per piece of them (see PieceSums).
 type ReadBlockResponse struct {
 	Err    string // EncodeError representation; "" = data follows
 	Length int64  // number of bytes that will be streamed
+	Sums   []uint32
 }
 
 // Frame types of the four block messages.
@@ -135,6 +139,7 @@ func (m *ReadBlockHeader) wire(c *coder) {
 func (m *ReadBlockResponse) wire(c *coder) {
 	str(c, &m.Err)
 	num(c, &m.Length)
+	list(c, &m.Sums, num32[uint32])
 }
 
 // WriteFrame encodes v, one of the four block messages, as one frame.
@@ -213,17 +218,15 @@ var packetReaderPool = sync.Pool{}
 // PacketWriter streams block content as checksummed packets:
 // [uint32 length][uint32 crc32c][payload]; a zero-length packet
 // terminates the stream. Write and ReadFrom cut the content into full
-// MaxPacketSize packets, only the last may be short; WriteChunk sends
-// a stored chunk under its stored checksum; WriteRaw forwards a packet
-// verbatim. Each packet is staged header-first in one pooled buffer
+// MaxPacketSize packets, only the last may be short; WriteRaw forwards
+// a packet verbatim. Each packet is staged header-first in one pooled buffer
 // and sent with one Write. Release returns the buffer once the stream
 // is settled.
 type PacketWriter struct {
-	w      io.Writer
-	pkt    []byte // header, then payload
-	n      int    // payload bytes staged in pkt
-	sealed bool   // the staged packet carries a caller-supplied checksum
-	alloc  int64
+	w     io.Writer
+	pkt   []byte // header, then payload
+	n     int    // payload bytes staged in pkt
+	alloc int64
 }
 
 // NewPacketWriter wraps w for packet output.
@@ -293,31 +296,9 @@ func (pw *PacketWriter) ReadFrom(r io.Reader) (int64, error) {
 
 // makeRoom sends the staged packet when it cannot take more content.
 func (pw *PacketWriter) makeRoom() error {
-	if pw.n == MaxPacketSize || pw.sealed {
+	if pw.n == MaxPacketSize {
 		return pw.send(false)
 	}
-	return nil
-}
-
-// WriteChunk sends n bytes read from r as one packet under the
-// caller-supplied checksum: a stored chunk served with the sum recorded
-// at ingest, so the payload is not hashed here and the reader's check
-// covers the chunk from the writer to the reader. A packet already
-// staged is sent first.
-func (pw *PacketWriter) WriteChunk(r io.Reader, n int, sum uint32) error {
-	if n <= 0 || n > MaxPacketSize {
-		return fmt.Errorf("rpc: chunk of %d bytes (limit %d)", n, MaxPacketSize)
-	}
-	if pw.n > 0 {
-		if err := pw.send(false); err != nil {
-			return err
-		}
-	}
-	if _, err := io.ReadFull(r, pw.pkt[packetHeaderLen:packetHeaderLen+n]); err != nil {
-		return fmt.Errorf("rpc: reading chunk: %w", err)
-	}
-	binary.BigEndian.PutUint32(pw.pkt[4:8], sum)
-	pw.n, pw.sealed = n, true
 	return nil
 }
 
@@ -341,21 +322,19 @@ func (pw *PacketWriter) WriteRaw(raw []byte) error {
 // end marker go out in one Write.
 func (pw *PacketWriter) Close() error { return pw.send(true) }
 
-// send writes the staged packet, checksumming its payload unless the
-// caller supplied the sum, followed by the end marker when end is set.
+// send writes the staged packet, checksumming its payload, followed by
+// the end marker when end is set.
 func (pw *PacketWriter) send(end bool) error {
 	out := pw.pkt[:0]
 	if pw.n > 0 {
 		binary.BigEndian.PutUint32(pw.pkt[0:4], uint32(pw.n))
-		if !pw.sealed {
-			binary.BigEndian.PutUint32(pw.pkt[4:8], core.ChunkSum(pw.pkt[packetHeaderLen:packetHeaderLen+pw.n]))
-		}
+		binary.BigEndian.PutUint32(pw.pkt[4:8], core.ChunkSum(pw.pkt[packetHeaderLen:packetHeaderLen+pw.n]))
 		out = pw.pkt[:packetHeaderLen+pw.n]
 	}
 	if end {
 		out = append(out, make([]byte, packetHeaderLen)...)
 	}
-	pw.n, pw.sealed = 0, false
+	pw.n = 0
 	if len(out) == 0 {
 		return nil
 	}
@@ -366,8 +345,9 @@ func (pw *PacketWriter) send(end bool) error {
 }
 
 // Packet is one verified data packet as Next returns it. Raw is its
-// wire form (header and payload), Payload the content and Sum its
-// CRC-32C. The slices are valid until the next call on the reader.
+// wire form (header and payload; nil from a read stream, which has no
+// packet framing), Payload the content and Sum its CRC-32C. The slices
+// are valid until the next call on the reader.
 type Packet struct {
 	Raw     []byte
 	Payload []byte
@@ -404,35 +384,6 @@ func NewPacketReader(r io.Reader) *PacketReader {
 // (header buffer plus packet buffer) — the per-transfer churn cost the
 // flight recorder tracks. Pool reuse makes it zero in steady state.
 func (pr *PacketReader) AllocBytes() int64 { return pr.alloc }
-
-// Drained reports that the stream's end marker was consumed and no
-// payload remains undelivered — the state in which the underlying
-// connection is clean and reusable.
-func (pr *PacketReader) Drained() bool { return pr.done && len(pr.pending) == 0 }
-
-// PendingEmpty reports that no decoded payload is waiting. When true
-// but not Drained, only the end marker (or more packets) remains on
-// the wire.
-func (pr *PacketReader) PendingEmpty() bool { return len(pr.pending) == 0 }
-
-// TryFinish attempts to consume the stream's end marker: after a
-// consumer read exactly the advertised length, the zero-length
-// terminator may still be in flight. It returns true if the stream is
-// now drained, false if payload (not a terminator) arrived or the
-// read failed. Callers bound the attempt with a deadline on the
-// underlying connection.
-func (pr *PacketReader) TryFinish() bool {
-	if pr.Drained() {
-		return true
-	}
-	if len(pr.pending) > 0 {
-		return false
-	}
-	if err := pr.fill(); err != nil {
-		return false
-	}
-	return pr.Drained()
-}
 
 // Release returns the reader's buffers to their pools. The caller
 // must be done with the stream (and any slice returned by Read has

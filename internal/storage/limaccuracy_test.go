@@ -23,7 +23,7 @@ func TestRateLimiterAccuracyAcrossRates(t *testing.T) {
 	for _, rateMBps := range []float64{126.3, 340.6, 1897.4, 3224.8} {
 		l := NewRateLimiter(rateMBps * 1e6)
 		t0 := time.Now()
-		io.Copy(io.Discard, LimitReaderStats(bytes.NewReader(data), l, nil))
+		io.Copy(io.Discard, LimitReader(bytes.NewReader(data), l))
 		measured := float64(len(data)) / 1e6 / time.Since(t0).Seconds()
 		accounted, waited := l.Stats()
 		t.Logf("target %7.1f MB/s -> measured %7.1f MB/s, %v scheduled wait", rateMBps, measured, waited)

@@ -145,14 +145,17 @@ func (m *Media) setThroughput(w, r float64) {
 // stream's own critical path — unlike the limiter's cross-stream
 // Stats total, these are exact per stream. ThrottleWaitNs is time
 // the emulated pacing slept this stream. DeviceNs is store device
-// time: read time under a throttled Open, or time inside the store's
-// chunk writes and commit. SourceNs (Put only) is time spent waiting
-// on the supplied reader — the network or local replica feeding the
-// write.
+// time: opening a replica to serve it and reading its bytes, or time
+// inside the store's chunk writes and commit. SourceNs (Put only) is
+// time spent waiting on the supplied reader — the network or local
+// replica feeding the write. SendNs (Replica.Send only) is time spent
+// handing bytes to the destination, the device read included when the
+// kernel does both at once.
 type IOStats struct {
 	ThrottleWaitNs int64
 	DeviceNs       int64
 	SourceNs       int64
+	SendNs         int64
 }
 
 // timedReader accumulates time spent inside Read into *ns.
@@ -249,44 +252,16 @@ func (m *Media) PutStats(b core.Block, r io.Reader, st *IOStats) (int64, error) 
 	return putChunks(b, cw, &timedReader{r: r, ns: &st.SourceNs})
 }
 
-// Sums returns the replica's stored chunk checksums (see Store.Sums).
-func (m *Media) Sums(b core.Block) ([]uint32, error) { return m.store.Sums(b) }
-
 // Open returns a throttled reader over a stored replica. The media's
 // connection count stays elevated until the reader is closed.
 func (m *Media) Open(b core.Block) (io.ReadCloser, error) {
-	return m.OpenRangeStats(b, 0, nil)
-}
-
-// OpenRangeStats is Open starting at offset bytes into the replica,
-// recording the stream's device read time and throttle sleep into st
-// (which may be nil) as the replica is consumed. When the store's
-// reader can seek (disk files, memory readers), the skipped prefix is
-// never read — and thus neither throttled nor charged as device time;
-// otherwise it is discarded on the raw store reader before the
-// throttle wrapper is applied.
-func (m *Media) OpenRangeStats(b core.Block, offset int64, st *IOStats) (io.ReadCloser, error) {
-	if st == nil {
-		st = &IOStats{}
-	}
 	rc, err := m.store.Open(b)
 	if err != nil {
 		return nil, err
 	}
-	if offset > 0 {
-		if sk, ok := rc.(io.Seeker); ok {
-			_, err = sk.Seek(offset, io.SeekStart)
-		} else {
-			_, err = io.CopyN(io.Discard, rc, offset)
-		}
-		if err != nil {
-			rc.Close()
-			return nil, fmt.Errorf("storage: block %s: seeking to %d: %w", b.ID, offset, err)
-		}
-	}
 	m.conns.Add(1)
 	return &connTrackingReadCloser{
-		Reader: LimitReaderStats(&timedReader{r: rc, ns: &st.DeviceNs}, m.readLimit, &st.ThrottleWaitNs),
+		Reader: LimitReader(rc, m.readLimit),
 		store:  rc,
 		conns:  &m.conns,
 	}, nil

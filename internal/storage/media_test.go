@@ -207,7 +207,7 @@ func TestRateLimiterSharedAcrossConcurrentWriters(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			r := LimitReaderStats(bytes.NewReader(make([]byte, 1<<20)), l, nil)
+			r := LimitReader(bytes.NewReader(make([]byte, 1<<20)), l)
 			io.Copy(io.Discard, r)
 		}()
 	}
@@ -225,7 +225,7 @@ func TestNilRateLimiterIsUnlimited(t *testing.T) {
 	if l.Rate() != 0 {
 		t.Error("nil limiter Rate() != 0")
 	}
-	r := LimitReaderStats(bytes.NewReader([]byte("abc")), nil, nil)
+	r := LimitReader(bytes.NewReader([]byte("abc")), nil)
 	got, _ := io.ReadAll(r)
 	if string(got) != "abc" {
 		t.Error("nil limiter altered data")

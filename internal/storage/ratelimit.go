@@ -101,23 +101,19 @@ func (l *RateLimiter) Rate() float64 {
 	return l.bytesPerSec
 }
 
-// limitedReader throttles an io.Reader through a RateLimiter,
-// optionally accumulating this stream's own sleep time into waitNs.
+// limitedReader throttles an io.Reader through a RateLimiter.
 type limitedReader struct {
-	r      io.Reader
-	l      *RateLimiter
-	waitNs *int64
+	r io.Reader
+	l *RateLimiter
 }
 
-// LimitReaderStats wraps r so reads are throttled by l, accumulating
-// the stream's own throttle sleep (exact, unlike the limiter's
-// cross-stream Stats total) into *waitNs, which may be nil. A nil
-// limiter returns r unchanged.
-func LimitReaderStats(r io.Reader, l *RateLimiter, waitNs *int64) io.Reader {
+// LimitReader wraps r so reads are throttled by l, each accounted
+// after it returns. A nil limiter returns r unchanged.
+func LimitReader(r io.Reader, l *RateLimiter) io.Reader {
 	if l == nil {
 		return r
 	}
-	return &limitedReader{r: r, l: l, waitNs: waitNs}
+	return &limitedReader{r: r, l: l}
 }
 
 func (lr *limitedReader) Read(p []byte) (int, error) {
@@ -126,9 +122,6 @@ func (lr *limitedReader) Read(p []byte) (int, error) {
 		p = p[:256<<10]
 	}
 	n, err := lr.r.Read(p)
-	slept := lr.l.Wait(n)
-	if lr.waitNs != nil && slept > 0 {
-		*lr.waitNs += slept.Nanoseconds()
-	}
+	lr.l.Wait(n)
 	return n, err
 }

@@ -39,11 +39,12 @@ type Store interface {
 	// It returns core.ErrNotFound if the replica is absent.
 	Open(b core.Block) (io.ReadCloser, error)
 
-	// Sums returns the replica's chunk checksums, one CRC-32C per
-	// core.ChunkSize bytes, as recorded when it was written. The slice
-	// is shared: callers must not modify it. A checksum record that
-	// does not match the replica is refused with core.ErrCorrupt.
-	Sums(b core.Block) ([]uint32, error)
+	// OpenReplica opens the replica to serve a read: its chunk
+	// checksums, one CRC-32C per core.ChunkSize bytes as recorded when
+	// it was written, and its bytes, from one open. A checksum record
+	// that does not match the replica is refused with core.ErrCorrupt.
+	// The caller closes it.
+	OpenReplica(b core.Block) (*Replica, error)
 
 	// Delete removes the replica. Deleting an absent replica returns
 	// core.ErrNotFound.
@@ -229,10 +230,13 @@ func (s *MemStore) replica(b core.Block) (memReplica, error) {
 	return r, nil
 }
 
-// Sums implements Store.
-func (s *MemStore) Sums(b core.Block) ([]uint32, error) {
+// OpenReplica implements Store: the replica serves its own slice.
+func (s *MemStore) OpenReplica(b core.Block) (*Replica, error) {
 	r, err := s.replica(b)
-	return r.sums, err
+	if err != nil {
+		return nil, err
+	}
+	return &Replica{sums: r.sums, size: int64(len(r.data)), data: r.data}, nil
 }
 
 // Verify implements Store.
@@ -547,39 +551,46 @@ func (s *DiskStore) Delete(b core.Block) error {
 	return nil
 }
 
-// Sums implements Store by reading the replica file's tail. A trailer
-// that does not describe the file, or records another byte count than
-// the replica's, is refused with core.ErrCorrupt: the read fails over
-// as from a corrupt replica.
-func (s *DiskStore) Sums(b core.Block) ([]uint32, error) {
+// OpenReplica implements Store: one open of the replica file reads its
+// tail and serves its bytes. A trailer that does not describe the file,
+// or records another byte count than the replica's, is refused with
+// core.ErrCorrupt: the read fails over as from a corrupt replica.
+func (s *DiskStore) OpenReplica(b core.Block) (*Replica, error) {
 	size, err := s.size(b)
 	if err != nil {
 		return nil, err
 	}
-	n, sums, err := readReplicaFile(s.path(b))
-	switch {
-	case errors.Is(err, os.ErrNotExist):
+	f, err := os.Open(s.path(b))
+	if errors.Is(err, os.ErrNotExist) {
 		return nil, fmt.Errorf("storage: block %s: %w", b.ID, core.ErrNotFound)
-	case err != nil:
-		return nil, fmt.Errorf("storage: block %s: %w", b.ID, err)
-	case n != size:
-		return nil, fmt.Errorf("storage: block %s trailer records %d bytes, want %d: %w", b.ID, n, size, core.ErrCorrupt)
 	}
-	return sums, nil
+	if err != nil {
+		return nil, fmt.Errorf("storage: opening block %s: %w", b.ID, err)
+	}
+	var n int64
+	var sums []uint32
+	info, err := f.Stat()
+	if err == nil {
+		n, sums, err = readReplica(f, info.Size())
+	}
+	if err == nil && n != size {
+		err = fmt.Errorf("trailer records %d bytes, want %d: %w", n, size, core.ErrCorrupt)
+	}
+	if err != nil {
+		f.Close()
+		return nil, fmt.Errorf("storage: block %s: %w", b.ID, err)
+	}
+	return &Replica{sums: sums, size: size, f: f}, nil
 }
 
 // Verify implements Store by re-reading the replica against its sums.
 func (s *DiskStore) Verify(b core.Block) error {
-	sums, err := s.Sums(b)
+	r, err := s.OpenReplica(b)
 	if err != nil {
 		return err
 	}
-	rc, err := s.Open(b)
-	if err != nil {
-		return err
-	}
-	defer rc.Close()
-	return verifyChunks(b, rc, sums)
+	defer r.Close()
+	return verifyChunks(b, io.NewSectionReader(r.f, 0, r.size), r.sums)
 }
 
 // Has implements Store.

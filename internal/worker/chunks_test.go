@@ -7,20 +7,23 @@ import (
 	"fmt"
 	"io"
 	"math/rand"
+	"net"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/core"
 	"repro/internal/rpc"
 )
 
-// writeHDDBlock streams payload into the test worker's HDD through the
-// data port.
-func writeHDDBlock(t *testing.T, w *Worker, blk core.Block, payload []byte) {
+// writeBlock streams payload into the test worker's media on through
+// the data port.
+func writeBlock(t testing.TB, w *Worker, blk core.Block, on core.StorageID, payload []byte) {
 	t.Helper()
 	bw, err := rpc.OpenBlockWriter(blk, []rpc.PipelineTarget{
-		{Worker: w.ID(), Address: w.DataAddr(), Storage: "wtest:hdd0"},
+		{Worker: w.ID(), Address: w.DataAddr(), Storage: on},
 	}, "test")
 	if err != nil {
 		t.Fatal(err)
@@ -33,46 +36,83 @@ func writeHDDBlock(t *testing.T, w *Worker, blk core.Block, payload []byte) {
 	}
 }
 
-// TestRangedReadChunkEdges reads ranges that start and end inside
-// chunks, on chunk boundaries and in the short last chunk. Then it
+// rawRead runs one read exchange by hand, returning the response frame
+// and the bytes that follow it.
+func rawRead(t *testing.T, addr string, hdr rpc.ReadBlockHeader) (rpc.ReadBlockResponse, []byte) {
+	t.Helper()
+	conn, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	var resp rpc.ReadBlockResponse
+	if _, err := conn.Write([]byte{rpc.OpReadBlock}); err != nil {
+		t.Fatal(err)
+	}
+	if err := rpc.WriteFrame(conn, hdr); err != nil {
+		t.Fatal(err)
+	}
+	if err := rpc.ReadFrame(conn, &resp); err != nil {
+		t.Fatal(err)
+	}
+	got := make([]byte, max(resp.Length, 0))
+	if _, err := io.ReadFull(conn, got); err != nil {
+		t.Fatalf("reading %d bytes after the response: %v", resp.Length, err)
+	}
+	return resp, got
+}
+
+// TestRangedReadChunkEdges reads ranges that start on, just before and
+// just after chunk boundaries and in the short last chunk, short and to
+// the end of the block, from memory and from disk: the bytes and the
+// response's piece sums must be exactly those of the range. Then it
 // corrupts one chunk on disk: a range with that chunk at its edge is
 // refused as corrupt before any data, a range streaming it whole fails
-// at the reader's packet check, and a range that does not touch it is
+// at the reader's piece check, and a range that does not touch it is
 // still served.
 func TestRangedReadChunkEdges(t *testing.T) {
 	m, w := testWorker(t)
 	const C = core.ChunkSize
 	size := int64(3*C + 100)
-	blk := hddBlock(t, m, "/ranged", size)
 	payload := make([]byte, size)
 	rand.New(rand.NewSource(9)).Read(payload)
-	writeHDDBlock(t, w, blk, payload)
-
-	read := func(off, length int64) ([]byte, error) {
-		rc, _, err := rpc.OpenBlockReader(w.DataAddr(), blk, "wtest:hdd0", off, length)
+	blocks := make(map[core.StorageID]core.Block)
+	for _, on := range []core.StorageID{"wtest:mem0", "wtest:hdd0"} {
+		blocks[on] = allocBlock(t, m, "/ranged-"+string(on), size, on)
+		writeBlock(t, w, blocks[on], on, payload)
+	}
+	read := func(on core.StorageID, off, length int64) ([]byte, error) {
+		rc, _, err := rpc.OpenBlockReader(w.DataAddr(), blocks[on], on, off, length)
 		if err != nil {
 			return nil, err
 		}
 		defer rc.Close()
 		return io.ReadAll(rc)
 	}
-	ranges := [][2]int64{
-		{0, -1}, {1, 10}, {C - 1, 2}, {C + 5, C}, {100, 2*C + 50},
-		{C, C}, {3 * C, 100}, {3*C + 1, 99}, {5, size - 5}, {0, C + 1}, {size, -1},
-	}
-	for _, r := range ranges {
-		off, length := r[0], r[1]
-		end := size
-		if length >= 0 {
-			end = off + length
-		}
-		got, err := read(off, length)
-		if err != nil || !bytes.Equal(got, payload[off:end]) {
-			t.Errorf("range [%d,%d): %d bytes, err %v", off, end, len(got), err)
+	for on, blk := range blocks {
+		for _, off := range []int64{0, 1, C - 1, C, C + 1, size - 1} {
+			for _, length := range []int64{10, C + 2, -1} {
+				end := size
+				if length >= 0 {
+					end = min(off+length, size)
+				}
+				want := payload[off:end]
+				resp, got := rawRead(t, w.DataAddr(), rpc.ReadBlockHeader{Block: blk, Storage: on, Offset: off, Length: length})
+				if resp.Err != "" || !bytes.Equal(got, want) {
+					t.Errorf("%s [%d,%d): %d bytes, err %q", on, off, end, len(got), resp.Err)
+				}
+				if wantSums := rpc.PieceSums(want, off); fmt.Sprint(resp.Sums) != fmt.Sprint(wantSums) {
+					t.Errorf("%s [%d,%d): piece sums %x, want %x", on, off, end, resp.Sums, wantSums)
+				}
+				if got, err := read(on, off, length); err != nil || !bytes.Equal(got, want) {
+					t.Errorf("%s [%d,%d) through the client: %d bytes, err %v", on, off, end, len(got), err)
+				}
+			}
 		}
 	}
 
-	// Flip one byte of chunk 1 in the replica file.
+	// Flip one byte of chunk 1 in the disk replica's file.
+	blk := blocks["wtest:hdd0"]
 	path := filepath.Join(w.cfg.Media[1].Dir, fmt.Sprintf("blk_%d_%d", uint64(blk.ID), uint64(blk.GenStamp)))
 	data, err := os.ReadFile(path)
 	if err != nil {
@@ -88,14 +128,101 @@ func TestRangedReadChunkEdges(t *testing.T) {
 	if _, _, err := rpc.OpenBlockReader(w.DataAddr(), blk, "wtest:hdd0", 5, C); !errors.Is(err, core.ErrCorrupt) {
 		t.Errorf("tail edge chunk corrupt: open err = %v, want ErrCorrupt", err)
 	}
-	if _, err := read(0, -1); !errors.Is(err, core.ErrCorrupt) {
-		t.Errorf("whole corrupt chunk: read err = %v, want ErrCorrupt", err)
+	if got, err := read("wtest:hdd0", 0, -1); !errors.Is(err, core.ErrCorrupt) || !bytes.Equal(got, payload[:C]) {
+		t.Errorf("whole corrupt chunk: read %d bytes, err = %v, want the first chunk and ErrCorrupt", len(got), err)
 	}
-	if got, err := read(2*C+3, C); err != nil || !bytes.Equal(got, payload[2*C+3:3*C+3]) {
+	if got, err := read("wtest:hdd0", 2*C+3, C); err != nil || !bytes.Equal(got, payload[2*C+3:3*C+3]) {
 		t.Errorf("range clear of the corrupt chunk: %d bytes, err %v", len(got), err)
 	}
 	if n := len(w.Journal().Since(0, "block_corrupt", 0).Entries); n != 2 {
 		t.Errorf("block_corrupt events = %d, want 2 (one per refused edge)", n)
+	}
+}
+
+// TestThrottledReadIsPaced reads a 4 MiB block from a throttled disk:
+// its whole chunks leave by sendfile, yet the read takes at least all
+// but one chunk's worth of time at the media's rate, and the worker's
+// transfer record carries the pacing sleeps.
+func TestThrottledReadIsPaced(t *testing.T) {
+	const mbps = 32
+	m, w := testWorkerWith(t, mbps)
+	size := int64(4 << 20)
+	blk := hddBlock(t, m, "/paced", size)
+	payload := make([]byte, size)
+	rand.New(rand.NewSource(4)).Read(payload)
+	writeBlock(t, w, blk, "wtest:hdd0", payload)
+	// The limiter's schedule starts when the media opens and restarts
+	// only after 10 ms without a read; a read sooner than that inherits
+	// the allowance accrued since.
+	time.Sleep(20 * time.Millisecond)
+
+	start := time.Now()
+	rc, _, err := rpc.OpenBlockReader(w.DataAddr(), blk, "wtest:hdd0", 0, -1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := io.ReadAll(rc)
+	rc.Close()
+	elapsed := time.Since(start)
+	if err != nil || !bytes.Equal(got, payload) {
+		t.Fatalf("read %d bytes, err %v", len(got), err)
+	}
+	// Each chunk is paced after it is sent, so the last one's wait is
+	// not on the reader's clock; and the limiter lets a caller go up to
+	// one millisecond (its minimum sleep) ahead of schedule.
+	floor := time.Duration(float64(size-core.ChunkSize)/(mbps*1e6)*float64(time.Second)) - time.Millisecond
+	if elapsed < floor {
+		t.Errorf("a %d-byte read at %d MB/s took %v, want at least %v", size, mbps, elapsed, floor)
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		recs := w.TransferLog().Since(0, "read", 0).Entries
+		if len(recs) == 1 {
+			if recs[0].ThrottleWaitNs <= 0 || recs[0].NetNs <= 0 {
+				t.Errorf("read record: throttle %d ns, net %d ns, want both > 0", recs[0].ThrottleWaitNs, recs[0].NetNs)
+			}
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("%d read records on the worker, want 1", len(recs))
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+}
+
+// BenchmarkReadBlock serves one 4 MiB block from a real worker over
+// loopback into a 1 MiB client buffer, from memory and from disk. Its
+// allocs/op cover both ends of the exchange.
+func BenchmarkReadBlock(b *testing.B) {
+	for _, on := range []core.StorageID{"wtest:mem0", "wtest:hdd0"} {
+		b.Run(strings.TrimPrefix(string(on), "wtest:"), func(b *testing.B) {
+			m, w := testWorker(b)
+			size := int64(4 << 20)
+			blk := allocBlock(b, m, "/bench", size, on)
+			payload := make([]byte, size)
+			rand.New(rand.NewSource(1)).Read(payload)
+			writeBlock(b, w, blk, on, payload)
+			buf := make([]byte, 1<<20)
+			b.SetBytes(size)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				rc, _, err := rpc.OpenBlockReader(w.DataAddr(), blk, on, 0, -1)
+				if err != nil {
+					b.Fatal(err)
+				}
+				var n int64
+				for err == nil {
+					var m int
+					m, err = rc.Read(buf)
+					n += int64(m)
+				}
+				rc.Close()
+				if err != io.EOF || n != size {
+					b.Fatalf("read %d of %d bytes: %v", n, size, err)
+				}
+			}
+		})
 	}
 }
 

@@ -1,14 +1,13 @@
 package worker
 
 import (
-	"bytes"
 	"errors"
 	"fmt"
 	"io"
 	"net"
+	"slices"
 	"time"
 
-	"repro/internal/bufpool"
 	"repro/internal/core"
 	"repro/internal/events"
 	"repro/internal/heat"
@@ -320,8 +319,8 @@ func storeStream(media *storage.Media, block core.Block, src packetSource, st *s
 	return n, netNs, err
 }
 
-// packetSource is a verified packet stream: a pipeline's upstream or a
-// replica served by a peer.
+// packetSource is a verified chunk stream: a pipeline's upstream
+// packets, or the pieces of a replica served by a peer.
 type packetSource interface {
 	Next() (rpc.Packet, error)
 }
@@ -398,18 +397,28 @@ func (w *Worker) handleReadBlock(conn net.Conn) (keep bool) {
 
 // readBlock serves one OpReadBlock exchange; errors that can still be
 // delivered go back in the response frame with the request ID attached.
-// There is no scrub before the response: whole chunks are streamed
-// under the checksums stored at ingest, so the reader's per-packet
-// check verifies every byte against the writer's sums. A range that
-// starts or ends inside a chunk has that edge chunk read whole and
-// checked here before the response, then only its requested slice sent
-// under a fresh checksum, so a ranged read touches only its own
-// chunks. The record receives the serve's phase split: device and
-// throttle time from the media stream, socket time from a timed writer
-// around the response frame and packet stream. keep reports whether
-// the response (refusal or full stream) was delivered cleanly.
+// The response carries the range's piece sums and the bytes follow it
+// unframed (see rpc.PieceSums), all from one open of the replica.
+// Whole chunks go out under the sums stored at ingest, without being
+// read into this process: a disk replica by sendfile, a memory replica
+// straight from the store, so the reader's check verifies every byte
+// against the writer's sums. A range that starts or ends inside a
+// chunk has that edge chunk read whole and checked here before the
+// response, then only its requested slice sent under a fresh sum, so a
+// ranged read touches only its own chunks. The record receives the
+// serve's phase split: the trailer and edge reads are disk time, the
+// response frame and the sends are net time, and each chunk's pacing
+// sleep, taken after the call that reads it from the device, is
+// throttle time. keep reports whether the response (refusal or full
+// stream) was delivered cleanly.
 func (w *Worker) readBlock(conn net.Conn, hdr rpc.ReadBlockHeader, rec *xfer.Record) (served int64, tier string, keep bool, err error) {
 	tier = "UNKNOWN"
+	var iost storage.IOStats
+	defer func() {
+		rec.DiskNs = iost.DeviceNs
+		rec.ThrottleWaitNs = iost.ThrottleWaitNs
+		rec.NetNs += iost.SendNs
+	}()
 	refuse := func(e error) (int64, string, bool, error) {
 		if errors.Is(e, core.ErrCorrupt) {
 			w.journal.PublishTraced(events.Error, "block_corrupt", hdr.ReqID,
@@ -427,15 +436,20 @@ func (w *Worker) readBlock(conn net.Conn, hdr rpc.ReadBlockHeader, rec *xfer.Rec
 		return refuse(fmt.Errorf("worker: unknown media %s: %w", hdr.Storage, core.ErrNotFound))
 	}
 	tier = media.Tier().String()
-	sums, err := media.Sums(hdr.Block)
+	if hdr.Offset < 0 {
+		return refuse(fmt.Errorf("worker: block %s: negative read offset %d", hdr.Block.ID, hdr.Offset))
+	}
+	rr, err := media.OpenReplica(hdr.Block, &iost)
 	if err != nil {
 		return refuse(err)
 	}
+	defer rr.Close()
+	sums := rr.Sums()
 	size := hdr.Block.NumBytes
 	if n := int((size + core.ChunkSize - 1) / core.ChunkSize); len(sums) != n {
 		return refuse(fmt.Errorf("worker: block %s: %d chunk sums for %d bytes: %w", hdr.Block.ID, len(sums), size, core.ErrCorrupt))
 	}
-	offset := min(max(hdr.Offset, 0), size)
+	offset := min(hdr.Offset, size)
 	length := hdr.Length
 	if length < 0 || length > size-offset {
 		length = size - offset
@@ -443,98 +457,71 @@ func (w *Worker) readBlock(conn net.Conn, hdr rpc.ReadBlockHeader, rec *xfer.Rec
 	end := offset + length
 	first, last := offset/core.ChunkSize, (end-1)/core.ChunkSize
 	chunkLen := func(i int64) int { return int(min(core.ChunkSize, size-i*core.ChunkSize)) }
-	// slice bounds the requested part of chunk i, within the chunk.
-	slice := func(i int64) (lo, hi int) {
-		base := i * core.ChunkSize
-		return int(max(offset, base) - base), int(min(end, base+int64(chunkLen(i))) - base)
-	}
-	partial := func(i int64) bool {
-		lo, hi := slice(i)
-		return lo > 0 || hi < chunkLen(i)
-	}
-
-	var iost storage.IOStats
-	defer func() {
-		rec.DiskNs = iost.DeviceNs
-		rec.ThrottleWaitNs = iost.ThrottleWaitNs
-	}()
-	// edge reads chunk i whole and checks it against its stored sum,
-	// returning the requested slice of it.
-	var edgeBufs [][]byte
-	defer func() {
-		for _, b := range edgeBufs {
-			bufpool.Put(b)
-		}
-	}()
+	// edge reads chunk i whole, checks it against its stored sum and
+	// returns the requested slice of it, or nil when the range covers
+	// the chunk whole.
 	edge := func(i int64) ([]byte, error) {
-		rc, err := media.OpenRangeStats(hdr.Block, i*core.ChunkSize, &iost)
-		if err != nil {
-			return nil, err
+		base := i * core.ChunkSize
+		lo, hi := max(offset, base)-base, min(end, base+int64(chunkLen(i)))-base
+		if lo == 0 && hi == int64(chunkLen(i)) {
+			return nil, nil
 		}
-		defer rc.Close()
-		buf, _ := bufpool.Get(chunkLen(i))
-		edgeBufs = append(edgeBufs, buf)
-		if _, err := io.ReadFull(rc, buf); err != nil {
+		buf, err := rr.ReadRange(base, chunkLen(i))
+		if err != nil {
 			return nil, fmt.Errorf("worker: block %s: reading chunk %d: %w", hdr.Block.ID, i, err)
 		}
 		if got := core.ChunkSum(buf); got != sums[i] {
 			return nil, fmt.Errorf("worker: block %s chunk %d checksum %08x != %08x: %w", hdr.Block.ID, i, got, sums[i], core.ErrCorrupt)
 		}
-		lo, hi := slice(i)
 		return buf[lo:hi], nil
 	}
 	var head, tail []byte
-	if length > 0 && partial(first) {
+	var pieceSums []uint32
+	if length > 0 {
 		if head, err = edge(first); err != nil {
 			return refuse(err)
 		}
-	}
-	if length > 0 && last != first && partial(last) {
-		if tail, err = edge(last); err != nil {
-			return refuse(err)
+		if last != first {
+			if tail, err = edge(last); err != nil {
+				return refuse(err)
+			}
+		}
+		// The stored sums serve every whole chunk; only the edges need
+		// fresh ones, and only then a copy of the slice.
+		pieceSums = sums[first : last+1]
+		if head != nil || tail != nil {
+			pieceSums = slices.Clone(pieceSums)
+			if head != nil {
+				pieceSums[0] = core.ChunkSum(head)
+			}
+			if tail != nil {
+				pieceSums[len(pieceSums)-1] = core.ChunkSum(tail)
+			}
 		}
 	}
-	// The whole chunks stream from one reader, opened past the head.
-	from := first
-	if head != nil {
-		from++
-	}
-	rc, err := media.OpenRangeStats(hdr.Block, from*core.ChunkSize, &iost)
-	if err != nil {
-		return refuse(err)
-	}
-	defer rc.Close()
 
 	tw := &timedWriter{w: conn, ns: &rec.NetNs}
-	if err := rpc.WriteFrame(tw, rpc.ReadBlockResponse{Length: length}); err != nil {
+	if err := rpc.WriteFrame(tw, rpc.ReadBlockResponse{Length: length, Sums: pieceSums}); err != nil {
 		return 0, tier, false, err
 	}
-	pw := rpc.NewPacketWriter(tw)
-	defer pw.Release()
 	for i := first; length > 0 && i <= last; i++ {
 		var err error
 		n := chunkLen(i)
 		switch {
 		case i == first && head != nil:
 			n = len(head)
-			err = pw.WriteChunk(bytes.NewReader(head), n, core.ChunkSum(head))
+			_, err = tw.Write(head)
 		case i == last && tail != nil:
 			n = len(tail)
-			err = pw.WriteChunk(bytes.NewReader(tail), n, core.ChunkSum(tail))
+			_, err = tw.Write(tail)
 		default:
-			err = pw.WriteChunk(rc, n, sums[i])
+			err = rr.Send(conn, i*core.ChunkSize, n)
 		}
 		if err != nil {
-			rec.AllocBytes = pw.AllocBytes()
 			w.cfg.Logger.Warn("block read stream failed", "block", hdr.Block.ID, "req", hdr.ReqID, "err", err)
 			return served, tier, false, err // connection dies; the client fails over
 		}
 		served += int64(n)
-	}
-	rec.AllocBytes = pw.AllocBytes()
-	if err := pw.Close(); err != nil {
-		w.cfg.Logger.Warn("block read close failed", "err", err)
-		return served, tier, false, err
 	}
 	return served, tier, true, nil
 }
@@ -589,8 +576,8 @@ func (w *Worker) replicate(reqID string, sp *trace.ActiveSpan, block core.Block,
 		rec.HeaderEncodeNs += tm.HeaderEncodeNs
 		rec.HeaderDecodeNs += tm.HeaderDecodeNs
 		rec.PoolHit = tm.PoolHit
-		// The peer's packets are the replica's chunks: each is verified
-		// on arrival and stored under the checksum it came with.
+		// A whole-block read's pieces are the replica's chunks: each is
+		// verified on arrival and stored under the checksum it came with.
 		var iost storage.IOStats
 		n, netNs, err := storeStream(media, block, rc.(packetSource), &iost)
 		if ac, ok := rc.(interface{ AllocBytes() int64 }); ok {

@@ -20,7 +20,13 @@ import (
 
 // testWorker boots a master and one worker with a memory and an HDD
 // media, returning both.
-func testWorker(t *testing.T) (*master.Master, *Worker) {
+func testWorker(t testing.TB) (*master.Master, *Worker) {
+	return testWorkerWith(t, 0)
+}
+
+// testWorkerWith is testWorker with the HDD's reads paced at
+// hddReadMBps (0 = unthrottled).
+func testWorkerWith(t testing.TB, hddReadMBps float64) (*master.Master, *Worker) {
 	t.Helper()
 	m, err := master.New(master.Config{
 		ListenAddr:      "127.0.0.1:0",
@@ -39,7 +45,7 @@ func testWorker(t *testing.T) (*master.Master, *Worker) {
 		DataAddr:   "127.0.0.1:0",
 		Media: []storage.MediaConfig{
 			{ID: "wtest:mem0", Tier: core.TierMemory, Capacity: 64 << 20},
-			{ID: "wtest:hdd0", Tier: core.TierHDD, Capacity: 64 << 20, Dir: t.TempDir()},
+			{ID: "wtest:hdd0", Tier: core.TierHDD, Capacity: 64 << 20, Dir: t.TempDir(), ReadMBps: hddReadMBps},
 		},
 		HeartbeatInterval: 50 * time.Millisecond,
 	})
@@ -54,12 +60,22 @@ func testWorker(t *testing.T) (*master.Master, *Worker) {
 // test master. A block the master never allocated is ordered deleted at
 // the first listing that shows it, which can come one RPC after a write
 // or a copy; this one the master knows.
-func hddBlock(t *testing.T, m *master.Master, path string, size int64) core.Block {
+func hddBlock(t testing.TB, m *master.Master, path string, size int64) core.Block {
+	return allocBlock(t, m, path, size, "wtest:hdd0")
+}
+
+// allocBlock is hddBlock for the worker's memory ("wtest:mem0") or HDD
+// ("wtest:hdd0").
+func allocBlock(t testing.TB, m *master.Master, path string, size int64, on core.StorageID) core.Block {
 	t.Helper()
+	rv := core.NewReplicationVector(0, 0, 1, 0, 0)
+	if on == "wtest:mem0" {
+		rv = core.NewReplicationVector(1, 0, 0, 0, 0)
+	}
 	c := rpc.NewMasterClient(m.Addr())
 	defer c.Close()
 	if err := c.Call("Master.Create", &rpc.CreateArgs{
-		Path: path, RepVector: core.NewReplicationVector(0, 0, 1, 0, 0),
+		Path: path, RepVector: rv,
 	}, &rpc.CreateReply{}); err != nil {
 		t.Fatal(err)
 	}
@@ -67,8 +83,8 @@ func hddBlock(t *testing.T, m *master.Master, path string, size int64) core.Bloc
 	if err := c.Call("Master.AddBlock", &rpc.AddBlockArgs{Path: path}, &reply); err != nil {
 		t.Fatal(err)
 	}
-	if locs := reply.Located.Locations; len(locs) != 1 || locs[0].Storage != "wtest:hdd0" {
-		t.Fatalf("pipeline = %+v, want wtest:hdd0", locs)
+	if locs := reply.Located.Locations; len(locs) != 1 || locs[0].Storage != on {
+		t.Fatalf("pipeline = %+v, want %s", locs, on)
 	}
 	blk := reply.Located.Block
 	blk.NumBytes = size
