@@ -141,7 +141,7 @@ func (m *Media) setThroughput(w, r float64) {
 }
 
 // IOStats receives one stream's media I/O attribution, for the
-// transfer flight recorder. All fields are nanoseconds on the
+// transfer flight recorder. The Ns fields are nanoseconds on the
 // stream's own critical path — unlike the limiter's cross-stream
 // Stats total, these are exact per stream. ThrottleWaitNs is time
 // the emulated pacing slept this stream. DeviceNs is store device
@@ -150,12 +150,14 @@ func (m *Media) setThroughput(w, r float64) {
 // time spent waiting on the supplied reader — the network or local
 // replica feeding the write. SendNs (Replica.Send only) is time spent
 // handing bytes to the destination, the device read included when the
-// kernel does both at once.
+// kernel does both at once. AllocBytes (Replica reads only) counts
+// the buffer bytes the pool freshly allocated for the stream.
 type IOStats struct {
 	ThrottleWaitNs int64
 	DeviceNs       int64
 	SourceNs       int64
 	SendNs         int64
+	AllocBytes     int64
 }
 
 // timedReader accumulates time spent inside Read into *ns.

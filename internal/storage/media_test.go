@@ -5,10 +5,12 @@ import (
 	"errors"
 	"io"
 	"math"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
 
+	"repro/internal/bufpool"
 	"repro/internal/core"
 )
 
@@ -229,5 +231,38 @@ func TestNilRateLimiterIsUnlimited(t *testing.T) {
 	got, _ := io.ReadAll(r)
 	if string(got) != "abc" {
 		t.Error("nil limiter altered data")
+	}
+}
+
+// TestReplicaReadCountsFreshBuffers reads two chunks of a disk replica
+// with an emptied buffer pool: the stream's AllocBytes is exactly the
+// bytes the pool had to allocate, so a worker read's record shows a
+// pool regression.
+func TestReplicaReadCountsFreshBuffers(t *testing.T) {
+	m := testMedia(t, core.TierHDD, 1<<20, 0, 0)
+	data := randomData(2*core.ChunkSize, 3)
+	b := core.Block{ID: 5, GenStamp: 1, NumBytes: int64(len(data))}
+	if _, err := m.Put(b, bytes.NewReader(data)); err != nil {
+		t.Fatal(err)
+	}
+	var st IOStats
+	r, err := m.OpenReplica(b, &st)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	// Two collections empty a sync.Pool, so the first read allocates.
+	runtime.GC()
+	runtime.GC()
+	before := bufpool.Snapshot().Misses
+	for i := range 2 {
+		p, err := r.ReadRange(int64(i)*core.ChunkSize, core.ChunkSize)
+		if err != nil || !bytes.Equal(p, data[i*core.ChunkSize:(i+1)*core.ChunkSize]) {
+			t.Fatalf("chunk %d: %d bytes, err %v", i, len(p), err)
+		}
+	}
+	misses := int64(bufpool.Snapshot().Misses - before)
+	if misses == 0 || st.AllocBytes != misses*core.ChunkSize {
+		t.Errorf("AllocBytes = %d after %d fresh %d-byte buffers", st.AllocBytes, misses, core.ChunkSize)
 	}
 }

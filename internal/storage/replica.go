@@ -2,7 +2,6 @@ package storage
 
 import (
 	"fmt"
-	"io"
 	"net"
 	"os"
 	"sync/atomic"
@@ -32,7 +31,8 @@ type Replica struct {
 
 // OpenReplica opens a stored replica to serve a read. Opening it (the
 // disk store's trailer read) and ReadRange are device time in st, which
-// may be nil; Send is SendNs, and each pacing sleep ThrottleWaitNs.
+// may be nil; Send is SendNs, each pacing sleep ThrottleWaitNs, and a
+// buffer the pool freshly allocates for a disk read AllocBytes.
 func (m *Media) OpenReplica(b core.Block, st *IOStats) (*Replica, error) {
 	if st == nil {
 		st = &IOStats{}
@@ -69,27 +69,20 @@ func (r *Replica) ReadRange(off int64, n int) ([]byte, error) {
 	return p, nil
 }
 
-// Send writes the n bytes at offset off to w without reading them
-// into this process where it can: a disk replica goes to a TCP
-// connection by sendfile, and a memory replica is one Write straight
-// from the store's slice. Anything else is read into a buffer first.
-func (r *Replica) Send(w io.Writer, off int64, n int) error {
+// Send writes the n bytes at offset off to tc without reading them
+// into this process: a memory replica is one Write straight from the
+// store's slice, and a disk replica goes by sendfile (through a buffer
+// where the platform has no sendfile, see sendfile_other.go).
+func (r *Replica) Send(tc *net.TCPConn, off int64, n int) error {
 	if err := r.check(off, n); err != nil {
 		return err
 	}
 	start := time.Now()
 	var err error
-	tc, tcp := w.(*net.TCPConn)
-	switch {
-	case r.data != nil:
-		_, err = w.Write(r.data[off : off+int64(n)])
-	case tcp:
+	if r.data != nil {
+		_, err = tc.Write(r.data[off : off+int64(n)])
+	} else {
 		err = r.sendfile(tc, off, n)
-	default:
-		var p []byte
-		if p, err = r.read(off, n); err == nil {
-			_, err = w.Write(p)
-		}
 	}
 	r.st.SendNs += time.Since(start).Nanoseconds()
 	if err != nil {
@@ -104,7 +97,10 @@ func (r *Replica) read(off int64, n int) ([]byte, error) {
 	if r.data != nil {
 		return r.data[off : off+int64(n)], nil
 	}
-	p, _ := bufpool.Get(n)
+	p, fresh := bufpool.Get(n)
+	if fresh {
+		r.st.AllocBytes += int64(cap(p))
+	}
 	r.bufs = append(r.bufs, p)
 	if _, err := r.f.ReadAt(p, off); err != nil {
 		return nil, fmt.Errorf("storage: reading %d bytes at %d: %w", n, off, err)

@@ -508,20 +508,33 @@ func (w *diskWriter) Abort() {
 }
 
 // Open implements Store. The reader ends at the replica's byte count
-// and seeks, so a ranged read never reads the skipped prefix.
+// and seeks, so a ranged read never reads the skipped prefix. Unlike
+// OpenReplica it reads no trailer: its callers (local copies, which
+// checksum what they store, and the throughput probe) take the bytes
+// only.
 func (s *DiskStore) Open(b core.Block) (io.ReadCloser, error) {
-	size, err := s.size(b)
+	f, size, err := s.openFile(b)
 	if err != nil {
 		return nil, err
 	}
+	return diskReader{io.NewSectionReader(f, 0, size), f}, nil
+}
+
+// openFile opens b's replica file, returning it with the replica's
+// byte count; an absent replica is core.ErrNotFound.
+func (s *DiskStore) openFile(b core.Block) (*os.File, int64, error) {
+	size, err := s.size(b)
+	if err != nil {
+		return nil, 0, err
+	}
 	f, err := os.Open(s.path(b))
-	if os.IsNotExist(err) {
-		return nil, fmt.Errorf("storage: block %s: %w", b.ID, core.ErrNotFound)
+	if errors.Is(err, os.ErrNotExist) {
+		return nil, 0, fmt.Errorf("storage: block %s: %w", b.ID, core.ErrNotFound)
 	}
 	if err != nil {
-		return nil, fmt.Errorf("storage: opening block %s: %w", b.ID, err)
+		return nil, 0, fmt.Errorf("storage: opening block %s: %w", b.ID, err)
 	}
-	return diskReader{io.NewSectionReader(f, 0, size), f}, nil
+	return f, size, nil
 }
 
 // diskReader reads the bytes of a replica file.
@@ -556,16 +569,9 @@ func (s *DiskStore) Delete(b core.Block) error {
 // or records another byte count than the replica's, is refused with
 // core.ErrCorrupt: the read fails over as from a corrupt replica.
 func (s *DiskStore) OpenReplica(b core.Block) (*Replica, error) {
-	size, err := s.size(b)
+	f, size, err := s.openFile(b)
 	if err != nil {
 		return nil, err
-	}
-	f, err := os.Open(s.path(b))
-	if errors.Is(err, os.ErrNotExist) {
-		return nil, fmt.Errorf("storage: block %s: %w", b.ID, core.ErrNotFound)
-	}
-	if err != nil {
-		return nil, fmt.Errorf("storage: opening block %s: %w", b.ID, err)
 	}
 	var n int64
 	var sums []uint32

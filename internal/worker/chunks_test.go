@@ -89,24 +89,43 @@ func TestRangedReadChunkEdges(t *testing.T) {
 		defer rc.Close()
 		return io.ReadAll(rc)
 	}
+	// Every offset with a short, a chunk-crossing and an open length,
+	// the last two offsets being the short last chunk and the end of
+	// the block (an empty read); then ranges that end inside, on and at
+	// the end of chunks.
+	var ranges [][2]int64
+	for _, off := range []int64{0, 1, C - 1, C, C + 1, size - 1, 3 * C, size} {
+		for _, length := range []int64{10, C + 2, -1} {
+			ranges = append(ranges, [2]int64{off, length})
+		}
+	}
+	ranges = append(ranges, [][2]int64{
+		{C - 1, 2}, {C + 5, C}, {100, 2*C + 50}, {C, C},
+		{3 * C, 100}, {3*C + 1, 99}, {5, size - 5}, {0, C + 1},
+	}...)
 	for on, blk := range blocks {
-		for _, off := range []int64{0, 1, C - 1, C, C + 1, size - 1} {
-			for _, length := range []int64{10, C + 2, -1} {
-				end := size
-				if length >= 0 {
-					end = min(off+length, size)
-				}
-				want := payload[off:end]
-				resp, got := rawRead(t, w.DataAddr(), rpc.ReadBlockHeader{Block: blk, Storage: on, Offset: off, Length: length})
-				if resp.Err != "" || !bytes.Equal(got, want) {
-					t.Errorf("%s [%d,%d): %d bytes, err %q", on, off, end, len(got), resp.Err)
-				}
-				if wantSums := rpc.PieceSums(want, off); fmt.Sprint(resp.Sums) != fmt.Sprint(wantSums) {
-					t.Errorf("%s [%d,%d): piece sums %x, want %x", on, off, end, resp.Sums, wantSums)
-				}
-				if got, err := read(on, off, length); err != nil || !bytes.Equal(got, want) {
-					t.Errorf("%s [%d,%d) through the client: %d bytes, err %v", on, off, end, len(got), err)
-				}
+		for _, r := range ranges {
+			off, length := r[0], r[1]
+			end := size
+			if length >= 0 {
+				end = min(off+length, size)
+			}
+			want := payload[off:end]
+			resp, got := rawRead(t, w.DataAddr(), rpc.ReadBlockHeader{Block: blk, Storage: on, Offset: off, Length: length})
+			if resp.Err != "" || !bytes.Equal(got, want) {
+				t.Errorf("%s [%d,%d): %d bytes, err %q", on, off, end, len(got), resp.Err)
+			}
+			if wantSums := rpc.PieceSums(want, off); fmt.Sprint(resp.Sums) != fmt.Sprint(wantSums) {
+				t.Errorf("%s [%d,%d): piece sums %x, want %x", on, off, end, resp.Sums, wantSums)
+			}
+			// A clean exchange, an empty one included, returns the
+			// client's connection to the pool.
+			returns := rpc.DataPoolStats().Returns
+			if got, err := read(on, off, length); err != nil || !bytes.Equal(got, want) {
+				t.Errorf("%s [%d,%d) through the client: %d bytes, err %v", on, off, end, len(got), err)
+			}
+			if rpc.DataPoolStats().Returns != returns+1 {
+				t.Errorf("%s [%d,%d) through the client: connection not pooled", on, off, end)
 			}
 		}
 	}

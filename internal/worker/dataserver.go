@@ -21,7 +21,7 @@ import (
 func (w *Worker) serveData() {
 	defer w.wg.Done()
 	for {
-		conn, err := w.ln.Accept()
+		conn, err := w.ln.AcceptTCP()
 		if err != nil {
 			select {
 			case <-w.done:
@@ -39,7 +39,7 @@ func (w *Worker) serveData() {
 	}
 }
 
-func (w *Worker) handleConn(conn net.Conn) {
+func (w *Worker) handleConn(conn *net.TCPConn) {
 	defer conn.Close()
 	w.netConns.Add(1)
 	defer w.netConns.Add(-1)
@@ -355,7 +355,7 @@ func receive(src packetSource, cw storage.ChunkWriter, fwd *rpc.BlockWriter) (ne
 // handleReadBlock streams a block range to a reader (paper §4.1). It
 // reports whether the connection is clean for another exchange: the
 // refusal or the full packet stream was delivered without error.
-func (w *Worker) handleReadBlock(conn net.Conn) (keep bool) {
+func (w *Worker) handleReadBlock(conn *net.TCPConn) (keep bool) {
 	start := time.Now()
 	var hdr rpc.ReadBlockHeader
 	if err := rpc.ReadFrame(conn, &hdr); err != nil {
@@ -411,13 +411,14 @@ func (w *Worker) handleReadBlock(conn net.Conn) (keep bool) {
 // sleep, taken after the call that reads it from the device, is
 // throttle time. keep reports whether the response (refusal or full
 // stream) was delivered cleanly.
-func (w *Worker) readBlock(conn net.Conn, hdr rpc.ReadBlockHeader, rec *xfer.Record) (served int64, tier string, keep bool, err error) {
+func (w *Worker) readBlock(conn *net.TCPConn, hdr rpc.ReadBlockHeader, rec *xfer.Record) (served int64, tier string, keep bool, err error) {
 	tier = "UNKNOWN"
 	var iost storage.IOStats
 	defer func() {
 		rec.DiskNs = iost.DeviceNs
 		rec.ThrottleWaitNs = iost.ThrottleWaitNs
 		rec.NetNs += iost.SendNs
+		rec.AllocBytes = iost.AllocBytes
 	}()
 	refuse := func(e error) (int64, string, bool, error) {
 		if errors.Is(e, core.ErrCorrupt) {

@@ -89,7 +89,7 @@ type Worker struct {
 
 	master *rpc.MasterClient
 
-	ln       net.Listener
+	ln       *net.TCPListener
 	netConns atomic.Int64
 	connMu   sync.Mutex
 	conns    map[net.Conn]struct{}
@@ -142,7 +142,7 @@ func New(cfg Config) (*Worker, error) {
 		cfg:    cfg,
 		id:     id,
 		media:  make(map[core.StorageID]*storage.Media, len(cfg.Media)),
-		ln:     ln,
+		ln:     ln.(*net.TCPListener), // accepted conns go to Replica.Send
 		master: rpc.NewMasterClient(cfg.MasterAddr),
 		conns:  make(map[net.Conn]struct{}),
 		copied: make(chan struct{}, 1),
