@@ -181,6 +181,9 @@ func (bi *block) tierCounts(withPending bool) map[core.StorageTier]int {
 
 func (bi *block) info() BlockInfo {
 	out := BlockInfo{Block: bi.Block, Expected: bi.expected, UnderConstruction: bi.underConstruction}
+	if n := bi.count(live); n > 0 {
+		out.Replicas = make([]Replica, 0, n)
+	}
 	for _, r := range bi.replicas {
 		switch r.state {
 		case live:

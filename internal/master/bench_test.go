@@ -3,6 +3,7 @@ package master
 import (
 	"fmt"
 	"testing"
+	"time"
 
 	"repro/internal/core"
 	"repro/internal/rpc"
@@ -63,5 +64,64 @@ func BenchmarkServiceDelete(b *testing.B) {
 				}
 			}
 		})
+	}
+}
+
+// BenchmarkGetBlockLocations locates a 4-block file whose blocks each
+// have one memory, one SSD and one HDD replica (vector <M0,S1,H2>) on
+// four workers, for a reader off the cluster: the block map lookup, the
+// retrieval order and the reply's construction. Its allocs/op is the
+// master's share of a whole-file read's garbage.
+func BenchmarkGetBlockLocations(b *testing.B) {
+	// The workers never beat again, so they must not expire mid-run.
+	m := testMaster(b, func(c *Config) { c.WorkerTimeout = time.Hour })
+	for i := range 4 {
+		id := fmt.Sprintf("w%d", i)
+		registerFakeWorker(b, m, id, fmt.Sprintf("/r%d", i%2),
+			mediaStat(id+":mem0", core.TierMemory, 1<<30, 1000, 2000),
+			mediaStat(id+":ssd0", core.TierSSD, 4<<30, 400, 500),
+			mediaStat(id+":hdd0", core.TierHDD, 8<<30, 120, 170),
+		)
+	}
+	svc := &Service{m: m}
+	const path = "/located"
+	if err := svc.Create(&rpc.CreateArgs{Path: path, RepVector: core.NewReplicationVector(1, 1, 1, 0, 0)}, &rpc.CreateReply{}); err != nil {
+		b.Fatal(err)
+	}
+	for range 4 {
+		var reply rpc.AddBlockReply
+		if err := svc.AddBlock(&rpc.AddBlockArgs{Path: path}, &reply); err != nil {
+			b.Fatal(err)
+		}
+		blk := reply.Located.Block
+		blk.NumBytes = 4 << 20
+		for _, loc := range reply.Located.Locations {
+			received(b, m, loc.Worker, loc.Storage, blk)
+		}
+		if err := svc.CommitBlock(&rpc.CommitBlockArgs{Path: path, Block: blk}, &rpc.CommitBlockReply{}); err != nil {
+			b.Fatal(err)
+		}
+	}
+	if err := svc.Complete(&rpc.CompleteArgs{Path: path}, &rpc.CompleteReply{}); err != nil {
+		b.Fatal(err)
+	}
+	args := &rpc.GetBlockLocationsArgs{Path: path, Length: -1}
+	var reply rpc.GetBlockLocationsReply
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		reply = rpc.GetBlockLocationsReply{}
+		if err := svc.GetBlockLocations(args, &reply); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.StopTimer()
+	if len(reply.Blocks) != 4 {
+		b.Fatalf("%d located blocks, want 4", len(reply.Blocks))
+	}
+	for _, lb := range reply.Blocks {
+		if len(lb.Locations) != 3 {
+			b.Fatalf("block %s has %d locations, want 3", lb.Block.ID, len(lb.Locations))
+		}
 	}
 }

@@ -384,8 +384,13 @@ func (m *Master) snapshot() *policy.Snapshot {
 }
 
 func (m *Master) snapshotLocked() *policy.Snapshot {
+	n := 0
+	for _, w := range m.workers {
+		n += len(w.media)
+	}
 	s := &policy.Snapshot{
 		Workers:  make(map[core.WorkerID]policy.WorkerInfo, len(m.workers)),
+		Media:    make([]policy.Media, 0, n),
 		NumRacks: m.topo.NumRacks(),
 	}
 	for id, w := range m.workers {
@@ -415,30 +420,13 @@ func (m *Master) snapshotLocked() *policy.Snapshot {
 	return s
 }
 
-// locationFor converts a block-map replica into a client-visible
-// BlockLocation; ok=false if the hosting worker is gone.
-func (m *Master) locationFor(r blockmgmt.Replica) (core.BlockLocation, bool) {
+// mediaFor appends to dst the policy.Media descriptors, with live
+// statistics, of the replicas whose worker and media are still known,
+// for the retrieval policy.
+func (m *Master) mediaFor(dst []policy.Media, replicas []blockmgmt.Replica) []policy.Media {
+	dst = slices.Grow(dst, len(replicas))
 	m.mu.RLock()
 	defer m.mu.RUnlock()
-	w, ok := m.workers[r.Worker]
-	if !ok {
-		return core.BlockLocation{}, false
-	}
-	return core.BlockLocation{
-		Worker:  r.Worker,
-		Address: w.dataAddr,
-		Storage: r.Storage,
-		Tier:    r.Tier,
-		Rack:    w.rack,
-	}, true
-}
-
-// mediaFor converts replicas into policy.Media descriptors with
-// live statistics for the retrieval policy.
-func (m *Master) mediaFor(replicas []blockmgmt.Replica) []policy.Media {
-	m.mu.RLock()
-	defer m.mu.RUnlock()
-	out := make([]policy.Media, 0, len(replicas))
 	for _, r := range replicas {
 		w, ok := m.workers[r.Worker]
 		if !ok {
@@ -448,7 +436,7 @@ func (m *Master) mediaFor(replicas []blockmgmt.Replica) []policy.Media {
 		if !ok {
 			continue
 		}
-		out = append(out, policy.Media{
+		dst = append(dst, policy.Media{
 			ID:            r.Storage,
 			Worker:        r.Worker,
 			Node:          w.node,
@@ -461,7 +449,7 @@ func (m *Master) mediaFor(replicas []blockmgmt.Replica) []policy.Media {
 			ReadThruMBps:  ms.ReadMBps,
 		})
 	}
-	return out
+	return dst
 }
 
 // enqueue appends a command for a worker to pick up on its next
@@ -608,7 +596,7 @@ func (m *Master) replicateBlock(snap *policy.Snapshot, info blockmgmt.BlockInfo,
 	}
 	missing = missing.WithTier(core.TierUnspecified, st.MissingAny)
 
-	existing := m.mediaFor(info.Replicas)
+	existing := m.mediaFor(nil, info.Replicas)
 	if len(existing) == 0 {
 		return // nothing to copy from
 	}
@@ -623,7 +611,7 @@ func (m *Master) replicateBlock(snap *policy.Snapshot, info blockmgmt.BlockInfo,
 		return
 	}
 
-	sources := m.copySources(snap, existing)
+	sources := m.locate(snap, topology.Location{}, existing)
 	scheduled := false
 	for _, tgt := range targets {
 		if !m.scheduleCopy(info.Block, tgt, sources, repairExpiryTicks, "") {
@@ -644,20 +632,25 @@ func (m *Master) replicateBlock(snap *policy.Snapshot, info blockmgmt.BlockInfo,
 	}
 }
 
-// copySources orders a block's live replicas with the retrieval policy:
-// a worker told to copy the block tries them best first.
-func (m *Master) copySources(snap *policy.Snapshot, existing []policy.Media) []core.BlockLocation {
+// locate orders a block's replicas with the retrieval policy for a
+// reader at client (the zero Location: off the cluster) and returns
+// them as client-visible locations, best first, leaving out any whose
+// worker is gone. A worker told to copy the block tries its sources in
+// this order too.
+func (m *Master) locate(snap *policy.Snapshot, client topology.Location, replicas []policy.Media) []core.BlockLocation {
 	var ordered []policy.Media
 	m.withRand(func(rng *rand.Rand) {
-		ordered = m.cfg.Retrieval.Order(policy.RetrievalRequest{Snapshot: snap, Replicas: existing, Rand: rng})
+		ordered = m.cfg.Retrieval.Order(policy.RetrievalRequest{Snapshot: snap, Client: client, Replicas: replicas, Rand: rng})
 	})
-	sources := make([]core.BlockLocation, 0, len(ordered))
-	for _, src := range ordered {
-		if loc, ok := m.locationFor(blockmgmt.Replica{Worker: src.Worker, Storage: src.ID, Tier: src.Tier}); ok {
-			sources = append(sources, loc)
+	locs := make([]core.BlockLocation, 0, len(ordered))
+	m.mu.RLock()
+	defer m.mu.RUnlock()
+	for _, r := range ordered {
+		if w, ok := m.workers[r.Worker]; ok {
+			locs = append(locs, core.BlockLocation{Worker: r.Worker, Address: w.dataAddr, Storage: r.ID, Tier: r.Tier, Rack: w.rack})
 		}
 	}
-	return sources
+	return locs
 }
 
 // scheduleCopy records target as a pending-add of the block and orders
@@ -677,7 +670,7 @@ func (m *Master) scheduleCopy(b core.Block, target policy.Media, sources []core.
 func (m *Master) removeExcess(snap *policy.Snapshot, info blockmgmt.BlockInfo, st blockmgmt.ReplicationState) {
 	replicas := append([]blockmgmt.Replica(nil), info.Replicas...)
 	for n := 0; n < st.Excess; n++ {
-		media := m.mediaFor(replicas)
+		media := m.mediaFor(nil, replicas)
 		if len(media) == 0 {
 			return
 		}

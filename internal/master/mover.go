@@ -13,6 +13,7 @@ import (
 	"repro/internal/events"
 	"repro/internal/policy"
 	"repro/internal/rpc"
+	"repro/internal/topology"
 )
 
 // This file implements the background tier mover: the monitor-loop
@@ -276,7 +277,7 @@ func (m *Master) startMoveLocked(snap *policy.Snapshot, f rpc.MisplacedBlock, in
 		targetTiers = []core.StorageTier{core.TierHDD, core.TierRemote}
 	}
 
-	existing := m.mediaFor(info.Replicas)
+	existing := m.mediaFor(nil, info.Replicas)
 	if len(existing) == 0 {
 		mv.counters.SkippedUnhealthy++
 		return false
@@ -304,7 +305,7 @@ func (m *Master) startMoveLocked(snap *policy.Snapshot, f rpc.MisplacedBlock, in
 		return false
 	}
 
-	sources := m.copySources(snap, existing)
+	sources := m.locate(snap, topology.Location{}, existing)
 	if len(sources) == 0 {
 		mv.counters.SkippedUnhealthy++
 		return false

@@ -3,7 +3,6 @@ package master
 import (
 	"errors"
 	"fmt"
-	"math/rand"
 	"sort"
 	"strconv"
 	"strings"
@@ -275,28 +274,16 @@ func (s *Service) GetBlockLocations(args *rpc.GetBlockLocationsArgs, reply *rpc.
 
 	snap := s.m.snapshot()
 	client := s.clientLocation(args.ClientNode)
+	// At most every block is in range, so the reply is sized once, and
+	// one scratch slice carries each block's replicas to the policy.
+	reply.Blocks = make([]core.LocatedBlock, 0, len(blocks))
+	var media []policy.Media
 	var offset int64
 	for _, b := range blocks {
 		blockEnd := offset + b.NumBytes
 		if blockEnd > args.Offset && offset < end {
-			located := core.LocatedBlock{Block: b, Offset: offset}
-			media := s.m.mediaFor(s.m.blocks.Replicas(b.ID))
-			var ordered []policy.Media
-			s.m.withRand(func(rng *rand.Rand) {
-				ordered = s.m.cfg.Retrieval.Order(policy.RetrievalRequest{
-					Snapshot: snap,
-					Client:   client,
-					Replicas: media,
-					Rand:     rng,
-				})
-			})
-			for _, om := range ordered {
-				if loc, ok := s.m.locationFor(blockmgmt.Replica{
-					Worker: om.Worker, Storage: om.ID, Tier: om.Tier,
-				}); ok {
-					located.Locations = append(located.Locations, loc)
-				}
-			}
+			media = s.m.mediaFor(media[:0], s.m.blocks.Replicas(b.ID))
+			located := core.LocatedBlock{Block: b, Offset: offset, Locations: s.m.locate(snap, client, media)}
 			if len(located.Locations) > 0 {
 				s.m.metrics.retrievals.With(located.Locations[0].Tier.String()).Inc()
 			}

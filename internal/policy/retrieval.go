@@ -1,9 +1,10 @@
 package policy
 
 import (
+	"cmp"
 	"math"
 	"math/rand"
-	"sort"
+	"slices"
 
 	"repro/internal/topology"
 )
@@ -59,44 +60,38 @@ func NewOctopusRetrievalPolicy() *OctopusRetrievalPolicy {
 // Name implements RetrievalPolicy.
 func (p *OctopusRetrievalPolicy) Name() string { return "OctopusFS" }
 
-// rated pairs a replica with its estimated transfer rate.
+// rated is a replica's estimated transfer rate.
 type rated struct {
-	m          Media
 	rate       float64
 	mediaRate  float64
 	netLimited bool
 }
 
-// Order implements RetrievalPolicy using the Eq. 12 rate estimate.
+// Order implements RetrievalPolicy using the Eq. 12 rate estimate. It
+// sorts a copy of the replicas, estimating rates as it compares them,
+// so the copy is its one allocation.
 func (p *OctopusRetrievalPolicy) Order(req RetrievalRequest) []Media {
-	rs := make([]rated, len(req.Replicas))
-	for i, m := range req.Replicas {
-		rs[i] = p.rate(req, m)
-	}
+	out := slices.Clone(req.Replicas)
 	// Pre-shuffle so that fully tied entries end up in random order
 	// after the stable sort (paper: "shuffled randomly to help spread
 	// the load more evenly").
 	if req.Rand != nil {
-		req.Rand.Shuffle(len(rs), func(i, j int) { rs[i], rs[j] = rs[j], rs[i] })
+		req.Rand.Shuffle(len(out), func(i, j int) { out[i], out[j] = out[j], out[i] })
 	} else {
-		sort.SliceStable(rs, func(i, j int) bool { return rs[i].m.ID < rs[j].m.ID })
+		slices.SortStableFunc(out, func(a, b Media) int { return cmp.Compare(a.ID, b.ID) })
 	}
-	sort.SliceStable(rs, func(i, j int) bool {
-		a, b := rs[i], rs[j]
+	slices.SortStableFunc(out, func(ma, mb Media) int {
+		a, b := p.rate(req, ma), p.rate(req, mb)
 		if a.rate != b.rate {
-			return a.rate > b.rate
+			return -cmp.Compare(a.rate, b.rate)
 		}
 		// Same estimated rate with the network as the bottleneck:
 		// prefer the faster media (paper §4.2).
-		if a.netLimited && b.netLimited && a.mediaRate != b.mediaRate {
-			return a.mediaRate > b.mediaRate
+		if a.netLimited && b.netLimited {
+			return -cmp.Compare(a.mediaRate, b.mediaRate)
 		}
-		return false
+		return 0
 	})
-	out := make([]Media, len(rs))
-	for i, r := range rs {
-		out[i] = r.m
-	}
 	return out
 }
 
@@ -110,7 +105,7 @@ func (p *OctopusRetrievalPolicy) rate(req RetrievalRequest, m Media) rated {
 			netRate = w.NetThruMBps / float64(max(1, w.Connections))
 		}
 	}
-	r := rated{m: m, mediaRate: mediaRate}
+	r := rated{mediaRate: mediaRate}
 	if netRate < mediaRate {
 		r.rate, r.netLimited = netRate, true
 	} else {
@@ -149,6 +144,6 @@ func (p *HDFSRetrievalPolicy) Order(req RetrievalRequest) []Media {
 		return topology.Distance(req.Client,
 			topology.Location{Rack: m.Rack, Node: m.Node})
 	}
-	sort.SliceStable(out, func(i, j int) bool { return dist(out[i]) < dist(out[j]) })
+	slices.SortStableFunc(out, func(a, b Media) int { return cmp.Compare(dist(a), dist(b)) })
 	return out
 }

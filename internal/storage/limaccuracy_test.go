@@ -3,6 +3,7 @@ package storage
 import (
 	"bytes"
 	"io"
+	"math"
 	"testing"
 	"time"
 )
@@ -65,5 +66,35 @@ func TestRateLimiterWaitReturnsSleptTime(t *testing.T) {
 	}
 	if _, waited := l.Stats(); waited != total {
 		t.Errorf("Stats waited %v, want the sum of Wait's returns %v", waited, total)
+	}
+}
+
+// TestRateLimiterBurst checks the bytes a caller may move before Wait
+// can make it sleep: rate × minSleep, and no cap without a limiter.
+func TestRateLimiterBurst(t *testing.T) {
+	var unlimited *RateLimiter
+	if got := unlimited.Burst(); got != math.MaxInt {
+		t.Errorf("nil limiter Burst = %d, want no cap (math.MaxInt)", got)
+	}
+	if got := NewRateLimiter(64e6).Burst(); got != 64000 {
+		t.Errorf("64 MB/s Burst = %d, want 64000", got)
+	}
+}
+
+// TestRateLimiterFirstWaitStartsSchedule waits on a limiter some time
+// after making it, but sooner than idleReset: the first Wait still pays
+// its whole debt, because the schedule starts at that call, not when
+// the limiter was made.
+func TestRateLimiterFirstWaitStartsSchedule(t *testing.T) {
+	const (
+		rate = 1e6  // bytes per second
+		n    = 5000 // 5 ms of debt at rate
+	)
+	l := NewRateLimiter(rate)
+	time.Sleep(idleReset / 2)
+	start := time.Now()
+	l.Wait(n)
+	if got, floor := time.Since(start), 5*time.Millisecond-minSleep; got < floor {
+		t.Errorf("first Wait(%d) at %g B/s took %v, want at least %v", n, rate, got, floor)
 	}
 }

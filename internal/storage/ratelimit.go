@@ -2,6 +2,7 @@ package storage
 
 import (
 	"io"
+	"math"
 	"sync"
 	"time"
 )
@@ -19,7 +20,7 @@ type RateLimiter struct {
 	mu          sync.Mutex
 	bytesPerSec float64
 	next        time.Time // when the last accounted byte is due
-	lastCall    time.Time // for idle detection
+	lastCall    time.Time // for idle detection; zero until the first Wait
 
 	totalBytes int64         // cumulative bytes accounted
 	totalWait  time.Duration // cumulative time spent sleeping
@@ -35,13 +36,26 @@ const (
 )
 
 // NewRateLimiter builds a limiter sustaining bytesPerSec.
-// A non-positive rate returns nil, meaning unlimited.
+// A non-positive rate returns nil, meaning unlimited. The limiter has no
+// schedule until its first Wait, which starts one at its own call, so
+// the time between opening a media and its first transfer is no
+// allowance.
 func NewRateLimiter(bytesPerSec float64) *RateLimiter {
 	if bytesPerSec <= 0 {
 		return nil
 	}
-	now := time.Now()
-	return &RateLimiter{bytesPerSec: bytesPerSec, next: now, lastCall: now}
+	return &RateLimiter{bytesPerSec: bytesPerSec}
+}
+
+// Burst returns the bytes a caller may move before Wait can make it
+// sleep: a Wait never sleeps below minSleep of debt, so bytes sent in
+// steps smaller than rate × minSleep are paced no more finely. A nil
+// (unlimited) limiter has no cap and returns math.MaxInt.
+func (l *RateLimiter) Burst() int {
+	if l == nil {
+		return math.MaxInt
+	}
+	return int(l.bytesPerSec * minSleep.Seconds())
 }
 
 // Wait accounts for n bytes and blocks until they are due, returning
@@ -56,9 +70,10 @@ func (l *RateLimiter) Wait(n int) time.Duration {
 	}
 	l.mu.Lock()
 	now := time.Now()
-	// Restart the schedule after idleness; within a transfer, being
-	// behind schedule (e.g. from sleep overshoot) carries over as
-	// allowance so the long-run rate converges to the target.
+	// Start the schedule at the first call, and restart it after
+	// idleness; within a transfer, being behind schedule (e.g. from
+	// sleep overshoot) carries over as allowance so the long-run rate
+	// converges to the target.
 	if now.Sub(l.lastCall) > idleReset && l.next.Before(now) {
 		l.next = now
 	}

@@ -70,26 +70,43 @@ func (r *Replica) ReadRange(off int64, n int) ([]byte, error) {
 }
 
 // Send writes the n bytes at offset off to tc without reading them
-// into this process: a memory replica is one Write straight from the
-// store's slice, and a disk replica goes by sendfile (through a buffer
-// where the platform has no sendfile, see sendfile_other.go).
+// into this process: a memory replica by Write straight from the
+// store's slice, and a disk replica by sendfile (through a buffer where
+// the platform has no sendfile, see sendfile_other.go). The bytes go
+// out in steps of the media's pacing burst, rounded down to whole
+// chunks and at least one chunk; each step is one call, paced after it
+// returns. Pacing cannot be finer than the burst (see
+// RateLimiter.Burst), so an unthrottled replica sends the whole range
+// in one call and a throttled one is still never more than one step
+// ahead of its rate.
 func (r *Replica) Send(tc *net.TCPConn, off int64, n int) error {
 	if err := r.check(off, n); err != nil {
 		return err
 	}
-	start := time.Now()
-	var err error
-	if r.data != nil {
-		_, err = tc.Write(r.data[off : off+int64(n)])
-	} else {
-		err = r.sendfile(tc, off, n)
+	step := r.step()
+	for n > 0 {
+		k := min(n, step)
+		start := time.Now()
+		var err error
+		if r.data != nil {
+			_, err = tc.Write(r.data[off : off+int64(k)])
+		} else {
+			err = r.sendfile(tc, off, k)
+		}
+		r.st.SendNs += time.Since(start).Nanoseconds()
+		if err != nil {
+			return fmt.Errorf("storage: sending %d bytes at %d: %w", k, off, err)
+		}
+		r.pace(k)
+		off, n = off+int64(k), n-k
 	}
-	r.st.SendNs += time.Since(start).Nanoseconds()
-	if err != nil {
-		return fmt.Errorf("storage: sending %d bytes at %d: %w", n, off, err)
-	}
-	r.pace(n)
 	return nil
+}
+
+// step returns the bytes Send moves per call: the media's pacing burst
+// rounded down to whole chunks, and at least one chunk.
+func (r *Replica) step() int {
+	return max(r.limit.Burst()/core.ChunkSize, 1) * core.ChunkSize
 }
 
 // read returns the n bytes at off without pacing.

@@ -64,3 +64,12 @@ func (s *sendState) sendSome(fd uintptr) bool {
 	}
 	return true
 }
+
+// fileSize returns the size of f without allocating.
+func fileSize(f *os.File) (int64, error) {
+	var st syscall.Stat_t
+	if err := syscall.Fstat(int(f.Fd()), &st); err != nil {
+		return 0, os.NewSyscallError("fstat", err)
+	}
+	return st.Size, nil
+}

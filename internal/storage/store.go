@@ -573,20 +573,44 @@ func (s *DiskStore) OpenReplica(b core.Block) (*Replica, error) {
 	if err != nil {
 		return nil, err
 	}
-	var n int64
-	var sums []uint32
-	info, err := f.Stat()
-	if err == nil {
-		n, sums, err = readReplica(f, info.Size())
-	}
-	if err == nil && n != size {
-		err = fmt.Errorf("trailer records %d bytes, want %d: %w", n, size, core.ErrCorrupt)
-	}
+	sums, err := readSums(f, size)
 	if err != nil {
 		f.Close()
 		return nil, fmt.Errorf("storage: block %s: %w", b.ID, err)
 	}
 	return &Replica{sums: sums, size: size, f: f}, nil
+}
+
+// readSums returns the chunk sums of the replica file f, indexed at n
+// bytes, from one read of its tail: the sums and the trailer at offset
+// n. A file of any other layout is parsed as a whole by readReplica, to
+// say why it is refused.
+func readSums(f *os.File, n int64) ([]uint32, error) {
+	fsize, err := fileSize(f)
+	if err != nil {
+		return nil, err
+	}
+	k := chunks(n)
+	if tail := 4*int64(k) + trailerSize; fsize == n+tail {
+		buf, _ := bufpool.Get(int(tail))
+		defer bufpool.Put(buf)
+		if _, err := f.ReadAt(buf, n); err != nil {
+			return nil, err
+		}
+		tr := buf[4*k:]
+		if string(tr[8:]) == replicaMagic && binary.LittleEndian.Uint64(tr[:8]) == uint64(n) {
+			sums := make([]uint32, k)
+			for i := range sums {
+				sums[i] = binary.LittleEndian.Uint32(buf[4*i:])
+			}
+			return sums, nil
+		}
+	}
+	m, _, err := readReplica(f, fsize)
+	if err == nil {
+		err = fmt.Errorf("trailer records %d bytes, want %d: %w", m, n, core.ErrCorrupt)
+	}
+	return nil, err
 }
 
 // Verify implements Store by re-reading the replica against its sums.

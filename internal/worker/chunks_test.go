@@ -158,54 +158,58 @@ func TestRangedReadChunkEdges(t *testing.T) {
 	}
 }
 
-// TestThrottledReadIsPaced reads a 4 MiB block from a throttled disk:
-// its whole chunks leave by sendfile, yet the read takes at least all
-// but one chunk's worth of time at the media's rate, and the worker's
-// transfer record carries the pacing sleeps.
+// TestThrottledReadIsPaced reads a 4 MiB block from a throttled disk,
+// slow enough to send one chunk per call and fast enough to send
+// several: its whole chunks leave by sendfile in steps of the media's
+// pacing burst, yet the read takes at least all but one step's worth of
+// time at the media's rate, and the worker's transfer record carries
+// the pacing sleeps. The read comes straight after the write, so the
+// limiter's schedule must start at the read, not when the media opened.
 func TestThrottledReadIsPaced(t *testing.T) {
-	const mbps = 32
-	m, w := testWorkerWith(t, mbps)
-	size := int64(4 << 20)
-	blk := hddBlock(t, m, "/paced", size)
-	payload := make([]byte, size)
-	rand.New(rand.NewSource(4)).Read(payload)
-	writeBlock(t, w, blk, "wtest:hdd0", payload)
-	// The limiter's schedule starts when the media opens and restarts
-	// only after 10 ms without a read; a read sooner than that inherits
-	// the allowance accrued since.
-	time.Sleep(20 * time.Millisecond)
+	for _, mbps := range []float64{32, 400} {
+		t.Run(fmt.Sprintf("%gMBps", mbps), func(t *testing.T) {
+			m, w := testWorkerWith(t, mbps)
+			size := int64(4 << 20)
+			blk := hddBlock(t, m, "/paced", size)
+			payload := make([]byte, size)
+			rand.New(rand.NewSource(4)).Read(payload)
+			writeBlock(t, w, blk, "wtest:hdd0", payload)
 
-	start := time.Now()
-	rc, _, err := rpc.OpenBlockReader(w.DataAddr(), blk, "wtest:hdd0", 0, -1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := io.ReadAll(rc)
-	rc.Close()
-	elapsed := time.Since(start)
-	if err != nil || !bytes.Equal(got, payload) {
-		t.Fatalf("read %d bytes, err %v", len(got), err)
-	}
-	// Each chunk is paced after it is sent, so the last one's wait is
-	// not on the reader's clock; and the limiter lets a caller go up to
-	// one millisecond (its minimum sleep) ahead of schedule.
-	floor := time.Duration(float64(size-core.ChunkSize)/(mbps*1e6)*float64(time.Second)) - time.Millisecond
-	if elapsed < floor {
-		t.Errorf("a %d-byte read at %d MB/s took %v, want at least %v", size, mbps, elapsed, floor)
-	}
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		recs := w.TransferLog().Since(0, "read", 0).Entries
-		if len(recs) == 1 {
-			if recs[0].ThrottleWaitNs <= 0 || recs[0].NetNs <= 0 {
-				t.Errorf("read record: throttle %d ns, net %d ns, want both > 0", recs[0].ThrottleWaitNs, recs[0].NetNs)
+			start := time.Now()
+			rc, _, err := rpc.OpenBlockReader(w.DataAddr(), blk, "wtest:hdd0", 0, -1)
+			if err != nil {
+				t.Fatal(err)
 			}
-			return
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("%d read records on the worker, want 1", len(recs))
-		}
-		time.Sleep(10 * time.Millisecond)
+			got, err := io.ReadAll(rc)
+			rc.Close()
+			elapsed := time.Since(start)
+			if err != nil || !bytes.Equal(got, payload) {
+				t.Fatalf("read %d bytes, err %v", len(got), err)
+			}
+			// Each step is paced after it is sent, so the last one's
+			// wait is not on the reader's clock; and the limiter lets a
+			// caller go up to one millisecond (its minimum sleep) ahead
+			// of schedule.
+			step := max(core.ChunkSize, w.Media()["wtest:hdd0"].ReadLimit().Burst())
+			floor := time.Duration(float64(size-int64(step))/(mbps*1e6)*float64(time.Second)) - time.Millisecond
+			if elapsed < floor {
+				t.Errorf("a %d-byte read at %g MB/s took %v, want at least %v", size, mbps, elapsed, floor)
+			}
+			deadline := time.Now().Add(5 * time.Second)
+			for {
+				recs := w.TransferLog().Since(0, "read", 0).Entries
+				if len(recs) == 1 {
+					if recs[0].ThrottleWaitNs <= 0 || recs[0].NetNs <= 0 {
+						t.Errorf("read record: throttle %d ns, net %d ns, want both > 0", recs[0].ThrottleWaitNs, recs[0].NetNs)
+					}
+					return
+				}
+				if time.Now().After(deadline) {
+					t.Fatalf("%d read records on the worker, want 1", len(recs))
+				}
+				time.Sleep(10 * time.Millisecond)
+			}
+		})
 	}
 }
 

@@ -405,12 +405,13 @@ func (w *Worker) handleReadBlock(conn *net.TCPConn) (keep bool) {
 // against the writer's sums. A range that starts or ends inside a
 // chunk has that edge chunk read whole and checked here before the
 // response, then only its requested slice sent under a fresh sum, so a
-// ranged read touches only its own chunks. The record receives the
-// serve's phase split: the trailer and edge reads are disk time, the
-// response frame and the sends are net time, and each chunk's pacing
-// sleep, taken after the call that reads it from the device, is
-// throttle time. keep reports whether the response (refusal or full
-// stream) was delivered cleanly.
+// ranged read touches only its own chunks. The whole chunks between
+// the edges are one Replica.Send, which moves them in steps of the
+// media's pacing burst. The record receives the serve's phase split:
+// the trailer and edge reads are disk time, the response frame and the
+// sends are net time, and each step's pacing sleep, taken after the
+// call that reads it from the device, is throttle time. keep reports
+// whether the response (refusal or full stream) was delivered cleanly.
 func (w *Worker) readBlock(conn *net.TCPConn, hdr rpc.ReadBlockHeader, rec *xfer.Record) (served int64, tier string, keep bool, err error) {
 	tier = "UNKNOWN"
 	var iost storage.IOStats
@@ -505,24 +506,28 @@ func (w *Worker) readBlock(conn *net.TCPConn, hdr rpc.ReadBlockHeader, rec *xfer
 	if err := rpc.WriteFrame(tw, rpc.ReadBlockResponse{Length: length, Sums: pieceSums}); err != nil {
 		return 0, tier, false, err
 	}
-	for i := first; length > 0 && i <= last; i++ {
-		var err error
-		n := chunkLen(i)
-		switch {
-		case i == first && head != nil:
-			n = len(head)
-			_, err = tw.Write(head)
-		case i == last && tail != nil:
-			n = len(tail)
-			_, err = tw.Write(tail)
-		default:
-			err = rr.Send(conn, i*core.ChunkSize, n)
+	// The edges go out from their checked buffers, and the whole
+	// chunks between them as one run.
+	fail := func(err error) (int64, string, bool, error) {
+		w.cfg.Logger.Warn("block read stream failed", "block", hdr.Block.ID, "req", hdr.ReqID, "err", err)
+		return served, tier, false, err // connection dies; the client fails over
+	}
+	if len(head) > 0 {
+		if _, err := tw.Write(head); err != nil {
+			return fail(err)
 		}
-		if err != nil {
-			w.cfg.Logger.Warn("block read stream failed", "block", hdr.Block.ID, "req", hdr.ReqID, "err", err)
-			return served, tier, false, err // connection dies; the client fails over
+		served += int64(len(head))
+	}
+	run := length - int64(len(head)+len(tail))
+	if err := rr.Send(conn, offset+int64(len(head)), int(run)); err != nil {
+		return fail(err)
+	}
+	served += run
+	if len(tail) > 0 {
+		if _, err := tw.Write(tail); err != nil {
+			return fail(err)
 		}
-		served += int64(n)
+		served += int64(len(tail))
 	}
 	return served, tier, true, nil
 }
