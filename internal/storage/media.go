@@ -146,31 +146,16 @@ func (m *Media) setThroughput(w, r float64) {
 // Stats total, these are exact per stream. ThrottleWaitNs is time
 // the emulated pacing slept this stream. DeviceNs is store device
 // time: opening a replica to serve it and reading its bytes, or time
-// inside the store's chunk writes and commit. SourceNs (Put only) is
-// time spent waiting on the supplied reader — the network or local
-// replica feeding the write. SendNs (Replica.Send only) is time spent
-// handing bytes to the destination, the device read included when the
-// kernel does both at once. AllocBytes (Replica reads only) counts
-// the buffer bytes the pool freshly allocated for the stream.
+// inside the store's chunk writes and commit. SendNs (Replica.Send
+// only) is time spent handing bytes to the destination, the device
+// read included when the kernel does both at once. AllocBytes (Replica
+// reads only) counts the buffer bytes the pool freshly allocated for
+// the stream.
 type IOStats struct {
 	ThrottleWaitNs int64
 	DeviceNs       int64
-	SourceNs       int64
 	SendNs         int64
 	AllocBytes     int64
-}
-
-// timedReader accumulates time spent inside Read into *ns.
-type timedReader struct {
-	r  io.Reader
-	ns *int64
-}
-
-func (t *timedReader) Read(p []byte) (int, error) {
-	start := time.Now()
-	n, err := t.r.Read(p)
-	*t.ns += time.Since(start).Nanoseconds()
-	return n, err
 }
 
 // Create starts a replica of b, received chunk by chunk: the media's
@@ -233,40 +218,64 @@ func (w *mediaWriter) Abort() {
 	w.m.conns.Add(-1)
 }
 
-// Put stores a block replica, throttled at the media's write rate, and
-// counted as an active connection for its duration. ErrNoSpace is
-// returned when the content would exceed the media's capacity.
+// Put stores a block replica from content that arrives without sums:
+// Create fed with chunks it checksums itself, throttled at the media's
+// write rate and counted as an active connection for its duration.
+// ErrNoSpace is returned when the content would exceed the media's
+// capacity.
 func (m *Media) Put(b core.Block, r io.Reader) (int64, error) {
-	return m.PutStats(b, r, nil)
-}
-
-// PutStats is Put recording the stream's throttle, device, and
-// source-wait attribution into st (which may be nil): Create fed with
-// chunks it checksums itself.
-func (m *Media) PutStats(b core.Block, r io.Reader, st *IOStats) (int64, error) {
-	if st == nil {
-		st = &IOStats{}
-	}
-	cw, err := m.Create(b, st)
+	cw, err := m.Create(b, nil)
 	if err != nil {
 		return 0, err
 	}
-	return putChunks(b, cw, &timedReader{r: r, ns: &st.SourceNs})
+	return putChunks(b, cw, r)
 }
 
-// Open returns a throttled reader over a stored replica. The media's
-// connection count stays elevated until the reader is closed.
+// Open returns a reader over a stored replica's bytes, read a chunk at
+// a time through Replica.Chunk: each chunk is checked against its
+// stored sum (core.ErrCorrupt on a mismatch) and paced at the media's
+// read rate. The media's connection count stays elevated until the
+// reader is closed.
 func (m *Media) Open(b core.Block) (io.ReadCloser, error) {
-	rc, err := m.store.Open(b)
+	r, err := m.OpenReplica(b, nil)
 	if err != nil {
 		return nil, err
 	}
-	m.conns.Add(1)
-	return &connTrackingReadCloser{
-		Reader: LimitReader(rc, m.readLimit),
-		store:  rc,
-		conns:  &m.conns,
-	}, nil
+	buf, _ := bufpool.Get(core.ChunkSize)
+	return &replicaReader{r: r, buf: buf}, nil
+}
+
+// replicaReader reads a replica's chunks in order into one pooled
+// buffer.
+type replicaReader struct {
+	r    *Replica
+	buf  []byte
+	rest []byte // the current chunk's unread bytes
+	next int    // the chunk after it
+}
+
+func (rr *replicaReader) Read(p []byte) (int, error) {
+	if len(rr.rest) == 0 {
+		if rr.next == len(rr.r.sums) {
+			return 0, io.EOF
+		}
+		c, err := rr.r.Chunk(rr.next, rr.buf)
+		if err != nil {
+			return 0, err
+		}
+		rr.rest, rr.next = c, rr.next+1
+	}
+	n := copy(p, rr.rest)
+	rr.rest = rr.rest[n:]
+	return n, nil
+}
+
+func (rr *replicaReader) Close() error {
+	if rr.buf != nil {
+		bufpool.Put(rr.buf)
+		rr.buf, rr.rest = nil, nil
+	}
+	return rr.r.Close()
 }
 
 // WriteLimit returns the media's write-side throttle (nil when
@@ -278,10 +287,25 @@ func (m *Media) WriteLimit() *RateLimiter { return m.writeLimit }
 func (m *Media) ReadLimit() *RateLimiter { return m.readLimit }
 
 // Verify re-reads a stored replica against the chunk checksums
-// recorded at write time, returning core.ErrCorrupt on mismatch.
-// Verification bypasses the throughput throttle and connection
-// accounting: it models a local scrub, not a served read.
-func (m *Media) Verify(b core.Block) error { return m.store.Verify(b) }
+// recorded at write time, returning core.ErrCorrupt on mismatch
+// (HDFS's .meta check). Verification bypasses the throughput throttle
+// and connection accounting: it models a local scrub, not a served
+// read.
+func (m *Media) Verify(b core.Block) error {
+	r, err := m.store.OpenReplica(b)
+	if err != nil {
+		return err
+	}
+	defer r.Close()
+	buf, _ := bufpool.Get(core.ChunkSize)
+	defer bufpool.Put(buf)
+	for i := range r.sums {
+		if _, err := r.chunk(i, buf); err != nil {
+			return err
+		}
+	}
+	return nil
+}
 
 // Delete removes a stored replica.
 func (m *Media) Delete(b core.Block) error { return m.store.Delete(b) }
@@ -294,23 +318,6 @@ func (m *Media) Blocks() []core.Block { return m.store.Blocks() }
 
 // Close shuts the media down.
 func (m *Media) Close() error { return m.store.Close() }
-
-// connTrackingReadCloser is a media read path over a store reader. It
-// closes the store reader and decrements the connection counter once
-// on Close, tolerating double-Close.
-type connTrackingReadCloser struct {
-	io.Reader
-	store  io.Closer
-	conns  *atomic.Int64
-	closed atomic.Bool
-}
-
-func (c *connTrackingReadCloser) Close() error {
-	if c.closed.CompareAndSwap(false, true) {
-		c.conns.Add(-1)
-	}
-	return c.store.Close()
-}
 
 // Probe measures the media's sustained write and read throughput by
 // writing and reading back a probe block of the given size, mirroring

@@ -200,8 +200,9 @@ func TestRateLimiterSharedAcrossConcurrentWriters(t *testing.T) {
 	if testing.Short() {
 		t.Skip("timing-sensitive")
 	}
-	// Two concurrent 1MB writes through one 8 MB/s limiter must take
-	// about 2MB/8MBps = 250ms total, i.e. the rate is shared.
+	// Two concurrent 1MB transfers, paced a chunk at a time through
+	// one 8 MB/s limiter, must take about 2MB/8MBps = 250ms total, i.e.
+	// the rate is shared.
 	l := NewRateLimiter(8e6)
 	var wg sync.WaitGroup
 	start := time.Now()
@@ -209,8 +210,9 @@ func TestRateLimiterSharedAcrossConcurrentWriters(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			r := LimitReader(bytes.NewReader(make([]byte, 1<<20)), l)
-			io.Copy(io.Discard, r)
+			for range (1 << 20) / core.ChunkSize {
+				l.Wait(core.ChunkSize)
+			}
 		}()
 	}
 	wg.Wait()
@@ -227,17 +229,12 @@ func TestNilRateLimiterIsUnlimited(t *testing.T) {
 	if l.Rate() != 0 {
 		t.Error("nil limiter Rate() != 0")
 	}
-	r := LimitReader(bytes.NewReader([]byte("abc")), nil)
-	got, _ := io.ReadAll(r)
-	if string(got) != "abc" {
-		t.Error("nil limiter altered data")
-	}
 }
 
 // TestReplicaReadCountsFreshBuffers reads two chunks of a disk replica
-// with an emptied buffer pool: the stream's AllocBytes is exactly the
-// bytes the pool had to allocate, so a worker read's record shows a
-// pool regression.
+// into buffers the replica holds, with an emptied buffer pool: the
+// stream's AllocBytes is exactly the bytes the pool had to allocate, so
+// a worker read's record shows a pool regression.
 func TestReplicaReadCountsFreshBuffers(t *testing.T) {
 	m := testMedia(t, core.TierHDD, 1<<20, 0, 0)
 	data := randomData(2*core.ChunkSize, 3)
@@ -256,7 +253,7 @@ func TestReplicaReadCountsFreshBuffers(t *testing.T) {
 	runtime.GC()
 	before := bufpool.Snapshot().Misses
 	for i := range 2 {
-		p, err := r.ReadRange(int64(i)*core.ChunkSize, core.ChunkSize)
+		p, err := r.Chunk(i, nil)
 		if err != nil || !bytes.Equal(p, data[i*core.ChunkSize:(i+1)*core.ChunkSize]) {
 			t.Fatalf("chunk %d: %d bytes, err %v", i, len(p), err)
 		}

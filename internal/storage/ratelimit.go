@@ -1,7 +1,6 @@
 package storage
 
 import (
-	"io"
 	"math"
 	"sync"
 	"time"
@@ -114,29 +113,4 @@ func (l *RateLimiter) Rate() float64 {
 		return 0
 	}
 	return l.bytesPerSec
-}
-
-// limitedReader throttles an io.Reader through a RateLimiter.
-type limitedReader struct {
-	r io.Reader
-	l *RateLimiter
-}
-
-// LimitReader wraps r so reads are throttled by l, each accounted
-// after it returns. A nil limiter returns r unchanged.
-func LimitReader(r io.Reader, l *RateLimiter) io.Reader {
-	if l == nil {
-		return r
-	}
-	return &limitedReader{r: r, l: l}
-}
-
-func (lr *limitedReader) Read(p []byte) (int, error) {
-	// Cap chunk size so the limiter smooths rather than bursts.
-	if len(p) > 256<<10 {
-		p = p[:256<<10]
-	}
-	n, err := lr.r.Read(p)
-	lr.l.Wait(n)
-	return n, err
 }

@@ -11,17 +11,19 @@ import (
 	"repro/internal/core"
 )
 
-// Replica is one stored replica opened to serve a read: its chunk
-// sums and its bytes, from one open. Opened through Media.OpenReplica,
-// its bytes are paced at the media's read rate, each read accounted
-// after the call that takes it from the device, and it counts as an
-// active connection until Close.
+// Replica is one stored replica opened to be read: its chunk sums and
+// its bytes, from one open. It is the one way out of a store: a served
+// read, a copy, the probe and a scrub all read through it. Opened
+// through Media.OpenReplica, its bytes are paced at the media's read
+// rate, each read accounted after the call that takes it from the
+// device, and it counts as an active connection until Close.
 type Replica struct {
-	sums []uint32
-	size int64
-	data []byte   // a memory replica's bytes, shared with the store
-	f    *os.File // a disk replica's file
-	send sendState
+	block core.BlockID
+	sums  []uint32
+	size  int64
+	data  []byte   // a memory replica's bytes, shared with the store
+	f     *os.File // a disk replica's file
+	send  sendState
 
 	limit *RateLimiter
 	st    *IOStats
@@ -30,7 +32,7 @@ type Replica struct {
 }
 
 // OpenReplica opens a stored replica to serve a read. Opening it (the
-// disk store's trailer read) and ReadRange are device time in st, which
+// disk store's trailer read) and Chunk are device time in st, which
 // may be nil; Send is SendNs, each pacing sleep ThrottleWaitNs, and a
 // buffer the pool freshly allocates for a disk read AllocBytes.
 func (m *Media) OpenReplica(b core.Block, st *IOStats) (*Replica, error) {
@@ -52,20 +54,20 @@ func (m *Media) OpenReplica(b core.Block, st *IOStats) (*Replica, error) {
 // callers must not modify it.
 func (r *Replica) Sums() []uint32 { return r.sums }
 
-// ReadRange returns the n bytes at offset off, read from the device: a
-// memory replica's own bytes, which the caller must not modify, or a
-// disk replica's read into a buffer the replica holds until Close.
-func (r *Replica) ReadRange(off int64, n int) ([]byte, error) {
-	if err := r.check(off, n); err != nil {
-		return nil, err
-	}
+// Chunk returns chunk i of the replica, i below len(Sums()), read from
+// the device and checked against its stored sum: a chunk that does not
+// match is core.ErrCorrupt. A memory replica returns its own bytes,
+// which the caller must not modify; a disk replica reads into buf,
+// which must hold a chunk, or, when buf is nil, into a buffer the
+// replica holds until Close.
+func (r *Replica) Chunk(i int, buf []byte) ([]byte, error) {
 	start := time.Now()
-	p, err := r.read(off, n)
+	p, err := r.chunk(i, buf)
 	r.st.DeviceNs += time.Since(start).Nanoseconds()
 	if err != nil {
 		return nil, err
 	}
-	r.pace(n)
+	r.pace(len(p))
 	return p, nil
 }
 
@@ -109,18 +111,29 @@ func (r *Replica) step() int {
 	return max(r.limit.Burst()/core.ChunkSize, 1) * core.ChunkSize
 }
 
-// read returns the n bytes at off without pacing.
-func (r *Replica) read(off int64, n int) ([]byte, error) {
+// chunk is Chunk untimed and unpaced.
+func (r *Replica) chunk(i int, buf []byte) ([]byte, error) {
+	off := int64(i) * core.ChunkSize
+	n := min(core.ChunkSize, r.size-off)
+	var p []byte
 	if r.data != nil {
-		return r.data[off : off+int64(n)], nil
+		p = r.data[off : off+n]
+	} else {
+		if buf == nil {
+			var fresh bool
+			buf, fresh = bufpool.Get(int(n))
+			if fresh {
+				r.st.AllocBytes += int64(cap(buf))
+			}
+			r.bufs = append(r.bufs, buf)
+		}
+		p = buf[:n]
+		if _, err := r.f.ReadAt(p, off); err != nil {
+			return nil, fmt.Errorf("storage: block %s: reading chunk %d: %w", r.block, i, err)
+		}
 	}
-	p, fresh := bufpool.Get(n)
-	if fresh {
-		r.st.AllocBytes += int64(cap(p))
-	}
-	r.bufs = append(r.bufs, p)
-	if _, err := r.f.ReadAt(p, off); err != nil {
-		return nil, fmt.Errorf("storage: reading %d bytes at %d: %w", n, off, err)
+	if got := core.ChunkSum(p); got != r.sums[i] {
+		return nil, fmt.Errorf("storage: block %s chunk %d checksum %08x != %08x: %w", r.block, i, got, r.sums[i], core.ErrCorrupt)
 	}
 	return p, nil
 }
@@ -139,7 +152,7 @@ func (r *Replica) pace(n int) {
 }
 
 // Close releases the replica's file and buffers and its connection
-// count. It must be called once.
+// count. A second Close does nothing.
 func (r *Replica) Close() error {
 	for _, p := range r.bufs {
 		bufpool.Put(p)
@@ -147,9 +160,11 @@ func (r *Replica) Close() error {
 	r.bufs = nil
 	if r.conns != nil {
 		r.conns.Add(-1)
+		r.conns = nil
 	}
-	if r.f != nil {
-		return r.f.Close()
+	if f := r.f; f != nil {
+		r.f = nil
+		return f.Close()
 	}
 	return nil
 }

@@ -12,7 +12,6 @@
 package storage
 
 import (
-	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -35,15 +34,12 @@ type Store interface {
 	// commits, which replaces any existing replica of the same block.
 	Create(b core.Block) (ChunkWriter, error)
 
-	// Open returns a reader over the stored replica.
-	// It returns core.ErrNotFound if the replica is absent.
-	Open(b core.Block) (io.ReadCloser, error)
-
-	// OpenReplica opens the replica to serve a read: its chunk
-	// checksums, one CRC-32C per core.ChunkSize bytes as recorded when
-	// it was written, and its bytes, from one open. A checksum record
-	// that does not match the replica is refused with core.ErrCorrupt.
-	// The caller closes it.
+	// OpenReplica opens the replica, the store's one read path: its
+	// chunk checksums, one CRC-32C per core.ChunkSize bytes as recorded
+	// when it was written, and its bytes, from one open. A checksum
+	// record that does not match the replica is refused with
+	// core.ErrCorrupt, and an absent replica is core.ErrNotFound. The
+	// caller closes it.
 	OpenReplica(b core.Block) (*Replica, error)
 
 	// Delete removes the replica. Deleting an absent replica returns
@@ -58,11 +54,6 @@ type Store interface {
 
 	// Used returns the number of bytes currently stored.
 	Used() int64
-
-	// Verify re-reads the whole replica and compares every chunk with
-	// its recorded checksum, returning core.ErrCorrupt on mismatch
-	// (HDFS's .meta check).
-	Verify(b core.Block) error
 
 	// Close releases the store's resources. Memory stores drop their
 	// content (the tier is volatile); disk stores keep files on disk.
@@ -137,23 +128,6 @@ func putChunks(b core.Block, cw ChunkWriter, r io.Reader) (int64, error) {
 	}
 }
 
-// verifyChunks reads a replica chunk by chunk and compares each with
-// its recorded checksum.
-func verifyChunks(b core.Block, r io.Reader, sums []uint32) error {
-	buf, _ := bufpool.Get(core.ChunkSize)
-	defer bufpool.Put(buf)
-	for i, want := range sums {
-		n, err := io.ReadFull(r, buf)
-		if n == 0 || (err != nil && err != io.ErrUnexpectedEOF) || (n < core.ChunkSize && i < len(sums)-1) {
-			return fmt.Errorf("storage: block %s: chunk %d is missing: %w", b.ID, i, core.ErrCorrupt)
-		}
-		if got := core.ChunkSum(buf[:n]); got != want {
-			return fmt.Errorf("storage: block %s chunk %d checksum %08x != %08x: %w", b.ID, i, got, want, core.ErrCorrupt)
-		}
-	}
-	return nil
-}
-
 // memReplica is one replica in a memory store.
 type memReplica struct {
 	data []byte
@@ -219,51 +193,16 @@ func (w *memWriter) Commit() (int64, error) {
 
 func (w *memWriter) Abort() {}
 
-// replica looks a block up.
-func (s *MemStore) replica(b core.Block) (memReplica, error) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	r, ok := s.blocks[blockKey{b.ID, b.GenStamp}]
-	if !ok {
-		return memReplica{}, fmt.Errorf("storage: block %s: %w", b.ID, core.ErrNotFound)
-	}
-	return r, nil
-}
-
 // OpenReplica implements Store: the replica serves its own slice.
 func (s *MemStore) OpenReplica(b core.Block) (*Replica, error) {
-	r, err := s.replica(b)
-	if err != nil {
-		return nil, err
+	s.mu.RLock()
+	r, ok := s.blocks[blockKey{b.ID, b.GenStamp}]
+	s.mu.RUnlock()
+	if !ok {
+		return nil, fmt.Errorf("storage: block %s: %w", b.ID, core.ErrNotFound)
 	}
-	return &Replica{sums: r.sums, size: int64(len(r.data)), data: r.data}, nil
+	return &Replica{block: b.ID, sums: r.sums, size: int64(len(r.data)), data: r.data}, nil
 }
-
-// Verify implements Store.
-func (s *MemStore) Verify(b core.Block) error {
-	r, err := s.replica(b)
-	if err != nil {
-		return err
-	}
-	return verifyChunks(b, bytes.NewReader(r.data), r.sums)
-}
-
-// Open implements Store.
-func (s *MemStore) Open(b core.Block) (io.ReadCloser, error) {
-	r, err := s.replica(b)
-	if err != nil {
-		return nil, err
-	}
-	return memReader{bytes.NewReader(r.data)}, nil
-}
-
-// memReader is the memory store's block reader. Unlike io.NopCloser
-// it keeps the underlying *bytes.Reader's io.Seeker and io.WriterTo
-// visible, so range reads seek instead of discard-copying and whole
-// copies skip the staging buffer.
-type memReader struct{ *bytes.Reader }
-
-func (memReader) Close() error { return nil }
 
 // Delete implements Store.
 func (s *MemStore) Delete(b core.Block) error {
@@ -429,17 +368,6 @@ func (s *DiskStore) path(b core.Block) string {
 	return filepath.Join(s.dir, replicaName(b.ID, b.GenStamp))
 }
 
-// size returns the indexed byte count of a replica.
-func (s *DiskStore) size(b core.Block) (int64, error) {
-	s.mu.RLock()
-	size, ok := s.sizes[blockKey{b.ID, b.GenStamp}]
-	s.mu.RUnlock()
-	if !ok {
-		return 0, fmt.Errorf("storage: block %s: %w", b.ID, core.ErrNotFound)
-	}
-	return size, nil
-}
-
 // Create implements Store. The content goes to a temporary file that
 // Commit completes with the sums and trailer and renames into place,
 // so a crash mid-write never leaves a replica that could be mistaken
@@ -507,44 +435,6 @@ func (w *diskWriter) Abort() {
 	os.Remove(w.f.Name())
 }
 
-// Open implements Store. The reader ends at the replica's byte count
-// and seeks, so a ranged read never reads the skipped prefix. Unlike
-// OpenReplica it reads no trailer: its callers (local copies, which
-// checksum what they store, and the throughput probe) take the bytes
-// only.
-func (s *DiskStore) Open(b core.Block) (io.ReadCloser, error) {
-	f, size, err := s.openFile(b)
-	if err != nil {
-		return nil, err
-	}
-	return diskReader{io.NewSectionReader(f, 0, size), f}, nil
-}
-
-// openFile opens b's replica file, returning it with the replica's
-// byte count; an absent replica is core.ErrNotFound.
-func (s *DiskStore) openFile(b core.Block) (*os.File, int64, error) {
-	size, err := s.size(b)
-	if err != nil {
-		return nil, 0, err
-	}
-	f, err := os.Open(s.path(b))
-	if errors.Is(err, os.ErrNotExist) {
-		return nil, 0, fmt.Errorf("storage: block %s: %w", b.ID, core.ErrNotFound)
-	}
-	if err != nil {
-		return nil, 0, fmt.Errorf("storage: opening block %s: %w", b.ID, err)
-	}
-	return f, size, nil
-}
-
-// diskReader reads the bytes of a replica file.
-type diskReader struct {
-	*io.SectionReader
-	f *os.File
-}
-
-func (r diskReader) Close() error { return r.f.Close() }
-
 // Delete implements Store.
 func (s *DiskStore) Delete(b core.Block) error {
 	key := blockKey{b.ID, b.GenStamp}
@@ -569,16 +459,25 @@ func (s *DiskStore) Delete(b core.Block) error {
 // or records another byte count than the replica's, is refused with
 // core.ErrCorrupt: the read fails over as from a corrupt replica.
 func (s *DiskStore) OpenReplica(b core.Block) (*Replica, error) {
-	f, size, err := s.openFile(b)
+	s.mu.RLock()
+	size, ok := s.sizes[blockKey{b.ID, b.GenStamp}]
+	s.mu.RUnlock()
+	if !ok {
+		return nil, fmt.Errorf("storage: block %s: %w", b.ID, core.ErrNotFound)
+	}
+	f, err := os.Open(s.path(b))
+	if errors.Is(err, os.ErrNotExist) {
+		return nil, fmt.Errorf("storage: block %s: %w", b.ID, core.ErrNotFound)
+	}
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("storage: opening block %s: %w", b.ID, err)
 	}
 	sums, err := readSums(f, size)
 	if err != nil {
 		f.Close()
 		return nil, fmt.Errorf("storage: block %s: %w", b.ID, err)
 	}
-	return &Replica{sums: sums, size: size, f: f}, nil
+	return &Replica{block: b.ID, sums: sums, size: size, f: f}, nil
 }
 
 // readSums returns the chunk sums of the replica file f, indexed at n
@@ -611,16 +510,6 @@ func readSums(f *os.File, n int64) ([]uint32, error) {
 		err = fmt.Errorf("trailer records %d bytes, want %d: %w", m, n, core.ErrCorrupt)
 	}
 	return nil, err
-}
-
-// Verify implements Store by re-reading the replica against its sums.
-func (s *DiskStore) Verify(b core.Block) error {
-	r, err := s.OpenReplica(b)
-	if err != nil {
-		return err
-	}
-	defer r.Close()
-	return verifyChunks(b, io.NewSectionReader(r.f, 0, r.size), r.sums)
 }
 
 // Has implements Store.

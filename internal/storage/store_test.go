@@ -30,6 +30,17 @@ func put(s Store, b core.Block, r io.Reader) (int64, error) {
 	return putChunks(b, cw, r)
 }
 
+// readBack returns a replica's bytes as Media.Open reads them: through
+// OpenReplica, each chunk checked against its stored sum.
+func readBack(s Store, b core.Block) ([]byte, error) {
+	rc, err := (&Media{store: s}).Open(b)
+	if err != nil {
+		return nil, err
+	}
+	defer rc.Close()
+	return io.ReadAll(rc)
+}
+
 func blk(id uint64, size int64) core.Block {
 	return core.Block{ID: core.BlockID(id), GenStamp: 1, NumBytes: size}
 }
@@ -54,14 +65,9 @@ func TestStorePutOpenDelete(t *testing.T) {
 				t.Errorf("Used = %d, want %d", got, len(data))
 			}
 
-			rc, err := s.Open(b)
+			got, err := readBack(s, b)
 			if err != nil {
-				t.Fatalf("Open: %v", err)
-			}
-			got, err := io.ReadAll(rc)
-			rc.Close()
-			if err != nil {
-				t.Fatalf("ReadAll: %v", err)
+				t.Fatalf("reading back: %v", err)
 			}
 			if !bytes.Equal(got, data) {
 				t.Errorf("content mismatch: %q vs %q", got, data)
@@ -76,8 +82,8 @@ func TestStorePutOpenDelete(t *testing.T) {
 			if got := s.Used(); got != 0 {
 				t.Errorf("Used after delete = %d, want 0", got)
 			}
-			if _, err := s.Open(b); !errors.Is(err, core.ErrNotFound) {
-				t.Errorf("Open after delete: err = %v, want ErrNotFound", err)
+			if _, err := s.OpenReplica(b); !errors.Is(err, core.ErrNotFound) {
+				t.Errorf("OpenReplica after delete: err = %v, want ErrNotFound", err)
 			}
 			if err := s.Delete(b); !errors.Is(err, core.ErrNotFound) {
 				t.Errorf("double Delete: err = %v, want ErrNotFound", err)
@@ -141,12 +147,10 @@ func TestStoreGenerationStampsDistinguishReplicas(t *testing.T) {
 			if !s.Has(old) || !s.Has(new_) {
 				t.Error("generations are not independent")
 			}
-			rc, err := s.Open(new_)
+			got, err := readBack(s, new_)
 			if err != nil {
 				t.Fatal(err)
 			}
-			got, _ := io.ReadAll(rc)
-			rc.Close()
 			if string(got) != "new!" {
 				t.Errorf("new generation content = %q", got)
 			}
@@ -177,12 +181,10 @@ func TestDiskStoreReindexOnRestart(t *testing.T) {
 	if got := s2.Used(); got != int64(len(data)) {
 		t.Errorf("restarted Used = %d, want %d", got, len(data))
 	}
-	rc, err := s2.Open(b)
+	got, err := readBack(s2, b)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, _ := io.ReadAll(rc)
-	rc.Close()
 	if !bytes.Equal(got, data) {
 		t.Error("restarted store returned wrong content")
 	}
@@ -218,13 +220,11 @@ func TestStoreConcurrentPutGet(t *testing.T) {
 							t.Errorf("Put: %v", err)
 							return
 						}
-						rc, err := s.Open(b)
+						got, err := readBack(s, b)
 						if err != nil {
-							t.Errorf("Open: %v", err)
+							t.Errorf("reading back: %v", err)
 							return
 						}
-						got, _ := io.ReadAll(rc)
-						rc.Close()
 						if !bytes.Equal(got, payload) {
 							t.Error("content mismatch under concurrency")
 							return
@@ -281,12 +281,7 @@ func TestQuickStoreRoundTrip(t *testing.T) {
 			if _, err := put(s, b, bytes.NewReader(payload)); err != nil {
 				return false
 			}
-			rc, err := s.Open(b)
-			if err != nil {
-				return false
-			}
-			got, err := io.ReadAll(rc)
-			rc.Close()
+			got, err := readBack(s, b)
 			if err != nil || !bytes.Equal(got, payload) {
 				return false
 			}

@@ -86,7 +86,7 @@ func TestChunkSumsTable(t *testing.T) {
 					if want := chunkSumsOf(data); fmt.Sprint(got) != fmt.Sprint(want) {
 						t.Errorf("Sums = %v, want %v", got, want)
 					}
-					if err := s.Verify(b); err != nil {
+					if err := (&Media{store: s}).Verify(b); err != nil {
 						t.Errorf("Verify: %v", err)
 					}
 				})
@@ -113,6 +113,9 @@ func flipByte(t *testing.T, s Store, b core.Block, off int) {
 	}
 }
 
+// TestCorruptChunkFailsVerify flips a byte in chunk 3 of a replica:
+// Media.Verify refuses it, and Media.Open's reader returns the three
+// chunks before it, then ErrCorrupt.
 func TestCorruptChunkFailsVerify(t *testing.T) {
 	for name, s := range testStores(t) {
 		t.Run(name, func(t *testing.T) {
@@ -122,8 +125,12 @@ func TestCorruptChunkFailsVerify(t *testing.T) {
 				t.Fatal(err)
 			}
 			flipByte(t, s, b, 3*core.ChunkSize+17)
-			if err := s.Verify(b); !errors.Is(err, core.ErrCorrupt) {
+			if err := (&Media{store: s}).Verify(b); !errors.Is(err, core.ErrCorrupt) {
 				t.Errorf("Verify after a flipped byte: err = %v, want ErrCorrupt", err)
+			}
+			got, err := readBack(s, b)
+			if !errors.Is(err, core.ErrCorrupt) || !bytes.Equal(got, data[:3*core.ChunkSize]) {
+				t.Errorf("Open read after a flipped byte: %d bytes, err = %v, want the first 3 chunks and ErrCorrupt", len(got), err)
 			}
 		})
 	}
@@ -181,7 +188,7 @@ func TestSumsSidecarFormatRefused(t *testing.T) {
 			if tc.namesMagic && !strings.Contains(err.Error(), replicaMagic) {
 				t.Errorf("error %q does not name the %s format", err, replicaMagic)
 			}
-			if err := s.Verify(b); !errors.Is(err, core.ErrCorrupt) {
+			if err := (&Media{store: s}).Verify(b); !errors.Is(err, core.ErrCorrupt) {
 				t.Errorf("Verify: err = %v, want ErrCorrupt", err)
 			}
 			s, err = NewDiskStore(dir)

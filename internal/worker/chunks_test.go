@@ -36,6 +36,21 @@ func writeBlock(t testing.TB, w *Worker, blk core.Block, on core.StorageID, payl
 	}
 }
 
+// flipHDDByte flips the byte at off in the test worker's HDD replica
+// file of blk.
+func flipHDDByte(t testing.TB, w *Worker, blk core.Block, off int) {
+	t.Helper()
+	path := filepath.Join(w.cfg.Media[1].Dir, fmt.Sprintf("blk_%d_%d", uint64(blk.ID), uint64(blk.GenStamp)))
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	data[off] ^= 0xFF
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // rawRead runs one read exchange by hand, returning the response frame
 // and the bytes that follow it.
 func rawRead(t *testing.T, addr string, hdr rpc.ReadBlockHeader) (rpc.ReadBlockResponse, []byte) {
@@ -128,19 +143,19 @@ func TestRangedReadChunkEdges(t *testing.T) {
 				t.Errorf("%s [%d,%d) through the client: connection not pooled", on, off, end)
 			}
 		}
+		// A header claiming 10 bytes more than the replica holds makes
+		// the last chunk's edge longer than the chunk: refused, not
+		// served past the chunk's end.
+		long := blk
+		long.NumBytes += 10
+		if resp, _ := rawRead(t, w.DataAddr(), rpc.ReadBlockHeader{Block: long, Storage: on, Offset: 3*C + 5, Length: 100}); resp.Err == "" {
+			t.Errorf("%s: a read past the replica's last byte was served", on)
+		}
 	}
 
 	// Flip one byte of chunk 1 in the disk replica's file.
 	blk := blocks["wtest:hdd0"]
-	path := filepath.Join(w.cfg.Media[1].Dir, fmt.Sprintf("blk_%d_%d", uint64(blk.ID), uint64(blk.GenStamp)))
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	data[C+40] ^= 0xFF
-	if err := os.WriteFile(path, data, 0o644); err != nil {
-		t.Fatal(err)
-	}
+	flipHDDByte(t, w, blk, C+40)
 	if _, _, err := rpc.OpenBlockReader(w.DataAddr(), blk, "wtest:hdd0", C+5, 10); !errors.Is(err, core.ErrCorrupt) {
 		t.Errorf("edge chunk corrupt: open err = %v, want ErrCorrupt", err)
 	}

@@ -403,11 +403,11 @@ func (w *Worker) handleReadBlock(conn *net.TCPConn) (keep bool) {
 // read into this process: a disk replica by sendfile, a memory replica
 // straight from the store, so the reader's check verifies every byte
 // against the writer's sums. A range that starts or ends inside a
-// chunk has that edge chunk read whole and checked here before the
-// response, then only its requested slice sent under a fresh sum, so a
-// ranged read touches only its own chunks. The whole chunks between
-// the edges are one Replica.Send, which moves them in steps of the
-// media's pacing burst. The record receives the serve's phase split:
+// chunk has that edge chunk read whole by Replica.Chunk, which checks
+// it, before the response, then only its requested slice sent under a
+// fresh sum, so a ranged read touches only its own chunks. The whole
+// chunks between the edges are one Replica.Send, which moves them in
+// steps of the media's pacing burst. The record receives the serve's phase split:
 // the trailer and edge reads are disk time, the response frame and the
 // sends are net time, and each step's pacing sleep, taken after the
 // call that reads it from the device, is throttle time. keep reports
@@ -459,7 +459,7 @@ func (w *Worker) readBlock(conn *net.TCPConn, hdr rpc.ReadBlockHeader, rec *xfer
 	end := offset + length
 	first, last := offset/core.ChunkSize, (end-1)/core.ChunkSize
 	chunkLen := func(i int64) int { return int(min(core.ChunkSize, size-i*core.ChunkSize)) }
-	// edge reads chunk i whole, checks it against its stored sum and
+	// edge reads chunk i whole, checked against its stored sum, and
 	// returns the requested slice of it, or nil when the range covers
 	// the chunk whole.
 	edge := func(i int64) ([]byte, error) {
@@ -468,12 +468,12 @@ func (w *Worker) readBlock(conn *net.TCPConn, hdr rpc.ReadBlockHeader, rec *xfer
 		if lo == 0 && hi == int64(chunkLen(i)) {
 			return nil, nil
 		}
-		buf, err := rr.ReadRange(base, chunkLen(i))
+		buf, err := rr.Chunk(int(i), nil)
 		if err != nil {
-			return nil, fmt.Errorf("worker: block %s: reading chunk %d: %w", hdr.Block.ID, i, err)
+			return nil, err
 		}
-		if got := core.ChunkSum(buf); got != sums[i] {
-			return nil, fmt.Errorf("worker: block %s chunk %d checksum %08x != %08x: %w", hdr.Block.ID, i, got, sums[i], core.ErrCorrupt)
+		if hi > int64(len(buf)) {
+			return nil, fmt.Errorf("worker: block %s: chunk %d holds %d bytes, not %d", hdr.Block.ID, i, len(buf), hi)
 		}
 		return buf[lo:hi], nil
 	}
@@ -534,8 +534,12 @@ func (w *Worker) readBlock(conn *net.TCPConn, hdr rpc.ReadBlockHeader, rec *xfer
 
 // replicate copies a block from the best available source replica onto
 // local media (paper §5: the hosting worker uses the retrieval policy's
-// source ordering for copying from the most efficient location). It
-// returns the bytes stored and the target media's tier label. sp is
+// source ordering for copying from the most efficient location). Every
+// source, this worker's own media included, is read over the data port
+// like a client's read, and each piece is verified on arrival and
+// stored under the checksum it came with. A source found corrupt or
+// missing is reported to the master, as a client's reader reports it.
+// It returns the bytes stored and the target media's tier label. sp is
 // the caller's replication span; source reads carry its ID so the
 // serving worker's read span parents under it. rec accumulates the
 // winning attempt's phase timings.
@@ -550,54 +554,35 @@ func (w *Worker) replicate(reqID string, sp *trace.ActiveSpan, block core.Block,
 	}
 	var lastErr error
 	for _, src := range sources {
-		if src.Worker == w.id && src.Storage != target {
-			// Local cross-media copy: read directly. Both the source
-			// read (Put's source wait) and the store write are device
-			// time here.
-			if local, ok := w.media[src.Storage]; ok {
-				rc, err := local.Open(block)
-				if err != nil {
-					lastErr = err
-					continue
-				}
-				var iost storage.IOStats
-				n, err := media.PutStats(block, rc, &iost)
-				rc.Close()
-				if err != nil {
-					lastErr = err
-					continue
-				}
-				rec.DiskNs += iost.DeviceNs + iost.SourceNs
+		var tm rpc.TransferTiming
+		rc, _, err := rpc.OpenBlockReaderTimed(src.Address, block, src.Storage, 0, -1, reqID, sp.ID(), &tm)
+		if err == nil {
+			rec.DialNs += tm.DialNs
+			rec.HeaderEncodeNs += tm.HeaderEncodeNs
+			rec.HeaderDecodeNs += tm.HeaderDecodeNs
+			rec.PoolHit = tm.PoolHit
+			// A whole-block read's pieces are the replica's chunks.
+			var iost storage.IOStats
+			var n, netNs int64
+			n, netNs, err = storeStream(media, block, rc.(packetSource), &iost)
+			if ac, ok := rc.(interface{ AllocBytes() int64 }); ok {
+				rec.AllocBytes += ac.AllocBytes()
+			}
+			rc.Close()
+			if err == nil {
+				rec.NetNs += netNs
+				rec.DiskNs += iost.DeviceNs
 				rec.ThrottleWaitNs += iost.ThrottleWaitNs
 				return n, tier, nil
 			}
 		}
-		var tm rpc.TransferTiming
-		rc, _, err := rpc.OpenBlockReaderTimed(src.Address, block, src.Storage, 0, -1, reqID, sp.ID(), &tm)
-		if err != nil {
-			lastErr = err
-			continue
+		lastErr = err
+		if errors.Is(err, core.ErrCorrupt) || errors.Is(err, core.ErrNotFound) {
+			bad := &rpc.ReportBadBlockArgs{ReqHeader: rpc.ReqHeader{ReqID: reqID}, Block: block, Storage: src.Storage, Worker: src.Worker}
+			if err := w.master.Call("Master.ReportBadBlock", bad, &rpc.ReportBadBlockReply{}); err != nil {
+				w.cfg.Logger.Warn("bad block report failed", "block", block.ID, "storage", src.Storage, "req", reqID, "err", err)
+			}
 		}
-		rec.DialNs += tm.DialNs
-		rec.HeaderEncodeNs += tm.HeaderEncodeNs
-		rec.HeaderDecodeNs += tm.HeaderDecodeNs
-		rec.PoolHit = tm.PoolHit
-		// A whole-block read's pieces are the replica's chunks: each is
-		// verified on arrival and stored under the checksum it came with.
-		var iost storage.IOStats
-		n, netNs, err := storeStream(media, block, rc.(packetSource), &iost)
-		if ac, ok := rc.(interface{ AllocBytes() int64 }); ok {
-			rec.AllocBytes += ac.AllocBytes()
-		}
-		rc.Close()
-		if err != nil {
-			lastErr = err
-			continue
-		}
-		rec.NetNs += netNs
-		rec.DiskNs += iost.DeviceNs
-		rec.ThrottleWaitNs += iost.ThrottleWaitNs
-		return n, tier, nil
 	}
 	if lastErr == nil {
 		lastErr = fmt.Errorf("worker: no replica source for %s: %w", block.ID, core.ErrNotFound)

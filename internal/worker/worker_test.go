@@ -197,6 +197,38 @@ func TestReplicateViaDataPort(t *testing.T) {
 	}
 }
 
+// TestReplicateRefusesCorruptSource flips a byte in chunk 1 of an HDD
+// replica, then has the worker copy it onto its own memory: the copy
+// reads its own media over the data port like a peer's, so the chunk
+// fails its check on arrival, nothing is stored, and the source is
+// reported to the master as corrupt.
+func TestReplicateRefusesCorruptSource(t *testing.T) {
+	m, w := testWorker(t)
+	const C = core.ChunkSize
+	blk := hddBlock(t, m, "/corrupt-source", 3*C)
+	writeBlock(t, w, blk, "wtest:hdd0", bytes.Repeat([]byte{7}, 3*C))
+	flipHDDByte(t, w, blk, C+40)
+
+	w.execute(rpc.Command{
+		Kind:   rpc.CmdReplicate,
+		Block:  blk,
+		Target: "wtest:mem0",
+		Sources: []core.BlockLocation{{
+			Worker: w.ID(), Address: w.DataAddr(), Storage: "wtest:hdd0", Tier: core.TierHDD,
+		}},
+	})
+	if w.Media()["wtest:mem0"].Has(blk) {
+		t.Error("a copy of the corrupt replica was stored on wtest:mem0")
+	}
+	if n := len(w.Journal().Since(0, "block_replicate_failed", 0).Entries); n != 1 {
+		t.Errorf("block_replicate_failed events = %d, want 1", n)
+	}
+	evs := m.Journal().Since(0, "block_corrupt", 0).Entries
+	if len(evs) != 1 || evs[0].Attrs["storage"] != "wtest:hdd0" {
+		t.Errorf("master block_corrupt events = %+v, want one naming wtest:hdd0", evs)
+	}
+}
+
 func TestWorkerRegistersAndHeartbeats(t *testing.T) {
 	m, _ := testWorker(t)
 	if m.NumWorkers() != 1 {
