@@ -1,10 +1,10 @@
 // Package bufpool provides size-classed reusable byte buffers for the
-// data path. Packet staging, pipeline copy buffers, frame scratch, and
+// data path. Chunk staging, pipeline copy buffers, frame scratch, and
 // probe fills all draw from here instead of allocating per transfer,
 // so the steady-state data path produces (close to) zero garbage.
 //
 // Buffers are grouped into power-of-two size classes, each backed by a
-// sync.Pool, so a 64 KiB packet buffer released by one transfer is
+// sync.Pool, so a 64 KiB chunk buffer released by one transfer is
 // picked up by the next instead of churning the heap. Get reports
 // whether the buffer was freshly allocated — the flight recorder's
 // per-transfer alloc-bytes stat counts only fresh buffers, making the

@@ -14,10 +14,10 @@ import (
 
 // Writer streams file content into OctopusFS (paper §3.1): for every
 // block it asks the master for placement targets, organises the
-// Worker-to-Worker pipeline, and streams checksummed packets into it.
+// Worker-to-Worker pipeline, and streams checksummed windows into it.
 //
 // With a write window of W > 0 the data path is overlapped: when a
-// block fills, its packet stream is flushed and the pipeline
+// block fills, its write stream is flushed and the pipeline
 // acknowledgement is collected on a background goroutine while the
 // next block is allocated (Master.AddBlock) and streamed, so Write
 // runs at media speed instead of stalling one round trip per block.
@@ -91,7 +91,7 @@ func (ib *inflightBlock) endSpan(err error) {
 }
 
 // record appends the block's transfer record, once: dial and header
-// encode from the pipeline open, socket time from the packet stream,
+// encode from the pipeline open, socket time from the write stream,
 // and the ack wait (zero when the block was aborted before its ack).
 func (ib *inflightBlock) record(err error) {
 	if ib.w == nil || ib.recorded {
@@ -155,9 +155,13 @@ func (w *Writer) Write(p []byte) (int, error) {
 		if room := w.blockSize - w.cur.n; int64(len(chunk)) > room {
 			chunk = chunk[:room]
 		}
-		n, err := w.cur.bw.Write(chunk)
+		// The bytes go to the pipeline from the replay buffer, so the
+		// client copies each of them once.
+		old := len(w.cur.buf)
+		w.cur.buf = append(w.cur.buf, chunk...)
+		n, err := w.cur.bw.Write(w.cur.buf[old:])
+		w.cur.buf = w.cur.buf[:old+n]
 		w.cur.n += int64(n)
-		w.cur.buf = append(w.cur.buf, chunk[:n]...)
 		// Accepted bytes are counted exactly once, here: retry replays
 		// never re-add to written or the write-bytes counter.
 		w.written += int64(n)
@@ -286,7 +290,7 @@ func (w *Writer) recoverCur(cause error) error {
 	return nil
 }
 
-// finishCur flushes the current block's packet stream, hands the
+// finishCur flushes the current block's write stream, hands the
 // acknowledgement wait to a background goroutine, and enforces the
 // write window.
 func (w *Writer) finishCur() error {

@@ -11,8 +11,8 @@ const DefaultBlockSize = 128 * 1024 * 1024
 
 // ChunkSize is the checksum granularity of a replica: a block is cut
 // into 64 KiB chunks, each with one CRC-32C computed once by the writer,
-// stored with the replica and served with the data. One data packet
-// carries one chunk (HDFS's .meta checksums, with one chunk per packet).
+// stored with the replica and served with the data (HDFS's .meta
+// checksums). A block stream sends one sum per chunk ahead of the bytes.
 const ChunkSize = 64 << 10
 
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)

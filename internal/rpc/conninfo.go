@@ -46,8 +46,8 @@ type ConnStats struct {
 	BytesPerConn uint64 `json:"bytes_per_conn"`
 
 	// Frames / FrameBytes count control frames encoded or decoded by
-	// this process (headers and acks) — the framing cost the
-	// per-transfer header phases measure in time.
+	// this process (headers, acks and block-stream window headers) —
+	// the framing cost the per-transfer header phases measure in time.
 	Frames     uint64 `json:"frames"`
 	FrameBytes uint64 `json:"frame_bytes"`
 

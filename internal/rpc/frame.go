@@ -60,35 +60,35 @@ func sealFrame(buf []byte, start int, limit uint32) error {
 	return nil
 }
 
-// readFrame reads one frame of at most limit bytes from r into *buf and
-// returns its type and body, which alias *buf. The tag is checked before
-// the length is trusted, and *buf grows with the bytes that arrive, not
-// with the length claimed, so a forged length costs no more memory than
-// the data sent.
+// readFrame reads one frame of at most limit bytes from r into *buf,
+// header included, and returns its type and body, which alias *buf. The
+// tag is checked before the length is trusted, and *buf grows with the
+// bytes that arrive, not with the length claimed, so a forged length
+// costs no more memory than the data sent.
 func readFrame(r io.Reader, buf *[]byte, limit uint32) (typ byte, body []byte, err error) {
-	var hdr [frameHeaderLen]byte
-	if _, err := io.ReadFull(r, hdr[:1]); err != nil {
+	b := append((*buf)[:0], make([]byte, frameHeaderLen)...)
+	*buf = b
+	if _, err := io.ReadFull(r, b[:1]); err != nil {
 		return 0, nil, err
 	}
-	if hdr[0] != frameTagBinary {
-		return 0, nil, fmt.Errorf("rpc: unknown frame tag 0x%02x", hdr[0])
+	if b[0] != frameTagBinary {
+		return 0, nil, fmt.Errorf("rpc: unknown frame tag 0x%02x", b[0])
 	}
-	if _, err := io.ReadFull(r, hdr[1:]); err != nil {
+	if _, err := io.ReadFull(r, b[1:]); err != nil {
 		return 0, nil, fmt.Errorf("rpc: reading frame length: %w", err)
 	}
-	n := binary.LittleEndian.Uint32(hdr[1:])
+	n := binary.LittleEndian.Uint32(b[1:])
 	if n > limit {
 		return 0, nil, fmt.Errorf("rpc: frame of %d bytes exceeds limit", n)
 	}
 	if n == 0 {
 		return 0, nil, fmt.Errorf("rpc: empty frame")
 	}
-	b := (*buf)[:0]
-	for len(b) < int(n) {
+	for end := frameHeaderLen + int(n); len(b) < end; {
 		if len(b) == cap(b) {
-			b = slices.Grow(b, min(int(n)-len(b), max(len(b), 64<<10)))
+			b = slices.Grow(b, min(end-len(b), max(len(b), 64<<10)))
 		}
-		chunk := b[len(b):min(cap(b), int(n))]
+		chunk := b[len(b):min(cap(b), end)]
 		_, err := io.ReadFull(r, chunk)
 		b = b[:len(b)+len(chunk)]
 		*buf = b
@@ -96,7 +96,7 @@ func readFrame(r io.Reader, buf *[]byte, limit uint32) (typ byte, body []byte, e
 			return 0, nil, fmt.Errorf("rpc: reading frame body: %w", err)
 		}
 	}
-	return b[0], b[1:], nil
+	return b[frameHeaderLen], b[frameHeaderLen+1:], nil
 }
 
 // message is a frame body with a binary layout: its wire method names

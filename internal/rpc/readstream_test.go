@@ -93,11 +93,11 @@ func FuzzBlockReadStream(f *testing.F) {
 			n, err = s.Read(p)
 			out = append(out, p[:n]...)
 		}
-		s.release()
+		s.Release()
 		check("Read", out, err)
 
 		s, _ = newBlockStream(bytes.NewReader(stream), hdr, resp)
-		defer s.release()
+		defer s.Release()
 		out = out[:0]
 		for i := 0; ; i++ {
 			var pkt Packet
@@ -130,7 +130,7 @@ func TestBlockReadStreamVerifiedPrefix(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer s.release()
+	defer s.Release()
 	p := make([]byte, 200)
 	n, err := s.Read(p)
 	if n != 50 || !bytes.Equal(p[:n], content[:50]) || !errors.Is(err, core.ErrCorrupt) {

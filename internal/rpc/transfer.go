@@ -28,10 +28,10 @@ func init() {
 
 // TransferTimeout returns the rolling deadline applied to each
 // individual read or write on a data connection once it is
-// established: the clock restarts on every packet, so a long transfer
-// over a healthy link never trips it, but a worker that accepts a
-// connection and then hangs surfaces an i/o timeout instead of
-// stalling the client forever. Zero disables deadlines.
+// established: the clock restarts on every read and write, so a long
+// transfer over a healthy link never trips it, but a worker that
+// accepts a connection and then hangs surfaces an i/o timeout instead
+// of stalling the client forever. Zero disables deadlines.
 func TransferTimeout() time.Duration { return time.Duration(transferTimeoutNs.Load()) }
 
 // HandshakeTimeout returns the absolute deadline over a connection's
@@ -52,8 +52,8 @@ func HandshakeTimeout() time.Duration { return time.Duration(handshakeTimeoutNs.
 //
 // Deadline arming is coarsened: once a rolling deadline is set, it is
 // only pushed forward again after a quarter of the timeout window has
-// elapsed, so a packet stream costs one SetDeadline syscall per
-// timeout/4 instead of one per packet. The effective deadline is thus
+// elapsed, so a block stream costs one SetDeadline syscall per
+// timeout/4 instead of one per write. The effective deadline is thus
 // between 0.75×timeout and timeout — the slack tests must tolerate.
 type deadlineConn struct {
 	net.Conn
@@ -79,16 +79,22 @@ func (c *deadlineConn) deadline() time.Time {
 	return d
 }
 
-func (c *deadlineConn) Read(p []byte) (int, error) {
+// arm pushes the deadline armed in *armed forward with set, once per
+// quarter timeout after the handshake, or clears it when none applies.
+func (c *deadlineConn) arm(armed *time.Time, set func(time.Time) error) {
 	if d := c.deadline(); !d.IsZero() {
-		if !c.hsUntil.IsZero() || c.armedR.IsZero() || d.Sub(c.armedR) > c.timeout/4 {
-			c.Conn.SetReadDeadline(d)
-			c.armedR = d
+		if !c.hsUntil.IsZero() || armed.IsZero() || d.Sub(*armed) > c.timeout/4 {
+			set(d)
+			*armed = d
 		}
-	} else if !c.armedR.IsZero() {
-		c.Conn.SetReadDeadline(time.Time{})
-		c.armedR = time.Time{}
+	} else if !armed.IsZero() {
+		set(time.Time{})
+		*armed = time.Time{}
 	}
+}
+
+func (c *deadlineConn) Read(p []byte) (int, error) {
+	c.arm(&c.armedR, c.Conn.SetReadDeadline)
 	n, err := c.Conn.Read(p)
 	if c.data {
 		connStats.bytesRead.Add(uint64(n))
@@ -97,16 +103,18 @@ func (c *deadlineConn) Read(p []byte) (int, error) {
 }
 
 func (c *deadlineConn) Write(p []byte) (int, error) {
-	if d := c.deadline(); !d.IsZero() {
-		if !c.hsUntil.IsZero() || c.armedW.IsZero() || d.Sub(c.armedW) > c.timeout/4 {
-			c.Conn.SetWriteDeadline(d)
-			c.armedW = d
-		}
-	} else if !c.armedW.IsZero() {
-		c.Conn.SetWriteDeadline(time.Time{})
-		c.armedW = time.Time{}
-	}
+	c.arm(&c.armedW, c.Conn.SetWriteDeadline)
 	n, err := c.Conn.Write(p)
+	if c.data {
+		connStats.bytesWritten.Add(uint64(n))
+	}
+	return n, err
+}
+
+// writeBuffers is Write for several slices, in one writev.
+func (c *deadlineConn) writeBuffers(bufs *net.Buffers) (int64, error) {
+	c.arm(&c.armedW, c.Conn.SetWriteDeadline)
+	n, err := bufs.WriteTo(c.Conn)
 	if c.data {
 		connStats.bytesWritten.Add(uint64(n))
 	}
@@ -386,11 +394,11 @@ func (w *BlockWriter) Write(p []byte) (int, error) {
 	return n, err
 }
 
-// WriteRaw forwards one verified packet verbatim, as a pipeline stage
-// passes the writer's packets downstream.
-func (w *BlockWriter) WriteRaw(raw []byte) error {
+// WriteRaw forwards one verified piece of a write stream verbatim, as
+// a pipeline stage passes the writer's windows downstream.
+func (w *BlockWriter) WriteRaw(p Packet) error {
 	start := time.Now()
-	err := w.pw.WriteRaw(raw)
+	err := w.pw.WriteRaw(p)
 	w.netNs.Add(time.Since(start).Nanoseconds())
 	return err
 }
@@ -403,7 +411,7 @@ func (w *BlockWriter) Peer() string { return w.peer }
 func (w *BlockWriter) PoolHit() bool { return w.poolHit }
 
 // Phases returns the writer's accumulated phase timings: TCP dial,
-// header encode+send, time blocked writing the packet stream, and
+// header encode+send, time blocked writing the write stream, and
 // time waiting for the pipeline ack (zero until WaitAck returns).
 func (w *BlockWriter) Phases() (dialNs, headerEncodeNs, netNs, ackWaitNs int64) {
 	return w.dialNs.Load(), w.hdrNs.Load(), w.netNs.Load(), w.ackNs.Load()
@@ -413,7 +421,7 @@ func (w *BlockWriter) Phases() (dialNs, headerEncodeNs, netNs, ackWaitNs int64) 
 // for the flight recorder's churn accounting.
 func (w *BlockWriter) AllocBytes() int64 { return w.pw.AllocBytes() }
 
-// CloseStream terminates the packet stream (end packet + flush)
+// CloseStream terminates the write stream (staged tail + empty window)
 // without waiting for the pipeline acknowledgement, so the caller can
 // start the next block while this one drains through the pipeline.
 func (w *BlockWriter) CloseStream() error {

@@ -182,7 +182,7 @@ func TestReadFrameRejectsGiantFrame(t *testing.T) {
 }
 
 func TestPacketStreamRoundTrip(t *testing.T) {
-	payload := make([]byte, 3*MaxPacketSize+12345) // forces multiple packets
+	payload := make([]byte, 20*core.ChunkSize+12345) // forces several windows
 	for i := range payload {
 		payload[i] = byte(i * 7)
 	}
@@ -199,7 +199,7 @@ func TestPacketStreamRoundTrip(t *testing.T) {
 		t.Fatalf("ReadAll: %v", err)
 	}
 	if !bytes.Equal(got, payload) {
-		t.Error("packet stream corrupted payload")
+		t.Error("write stream corrupted payload")
 	}
 }
 
@@ -224,7 +224,7 @@ func TestPacketReaderDetectsCorruption(t *testing.T) {
 	pw.Write([]byte("precious block data"))
 	pw.Close()
 	raw := buf.Bytes()
-	raw[10] ^= 0xFF // flip a payload bit
+	raw[bytes.Index(raw, []byte("precious"))+3] ^= 0xFF // flip a payload bit
 	_, err := io.ReadAll(NewPacketReader(bytes.NewReader(raw)))
 	if !errors.Is(err, core.ErrCorrupt) {
 		t.Errorf("corrupted stream err = %v, want ErrCorrupt", err)
@@ -236,7 +236,7 @@ func TestPacketReaderDetectsTruncation(t *testing.T) {
 	pw := NewPacketWriter(&buf)
 	pw.Write([]byte("some data"))
 	pw.Close()
-	raw := buf.Bytes()[:buf.Len()-9] // drop the end packet
+	raw := buf.Bytes()[:buf.Len()-9] // cut into the empty window
 	_, err := io.ReadAll(NewPacketReader(bytes.NewReader(raw)))
 	if err == nil {
 		t.Error("truncated stream read without error")

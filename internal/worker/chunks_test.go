@@ -2,7 +2,6 @@ package worker
 
 import (
 	"bytes"
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
@@ -16,6 +15,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/rpc"
+	"repro/internal/xfer"
 )
 
 // writeBlock streams payload into the test worker's media on through
@@ -264,19 +264,21 @@ func BenchmarkReadBlock(b *testing.B) {
 	}
 }
 
-// rawPacket frames payload as one wire packet.
-func rawPacket(payload []byte) []byte {
-	raw := make([]byte, 8+len(payload))
-	binary.BigEndian.PutUint32(raw[0:4], uint32(len(payload)))
-	binary.BigEndian.PutUint32(raw[4:8], core.ChunkSum(payload))
-	copy(raw[8:], payload)
-	return raw
+// window encodes p as one window of a write stream at block offset
+// off: its header frame, and p.
+func window(t *testing.T, off int64, p []byte) rpc.Packet {
+	t.Helper()
+	var hdr bytes.Buffer
+	if err := rpc.WriteFrame(&hdr, rpc.ReadBlockResponse{Length: int64(len(p)), Sums: rpc.PieceSums(p, off)}); err != nil {
+		t.Fatal(err)
+	}
+	return rpc.Packet{Header: hdr.Bytes(), Payload: p}
 }
 
 // TestPipelineRefusesChunkAfterShortPacket sends a write stream whose
-// short packet is followed by another: every packet verifies, but the
-// stream breaks the chunk layout, so the write fails and no replica
-// is left behind.
+// short first window is followed by another, which so starts inside a
+// chunk: every piece verifies, but the stream breaks the chunk layout,
+// so the write fails and no replica is left behind.
 func TestPipelineRefusesChunkAfterShortPacket(t *testing.T) {
 	m, w := testWorker(t)
 	blk := hddBlock(t, m, "/short", 4)
@@ -286,15 +288,78 @@ func TestPipelineRefusesChunkAfterShortPacket(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, p := range []string{"ab", "cd"} {
-		if err := bw.WriteRaw(rawPacket([]byte(p))); err != nil {
+	for off, p := range []string{"ab", "cd"} {
+		if err := bw.WriteRaw(window(t, int64(2*off), []byte(p))); err != nil {
 			t.Fatal(err)
 		}
 	}
 	if err := bw.Commit(); err == nil {
-		t.Fatal("a short packet followed by another was stored")
+		t.Fatal("a window starting inside a chunk was stored")
 	}
 	if w.Media()["wtest:hdd0"].Has(blk) {
 		t.Error("the refused replica is present")
+	}
+}
+
+// TestPipelineRefusesCorruptWindow sends a two-stage pipeline (HDD,
+// then memory on the same worker) a hand-built window of two chunks
+// whose second chunk has one byte flipped in transit. The head stage
+// forwards the first chunk, finds the second bad before forwarding or
+// storing it, and acks ErrCorrupt; neither stage keeps a replica, and
+// the downstream stage commits nothing.
+func TestPipelineRefusesCorruptWindow(t *testing.T) {
+	m, w := testWorker(t)
+	const C = core.ChunkSize
+	blk := hddBlock(t, m, "/corrupt-window", 2*C)
+	content := bytes.Repeat([]byte("octopus!"), 2*C/8)
+	win := window(t, 0, content)
+	win.Payload = bytes.Clone(content)
+	win.Payload[C+40] ^= 0x01
+
+	conn, err := net.Dial("tcp", w.DataAddr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	conn.SetDeadline(time.Now().Add(10 * time.Second))
+	hdr := rpc.WriteBlockHeader{Block: blk, Client: "test", Pipeline: []rpc.PipelineTarget{
+		{Worker: w.ID(), Address: w.DataAddr(), Storage: "wtest:hdd0"},
+		{Worker: w.ID(), Address: w.DataAddr(), Storage: "wtest:mem0"},
+	}}
+	if _, err := conn.Write([]byte{rpc.OpWriteBlock}); err != nil {
+		t.Fatal(err)
+	}
+	if err := rpc.WriteFrame(conn, hdr); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := conn.Write(append(win.Header, win.Payload...)); err != nil {
+		t.Fatal(err)
+	}
+	var ack rpc.WriteBlockAck
+	if err := rpc.ReadFrame(conn, &ack); err != nil {
+		t.Fatal(err)
+	}
+	if err := rpc.DecodeError(ack.Err); !errors.Is(err, core.ErrCorrupt) || ack.Stored != 0 {
+		t.Fatalf("ack = %v, %d bytes stored; want ErrCorrupt and none", err, ack.Stored)
+	}
+
+	// The downstream stage ends when the head stage drops its stream;
+	// its transfer record is appended once it has.
+	var recs []xfer.Record
+	for deadline := time.Now().Add(5 * time.Second); len(recs) < 2 && time.Now().Before(deadline); time.Sleep(10 * time.Millisecond) {
+		recs = w.TransferLog().Since(0, "write", 0).Entries
+	}
+	if len(recs) != 2 {
+		t.Fatalf("%d write transfer records, want one per stage", len(recs))
+	}
+	for _, r := range recs {
+		if r.Bytes != 0 || r.Result == "ok" {
+			t.Errorf("%s stage: %d bytes stored, result %q; want none and a failure", r.Tier, r.Bytes, r.Result)
+		}
+	}
+	for _, on := range []core.StorageID{"wtest:hdd0", "wtest:mem0"} {
+		if w.Media()[on].Has(blk) {
+			t.Errorf("%s holds a replica of the corrupt stream", on)
+		}
 	}
 }

@@ -71,7 +71,7 @@ func (w *Worker) handleConn(conn *net.TCPConn) {
 	// longer idle timeout applies; the client pool's idle cap is kept
 	// below it, so the client side almost always closes first.
 	// Handlers lift the deadline once the header frame is in
-	// (endHandshake), after which the packet stream governs its own
+	// (endHandshake), after which the block stream governs its own
 	// pacing.
 	for first := true; ; first = false {
 		wait := dataIdleTimeout
@@ -134,7 +134,7 @@ func (t *timedWriter) Write(p []byte) (int, error) {
 }
 
 // handleWriteBlock implements one stage of the Worker-to-Worker write
-// pipeline (paper §3.1): forward each verified packet verbatim to the
+// pipeline (paper §3.1): forward each verified chunk verbatim to the
 // next stage and store it on the local media named by the pipeline
 // head, then combine the downstream ack with the local result.
 // It reports whether the connection is clean for another exchange:
@@ -216,8 +216,8 @@ func annotatePhases(sp *trace.ActiveSpan, rec *xfer.Record) {
 }
 
 // writeBlockPipeline runs the body of one OpWriteBlock exchange. The
-// second result reports whether the upstream packet stream was fully
-// consumed (end marker seen), i.e. whether the connection holds no
+// second result reports whether the upstream write stream was fully
+// consumed (empty window seen), i.e. whether the connection holds no
 // residual request bytes.
 func (w *Worker) writeBlockPipeline(conn net.Conn, hdr rpc.WriteBlockHeader, sp *trace.ActiveSpan, rec *xfer.Record) (rpc.WriteBlockAck, bool) {
 	if len(hdr.Pipeline) == 0 {
@@ -242,7 +242,7 @@ func (w *Worker) writeBlockPipeline(conn net.Conn, hdr rpc.WriteBlockHeader, sp 
 
 	// A refused replica (no space) still drains and forwards the
 	// stream, so the connection stays clean and the ack says why.
-	src := rpc.NewPacketReader(conn)
+	src := rpc.NewBlockReceiver(conn, hdr.Block.NumBytes)
 	defer src.Release()
 	var iost storage.IOStats
 	cw, createErr := media.Create(hdr.Block, &iost)
@@ -251,8 +251,8 @@ func (w *Worker) writeBlockPipeline(conn net.Conn, hdr rpc.WriteBlockHeader, sp 
 		storeErr = createErr
 	}
 
-	// Send the end marker downstream before committing here, so the
-	// stages commit side by side.
+	// End the stream downstream before committing here, so the stages
+	// commit side by side.
 	var downErr error
 	if downstream != nil {
 		if streamErr != nil {
@@ -303,9 +303,9 @@ func (w *Worker) writeBlockPipeline(conn net.Conn, hdr rpc.WriteBlockHeader, sp 
 	}
 }
 
-// storeStream stores a peer's packet stream as a new replica on media,
+// storeStream stores a peer's block stream as a new replica on media,
 // committing it only when the stream ended cleanly.
-func storeStream(media *storage.Media, block core.Block, src packetSource, st *storage.IOStats) (n, netNs int64, err error) {
+func storeStream(media *storage.Media, block core.Block, src *rpc.PacketReader, st *storage.IOStats) (n, netNs int64, err error) {
 	cw, err := media.Create(block, st)
 	if err != nil {
 		return 0, 0, err
@@ -319,20 +319,14 @@ func storeStream(media *storage.Media, block core.Block, src packetSource, st *s
 	return n, netNs, err
 }
 
-// packetSource is a verified chunk stream: a pipeline's upstream
-// packets, or the pieces of a replica served by a peer.
-type packetSource interface {
-	Next() (rpc.Packet, error)
-}
-
-// receive drains a packet stream, HDFS BlockReceiver style: each packet
-// is verified by Next, forwarded verbatim to fwd (when set), then
-// stored as a chunk under the checksum it arrived with. After a
-// forward failure the stream is still drained so the connection stays
-// clean; after a store failure, or with no cw, chunks are not stored.
-// netNs is the time spent waiting on src; streamDone reports that the
-// end marker was consumed.
-func receive(src packetSource, cw storage.ChunkWriter, fwd *rpc.BlockWriter) (netNs int64, streamDone bool, streamErr, storeErr error) {
+// receive drains a block stream, HDFS BlockReceiver style: each chunk
+// is verified by Next, forwarded verbatim to fwd (when set), with the
+// header of the window it opens, then stored under the checksum it
+// arrived with. After a forward failure the stream is still drained so
+// the connection stays clean; after a store failure, or with no cw,
+// chunks are not stored. netNs is the time spent waiting on src;
+// streamDone reports that the stream was read to its end.
+func receive(src *rpc.PacketReader, cw storage.ChunkWriter, fwd *rpc.BlockWriter) (netNs int64, streamDone bool, streamErr, storeErr error) {
 	for {
 		start := time.Now()
 		p, err := src.Next()
@@ -344,7 +338,7 @@ func receive(src packetSource, cw storage.ChunkWriter, fwd *rpc.BlockWriter) (ne
 			return netNs, false, err, storeErr
 		}
 		if fwd != nil && streamErr == nil {
-			streamErr = fwd.WriteRaw(p.Raw)
+			streamErr = fwd.WriteRaw(p)
 		}
 		if cw != nil && storeErr == nil && streamErr == nil {
 			storeErr = cw.WriteChunk(p.Payload, p.Sum)
@@ -354,7 +348,7 @@ func receive(src packetSource, cw storage.ChunkWriter, fwd *rpc.BlockWriter) (ne
 
 // handleReadBlock streams a block range to a reader (paper §4.1). It
 // reports whether the connection is clean for another exchange: the
-// refusal or the full packet stream was delivered without error.
+// refusal or the full block stream was delivered without error.
 func (w *Worker) handleReadBlock(conn *net.TCPConn) (keep bool) {
 	start := time.Now()
 	var hdr rpc.ReadBlockHeader
@@ -562,13 +556,12 @@ func (w *Worker) replicate(reqID string, sp *trace.ActiveSpan, block core.Block,
 			rec.HeaderDecodeNs += tm.HeaderDecodeNs
 			rec.PoolHit = tm.PoolHit
 			// A whole-block read's pieces are the replica's chunks.
+			src := rc.(*rpc.PacketReader)
 			var iost storage.IOStats
 			var n, netNs int64
-			n, netNs, err = storeStream(media, block, rc.(packetSource), &iost)
-			if ac, ok := rc.(interface{ AllocBytes() int64 }); ok {
-				rec.AllocBytes += ac.AllocBytes()
-			}
-			rc.Close()
+			n, netNs, err = storeStream(media, block, src, &iost)
+			rec.AllocBytes += src.AllocBytes()
+			src.Close()
 			if err == nil {
 				rec.NetNs += netNs
 				rec.DiskNs += iost.DeviceNs

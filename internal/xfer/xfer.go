@@ -87,7 +87,7 @@ type Record struct {
 	TotalNs        int64 `json:"total_ns"`
 
 	// AllocBytes counts the transfer-local buffer bytes freshly
-	// allocated for this leg (packet reader/writer buffers, frame
+	// allocated for this leg (stream reader/writer buffers, frame
 	// scratch, copy buffers); buffers reused from the pools count
 	// zero, so steady state reads 0.
 	AllocBytes int64 `json:"alloc_bytes"`
