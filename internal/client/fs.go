@@ -7,6 +7,7 @@ package client
 
 import (
 	"io"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -242,10 +243,29 @@ func (fs *FileSystem) Stat(path string) (rpc.FileStatus, error) {
 	return reply.Status, err
 }
 
-// List returns a directory's entries.
+// List returns a directory's entries in name order with their full
+// paths, or the one entry of a file path. The master sends names; the
+// paths are joined here.
 func (fs *FileSystem) List(path string) ([]rpc.FileStatus, error) {
 	var reply rpc.ListReply
 	err := fs.call("Master.List", &rpc.ListArgs{Path: path}, &reply)
+	// One string holds every path, back to back, and each entry's is a
+	// slice of it: one allocation for the paths, not one per entry.
+	prefix, size := strings.TrimSuffix(reply.Dir, "/")+"/", 0
+	for _, e := range reply.Entries {
+		size += len(prefix) + len(e.Path)
+	}
+	var all strings.Builder
+	all.Grow(size)
+	for _, e := range reply.Entries {
+		all.WriteString(prefix)
+		all.WriteString(e.Path)
+	}
+	paths := all.String()
+	for i := range reply.Entries {
+		n := len(prefix) + len(reply.Entries[i].Path)
+		reply.Entries[i].Path, paths = paths[:n], paths[n:]
+	}
 	return reply.Entries, err
 }
 

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"io"
 	"math/rand"
+	"slices"
 	"testing"
 	"time"
 
@@ -210,6 +211,48 @@ func TestNamespaceOpsOverRPC(t *testing.T) {
 	}
 	if _, err := fs.Stat("/a"); !errors.Is(err, core.ErrNotFound) {
 		t.Errorf("stat deleted err = %v", err)
+	}
+}
+
+// TestListRebuildsFullPaths lists over the master port, whose reply
+// names the directory once and each entry by name: the client hands back
+// full paths in name order, at the root, below it, and for a file path.
+func TestListRebuildsFullPaths(t *testing.T) {
+	c := startTestCluster(t)
+	fs, _ := c.Client("")
+	defer fs.Close()
+	if err := fs.Mkdir("/d", false); err != nil {
+		t.Fatal(err)
+	}
+	for _, p := range []string{"/d/x", "/a"} {
+		if err := fs.WriteFile(p, nil, core.ReplicationVectorFromFactor(1)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, tc := range []struct {
+		path string
+		want []string
+		dirs []bool
+	}{
+		{"/", []string{"/a", "/d"}, []bool{false, true}},
+		{"/d", []string{"/d/x"}, []bool{false}},
+		{"/d/x", []string{"/d/x"}, []bool{false}},
+	} {
+		entries, err := fs.List(tc.path)
+		if err != nil {
+			t.Fatalf("List(%s): %v", tc.path, err)
+		}
+		var got []string
+		var dirs []bool
+		for _, e := range entries {
+			got, dirs = append(got, e.Path), append(dirs, e.IsDir)
+		}
+		if !slices.Equal(got, tc.want) || !slices.Equal(dirs, tc.dirs) {
+			t.Errorf("List(%s) = %v (dirs %v), want %v (dirs %v)", tc.path, got, dirs, tc.want, tc.dirs)
+		}
+	}
+	if entries, err := fs.List("/none"); !errors.Is(err, core.ErrNotFound) || entries != nil {
+		t.Errorf("List(/none) = %v, %v; want nothing and ErrNotFound", entries, err)
 	}
 }
 

@@ -306,15 +306,16 @@ func (s *Service) GetFileInfo(args *rpc.GetFileInfoArgs, reply *rpc.GetFileInfoR
 	return nil
 }
 
-// List returns a directory's entries.
+// List returns a directory's entries by name; the client joins each
+// to reply.Dir.
 func (s *Service) List(args *rpc.ListArgs, reply *rpc.ListReply) (err error) {
 	op := s.m.beginOp("list", args.ReqHeader, args.Path, "")
 	defer op.Finish(&err)
-	infos, err := s.m.ns.List(args.Path, op.Stats())
+	dir, infos, err := s.m.ns.ListNames(args.Path, op.Stats())
 	if err != nil {
 		return wire(err)
 	}
-	reply.Entries = make([]rpc.FileStatus, len(infos))
+	reply.Dir, reply.Entries = dir, make([]rpc.FileStatus, len(infos))
 	for i, info := range infos {
 		reply.Entries[i] = toFileStatus(info)
 	}

@@ -30,8 +30,8 @@ func fullState(t *testing.T, ns *Namespace) string {
 			line += fmt.Sprintf("%d:%d:%d,", b.ID, b.GenStamp, b.NumBytes)
 		}
 		out = append(out, line)
-		for _, name := range n.childNames() {
-			walk(JoinPath(path, name), n.Children[name])
+		for _, c := range n.Children {
+			walk(JoinPath(path, c.Name), c)
 		}
 	}
 	ns.mu.RLock()

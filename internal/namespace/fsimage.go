@@ -40,8 +40,8 @@ func (ns *Namespace) imageBytesLocked() []byte {
 	var walk func(n *INode)
 	walk = func(n *INode) {
 		buf, count = appendInode(buf, n), count+1
-		for _, name := range n.childNames() {
-			walk(n.Children[name])
+		for _, c := range n.Children {
+			walk(c)
 		}
 	}
 	walk(ns.root)
@@ -124,7 +124,7 @@ func decodeImage(data []byte, lastID FileID) (*Namespace, error) {
 			for s := range n.Quota {
 				n.Quota[s] = int64(r.uvarint())
 			}
-			n.Children = make(map[string]*INode, min(kids, count-i))
+			n.Children = make([]*INode, 0, min(kids, count-i))
 		} else {
 			n.RepVector, n.BlockSize = core.ReplicationVector(r.uvarint()), int64(r.uvarint())
 			for len(r.b) > 0 && !r.bad {
@@ -148,7 +148,8 @@ func decodeImage(data []byte, lastID FileID) (*Namespace, error) {
 		default:
 			p := &stack[top]
 			p.left, p.last = p.left-1, name
-			p.dir.Children[name] = n
+			// Names arrive in order (checked above): the child goes last.
+			p.dir.Children = append(p.dir.Children, n)
 			p.dir.Usage = addCharges(p.dir.Usage, chargesOf(n)) // a directory's comes up once it is done
 			img.adopt(p.dir, n)
 		}

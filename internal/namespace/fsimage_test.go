@@ -78,10 +78,7 @@ func header(tx, nextBlock, nextGen, count uint64) []byte {
 
 // dirFrame is a directory inode claiming kids children.
 func dirFrame(name string, kids int) []byte {
-	n := &INode{Name: name, IsDir: true, Children: map[string]*INode{}}
-	for i := 0; i < kids; i++ {
-		n.Children[strings.Repeat("k", i+1)] = nil
-	}
+	n := &INode{Name: name, IsDir: true, Children: make([]*INode, kids)}
 	return appendInode(nil, n)
 }
 

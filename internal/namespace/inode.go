@@ -1,7 +1,7 @@
 package namespace
 
 import (
-	"sort"
+	"slices"
 
 	"repro/internal/core"
 )
@@ -28,8 +28,10 @@ type INode struct {
 	ModTime int64 // Unix nanoseconds
 	Owner   string
 
-	// Directory state.
-	Children map[string]*INode
+	// Directory state. Children are held in name order: a lookup is a
+	// binary search, an insert or removal moves the pointers after it,
+	// and every walk visits them in the image's and a listing's order.
+	Children []*INode
 	// Quota holds per-tier byte quotas plus the total-space quota in
 	// the last slot; 0 means unlimited (paper §1: per-media quotas).
 	Quota [numQuotaSlots]int64
@@ -51,11 +53,10 @@ type INode struct {
 // newDirectory builds an empty directory inode.
 func newDirectory(name, owner string, now int64) *INode {
 	return &INode{
-		Name:     name,
-		IsDir:    true,
-		ModTime:  now,
-		Owner:    owner,
-		Children: make(map[string]*INode),
+		Name:    name,
+		IsDir:   true,
+		ModTime: now,
+		Owner:   owner,
 	}
 }
 
@@ -80,14 +81,43 @@ func (n *INode) Length() int64 {
 	return total
 }
 
-// childNames returns the sorted child names of a directory.
-func (n *INode) childNames() []string {
-	names := make([]string, 0, len(n.Children))
-	for name := range n.Children {
-		names = append(names, name)
+// search returns where name is, or would be inserted, among the
+// directory's children, and whether it is there.
+func (n *INode) search(name string) (int, bool) {
+	lo, hi := 0, len(n.Children)
+	for lo < hi {
+		if m := int(uint(lo+hi) >> 1); n.Children[m].Name < name {
+			lo = m + 1
+		} else {
+			hi = m
+		}
 	}
-	sort.Strings(names)
-	return names
+	return lo, lo < len(n.Children) && n.Children[lo].Name == name
+}
+
+// child returns the directory's child called name, nil if there is none.
+func (n *INode) child(name string) *INode {
+	if i, ok := n.search(name); ok {
+		return n.Children[i]
+	}
+	return nil
+}
+
+// put links c into the directory in name order, in place of a child
+// of the same name.
+func (n *INode) put(c *INode) {
+	if i, ok := n.search(c.Name); ok {
+		n.Children[i] = c
+	} else {
+		n.Children = slices.Insert(n.Children, i, c)
+	}
+}
+
+// drop unlinks the child called name from the directory.
+func (n *INode) drop(name string) {
+	if i, ok := n.search(name); ok {
+		n.Children = slices.Delete(n.Children, i, i+1)
+	}
 }
 
 // charges computes the per-slot quota charges of adding bytes b to a

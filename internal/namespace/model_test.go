@@ -110,6 +110,65 @@ func hasFile(m *modelFS, p string) bool {
 	return ok
 }
 
+// children returns the full paths of the model's entries directly
+// under dir, in name order.
+func (m *modelFS) children(dir string) []string {
+	var out []string
+	for p := range m.dirs {
+		if p != Separator && ParentPath(p) == dir {
+			out = append(out, p)
+		}
+	}
+	for p := range m.files {
+		if ParentPath(p) == dir {
+			out = append(out, p)
+		}
+	}
+	sort.Strings(out)
+	return out
+}
+
+// checkList asserts that List(dir) returns exactly the model's children
+// of dir, as full paths in strictly increasing name order.
+func checkList(t *testing.T, ns *Namespace, m *modelFS, dir, when string) {
+	t.Helper()
+	infos, err := ns.List(dir)
+	if err != nil {
+		t.Fatalf("%s: list %s: %v", when, dir, err)
+	}
+	got := make([]string, len(infos))
+	for i, info := range infos {
+		got[i] = info.Path
+		if i > 0 && got[i-1] >= got[i] {
+			t.Fatalf("%s: list %s: %s then %s, not strictly in name order", when, dir, got[i-1], got[i])
+		}
+		if info.IsDir != m.dirs[info.Path] {
+			t.Fatalf("%s: list %s: %s has IsDir %v, model %v", when, dir, info.Path, info.IsDir, m.dirs[info.Path])
+		}
+	}
+	if want := m.children(dir); !slices.Equal(got, want) {
+		t.Fatalf("%s: list %s = %v, model %v", when, dir, got, want)
+	}
+}
+
+// checkLookup asserts that every directory finds each of its children
+// by name: the order a walk sees is the order a lookup searches.
+func checkLookup(t *testing.T, ns *Namespace, when string) {
+	t.Helper()
+	ns.mu.RLock()
+	defer ns.mu.RUnlock()
+	var walk func(path string, n *INode)
+	walk = func(path string, n *INode) {
+		for _, c := range n.Children {
+			if got := n.child(c.Name); got != c {
+				t.Fatalf("%s: %s does not find its child %q by lookup", when, path, c.Name)
+			}
+			walk(JoinPath(path, c.Name), c)
+		}
+	}
+	walk(Separator, ns.root)
+}
+
 // checkIdentity asserts the file-identity invariants and returns the
 // path → ID map it read: IDs are non-zero and unique, the ID index holds
 // exactly the files in the tree and the open index exactly those under
@@ -154,10 +213,13 @@ func checkIdentity(t *testing.T, ns *Namespace, when string) map[string]FileID {
 
 // TestNamespaceAgainstModel applies a long random operation sequence
 // to both the real namespace and the flat reference model, checking the
-// identity invariants after every op, then verifies they contain exactly
-// the same tree — before and after a checkpoint and reopen.
+// identity invariants and the listing of a random directory after every
+// op, then verifies they contain exactly the same tree — before and
+// after a checkpoint and reopen, after which every directory lists as
+// the model's and finds each of its children by lookup.
 func TestNamespaceAgainstModel(t *testing.T) {
 	rng := rand.New(rand.NewSource(2024))
+	listRng := rand.New(rand.NewSource(7)) // apart, so the op sequence stays as seeded
 	dir := t.TempDir()
 	ns, err := Open(dir)
 	if err != nil {
@@ -285,6 +347,12 @@ func TestNamespaceAgainstModel(t *testing.T) {
 			}
 		}
 		ids = checkIdentity(t, ns, "after op "+strconv.Itoa(op))
+		dirs := make([]string, 0, len(model.dirs))
+		for d := range model.dirs {
+			dirs = append(dirs, d)
+		}
+		sort.Strings(dirs)
+		checkList(t, ns, model, dirs[listRng.Intn(len(dirs))], "after op "+strconv.Itoa(op))
 	}
 
 	// Before the checkpoint, add what the random ops do not make: open
@@ -364,6 +432,10 @@ func TestNamespaceAgainstModel(t *testing.T) {
 		t.Fatalf("reopen: %v", err)
 	}
 	compare("after checkpoint and reopen")
+	for d := range model.dirs {
+		checkList(t, ns, model, d, "after checkpoint and reopen")
+	}
+	checkLookup(t, ns, "after checkpoint and reopen")
 	if got := fullState(t, ns); got != want {
 		g, w := strings.Split(got, "\n"), strings.Split(want, "\n")
 		for i := 0; i < len(g) && i < len(w); i++ {

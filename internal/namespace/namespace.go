@@ -5,6 +5,7 @@ import (
 	"os"
 	"path/filepath"
 	"slices"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -245,14 +246,16 @@ func (ns *Namespace) apply(rec EditRecord) (result, error) {
 // missing. The root is its own directory. Callers hold ns.mu.
 func (ns *Namespace) locate(path string) (dir, node *INode, err error) {
 	dir, node = ns.root, ns.root
-	for _, part := range SplitPath(path) {
+	for rest, more := strings.TrimPrefix(path, Separator), path != Separator; more; {
+		var part string
+		part, rest, more = strings.Cut(rest, Separator)
 		if node == nil {
 			return nil, nil, fmt.Errorf("namespace: %s: %w", path, core.ErrNotFound)
 		}
 		if !node.IsDir {
 			return nil, nil, fmt.Errorf("namespace: %s: %w", path, core.ErrNotDirectory)
 		}
-		dir, node = node, node.Children[part]
+		dir, node = node, node.child(part)
 	}
 	return dir, node, nil
 }
@@ -296,7 +299,7 @@ func (ns *Namespace) adopt(parent, node *INode) {
 // for the caller to invalidate.
 func (ns *Namespace) unlink(dir, node *INode, now int64) (rm Removed) {
 	charge(dir, negCharges(chargesOf(node)))
-	delete(dir.Children, node.Name)
+	dir.drop(node.Name)
 	dir.ModTime = now
 	ns.forget(node, &rm)
 	return rm
@@ -312,8 +315,8 @@ func (ns *Namespace) forget(n *INode, rm *Removed) {
 		rm.Blocks = append(rm.Blocks, n.Blocks...)
 		return
 	}
-	for _, name := range n.childNames() {
-		ns.forget(n.Children[name], rm)
+	for _, c := range n.Children {
+		ns.forget(c, rm)
 	}
 }
 
@@ -369,8 +372,8 @@ func (ns *Namespace) applyMkdir(rec EditRecord) (result, error) {
 		if !node.IsDir {
 			return result{}, fmt.Errorf("namespace: %s: %w", rec.Path, core.ErrNotDirectory)
 		}
-		child, ok := node.Children[parts[have]]
-		if !ok {
+		child := node.child(parts[have])
+		if child == nil {
 			break
 		}
 		node = child
@@ -385,7 +388,7 @@ func (ns *Namespace) applyMkdir(rec EditRecord) (result, error) {
 	}
 	for _, part := range parts[have:] {
 		child := newDirectory(part, rec.Owner, rec.Time)
-		node.Children[part] = child
+		node.put(child)
 		ns.adopt(node, child)
 		node.ModTime = rec.Time
 		node = child
@@ -440,7 +443,7 @@ func (ns *Namespace) applyCreate(rec EditRecord) (result, error) {
 		charge(dir, negCharges(chargesOf(old)))
 		file.id, res.removed.Blocks = old.id, old.Blocks
 	}
-	dir.Children[file.Name] = file
+	dir.put(file)
 	ns.adopt(dir, file)
 	dir.ModTime = rec.Time
 	res.file = file.id
@@ -623,10 +626,10 @@ func (ns *Namespace) applyRename(rec EditRecord) (result, error) {
 		return result{}, err
 	}
 	charge(srcDir, negCharges(usage))
-	delete(srcDir.Children, node.Name)
+	srcDir.drop(node.Name)
 	srcDir.ModTime = rec.Time
 	node.Name, node.parent = BaseName(rec.Dst), dstDir
-	dstDir.Children[node.Name] = node
+	dstDir.put(node)
 	dstDir.ModTime = rec.Time
 	charge(dstDir, usage)
 	return result{}, nil
@@ -731,20 +734,32 @@ func infoFor(path string, node *INode) FileInfo {
 }
 
 // List returns the entries of a directory sorted by name, or the
-// single entry for a file path.
-func (ns *Namespace) List(path string, stats ...*OpStats) (out []FileInfo, err error) {
+// single entry for a file path, each with its full path.
+func (ns *Namespace) List(path string, stats ...*OpStats) ([]FileInfo, error) {
+	dir, out, err := ns.ListNames(path, stats...)
+	for i := range out {
+		out[i].Path = JoinPath(dir, out[i].Path)
+	}
+	return out, err
+}
+
+// ListNames is List without a path string per entry: each entry's Path
+// is its name, and dir is the directory they are in — path itself, or
+// its parent for a file path. The walk is one pass over the directory's
+// children, which are already in name order.
+func (ns *Namespace) ListNames(path string, stats ...*OpStats) (dir string, out []FileInfo, err error) {
 	err = ns.read(path, stats, func(path string, node *INode) error {
 		if !node.IsDir {
-			out = []FileInfo{infoFor(path, node)}
+			dir, out = ParentPath(path), []FileInfo{infoFor(node.Name, node)}
 			return nil
 		}
-		out = make([]FileInfo, 0, len(node.Children))
-		for _, name := range node.childNames() {
-			out = append(out, infoFor(JoinPath(path, name), node.Children[name]))
+		dir, out = path, make([]FileInfo, len(node.Children))
+		for i, c := range node.Children {
+			out[i] = infoFor(c.Name, c)
 		}
 		return nil
 	})
-	return out, err
+	return dir, out, err
 }
 
 // Exists reports whether a path resolves.
@@ -780,8 +795,8 @@ func walkFiles(path string, node *INode, fn func(path string, file *INode)) {
 		fn(path, node)
 		return
 	}
-	for _, name := range node.childNames() {
-		walkFiles(JoinPath(path, name), node.Children[name], fn)
+	for _, c := range node.Children {
+		walkFiles(JoinPath(path, c.Name), c, fn)
 	}
 }
 

@@ -25,13 +25,17 @@ func CleanPath(p string) (string, error) {
 	if p == Separator {
 		return p, nil
 	}
-	parts := strings.Split(strings.Trim(p, Separator), Separator)
-	for _, part := range parts {
-		if part == "" || part == "." || part == ".." {
+	trimmed := strings.Trim(p, Separator)
+	for rest, more := trimmed, true; more; {
+		var part string
+		if part, rest, more = strings.Cut(rest, Separator); part == "" || part == "." || part == ".." {
 			return "", fmt.Errorf("namespace: path %q has invalid component %q: %w", p, part, core.ErrNotFound)
 		}
 	}
-	return Separator + strings.Join(parts, Separator), nil
+	if len(trimmed) == len(p)-1 {
+		return p, nil // already clean: no copy
+	}
+	return Separator + trimmed, nil
 }
 
 // SplitPath splits a cleaned path into its components; the root path

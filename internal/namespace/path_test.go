@@ -12,6 +12,10 @@ func TestCleanPath(t *testing.T) {
 		{"/a", "/a", false},
 		{"/a/b/c", "/a/b/c", false},
 		{"/a/", "/a", false},
+		{"//a", "/a", false},
+		{"/a/b//", "/a/b", false},
+		{"///", "", true},
+		{"/.", "", true},
 		{"/a//b", "", true},
 		{"relative", "", true},
 		{"", "", true},

@@ -202,6 +202,12 @@ func FuzzDecodeFrame(f *testing.F) {
 	for _, frame := range sampleFrames() {
 		f.Add(frame)
 	}
+	// A listing as the master sends it: the directory once, then each
+	// entry by name.
+	f.Add(appendReply(nil, methodIDs["Master.List"], "", &ListReply{Dir: "/d", Entries: []FileStatus{
+		{Path: "x", Length: 5, BlockSize: 1 << 20, ModTime: 1, Owner: "u"},
+		{Path: "y", IsDir: true, ModTime: 2, Owner: "u"},
+	}}))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)

@@ -235,12 +235,17 @@ func (a *GetFileInfoArgs) wire(c *coder) {
 
 func (r *GetFileInfoReply) wire(c *coder) { fileStatus(c, &r.Status) }
 
-// ListArgs / ListReply implement Master.List.
+// ListArgs / ListReply implement Master.List. The reply names the
+// directory once and each entry by its name alone, in name order: an
+// entry's full path is JoinPath(Dir, Entries[i].Path), which the client
+// rebuilds. For a file path Dir is its parent and the one entry is the
+// file.
 type ListArgs struct {
 	ReqHeader
 	Path string
 }
 type ListReply struct {
+	Dir     string
 	Entries []FileStatus
 }
 
@@ -249,7 +254,10 @@ func (a *ListArgs) wire(c *coder) {
 	str(c, &a.Path)
 }
 
-func (r *ListReply) wire(c *coder) { list(c, &r.Entries, fileStatus) }
+func (r *ListReply) wire(c *coder) {
+	str(c, &r.Dir)
+	list(c, &r.Entries, fileStatus)
+}
 
 // DeleteArgs / DeleteReply implement Master.Delete.
 type DeleteArgs struct {

@@ -433,15 +433,16 @@ func (w *BlockWriter) CloseStream() error {
 
 // WaitAck collects the pipeline acknowledgement after CloseStream. On
 // a clean ack the connection goes back to the pool for the writer's
-// next block; on error (or when a concurrent Abort got there first)
-// it is closed.
+// next block; on error, a refusal included (the stage may have stopped
+// reading the stream part way), or when a concurrent Abort got there
+// first, it is closed.
 func (w *BlockWriter) WaitAck() error {
 	start := time.Now()
 	var ack WriteBlockAck
 	err := ReadFrame(w.conn, &ack)
 	w.ackNs.Store(time.Since(start).Nanoseconds())
 	if w.finished.CompareAndSwap(false, true) {
-		if err == nil {
+		if err == nil && ack.Err == "" {
 			releaseData(w.conn)
 		} else {
 			w.conn.Close()

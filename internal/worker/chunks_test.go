@@ -278,7 +278,10 @@ func window(t *testing.T, off int64, p []byte) rpc.Packet {
 // TestPipelineRefusesChunkAfterShortPacket sends a write stream whose
 // short first window is followed by another, which so starts inside a
 // chunk: every piece verifies, but the stream breaks the chunk layout,
-// so the write fails and no replica is left behind.
+// so the write fails with ErrCorrupt and no replica is left behind. The
+// stage refuses with the second window's bytes unread, and the writer
+// sends its end window only after that: it still reads the refusal, not
+// a reset connection.
 func TestPipelineRefusesChunkAfterShortPacket(t *testing.T) {
 	m, w := testWorker(t)
 	blk := hddBlock(t, m, "/short", 4)
@@ -293,8 +296,17 @@ func TestPipelineRefusesChunkAfterShortPacket(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if err := bw.Commit(); err == nil {
-		t.Fatal("a window starting inside a chunk was stored")
+	for deadline := time.Now().Add(5 * time.Second); len(w.TransferLog().Since(0, "write", 0).Entries) == 0; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("the stage never ended the exchange")
+		}
+	}
+	// A stage that closed instead of draining resets the connection
+	// right after its record; give that reset time to land, so the
+	// Commit below would see it.
+	time.Sleep(10 * time.Millisecond)
+	if err := bw.Commit(); !errors.Is(err, core.ErrCorrupt) {
+		t.Fatalf("Commit = %v; want ErrCorrupt for a window starting inside a chunk", err)
 	}
 	if w.Media()["wtest:hdd0"].Has(blk) {
 		t.Error("the refused replica is present")
@@ -303,10 +315,11 @@ func TestPipelineRefusesChunkAfterShortPacket(t *testing.T) {
 
 // TestPipelineRefusesCorruptWindow sends a two-stage pipeline (HDD,
 // then memory on the same worker) a hand-built window of two chunks
-// whose second chunk has one byte flipped in transit. The head stage
-// forwards the first chunk, finds the second bad before forwarding or
-// storing it, and acks ErrCorrupt; neither stage keeps a replica, and
-// the downstream stage commits nothing.
+// whose second chunk has one byte flipped in transit, then the end
+// window. The head stage forwards the first chunk, finds the second bad
+// before forwarding or storing it, and acks ErrCorrupt, which reaches
+// the writer; neither stage keeps a replica, and the downstream stage
+// commits nothing.
 func TestPipelineRefusesCorruptWindow(t *testing.T) {
 	m, w := testWorker(t)
 	const C = core.ChunkSize
@@ -316,31 +329,18 @@ func TestPipelineRefusesCorruptWindow(t *testing.T) {
 	win.Payload = bytes.Clone(content)
 	win.Payload[C+40] ^= 0x01
 
-	conn, err := net.Dial("tcp", w.DataAddr())
+	bw, err := rpc.OpenBlockWriter(blk, []rpc.PipelineTarget{
+		{Worker: w.ID(), Address: w.DataAddr(), Storage: "wtest:hdd0"},
+		{Worker: w.ID(), Address: w.DataAddr(), Storage: "wtest:mem0"},
+	}, "test")
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer conn.Close()
-	conn.SetDeadline(time.Now().Add(10 * time.Second))
-	hdr := rpc.WriteBlockHeader{Block: blk, Client: "test", Pipeline: []rpc.PipelineTarget{
-		{Worker: w.ID(), Address: w.DataAddr(), Storage: "wtest:hdd0"},
-		{Worker: w.ID(), Address: w.DataAddr(), Storage: "wtest:mem0"},
-	}}
-	if _, err := conn.Write([]byte{rpc.OpWriteBlock}); err != nil {
+	if err := bw.WriteRaw(win); err != nil {
 		t.Fatal(err)
 	}
-	if err := rpc.WriteFrame(conn, hdr); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := conn.Write(append(win.Header, win.Payload...)); err != nil {
-		t.Fatal(err)
-	}
-	var ack rpc.WriteBlockAck
-	if err := rpc.ReadFrame(conn, &ack); err != nil {
-		t.Fatal(err)
-	}
-	if err := rpc.DecodeError(ack.Err); !errors.Is(err, core.ErrCorrupt) || ack.Stored != 0 {
-		t.Fatalf("ack = %v, %d bytes stored; want ErrCorrupt and none", err, ack.Stored)
+	if err := bw.Commit(); !errors.Is(err, core.ErrCorrupt) {
+		t.Fatalf("Commit = %v; want ErrCorrupt", err)
 	}
 
 	// The downstream stage ends when the head stage drops its stream;

@@ -189,7 +189,26 @@ func (w *Worker) handleWriteBlock(conn net.Conn) (keep bool) {
 	}
 	rec.TotalNs = time.Since(start).Nanoseconds()
 	w.xfers.Append(rec)
+	if ackErr == nil && !streamDone {
+		drainRefused(conn, hdr.Block.NumBytes)
+	}
 	return streamDone && ackErr == nil
+}
+
+// drainRefused lets an ack that refused a stream part way reach its
+// sender. Closing with the rest of the stream unread would reset the
+// connection, and the sender, still writing, would see the reset and
+// lose the ack. So the stage half-closes and reads what is left, up to
+// the block's size (plus a chunk for the sums and window headers) and
+// under the transfer deadline, until the sender closes.
+func drainRefused(conn net.Conn, size int64) {
+	if tc, ok := conn.(*net.TCPConn); ok {
+		tc.CloseWrite()
+	}
+	if t := rpc.TransferTimeout(); t > 0 {
+		conn.SetReadDeadline(time.Now().Add(t))
+	}
+	io.CopyN(io.Discard, conn, max(size, 0)+core.ChunkSize) // an error only ends the drain early
 }
 
 // annotatePhases copies a transfer record's non-zero phase timings
