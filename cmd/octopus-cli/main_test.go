@@ -7,6 +7,7 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/client"
 	"repro/internal/core"
@@ -17,7 +18,9 @@ import (
 // TestCLICommands drives the shell's command dispatcher end to end
 // against a live in-process cluster.
 func TestCLICommands(t *testing.T) {
-	cluster, err := integration.StartCluster(integration.DefaultClusterConfig(t.TempDir()))
+	cfg := integration.DefaultClusterConfig(t.TempDir())
+	cfg.SlowOpThreshold = time.Nanosecond // keep every trace for the trace command
+	cluster, err := integration.StartCluster(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

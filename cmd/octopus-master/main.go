@@ -21,6 +21,7 @@ import (
 	"time"
 
 	"repro/internal/master"
+	"repro/internal/metrics"
 	"repro/internal/policy"
 )
 
@@ -34,7 +35,7 @@ func main() {
 		useMemory = flag.Bool("use-memory", false, "let the MOOP policy place unspecified replicas in memory")
 		blockMB   = flag.Int64("block-mb", 128, "default block size in MB")
 		httpAddr  = flag.String("http", "", "HTTP status/metrics endpoint address (e.g. :9870; empty disables)")
-		slowOp    = flag.Duration("slowop", 100*time.Millisecond, "slow-op log threshold (0 logs every op, negative disables)")
+		slowOp    = flag.Duration("slowop", metrics.DefaultSlowOpThreshold, "slow-op log threshold (0 selects the default, negative disables)")
 		histEvery = flag.Duration("history-interval", 0, "telemetry history sampling interval (0 = default, negative disables)")
 		heatHalf  = flag.Duration("heat-half-life", 0, "access-heat decay half-life (0 = default 60s)")
 		moverIvl  = flag.Duration("mover-interval", 0, "tier mover pass interval (0 = default 2s, negative disables)")

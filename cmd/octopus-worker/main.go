@@ -25,9 +25,9 @@ import (
 	"strconv"
 	"strings"
 	"syscall"
-	"time"
 
 	"repro/internal/core"
+	"repro/internal/metrics"
 	"repro/internal/storage"
 	"repro/internal/worker"
 )
@@ -76,7 +76,7 @@ func main() {
 		netMBps    = flag.Float64("net-mbps", 1250, "advertised network throughput (MB/s)")
 		probeMB    = flag.Int64("probe-mb", 8, "startup throughput probe size per media (0 = skip)")
 		httpAddr   = flag.String("http", "", "HTTP status/metrics endpoint address (e.g. :9864; empty disables)")
-		slowOp     = flag.Duration("slowop", 100*time.Millisecond, "slow-op log threshold (0 logs every op, negative disables)")
+		slowOp     = flag.Duration("slowop", metrics.DefaultSlowOpThreshold, "slow-op log threshold (0 selects the default, negative disables)")
 		pprofOn    = flag.Bool("pprof", false, "serve net/http/pprof under /debug/pprof/ on the -http endpoint")
 	)
 	flag.Var(&media, "media", "media spec kind:capacityMB[:dir[:writeMBps:readMBps]] (repeatable)")

@@ -113,7 +113,7 @@ func (fs *FileSystem) ship() {
 	if len(spans) == 0 && len(page.Entries) == 0 {
 		return
 	}
-	args := &rpc.ReportArgs{Telemetry: rpc.Telemetry{Spans: spans, Transfers: page.Entries}}
+	args := &rpc.ReportArgs{Spans: spans, Transfers: page.Entries}
 	if fs.call("Master.Report", args, &rpc.ReportReply{}) == nil {
 		fs.shipCursor.Store(page.Next)
 		return

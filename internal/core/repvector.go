@@ -96,12 +96,6 @@ func (v ReplicationVector) Total() int {
 	return n
 }
 
-// Specified returns the number of replicas pinned to concrete tiers
-// (the total minus the unspecified count).
-func (v ReplicationVector) Specified() int {
-	return v.Total() - v.Unspecified()
-}
-
 // IsZero reports whether the vector requests no replicas at all.
 func (v ReplicationVector) IsZero() bool { return v.Total() == 0 }
 

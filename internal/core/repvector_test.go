@@ -29,7 +29,7 @@ func TestReplicationVectorRoundTrip(t *testing.T) {
 
 func TestReplicationVectorFromFactor(t *testing.T) {
 	v := ReplicationVectorFromFactor(3)
-	if v.Unspecified() != 3 || v.Specified() != 0 || v.Total() != 3 {
+	if v.Unspecified() != 3 || v.Total() != 3 {
 		t.Errorf("ReplicationVectorFromFactor(3) = %s, want <0,0,0,0,3>", v)
 	}
 }

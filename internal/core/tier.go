@@ -47,11 +47,6 @@ func (t StorageTier) String() string {
 // Valid reports whether t is a concrete, placeable storage tier.
 func (t StorageTier) Valid() bool { return t < StorageTier(NumTiers) }
 
-// Volatile reports whether data stored on this tier is lost on restart.
-// Only the memory tier is volatile; the data placement policy treats it
-// specially (at most one third of a block's replicas may live there).
-func (t StorageTier) Volatile() bool { return t == TierMemory }
-
 // ParseTier converts a tier name (case-insensitive; "MEM"/"MEMORY",
 // "SSD", "HDD"/"DISK", "REMOTE", "U"/"UNSPECIFIED") to a StorageTier.
 func ParseTier(s string) (StorageTier, error) {

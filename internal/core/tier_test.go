@@ -68,17 +68,6 @@ func TestTierValid(t *testing.T) {
 	}
 }
 
-func TestTierVolatile(t *testing.T) {
-	if !TierMemory.Volatile() {
-		t.Error("TierMemory.Volatile() = false, want true")
-	}
-	for _, tier := range []StorageTier{TierSSD, TierHDD, TierRemote} {
-		if tier.Volatile() {
-			t.Errorf("%v.Volatile() = true, want false", tier)
-		}
-	}
-}
-
 func TestTiersOrderedFastestFirst(t *testing.T) {
 	ts := Tiers()
 	if len(ts) != NumTiers {

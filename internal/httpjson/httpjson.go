@@ -2,17 +2,70 @@
 // endpoint (/debug/events, /debug/history, /debug/traces,
 // /debug/heat, /status): one Write helper that always sets the
 // Content-Type header, query-parameter parsers with a consistent
-// 400-on-bad-param contract, and the cursor handler every ringlog
-// endpoint is served by.
+// 400-on-bad-param contract, the cursor handler every ringlog
+// endpoint is served by, and the server both daemons serve them from.
 package httpjson
 
 import (
 	"encoding/json"
+	"fmt"
+	"net"
 	"net/http"
+	"net/http/pprof"
 	"strconv"
+	"sync"
 
+	"repro/internal/metrics"
 	"repro/internal/ringlog"
 )
+
+// Serve listens on addr and serves mux, after mounting on it what both
+// daemons serve alike: /metrics (Prometheus text, or JSON with
+// ?format=json) from reg, /healthz, the /debug/events and
+// /debug/transfers cursor endpoints over events and xfers (the latter
+// with the conns snapshot) and, when pprof is set, net/http/pprof under
+// /debug/pprof/. It returns the bound address. The server stops when
+// done closes; wg counts its goroutine.
+func Serve[E, X any](addr string, mux *http.ServeMux, reg *metrics.Registry, events *ringlog.Log[E], xfers *ringlog.Log[X],
+	conns func() any, pprofOn bool, done <-chan struct{}, wg *sync.WaitGroup) (string, error) {
+	ln, err := net.Listen("tcp", addr)
+	if err != nil {
+		return "", fmt.Errorf("http listen on %s: %w", addr, err)
+	}
+	mux.HandleFunc("/metrics", func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Query().Get("format") == "json" {
+			w.Header().Set("Content-Type", "application/json")
+			reg.WriteJSON(w)
+			return
+		}
+		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
+		reg.WritePrometheus(w)
+	})
+	mux.HandleFunc("/healthz", func(w http.ResponseWriter, r *http.Request) {
+		fmt.Fprintln(w, "ok")
+	})
+	mux.Handle("/debug/events", LogHandler(events, "type", nil))
+	mux.Handle("/debug/transfers", LogHandler(xfers, "op", conns))
+	if pprofOn {
+		// The package's init mounts these on http.DefaultServeMux only.
+		mux.HandleFunc("/debug/pprof/", pprof.Index)
+		mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
+		mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
+		mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
+		mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
+	}
+	srv := &http.Server{Handler: mux}
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		srv.Serve(ln)
+	}()
+	go func() {
+		<-done
+		srv.Close()
+	}()
+	return ln.Addr().String(), nil
+}
 
 // Write encodes v as indented JSON with the Content-Type header set.
 func Write(w http.ResponseWriter, v any) {

@@ -65,8 +65,8 @@ type ClusterConfig struct {
 	Dir string
 
 	// MasterLogger and WorkerLogger capture daemon logs (nil =
-	// discard); SlowOpThreshold is forwarded to both daemons so tests
-	// can force slow-op logging with a zero threshold.
+	// discard); SlowOpThreshold is forwarded to both daemons (0 = their
+	// 100ms default), so tests can flag every op with a 1ns threshold.
 	MasterLogger    *slog.Logger
 	WorkerLogger    *slog.Logger
 	SlowOpThreshold time.Duration

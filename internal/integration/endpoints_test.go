@@ -47,7 +47,7 @@ func TestDebugLogEndpointKeySets(t *testing.T) {
 	}
 	rec := xfer.Record{
 		Op: "shape", Source: "test", Block: 7, Tier: "SSD", Peer: "127.0.0.1:1",
-		TraceID: "cafecafecafecafe", SpanID: "0123456789abcdef", Result: "ok", Bytes: 1,
+		TraceID: "cafecafecafecafe", SpanID: "0123456789abcdef", ParentID: "fedcba9876543210", Result: "ok", Bytes: 1,
 		DialNs: 1, HeaderEncodeNs: 1, HeaderDecodeNs: 1, ThrottleWaitNs: 1, DiskNs: 1,
 		NetNs: 1, ForwardNs: 1, AckWaitNs: 1, StallNs: 1, TotalNs: 9, AllocBytes: 1, PoolHit: true,
 	}
@@ -75,7 +75,7 @@ func TestDebugLogEndpointKeySets(t *testing.T) {
 		eventKeys    = "attrs message seq severity time_ns trace_id type"
 		auditKeys    = "append_ns apply_ns bytes dst fsync_ns lock_wait_ns op path queue_ns result seq time_ns total_ns trace_id"
 		transferKeys = "ack_wait_ns alloc_bytes block bytes dial_ns disk_ns forward_ns header_decode_ns header_encode_ns " +
-			"net_ns op peer pool_hit result seq source span_id stall_ns throttle_wait_ns tier time_ns total_ns trace_id"
+			"net_ns op parent_id peer pool_hit result seq source span_id stall_ns throttle_wait_ns tier time_ns total_ns trace_id"
 	)
 	for _, ep := range []struct {
 		name, url, filter string

@@ -18,6 +18,9 @@ import (
 func startTestCluster(t *testing.T, mutate ...func(*ClusterConfig)) *Cluster {
 	t.Helper()
 	cfg := DefaultClusterConfig(t.TempDir())
+	// Flag every op slow, so the master keeps every trace and journals
+	// every slow_op event the tests look for.
+	cfg.SlowOpThreshold = time.Nanosecond
 	for _, fn := range mutate {
 		fn(&cfg)
 	}

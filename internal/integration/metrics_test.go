@@ -202,7 +202,7 @@ func (s *syncBuffer) String() string {
 	return s.b.String()
 }
 
-// TestSlowOpRequestIDCorrelation forces slow-op logging with a zero
+// TestSlowOpRequestIDCorrelation forces slow-op logging with a 1ns
 // threshold and checks that a single client read carries one request ID
 // through both the master's and the serving worker's slow-op lines.
 func TestSlowOpRequestIDCorrelation(t *testing.T) {
@@ -212,7 +212,7 @@ func TestSlowOpRequestIDCorrelation(t *testing.T) {
 		cfg.NumRacks = 1
 		cfg.MasterLogger = slog.New(slog.NewTextHandler(&masterLog, nil))
 		cfg.WorkerLogger = slog.New(slog.NewTextHandler(&workerLog, nil))
-		cfg.SlowOpThreshold = 0 // log every operation
+		cfg.SlowOpThreshold = time.Nanosecond // log every operation
 	})
 	fs, err := c.Client("")
 	if err != nil {

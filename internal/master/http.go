@@ -3,10 +3,9 @@ package master
 import (
 	"errors"
 	"fmt"
-	"net"
 	"net/http"
-	"net/http/pprof"
 	"sort"
+	"strings"
 	"time"
 
 	"repro/internal/core"
@@ -56,37 +55,39 @@ type StatusTier struct {
 // documents (the only way they are read), and / (plain-text overview).
 // The server stops when the master closes.
 func (m *Master) ServeHTTP(addr string) (string, error) {
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return "", fmt.Errorf("master: http listen on %s: %w", addr, err)
-	}
 	mux := http.NewServeMux()
 	mux.HandleFunc("/status", func(w http.ResponseWriter, r *http.Request) {
 		httpjson.Write(w, m.statusReport())
 	})
-	mux.HandleFunc("/metrics", func(w http.ResponseWriter, r *http.Request) {
-		if r.URL.Query().Get("format") == "json" {
-			w.Header().Set("Content-Type", "application/json")
-			m.metrics.reg.WriteJSON(w)
+	// /debug/traces lists the retained traces, newest first, and
+	// /debug/traces/<id> serves one cluster-wide timeline: the store
+	// holds every span clients pushed and the span of every traced
+	// record workers shipped, and a span stored twice is served once.
+	mux.HandleFunc("/debug/traces", func(w http.ResponseWriter, r *http.Request) {
+		list := m.traces.List()
+		if list == nil {
+			list = []trace.Summary{}
+		}
+		httpjson.Write(w, list)
+	})
+	mux.HandleFunc("/debug/traces/", func(w http.ResponseWriter, r *http.Request) {
+		id := strings.TrimPrefix(r.URL.Path, "/debug/traces/")
+		if id == "" || strings.Contains(id, "/") {
+			http.NotFound(w, r)
 			return
 		}
-		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-		m.metrics.reg.WritePrometheus(w)
+		spans := trace.Merge(m.traces.Get(id))
+		if len(spans) == 0 {
+			http.Error(w, "trace not retained: "+id, http.StatusNotFound)
+			return
+		}
+		httpjson.Write(w, spans)
 	})
-	mux.HandleFunc("/healthz", func(w http.ResponseWriter, r *http.Request) {
-		fmt.Fprintln(w, "ok")
-	})
-	// /debug/traces/<id> serves the cluster-wide timeline: the master's
-	// store holds every span clients and workers pushed.
-	trace.RegisterDebugHandlers(mux, m.traces)
-	// The three cursor logs: /debug/events serves the cluster event
-	// journal (?type filters), /debug/audit the namespace audit log and
-	// /debug/transfers the transfer records clients and workers pushed
-	// plus the process-wide data-connection lifecycle counters (?op
-	// filters).
-	mux.Handle("/debug/events", httpjson.LogHandler(m.journal.Log(), "type", nil))
+	// The cursor logs: /debug/events serves the cluster event journal
+	// (?type filters), /debug/audit the namespace audit log and
+	// /debug/transfers (mounted by httpjson.Serve) the transfer records
+	// clients and workers pushed (?op filters).
 	mux.Handle("/debug/audit", httpjson.LogHandler(m.audit, "op", nil))
-	mux.Handle("/debug/transfers", httpjson.LogHandler(m.xfers, "op", func() any { return rpc.DataConnStats() }))
 	// /debug/history serves the sampled telemetry ring.
 	mux.HandleFunc("/debug/history", func(w http.ResponseWriter, r *http.Request) {
 		last, ok := httpjson.IntParam(w, r, "last", 0)
@@ -143,9 +144,6 @@ func (m *Master) ServeHTTP(addr string) (string, error) {
 			httpjson.Write(w, doc)
 		}
 	})
-	if m.cfg.Pprof {
-		registerPprof(mux)
-	}
 	mux.HandleFunc("/", func(w http.ResponseWriter, r *http.Request) {
 		if r.URL.Path != "/" {
 			http.NotFound(w, r)
@@ -167,20 +165,15 @@ func (m *Master) ServeHTTP(addr string) (string, error) {
 				wk.ID, wk.Rack, wk.Media, wk.LastSeen)
 		}
 	})
-	srv := &http.Server{Handler: mux}
+	bound, err := httpjson.Serve(addr, mux, m.metrics.reg, m.journal.Log(), m.xfers,
+		func() any { return rpc.DataConnStats() }, m.cfg.Pprof, m.done, &m.wg)
+	if err != nil {
+		return "", fmt.Errorf("master: %w", err)
+	}
 	m.mu.Lock()
-	m.httpAddr = ln.Addr().String()
+	m.httpAddr = bound
 	m.mu.Unlock()
-	m.wg.Add(1)
-	go func() {
-		defer m.wg.Done()
-		srv.Serve(ln)
-	}()
-	go func() {
-		<-m.done
-		srv.Close()
-	}()
-	return ln.Addr().String(), nil
+	return bound, nil
 }
 
 // HTTPAddr returns the bound debug HTTP endpoint ("" until ServeHTTP).
@@ -188,16 +181,6 @@ func (m *Master) HTTPAddr() string {
 	m.mu.RLock()
 	defer m.mu.RUnlock()
 	return m.httpAddr
-}
-
-// registerPprof mounts the standard net/http/pprof handlers on a
-// custom mux (the package's init only touches http.DefaultServeMux).
-func registerPprof(mux *http.ServeMux) {
-	mux.HandleFunc("/debug/pprof/", pprof.Index)
-	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
-	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
-	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
-	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
 }
 
 // statusReport assembles the current /status document.

@@ -22,6 +22,7 @@ import (
 	"repro/internal/blockmgmt"
 	"repro/internal/core"
 	"repro/internal/events"
+	"repro/internal/metrics"
 	"repro/internal/namespace"
 	"repro/internal/policy"
 	"repro/internal/rpc"
@@ -72,10 +73,10 @@ type Config struct {
 	// Logger receives operational logs; nil discards them.
 	Logger *slog.Logger
 
-	// SlowOpThreshold is the latency above which an RPC operation is
-	// logged as slow with its request ID. Zero logs every operation;
-	// negative disables slow-op logging. Daemons default it to 100ms
-	// via their -slowop flag.
+	// SlowOpThreshold is the latency at or above which an RPC operation
+	// is logged as slow with its request ID, and a trace is kept whole.
+	// Zero selects metrics.DefaultSlowOpThreshold; negative disables
+	// slow-op logging.
 	SlowOpThreshold time.Duration
 
 	// HistoryInterval paces telemetry history sampling; zero selects
@@ -134,6 +135,9 @@ func (c *Config) fillDefaults() {
 	}
 	if c.Logger == nil {
 		c.Logger = slog.New(slog.DiscardHandler)
+	}
+	if c.SlowOpThreshold == 0 {
+		c.SlowOpThreshold = metrics.DefaultSlowOpThreshold
 	}
 }
 

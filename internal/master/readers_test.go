@@ -43,7 +43,7 @@ func same(t *testing.T, what string, got, want any) {
 // the client's fetchers, which GET the master's HTTP endpoints, and
 // checks each equals the master's in-process value.
 func TestHTTPReadersMatchMaster(t *testing.T) {
-	m := testMaster(t)
+	m := testMaster(t, func(c *Config) { c.SlowOpThreshold = time.Nanosecond }) // keep every trace
 	registerFakeWorker(t, m, "w1", "/r1",
 		mediaStat("w1:mem0", core.TierMemory, 1<<30, 1000, 2000),
 		mediaStat("w1:hdd0", core.TierHDD, 4<<30, 120, 170))

@@ -445,11 +445,11 @@ func (s *Service) Register(args *rpc.RegisterArgs, _ *rpc.RegisterReply) (err er
 }
 
 // Heartbeat is a worker's one state message (paper §2.2): it refreshes
-// the worker's statistics, folds its heat deltas, its telemetry, the
-// copies it confirms and, on a listing beat, its full block listing
-// (paper §5: under- and over-replication is detected from the
-// listings), then delivers the pending commands, including any delete
-// the fold issued.
+// the worker's statistics, folds its heat deltas, its transfer records
+// (with the spans derived from them), the copies it confirms and, on a
+// listing beat, its full block listing (paper §5: under- and
+// over-replication is detected from the listings), then delivers the
+// pending commands, including any delete the fold issued.
 func (s *Service) Heartbeat(args *rpc.HeartbeatArgs, reply *rpc.HeartbeatReply) (err error) {
 	defer s.m.trackOpUntraced("heartbeat", args.ReqID)(&err)
 	s.m.mu.Lock()
@@ -476,7 +476,7 @@ func (s *Service) Heartbeat(args *rpc.HeartbeatArgs, reply *rpc.HeartbeatReply) 
 	// its source in the same step; unknown, stale and tombstoned
 	// replicas come back as deletions.
 	s.m.foldHeat(args.Heat)
-	s.m.foldTelemetry(args.Telemetry)
+	s.m.foldTransfers(args.ID, args.Transfers)
 	for _, r := range received {
 		s.m.enqueueDeletes(s.m.blocks.AddReplica(r.Block, r.Replica))
 	}

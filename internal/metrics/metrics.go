@@ -39,12 +39,6 @@ var DefLatencyBuckets = []float64{
 	0.0005, 0.001, 0.0025, 0.005, 0.01, 0.025, 0.05, 0.1, 0.25, 0.5, 1, 2.5, 5, 10,
 }
 
-// DefSizeBuckets are the default transfer-size buckets in bytes
-// (1 KiB up to 1 GiB in powers of four).
-var DefSizeBuckets = []float64{
-	1 << 10, 4 << 10, 16 << 10, 64 << 10, 256 << 10, 1 << 20, 4 << 20, 16 << 20, 64 << 20, 256 << 20, 1 << 30,
-}
-
 // atomicFloat is a float64 with atomic add/load via bit-casting.
 type atomicFloat struct{ bits atomic.Uint64 }
 

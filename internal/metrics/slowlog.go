@@ -10,17 +10,19 @@ import (
 // least a threshold duration, carrying the request ID so a client
 // operation can be correlated across master and worker logs.
 //
-// Threshold semantics:
-//
-//	> 0  log operations at or above the threshold
-//	== 0 log every operation (forced logging, used by tests)
-//	< 0  never log
+// It logs operations at or above its threshold, so a zero threshold
+// logs every one and a negative threshold none. (The daemons' configs
+// read zero as DefaultSlowOpThreshold before they build one.)
 type SlowLogger struct {
 	logger    *slog.Logger
 	threshold time.Duration
 	count     *Counter // incremented per emitted line; may be nil
 	sink      func(op, reqID string, d time.Duration)
 }
+
+// DefaultSlowOpThreshold is the daemons' slow-op threshold when their
+// configuration leaves it zero.
+const DefaultSlowOpThreshold = 100 * time.Millisecond
 
 // NewSlowLogger builds a slow-op logger. A nil logger disables logging
 // regardless of threshold; count (optional) tallies emitted lines.
@@ -52,12 +54,7 @@ func (l *SlowLogger) Threshold() time.Duration {
 // Observe logs the operation if it crossed the threshold. attrs are
 // extra slog key/value pairs appended to the line.
 func (l *SlowLogger) Observe(op, reqID string, d time.Duration, attrs ...any) {
-	if l == nil || l.logger == nil || l.threshold < 0 {
-		return
-	}
-	// Explicit zero-threshold case: "0 logs every op" is documented
-	// behaviour, not an accident of d < 0 being impossible.
-	if l.threshold > 0 && d < l.threshold {
+	if l == nil || l.logger == nil || l.threshold < 0 || d < l.threshold {
 		return
 	}
 	if l.count != nil {

@@ -12,6 +12,8 @@ import (
 	"strconv"
 	"strings"
 	"testing"
+
+	"repro/internal/xfer"
 )
 
 // fill sets every exported field reachable from v to a random non-zero
@@ -208,6 +210,17 @@ func FuzzDecodeFrame(f *testing.F) {
 		{Path: "x", Length: 5, BlockSize: 1 << 20, ModTime: 1, Owner: "u"},
 		{Path: "y", IsDir: true, ModTime: 2, Owner: "u"},
 	}}))
+	// A heartbeat as a worker sends it: records only, the traced one
+	// naming the upstream span the master parents its derived span under.
+	beat, err := appendRequest(nil, methodIDs["Master.Heartbeat"], &HeartbeatArgs{ID: "w1", Transfers: []xfer.Record{
+		{Time: 9, Op: "write", Source: "worker:w1", Block: 7, Tier: "SSD", TraceID: "feedfacefeedface",
+			SpanID: "0123456789abcdef", ParentID: "fedcba9876543210", Result: "ok", Bytes: 5, DiskNs: 3, TotalNs: 8},
+		{Time: 10, Op: "read", Source: "worker:w1", Block: 8, Result: "ok"},
+	}})
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(beat)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)

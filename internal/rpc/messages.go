@@ -440,9 +440,10 @@ type HeartbeatArgs struct {
 	// carries an empty listing and none alike.
 	Listing bool
 	Blocks  []StoredBlock
-	// Telemetry ships the transfer records the worker appended since
-	// its last successful beat, with their spans.
-	Telemetry
+	// Transfers ships the transfer records the worker appended since
+	// its last successful beat; the master derives each traced
+	// record's span from it.
+	Transfers []xfer.Record
 }
 type HeartbeatReply struct {
 	Commands []Command
@@ -459,7 +460,7 @@ func (a *HeartbeatArgs) wire(c *coder) {
 	list(c, &a.Received, storedBlock)
 	flag(c, &a.Listing)
 	list(c, &a.Blocks, storedBlock)
-	telemetry(c, &a.Telemetry)
+	list(c, &a.Transfers, record)
 }
 
 func (r *HeartbeatReply) wire(c *coder) { list(c, &r.Commands, command) }
@@ -601,24 +602,6 @@ func workerReport(c *coder, w *WorkerReport) {
 	list(c, &w.Media, mediaStat)
 }
 
-// Telemetry is what a daemon recorded locally and pushes to the
-// master: spans and transfer records. Clients send it in Master.Report
-// when an operation finishes and workers in every heartbeat, so the
-// master holds the whole cluster's telemetry in its own stores — it is
-// the rendezvous point for trace assembly, and what a daemon pushed
-// outlives the daemon.
-type Telemetry struct {
-	Spans     []trace.Span
-	Transfers []xfer.Record
-}
-
-// telemetry is the one codec of pushed telemetry, shared by Report and
-// Heartbeat.
-func telemetry(c *coder, t *Telemetry) {
-	list(c, &t.Spans, span)
-	list(c, &t.Transfers, record)
-}
-
 func span(c *coder, s *trace.Span) {
 	str(c, &s.TraceID)
 	str(c, &s.SpanID)
@@ -678,6 +661,7 @@ func record(c *coder, r *xfer.Record) {
 	str(c, &r.Peer)
 	str(c, &r.TraceID)
 	str(c, &r.SpanID)
+	str(c, &r.ParentID)
 	str(c, &r.Result)
 	num(c, &r.Bytes)
 	num(c, &r.DialNs)
@@ -695,16 +679,22 @@ func record(c *coder, r *xfer.Record) {
 }
 
 // ReportArgs / ReportReply implement Master.Report, a client's push
-// of its telemetry.
+// of what it recorded locally: its spans and transfer records. Workers
+// ship their records on the heartbeat instead. So the master holds the
+// whole cluster's telemetry in its own stores — it is the rendezvous
+// point for trace assembly, and what a daemon pushed outlives the
+// daemon.
 type ReportArgs struct {
 	ReqHeader
-	Telemetry
+	Spans     []trace.Span
+	Transfers []xfer.Record
 }
 type ReportReply = Empty
 
 func (a *ReportArgs) wire(c *coder) {
 	header(c, &a.ReqHeader)
-	telemetry(c, &a.Telemetry)
+	list(c, &a.Spans, span)
+	list(c, &a.Transfers, record)
 }
 
 // ReportBadBlockArgs / -Reply implement Master.ReportBadBlock, a

@@ -22,8 +22,8 @@ const (
 
 // Store is a bounded in-memory trace store. Retention follows the
 // slow-op semantics of metrics.SlowLogger: traces containing a span
-// at or above the slow threshold are always kept (a positive
-// threshold; zero marks every trace slow; negative marks none), plus
+// at or above the slow threshold are always kept (a negative threshold
+// marks none slow), plus
 // a deterministically sampled fraction of the rest. Sampling hashes
 // the trace ID so every daemon in the cluster keeps or drops the
 // same traces, which is what makes cross-daemon assembly work at
@@ -73,16 +73,10 @@ func NewStore(capacity int, slowThreshold time.Duration, sample float64) *Store 
 	}
 }
 
-// isSlow mirrors metrics.SlowLogger: threshold zero marks everything
-// slow, negative nothing, positive compares the span duration.
+// isSlow mirrors metrics.SlowLogger: a negative threshold marks
+// nothing slow, any other is compared with the span's duration.
 func (s *Store) isSlow(sp Span) bool {
-	if s.slow < 0 {
-		return false
-	}
-	if s.slow == 0 {
-		return true
-	}
-	return sp.Duration() >= s.slow
+	return s.slow >= 0 && sp.Duration() >= s.slow
 }
 
 // Sampled reports whether traceID falls into the store's
@@ -168,23 +162,6 @@ func (s *Store) Get(traceID string) []Span {
 	s.mu.Unlock()
 	SortSpans(spans)
 	return spans
-}
-
-// Span returns one retained span of a trace by its ID.
-func (s *Store) Span(traceID, spanID string) (Span, bool) {
-	if s == nil {
-		return Span{}, false
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if e, ok := s.traces[traceID]; ok {
-		for _, sp := range e.spans {
-			if sp.SpanID == spanID {
-				return sp, true
-			}
-		}
-	}
-	return Span{}, false
 }
 
 // Len returns the number of retained traces.

@@ -1,12 +1,13 @@
 // Package trace implements lightweight distributed tracing for
 // OctopusFS. A trace is identified by the 16-hex request ID that
-// already flows through every RPC and data-transfer header (PR 1);
-// each daemon records its own spans into a bounded in-memory Store,
-// and clients and workers push theirs to the master, whose store then
-// holds the cross-daemon timeline.
+// already flows through every RPC and data-transfer header. The
+// client and the master record spans into a bounded in-memory Store;
+// a worker records transfers instead, and the master derives each
+// worker span from its record. Clients push their spans to the
+// master, whose store then holds the cross-daemon timeline.
 //
 // The package depends only on the standard library so every layer
-// (rpc, client, master, worker) can import it without cycles.
+// (rpc, xfer, client, master, worker) can import it without cycles.
 package trace
 
 import (
@@ -102,16 +103,6 @@ func (a *ActiveSpan) ID() string {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	return a.span.SpanID
-}
-
-// TraceID returns the trace this span belongs to, or "" for nil.
-func (a *ActiveSpan) TraceID() string {
-	if a == nil {
-		return ""
-	}
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return a.span.TraceID
 }
 
 // Annotate attaches a key/value annotation and returns the span for

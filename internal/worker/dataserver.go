@@ -147,14 +147,13 @@ func (w *Worker) handleWriteBlock(conn net.Conn) (keep bool) {
 		return false
 	}
 	endHandshake(conn)
-	sp := w.tracer.Start(hdr.ReqID, hdr.SpanID, "worker.write")
-	sp.Annotate("worker", string(w.id)).AnnotateInt("block", int64(hdr.Block.ID))
 	rec := xfer.Record{
 		Op:             "write",
 		Source:         "worker:" + string(w.id),
 		Block:          uint64(hdr.Block.ID),
 		TraceID:        hdr.ReqID,
-		SpanID:         sp.ID(),
+		SpanID:         spanID(hdr.ReqID),
+		ParentID:       hdr.SpanID,
 		Peer:           conn.RemoteAddr().String(),
 		HeaderDecodeNs: time.Since(start).Nanoseconds(),
 	}
@@ -164,20 +163,14 @@ func (w *Worker) handleWriteBlock(conn net.Conn) (keep bool) {
 			tier = m.Tier().String()
 		}
 	}
-	ack, streamDone := w.writeBlockPipeline(conn, hdr, sp, &rec)
+	ack, streamDone := w.writeBlockPipeline(conn, hdr, &rec)
 	ack.Err = rpc.WithReqID(ack.Err, hdr.ReqID)
-	sp.Annotate("tier", tier).AnnotateInt("bytes", ack.Stored)
 	rec.Tier = tier
 	rec.Bytes = ack.Stored
 	rec.Result = "ok"
 	if ack.Err != "" {
 		rec.Result = ack.Err
-		sp.SetError(errors.New(ack.Err))
 	}
-	annotatePhases(sp, &rec)
-	// End (and thus store) the span before acking: once the client
-	// sees the ack, this stage's span is queryable.
-	sp.End()
 	if ack.Stored > 0 {
 		w.heat.Touch(hdr.Block.ID, heat.Write, ack.Stored)
 	}
@@ -211,34 +204,21 @@ func drainRefused(conn net.Conn, size int64) {
 	io.CopyN(io.Discard, conn, max(size, 0)+core.ChunkSize) // an error only ends the drain early
 }
 
-// annotatePhases copies a transfer record's non-zero phase timings
-// onto its span, so `octopus-cli trace` shows where the leg stalled.
-func annotatePhases(sp *trace.ActiveSpan, rec *xfer.Record) {
-	phase := func(name string, v int64) {
-		if v > 0 {
-			sp.AnnotateInt(name, v)
-		}
+// spanID mints the span ID of a transfer in trace traceID: its record
+// carries it, and the headers this worker sends downstream or to a copy
+// source name it as their parent. An untraced transfer has none.
+func spanID(traceID string) string {
+	if traceID == "" {
+		return ""
 	}
-	phase("dial_ns", rec.DialNs)
-	phase("header_encode_ns", rec.HeaderEncodeNs)
-	phase("header_decode_ns", rec.HeaderDecodeNs)
-	phase("throttle_wait_ns", rec.ThrottleWaitNs)
-	phase("disk_ns", rec.DiskNs)
-	phase("net_ns", rec.NetNs)
-	phase("forward_ns", rec.ForwardNs)
-	phase("ack_wait_ns", rec.AckWaitNs)
-	phase("stall_ns", rec.StallNs)
-	phase("alloc_bytes", rec.AllocBytes)
-	if rec.PoolHit {
-		sp.AnnotateInt("pool_hit", 1)
-	}
+	return trace.NewSpanID()
 }
 
 // writeBlockPipeline runs the body of one OpWriteBlock exchange. The
 // second result reports whether the upstream write stream was fully
 // consumed (empty window seen), i.e. whether the connection holds no
 // residual request bytes.
-func (w *Worker) writeBlockPipeline(conn net.Conn, hdr rpc.WriteBlockHeader, sp *trace.ActiveSpan, rec *xfer.Record) (rpc.WriteBlockAck, bool) {
+func (w *Worker) writeBlockPipeline(conn net.Conn, hdr rpc.WriteBlockHeader, rec *xfer.Record) (rpc.WriteBlockAck, bool) {
 	if len(hdr.Pipeline) == 0 {
 		return rpc.WriteBlockAck{Err: rpc.EncodeError(fmt.Errorf("worker: empty pipeline: %w", core.ErrNotFound))}, false
 	}
@@ -248,12 +228,12 @@ func (w *Worker) writeBlockPipeline(conn net.Conn, hdr rpc.WriteBlockHeader, sp 
 	}
 
 	// Open the downstream stage, if any. The forwarded header carries
-	// this stage's span ID, chaining the pipeline's spans client →
+	// this stage's span ID, chaining the pipeline's records client →
 	// worker → downstream worker.
 	var downstream *rpc.BlockWriter
 	if len(hdr.Pipeline) > 1 {
 		var err error
-		downstream, err = rpc.OpenBlockWriterSpan(hdr.Block, hdr.Pipeline[1:], hdr.Client, hdr.ReqID, sp.ID())
+		downstream, err = rpc.OpenBlockWriterSpan(hdr.Block, hdr.Pipeline[1:], hdr.Client, hdr.ReqID, rec.SpanID)
 		if err != nil {
 			return rpc.WriteBlockAck{Err: rpc.EncodeError(err)}, false
 		}
@@ -376,28 +356,23 @@ func (w *Worker) handleReadBlock(conn *net.TCPConn) (keep bool) {
 		return false
 	}
 	endHandshake(conn)
-	sp := w.tracer.Start(hdr.ReqID, hdr.SpanID, "worker.read")
-	sp.Annotate("worker", string(w.id)).AnnotateInt("block", int64(hdr.Block.ID))
 	rec := xfer.Record{
 		Op:             "read",
 		Source:         "worker:" + string(w.id),
 		Block:          uint64(hdr.Block.ID),
 		TraceID:        hdr.ReqID,
-		SpanID:         sp.ID(),
+		SpanID:         spanID(hdr.ReqID),
+		ParentID:       hdr.SpanID,
 		Peer:           conn.RemoteAddr().String(),
 		HeaderDecodeNs: time.Since(start).Nanoseconds(),
 	}
 	served, tier, keep, err := w.readBlock(conn, hdr, &rec)
-	sp.Annotate("tier", tier).AnnotateInt("bytes", served)
 	rec.Tier = tier
 	rec.Bytes = served
 	rec.Result = "ok"
 	if err != nil {
 		rec.Result = err.Error()
 	}
-	annotatePhases(sp, &rec)
-	sp.SetError(err)
-	sp.End()
 	if err == nil {
 		w.heat.Touch(hdr.Block.ID, heat.Read, served)
 	}
@@ -552,11 +527,11 @@ func (w *Worker) readBlock(conn *net.TCPConn, hdr rpc.ReadBlockHeader, rec *xfer
 // like a client's read, and each piece is verified on arrival and
 // stored under the checksum it came with. A source found corrupt or
 // missing is reported to the master, as a client's reader reports it.
-// It returns the bytes stored and the target media's tier label. sp is
-// the caller's replication span; source reads carry its ID so the
-// serving worker's read span parents under it. rec accumulates the
+// It returns the bytes stored and the target media's tier label. rec is
+// the replication's record: source reads carry its trace and span IDs,
+// so the serving worker's read parents under it, and it accumulates the
 // winning attempt's phase timings.
-func (w *Worker) replicate(reqID string, sp *trace.ActiveSpan, block core.Block, target core.StorageID, sources []core.BlockLocation, rec *xfer.Record) (int64, string, error) {
+func (w *Worker) replicate(block core.Block, target core.StorageID, sources []core.BlockLocation, rec *xfer.Record) (int64, string, error) {
 	media, ok := w.media[target]
 	if !ok {
 		return 0, "UNKNOWN", fmt.Errorf("worker: unknown media %s: %w", target, core.ErrNotFound)
@@ -565,10 +540,11 @@ func (w *Worker) replicate(reqID string, sp *trace.ActiveSpan, block core.Block,
 	if media.Has(block) {
 		return 0, tier, nil
 	}
+	reqID := rec.TraceID
 	var lastErr error
 	for _, src := range sources {
 		var tm rpc.TransferTiming
-		rc, _, err := rpc.OpenBlockReaderTimed(src.Address, block, src.Storage, 0, -1, reqID, sp.ID(), &tm)
+		rc, _, err := rpc.OpenBlockReaderTimed(src.Address, block, src.Storage, 0, -1, reqID, rec.SpanID, &tm)
 		if err == nil {
 			rec.DialNs += tm.DialNs
 			rec.HeaderEncodeNs += tm.HeaderEncodeNs

@@ -2,15 +2,12 @@ package worker
 
 import (
 	"fmt"
-	"net"
 	"net/http"
-	"net/http/pprof"
 	"sort"
 
 	"repro/internal/core"
 	"repro/internal/httpjson"
 	"repro/internal/rpc"
-	"repro/internal/trace"
 )
 
 // WorkerStatus is the JSON document served at /status.
@@ -35,55 +32,25 @@ type MediaStatus struct {
 
 // ServeHTTP starts an HTTP status server on addr and returns its bound
 // address. Endpoints: /status (JSON), /metrics (Prometheus text, or
-// JSON with ?format=json), and /healthz. The server stops when the
-// worker closes.
+// JSON with ?format=json), /healthz, and the /debug/events and
+// /debug/transfers cursor logs. The server stops when the worker
+// closes.
 func (w *Worker) ServeHTTP(addr string) (string, error) {
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return "", fmt.Errorf("worker: http listen on %s: %w", addr, err)
-	}
 	mux := http.NewServeMux()
 	mux.HandleFunc("/status", func(rw http.ResponseWriter, r *http.Request) {
 		httpjson.Write(rw, w.status())
 	})
-	mux.HandleFunc("/metrics", func(rw http.ResponseWriter, r *http.Request) {
-		if r.URL.Query().Get("format") == "json" {
-			rw.Header().Set("Content-Type", "application/json")
-			w.metrics.reg.WriteJSON(rw)
-			return
-		}
-		rw.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-		w.metrics.reg.WritePrometheus(rw)
-	})
-	mux.HandleFunc("/healthz", func(rw http.ResponseWriter, r *http.Request) {
-		fmt.Fprintln(rw, "ok")
-	})
-	trace.RegisterDebugHandlers(mux, w.traces)
-	mux.Handle("/debug/events", httpjson.LogHandler(w.journal.Log(), "type", nil))
-	mux.Handle("/debug/transfers", httpjson.LogHandler(w.xfers, "op", func() any { return rpc.DataConnStats() }))
-	if w.cfg.Pprof {
-		mux.HandleFunc("/debug/pprof/", pprof.Index)
-		mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
-		mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
-		mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
-		mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
+	bound, err := httpjson.Serve(addr, mux, w.metrics.reg, w.journal.Log(), w.xfers,
+		func() any { return rpc.DataConnStats() }, w.cfg.Pprof, w.done, &w.wg)
+	if err != nil {
+		return "", fmt.Errorf("worker: %w", err)
 	}
-	srv := &http.Server{Handler: mux}
 	// Record the bound address so subsequent heartbeats advertise it to
 	// the master (Register usually runs before ServeHTTP).
 	w.httpMu.Lock()
-	w.httpAddr = ln.Addr().String()
+	w.httpAddr = bound
 	w.httpMu.Unlock()
-	w.wg.Add(1)
-	go func() {
-		defer w.wg.Done()
-		srv.Serve(ln)
-	}()
-	go func() {
-		<-w.done
-		srv.Close()
-	}()
-	return ln.Addr().String(), nil
+	return bound, nil
 }
 
 func (w *Worker) status() WorkerStatus {

@@ -16,6 +16,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/events"
 	"repro/internal/heat"
+	"repro/internal/metrics"
 	"repro/internal/rpc"
 	"repro/internal/storage"
 	"repro/internal/trace"
@@ -58,10 +59,9 @@ type Config struct {
 	// Logger receives operational logs; nil discards them.
 	Logger *slog.Logger
 
-	// SlowOpThreshold is the latency above which a data-port operation
-	// is logged as slow with its request ID. Zero logs every
-	// operation; negative disables slow-op logging. Daemons default it
-	// to 100ms via their -slowop flag.
+	// SlowOpThreshold is the latency at or above which a data-port
+	// operation is logged as slow with its request ID. Zero selects
+	// metrics.DefaultSlowOpThreshold; negative disables slow-op logging.
 	SlowOpThreshold time.Duration
 
 	// Pprof mounts net/http/pprof under /debug/pprof/ on the HTTP
@@ -79,6 +79,9 @@ func (c *Config) fillDefaults() {
 	if c.Logger == nil {
 		c.Logger = slog.New(slog.DiscardHandler)
 	}
+	if c.SlowOpThreshold == 0 {
+		c.SlowOpThreshold = metrics.DefaultSlowOpThreshold
+	}
 }
 
 // Worker is one running worker daemon.
@@ -95,8 +98,6 @@ type Worker struct {
 	conns    map[net.Conn]struct{}
 
 	metrics *workerMetrics
-	traces  *trace.Store
-	tracer  *trace.Tracer
 	journal *events.Journal
 	heat    *heat.Collector
 	xfers   *xfer.Log
@@ -176,8 +177,6 @@ func New(cfg Config) (*Worker, error) {
 			"addr", addr, "consecutive", fmt.Sprintf("%d", consecutive),
 			"worker", string(id))
 	})
-	w.traces = trace.NewStore(trace.DefaultCapacity, cfg.SlowOpThreshold, 0)
-	w.tracer = trace.NewTracer("worker", w.traces)
 	w.metrics = newWorkerMetrics(w)
 	w.metrics.slow.SetSink(func(op, reqID string, d time.Duration) {
 		w.journal.PublishTraced(events.Warn, "slow_op", reqID,
@@ -314,9 +313,9 @@ func (w *Worker) heartbeatLoop() {
 }
 
 // heartbeat sends the worker's one state message: statistics, heat
-// deltas, the transfer records after the shipping cursor with their
-// spans, the copies finished since the last successful beat and, when
-// listing is set or after a registration, the full block listing.
+// deltas, the transfer records after the shipping cursor, the copies
+// finished since the last successful beat and, when listing is set or
+// after a registration, the full block listing.
 func (w *Worker) heartbeat(listing bool) {
 	args := &rpc.HeartbeatArgs{
 		ReqHeader: rpc.ReqHeader{ReqID: rpc.NewRequestID()},
@@ -327,15 +326,8 @@ func (w *Worker) heartbeat(listing bool) {
 		HTTPAddr:  w.HTTPAddr(),
 		Heat:      w.heat.Drain(),
 	}
-	// Every worker span has exactly one transfer record, so looking up
-	// each record's span ships every span the store kept, once.
 	page := w.xfers.Since(w.shipped, "", maxBeatRecords)
 	args.Transfers = page.Entries
-	for _, r := range page.Entries {
-		if sp, ok := w.traces.Span(r.TraceID, r.SpanID); ok {
-			args.Spans = append(args.Spans, sp)
-		}
-	}
 	// Drain the confirmations before snapshotting the listing, so a
 	// listing never omits a replica its own beat confirms.
 	w.recvMu.Lock()
@@ -353,7 +345,7 @@ func (w *Worker) heartbeat(listing bool) {
 	if err := w.master.Call("Master.Heartbeat", args, &reply); err != nil {
 		// The master may have expired us (e.g. after its restart):
 		// re-register and retry on the next tick. Put the drained heat
-		// deltas and confirmations back for that beat; the telemetry
+		// deltas and confirmations back for that beat; the shipping
 		// cursor has not moved, so that beat re-reads the same records.
 		w.heat.Restore(args.Heat)
 		w.recvMu.Lock()
@@ -405,26 +397,20 @@ func (w *Worker) execute(cmd rpc.Command) {
 		w.metrics.commands.With("replicate").Inc()
 		reqID := rpc.NewRequestID()
 		start := time.Now()
-		sp := w.tracer.Start(reqID, "", "worker.replicate")
-		sp.Annotate("worker", string(w.id)).AnnotateInt("block", int64(cmd.Block.ID))
 		rec := xfer.Record{
 			Op:      "replicate",
 			Source:  "worker:" + string(w.id),
 			Block:   uint64(cmd.Block.ID),
 			TraceID: reqID,
-			SpanID:  sp.ID(),
+			SpanID:  trace.NewSpanID(),
 		}
-		n, tier, err := w.replicate(reqID, sp, cmd.Block, cmd.Target, cmd.Sources, &rec)
-		sp.Annotate("tier", tier).AnnotateInt("bytes", n)
+		n, tier, err := w.replicate(cmd.Block, cmd.Target, cmd.Sources, &rec)
 		rec.Tier = tier
 		rec.Bytes = n
 		rec.Result = "ok"
 		if err != nil {
 			rec.Result = err.Error()
 		}
-		annotatePhases(sp, &rec)
-		sp.SetError(err)
-		sp.End()
 		w.metrics.observeOp("replicate", reqID, start, n, tier, err != nil)
 		w.metrics.observeDisk(tier, "replicate", rec.DiskNs)
 		rec.TotalNs = time.Since(start).Nanoseconds()

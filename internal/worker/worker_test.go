@@ -353,9 +353,10 @@ func TestFailedHeartbeatKeepsConfirmationsAndRelists(t *testing.T) {
 	}
 }
 
-// A heartbeat the master refuses leaves the telemetry cursor where it
-// was: the next beat ships the same transfer records with the spans the
-// store kept for them, and the beat after that ships nothing again.
+// A heartbeat the master refuses leaves the shipping cursor where it
+// was: the next beat ships the same transfer records, each with the span
+// and parent IDs the master derives its span from, and the beat after
+// that ships nothing again.
 func TestFailedHeartbeatReshipsTelemetry(t *testing.T) {
 	fm, addr := startFakeMaster(t)
 	w, err := New(Config{
@@ -369,10 +370,9 @@ func TestFailedHeartbeatReshipsTelemetry(t *testing.T) {
 	defer w.Close()
 
 	w.heartbeat(false)
-	sp := w.tracer.Start("feedfacefeedface", "", "worker.read")
-	sp.End()
-	w.xfers.Append(xfer.Record{Op: "read", Source: "worker:wfake", Block: 7, TraceID: "feedfacefeedface", SpanID: sp.ID(), Result: "ok"})
-	w.xfers.Append(xfer.Record{Op: "read", Source: "worker:wfake", Block: 8, Result: "ok"}) // untraced: no span
+	w.xfers.Append(xfer.Record{Op: "read", Source: "worker:wfake", Block: 7, Result: "ok",
+		TraceID: "feedfacefeedface", SpanID: "0123456789abcdef", ParentID: "fedcba9876543210"})
+	w.xfers.Append(xfer.Record{Op: "read", Source: "worker:wfake", Block: 8, Result: "ok"}) // untraced
 	fm.mu.Lock()
 	fm.refuse = 1
 	fm.mu.Unlock()
@@ -387,17 +387,20 @@ func TestFailedHeartbeatReshipsTelemetry(t *testing.T) {
 		t.Fatalf("beats = %d refused %v, want 4 with the second refused", len(b), fm.refused)
 	}
 	for _, i := range []int{0, 3} {
-		if len(b[i].Transfers) != 0 || len(b[i].Spans) != 0 {
-			t.Errorf("beat %d shipped %d records and %d spans, want none", i, len(b[i].Transfers), len(b[i].Spans))
+		if len(b[i].Transfers) != 0 {
+			t.Errorf("beat %d shipped %d records, want none", i, len(b[i].Transfers))
 		}
 	}
 	for _, i := range []int{1, 2} {
-		recs, spans := b[i].Transfers, b[i].Spans
+		recs := b[i].Transfers
 		if len(recs) != 2 || recs[0].Block != 7 || recs[1].Block != 8 {
-			t.Errorf("beat %d shipped records %+v, want blocks 7 and 8", i, recs)
+			t.Fatalf("beat %d shipped records %+v, want blocks 7 and 8", i, recs)
 		}
-		if len(spans) != 1 || spans[0].SpanID != sp.ID() || spans[0].Op != "worker.read" {
-			t.Errorf("beat %d shipped spans %+v, want the one worker.read span %s", i, spans, sp.ID())
+		if r := recs[0]; r.TraceID != "feedfacefeedface" || r.SpanID != "0123456789abcdef" || r.ParentID != "fedcba9876543210" {
+			t.Errorf("beat %d shipped the traced record with trace/span/parent %q/%q/%q", i, r.TraceID, r.SpanID, r.ParentID)
+		}
+		if r := recs[1]; r.TraceID != "" || r.SpanID != "" || r.ParentID != "" {
+			t.Errorf("beat %d shipped the untraced record with trace/span/parent %q/%q/%q", i, r.TraceID, r.SpanID, r.ParentID)
 		}
 	}
 }

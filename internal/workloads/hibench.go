@@ -70,13 +70,6 @@ func HiBenchSuite() []HiBenchWorkload {
 	}
 }
 
-// HiBenchResult is one workload execution measurement.
-type HiBenchResult struct {
-	Workload string
-	Engine   EngineKind
-	Seconds  float64
-}
-
 // RunHiBench executes one workload on one engine over the given
 // simulated cluster (whose placement/retrieval policies embody the
 // file system under test) and returns the makespan in seconds.

@@ -11,10 +11,16 @@
 //
 // The log is a ringlog.Log keyed by op, exactly like the audit log: a
 // bounded ring that keeps the newest records whether or not anyone
-// reads it. This package adds the Record type.
+// reads it. This package adds the Record type, and the span a worker's
+// record stands for.
 package xfer
 
-import "repro/internal/ringlog"
+import (
+	"strconv"
+
+	"repro/internal/ringlog"
+	"repro/internal/trace"
+)
 
 // Record is one completed (or failed) block transfer. All latency
 // fields are nanoseconds; phases that did not occur on the recording
@@ -53,8 +59,14 @@ type Record struct {
 	TraceID string `json:"trace_id,omitempty"`
 
 	// SpanID is the span recorded for this transfer leg, when one was
-	// started.
+	// started. A worker's leg has no span of its own: the master derives
+	// it from this record (Span).
 	SpanID string `json:"span_id,omitempty"`
+
+	// ParentID is the upstream span this leg serves: the client's or the
+	// previous pipeline stage's, or the replication a copy-source read
+	// feeds.
+	ParentID string `json:"parent_id,omitempty"`
 
 	// Result is "ok" on success, the error text otherwise.
 	Result string `json:"result"`
@@ -102,6 +114,46 @@ type Record struct {
 func (r Record) PhaseSumNs() int64 {
 	return r.DialNs + r.HeaderEncodeNs + r.HeaderDecodeNs + r.ThrottleWaitNs +
 		r.DiskNs + r.NetNs + r.ForwardNs + r.AckWaitNs + r.StallNs
+}
+
+// Span is the trace span a worker's transfer record stands for:
+// worker.<op> under the upstream span, ending when the record was
+// taken and lasting its TotalNs, annotated with the worker, block, tier,
+// bytes and each non-zero phase, and failed with Result unless that is
+// "ok". The master builds it when a heartbeat ships the record, so a
+// worker keeps no span store and the record is the span's only copy.
+func (r Record) Span(worker string) trace.Span {
+	sp := trace.Span{
+		TraceID: r.TraceID, SpanID: r.SpanID, ParentID: r.ParentID,
+		Service: "worker", Op: "worker." + r.Op,
+		Start: r.Time - r.TotalNs, End: r.Time,
+		Attrs: map[string]string{
+			"worker": worker,
+			"block":  strconv.FormatUint(r.Block, 10),
+			"tier":   r.Tier,
+			"bytes":  strconv.FormatInt(r.Bytes, 10),
+		},
+	}
+	for _, p := range [...]struct {
+		key string
+		v   int64
+	}{
+		{"dial_ns", r.DialNs}, {"header_encode_ns", r.HeaderEncodeNs},
+		{"header_decode_ns", r.HeaderDecodeNs}, {"throttle_wait_ns", r.ThrottleWaitNs},
+		{"disk_ns", r.DiskNs}, {"net_ns", r.NetNs}, {"forward_ns", r.ForwardNs},
+		{"ack_wait_ns", r.AckWaitNs}, {"stall_ns", r.StallNs}, {"alloc_bytes", r.AllocBytes},
+	} {
+		if p.v > 0 {
+			sp.Attrs[p.key] = strconv.FormatInt(p.v, 10)
+		}
+	}
+	if r.PoolHit {
+		sp.Attrs["pool_hit"] = "1"
+	}
+	if r.Result != "ok" {
+		sp.Error = r.Result
+	}
+	return sp
 }
 
 // Log is the bounded transfer stream. A nil *Log is valid and
