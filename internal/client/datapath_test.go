@@ -40,6 +40,7 @@ type stubMaster struct {
 
 	abandonedBlocks []core.BlockID
 	badReports      int
+	spanOf          map[string]string // the caller's span ID of the last call, by method
 
 	reports     int           // Master.Report calls received, failed ones too
 	failReports int           // Reports to refuse before accepting again
@@ -59,11 +60,18 @@ func (s *stubMaster) file(path string) *stubFile {
 func (s *stubMaster) Create(args *rpc.CreateArgs, _ *rpc.CreateReply) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	s.spanOf["Create"] = args.SpanID
+	if _, ok := s.files[args.Path]; ok && !args.Overwrite {
+		return errors.New(rpc.EncodeError(core.ErrExists))
+	}
 	s.files[args.Path] = &stubFile{committed: make(map[core.BlockID]bool)}
 	return nil
 }
 
 func (s *stubMaster) GetFileInfo(args *rpc.GetFileInfoArgs, reply *rpc.GetFileInfoReply) error {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.spanOf["GetFileInfo"] = args.SpanID
 	reply.Status = rpc.FileStatus{Path: args.Path, BlockSize: s.blockSize}
 	return nil
 }
@@ -349,7 +357,7 @@ func startStub(t *testing.T, blockSize int64, storages ...core.StorageID) (*File
 		storages = []core.StorageID{"w1:s0"}
 	}
 	fw := newFakeWorker(t)
-	sm := &stubMaster{blockSize: blockSize, files: make(map[string]*stubFile)}
+	sm := &stubMaster{blockSize: blockSize, files: make(map[string]*stubFile), spanOf: make(map[string]string)}
 	sm.locate = func(core.Block) []core.BlockLocation {
 		locs := make([]core.BlockLocation, len(storages))
 		for i, st := range storages {
@@ -694,6 +702,53 @@ func createClose(t testing.TB, fs *FileSystem, path string, data []byte) string 
 		t.Fatalf("close %s: %v", path, err)
 	}
 	return w.ReqID()
+}
+
+// TestCreateReturnsCreateError: a create of an existing path without
+// Overwrite fails with the create's ErrExists, though the block-size
+// lookup batched behind it succeeds, and hands back no writer.
+func TestCreateReturnsCreateError(t *testing.T) {
+	fs, _, _ := startStub(t, 4<<10)
+	createClose(t, fs, "/taken", nil)
+	w, err := fs.Create("/taken", CreateOptions{})
+	if !errors.Is(err, core.ErrExists) || w != nil {
+		t.Fatalf("create of an existing path: writer %v, err %v, want ErrExists", w, err)
+	}
+	if got := fs.metrics.rpcErrs.With("GetFileInfo").Value(); got != 0 {
+		t.Errorf("%v failed lookups, want 0: the error is the create's", got)
+	}
+}
+
+// TestCreateCarriesBlockSize: a created writer carries the block size
+// the master's lookup returned, and the create and the lookup, though
+// sent as one batch, each have their own client span, named in their
+// own request header.
+func TestCreateCarriesBlockSize(t *testing.T) {
+	const blockSize = 12 << 10
+	fs, sm, _ := startStub(t, blockSize)
+	w, err := fs.Create("/sized", CreateOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer w.Close()
+	if w.blockSize != blockSize {
+		t.Fatalf("writer block size %d, want the master's %d", w.blockSize, blockSize)
+	}
+	spans := make(map[string]string)
+	for _, sp := range fs.traces.Get(w.ReqID()) {
+		spans[sp.Op] = sp.SpanID
+	}
+	sm.mu.Lock()
+	defer sm.mu.Unlock()
+	for _, method := range []string{"Create", "GetFileInfo"} {
+		id := spans["client.rpc."+method]
+		if id == "" || sm.spanOf[method] != id {
+			t.Errorf("%s: client span %q, header names %q", method, id, sm.spanOf[method])
+		}
+	}
+	if sm.spanOf["Create"] == sm.spanOf["GetFileInfo"] {
+		t.Errorf("create and lookup share span %q", sm.spanOf["Create"])
+	}
 }
 
 // TestReportsShipInBatches: finished operations share Master.Reports,

@@ -6,6 +6,7 @@
 package client
 
 import (
+	"cmp"
 	"io"
 	"strings"
 	"sync"
@@ -162,23 +163,22 @@ func (fs *FileSystem) Create(path string, opts CreateOptions) (*Writer, error) {
 	reqID := rpc.NewRequestID()
 	root := fs.tracer.Start(reqID, "", "client.write")
 	root.Annotate("path", path)
-	err := fs.callTraced(root, reqID, "Master.Create", &rpc.CreateArgs{
-		Path:       path,
-		RepVector:  opts.RepVector,
-		BlockSize:  opts.BlockSize,
-		Overwrite:  opts.Overwrite,
-		Owner:      fs.owner,
-		ClientNode: fs.node,
-	}, &rpc.CreateReply{})
-	if err != nil {
-		root.SetError(err)
-		root.End()
-		fs.report(reqID)
-		return nil, err
-	}
+	// The create and the block-size lookup go out as one batch: the
+	// master runs them in order, one round trip for both.
 	var info rpc.GetFileInfoReply
-	err = fs.callTraced(root, reqID, "Master.GetFileInfo", &rpc.GetFileInfoArgs{Path: path}, &info)
-	if err != nil {
+	calls := [2]rpc.Call{
+		{Method: "Master.Create", Args: &rpc.CreateArgs{
+			Path:       path,
+			RepVector:  opts.RepVector,
+			BlockSize:  opts.BlockSize,
+			Overwrite:  opts.Overwrite,
+			Owner:      fs.owner,
+			ClientNode: fs.node,
+		}, Reply: &rpc.CreateReply{}},
+		{Method: "Master.GetFileInfo", Args: &rpc.GetFileInfoArgs{Path: path}, Reply: &info},
+	}
+	fs.callsTraced(root, reqID, calls[:])
+	if err := cmp.Or(calls[0].Err, calls[1].Err); err != nil {
 		root.SetError(err)
 		root.End()
 		fs.report(reqID)

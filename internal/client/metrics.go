@@ -84,22 +84,34 @@ func (fs *FileSystem) DataPathStats() DataPathStats {
 	}
 }
 
-// callReq invokes a master RPC under the given request ID: the ID is
-// stamped into the args header (so master logs and error strings carry
-// it) and the call is counted, timed, and slow-logged.
+// callReq invokes a master RPC under the given request ID: a batch of
+// one.
 func (fs *FileSystem) callReq(reqID, method string, args, reply any) error {
-	if id, ok := args.(rpc.Identified); ok && id.RequestID() == "" {
-		id.SetRequestID(reqID)
+	calls := [1]rpc.Call{{Method: method, Args: args, Reply: reply}}
+	fs.callsReq(reqID, calls[:])
+	return calls[0].Err
+}
+
+// callsReq invokes master RPCs as one pipelined batch under the given
+// request ID: the ID is stamped into each call's args header (so master
+// logs and error strings carry it) and each call is counted, timed to
+// its own reply, and slow-logged.
+func (fs *FileSystem) callsReq(reqID string, calls []rpc.Call) {
+	for _, call := range calls {
+		if id, ok := call.Args.(rpc.Identified); ok && id.RequestID() == "" {
+			id.SetRequestID(reqID)
+		}
 	}
-	op := strings.TrimPrefix(method, "Master.")
 	start := time.Now()
-	err := fs.master.Call(method, args, reply)
-	d := time.Since(start)
-	fs.metrics.rpcs.With(op).Inc()
-	fs.metrics.rpcDur.With(op).Observe(d.Seconds())
-	if err != nil {
-		fs.metrics.rpcErrs.With(op).Inc()
+	fs.master.Batch(calls)
+	for _, call := range calls {
+		op := strings.TrimPrefix(call.Method, "Master.")
+		d := call.Done.Sub(start)
+		fs.metrics.rpcs.With(op).Inc()
+		fs.metrics.rpcDur.With(op).Observe(d.Seconds())
+		if call.Err != nil {
+			fs.metrics.rpcErrs.With(op).Inc()
+		}
+		fs.metrics.slow.Observe(op, reqID, d)
 	}
-	fs.metrics.slow.Observe(op, reqID, d)
-	return err
 }

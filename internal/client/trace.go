@@ -9,19 +9,35 @@ import (
 	"repro/internal/xfer"
 )
 
-// callTraced invokes a master RPC as a child span of parent. The span
-// ID travels in the request header so the master's handler span links
-// under it, and the client-observed latency (queueing, network, and
-// server time together) is recorded as "client.rpc.<Method>".
+// callTraced invokes a master RPC as a child span of parent: a batch
+// of one.
 func (fs *FileSystem) callTraced(parent *trace.ActiveSpan, reqID, method string, args, reply any) error {
-	sp := fs.tracer.Start(reqID, parent.ID(), "client.rpc."+strings.TrimPrefix(method, "Master."))
-	if t, ok := args.(rpc.Traced); ok {
-		t.SetParentSpan(sp.ID())
+	calls := [1]rpc.Call{{Method: method, Args: args, Reply: reply}}
+	fs.callsTraced(parent, reqID, calls[:])
+	return calls[0].Err
+}
+
+// callsTraced invokes master RPCs as one pipelined batch, each call a
+// child span of parent. A call's span ID travels in its own request
+// header so the master's handler span links under it, and the
+// client-observed latency (queueing, network, and server time
+// together, up to the call's own reply) is recorded as
+// "client.rpc.<Method>".
+func (fs *FileSystem) callsTraced(parent *trace.ActiveSpan, reqID string, calls []rpc.Call) {
+	var buf [2]*trace.ActiveSpan // Create's batch, without an allocation
+	spans := buf[:0]
+	for _, call := range calls {
+		sp := fs.tracer.Start(reqID, parent.ID(), "client.rpc."+strings.TrimPrefix(call.Method, "Master."))
+		if t, ok := call.Args.(rpc.Traced); ok {
+			t.SetParentSpan(sp.ID())
+		}
+		spans = append(spans, sp)
 	}
-	err := fs.callReq(reqID, method, args, reply)
-	sp.SetError(err)
-	sp.End()
-	return err
+	fs.callsReq(reqID, calls)
+	for i, sp := range spans {
+		sp.SetError(calls[i].Err)
+		sp.EndAt(calls[i].Done)
+	}
 }
 
 // TransferLog exposes the client's transfer flight recorder (for

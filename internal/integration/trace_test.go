@@ -36,8 +36,9 @@ func TestTraceTimelineAcrossDaemons(t *testing.T) {
 		cfg.NumWorkers = 3
 		cfg.NumRacks = 1
 		cfg.BlockSize = 1 << 20
-		// The default zero SlowOpThreshold marks every trace slow, so
-		// stores retain everything regardless of the sampling rate.
+		// startTestCluster sets a 1ns SlowOpThreshold (zero would select
+		// the 100ms default), which marks every trace slow, so stores
+		// retain everything regardless of the sampling rate.
 	})
 	fs, err := c.Client("", client.WithReadahead(2), client.WithWriteWindow(1))
 	if err != nil {

@@ -125,3 +125,31 @@ func BenchmarkGetBlockLocations(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkGetFileInfo stats one file with a request ID in the header,
+// as every client call carries one, so the op's trace path runs. The ID
+// falls outside the trace store's 10% sample and the stat is far below
+// the slow threshold, as nine ops in ten are: its allocs/op is what an
+// audited op whose span nobody keeps costs beyond the namespace lookup.
+func BenchmarkGetFileInfo(b *testing.B) {
+	svc := &Service{m: testMaster(b)}
+	const path = "/stat"
+	benchCreate(b, svc, path)
+	args := &rpc.GetFileInfoArgs{Path: path}
+	args.ReqID = "0123456789abcdef"
+	if svc.m.traces.Sampled(args.ReqID) {
+		b.Fatalf("trace %s is sampled", args.ReqID)
+	}
+	var reply rpc.GetFileInfoReply
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := svc.GetFileInfo(args, &reply); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.StopTimer()
+	if reply.Status.Path != path {
+		b.Fatalf("status of %q, want %q", reply.Status.Path, path)
+	}
+}

@@ -7,7 +7,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/metrics"
 	"repro/internal/rpc"
-	"repro/internal/trace"
 )
 
 // moopScoreBuckets spans the Eq. 11 scalarised scores, which are norm
@@ -159,32 +158,25 @@ func (m *Master) tierBytes(tier core.StorageTier, remaining bool) int64 {
 // Metrics returns the master's metric registry for exposition.
 func (m *Master) Metrics() *metrics.Registry { return m.metrics.reg }
 
-// trackOpSpan instruments one client RPC operation: count it, time
-// it, log it if slow, stamp the request ID onto any wire error, and
-// record a "master.<op>" span parented under the caller's span. The
-// returned span lets the handler hang sub-spans (e.g. placement
-// scoring) off the operation. Use as
+// trackOp instruments one client RPC operation that the audit log does
+// not record: count it, time it, log it if slow, stamp the request ID
+// onto any wire error, and record a "master.<op>" span parented under
+// the caller's span. Audited ops build their span from the audit entry
+// instead (opAudit). Use as
 //
-//	sp, done := s.m.trackOpSpan("addBlock", args.ReqHeader)
-//	defer done(&err)
+//	defer s.m.trackOp("reportBadBlock", args.ReqHeader)(&err)
 //
 // on a method with a named error return.
-func (m *Master) trackOpSpan(op string, h rpc.ReqHeader) (*trace.ActiveSpan, func(*error)) {
+func (m *Master) trackOp(op string, h rpc.ReqHeader) func(*error) {
 	sp := m.tracer.Start(h.ReqID, h.SpanID, "master."+op)
 	done := m.trackOpUntraced(op, h.ReqID)
-	return sp, func(errp *error) {
+	return func(errp *error) {
 		if *errp != nil {
 			sp.SetError(*errp)
 		}
 		sp.End()
 		done(errp)
 	}
-}
-
-// trackOp is trackOpSpan for handlers that need no sub-spans.
-func (m *Master) trackOp(op string, h rpc.ReqHeader) func(*error) {
-	_, done := m.trackOpSpan(op, h)
-	return done
 }
 
 // trackOpUntraced instruments an operation without recording a span.
@@ -194,15 +186,19 @@ func (m *Master) trackOp(op string, h rpc.ReqHeader) func(*error) {
 // RPCs themselves must not recursively mint trace entries.
 func (m *Master) trackOpUntraced(op, reqID string) func(*error) {
 	start := time.Now()
+	m.metrics.ops.With(op).Inc()
+	return func(errp *error) { m.endOp(op, reqID, time.Since(start), errp) }
+}
+
+// endOp closes the metrics of an op that took d: time it, count its
+// error and stamp the request ID onto the wire form, and log it if
+// slow.
+func (m *Master) endOp(op, reqID string, d time.Duration, errp *error) {
 	mm := m.metrics
-	mm.ops.With(op).Inc()
-	return func(errp *error) {
-		d := time.Since(start)
-		mm.opDur.With(op).Observe(d.Seconds())
-		if *errp != nil {
-			mm.opErrs.With(op).Inc()
-			*errp = errors.New(rpc.WithReqID((*errp).Error(), reqID))
-		}
-		mm.slow.Observe(op, reqID, d)
+	mm.opDur.With(op).Observe(d.Seconds())
+	if *errp != nil {
+		mm.opErrs.With(op).Inc()
+		*errp = errors.New(rpc.WithReqID((*errp).Error(), reqID))
 	}
+	mm.slow.Observe(op, reqID, d)
 }

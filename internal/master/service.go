@@ -97,7 +97,6 @@ func (s *Service) Create(args *rpc.CreateArgs, _ *rpc.CreateReply) (err error) {
 func (s *Service) AddBlock(args *rpc.AddBlockArgs, reply *rpc.AddBlockReply) (err error) {
 	op := s.m.beginOp("addBlock", args.ReqHeader, args.Path, "")
 	defer op.Finish(&err)
-	opSpan := op.Span()
 	blocks, rv, blockSize, _, err := s.m.ns.FileBlocks(args.Path, op.Stats())
 	if err != nil {
 		return wire(err)
@@ -111,7 +110,7 @@ func (s *Service) AddBlock(args *rpc.AddBlockArgs, reply *rpc.AddBlockReply) (er
 	// The MOOP placement decision gets its own sub-span: it is the
 	// master-side cost the paper's §3.3 policies need attributed when
 	// tuning against observed per-tier service times.
-	placeSpan := s.m.tracer.Start(args.ReqID, opSpan.ID(), "master.placement")
+	placeSpan := s.m.tracer.Start(args.ReqID, op.SpanID(), "master.placement")
 	targets, explained, perr := s.m.place(policy.PlacementRequest{
 		Snapshot:  snap,
 		Client:    s.clientLocation(args.ClientNode),

@@ -74,7 +74,7 @@ func TestHeartbeatDerivesWorkerSpans(t *testing.T) {
 				t.Errorf("pass %d: %s attrs = %v, want worker w1 on SSD", pass, w.op, sp.Attrs)
 			}
 		}
-		if n := m.traces.Len(); n != 1 {
+		if n := len(m.traces.List()); n != 1 {
 			t.Errorf("pass %d: the store holds %d traces, want only %s", pass, n, id)
 		}
 		if got := m.TransferLog().Since(0, "", 0).Entries; len(got) != pass*len(recs) {

@@ -41,16 +41,6 @@ func (l *SlowLogger) SetSink(fn func(op, reqID string, d time.Duration)) {
 	l.sink = fn
 }
 
-// Threshold returns the configured slow threshold, so subsystems that
-// share the slow-op semantics (e.g. the trace store's retention
-// policy) use the same boundary.
-func (l *SlowLogger) Threshold() time.Duration {
-	if l == nil {
-		return -1
-	}
-	return l.threshold
-}
-
 // Observe logs the operation if it crossed the threshold. attrs are
 // extra slog key/value pairs appended to the line.
 func (l *SlowLogger) Observe(op, reqID string, d time.Duration, attrs ...any) {

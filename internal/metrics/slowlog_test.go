@@ -58,13 +58,6 @@ func TestSlowLoggerEmitsTraceID(t *testing.T) {
 	if !strings.Contains(out, "tier=SSD") {
 		t.Errorf("extra attrs dropped: %q", out)
 	}
-	if l.Threshold() != 0 {
-		t.Errorf("Threshold() = %v, want 0", l.Threshold())
-	}
-	var nilLogger *SlowLogger
-	if nilLogger.Threshold() >= 0 {
-		t.Error("nil logger threshold should be negative (disabled)")
-	}
 }
 
 func TestSlowLoggerThresholdFilters(t *testing.T) {

@@ -5,16 +5,17 @@ import (
 	"fmt"
 	"net"
 	"sync"
+	"time"
 )
 
 // MasterClient calls the master for the client, the workers and the
-// Backup Master. A call checks a connection out of the client's own
-// pool, writes one request frame, reads the reply frame itself and
-// returns the connection: concurrent callers each hold one connection,
-// and up to masterIdleConns stay open for the next calls. A call that
-// fails in transport — anything but an error the master returned —
-// redials and is retried once: master calls are idempotent or report a
-// repeat as their own error.
+// Backup Master. A batch of calls checks a connection out of the
+// client's own pool, writes every request frame in one write, reads the
+// replies itself, in order, and returns the connection: concurrent
+// callers each hold one connection, and up to masterIdleConns stay open
+// for the next calls. A batch that fails in transport — anything but an
+// error the master returned — redials and is retried once, whole:
+// master calls are idempotent or report a repeat as their own error.
 type MasterClient struct {
 	addr string
 	pool *ConnPool
@@ -48,55 +49,116 @@ func (c *MasterClient) dial() (*deadlineConn, error) {
 	return &deadlineConn{Conn: conn, lastAddr: c.addr}, nil
 }
 
-// replyReaders pools the buffered readers a call reads its reply
-// through, so a small reply costs one read system call.
+// replyReaders pools the buffered readers a batch reads its replies
+// through, so small replies cost one read system call.
 var replyReaders = sync.Pool{New: func() any { return bufio.NewReader(nil) }}
 
-// Call invokes method on the master. An error the master returned comes
-// back with its core sentinel restored (DecodeError); any other error
-// is the transport's, after the one retry.
+// Call is one master call of a batch. Batch fills in Err — the
+// master's error with its core sentinel restored (DecodeError), a reply
+// that would not decode, or the transport's failure — and Done, when
+// the call's reply was read.
+type Call struct {
+	Method      string
+	Args, Reply any
+	Err         error
+	Done        time.Time
+
+	id    byte
+	frame *[]byte // the reply frame, held until the whole batch is read
+}
+
+// Call invokes method on the master: a batch of one.
 func (c *MasterClient) Call(method string, args, reply any) error {
-	id, ok := methodIDs[method]
-	if !ok {
-		return fmt.Errorf("rpc: unknown method %s", method)
-	}
-	a, aok := args.(message)
-	r, rok := reply.(message)
-	if !aok || !rok {
-		return fmt.Errorf("rpc: %s takes %T and %T, not %T and %T", method, methods[id].args(), methods[id].reply(), args, reply)
+	calls := [1]Call{{Method: method, Args: args, Reply: reply}}
+	c.Batch(calls[:])
+	return calls[0].Err
+}
+
+// Batch invokes calls on the master in order, over one connection and
+// one round trip. A reply is decoded only once every reply of the batch
+// has arrived, so the retry after a transport failure never sees a
+// reply half filled by the first attempt. Keep a batch to a few small
+// calls: its replies are read only after all its requests are written,
+// so requests and replies together must fit the sockets' buffers.
+func (c *MasterClient) Batch(calls []Call) {
+	if len(calls) == 0 {
+		return
 	}
 	req := getScratch()
 	defer putScratch(req)
-	var err error
-	if *req, err = appendRequest((*req)[:0], id, a); err != nil {
-		return err
+	for i := range calls {
+		var err error
+		if *req, err = calls[i].appendRequest(*req); err != nil {
+			failBatch(calls, err)
+			return
+		}
 	}
 	dc := c.pool.take(c.addr)
 	for retried := false; ; retried = true {
+		var err error
 		if dc == nil {
 			if dc, err = c.dial(); err != nil {
-				return err
+				failBatch(calls, err)
+				return
 			}
 		}
-		var remote error
-		if remote, err = c.roundTrip(dc, id, *req, r); err == nil {
+		if err = c.roundTrip(dc, *req, calls); err == nil {
 			c.pool.put(dc)
-			return remote
+			for i := range calls {
+				call := &calls[i]
+				call.Err = decodeReply((*call.frame)[frameHeaderLen+1:], call.Reply.(message))
+				call.release()
+			}
+			return
 		}
 		dc.Close()
 		if retried {
-			return err
+			failBatch(calls, err)
+			return
 		}
 		dc = nil
 	}
 }
 
-// roundTrip sends one request on dc and reads its reply. err is a
-// transport failure, after which dc is unusable; remote is the master's
-// error or a reply that would not decode.
-func (c *MasterClient) roundTrip(dc *deadlineConn, id byte, req []byte, reply message) (remote, err error) {
+// appendRequest resolves the call's method and appends its request
+// frame to buf.
+func (call *Call) appendRequest(buf []byte) ([]byte, error) {
+	id, ok := methodIDs[call.Method]
+	if !ok {
+		return buf, fmt.Errorf("rpc: unknown method %s", call.Method)
+	}
+	a, aok := call.Args.(message)
+	_, rok := call.Reply.(message)
+	if !aok || !rok {
+		return buf, fmt.Errorf("rpc: %s takes %T and %T, not %T and %T", call.Method, methods[id].args(), methods[id].reply(), call.Args, call.Reply)
+	}
+	call.id = id
+	return appendRequest(buf, id, a)
+}
+
+// release returns the call's reply frame buffer to the pool.
+func (call *Call) release() {
+	if call.frame != nil {
+		putScratch(call.frame)
+		call.frame = nil
+	}
+}
+
+// failBatch ends every call of a batch with err.
+func failBatch(calls []Call, err error) {
+	now := time.Now()
+	for i := range calls {
+		calls[i].Err, calls[i].Done = err, now
+		calls[i].release()
+	}
+}
+
+// roundTrip sends a batch's request frames on dc and reads a reply
+// frame for each call, in order, into its frame buffer. An error is a
+// transport failure, after which dc is unusable.
+func (c *MasterClient) roundTrip(dc *deadlineConn, req []byte, calls []Call) error {
 	if _, err := dc.Write(req); err != nil {
-		return nil, fmt.Errorf("rpc: calling master %s: %w", c.addr, err)
+		return fmt.Errorf("rpc: calling master %s: %w", c.addr, err)
 	}
 	r := replyReaders.Get().(*bufio.Reader)
 	r.Reset(dc)
@@ -104,16 +166,24 @@ func (c *MasterClient) roundTrip(dc *deadlineConn, id byte, req []byte, reply me
 		r.Reset(nil)
 		replyReaders.Put(r)
 	}()
-	buf := getScratch()
-	defer putScratch(buf)
-	typ, body, err := readFrame(r, buf, maxMasterFrame)
-	if err == nil && (typ != id || r.Buffered() != 0) {
-		err = fmt.Errorf("rpc: reply to %s out of step", methodName(id))
+	for i := range calls {
+		call := &calls[i]
+		if call.frame == nil {
+			call.frame = getScratch()
+		}
+		typ, _, err := readFrame(r, call.frame, maxMasterFrame)
+		if err == nil && typ != call.id {
+			err = fmt.Errorf("rpc: reply to %s out of step", methodName(call.id))
+		}
+		if err != nil {
+			return fmt.Errorf("rpc: calling master %s: %w", c.addr, err)
+		}
+		call.Done = time.Now()
 	}
-	if err != nil {
-		return nil, fmt.Errorf("rpc: calling master %s: %w", c.addr, err)
+	if r.Buffered() != 0 {
+		return fmt.Errorf("rpc: calling master %s: reply to %s out of step", c.addr, methodName(calls[len(calls)-1].id))
 	}
-	return decodeReply(body, reply), nil
+	return nil
 }
 
 // Close closes the idle connections; a later call dials again.

@@ -25,9 +25,11 @@ func (s *echoService) GetFileInfo(args *GetFileInfoArgs, reply *GetFileInfoReply
 	return nil
 }
 
-// recordingListener keeps every connection it accepted.
+// recordingListener keeps every connection it accepted, and hands the
+// server each one through wrap when it is set; n counts from 0.
 type recordingListener struct {
 	net.Listener
+	wrap  func(n int, c net.Conn) net.Conn
 	mu    sync.Mutex
 	conns []net.Conn
 }
@@ -37,6 +39,9 @@ func (l *recordingListener) Accept() (net.Conn, error) {
 	if err == nil {
 		l.mu.Lock()
 		l.conns = append(l.conns, c)
+		if l.wrap != nil {
+			c = l.wrap(len(l.conns)-1, c)
+		}
 		l.mu.Unlock()
 	}
 	return c, err
@@ -46,6 +51,12 @@ func (l *recordingListener) Accept() (net.Conn, error) {
 // the service, and a function that severs every connection accepted so
 // far and reports how many there were.
 func echoServer(t *testing.T) (string, *echoService, func() int) {
+	return echoServerWrapped(t, nil)
+}
+
+// echoServerWrapped is echoServer with the server's connections passed
+// through wrap.
+func echoServerWrapped(t *testing.T, wrap func(n int, c net.Conn) net.Conn) (string, *echoService, func() int) {
 	t.Helper()
 	svc := &echoService{}
 	srv := NewServer(nil)
@@ -54,7 +65,7 @@ func echoServer(t *testing.T) (string, *echoService, func() int) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rl := &recordingListener{Listener: ln}
+	rl := &recordingListener{Listener: ln, wrap: wrap}
 	go srv.Serve(rl)
 	t.Cleanup(srv.Close)
 	sever := func() int {

@@ -12,10 +12,11 @@ import (
 )
 
 // Server serves the master protocol. Each accepted connection gets one
-// goroutine that reads a request frame, runs its handler inline and
-// writes the reply: a connection carries one call at a time, a caller
-// wanting concurrency opens more connections, and no call waits behind
-// a goroutine start or a response queue.
+// goroutine that reads request frames, runs each handler inline, in
+// order, and writes the replies: a connection carries one caller's
+// calls, pipelined or one at a time, a caller wanting concurrency opens
+// more connections, and no call waits behind a goroutine start or a
+// response queue.
 type Server struct {
 	handlers [len(methods)]handler
 	inflight *metrics.Gauge
@@ -138,19 +139,28 @@ func (s *Server) Close() {
 }
 
 // serveConn answers one connection's calls in order until it fails or
-// sends something that is not a frame, which closes only it.
+// sends something that is not a frame, which closes only it. Replies
+// collect in one buffer while the reader holds a further request, so a
+// pipelined batch is answered in one write and a lone request at once.
+// A request counts as in flight until its reply is written or lost.
 func (s *Server) serveConn(conn net.Conn) {
+	r := bufio.NewReader(conn)
+	in, out := getScratch(), getScratch()
+	var pending float64 // requests answered in *out, not yet written
 	defer func() {
+		if pending > 0 {
+			// The replies already produced go out before the close.
+			conn.Write(*out)
+			s.inflight.Add(-pending)
+		}
+		putScratch(in)
+		putScratch(out)
 		s.mu.Lock()
 		delete(s.conns, conn)
 		s.mu.Unlock()
 		conn.Close()
 		s.wg.Done()
 	}()
-	r := bufio.NewReader(conn)
-	in, out := getScratch(), getScratch()
-	defer putScratch(in)
-	defer putScratch(out)
 	for {
 		typ, body, err := readFrame(r, in, maxMasterFrame)
 		if err != nil {
@@ -158,9 +168,14 @@ func (s *Server) serveConn(conn net.Conn) {
 		}
 		arrival := time.Now().UnixNano()
 		s.inflight.Add(1)
-		*out = s.dispatch((*out)[:0], typ, body, arrival)
+		pending++
+		*out = s.dispatch(*out, typ, body, arrival)
+		if r.Buffered() > 0 && len(*out) < maxPooledScratch {
+			continue
+		}
 		_, err = conn.Write(*out)
-		s.inflight.Add(-1)
+		s.inflight.Add(-pending)
+		pending, *out = 0, (*out)[:0]
 		if err != nil {
 			return
 		}

@@ -1,7 +1,6 @@
 package trace
 
 import (
-	"hash/fnv"
 	"slices"
 	"sort"
 	"sync"
@@ -75,8 +74,8 @@ func NewStore(capacity int, slowThreshold time.Duration, sample float64) *Store 
 
 // isSlow mirrors metrics.SlowLogger: a negative threshold marks
 // nothing slow, any other is compared with the span's duration.
-func (s *Store) isSlow(sp Span) bool {
-	return s.slow >= 0 && sp.Duration() >= s.slow
+func (s *Store) isSlow(d time.Duration) bool {
+	return s.slow >= 0 && d >= s.slow
 }
 
 // Sampled reports whether traceID falls into the store's
@@ -89,9 +88,30 @@ func (s *Store) Sampled(traceID string) bool {
 	if s.sample <= 0 {
 		return false
 	}
-	h := fnv.New64a()
-	h.Write([]byte(traceID))
-	return h.Sum64()%10000 < uint64(s.sample*10000)
+	// FNV-1a, inline so the answer costs no allocation.
+	h := uint64(14695981039346656037)
+	for i := 0; i < len(traceID); i++ {
+		h ^= uint64(traceID[i])
+		h *= 1099511628211
+	}
+	return h%10000 < uint64(s.sample*10000)
+}
+
+// Keeps reports whether Add would keep a span of traceID lasting d:
+// the span is slow, the trace is sampled, or the store already holds
+// the trace. A caller that builds its span only when this holds pays
+// nothing for the spans the store would drop.
+func (s *Store) Keeps(traceID string, d time.Duration) bool {
+	if s == nil || traceID == "" {
+		return false
+	}
+	if s.isSlow(d) || s.Sampled(traceID) {
+		return true
+	}
+	s.mu.Lock()
+	_, ok := s.traces[traceID]
+	s.mu.Unlock()
+	return ok
 }
 
 // Add records a finished span. Nil stores discard silently.
@@ -99,7 +119,7 @@ func (s *Store) Add(sp Span) {
 	if s == nil || sp.TraceID == "" {
 		return
 	}
-	slow := s.isSlow(sp)
+	slow := s.isSlow(sp.Duration())
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	e, ok := s.traces[sp.TraceID]
@@ -162,16 +182,6 @@ func (s *Store) Get(traceID string) []Span {
 	s.mu.Unlock()
 	SortSpans(spans)
 	return spans
-}
-
-// Len returns the number of retained traces.
-func (s *Store) Len() int {
-	if s == nil {
-		return 0
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return len(s.traces)
 }
 
 // Summary describes one retained trace for the /debug/traces list.

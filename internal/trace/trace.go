@@ -135,9 +135,17 @@ func (a *ActiveSpan) SetError(err error) {
 	a.mu.Unlock()
 }
 
-// End finishes the span and records it into the store. Only the
-// first call has effect.
+// End finishes the span now and records it into the store. Only the
+// first End or EndAt has effect.
 func (a *ActiveSpan) End() {
+	if a != nil {
+		a.EndAt(time.Now())
+	}
+}
+
+// EndAt finishes the span at end, for work whose end was observed
+// before the span could be closed (one call of a pipelined batch).
+func (a *ActiveSpan) EndAt(end time.Time) {
 	if a == nil {
 		return
 	}
@@ -147,7 +155,7 @@ func (a *ActiveSpan) End() {
 		return
 	}
 	a.done = true
-	a.span.End = time.Now().UnixNano()
+	a.span.End = end.UnixNano()
 	sp := a.span
 	store := a.store
 	a.mu.Unlock()
